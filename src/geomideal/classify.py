@@ -22,6 +22,7 @@ from .geometry import (
     RationalPoint,
     critical_transversality_certificate,
     forward_orbit_hits,
+    projective_order,
     _is_unipotent,
 )
 from .homology import truncated_tor_over_quotient
@@ -68,30 +69,6 @@ class OrderResult:
         if self.certified_infinite:
             return "infinite"
         return "exceeds-bound"
-
-
-def _is_scalar_matrix(field, rows) -> bool:
-    n = len(rows)
-    diag = rows[0][0]
-    if field.is_zero(diag):
-        return False
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                if rows[i][i] != diag:
-                    return False
-            elif not field.is_zero(rows[i][j]):
-                return False
-    return True
-
-
-def _projective_order(sigma: ProjAutomorphism, cap: int = 1000) -> int | None:
-    """Least k >= 1 with sigma^k a scalar matrix, scanning up to cap."""
-    field = sigma.ring.field
-    for k in range(1, cap + 1):
-        if _is_scalar_matrix(field, sigma.power(k)):
-            return k
-    return None
 
 
 def _divisors(n: int) -> list[int]:
@@ -190,7 +167,7 @@ def sigma_ideal_order(ideal: HomIdeal, sigma: ProjAutomorphism,
         elif _is_unipotent(sigma):
             return OrderResult(None, True, "unipotent-rigidity")
     else:
-        k = _projective_order(sigma)
+        k = projective_order(sigma)
         if k is not None:
             for div in _divisors(k):
                 if div > bound and ideal_equal(sigma.pullback_ideal(ideal, div), ideal):
@@ -422,11 +399,6 @@ class ClassificationReport:
         raise KeyError(predicate)
 
 
-def _gens_str(ideal: HomIdeal) -> str:
-    ring = ideal.ring
-    return ", ".join(ring.format_poly(g) for g in ideal.gens)
-
-
 def _row(predicate, verdict, detail, kind, *, horizon=None, witness=None):
     return ClassificationRow(predicate, verdict, detail,
                              Evidence(kind, CITATIONS[predicate],
@@ -500,7 +472,7 @@ def _classify_degenerate(scene, stab, notes) -> ClassificationReport:
 
 # -- stable branch: the colon equals the ideal from some degree on ----------
 
-def _orbit_rows(scene, comp, sample_points, horizon):
+def _orbit_rows(scene, sample_points, horizon):
     reports = [forward_orbit_hits(p, scene.sigma, scene.ideal, horizon)
                for p in sample_points]
     infinite = next((r for r in reports if r.verdict == "infinite"), None)
@@ -512,7 +484,7 @@ def _orbit_rows(scene, comp, sample_points, horizon):
 def _classify_stable(scene, stab, comp, sample_points, horizon, notes) -> ClassificationReport:
     ct = critical_transversality_certificate(scene)
     reports, infinite_rep, orbit_inconclusive, complete = _orbit_rows(
-        scene, comp, sample_points, horizon)
+        scene, sample_points, horizon)
 
     single_point = (comp is not None and len(comp.components) == 1
                     and comp.source in ("point", "declared")
@@ -576,7 +548,7 @@ def _classify_stable(scene, stab, comp, sample_points, horizon, notes) -> Classi
                     "invariant coordinate-subspace families", grounded,
                     horizon=grounded_h)
     elif ct.status == "refuted":
-        witness = (f"invariant subscheme V({_gens_str(ct.witness_ideal)}) is not "
+        witness = (f"invariant subscheme V({ct.witness_ideal.gens_text()}) is not "
                    f"homologically transverse to Z (Tor_{ct.witness_j} survives "
                    "in high degree)")
         if assnot_certified:
@@ -598,7 +570,7 @@ def _classify_stable(scene, stab, comp, sample_points, horizon, notes) -> Classi
     if comp is not None:
         offending = next((r for r in comp.components if r.codimension >= 2), None)
     if offending is not None:
-        witness = (f"component V({_gens_str(offending.prime)}) has codimension "
+        witness = (f"component V({offending.prime.gens_text()}) has codimension "
                    f"{offending.codimension} > 1")
         if assnot_certified:
             strong_left = _row("strongly-left-noetherian", "no",
@@ -610,7 +582,7 @@ def _classify_stable(scene, stab, comp, sample_points, horizon, notes) -> Classi
                                "horizon-tested", "heuristic", horizon=horizon)
     elif ct.status == "refuted":
         witness = (f"not left noetherian: invariant subscheme "
-                   f"V({_gens_str(ct.witness_ideal)}) obstructs transversality")
+                   f"V({ct.witness_ideal.gens_text()}) obstructs transversality")
         strong_left = _row("strongly-left-noetherian", "no",
                            "refuted through the left-noetherian obstruction",
                            "refuted" if assnot_certified else "heuristic",
@@ -694,7 +666,7 @@ def _classify_unstable(scene, stab, comp, sample_points, horizon, notes) -> Clas
             offender = next(r for r in comp.components
                             if r.radical_order.order is not None
                             and r.scheme_order.order is None)
-            witness = (f"component V({_gens_str(offender.component)}) has "
+            witness = (f"component V({offender.component.gens_text()}) has "
                        f"finite-order support (order {offender.radical_order.order}) "
                        "but no power of sigma fixes the component scheme "
                        f"({offender.scheme_order.justification})")

@@ -448,11 +448,6 @@ def records_to_report(records) -> ClassificationReport:
 # subcommand handlers: SceneFile -> list of records
 # ---------------------------------------------------------------------------
 
-def _fmt_gens(ideal: HomIdeal) -> str:
-    ring = ideal.ring
-    return ", ".join(ring.format_poly(g) for g in ideal.gens)
-
-
 def run_gb(sf: SceneFile) -> list[dict]:
     basis = sf.ideal.groebner()
     recs = [_record("groebner", generators=len(basis), order=sf.ring.order.kind)]
@@ -575,7 +570,7 @@ def run_ct_cert(sf: SceneFile) -> list[dict]:
     rep = critical_transversality_certificate(sf.scene())
     return [_record(
         "ct-certificate", status=rep.status, checked=rep.checked,
-        witness=None if rep.witness_ideal is None else _fmt_gens(rep.witness_ideal),
+        witness=None if rep.witness_ideal is None else rep.witness_ideal.gens_text(),
         witness_j=rep.witness_j, reason=rep.reason, notes=list(rep.notes),
     )]
 
@@ -751,6 +746,12 @@ def main(argv=None) -> int:
     parser.add_argument("--horizon", type=int, default=None,
                         help="override the scene's horizon")
     args = parser.parse_args(argv)
+    for flag, val in (("--max-degree", args.max_degree),
+                      ("--oracle-horizon", args.oracle_horizon),
+                      ("--horizon", args.horizon)):
+        if val is not None and val < 1:
+            print(f"geomideal: {flag} must be positive", file=sys.stderr)
+            return 2
 
     if args.scene == "-":
         text = sys.stdin.read()

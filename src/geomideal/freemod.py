@@ -7,8 +7,10 @@ position-over-term: lower component index wins, ties broken by the ring's
 monomial order.  Putting the ambient components first and syzygy tags last
 makes the same order an elimination order for syzygy computations.
 
-The product (coprime) pair criterion is *not* sound for module S-vectors, so
-module Buchberger only uses the chain criterion.
+Module Buchberger is polykernel.buchberger run with the module normal form
+below: pairs only within a component, the chain criterion always, and the
+product (coprime) criterion when both vectors have a single nonzero
+component, where S(f.e, g.e) = S(f, g).e makes it sound.
 """
 
 from __future__ import annotations
@@ -19,16 +21,15 @@ from .polykernel import (
     HilbertPoly,
     Poly,
     PolyRing,
-    ResourceCapError,
     _binomial_poly,
     _poly_n_add,
+    _poly_n_mul,
     _poly_n_scale,
+    buchberger,
     hilbert_polynomial_from_numerator,
-    mono_deg,
+    interreduce,
     mono_div,
     mono_divides,
-    mono_lcm,
-    mono_mul,
     monomial_hilbert_numerator,
 )
 import math
@@ -77,6 +78,14 @@ class MVec:
 
     def is_zero(self) -> bool:
         return not self.comps
+
+    @property
+    def ring(self) -> PolyRing:
+        return self.module.ring
+
+    @property
+    def ncomps(self) -> int:
+        return len(self.comps)
 
     @property
     def degree(self):
@@ -198,87 +207,13 @@ def mod_normal_form(v: MVec, basis: list[MVec]) -> MVec:
     return MVec(module, {i: Poly(ring, t) for i, t in rem.items()})
 
 
-def _s_vector(f: MVec, g: MVec) -> MVec:
-    field = f.module.ring.field
-    fc, fm, fco = f.leading()
-    gc, gm, gco = g.leading()
-    assert fc == gc
-    lcm = mono_lcm(fm, gm)
-    a = f.term_mul(field.inv(fco), mono_div(lcm, fm))
-    b = g.term_mul(field.inv(gco), mono_div(lcm, gm))
-    return a - b
-
-
 def module_groebner(vecs: list[MVec]) -> list[MVec]:
-    """Reduced module Groebner basis (chain criterion only; see module note)."""
-    vecs = [v for v in vecs if not v.is_zero()]
-    if not vecs:
-        return []
-    G = sorted((v.monic() for v in vecs), key=MVec.sort_key)
-    okey = G[0].module.ring.order.key
-
-    def pair_key(i, j):
-        ci, mi, _ = G[i].leading()
-        _, mj, _ = G[j].leading()
-        lcm = mono_lcm(mi, mj)
-        return (mono_deg(lcm), ci, okey(lcm))
-
-    pending: set[tuple[int, int]] = set()
-
-    def add_pairs(j):
-        cj = G[j].leading()[0]
-        for i in range(j):
-            if G[i].leading()[0] == cj:
-                pending.add((i, j))
-
-    for j in range(len(G)):
-        add_pairs(j)
-
-    while pending:
-        i, j = min(pending, key=lambda p: (pair_key(*p), p))
-        pending.discard((i, j))
-        ci, mi, _ = G[i].leading()
-        _, mj, _ = G[j].leading()
-        lcm = mono_lcm(mi, mj)
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            ck, mk, _ = G[k].leading()
-            if ck == ci and mono_divides(mk, lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        r = mod_normal_form(_s_vector(G[i], G[j]), G)
-        if not r.is_zero():
-            G.append(r.monic())
-            add_pairs(len(G) - 1)
-
-    return reduce_module_basis(G)
+    """Reduced module Groebner basis (polykernel.buchberger, module normal form)."""
+    return reduce_module_basis(buchberger(vecs, MVec.sort_key, mod_normal_form))
 
 
 def reduce_module_basis(G: list[MVec]) -> list[MVec]:
-    G = [g for g in G if not g.is_zero()]
-    if not G:
-        return []
-    minimal: list[MVec] = []
-    for g in sorted(G, key=lambda v: (v.leading()[0], v.module.ring.order.key(v.leading()[1]))):
-        gc, gm, _ = g.leading()
-        if not any(
-            h.leading()[0] == gc and mono_divides(h.leading()[1], gm) for h in minimal
-        ):
-            minimal.append(g)
-    reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1:]
-        r = mod_normal_form(g, others)
-        if not r.is_zero():
-            reduced.append(r.monic())
-    return sorted(reduced, key=MVec.sort_key)
+    return sorted(interreduce(G, mod_normal_form), key=MVec.sort_key)
 
 
 def submodule_contains(gb: list[MVec], v: MVec) -> bool:
@@ -399,24 +334,11 @@ def submodule_hilbert_function(gb: list[MVec], module: FreeModule, n: int) -> in
 def _shift_poly_n(coeffs: tuple, a: int) -> tuple:
     """p(n) -> p(n - a) on tuple-of-Fraction coefficient vectors."""
     out: tuple = ()
-    for i, c in enumerate(coeffs):
-        # (n - a)^i expanded
-        term = (Fraction(1),)
-        for _ in range(i):
-            term = _mul_linear(term, Fraction(-a))
-        out = _poly_n_add(out, _poly_n_scale(term, c))
+    power = (Fraction(1),)  # (n - a)^i
+    for c in coeffs:
+        out = _poly_n_add(out, _poly_n_scale(power, c))
+        power = _poly_n_mul(power, (Fraction(-a), Fraction(1)))
     return out
-
-
-def _mul_linear(coeffs: tuple, const: Fraction) -> tuple:
-    # multiply by (n + const)
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i] += c * const
-        out[i + 1] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 def submodule_hilbert_polynomial(gb: list[MVec], module: FreeModule) -> HilbertPoly:
@@ -432,19 +354,3 @@ def submodule_hilbert_polynomial(gb: list[MVec], module: FreeModule) -> HilbertP
         diff = _poly_n_add(full, _poly_n_scale(quot.coeffs, Fraction(-1)))
         acc = _poly_n_add(acc, _shift_poly_n(diff, module.degrees[c]))
     return HilbertPoly(acc)
-
-
-def free_module_hilbert_polynomial(module: FreeModule) -> HilbertPoly:
-    nv = module.ring.nvars
-    full = _binomial_poly(nv - 1, nv - 1)
-    acc: tuple = ()
-    for a in module.degrees:
-        acc = _poly_n_add(acc, _shift_poly_n(full, a))
-    return HilbertPoly(acc)
-
-
-def free_module_hilbert_function(module: FreeModule, n: int) -> int:
-    nv = module.ring.nvars
-    return sum(
-        math.comb(n - a + nv - 1, nv - 1) for a in module.degrees if n - a >= 0
-    )

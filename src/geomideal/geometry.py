@@ -39,7 +39,7 @@ from .polykernel import (
     _poly_n_mul,
     intersect,
 )
-from .twist import ProjAutomorphism
+from .twist import ProjAutomorphism, _dot, is_scalar_matrix
 
 RATIONAL_SUBSTITUTE_NOTE = (
     "eigenvalue ratios multiplicatively independent used as the rational-"
@@ -117,6 +117,15 @@ def point_order(p: RationalPoint, sigma: ProjAutomorphism, bound: int) -> int | 
     for k in range(1, bound + 1):
         q = q.apply(sigma)
         if q == p:
+            return k
+    return None
+
+
+def projective_order(sigma: ProjAutomorphism, cap: int = 1000) -> int | None:
+    """Least k >= 1 with sigma^k a scalar matrix, scanning up to cap."""
+    field = sigma.ring.field
+    for k in range(1, cap + 1):
+        if is_scalar_matrix(field, sigma.power(k)):
             return k
     return None
 
@@ -200,19 +209,12 @@ def _is_unipotent(sigma: ProjAutomorphism) -> bool:
     for _ in range(n):
         power = [
             [
-                _dot_row(field, power[i], [N[t][j] for t in range(n)])
+                _dot(field, power[i], [N[t][j] for t in range(n)])
                 for j in range(n)
             ]
             for i in range(n)
         ]
     return all(field.is_zero(e) for row in power for e in row)
-
-
-def _dot_row(field, row, col):
-    acc = field.zero
-    for a, b in zip(row, col):
-        acc = field.add(acc, field.mul(a, b))
-    return acc
 
 
 def _orbit_coordinate_polys(sigma: ProjAutomorphism, p: RationalPoint):
@@ -231,7 +233,7 @@ def _orbit_coordinate_polys(sigma: ProjAutomorphism, p: RationalPoint):
     vecs = [list(p.coords)]  # N^k p
     for _ in range(1, nv):
         prev = vecs[-1]
-        vecs.append([_dot_row(field, N[i], prev) for i in range(nv)])
+        vecs.append([_dot(field, N[i], prev) for i in range(nv)])
     coord_polys = []
     for i in range(nv):
         poly = (Fraction(0),)
@@ -268,12 +270,15 @@ def _cauchy_root_bound(coeffs) -> int:
 def forward_orbit_hits(p: RationalPoint, sigma: ProjAutomorphism,
                        Z: HomIdeal, horizon: int) -> OrbitReport:
     """Hits {n >= 0 : sigma^n(p) in Z}, with a completeness certificate when
-    one of the analytic routes applies.
+    one of the routes applies.
 
-    Routes, in order: periodicity (orbit revisits p within the horizon);
-    dominant-term bounds for diagonal sigma (rational eigenvalues, signs
-    split by parity); Cauchy root bounds for unipotent sigma (coordinates
-    polynomial in n).  Otherwise the verdict is horizon-bounded only.
+    Routes, in order: periodicity (orbit revisits p); dominant-term bounds
+    for diagonal sigma (rational eigenvalues, signs split by parity); Cauchy
+    root bounds for unipotent sigma (coordinates polynomial in n).  Over
+    GF(p) every orbit is periodic with a period dividing the projective
+    order of sigma, so the scan runs on to that order and the analytic
+    routes, which need characteristic 0, are never taken.  Otherwise the
+    verdict is horizon-bounded only.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -282,10 +287,14 @@ def forward_orbit_hits(p: RationalPoint, sigma: ProjAutomorphism,
     def is_hit(q: RationalPoint) -> bool:
         return q.on_subscheme(Z)
 
+    scan = horizon
+    if field.char != 0:
+        scan = max(horizon, projective_order(sigma) or 0)
+
     # scan, watching for periodicity
     orbit = [p]
     period = None
-    for n in range(1, horizon + 1):
+    for n in range(1, scan + 1):
         q = orbit[-1].apply(sigma)
         if q == p and period is None:
             period = n
@@ -337,7 +346,7 @@ def forward_orbit_hits(p: RationalPoint, sigma: ProjAutomorphism,
                            justification="identically-zero-evaluation",
                            notes=("one parity class vanishes identically",))
 
-    if _is_unipotent(sigma):
+    if _is_unipotent(sigma) and field.char == 0:
         coord_polys = _orbit_coordinate_polys(sigma, p)
         bounds = []
         all_zero = True

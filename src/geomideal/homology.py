@@ -41,6 +41,8 @@ from .polykernel import (
     HomIdeal,
     Poly,
     PolyRing,
+    _poly_n_add,
+    _poly_n_scale,
     groebner_basis,
     hilbert_polynomial,
     ideal_sum,
@@ -181,8 +183,7 @@ class TorModule:
     def hilbert_polynomial(self) -> HilbertPoly:
         pk = submodule_hilbert_polynomial(self._gb_cycles, self.ambient)
         pb = submodule_hilbert_polynomial(self._gb_bounds, self.ambient)
-        coeffs = _sub_coeffs(pk.coeffs, pb.coeffs)
-        return HilbertPoly(coeffs)
+        return HilbertPoly(_poly_n_add(pk.coeffs, _poly_n_scale(pb.coeffs, Fraction(-1))))
 
     def is_sheaf_trivial(self) -> bool:
         """True when the associated sheaf vanishes (Hilbert polynomial 0)."""
@@ -196,18 +197,6 @@ class TorModule:
                 tuple(v.degree for v in gens), tuple(rels)
             )
         return self._pres
-
-
-def _sub_coeffs(a: tuple, b: tuple) -> tuple:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 def _ideal_times_free(J: HomIdeal, module: FreeModule) -> list[MVec]:

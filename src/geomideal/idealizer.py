@@ -28,6 +28,7 @@ from .polykernel import (
     hilbert_function,
     ideal_equal,
     ideal_quotient,
+    intersect,
     monomials_of_degree,
     normal_form,
     saturate,
@@ -74,7 +75,7 @@ class IdealizerScene:
             return
         meet = None
         for comp, prime in self.declared_components:
-            meet = comp if meet is None else _meet(meet, comp)
+            meet = comp if meet is None else intersect(meet, comp)
             if prime is not None:
                 for g in comp.gens:
                     if not prime.contains(g):
@@ -107,12 +108,6 @@ class IdealizerScene:
         sv = ProjAutomorphism(self.ring, self.sigma.power(v))
         return IdealizerScene(self.ring, sv, self.ideal,
                               self.declared_components, self.gorenstein_z, self.smooth_z)
-
-
-def _meet(a: HomIdeal, b: HomIdeal) -> HomIdeal:
-    from .polykernel import intersect
-
-    return intersect(a, b)
 
 
 def idealizer_piece(scene: IdealizerScene, n: int) -> DegreePiece:

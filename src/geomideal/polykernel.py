@@ -1,9 +1,15 @@
 """Exact multivariate polynomial arithmetic and homogeneous ideal operations.
 
 The commutative kernel everything else sits on: polynomials over Q or GF(p)
-in variables x0..x9, reduced Groebner bases (Buchberger with the two standard
-pair-elimination criteria), colon ideals, intersections, saturation, and
-Hilbert functions / polynomials of graded quotients.
+in variables x0..x9, reduced Groebner bases, colon ideals, intersections,
+saturation, and Hilbert functions / polynomials of graded quotients.
+
+One Buchberger driver (`buchberger`, then `interreduce`) serves both
+polynomial ideals and graded submodules of free modules (freemod): a Poly is
+a vector with the single component 0.  The chain criterion always applies;
+the product (coprime) criterion applies to a pair whose two elements each
+have exactly one nonzero component, the same one, which every pair of
+polynomials satisfies.
 
 Representation notes.  Monomials are plain exponent tuples of length
 nvars = d + 1; a Poly is a dict {exponent tuple: scalar} plus a cached
@@ -36,22 +42,15 @@ class TermOrder:
 
     kind is one of "degrevlex", "lex", "elim" (single trailing auxiliary
     variable eliminated first — used by the intersection algorithm).
-    An optional variable priority permutation reorders coordinates before
-    the comparison.
     """
 
-    def __init__(self, kind: str, nvars: int, perm: tuple[int, ...] | None = None):
+    def __init__(self, kind: str, nvars: int):
         if kind not in ("degrevlex", "lex", "elim"):
             raise ValueError(f"unknown term order kind {kind!r}")
         self.kind = kind
         self.nvars = nvars
-        self.perm = tuple(perm) if perm is not None else None
-        if self.perm is not None and sorted(self.perm) != list(range(nvars)):
-            raise ValueError("perm must be a permutation of the variable indices")
 
     def key(self, exps):
-        if self.perm is not None:
-            exps = tuple(exps[i] for i in self.perm)
         if self.kind == "degrevlex":
             return (sum(exps), tuple(-e for e in reversed(exps)))
         if self.kind == "lex":
@@ -64,11 +63,11 @@ class TermOrder:
     def __eq__(self, other):
         return (
             isinstance(other, TermOrder)
-            and (self.kind, self.nvars, self.perm) == (other.kind, other.nvars, other.perm)
+            and (self.kind, self.nvars) == (other.kind, other.nvars)
         )
 
     def __hash__(self):
-        return hash((self.kind, self.nvars, self.perm))
+        return hash((self.kind, self.nvars))
 
     def __repr__(self):
         return f"TermOrder({self.kind!r}, {self.nvars})"
@@ -354,6 +353,16 @@ class Poly:
     def lc(self):
         return self.lt()[1]
 
+    def leading(self):
+        """(component, monomial, coefficient): a Poly is component 0."""
+        m, c = self.lt()
+        return (0, m, c)
+
+    @property
+    def ncomps(self) -> int:
+        """Number of nonzero components when read as a rank-1 vector."""
+        return 1 if self.terms else 0
+
     def monic(self) -> "Poly":
         if not self.terms:
             return self
@@ -495,93 +504,103 @@ def normal_form(f: Poly, basis: list[Poly]) -> Poly:
     return Poly(ring, rem)
 
 
-def s_polynomial(f: Poly, g: Poly) -> Poly:
-    field = f.ring.field
-    lcm = mono_lcm(f.lm(), g.lm())
-    a = f.term_mul(field.inv(f.lc()), mono_div(lcm, f.lm()))
-    b = g.term_mul(field.inv(g.lc()), mono_div(lcm, g.lm()))
-    return a - b
+def buchberger(gens: list, sort_key, nf) -> list:
+    """A Groebner basis (not yet interreduced) of the nonzero gens.
 
+    The one Buchberger loop, for polynomials and for module vectors alike.
+    Elements expose leading() -> (component, monomial, coefficient), where a
+    Poly is always component 0, plus ncomps, monic, term_mul and subtraction;
+    nf(f, G) is the element type's normal form.  The input is made monic
+    and sorted by sort_key, so every choice point is ordered.  Pairs are
+    formed within a component and taken by increasing (degree, component,
+    order key) of the lcm, ties broken by index.
 
-def groebner_basis(gens: list[Poly], *, interreduce: bool = True) -> list[Poly]:
-    """Reduced Groebner basis under the generators' ring order.
-
-    Buchberger with the two standard pair-elimination criteria (coprime
-    leading terms; chain criterion on processed pairs), normal pair
-    selection by increasing lcm.  Deterministic: input is canonically
-    sorted first and every choice point is ordered.
+    Two criteria skip a pair.  Coprime leading monomials, when both elements
+    have exactly one nonzero component (the same one, since pairs never
+    cross components): S(f.e, g.e) = S(f, g).e, so the polynomial product
+    criterion carries over; polynomials always qualify.  The chain
+    criterion: a third element of the component whose leading monomial
+    divides the lcm, with both linking pairs already handled.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return []
-    ring = gens[0].ring
-    okey = ring.order.key
-    G = sorted((g.monic() for g in gens), key=Poly.sort_key)
+    G = sorted((g.monic() for g in gens if not g.is_zero()), key=sort_key)
+    if not G:
+        return G
+    field = G[0].ring.field
+    okey = G[0].ring.order.key
+    lead = [g.leading() for g in G]
 
-    def pair_key(i, j):
-        lcm = mono_lcm(G[i].lm(), G[j].lm())
-        return (mono_deg(lcm), okey(lcm))
+    def pair_key(pair):
+        ci, mi, _ = lead[pair[0]]
+        lcm = mono_lcm(mi, lead[pair[1]][1])
+        return (mono_deg(lcm), ci, okey(lcm)), pair
 
     pending: set[tuple[int, int]] = set()
+
+    def add_pairs(j):
+        cj = lead[j][0]
+        pending.update((i, j) for i in range(j) if lead[i][0] == cj)
+
     for j in range(len(G)):
-        for i in range(j):
-            pending.add((i, j))
+        add_pairs(j)
 
     while pending:
-        i, j = min(pending, key=lambda p: (pair_key(*p), p))
-        pending.discard((i, j))
-        fi, fj = G[i], G[j]
-        lcm = mono_lcm(fi.lm(), fj.lm())
-        # criterion 1: coprime leading monomials -> S-poly reduces to zero
-        if lcm == mono_mul(fi.lm(), fj.lm()):
+        pair = min(pending, key=pair_key)
+        pending.discard(pair)
+        i, j = pair
+        ci, mi, ai = lead[i]
+        _, mj, aj = lead[j]
+        lcm = mono_lcm(mi, mj)
+        if G[i].ncomps == 1 and G[j].ncomps == 1 and lcm == mono_mul(mi, mj):
             continue
-        # criterion 2 (chain): a third element divides the lcm and both
-        # linking pairs were already handled
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if mono_divides(G[k].lm(), lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
+        if any(k != i and k != j and ck == ci and mono_divides(mk, lcm)
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k, (ck, mk, _) in enumerate(lead)):
             continue
-        r = normal_form(s_polynomial(fi, fj), G)
+        s = (G[i].term_mul(field.inv(ai), mono_div(lcm, mi))
+             - G[j].term_mul(field.inv(aj), mono_div(lcm, mj)))
+        r = nf(s, G)
         if not r.is_zero():
             G.append(r.monic())
-            new = len(G) - 1
-            for k in range(new):
-                pending.add((k, new))
-
-    if interreduce:
-        G = reduce_basis(G)
+            lead.append(G[-1].leading())
+            add_pairs(len(G) - 1)
     return G
 
 
-def reduce_basis(G: list[Poly]) -> list[Poly]:
-    """Interreduce a Groebner basis to the unique reduced one (monic, sorted)."""
+def interreduce(G: list, nf) -> list:
+    """Minimalize and tail-reduce a Groebner basis with the normal form nf.
+
+    Works for polynomials and module vectors (see buchberger); the result is
+    monic, in increasing (component, leading monomial) order.
+    """
     G = [g for g in G if not g.is_zero()]
     if not G:
         return []
-    ring = G[0].ring
-    okey = ring.order.key
-    # minimalize: drop elements whose leading term another leading term divides
-    G = sorted(G, key=lambda g: okey(g.lm()))
-    minimal: list[Poly] = []
-    for g in G:
-        if not any(mono_divides(h.lm(), g.lm()) for h in minimal):
+    okey = G[0].ring.order.key
+    minimal: list = []
+    heads: list = []
+    for g in sorted(G, key=lambda g: (g.leading()[0], okey(g.leading()[1]))):
+        c, m, _ = g.leading()
+        if not any(hc == c and mono_divides(hm, m) for hc, hm in heads):
             minimal.append(g)
-    # tail-reduce each against the rest
+            heads.append((c, m))
     reduced = []
     for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1:]
-        r = normal_form(g, others)
+        r = nf(g, minimal[:idx] + minimal[idx + 1:])
         if not r.is_zero():
             reduced.append(r.monic())
-    return sorted(reduced, key=lambda g: okey(g.lm()), reverse=True)
+    return reduced
+
+
+def groebner_basis(gens: list[Poly]) -> list[Poly]:
+    """Reduced Groebner basis under the generators' ring order."""
+    return reduce_basis(buchberger(gens, Poly.sort_key, normal_form))
+
+
+def reduce_basis(G: list[Poly]) -> list[Poly]:
+    """Interreduce a Groebner basis to the unique reduced one, sorted by
+    decreasing leading monomial."""
+    return interreduce(G, normal_form)[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -644,9 +663,12 @@ class HomIdeal:
             and self.groebner() == other.groebner()
         )
 
+    def gens_text(self) -> str:
+        """The generators, comma-separated, in the ring's print format."""
+        return ", ".join(self.ring.format_poly(g) for g in self.gens)
+
     def __repr__(self):
-        inside = ", ".join(str(g) for g in self.gens) or "0"
-        return f"HomIdeal({inside})"
+        return f"HomIdeal({self.gens_text() or '0'})"
 
 
 def groebner(I: HomIdeal, order: TermOrder | None = None) -> HomIdeal:

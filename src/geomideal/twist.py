@@ -14,7 +14,6 @@ constant changes nothing at the level of ideals, subschemes, or verdicts
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from . import linalg
@@ -47,7 +46,6 @@ class ProjAutomorphism:
             raise ValueError("sigma matrix is singular")
         self.matrix = matrix
         self._powers: dict[int, tuple] = {0: _identity(field, n), 1: matrix}
-        self._lock = threading.Lock()
 
     @classmethod
     def from_strings(cls, ring: PolyRing, rows: list[list[str]]) -> "ProjAutomorphism":
@@ -72,23 +70,16 @@ class ProjAutomorphism:
     # -- matrix powers ------------------------------------------------------
 
     def power(self, n: int) -> tuple:
-        with self._lock:
-            return self._power_nolock(n)
-
-    def _power_nolock(self, n: int) -> tuple:
         if n in self._powers:
             return self._powers[n]
         if n > 0:
-            m = _mat_mul(self.ring.field, self._power_nolock(n - 1), self.matrix)
+            m = _mat_mul(self.ring.field, self.power(n - 1), self.matrix)
         else:
-            m = _mat_mul(self.ring.field, self._power_nolock(n + 1), self._inverse_nolock())
+            if -1 not in self._powers:
+                self._powers[-1] = _mat_inverse(self.ring.field, self.matrix)
+            m = _mat_mul(self.ring.field, self.power(n + 1), self._powers[-1])
         self._powers[n] = m
         return m
-
-    def _inverse_nolock(self) -> tuple:
-        if -1 not in self._powers:
-            self._powers[-1] = _mat_inverse(self.ring.field, self.matrix)
-        return self._powers[-1]
 
     # -- actions ------------------------------------------------------------
 
@@ -138,11 +129,7 @@ class ProjAutomorphism:
 
     def is_identity_projectively(self) -> bool:
         """True when the matrix is a scalar multiple of the identity."""
-        field = self.ring.field
-        if not self.is_diagonal():
-            return False
-        diag = self.diagonal_entries()
-        return all(d == diag[0] for d in diag)
+        return is_scalar_matrix(self.ring.field, self.matrix)
 
     def __eq__(self, other):
         return (
@@ -158,6 +145,15 @@ class ProjAutomorphism:
 def _identity(field, n):
     return tuple(
         tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)
+    )
+
+
+def is_scalar_matrix(field, rows) -> bool:
+    """True when rows is a nonzero scalar multiple of the identity."""
+    diag = rows[0][0]
+    return not field.is_zero(diag) and all(
+        c == diag if i == j else field.is_zero(c)
+        for i, row in enumerate(rows) for j, c in enumerate(row)
     )
 
 

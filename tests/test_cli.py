@@ -1,5 +1,8 @@
 """Scene-grammar diagnostics, record round-trips, and exit-code contracts."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from geomideal.cli import (
@@ -24,6 +27,8 @@ ideal
 x0
 end
 """
+
+ROOT = Path(__file__).resolve().parents[1]
 
 FAT_POINT = """\
 # non-reduced point with sigma-fixed support
@@ -312,3 +317,33 @@ def test_horizon_override(tmp_path, capsys):
     assert main(["colon", path, "--horizon", "3"]) == 0
     out = capsys.readouterr().out
     assert "degrees 1..3" in out
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("colon", "--horizon", "0"),
+    ("colon", "--horizon", "-3"),
+    ("idealizer", "--max-degree", "-1"),
+    ("idealizer", "--oracle-horizon", "0"),
+])
+def test_non_positive_override_exit_two(command, flag, value, capsys):
+    path = str(ROOT / "scenes" / "moving_point.scene")
+    assert main([command, path, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} must be positive" in captured.err
+
+
+def test_shipped_scenes_match_the_golden_capture(monkeypatch, capsys):
+    """Every (shipped scene, command, format) reproduces the captured bytes."""
+    golden = json.loads((ROOT / "bench" / "golden" / "cli-scenes.json").read_text())
+    scenes = {key.split()[0] for key in golden}
+    assert scenes == {p.stem for p in (ROOT / "scenes").glob("*.scene")}
+    monkeypatch.chdir(ROOT)
+    differ = []
+    for key, want in sorted(golden.items()):
+        scene, command, fmt = key.split()
+        rc = main([command, f"scenes/{scene}.scene", "--format", fmt])
+        out, err = capsys.readouterr()
+        if (rc, out, err) != (want["rc"], want["stdout"], want["stderr"]):
+            differ.append(key)
+    assert differ == []

@@ -1,0 +1,117 @@
+"""Module Groebner bases and syzygies, checked against their definitions.
+
+The Buchberger criterion is re-checked here with no pair pruning at all:
+every S-vector of two basis elements with the same leading component must
+reduce to zero, whatever criteria the engine used to skip pairs.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from geomideal.fields import QQ, PrimeField
+from geomideal.freemod import (
+    FreeModule,
+    MVec,
+    mod_normal_form,
+    module_groebner,
+    syzygy_generators,
+)
+from geomideal.polykernel import (
+    Poly,
+    PolyRing,
+    groebner_basis,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    monomials_of_degree,
+)
+
+RINGS = (PolyRing(QQ, 3), PolyRing(PrimeField(7), 3))
+
+
+@st.composite
+def homogeneous_poly(draw, ring, deg):
+    if deg < 0:
+        return ring.zero()
+    monos = monomials_of_degree(ring, deg)
+    chosen = draw(st.lists(st.sampled_from(monos), max_size=3, unique=True))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(chosen),
+                           max_size=len(chosen)))
+    return ring.from_terms({m: ring.field.from_int(c) for m, c in zip(chosen, coeffs)})
+
+
+@st.composite
+def vectors(draw, module, max_vecs=3):
+    """Nonzero homogeneous vectors of the module, each of degree 1..3."""
+    out = []
+    for _ in range(draw(st.integers(1, max_vecs))):
+        deg = draw(st.integers(1, 3))
+        comps = {i: draw(homogeneous_poly(module.ring, deg - a))
+                 for i, a in enumerate(module.degrees)}
+        v = module.vec(comps)
+        if not v.is_zero():
+            out.append(v)
+    return out
+
+
+def s_vector(f: MVec, g: MVec) -> MVec:
+    field = f.ring.field
+    _, fm, fc = f.leading()
+    _, gm, gc = g.leading()
+    lcm = mono_lcm(fm, gm)
+    return (f.term_mul(field.inv(fc), mono_div(lcm, fm))
+            - g.term_mul(field.inv(gc), mono_div(lcm, gm)))
+
+
+def combination(coeffs: MVec, vecs: list[MVec]) -> MVec:
+    acc = vecs[0].module.zero()
+    for i, a in coeffs.comps.items():
+        acc = acc + vecs[i].poly_mul(a)
+    return acc
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_module_groebner_meets_the_buchberger_criterion(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    module = FreeModule(ring, data.draw(st.sampled_from([(0, 0), (0, 1), (1, 0, 1)])))
+    vecs = data.draw(vectors(module))
+    gb = module_groebner(vecs)
+    for v in vecs:
+        assert mod_normal_form(v, gb).is_zero()
+    for i, f in enumerate(gb):
+        for g in gb[i + 1:]:
+            if f.leading()[0] == g.leading()[0]:
+                assert mod_normal_form(s_vector(f, g), gb).is_zero()
+    # reduced: monic, and no term of an element is divisible by the leading
+    # term of another element in the same component
+    for i, g in enumerate(gb):
+        assert g.leading()[2] == ring.field.one
+        for j, h in enumerate(gb):
+            hc, hm, _ = h.leading()
+            if i != j and hc in g.comps:
+                assert not any(mono_divides(hm, m) for m in g.comps[hc].terms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_rank_one_module_groebner_is_groebner_basis(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    polys = [data.draw(homogeneous_poly(ring, d))
+             for d in data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))]
+    module = FreeModule(ring, (0,))
+    mgb = module_groebner([module.vec({0: f}) for f in polys])
+    assert all(set(v.comps) == {0} for v in mgb)
+    assert (sorted((v.comps[0] for v in mgb), key=Poly.sort_key)
+            == sorted(groebner_basis(polys), key=Poly.sort_key))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_syzygy_generators_annihilate_their_inputs(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    module = FreeModule(ring, data.draw(st.sampled_from([(0,), (0, 0), (0, 1)])))
+    vecs = data.draw(vectors(module))
+    for s in syzygy_generators(vecs):
+        assert len(s.comps) >= 1
+        assert combination(s, vecs).is_zero()

@@ -210,6 +210,63 @@ def test_orbit_functoriality_under_powers(v):
     )
 
 
+def test_prime_field_shear_orbit_is_periodic_not_polynomial():
+    """Over GF(101) the shear orbit of [0:1] returns to Z at n = 101."""
+    ring = PolyRing(PrimeField(101), 2)
+    shear = ProjAutomorphism.from_strings(ring, [["1", "1"], ["0", "1"]])
+    Z = HomIdeal.from_strings(ring, ["x0"])
+    rep = forward_orbit_hits(pt("[0:1]", ring.field), shear, Z, 10)
+    assert rep.verdict == "infinite"
+    assert rep.justification == "periodicity"
+    assert rep.period == 101
+    assert rep.hits == (0,)
+
+
+def _orbit_rescan(sigma, p, Z):
+    """Brute force: (period, hit residues) of the orbit of p."""
+    q, n, hits = p, 0, set()
+    while True:
+        if q.on_subscheme(Z):
+            hits.add(n)
+        n += 1
+        q = q.apply(sigma)
+        if q == p:
+            return n, hits
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_prime_field_orbit_verdicts_match_a_rescan(data):
+    field = PrimeField(data.draw(st.sampled_from([5, 7, 11])))
+    nv = data.draw(st.integers(2, 3))
+    ring = PolyRing(field, nv)
+    entry = st.integers(0, field.p - 1)
+    rows = data.draw(st.lists(st.lists(entry, min_size=nv, max_size=nv),
+                              min_size=nv, max_size=nv))
+    if data.draw(st.booleans()):  # unipotent: the route that went unsound
+        rows = [[1 if i == j else c if j > i else 0 for j, c in enumerate(row)]
+                for i, row in enumerate(rows)]
+    try:
+        sigma = ProjAutomorphism(ring, rows)
+    except ValueError:  # singular
+        return
+    coords = data.draw(st.lists(entry, min_size=nv, max_size=nv).filter(any))
+    p = RationalPoint.of(field, coords)
+    form = data.draw(st.lists(entry, min_size=nv, max_size=nv).filter(any))
+    Z = HomIdeal(ring, [ring.from_terms(
+        {tuple(int(i == j) for j in range(nv)): c for i, c in enumerate(form)})])
+    horizon = data.draw(st.integers(1, 15))
+    rep = forward_orbit_hits(p, sigma, Z, horizon)
+    period, hits = _orbit_rescan(sigma, p, Z)
+    assert rep.hits == tuple(n for n in range(horizon + 1) if n % period in hits)
+    if rep.verdict == "certified-finite":
+        assert not hits
+    if rep.verdict == "infinite":
+        assert hits
+    if rep.period is not None:
+        assert rep.period == period
+
+
 # ---------------------------------------------------------------------------
 # multiplicative independence
 # ---------------------------------------------------------------------------
