@@ -29,15 +29,16 @@ from math import gcd
 
 from . import linalg
 from .fields import QQ
-from .homology import homologically_transverse
+from .homology import free_resolution, transverse_from_resolution
 from .idealizer import IdealizerScene
 from .polykernel import (
     HomIdeal,
     PolyRing,
     _binomial_poly,
+    _minimalize_monos,
     _poly_n_add,
     _poly_n_mul,
-    intersect,
+    mono_lcm,
 )
 from .twist import ProjAutomorphism, _dot, is_scalar_matrix
 
@@ -121,7 +122,10 @@ def point_order(p: RationalPoint, sigma: ProjAutomorphism, bound: int) -> int | 
     return None
 
 
-def projective_order(sigma: ProjAutomorphism, cap: int = 1000) -> int | None:
+PERIOD_CAP = 1000  # how far GF(p) orbits and projective orders are scanned
+
+
+def projective_order(sigma: ProjAutomorphism, cap: int = PERIOD_CAP) -> int | None:
     """Least k >= 1 with sigma^k a scalar matrix, scanning up to cap."""
     field = sigma.ring.field
     for k in range(1, cap + 1):
@@ -275,9 +279,10 @@ def forward_orbit_hits(p: RationalPoint, sigma: ProjAutomorphism,
     Routes, in order: periodicity (orbit revisits p); dominant-term bounds
     for diagonal sigma (rational eigenvalues, signs split by parity); Cauchy
     root bounds for unipotent sigma (coordinates polynomial in n).  Over
-    GF(p) every orbit is periodic with a period dividing the projective
-    order of sigma, so the scan runs on to that order and the analytic
-    routes, which need characteristic 0, are never taken.  Otherwise the
+    GF(p) every orbit is periodic, so the scan follows the point's own orbit
+    on to PERIOD_CAP steps (past the horizon) and stops when it returns to
+    p; hits are still listed only up to the horizon.  The analytic routes
+    need characteristic 0 and are never taken there.  Otherwise the
     verdict is horizon-bounded only.
     """
     if horizon < 1:
@@ -287,9 +292,7 @@ def forward_orbit_hits(p: RationalPoint, sigma: ProjAutomorphism,
     def is_hit(q: RationalPoint) -> bool:
         return q.on_subscheme(Z)
 
-    scan = horizon
-    if field.char != 0:
-        scan = max(horizon, projective_order(sigma) or 0)
+    scan = horizon if field.char == 0 else max(horizon, PERIOD_CAP)
 
     # scan, watching for periodicity
     orbit = [p]
@@ -312,7 +315,7 @@ def forward_orbit_hits(p: RationalPoint, sigma: ProjAutomorphism,
         return OrbitReport(p, horizon, (), "certified-finite", n0=period,
                            period=period, justification="periodicity")
 
-    hits = [n for n, q in enumerate(orbit) if is_hit(q)]
+    hits = [n for n, q in enumerate(orbit[:horizon + 1]) if is_hit(q)]
 
     if sigma.is_diagonal() and field.char == 0:
         # dominant-term certificate, one bound per parity class
@@ -507,14 +510,14 @@ def _coordinate_families(d: int, max_union: int):
 
 
 def _family_ideal(ring: PolyRing, family) -> HomIdeal:
-    parts = [
-        HomIdeal(ring, tuple(ring.variable(i) for i in s), saturated=True)
-        for s in family
-    ]
-    out = parts[0]
-    for part in parts[1:]:
-        out = intersect(out, part)
-    return out
+    """Ideal of a union of coordinate subspaces: the intersection of the
+    monomial ideals (x_i : i in s), generated by the minimal lcm's of one
+    variable from each member."""
+    units = [tuple(int(i == k) for k in range(ring.nvars)) for i in range(ring.nvars)]
+    monos = [units[i] for i in family[0]]
+    for s in family[1:]:
+        monos = _minimalize_monos(mono_lcm(m, units[i]) for m in monos for i in s)
+    return HomIdeal(ring, [ring.monomial(m) for m in monos], saturated=True)
 
 
 def _ratio_gate(sigma: ProjAutomorphism) -> bool:
@@ -584,10 +587,11 @@ def critical_transversality_certificate(scene: IdealizerScene) -> CTCertificate:
                              reason="invariant family not classified",
                              notes=notes)
     families = _coordinate_families(d, max_union=2 ** (d + 1) - 2)
+    res = free_resolution(scene.ideal)
     checked = 0
     for fam in families:
         Y = _family_ideal(ring, fam)
-        ok, j = homologically_transverse(scene.ideal, Y)
+        ok, j = transverse_from_resolution(res, Y)
         checked += 1
         if not ok:
             return CTCertificate("refuted", checked, witness_family=fam,

@@ -255,8 +255,14 @@ def homologically_transverse(I: HomIdeal, J: HomIdeal) -> tuple[bool, int | None
     """
     if I.ring != J.ring:
         raise ValueError("ideals live in different rings")
-    res = free_resolution(I)
-    for j in range(1, I.ring.nvars + 1):
+    return transverse_from_resolution(free_resolution(I), J)
+
+
+def transverse_from_resolution(res: FreeResolution,
+                               J: HomIdeal) -> tuple[bool, int | None]:
+    """homologically_transverse(res.ideal, J) from an already-computed
+    resolution, so one resolution can be checked against many J."""
+    for j in range(1, res.ideal.ring.nvars + 1):
         if not tor_from_resolution(res, J, j).is_sheaf_trivial():
             return False, j
     return True, None

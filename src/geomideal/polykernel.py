@@ -20,6 +20,7 @@ tuples: bigger key = bigger monomial.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass
@@ -512,8 +513,10 @@ def buchberger(gens: list, sort_key, nf) -> list:
     Poly is always component 0, plus ncomps, monic, term_mul and subtraction;
     nf(f, G) is the element type's normal form.  The input is made monic
     and sorted by sort_key, so every choice point is ordered.  Pairs are
-    formed within a component and taken by increasing (degree, component,
-    order key) of the lcm, ties broken by index.
+    formed within a component and keyed once, when created, by (degree,
+    component, order key) of the lcm with the index pair as tie-break; a
+    binary heap hands them out in increasing key order.  The pending set
+    mirrors the heap for the chain criterion's membership tests.
 
     Two criteria skip a pair.  Coprime leading monomials, when both elements
     have exactly one nonzero component (the same one, since pairs never
@@ -528,23 +531,22 @@ def buchberger(gens: list, sort_key, nf) -> list:
     field = G[0].ring.field
     okey = G[0].ring.order.key
     lead = [g.leading() for g in G]
-
-    def pair_key(pair):
-        ci, mi, _ = lead[pair[0]]
-        lcm = mono_lcm(mi, lead[pair[1]][1])
-        return (mono_deg(lcm), ci, okey(lcm)), pair
-
+    heap: list = []
     pending: set[tuple[int, int]] = set()
 
     def add_pairs(j):
-        cj = lead[j][0]
-        pending.update((i, j) for i in range(j) if lead[i][0] == cj)
+        cj, mj, _ = lead[j]
+        for i in range(j):
+            if lead[i][0] == cj:
+                lcm = mono_lcm(lead[i][1], mj)
+                heapq.heappush(heap, ((mono_deg(lcm), cj, okey(lcm)), (i, j)))
+                pending.add((i, j))
 
     for j in range(len(G)):
         add_pairs(j)
 
-    while pending:
-        pair = min(pending, key=pair_key)
+    while heap:
+        _, pair = heapq.heappop(heap)
         pending.discard(pair)
         i, j = pair
         ci, mi, ai = lead[i]

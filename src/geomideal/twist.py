@@ -70,15 +70,21 @@ class ProjAutomorphism:
     # -- matrix powers ------------------------------------------------------
 
     def power(self, n: int) -> tuple:
+        """M^n, stepping by M or M^-1 from the nearest cached power toward 0."""
         if n in self._powers:
             return self._powers[n]
-        if n > 0:
-            m = _mat_mul(self.ring.field, self.power(n - 1), self.matrix)
-        else:
-            if -1 not in self._powers:
-                self._powers[-1] = _mat_inverse(self.ring.field, self.matrix)
-            m = _mat_mul(self.ring.field, self.power(n + 1), self._powers[-1])
-        self._powers[n] = m
+        field = self.ring.field
+        step = 1 if n > 0 else -1
+        if step not in self._powers:
+            self._powers[step] = _mat_inverse(field, self.matrix)
+        k = n
+        while k not in self._powers:
+            k -= step
+        m = self._powers[k]
+        while k != n:
+            k += step
+            m = _mat_mul(field, m, self._powers[step])
+            self._powers[k] = m
         return m
 
     # -- actions ------------------------------------------------------------

@@ -15,12 +15,15 @@ from geomideal.fields import QQ, PrimeField
 from geomideal.geometry import (
     CTCertificate,
     RationalPoint,
+    _coordinate_families,
+    _family_ideal,
     critical_transversality_certificate,
     eigen_data,
     forward_orbit_hits,
     invariant_coordinate_subschemes,
     multiplicative_independence,
     point_order,
+    projective_order,
 )
 from geomideal.homology import homologically_transverse
 from geomideal.idealizer import IdealizerScene
@@ -267,6 +270,36 @@ def test_prime_field_orbit_verdicts_match_a_rescan(data):
         assert rep.period == period
 
 
+@pytest.mark.parametrize("p, diag, order, Z, period", [
+    # projective order 100 <= the scan cap: the period divides it
+    (101, ["1", "2", "3"], 100, "x1 - 8*x0", 100),
+    # projective order 3000 > the cap, but [1:1:0] has period 50 (1454 has
+    # order 50 mod 3001, 14 is a primitive root, 1454^3 = 364)
+    (3001, ["1", "1454", "14"], None, "x1 - 364*x0", 50),
+])
+def test_prime_field_orbit_scans_the_point_orbit_to_the_cap(p, diag, order, Z, period):
+    ring = PolyRing(PrimeField(p), 3)
+    sigma = ProjAutomorphism.diagonal(ring, diag)
+    assert projective_order(sigma) == order
+    rep = forward_orbit_hits(pt("[1:1:0]", ring.field), sigma,
+                             HomIdeal.from_strings(ring, [Z]), 10)
+    assert (rep.verdict, rep.justification) == ("infinite", "periodicity")
+    assert rep.period == period
+    assert rep.hits == (3,)
+
+
+def test_prime_field_orbit_past_the_cap_lists_hits_to_the_horizon_only():
+    # [1:1:1] under diag(1, 1454, 14) over GF(3001) has period 3000 > 1000;
+    # the scan meets V(x1 - 364 x0) at n = 3, 53, 103, ... but reports n <= 10
+    ring = PolyRing(PrimeField(3001), 3)
+    sigma = ProjAutomorphism.diagonal(ring, ["1", "1454", "14"])
+    rep = forward_orbit_hits(pt("[1:1:1]", ring.field), sigma,
+                             HomIdeal.from_strings(ring, ["x1 - 364*x0"]), 10)
+    assert rep.verdict == "finite-within-horizon"
+    assert rep.period is None
+    assert rep.hits == (3,)
+
+
 # ---------------------------------------------------------------------------
 # multiplicative independence
 # ---------------------------------------------------------------------------
@@ -423,3 +456,17 @@ def test_certified_scene_transverse_to_every_enumerated_union():
     for Y in invariant_coordinate_subschemes(SIGMA, max_union=2):
         ok, _ = homologically_transverse(sc.ideal, Y)
         assert ok
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_family_ideal_matches_the_intersect_fold(d):
+    ring = PolyRing(QQ, d + 1)
+    for fam in _coordinate_families(d, max_union=2 ** (d + 1) - 2):
+        parts = [HomIdeal(ring, [ring.variable(i) for i in s], saturated=True)
+                 for s in fam]
+        want = parts[0]
+        for part in parts[1:]:
+            want = intersect(want, part)
+        got = _family_ideal(ring, fam)
+        assert got.gens == want.gens, fam
+        assert got.saturated is True

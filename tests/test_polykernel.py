@@ -15,7 +15,10 @@ import oracles
 from geomideal.fields import QQ, PrimeField
 from geomideal.polykernel import (
     HomIdeal,
+    Poly,
     PolyRing,
+    TermOrder,
+    buchberger,
     codimension,
     degree_piece_basis,
     degrevlex,
@@ -30,6 +33,9 @@ from geomideal.polykernel import (
     intersect,
     irrelevant_ideal,
     lex,
+    mono_deg,
+    mono_div,
+    mono_lcm,
     monomial_primary_decomposition,
     monomial_radical,
     monomials_of_degree,
@@ -143,6 +149,81 @@ def test_groebner_insensitive_to_generator_order(ri):
     ring, I = ri
     rev = HomIdeal(ring, list(reversed(list(I.gens))))
     assert I.groebner() == rev.groebner()
+
+
+# ---------------------------------------------------------------------------
+# Buchberger pair order, pinned by normal-form call counts recorded with the
+# earlier min-over-all-pending-pairs selection
+# ---------------------------------------------------------------------------
+
+def _nf_calls(gens):
+    """How many S-elements buchberger hands to normal_form for gens."""
+    calls = []
+
+    def nf(f, G):
+        calls.append(f)
+        return normal_form(f, G)
+
+    buchberger(gens, Poly.sort_key, nf)
+    return len(calls)
+
+
+def _elim_gens(ring, I, J):
+    """The elimination-ring gens t*I + (1-t)*J that intersect(I, J) builds."""
+    ering = ring.with_elim_var()
+    t = ering.variable(ring.nvars)
+
+    def lift(f):
+        return Poly(ering, {m + (0,): c for m, c in ring.parse(f).terms.items()})
+
+    return [t * lift(f) for f in I] + [(ering.one() - t) * lift(g) for g in J]
+
+
+def _moving_point_nf_calls(ring, Z, moved):
+    """nf calls for the meets of Z = V(point) with V(g), one per generator
+    g of Z^sigma (the colon (Z : Z^sigma) divides Z by each g), and then
+    with the moved point V(Z^sigma) itself."""
+    meets = [[g] for g in moved] + [moved]
+    return [_nf_calls(_elim_gens(ring, Z, J)) for J in meets]
+
+
+def test_pair_order_pinned_on_moving_point_colon():
+    # Z = [1:1:1] in P^2 and its pullback under diag(1, 2, 3)
+    assert _moving_point_nf_calls(
+        RQ, ["x0 - x2", "x1 - x2"], ["x0 - 3*x2", "2*x1 - 3*x2"]
+    ) == [7, 7, 7]
+
+
+def test_pair_order_pinned_on_p5_point_colon():
+    # Z = [1:2:3:4:5:2] in P^5 and its pullback under diag(1, 2, 3, 5, 7, 11)
+    coords, lams = [2, 3, 4, 5, 2], [2, 3, 5, 7, 11]
+    Z = [f"x{i} - {c}*x0" for i, c in enumerate(coords, start=1)]
+    moved = [f"{lam}*x{i} - {c}*x0"
+             for i, (lam, c) in enumerate(zip(lams, coords), start=1)]
+    assert _moving_point_nf_calls(PolyRing(QQ, 6), Z, moved) == [35, 35, 35, 35, 35, 29]
+
+
+def test_pair_order_takes_late_pairs_with_smaller_keys_first():
+    """Inhomogeneous elim input: reductions create pairs whose lcm's have
+    lower degree than pairs already taken, and those are taken next."""
+    ering = PolyRing(QQ, 4, TermOrder("elim", 4))  # x3 is eliminated first
+    gens = [ering.parse(f) for f in
+            ["2*x0*x1*x2^2*x3^2 + x3", "2*x0^2*x1^2*x2 - x0*x1", "2 - x2*x3^2"]]
+    taken = []
+
+    def nf(f, G):
+        # the lcm degree of the pair whose S-element f is
+        for j in range(len(G)):
+            for i in range(j):
+                (mi, _), (mj, _) = G[i].lt(), G[j].lt()
+                lcm = mono_lcm(mi, mj)
+                if f == G[i].term_mul(1, mono_div(lcm, mi)) - G[j].term_mul(1, mono_div(lcm, mj)):
+                    taken.append(mono_deg(lcm))
+                    return normal_form(f, G)
+        raise AssertionError("not an S-element of the basis")
+
+    buchberger(gens, Poly.sort_key, nf)
+    assert taken == [6, 3, 6, 4, 3, 3, 5]
 
 
 @given(st.data())

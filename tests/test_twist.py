@@ -157,6 +157,14 @@ def test_projective_rescaling_gives_same_action():
         assert ideal_equal(SIGMA.pullback_ideal(I, n), scaled.pullback_ideal(I, n))
 
 
+def test_large_first_power_needs_no_recursion():
+    R1 = PolyRing(QQ, 2)
+    shear = ProjAutomorphism.from_strings(R1, [["1", "1"], ["0", "1"]])
+    assert shear.power(3000) == ((1, 3000), (0, 1))
+    assert shear.power(-2500) == ((1, -2500), (0, 1))
+    assert shear.power(1234) == ((1, 1234), (0, 1))  # filled in on the way
+
+
 # ---------------------------------------------------------------------------
 # structural checks
 # ---------------------------------------------------------------------------
