@@ -23,7 +23,7 @@ from .geometry import (
     critical_transversality_certificate,
     forward_orbit_hits,
     projective_order,
-    _is_unipotent,
+    _unipotent_scalar,
 )
 from .homology import truncated_tor_over_quotient
 from .idealizer import IdealizerScene, stabilization_degree
@@ -164,7 +164,7 @@ def sigma_ideal_order(ideal: HomIdeal, sigma: ProjAutomorphism,
             if _eigenclass_split(ideal, sigma) == "none":
                 return OrderResult(None, True, "eigenclass-obstruction")
             # a split would have been caught by the direct scan (n <= 2)
-        elif _is_unipotent(sigma):
+        elif _unipotent_scalar(sigma) is not None:
             return OrderResult(None, True, "unipotent-rigidity")
     else:
         k = projective_order(sigma)

@@ -201,34 +201,43 @@ def _orbit_exponential_terms(sigma: ProjAutomorphism, p: RationalPoint,
     return {b: c for b, c in out.items() if c != 0}
 
 
-def _is_unipotent(sigma: ProjAutomorphism) -> bool:
+def _unipotent_scalar(sigma: ProjAutomorphism):
+    """The scalar c with sigma = c * (unipotent matrix), or None.
+
+    Such a c is the only eigenvalue of sigma, so c = trace / (d + 1) when
+    that division is possible.  Otherwise the characteristic divides d + 1
+    (so it is at most 11) and every nonzero scalar is tried."""
     field = sigma.ring.field
     n = sigma.ring.nvars
-    ident = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-    N = [
-        [field.sub(sigma.matrix[i][j], ident[i][j]) for j in range(n)]
-        for i in range(n)
-    ]
-    power = ident
-    for _ in range(n):
-        power = [
-            [
-                _dot(field, power[i], [N[t][j] for t in range(n)])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    return all(field.is_zero(e) for row in power for e in row)
+    M = sigma.matrix
+    if field.char == 0 or n % field.char:
+        trace = field.zero
+        for i in range(n):
+            trace = field.add(trace, M[i][i])
+        candidates = [field.div(trace, field.from_int(n))]
+    else:
+        candidates = [field.from_int(k) for k in range(1, field.char)]
+    for c in candidates:
+        N = [[field.sub(M[i][j], c if i == j else field.zero) for j in range(n)]
+             for i in range(n)]
+        power = N
+        for _ in range(n - 1):
+            power = [[_dot(field, power[i], [N[t][j] for t in range(n)])
+                      for j in range(n)] for i in range(n)]
+        if all(field.is_zero(e) for row in power for e in row):
+            return c
+    return None
 
 
-def _orbit_coordinate_polys(sigma: ProjAutomorphism, p: RationalPoint):
-    """Coordinates of sigma^n(p) as polynomials in n (unipotent sigma only):
-    sigma^n = sum_k C(n,k) N^k with N = sigma - I nilpotent."""
+def _orbit_coordinate_polys(sigma: ProjAutomorphism, p: RationalPoint, scalar):
+    """Coordinates of U^n(p) as polynomials in n, for sigma = scalar * U with
+    U unipotent (the same projective point as sigma^n(p)):
+    U^n = sum_k C(n,k) N^k with N = U - I nilpotent."""
     field = sigma.ring.field
     nv = sigma.ring.nvars
     N = [
         [
-            field.sub(sigma.matrix[i][j],
+            field.sub(field.div(sigma.matrix[i][j], scalar),
                       field.one if i == j else field.zero)
             for j in range(nv)
         ]
@@ -349,8 +358,9 @@ def forward_orbit_hits(p: RationalPoint, sigma: ProjAutomorphism,
                            justification="identically-zero-evaluation",
                            notes=("one parity class vanishes identically",))
 
-    if _is_unipotent(sigma) and field.char == 0:
-        coord_polys = _orbit_coordinate_polys(sigma, p)
+    scalar = _unipotent_scalar(sigma) if field.char == 0 else None
+    if scalar is not None:
+        coord_polys = _orbit_coordinate_polys(sigma, p, scalar)
         bounds = []
         all_zero = True
         for g in Z.gens:
@@ -469,9 +479,10 @@ def eigen_data(sigma: ProjAutomorphism) -> EigenData:
             ratios = [lam / lams[0] for lam in lams[1:]]
             report = multiplicative_independence(ratios)
         return EigenData(tuple(lams), True, report)
-    if _is_unipotent(sigma):
-        ones = tuple(sigma.ring.field.one for _ in range(sigma.ring.nvars))
-        return EigenData(ones, sigma.is_identity_projectively(), None)
+    scalar = _unipotent_scalar(sigma)
+    if scalar is not None:
+        return EigenData((scalar,) * sigma.ring.nvars,
+                         sigma.is_identity_projectively(), None)
     return EigenData(None, None, None)
 
 

@@ -47,7 +47,6 @@ from .polykernel import (
     hilbert_polynomial,
     ideal_sum,
     monomials_of_degree,
-    normal_form,
     saturate,
 )
 
@@ -329,6 +328,7 @@ class _QuotientRing:
     def __init__(self, ring: PolyRing, mod_gb: list[Poly]):
         self.ring = ring
         self.gb = mod_gb
+        self.nf = linalg.NormalForms(ring, mod_gb)
         self._basis: dict[int, list[tuple]] = {}
 
     def basis(self, n: int) -> list[tuple]:
@@ -343,15 +343,13 @@ class _QuotientRing:
             ]
         return self._basis[n]
 
-    def nf(self, f: Poly) -> Poly:
-        return normal_form(f, self.gb)
-
     def vec(self, f: Poly, n: int) -> list:
+        """Coordinates of f, already in normal form, on the degree-n basis."""
         field = self.ring.field
         basis = self.basis(n)
         idx = {m: i for i, m in enumerate(basis)}
         out = [field.zero] * len(basis)
-        for m, c in self.nf(f).terms.items():
+        for m, c in f.terms.items():
             out[idx[m]] = c
         return out
 
@@ -426,7 +424,6 @@ def truncated_tor_over_quotient(
     for _step in range(1, j_max + 1):
         tdeg, sdeg, cols = resolution[-1]
         gens: list[tuple[int, dict[int, Poly]]] = []  # (degree, comps)
-        span_rows: dict[int, list] = {}
         for n in range(0, trunc_bound + 1):
             # kernel of the map in degree n
             coords: list[tuple[int, tuple]] = []
@@ -434,41 +431,38 @@ def truncated_tor_over_quotient(
             for i in range(len(cols)):
                 for mu in qa.basis(n - sdeg[i]):
                     image = {
-                        k: qa.nf(p.term_mul(field.one, mu)) for k, p in cols[i].items()
+                        k: qa.nf(p, mu) for k, p in cols[i].items()
                     }
                     rows.append(_block_vec(qa, image, tdeg, n))
                     coords.append((i, mu))
             if not coords:
                 continue
-            width = len(rows[0]) if rows else 0
-            if width == 0:
-                kern = [[field.one if t == s else field.zero for t in range(len(coords))]
-                        for s in range(len(coords))]
-            else:
-                # kernel of the map a -> sum a_i * rows[i]: transpose first
-                mat = [[rows[r][w] for r in range(len(rows))] for w in range(width)]
-                kern = linalg.kernel_basis(field, mat, len(coords))
+            # kernel of the map a -> sum a_i * rows[i]: transpose first
+            mat = [[row[w] for row in rows] for w in range(len(rows[0]))]
+            kern = linalg.kernel_basis(field, mat, len(coords))
             if not kern:
                 continue
-            # span of A_+ multiples of already-accepted generators, degree n
-            acc_rows = []
-            for d0, comps in gens:
-                for mu in qa.basis(n - d0):
-                    moved = {
-                        k: qa.nf(p.term_mul(field.one, mu)) for k, p in comps.items()
-                    }
-                    acc_rows.append(_block_vec(qa, moved, sdeg, n))
-            reduced, _ = linalg.rref(field, acc_rows)
+            # span of A_+ multiples of already-accepted generators, degree n;
+            # a kernel vector outside it is a new minimal generator.  The span
+            # lies in the kernel, so once their ranks meet nothing is left.
+            span = linalg.Echelon(field, len(coords))
+            multiples = (
+                {k: qa.nf(p, mu) for k, p in comps.items()}
+                for d0, comps in gens for mu in qa.basis(n - d0)
+            )
+            for moved in multiples:
+                if span.rank == len(kern):
+                    break
+                span.insert(_block_vec(qa, moved, sdeg, n))
             for kv in kern:
+                if span.rank == len(kern):
+                    break
                 comps: dict[int, Poly] = {}
                 for (i, mu), c in zip(coords, kv):
                     if not field.is_zero(c):
                         comps[i] = comps.get(i, ring.zero()) + ring.monomial(mu, c)
-                vec = _block_vec(qa, comps, sdeg, n)
-                if linalg.in_row_space(field, reduced, vec):
-                    continue
-                gens.append((n, comps))
-                reduced, _ = linalg.rref(field, reduced + [vec])
+                if span.insert(_block_vec(qa, comps, sdeg, n)):
+                    gens.append((n, comps))
         if not gens:
             resolution.append((sdeg, (), []))
             continue
@@ -491,7 +485,7 @@ def truncated_tor_over_quotient(
             for mu in qb.basis(n - sdeg[i]):
                 dom += 1
                 image = {
-                    k: qb.nf(p.term_mul(field.one, mu)) for k, p in cols[i].items()
+                    k: qb.nf(p, mu) for k, p in cols[i].items()
                 }
                 rows.append(_block_vec(qb, image, tdeg, n))
         out = (dom, linalg.rank(field, rows)) if rows else (0, 0)

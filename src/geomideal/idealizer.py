@@ -30,7 +30,6 @@ from .polykernel import (
     ideal_quotient,
     intersect,
     monomials_of_degree,
-    normal_form,
     saturate,
     unit_ideal,
 )
@@ -56,6 +55,7 @@ class IdealizerScene:
     gorenstein_z: bool = False
     smooth_z: bool = False
     _colon_cache: dict = field(default_factory=dict, repr=False)
+    _piece_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.ideal.is_zero_ideal():
@@ -103,6 +103,12 @@ class IdealizerScene:
             self._colon_cache[n] = ideal_quotient(self.ideal, pulled)
         return self._colon_cache[n]
 
+    def ideal_piece(self, m: int) -> list[Poly]:
+        """Row-reduced basis of I_m, cached."""
+        if m not in self._piece_cache:
+            self._piece_cache[m] = degree_piece_basis(self.ideal, m)
+        return self._piece_cache[m]
+
     def veronese(self, v: int) -> "IdealizerScene":
         """Scene for the v-th power of sigma with the same Z."""
         sv = ProjAutomorphism(self.ring, self.sigma.power(v))
@@ -130,7 +136,7 @@ def membership_oracle(x: TwistedElement, scene: IdealizerScene, M: int) -> bool:
         return True
     I = scene.ideal
     for m in range(0, M + 1):
-        for b in degree_piece_basis(I, m):
+        for b in scene.ideal_piece(m):
             prod = twist_multiply(x, TwistedElement(m, b), scene.sigma)
             if not I.contains(prod.poly):
                 return False
@@ -143,32 +149,28 @@ def exhaustive_oracle_piece(scene: IdealizerScene, n: int, M: int) -> DegreePiec
     Solves the linear conditions coefficient-wise: for every m <= M and every
     basis form b of I_m, the product x . (b o sigma^n) must reduce to zero
     modulo I.  Returns the row-reduced basis, comparable with the colon piece.
+
+    A normal form modulo a Groebner basis is unique, hence linear, so each
+    product is reduced as a combination of the normal forms of its
+    monomials, and each monomial is reduced once per call
+    (`linalg.NormalForms`).
     """
     ring = scene.ring
     fieldk = ring.field
     if n == 0:
         return DegreePiece(0, (ring.one(),))
     monos = monomials_of_degree(ring, n)
-    gb = list(scene.ideal.groebner())
-
-    rows: list[list] = []  # one row per (constraint-monomial) pair, columns = monos
-    constraints: list[dict] = []  # residue terms per basis monomial, per (m, b)
+    nf = linalg.NormalForms(ring, list(scene.ideal.groebner()))
+    # columns = monos; one condition per (m, b, monomial of a residue)
+    conditions = linalg.Echelon(fieldk, len(monos))
     for m in range(0, M + 1):
-        for b in degree_piece_basis(scene.ideal, m):
-            twisted = scene.sigma.pullback(b, n)
-            residues = []
-            for mu in monos:
-                prod = twisted.term_mul(fieldk.one, mu)
-                residues.append(normal_form(prod, gb))
-            # collect target monomials appearing in any residue
-            targets = sorted({t for r in residues for t in r.terms}, key=ring.order.key)
-            for t in targets:
-                rows.append([r.terms.get(t, fieldk.zero) for r in residues])
-    if not rows:
-        basis = [ring.monomial(m) for m in monos]
-        return DegreePiece(n, tuple(basis))
-    kernel = linalg.kernel_basis(fieldk, rows, len(monos))
-    vecs, _ = linalg.rref(fieldk, kernel)
+        for b in scene.ideal_piece(m):
+            # nf(x . b') = nf(x . nf(b')), and nf(b') is short
+            reduced = nf.terms(scene.sigma.pullback(b, n).terms)
+            residues = [nf.terms(reduced, mu) for mu in monos]
+            for t in {t for r in residues for t in r}:
+                conditions.insert([r.get(t, fieldk.zero) for r in residues])
+    vecs, _ = linalg.rref(fieldk, conditions.kernel())
     out = []
     for v in vecs:
         terms = {monos[i]: c for i, c in enumerate(v) if not fieldk.is_zero(c)}

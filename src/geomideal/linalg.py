@@ -1,11 +1,126 @@
-"""Dense exact linear algebra over the coefficient fields.
+"""Exact linear algebra over the coefficient fields: one incremental echelon,
+and normal forms modulo a Groebner basis as a linear map.
 
-Small matrices only (degree pieces of graded modules at desk scale), so plain
-Gaussian elimination with exact scalars is the right tool.  Matrices are lists
-of lists of field scalars; rows are the outer index.
+Every elimination in the engine goes through `Echelon`, a row space grown
+one row at a time.  Its rows are sparse (``{column: scalar}``), fully
+reduced (pivot entry 1, zeros above and below every pivot) and keyed by
+pivot column, so inserting a row costs one pass over the pivots it meets
+and nothing already reduced is reduced again.  Scalars are the field's own
+values: `Fraction` over Q, ints in [0, p) over GF(p).  No floating point.
+
+The reduced row echelon form of a matrix is unique, so `Echelon.rows()` and
+`Echelon.kernel()` do not depend on the order in which rows were inserted,
+and every caller sees the same numbers as from a from-scratch elimination.
+`rref`, `rank`, `kernel_basis` and `in_row_space` are thin wrappers over it
+for callers that hold a whole dense matrix (lists of rows).
+
+`NormalForms` tabulates the normal-form map on monomials: a normal form
+modulo a Groebner basis is unique, hence linear, so the normal form of any
+polynomial is the combination of its monomials' cached normal forms.
 """
 
 from __future__ import annotations
+
+from .polykernel import Poly, PolyRing, mono_div, mono_divides, mono_mul
+
+
+class Echelon:
+    """The reduced row echelon form of the rows inserted so far."""
+
+    __slots__ = ("field", "ncols", "_rows")
+
+    def __init__(self, field, ncols: int):
+        self.field = field
+        self.ncols = ncols
+        self._rows: dict[int, dict] = {}  # pivot column -> sparse reduced row
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self._rows)
+
+    def residue(self, row) -> dict:
+        """Sparse remainder of a dense row after clearing every pivot column.
+
+        Stored rows are zero on each other's pivots, so clearing one pivot
+        never disturbs another, and one pass over the pivots the row meets
+        suffices."""
+        field = self.field
+        is_zero, sub, mul, zero = field.is_zero, field.sub, field.mul, field.zero
+        v = {c: x for c, x in enumerate(row) if not is_zero(x)}
+        for p in [c for c in v if c in self._rows]:
+            f = v.pop(p)
+            for c, y in self._rows[p].items():
+                if c != p:
+                    x = sub(v.get(c, zero), mul(f, y))
+                    if is_zero(x):
+                        del v[c]
+                    else:
+                        v[c] = x
+        return v
+
+    def insert(self, row) -> bool:
+        """Add a dense row; True iff it was not already in the row space."""
+        v = self.residue(row)
+        if not v:
+            return False
+        field = self.field
+        is_zero, sub, mul, zero = field.is_zero, field.sub, field.mul, field.zero
+        p = min(v)
+        inv = field.inv(v.pop(p))
+        v = {c: mul(inv, x) for c, x in v.items()}
+        for r in self._rows.values():
+            f = r.pop(p, None)
+            if f is None:
+                continue
+            for c, y in v.items():
+                x = sub(r.get(c, zero), mul(f, y))
+                if is_zero(x):
+                    del r[c]
+                else:
+                    r[c] = x
+        v[p] = field.one
+        self._rows[p] = v
+        return True
+
+    def rows(self) -> list[list]:
+        """The reduced rows as dense lists, in increasing pivot order."""
+        zero = self.field.zero
+        out = []
+        for p in self.pivots:
+            dense = [zero] * self.ncols
+            for c, x in self._rows[p].items():
+                dense[c] = x
+            out.append(dense)
+        return out
+
+    def kernel(self) -> list[list]:
+        """Basis of {v : A v = 0}, one vector per free column (in increasing
+        order) with 1 there and 0 at every other free column."""
+        field = self.field
+        zero, neg = field.zero, field.neg
+        out = []
+        for fc in range(self.ncols):
+            if fc in self._rows:
+                continue
+            v = [zero] * self.ncols
+            v[fc] = field.one
+            for p, r in self._rows.items():
+                v[p] = neg(r.get(fc, zero))
+            out.append(v)
+        return out
+
+
+def _echelon(field, rows, ncols=None) -> Echelon:
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    ech = Echelon(field, ncols)
+    for r in rows:
+        ech.insert(r)
+    return ech
 
 
 def rref(field, rows):
@@ -13,59 +128,92 @@ def rref(field, rows):
 
     Zero rows are dropped; pivot entries are 1 with zeros above and below.
     """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if not field.is_zero(rows[i][c]):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not field.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    ech = _echelon(field, rows)
+    return ech.rows(), ech.pivots
 
 
 def rank(field, rows) -> int:
-    return len(rref(field, rows)[0])
+    return _echelon(field, rows).rank
 
 
 def kernel_basis(field, rows, ncols):
     """Basis of the right kernel {v : A v = 0} of the ncols-column matrix A."""
-    reduced, pivots = rref(field, rows)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg(reduced[r][fc])
-        basis.append(v)
-    return basis
+    return _echelon(field, rows, ncols).kernel()
 
 
 def in_row_space(field, rows, vector) -> bool:
     """True iff vector is a linear combination of the given rows."""
-    reduced, pivots = rref(field, rows)
-    v = list(vector)
-    for r, pc in enumerate(pivots):
-        if not field.is_zero(v[pc]):
-            f = v[pc]
-            v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, reduced[r])]
-    return all(field.is_zero(x) for x in v)
+    return not _echelon(field, rows, len(vector)).residue(vector)
+
+
+class NormalForms:
+    """Normal forms modulo one fixed Groebner basis, from cached monomials.
+
+    The basis must be a Groebner basis, so that nf(sum c_t t) =
+    sum c_t nf(t) and each monomial is reduced once per table.  A monomial
+    divisible by the leading monomial lm of the first basis element g that
+    divides it reduces to the combination of the (smaller) monomials of its
+    quotient times the tail of g; those are looked up or reduced first,
+    with an explicit stack instead of recursion.
+    """
+
+    def __init__(self, ring: PolyRing, basis: list[Poly]):
+        field = ring.field
+        self.ring = ring
+        self._divisors = [
+            (g.lm(), [(t, field.neg(field.div(c, g.lc())))
+                      for t, c in g.terms.items() if t != g.lm()])
+            for g in basis if not g.is_zero()
+        ]
+        self._cache: dict[tuple, dict] = {}
+
+    def monomial(self, mono: tuple) -> dict:
+        """nf(x^mono) as a dict monomial -> nonzero scalar (do not mutate)."""
+        cache = self._cache
+        if mono in cache:
+            return cache[mono]
+        field = self.ring.field
+        add, mul, is_zero, zero = field.add, field.mul, field.is_zero, field.zero
+        stack = [mono]
+        while stack:
+            m = stack[-1]
+            if m in cache:
+                stack.pop()
+                continue
+            hit = next(((lm, tail) for lm, tail in self._divisors
+                        if mono_divides(lm, m)), None)
+            if hit is None:
+                cache[m] = {m: field.one}
+                stack.pop()
+                continue
+            lm, tail = hit
+            q = mono_div(m, lm)
+            deps = [(mono_mul(t, q), a) for t, a in tail]
+            missing = [d for d, _ in deps if d not in cache]
+            if missing:
+                stack.extend(missing)
+                continue
+            res: dict = {}
+            for d, a in deps:
+                for s, e in cache[d].items():
+                    res[s] = add(res.get(s, zero), mul(a, e))
+            cache[m] = {s: x for s, x in res.items() if not is_zero(x)}
+            stack.pop()
+        return cache[mono]
+
+    def terms(self, terms: dict, shift: tuple | None = None) -> dict:
+        """nf(x^shift * sum c_t x^t) for terms = {t: c_t}, as a dict
+        monomial -> scalar (zero entries possible)."""
+        field = self.ring.field
+        add, mul, zero = field.add, field.mul, field.zero
+        res: dict = {}
+        for t, c in terms.items():
+            for s, e in self.monomial(t if shift is None else mono_mul(t, shift)).items():
+                res[s] = add(res.get(s, zero), mul(c, e))
+        return res
+
+    def __call__(self, f: Poly, shift: tuple | None = None) -> Poly:
+        """nf(x^shift * f), equal to normal_form of that product."""
+        is_zero = self.ring.field.is_zero
+        return Poly(self.ring, {s: x for s, x in self.terms(f.terms, shift).items()
+                                if not is_zero(x)})

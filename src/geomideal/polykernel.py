@@ -1007,7 +1007,7 @@ def dim_ideal_piece(I: HomIdeal, n: int) -> int:
 
 def degree_piece_basis(I: HomIdeal, n: int) -> list[Poly]:
     """Row-reduced canonical basis of the degree-n piece of I."""
-    from . import linalg  # local import to keep module load order simple
+    from . import linalg  # local import: linalg imports this module
 
     ring = I.ring
     monos = monomials_of_degree(ring, n)

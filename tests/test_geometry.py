@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomideal.classify import sigma_ideal_order
 from geomideal.fields import QQ, PrimeField
 from geomideal.geometry import (
     CTCertificate,
@@ -213,6 +214,51 @@ def test_orbit_functoriality_under_powers(v):
     )
 
 
+def test_rescaled_shear_keeps_the_shear_verdicts():
+    """2 * [[1,1],[0,1]] is the shear up to a scalar, so every verdict
+    matches the shear's (it used to be horizon-bounded only)."""
+    double = ProjAutomorphism.from_strings(R1, [["2", "2"], ["0", "2"]])
+    Z = HomIdeal.from_strings(R1, ["x0"])
+    rep = forward_orbit_hits(pt("[0:1]"), double, Z, 10)
+    assert rep == forward_orbit_hits(pt("[0:1]"), SHEAR, Z, 10)
+    assert (rep.verdict, rep.justification) == ("certified-finite", "polynomial-growth")
+    order = sigma_ideal_order(Z, double, 5)
+    assert order == sigma_ideal_order(Z, SHEAR, 5)
+    assert order.justification == "unipotent-rigidity"
+    data = eigen_data(double)
+    assert data.eigenvalues == (Fraction(2), Fraction(2))
+    assert data.diagonalizable is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rescaling_sigma_changes_no_orbit_or_order_verdict(data):
+    field = data.draw(st.sampled_from([QQ, QQ, PrimeField(7), PrimeField(11)]))
+    nv = data.draw(st.integers(2, 3))
+    ring = PolyRing(field, nv)
+    shape = data.draw(st.sampled_from(["diagonal", "unipotent", "triangular"]))
+    entry = st.integers(-3, 3)
+    rows = [[data.draw(entry) if j > i else 0 for j in range(nv)] for i in range(nv)]
+    for i in range(nv):
+        rows[i][i] = 1 if shape == "unipotent" else data.draw(entry.filter(bool))
+        if shape == "diagonal":
+            rows[i][i + 1:] = [0] * (nv - i - 1)
+    try:
+        sigma = ProjAutomorphism(ring, [[field.from_int(x) for x in r] for r in rows])
+    except ValueError:  # singular over GF(p)
+        return
+    c = field.from_fraction(data.draw(st.sampled_from(
+        [Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-2, 5)])))
+    scaled = ProjAutomorphism(ring, [[field.mul(c, x) for x in r] for r in sigma.matrix])
+    coords = data.draw(st.lists(entry, min_size=nv, max_size=nv).filter(any))
+    p = RationalPoint.of(field, [field.from_int(x) for x in coords])
+    Z = HomIdeal.from_strings(ring, [data.draw(st.sampled_from(
+        ["x0 - x1", "x0 + 2*x1", "x1^2 - x0^2", "x0*x1 - 3*x1^2"]))])
+    assert forward_orbit_hits(p, scaled, Z, 8) == forward_orbit_hits(p, sigma, Z, 8)
+    for ideal in (Z, p.ideal(ring)):
+        assert sigma_ideal_order(ideal, scaled, 3) == sigma_ideal_order(ideal, sigma, 3)
+
+
 def test_prime_field_shear_orbit_is_periodic_not_polynomial():
     """Over GF(101) the shear orbit of [0:1] returns to Z at n = 101."""
     ring = PolyRing(PrimeField(101), 2)
@@ -366,6 +412,17 @@ def test_eigen_data_dependent_ratios():
 def test_eigen_data_unipotent():
     data = eigen_data(SHEAR)
     assert data.eigenvalues == (Fraction(1), Fraction(1))
+    assert data.diagonalizable is False
+
+
+@pytest.mark.parametrize("p, nv, c", [(3, 3, 2), (2, 2, 1), (5, 3, 3)])
+def test_eigen_data_finds_the_scalar_of_a_scaled_unipotent(p, nv, c):
+    # (3, 3) and (2, 2): the characteristic divides d + 1, so the trace
+    # cannot give the scalar
+    ring = PolyRing(PrimeField(p), nv)
+    rows = [[str(c) if j in (i, i + 1) else "0" for j in range(nv)] for i in range(nv)]
+    data = eigen_data(ProjAutomorphism.from_strings(ring, rows))
+    assert data.eigenvalues == (c,) * nv
     assert data.diagonalizable is False
 
 

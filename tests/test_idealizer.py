@@ -130,6 +130,25 @@ def test_exhaustive_oracle_on_moving_point():
         assert pieces_agree(idealizer_piece(sc, n), exhaustive_oracle_piece(sc, n, 1))
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(32003)],
+                         ids=["QQ", "GF7", "GF32003"])
+def test_exhaustive_oracle_matches_colon_on_moving_point_over_each_field(field):
+    ring = PolyRing(field, 3)
+    sigma = ProjAutomorphism.diagonal(ring, ["1", "2", "3"])
+    sc = IdealizerScene(ring, sigma, HomIdeal.from_strings(ring, ["x0-x2", "x1-x2"]))
+    for n in range(1, 5):
+        assert pieces_agree(idealizer_piece(sc, n), exhaustive_oracle_piece(sc, n, 2))
+
+
+def test_ideal_pieces_are_cached_on_the_scene():
+    from geomideal.polykernel import degree_piece_basis
+
+    sc = fat_point_scene()
+    for m in range(4):
+        assert sc.ideal_piece(m) is sc.ideal_piece(m)
+        assert sc.ideal_piece(m) == degree_piece_basis(sc.ideal, m)
+
+
 def test_membership_oracle_accepts_and_rejects():
     sc = fat_point_scene()
     assert membership_oracle(TwistedElement(1, RQ.parse("x0")), sc, 4)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from geomideal.fields import QQ, PrimeField
+from geomideal.linalg import NormalForms
 from geomideal.polykernel import (
     HomIdeal,
     Poly,
@@ -245,6 +246,32 @@ def test_constructed_combinations_are_members(data):
         mu = data.draw(homogeneous_poly(ring, max_deg=2))
         f = f + mu * g
     assert normal_form(f, list(I.groebner())).is_zero()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_summed_monomial_normal_forms_equal_the_normal_form_of_the_product(data):
+    ring, I = data.draw(ring_and_ideal())
+    gb = list(I.groebner())
+    table = NormalForms(ring, gb)
+    for _ in range(3):
+        f = data.draw(homogeneous_poly(ring))
+        mu = data.draw(st.sampled_from(monomials_of_degree(ring, data.draw(st.integers(0, 3)))))
+        assert table(f, mu) == normal_form(f.term_mul(ring.field.one, mu), gb)
+        assert table(f) == normal_form(f, gb)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_degree_pieces_ignore_generator_order_and_scale(data):
+    ring, I = data.draw(ring_and_ideal())
+    gens = data.draw(st.permutations(I.gens))
+    scales = data.draw(st.lists(st.sampled_from([2, -1, 3, -5]),
+                                min_size=len(gens), max_size=len(gens)))
+    J = HomIdeal(ring, [g.scale(ring.field.from_int(c)) for g, c in zip(gens, scales)])
+    for m in range(5):
+        assert ([p.terms for p in degree_piece_basis(J, m)]
+                == [p.terms for p in degree_piece_basis(I, m)])
 
 
 @given(st.data())
