@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
+from .errors import SceneVerificationError, UsageError
 from .geometry import (
     RationalPoint,
     critical_transversality_certificate,
@@ -279,7 +280,7 @@ def component_analysis(scene: IdealizerScene, order_bound: int = 12) -> Componen
     else:
         point = reduced_point_of(ideal)
         if point is None:
-            raise ValueError(
+            raise UsageError(
                 "no decomposition available: supply component blocks for a "
                 "subscheme that is neither monomial nor a single rational point"
             )
@@ -426,7 +427,7 @@ def classify(scene: IdealizerScene, *, sample_points: tuple = (),
     stab = stabilization_degree(scene, horizon)
     try:
         comp = component_analysis(scene, order_bound)
-    except ValueError as exc:
+    except UsageError as exc:
         comp = None
         notes.append(f"component analysis unavailable: {exc}")
 
@@ -790,7 +791,7 @@ def _classify_over_quotient(scene, quotient, sample_points, probe_j_max,
             rep = truncated_tor_over_quotient(quotient, scene.ideal, p_ideal,
                                               j_max=probe_j_max,
                                               deg_bound=probe_deg_bound)
-        except ValueError as exc:
+        except (UsageError, SceneVerificationError) as exc:
             probe = _row("finite-cohomological-dimension", "inconclusive",
                          f"probe rejected: {exc}", "not-applicable")
         else:

@@ -7,7 +7,8 @@ stream of JSON records (one object per line, keys sorted) that round-trips
 losslessly through ``parse_records``.
 
 Exit codes: 0 success, 2 parse/usage error, 3 verification failure,
-4 resource cap exceeded.
+4 resource cap exceeded (the classes in errors.py).  Any other exception is
+an internal error and propagates, so no bug is reported as a verdict.
 """
 
 from __future__ import annotations
@@ -25,20 +26,25 @@ from .classify import (
     Evidence,
     classify,
 )
+from .errors import (
+    ImproperIntersectionError,
+    ResourceCapError,
+    SceneVerificationError,
+    UsageError,
+)
 from .geometry import (
+    PointSyntaxError,
     RationalPoint,
     critical_transversality_certificate,
     forward_orbit_hits,
 )
 from .homology import (
-    ImproperIntersectionError,
     graded_tor,
     homologically_transverse,
     serre_multiplicity_total,
 )
 from .idealizer import (
     IdealizerScene,
-    SceneVerificationError,
     exhaustive_oracle_piece,
     idealizer_hilbert,
     idealizer_piece,
@@ -48,7 +54,6 @@ from .idealizer import (
 from .polykernel import (
     HomIdeal,
     PolyRing,
-    ResourceCapError,
     dim_ideal_piece,
 )
 from .twist import ProjAutomorphism, TwistedElement, twist_multiply
@@ -64,10 +69,6 @@ COMMANDS = (
 MAX_DEGREE_CAP = 32
 HORIZON_CAP = 200
 ORACLE_CAP = 64
-
-
-class UsageError(ValueError):
-    """The scene parsed but lacks a block this subcommand needs."""
 
 
 # ---------------------------------------------------------------------------
@@ -350,27 +351,10 @@ def parse_scene(text: str) -> SceneFile:
 
     points = []
     for no, spec in point_specs:
-        body = spec.strip()
-        if body.startswith("[") and body.endswith("]"):
-            body = body[1:-1]
-        coords = []
-        for part in body.split(":"):
-            try:
-                coords.append(field.from_str(part.strip()))
-            except (ValueError, ZeroDivisionError):
-                ps.bad(no, "BAD_RATIONAL", f"bad coordinate {part.strip()!r}")
-                coords = None
-                break
-        if coords is None:
-            continue
-        if len(coords) != d + 1:
-            ps.bad(no, "BAD_POINT",
-                   f"point has {len(coords)} coordinates, expected {d + 1}")
-            continue
         try:
-            points.append(RationalPoint.of(field, coords))
-        except ValueError as exc:
-            ps.bad(no, "BAD_POINT", str(exc))
+            points.append(RationalPoint.parse(field, spec, d + 1))
+        except PointSyntaxError as exc:
+            ps.bad(no, exc.code, str(exc))
 
     if ps.diags:
         raise SceneError(ps.diags)
@@ -559,10 +543,13 @@ def run_orbit(sf: SceneFile) -> list[dict]:
     recs = [_record("orbit-table", horizon=sf.horizon, points=len(sf.points))]
     for p in sf.points:
         rep = forward_orbit_hits(p, sf.sigma, scene.ideal, sf.horizon)
-        recs.append(_record(
+        rec = _record(
             "orbit", point=str(p), verdict=rep.verdict, hits=list(rep.hits),
             n0=rep.n0, period=rep.period, justification=rep.justification,
-        ))
+        )
+        if rep.first_hit is not None:
+            rec["first_hit"] = rep.first_hit
+        recs.append(rec)
     return recs
 
 
@@ -693,6 +680,8 @@ def render_text(records: list[dict]) -> str:
                 extra.append(f"period={r['period']}")
             if r["justification"]:
                 extra.append(r["justification"])
+            if "first_hit" in r:
+                extra.append(f"first hit {r['first_hit']}")
             tail = f" ({'; '.join(extra)})" if extra else ""
             lines.append(f"{r['point']}: {r['verdict']}{tail}; hits: {hits}")
     elif kind == "ct-certificate":
@@ -787,7 +776,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"geomideal: {exc}", file=sys.stderr)
         return 2
-    except (SceneVerificationError, ImproperIntersectionError, ValueError) as exc:
+    except (SceneVerificationError, ImproperIntersectionError) as exc:
         print(f"geomideal: verification failure: {exc}", file=sys.stderr)
         return 3
 

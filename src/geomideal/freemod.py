@@ -10,29 +10,28 @@ makes the same order an elimination order for syzygy computations.
 Module Buchberger is polykernel.buchberger run with the module normal form
 below: pairs only within a component, the chain criterion always, and the
 product (coprime) criterion when both vectors have a single nonzero
-component, where S(f.e, g.e) = S(f, g).e makes it sound.
+component, where S(f.e, g.e) = S(f, g).e makes it sound.  The normal form
+is polykernel.divide, the heap division kernel that polynomials share.
+
+Syzygies and preimages tag only the vectors being combined, so their
+output is already a reduced Groebner basis.  Hilbert data of a submodule
+comes from one integer series numerator summed over components.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from .polykernel import (
     HilbertPoly,
     Poly,
     PolyRing,
-    _binomial_poly,
-    _poly_n_add,
-    _poly_n_mul,
-    _poly_n_scale,
     buchberger,
+    divide,
     hilbert_polynomial_from_numerator,
     interreduce,
-    mono_div,
-    mono_divides,
     monomial_hilbert_numerator,
 )
-import math
 
 
 class FreeModule:
@@ -86,6 +85,10 @@ class MVec:
     @property
     def ncomps(self) -> int:
         return len(self.comps)
+
+    def comp_terms(self) -> list:
+        """(component, monomial, coefficient) per term."""
+        return [(c, m, x) for c, p in self.comps.items() for m, x in p.terms.items()]
 
     @property
     def degree(self):
@@ -157,7 +160,8 @@ class MVec:
         for i in sorted(self.comps):
             for m, c in sorted(self.comps[i].terms.items()):
                 entries.append((i, okey(m), fkey(c)))
-        return (self.degree if self.degree is not None else -1, tuple(entries))
+        d = self.degree
+        return (-1 if d is None else d, tuple(entries))
 
     def __eq__(self, other):
         return (
@@ -179,32 +183,10 @@ class MVec:
 
 def mod_normal_form(v: MVec, basis: list[MVec]) -> MVec:
     """Full remainder of v under division by basis (position-over-term)."""
-    module = v.module
-    ring = module.ring
-    field = ring.field
-    divisors = [(g.leading(), g) for g in basis if not g.is_zero()]
     rem: dict[int, dict] = {}
-    p = v
-    while not p.is_zero():
-        c, m, coeff = p.leading()
-        hit = None
-        for (gc, gm, gco), g in divisors:
-            if gc == c and mono_divides(gm, m):
-                hit = (gm, gco, g)
-                break
-        if hit is None:
-            rem.setdefault(c, {})[m] = coeff
-            rest = {k: v_ for k, v_ in p.comps[c].terms.items() if k != m}
-            comps = dict(p.comps)
-            if rest:
-                comps[c] = Poly(ring, rest)
-            else:
-                del comps[c]
-            p = MVec(module, comps)
-        else:
-            gm, gco, g = hit
-            p = p - g.term_mul(field.div(coeff, gco), mono_div(m, gm))
-    return MVec(module, {i: Poly(ring, t) for i, t in rem.items()})
+    for (c, m), x in divide(v, basis).items():
+        rem.setdefault(c, {})[m] = x
+    return MVec(v.module, {c: Poly(v.ring, t) for c, t in rem.items()})
 
 
 def module_groebner(vecs: list[MVec]) -> list[MVec]:
@@ -224,19 +206,19 @@ def submodule_contains(gb: list[MVec], v: MVec) -> bool:
 # syzygies and minimal generators
 # ---------------------------------------------------------------------------
 
-def syzygy_generators(vecs: list[MVec]) -> list[MVec]:
-    """Generators of the syzygy module {(a_i) : sum a_i * vecs[i] = 0} in S^r.
+def _tag_elimination(vecs: list[MVec], targets: list[MVec]) -> list[MVec]:
+    """Reduced Groebner basis of {(a_i) : sum a_i*vecs[i] in <targets>}.
 
-    Augment each vector with a tag component placed after the ambient block,
-    run the module Buchberger under position-over-term (an elimination order
-    for the ambient block), and keep the basis elements with zero ambient
-    part.
+    Lift vecs[i] to (vecs[i], e_i) and each target t to (t, 0) in the
+    ambient module plus a tag block S^r placed after it, and keep the basis
+    elements that lie wholly in the tag block.  Position-over-term is an
+    elimination order for the ambient block, so those elements are the
+    reduced Groebner basis of the preimage, already in MVec.sort_key order.
     """
     if not vecs:
         return []
     module = vecs[0].module
     ring = module.ring
-    r = len(vecs)
     m = module.rank
     degs = []
     for v in vecs:
@@ -245,39 +227,27 @@ def syzygy_generators(vecs: list[MVec]) -> list[MVec]:
             raise ValueError("syzygies require homogeneous vectors")
         degs.append(d)
     big = FreeModule(ring, module.degrees + tuple(degs))
-    lifted = []
-    for i, v in enumerate(vecs):
-        comps = dict(v.comps)
-        comps[m + i] = ring.one()
-        lifted.append(MVec(big, comps))
-    gb = module_groebner(lifted)
+    lifted = [MVec(big, {**v.comps, m + i: ring.one()}) for i, v in enumerate(vecs)]
+    lifted += [MVec(big, dict(t.comps)) for t in targets]
     tags = FreeModule(ring, tuple(degs))
-    out = []
-    for g in gb:
-        if all(c >= m for c in g.comps):
-            out.append(MVec(tags, {c - m: p for c, p in g.comps.items()}))
-    return out
+    return [MVec(tags, {c - m: p for c, p in g.comps.items()})
+            for g in module_groebner(lifted) if min(g.comps) >= m]
+
+
+def syzygy_generators(vecs: list[MVec]) -> list[MVec]:
+    """Reduced Groebner basis of the syzygy module
+    {(a_i) : sum a_i * vecs[i] = 0} in S^r (see _tag_elimination)."""
+    return _tag_elimination(vecs, [])
 
 
 def preimage_generators(vecs: list[MVec], targets: list[MVec]) -> list[MVec]:
-    """Generators of {(a_i) : sum a_i*vecs[i] lies in <targets>} in S^r.
+    """Reduced Groebner basis of {(a_i) : sum a_i*vecs[i] lies in
+    <targets>} in S^r, sorted so that module_groebner returns it unchanged.
 
-    Computed as syzygies of vecs + targets, projected to the vecs block.
+    Only vecs are tagged (see _tag_elimination): the targets enter untagged,
+    so no syzygies among them are computed and then projected away.
     """
-    if not vecs:
-        return []
-    module = vecs[0].module
-    ring = module.ring
-    syz = syzygy_generators(list(vecs) + list(targets))
-    r = len(vecs)
-    degs = tuple(v.degree for v in vecs)
-    out_mod = FreeModule(ring, degs)
-    out = []
-    for s in syz:
-        head = {c: p for c, p in s.comps.items() if c < r}
-        if head:
-            out.append(MVec(out_mod, head))
-    return out
+    return _tag_elimination(vecs, targets)
 
 
 def minimal_generators(vecs: list[MVec]) -> list[MVec]:
@@ -331,26 +301,21 @@ def submodule_hilbert_function(gb: list[MVec], module: FreeModule, n: int) -> in
     return total
 
 
-def _shift_poly_n(coeffs: tuple, a: int) -> tuple:
-    """p(n) -> p(n - a) on tuple-of-Fraction coefficient vectors."""
-    out: tuple = ()
-    power = (Fraction(1),)  # (n - a)^i
-    for c in coeffs:
-        out = _poly_n_add(out, _poly_n_scale(power, c))
-        power = _poly_n_mul(power, (Fraction(-a), Fraction(1)))
-    return out
+def submodule_hilbert_numerator(gb: list[MVec], module: FreeModule) -> dict[int, int]:
+    """Numerator N(u) of the Hilbert series N(u)/(1-u)^nvars of the
+    submodule with module Groebner basis gb: the sum over components c of
+    u^degrees[c] * (1 - N_c(u)), N_c the numerator of S/(leading monomials
+    in component c).  Integer arithmetic only."""
+    out: dict[int, int] = {}
+    for c, monos in _leading_monomials_by_component(gb).items():
+        shift = module.degrees[c]
+        out[shift] = out.get(shift, 0) + 1
+        for a, x in monomial_hilbert_numerator(monos).items():
+            out[a + shift] = out.get(a + shift, 0) - x
+    return {a: x for a, x in out.items() if x}
 
 
 def submodule_hilbert_polynomial(gb: list[MVec], module: FreeModule) -> HilbertPoly:
     """Hilbert polynomial (in the ambient grading) of the submodule."""
-    ring = module.ring
-    nv = ring.nvars
-    by_comp = _leading_monomials_by_component(gb)
-    full = _binomial_poly(nv - 1, nv - 1)
-    acc: tuple = ()
-    for c, monos in by_comp.items():
-        num = monomial_hilbert_numerator(monos)
-        quot = hilbert_polynomial_from_numerator(num, nv)
-        diff = _poly_n_add(full, _poly_n_scale(quot.coeffs, Fraction(-1)))
-        acc = _poly_n_add(acc, _shift_poly_n(diff, module.degrees[c]))
-    return HilbertPoly(acc)
+    return hilbert_polynomial_from_numerator(submodule_hilbert_numerator(gb, module),
+                                             module.ring.nvars)

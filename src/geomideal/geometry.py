@@ -53,6 +53,15 @@ RATIONAL_SUBSTITUTE_NOTE = (
 # points
 # ---------------------------------------------------------------------------
 
+class PointSyntaxError(ValueError):
+    """A point that does not parse; code is its scene-grammar diagnostic
+    (BAD_RATIONAL or BAD_POINT)."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 @dataclass(frozen=True)
 class RationalPoint:
     """Projective point with exact coordinates, first nonzero coordinate 1."""
@@ -72,15 +81,30 @@ class RationalPoint:
         return cls(field, tuple(field.mul(inv, v) for v in vals))
 
     @classmethod
-    def parse(cls, field, text: str) -> "RationalPoint":
-        """Accepts "[a0 : a1 : ... : ad]" (brackets optional)."""
+    def parse(cls, field, text: str, nvars: int | None = None) -> "RationalPoint":
+        """Accepts "[a0 : a1 : ... : ad]" (brackets optional), with exactly
+        nvars coordinates when nvars is given and at least two otherwise.
+        Scene point lines are read here too; a failure is a PointSyntaxError
+        carrying its diagnostic code."""
         body = text.strip()
         if body.startswith("[") and body.endswith("]"):
             body = body[1:-1]
-        parts = [p.strip() for p in body.split(":")]
-        if len(parts) < 2:
-            raise ValueError(f"not a projective point: {text!r}")
-        return cls.of(field, parts)
+        coords = []
+        for part in body.split(":"):
+            try:
+                coords.append(field.from_str(part.strip()))
+            except (ValueError, ZeroDivisionError):
+                raise PointSyntaxError(
+                    "BAD_RATIONAL", f"bad coordinate {part.strip()!r}") from None
+        if nvars is None and len(coords) < 2:
+            raise PointSyntaxError("BAD_POINT", f"not a projective point: {text!r}")
+        if nvars is not None and len(coords) != nvars:
+            raise PointSyntaxError(
+                "BAD_POINT", f"point has {len(coords)} coordinates, expected {nvars}")
+        try:
+            return cls.of(field, coords)
+        except ValueError as exc:
+            raise PointSyntaxError("BAD_POINT", str(exc)) from None
 
     @property
     def d(self) -> int:
@@ -145,7 +169,9 @@ class OrbitReport:
     verdict is one of "certified-finite" (hits complete, none past n0),
     "finite-within-horizon" (scan only, no guarantee beyond), "infinite"
     (periodic orbit hitting, or identically-vanishing evaluation), or
-    "inconclusive".  justification tags the certificate route.
+    "inconclusive".  justification tags the certificate route.  first_hit
+    is the least hit of an "infinite" periodic orbit whose hits all lie past
+    the horizon (hits is empty then), so the verdict still names a witness.
     """
 
     point: RationalPoint
@@ -156,6 +182,7 @@ class OrbitReport:
     period: int | None = None
     justification: str | None = None
     notes: tuple[str, ...] = ()
+    first_hit: int | None = None
 
 
 def _diagonal_class_bound(terms: dict, parity: int) -> int | None:
@@ -320,7 +347,8 @@ def forward_orbit_hits(p: RationalPoint, sigma: ProjAutomorphism,
                 n for n in range(horizon + 1) if (n % period) in cycle_hits
             )
             return OrbitReport(p, horizon, hits, "infinite", period=period,
-                               justification="periodicity")
+                               justification="periodicity",
+                               first_hit=None if hits else cycle_hits[0])
         return OrbitReport(p, horizon, (), "certified-finite", n0=period,
                            period=period, justification="periodicity")
 

@@ -4,14 +4,16 @@ Free resolutions are computed by iterated minimal syzygies.  For ideals I, J
 the graded module Tor_j(S/I, S/J) is presented exactly as K'/B' inside the
 j-th resolution step F_j, with
 
-    K' = { v in F_j : d_j(v) in J*F_(j-1) }   (preimage via syzygies)
+    K' = { v in F_j : d_j(v) in J*F_(j-1) }   (preimage, by elimination)
     B' = im d_(j+1) + J*F_j,
 
 so its graded dimensions and Hilbert polynomial come from module Groebner
-bases, with no truncation.  Sheafifying is exact, so the sheaf Tor of the two
-subscheme structure sheaves vanishes exactly when the Hilbert polynomial of
-the graded Tor is identically zero; that is the transversality criterion
-used here (insensitive to saturating the inputs).
+bases, with no truncation.  The preimage step returns the reduced basis of
+K' directly, and the Hilbert polynomial is converted once, from the cycle
+minus the boundary integer series numerator.  Sheafifying is exact, so the
+sheaf Tor of the two subscheme structure sheaves vanishes exactly when the
+Hilbert polynomial of the graded Tor is identically zero; that is the
+transversality criterion used here (insensitive to saturating the inputs).
 
 Over a quotient coordinate ring A = S/Q resolutions are generally infinite;
 truncated_tor_over_quotient builds one degree-by-degree with linear algebra
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
+from .errors import ImproperIntersectionError, SceneVerificationError, UsageError
 from .freemod import (
     FreeModule,
     MVec,
@@ -33,7 +36,7 @@ from .freemod import (
     module_groebner,
     preimage_generators,
     submodule_hilbert_function,
-    submodule_hilbert_polynomial,
+    submodule_hilbert_numerator,
     syzygy_generators,
 )
 from .polykernel import (
@@ -41,18 +44,13 @@ from .polykernel import (
     HomIdeal,
     Poly,
     PolyRing,
-    _poly_n_add,
-    _poly_n_scale,
     groebner_basis,
     hilbert_polynomial,
+    hilbert_polynomial_from_numerator,
     ideal_sum,
     monomials_of_degree,
     saturate,
 )
-
-
-class ImproperIntersectionError(ValueError):
-    """Raised when a multiplicity total is requested for a non-finite meet."""
 
 
 @dataclass(frozen=True)
@@ -180,9 +178,13 @@ class TorModule:
         return [self.dimension(n) for n in range(lo, hi + 1)]
 
     def hilbert_polynomial(self) -> HilbertPoly:
-        pk = submodule_hilbert_polynomial(self._gb_cycles, self.ambient)
-        pb = submodule_hilbert_polynomial(self._gb_bounds, self.ambient)
-        return HilbertPoly(_poly_n_add(pk.coeffs, _poly_n_scale(pb.coeffs, Fraction(-1))))
+        """From the cycle numerator minus the boundary numerator, in one
+        conversion to a polynomial."""
+        num = submodule_hilbert_numerator(self._gb_cycles, self.ambient)
+        for a, x in submodule_hilbert_numerator(self._gb_bounds, self.ambient).items():
+            num[a] = num.get(a, 0) - x
+        return hilbert_polynomial_from_numerator(
+            {a: x for a, x in num.items() if x}, self.ambient.ring.nvars)
 
     def is_sheaf_trivial(self) -> bool:
         """True when the associated sheaf vanishes (Hilbert polynomial 0)."""
@@ -225,14 +227,14 @@ def tor_from_resolution(res: FreeResolution, J: HomIdeal, j: int) -> TorModule:
         return _zero_tor(j, ring)
     Fj = res.modules[j]
     dj = res.maps[j - 1]
+    # already the reduced Groebner basis of K', so it serves as _gb_cycles
     cycles = preimage_generators(
         list(dj.columns), _ideal_times_free(J, res.modules[j - 1])
     )
     bounds = list(res.maps[j].columns) if len(res.maps) > j else []
     bounds += _ideal_times_free(J, Fj)
     return TorModule(
-        j, Fj, tuple(cycles), tuple(bounds),
-        module_groebner(cycles), module_groebner(bounds),
+        j, Fj, tuple(cycles), tuple(bounds), cycles, module_groebner(bounds),
     )
 
 
@@ -396,10 +398,10 @@ def truncated_tor_over_quotient(
     P = saturate(P_ideal)
     hp = hilbert_polynomial(P)
     if hp.degree() != 0 or hp(0) != 1:
-        raise ValueError("P_ideal does not define a single rational point")
+        raise UsageError("P_ideal does not define a single rational point")
     for g in Q.gens:
         if not P.contains(g):
-            raise ValueError(
+            raise SceneVerificationError(
                 "point not on the subscheme cut out by the ambient quotient"
             )
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
+from .errors import SceneVerificationError
 from .polykernel import (
     HomIdeal,
     Poly,
@@ -34,10 +35,6 @@ from .polykernel import (
     unit_ideal,
 )
 from .twist import DegreePiece, ProjAutomorphism, TwistedElement, twist_multiply
-
-
-class SceneVerificationError(ValueError):
-    """A declared decomposition or flag failed verification."""
 
 
 @dataclass

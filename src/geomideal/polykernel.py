@@ -26,12 +26,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce as _fold
+from itertools import combinations, combinations_with_replacement
+from operator import add, le, sub
 
+from .errors import ResourceCapError
 from .fields import QQ, PrimeField, RationalField
-
-
-class ResourceCapError(RuntimeError):
-    """An iteration or size cap was exceeded (exit code 4 at the CLI)."""
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +59,15 @@ class TermOrder:
         # degrevlex inside the main block.
         main = exps[:-1]
         return (exps[-1], sum(main), tuple(-e for e in reversed(main)))
+
+    def descending_key(self, exps):
+        """Key that sorts larger monomials first (a heap pops the largest)."""
+        if self.kind == "degrevlex":
+            return (-sum(exps), exps[::-1])
+        if self.kind == "lex":
+            return tuple(-e for e in exps)
+        main = exps[:-1]
+        return (-exps[-1], -sum(main), main[::-1])
 
     def __eq__(self, other):
         return (
@@ -174,28 +182,12 @@ class PolyRing:
     def format_poly(self, f: "Poly") -> str:
         if not f.terms:
             return "0"
-        field = self.field
-        parts = []
-        for exps in sorted(f.terms, key=self.order.key, reverse=True):
-            c = f.terms[exps]
-            mono = "*".join(
-                self.var_names[i] if e == 1 else f"{self.var_names[i]}^{e}"
-                for i, e in enumerate(exps)
-                if e
-            )
-            cs = field.to_str(c)
-            neg = cs.startswith("-")
-            if neg:
-                cs = cs[1:]
-            if mono and cs == "1":
-                body = mono
-            elif mono:
-                body = f"{cs}*{mono}"
-            else:
-                body = cs
-            parts.append(("- " if neg else "+ ") + body)
-        out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else "-" + out[2:]
+        names = self.var_names
+        return _signed_sum(
+            (self.field.to_str(f.terms[exps]),
+             "*".join(names[i] if e == 1 else f"{names[i]}^{e}"
+                      for i, e in enumerate(exps) if e))
+            for exps in sorted(f.terms, key=self.order.key, reverse=True))
 
     def __eq__(self, other):
         return (
@@ -208,6 +200,19 @@ class PolyRing:
 
     def __repr__(self):
         return f"PolyRing({self.field!r}, nvars={self.nvars}, {self.order.kind})"
+
+
+def _signed_sum(terms) -> str:
+    """Join (coefficient text, monomial text) pairs into "a*m - b*m' + c",
+    leaving out a coefficient 1 before a monomial."""
+    parts = []
+    for cs, mono in terms:
+        neg = cs.startswith("-")
+        cs = cs[1:] if neg else cs
+        body = mono if mono and cs == "1" else f"{cs}*{mono}" if mono else cs
+        parts.append(("- " if neg else "+ ") + body)
+    out = " ".join(parts)
+    return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
 
 class _PolyParser:
@@ -287,19 +292,19 @@ class _PolyParser:
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a):
@@ -364,6 +369,10 @@ class Poly:
         """Number of nonzero components when read as a rank-1 vector."""
         return 1 if self.terms else 0
 
+    def comp_terms(self) -> list:
+        """(component, monomial, coefficient) per term, component always 0."""
+        return [(0, m, c) for m, c in self.terms.items()]
+
     def monic(self) -> "Poly":
         if not self.terms:
             return self
@@ -374,21 +383,16 @@ class Poly:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        field = self.ring.field
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = field.add(res.get(m, field.zero), c)
-            if field.is_zero(s):
-                res.pop(m, None)
-            else:
-                res[m] = s
-        return Poly(self.ring, res)
+        return self._combine(other, self.ring.field.add)
 
     def __sub__(self, other: "Poly") -> "Poly":
+        return self._combine(other, self.ring.field.sub)
+
+    def _combine(self, other: "Poly", op) -> "Poly":
         field = self.ring.field
         res = dict(self.terms)
         for m, c in other.terms.items():
-            s = field.sub(res.get(m, field.zero), c)
+            s = op(res.get(m, field.zero), c)
             if field.is_zero(s):
                 res.pop(m, None)
             else:
@@ -482,41 +486,70 @@ class Poly:
 # division and Buchberger
 # ---------------------------------------------------------------------------
 
+def divide(f, basis: list) -> dict:
+    """Remainder of f under full division by basis, as {(component,
+    monomial): coefficient} in decreasing position-over-term order.
+
+    The one division kernel, for polynomials (component 0) and module
+    vectors: undivided terms live in a mutable dict and their descending
+    keys in a heap, where a cancelled term's key is skipped when popped
+    (Monagan & Pearce, CASC 2007), so a step costs one divisor's size, not
+    a copy of the remainder.  The first basis element whose leading term
+    divides the leading term is used, as in schoolbook division.
+    """
+    field = f.ring.field
+    dkey = f.ring.order.descending_key
+    divisors = [(g.leading(), g) for g in basis if not g.is_zero()]
+    tails: dict = {}
+    acc = {(c, m): x for c, m, x in f.comp_terms()}
+    heap = [(c, dkey(m), m) for c, m in acc]
+    heapq.heapify(heap)
+    rem: dict = {}
+    while heap:
+        c, _, m = heapq.heappop(heap)
+        x = acc.pop((c, m), None)
+        if x is None:
+            continue
+        for k, ((gc, gm, gx), g) in enumerate(divisors):
+            if gc == c and mono_divides(gm, m):
+                break
+        else:
+            rem[c, m] = x
+            continue
+        if k not in tails:
+            tails[k] = [t for t in g.comp_terms() if t[0] != gc or t[1] != gm]
+        q = field.div(x, gx)
+        shift = mono_div(m, gm)
+        for tc, tm, tx in tails[k]:
+            key = (tc, mono_mul(tm, shift))
+            old = acc.get(key)
+            if old is None:
+                heapq.heappush(heap, (tc, dkey(key[1]), key[1]))
+                old = field.zero
+            old = field.sub(old, field.mul(q, tx))
+            if field.is_zero(old):
+                del acc[key]
+            else:
+                acc[key] = old
+    return rem
+
+
 def normal_form(f: Poly, basis: list[Poly]) -> Poly:
     """Remainder of f under full multivariate division by basis."""
-    ring = f.ring
-    field = ring.field
-    divisors = [(g.lm(), g.lc(), g) for g in basis if not g.is_zero()]
-    rem: dict = {}
-    p = f
-    while p.terms:
-        m, c = p.lt()
-        hit = None
-        for lm, lc, g in divisors:
-            if mono_divides(lm, m):
-                hit = (lm, lc, g)
-                break
-        if hit is None:
-            rem[m] = c
-            p = Poly(ring, {k: v for k, v in p.terms.items() if k != m})
-        else:
-            lm, lc, g = hit
-            p = p - g.term_mul(field.div(c, lc), mono_div(m, lm))
-    return Poly(ring, rem)
+    return Poly(f.ring, {m: c for (_, m), c in divide(f, basis).items()})
 
 
 def buchberger(gens: list, sort_key, nf) -> list:
     """A Groebner basis (not yet interreduced) of the nonzero gens.
 
-    The one Buchberger loop, for polynomials and for module vectors alike.
-    Elements expose leading() -> (component, monomial, coefficient), where a
-    Poly is always component 0, plus ncomps, monic, term_mul and subtraction;
-    nf(f, G) is the element type's normal form.  The input is made monic
-    and sorted by sort_key, so every choice point is ordered.  Pairs are
-    formed within a component and keyed once, when created, by (degree,
-    component, order key) of the lcm with the index pair as tie-break; a
-    binary heap hands them out in increasing key order.  The pending set
-    mirrors the heap for the chain criterion's membership tests.
+    The one Buchberger loop, for polynomials and module vectors alike:
+    elements expose leading() -> (component, monomial, coefficient), a Poly
+    being component 0, plus ncomps, monic, term_mul and subtraction; nf is
+    their normal form.  The input is made monic and sorted by sort_key, so
+    every choice point is ordered.  Pairs within a component are keyed once,
+    by (degree, component, order key) of the lcm with the index pair as
+    tie-break, and a heap hands them out in key order; the pending set
+    mirrors it for the chain criterion.
 
     Two criteria skip a pair.  Coprime leading monomials, when both elements
     have exactly one nonzero component (the same one, since pairs never
@@ -726,31 +759,23 @@ def _quotient_by_poly(I: HomIdeal, g: Poly) -> HomIdeal:
     if g.degree == 0:
         return HomIdeal(ring, list(I.gens), I.saturated)
     meet = intersect(I, HomIdeal(ring, [g]))
-    out = []
-    for f in meet.gens:
-        q, ok = _divide_exact(f, g)
-        if not ok:
-            raise AssertionError("intersection element not divisible by the quotient divisor")
-        out.append(q)
-    return HomIdeal(ring, out)
+    return HomIdeal(ring, [_divide_exact(f, g) for f in meet.gens])
 
 
-def _divide_exact(f: Poly, g: Poly):
-    """(f / g, True) when g divides f exactly, else (_, False)."""
-    ring = f.ring
-    field = ring.field
+def _divide_exact(f: Poly, g: Poly) -> Poly:
+    """f / g, for an f that g divides."""
+    field = f.ring.field
     q: dict = {}
     p = f
     glm, glc = g.lt()
     while p.terms:
         m, c = p.lt()
         if not mono_divides(glm, m):
-            return ring.zero(), False
+            raise AssertionError("intersection element not divisible by the quotient divisor")
         qm = mono_div(m, glm)
-        qc = field.div(c, glc)
-        q[qm] = qc
-        p = p - g.term_mul(qc, qm)
-    return Poly(ring, q), True
+        q[qm] = field.div(c, glc)
+        p = p - g.term_mul(q[qm], qm)
+    return Poly(f.ring, q)
 
 
 def ideal_quotient(I: HomIdeal, J: HomIdeal) -> HomIdeal:
@@ -819,12 +844,7 @@ def monomial_hilbert_numerator(monos) -> dict[int, int]:
     if any(mono_deg(m) == 0 for m in monos):
         return {}
     # base: pairwise coprime generators (includes pure powers)
-    coprime = all(
-        all(not (a and b) for a, b in zip(monos[i], monos[j]))
-        for i in range(len(monos))
-        for j in range(i + 1, len(monos))
-    )
-    if coprime:
+    if all(not any(map(min, a, b)) for a, b in combinations(monos, 2)):
         acc = {0: 1}
         for m in monos:
             acc = _numerator_mul(acc, {0: 1, mono_deg(m): -1})
@@ -890,25 +910,8 @@ class HilbertPoly:
     def pretty(self) -> str:
         if not self.coeffs:
             return "0"
-        parts = []
-        for p in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[p]
-            if c == 0:
-                continue
-            mono = "" if p == 0 else ("n" if p == 1 else f"n^{p}")
-            cs = str(c)
-            neg = cs.startswith("-")
-            if neg:
-                cs = cs[1:]
-            if mono and cs == "1":
-                body = mono
-            elif mono:
-                body = f"{cs}*{mono}"
-            else:
-                body = cs
-            parts.append(("- " if neg else "+ ") + body)
-        out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else "-" + out[2:]
+        return _signed_sum((str(c), "" if p == 0 else "n" if p == 1 else f"n^{p}")
+                           for p, c in reversed(list(enumerate(self.coeffs))) if c != 0)
 
     def __repr__(self):
         return f"HilbertPoly({self.pretty()})"
@@ -1036,15 +1039,8 @@ def monomials_of_degree(ring: PolyRing, n: int) -> list[tuple]:
     if n < 0:
         return []
     nv = ring.nvars
-
-    def gen(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + (remaining,)
-            return
-        for e in range(remaining, -1, -1):
-            yield from gen(prefix + (e,), remaining - e, slots - 1)
-
-    monos = list(gen((), n, nv))
+    monos = [tuple(c.count(i) for i in range(nv))
+             for c in combinations_with_replacement(range(nv), n)]
     return sorted(monos, key=ring.order.key, reverse=True)
 
 

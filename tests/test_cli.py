@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from geomideal import cli
 from geomideal.cli import (
     SceneError,
     emit_records,
@@ -253,6 +254,56 @@ def test_verification_failure_exit_three(tmp_path, capsys):
     bad = FAT_POINT + "component\nx0\nend\n"
     assert main(["classify", scene_path(tmp_path, bad)]) == 3
     assert "Hilbert functions diverge" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_a_verification_failure(tmp_path, capsys,
+                                                           monkeypatch):
+    def broken(sf):
+        raise ValueError("internal invariant broken")
+
+    monkeypatch.setitem(cli.DISPATCH, "gb", broken)
+    with pytest.raises(ValueError, match="internal invariant"):
+        main(["gb", scene_path(tmp_path, MINIMAL_P1)])
+    assert "verification failure" not in capsys.readouterr().err
+
+
+def test_probe_point_off_the_quotient_is_a_rejected_row(tmp_path, capsys):
+    scene = FLAGSHIP.replace("point [1:1:1]\n", "") + "quotient\nx1^2*x2 - 2*x0^3\nend\n"
+    assert main(["classify", scene_path(tmp_path, scene), "--format", "records"]) == 0
+    rows = [r for r in parse_records(capsys.readouterr().out)
+            if r.get("predicate") == "finite-cohomological-dimension"]
+    assert rows[0]["verdict"] == "inconclusive"
+    assert rows[0]["detail"].startswith("probe rejected: point not on")
+
+
+GF103_ORBIT = """\
+field prime 103
+dim 1
+sigma
+1 0
+0 5
+ideal
+x1 - 7*x0
+end
+point [1 : 1]
+point [1 : 7]
+horizon 3
+"""
+
+
+def test_gf103_orbit_names_its_first_hit_past_the_horizon(tmp_path, capsys):
+    # 5 has order 102 mod 103 and 5^4 = 7, so [1:1] first meets Z at n = 4
+    path = scene_path(tmp_path, GF103_ORBIT)
+    assert main(["orbit", path, "--format", "records"]) == 0
+    rows = parse_records(capsys.readouterr().out)[1:]
+    assert rows[0]["hits"] == [] and rows[0]["first_hit"] == 4
+    assert rows[0]["verdict"] == "infinite" and rows[0]["period"] == 102
+    assert rows[1]["hits"] == [0] and "first_hit" not in rows[1]
+    assert main(["orbit", path]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "[1 : 1]: infinite (period=102; periodicity; first hit 4); hits: none",
+        "[1 : 7]: infinite (period=102; periodicity); hits: 0",
+    ]
 
 
 def test_resource_cap_exit_four(tmp_path, capsys):

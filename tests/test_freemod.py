@@ -5,6 +5,8 @@ every S-vector of two basis elements with the same leading component must
 reduce to zero, whatever criteria the engine used to skip pairs.
 """
 
+from math import comb
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,12 +16,16 @@ from geomideal.freemod import (
     MVec,
     mod_normal_form,
     module_groebner,
+    preimage_generators,
+    submodule_hilbert_function,
+    submodule_hilbert_numerator,
     syzygy_generators,
 )
 from geomideal.polykernel import (
     Poly,
     PolyRing,
     groebner_basis,
+    normal_form,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -115,3 +121,45 @@ def test_syzygy_generators_annihilate_their_inputs(data):
     for s in syzygy_generators(vecs):
         assert len(s.comps) >= 1
         assert combination(s, vecs).is_zero()
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_rank_one_mod_normal_form_is_normal_form(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    module = FreeModule(ring, (0,))
+    f = data.draw(homogeneous_poly(ring, data.draw(st.integers(1, 4))))
+    basis = [data.draw(homogeneous_poly(ring, d))
+             for d in data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))]
+    got = mod_normal_form(module.vec({0: f}), [module.vec({0: g}) for g in basis])
+    assert got.comps.get(0, ring.zero()) == normal_form(f, basis)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_preimage_generators_are_a_reduced_basis_mapping_into_the_targets(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    module = FreeModule(ring, data.draw(st.sampled_from([(0,), (0, 0), (0, 1)])))
+    vecs = data.draw(vectors(module))
+    targets = data.draw(vectors(module))
+    pre = preimage_generators(vecs, targets)
+    assert module_groebner(pre) == pre
+    target_gb = module_groebner(targets)
+    for s in pre:
+        assert mod_normal_form(combination(s, vecs), target_gb).is_zero()
+    # every syzygy of vecs maps to 0, so it lies in the preimage
+    for s in syzygy_generators(vecs):
+        assert mod_normal_form(s, pre).is_zero()
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_submodule_hilbert_numerator_matches_the_hilbert_function(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    module = FreeModule(ring, data.draw(st.sampled_from([(0,), (0, 0), (0, 1), (1, 0, 2)])))
+    gb = module_groebner(data.draw(vectors(module)))
+    num = submodule_hilbert_numerator(gb, module)
+    nv = ring.nvars
+    for n in range(16):
+        series = sum(c * comb(n - a + nv - 1, nv - 1) for a, c in num.items() if a <= n)
+        assert series == submodule_hilbert_function(gb, module, n)

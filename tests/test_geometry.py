@@ -6,6 +6,7 @@ against independent Tor computations for every enumerated union.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,13 @@ from geomideal.geometry import (
 )
 from geomideal.homology import homologically_transverse
 from geomideal.idealizer import IdealizerScene
-from geomideal.polykernel import HomIdeal, PolyRing, ideal_equal, intersect
+from geomideal.polykernel import (
+    HomIdeal,
+    PolyRing,
+    ideal_equal,
+    intersect,
+    monomials_of_degree,
+)
 from geomideal.twist import ProjAutomorphism
 
 RQ = PolyRing(QQ, 3)
@@ -257,6 +264,83 @@ def test_rescaling_sigma_changes_no_orbit_or_order_verdict(data):
     assert forward_orbit_hits(p, scaled, Z, 8) == forward_orbit_hits(p, sigma, Z, 8)
     for ideal in (Z, p.ideal(ring)):
         assert sigma_ideal_order(ideal, scaled, 3) == sigma_ideal_order(ideal, sigma, 3)
+
+
+def _permuted(perm, ring, sigma, Z, p):
+    """sigma, Z and p under the coordinate change x_i -> x_perm[i]."""
+    field = ring.field
+    inv = [perm.index(a) for a in range(ring.nvars)]
+    rows = [[sigma.matrix[inv[a]][inv[b]] for b in range(ring.nvars)]
+            for a in range(ring.nvars)]
+    gens = [ring.from_terms({tuple(m[i] for i in inv): c for m, c in g.terms.items()})
+            for g in Z.gens]
+    return (ProjAutomorphism(ring, rows), HomIdeal(ring, gens),
+            RationalPoint.of(field, [p.coords[i] for i in inv]))
+
+
+def _orbit_verdict(rep):
+    return (rep.verdict, rep.hits, rep.n0, rep.period, rep.justification, rep.first_hit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_permuting_coordinates_changes_no_orbit_or_order_verdict(data):
+    field = data.draw(st.sampled_from([QQ, PrimeField(7)]))
+    nv = data.draw(st.integers(2, 3))
+    ring = PolyRing(field, nv)
+    shape = data.draw(st.sampled_from(["diagonal", "unipotent", "triangular", "any"]))
+    entry = st.integers(-3, 3)
+    rows = [[data.draw(entry) if shape == "any" or j > i else 0 for j in range(nv)]
+            for i in range(nv)]
+    for i in range(nv):
+        if shape != "any":
+            rows[i][i] = 1 if shape == "unipotent" else data.draw(entry.filter(bool))
+        if shape == "diagonal":
+            rows[i][i + 1:] = [0] * (nv - i - 1)
+    try:
+        sigma = ProjAutomorphism(ring, [[field.from_int(x) for x in r] for r in rows])
+    except ValueError:  # singular
+        return
+    p = RationalPoint.of(field, [field.from_int(x) for x in data.draw(
+        st.lists(entry, min_size=nv, max_size=nv).filter(any))])
+    monos = monomials_of_degree(ring, data.draw(st.integers(1, 2)))
+    form = ring.from_terms({m: field.from_int(data.draw(entry)) for m in monos})
+    if form.is_zero():
+        return
+    Z = HomIdeal(ring, [form])
+    perm = data.draw(st.permutations(range(nv)))
+    sigma2, Z2, p2 = _permuted(perm, ring, sigma, Z, p)
+    assert (_orbit_verdict(forward_orbit_hits(p2, sigma2, Z2, 8))
+            == _orbit_verdict(forward_orbit_hits(p, sigma, Z, 8)))
+    for ideal, ideal2 in ((Z, Z2), (p.ideal(ring), p2.ideal(ring))):
+        assert sigma_ideal_order(ideal2, sigma2, 3) == sigma_ideal_order(ideal, sigma, 3)
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_permuting_coordinates_changes_no_ct_cert_verdict(data):
+    field = data.draw(st.sampled_from([QQ, PrimeField(7)]))
+    ring = PolyRing(field, 3)
+    # 1, 2, 4 has dependent ratios (4 = 2^2): inconclusive on every permutation
+    sigma = ProjAutomorphism.diagonal(ring, data.draw(st.sampled_from(
+        [["1", "2", "3"], ["2", "3", "5"], ["1", "2", "4"]])))
+    p = RationalPoint.of(field, [field.from_int(x) for x in data.draw(
+        st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(any))])
+    Z = p.ideal(ring)
+    perm = data.draw(st.sampled_from(list(permutations(range(3)))[1:]))
+    sigma2, Z2, _ = _permuted(perm, ring, sigma, Z, p)
+    assert (critical_transversality_certificate(IdealizerScene(ring, sigma2, Z2)).status
+            == critical_transversality_certificate(IdealizerScene(ring, sigma, Z)).status)
+
+
+def test_gf103_periodic_orbit_names_a_first_hit_past_the_horizon():
+    ring = PolyRing(PrimeField(103), 2)
+    sigma = ProjAutomorphism.diagonal(ring, ["1", "5"])
+    Z = HomIdeal.from_strings(ring, ["x1 - 7*x0"])
+    rep = forward_orbit_hits(pt("[1:1]", ring.field), sigma, Z, 3)
+    assert (rep.verdict, rep.hits, rep.period, rep.first_hit) == ("infinite", (), 102, 4)
+    rep = forward_orbit_hits(pt("[1:1]", ring.field), sigma, Z, 4)
+    assert (rep.hits, rep.first_hit) == ((4,), None)
 
 
 def test_prime_field_shear_orbit_is_periodic_not_polynomial():

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from geomideal.errors import SceneVerificationError, UsageError
 from geomideal.fields import QQ, PrimeField
 from geomideal.homology import (
     ImproperIntersectionError,
@@ -302,6 +303,14 @@ def test_probe_point_must_lie_on_quotient_locus():
 
 def test_probe_rejects_non_point_ideal():
     with pytest.raises(ValueError, match="rational point"):
+        truncated_tor_over_quotient(CUBIC, CUSP, ideal(RQ, "x0"), j_max=2)
+
+
+def test_probe_errors_carry_the_documented_classes():
+    off = ideal(RQ, "x0 - x2", "x1 - 2*x2")
+    with pytest.raises(SceneVerificationError):
+        truncated_tor_over_quotient(CUBIC, off, off, j_max=2)
+    with pytest.raises(UsageError):
         truncated_tor_over_quotient(CUBIC, CUSP, ideal(RQ, "x0"), j_max=2)
 
 

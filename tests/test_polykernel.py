@@ -228,6 +228,28 @@ def test_pair_order_takes_late_pairs_with_smaller_keys_first():
 
 
 @given(st.data())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_normal_form_matches_naive_division(data):
+    """The heap division takes the first divisor that fits, like schoolbook
+    division, so it matches the oracle term for term on any divisor list,
+    Groebner basis or not."""
+    ring, I = data.draw(ring_and_ideal())
+    f = data.draw(homogeneous_poly(ring, max_deg=4))
+    for basis in (list(I.gens), list(I.groebner())):
+        want = oracles.naive_normal_form(dict(f.terms), [dict(g.terms) for g in basis],
+                                         _char(ring))
+        assert dict(normal_form(f, basis).terms) == want
+
+
+@pytest.mark.parametrize("kind", ["degrevlex", "lex", "elim"])
+def test_descending_key_reverses_the_order(kind):
+    order = TermOrder(kind, 3)
+    monos = [m for n in range(4) for m in monomials_of_degree(PolyRing(QQ, 3), n)]
+    assert (sorted(monos, key=order.descending_key)
+            == sorted(monos, key=order.key, reverse=True))
+
+
+@given(st.data())
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_membership_matches_linear_oracle(data):
     ring, I = data.draw(ring_and_ideal(max_deg=2))
