@@ -182,11 +182,15 @@ class MVec:
 # ---------------------------------------------------------------------------
 
 def mod_normal_form(v: MVec, basis: list[MVec]) -> MVec:
-    """Full remainder of v under division by basis (position-over-term)."""
+    """Full remainder of v under division by basis (position-over-term).
+
+    divide returns each component's terms in decreasing order, so the first
+    one is that component's leading term."""
     rem: dict[int, dict] = {}
     for (c, m), x in divide(v, basis).items():
         rem.setdefault(c, {})[m] = x
-    return MVec(v.module, {c: Poly(v.ring, t) for c, t in rem.items()})
+    return MVec(v.module, {c: Poly(v.ring, t, next(iter(t.items())))
+                           for c, t in rem.items()})
 
 
 def module_groebner(vecs: list[MVec]) -> list[MVec]:

@@ -246,6 +246,12 @@ def graded_tor(I: HomIdeal, J: HomIdeal, j: int) -> TorModule:
     return tor_from_resolution(res, J, j)
 
 
+def disjoint(I: HomIdeal, J: HomIdeal) -> bool:
+    """Whether the subschemes cut out by I and J do not meet, that is,
+    whether I + J has the zero Hilbert polynomial."""
+    return hilbert_polynomial(ideal_sum(I, J)).is_zero()
+
+
 def homologically_transverse(I: HomIdeal, J: HomIdeal) -> tuple[bool, int | None]:
     """Whether the subschemes cut out by I and J are homologically transverse.
 
@@ -253,9 +259,16 @@ def homologically_transverse(I: HomIdeal, J: HomIdeal) -> tuple[bool, int | None
     polynomials of the graded Tor modules; on failure returns the least
     failing j.  The verdict depends only on the subschemes, not on the
     chosen (possibly unsaturated) defining ideals.
+
+    A Tor sheaf is supported on the intersection: Supp Tor_j(O_Z, O_Y) ⊆
+    Z ∩ Y (Serre, Algèbre locale, multiplicités; Hartshorne, Algebraic
+    Geometry III.6).  So disjoint subschemes are transverse, and that is
+    answered without resolving I.
     """
     if I.ring != J.ring:
         raise ValueError("ideals live in different rings")
+    if disjoint(I, J):
+        return True, None
     return transverse_from_resolution(free_resolution(I), J)
 
 

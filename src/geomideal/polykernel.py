@@ -119,9 +119,7 @@ class PolyRing:
         return Poly(self, {(0,) * self.nvars: self.field.one})
 
     def constant(self, c) -> "Poly":
-        if self.field.is_zero(c):
-            return self.zero()
-        return Poly(self, {(0,) * self.nvars: c})
+        return self.monomial((0,) * self.nvars, c)
 
     def variable(self, i: int) -> "Poly":
         exps = [0] * self.nvars
@@ -316,11 +314,11 @@ class Poly:
 
     __slots__ = ("ring", "terms", "_deg", "_lt")
 
-    def __init__(self, ring: PolyRing, terms: dict):
+    def __init__(self, ring: PolyRing, terms: dict, lt=None):
         self.ring = ring
         self.terms = terms
         self._deg = -2  # unset marker (-1 means inhomogeneous, None-like)
-        self._lt = None
+        self._lt = lt
 
     # degree tag: the common degree when homogeneous, else None
     @property
@@ -535,8 +533,10 @@ def divide(f, basis: list) -> dict:
 
 
 def normal_form(f: Poly, basis: list[Poly]) -> Poly:
-    """Remainder of f under full multivariate division by basis."""
-    return Poly(f.ring, {m: c for (_, m), c in divide(f, basis).items()})
+    """Remainder of f under full multivariate division by basis; divide
+    returns it in decreasing order, so its first term is the leading one."""
+    rem = {m: c for (_, m), c in divide(f, basis).items()}
+    return Poly(f.ring, rem, next(iter(rem.items()), None))
 
 
 def buchberger(gens: list, sort_key, nf) -> list:

@@ -9,9 +9,10 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from geomideal import geometry
 from geomideal.classify import sigma_ideal_order
 from geomideal.fields import QQ, PrimeField
 from geomideal.geometry import (
@@ -27,7 +28,11 @@ from geomideal.geometry import (
     point_order,
     projective_order,
 )
-from geomideal.homology import homologically_transverse
+from geomideal.homology import (
+    free_resolution,
+    homologically_transverse,
+    transverse_from_resolution,
+)
 from geomideal.idealizer import IdealizerScene
 from geomideal.polykernel import (
     HomIdeal,
@@ -611,3 +616,110 @@ def test_family_ideal_matches_the_intersect_fold(d):
         got = _family_ideal(ring, fam)
         assert got.gens == want.gens, fam
         assert got.saturated is True
+
+
+# ---------------------------------------------------------------------------
+# the certificate runs Tor only where a union meets Z
+# ---------------------------------------------------------------------------
+
+R3 = PolyRing(QQ, 4)
+SIGMA3 = ProjAutomorphism.diagonal(R3, ["1", "2", "3", "5"])
+
+
+def plain_certificate(scene):
+    """Oracle: Tor against every union in report order, with no localization."""
+    ring = scene.ring
+    res = free_resolution(scene.ideal)
+    families = _coordinate_families(scene.d, max_union=2 ** (scene.d + 1) - 2)
+    for checked, fam in enumerate(families, 1):
+        Y = _family_ideal(ring, fam)
+        ok, j = transverse_from_resolution(res, Y)
+        if not ok:
+            return ("refuted", checked, fam, Y.gens_text(), j)
+    return ("certified", len(families), None, None, None)
+
+
+def certificate_summary(cert):
+    witness = None if cert.witness_ideal is None else cert.witness_ideal.gens_text()
+    return (cert.status, cert.checked, cert.witness_family, witness, cert.witness_j)
+
+
+@st.composite
+def point_scenes(draw):
+    """A point of P^2 or P^3; a P^3 point has a zero coordinate, because
+    off every coordinate hyperplane the plain loop costs seconds (that case
+    is pinned in test_p3_point_off_the_hyperplanes_needs_no_tor)."""
+    d = draw(st.sampled_from([2, 3]))
+    coords = draw(st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1))
+    if d == 3:
+        coords[draw(st.integers(0, d))] = 0
+    if not any(coords):
+        coords[0] = 1
+    ring, sigma = (RQ, SIGMA) if d == 2 else (R3, SIGMA3)
+    Z = RationalPoint.of(QQ, [QQ.from_int(c) for c in coords]).ideal(ring)
+    return IdealizerScene(ring, sigma, Z)
+
+
+@st.composite
+def line_scenes(draw):
+    """A line of P^2 or P^3 over Q, cut out by d - 1 independent linear forms."""
+    d = draw(st.sampled_from([2, 3]))
+    ring, sigma = (RQ, SIGMA) if d == 2 else (R3, SIGMA3)
+    rows = [draw(st.lists(st.integers(-2, 2), min_size=d + 1, max_size=d + 1))
+            for _ in range(d - 1)]
+    forms = [ring.from_terms({ring.variable(i).lm(): QQ.from_int(c)
+                              for i, c in enumerate(row)}) for row in rows]
+    Z = HomIdeal(ring, forms)
+    assume(len(Z.groebner()) == d - 1)
+    return IdealizerScene(ring, sigma, Z)
+
+
+@settings(max_examples=20, deadline=None)
+@given(scene=st.one_of(point_scenes(), line_scenes()))
+def test_localized_certificate_matches_the_plain_loop(scene):
+    cert = critical_transversality_certificate(scene)
+    assert certificate_summary(cert) == plain_certificate(scene)
+
+
+def count_certificate_work(monkeypatch):
+    """Count the resolutions and Tor checks the certificate asks for."""
+    work = {"resolutions": 0, "tor": []}
+
+    def counted_resolution(I, *args, **kwargs):
+        work["resolutions"] += 1
+        return free_resolution(I, *args, **kwargs)
+
+    def counted_tor(res, J):
+        work["tor"].append(J.gens_text())
+        return transverse_from_resolution(res, J)
+
+    monkeypatch.setattr(geometry, "free_resolution", counted_resolution)
+    monkeypatch.setattr(geometry, "transverse_from_resolution", counted_tor)
+    return work
+
+
+def test_p3_point_off_the_hyperplanes_needs_no_tor(monkeypatch):
+    work = count_certificate_work(monkeypatch)
+    Z = RationalPoint.parse(QQ, "[1:2:3:4]").ideal(R3)
+    cert = critical_transversality_certificate(IdealizerScene(R3, SIGMA3, Z))
+    assert (cert.status, cert.checked) == ("certified", 165)
+    assert work == {"resolutions": 0, "tor": []}
+
+
+def test_p3_line_checks_each_meeting_sub_union_once(monkeypatch):
+    work = count_certificate_work(monkeypatch)
+    Z = HomIdeal.from_strings(R3, ["x0+x1-2*x2-x3", "x1+x2-3*x3"])
+    cert = critical_transversality_certificate(IdealizerScene(R3, SIGMA3, Z))
+    assert (cert.status, cert.checked) == ("certified", 165)
+    assert work["resolutions"] == 1
+    # the line meets the four coordinate planes and no smaller coordinate
+    # subspace, so its meeting sub-unions are the 15 nonempty sets of planes
+    assert len(set(work["tor"])) == len(work["tor"]) == 15
+
+
+def test_p3_point_on_one_hyperplane_refuted_after_one_tor(monkeypatch):
+    work = count_certificate_work(monkeypatch)
+    Z = HomIdeal.from_strings(R3, ["x0", "x1-2*x3", "x2-3*x3"])
+    cert = critical_transversality_certificate(IdealizerScene(R3, SIGMA3, Z))
+    assert certificate_summary(cert) == ("refuted", 11, ((0,),), "x0", 1)
+    assert work == {"resolutions": 1, "tor": ["x0"]}

@@ -16,12 +16,15 @@ from hypothesis import strategies as st
 import oracles
 from geomideal.errors import SceneVerificationError, UsageError
 from geomideal.fields import QQ, PrimeField
+from geomideal import homology
 from geomideal.homology import (
     ImproperIntersectionError,
+    disjoint,
     free_resolution,
     graded_tor,
     homologically_transverse,
     serre_multiplicity_total,
+    transverse_from_resolution,
     truncated_tor_over_quotient,
 )
 from geomideal.polykernel import (
@@ -195,6 +198,40 @@ def test_nested_law_on_random_monomial_pairs(data):
     if ideal_equal(Isat, Jsat):
         return
     assert homologically_transverse(I, J) == (False, 1)
+
+
+@st.composite
+def linear_ideal(draw, ring):
+    """Ideal of up to three random linear forms over Q with small
+    coefficients: a point, a line, the plane or the empty scheme of P^2."""
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=ring.nvars,
+                                  max_size=ring.nvars), min_size=1, max_size=3))
+    return HomIdeal(ring, [
+        ring.from_terms({ring.variable(i).lm(): QQ.from_int(c)
+                         for i, c in enumerate(row)})
+        for row in rows
+    ])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_disjointness_pre_check_matches_the_plain_loop(data):
+    """The shortcut for disjoint pairs never changes a verdict or a witness j."""
+    pick = st.one_of(linear_ideal(RQ), monomial_ideal(RQ))
+    I, J = data.draw(pick), data.draw(pick)
+    plain = transverse_from_resolution(free_resolution(I), J)
+    assert homologically_transverse(I, J) == plain
+
+
+def test_disjoint_pair_is_transverse_without_a_resolution(monkeypatch):
+    def no_resolution(*args, **kwargs):
+        raise AssertionError("a disjoint pair needs no resolution")
+
+    monkeypatch.setattr(homology, "free_resolution", no_resolution)
+    P = ideal(RQ, "x0 - x2", "x1 - x2")
+    Q = ideal(RQ, "x0", "x1 - 2*x2")
+    assert disjoint(P, Q)
+    assert homologically_transverse(P, Q) == (True, None)
 
 
 # ---------------------------------------------------------------------------
