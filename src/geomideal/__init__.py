@@ -37,7 +37,6 @@ from .twist import (
     DegreePiece,
     ProjAutomorphism,
     TwistedElement,
-    graded_piece_B,
     twist_multiply,
 )
 from .idealizer import (
@@ -56,9 +55,7 @@ from .geometry import (
     RationalPoint,
     critical_transversality_certificate,
     forward_orbit_hits,
-    invariant_coordinate_subschemes,
     multiplicative_independence,
-    point_order,
 )
 from .classify import (
     ClassificationReport,
@@ -84,15 +81,13 @@ __all__ = [
     "ImproperIntersectionError", "free_resolution", "graded_tor",
     "homologically_transverse", "serre_multiplicity_total",
     "truncated_tor_over_quotient",
-    "DegreePiece", "ProjAutomorphism", "TwistedElement", "graded_piece_B",
-    "twist_multiply",
+    "DegreePiece", "ProjAutomorphism", "TwistedElement", "twist_multiply",
     "IdealizerScene", "SceneVerificationError", "exhaustive_oracle_piece",
     "idealizer_hilbert", "idealizer_piece", "membership_oracle",
     "pieces_agree", "stabilization_degree",
     "CTCertificate", "OrbitReport", "RationalPoint",
     "critical_transversality_certificate", "forward_orbit_hits",
-    "invariant_coordinate_subschemes", "multiplicative_independence",
-    "point_order",
+    "multiplicative_independence",
     "ClassificationReport", "ClassificationRow", "ComponentAnalysis",
     "Evidence", "OrderResult", "classify", "component_analysis",
     "reduced_point_of", "sigma_ideal_order",

@@ -1,5 +1,5 @@
 """Graded free modules over the polynomial ring: Groebner bases, syzygies,
-minimal generators, and Hilbert data of graded submodules.
+minimal generators, and Hilbert series numerators of graded submodules.
 
 A vector lives in a FreeModule with a degree tuple (generator e_i has degree
 degrees[i]); components are sparse Polys.  The module term order is
@@ -14,21 +14,17 @@ component, where S(f.e, g.e) = S(f, g).e makes it sound.  The normal form
 is polykernel.divide, the heap division kernel that polynomials share.
 
 Syzygies and preimages tag only the vectors being combined, so their
-output is already a reduced Groebner basis.  Hilbert data of a submodule
-comes from one integer series numerator summed over components.
+output is already a reduced Groebner basis.  The Hilbert series of a
+submodule is one integer numerator summed over components.
 """
 
 from __future__ import annotations
 
-import math
-
 from .polykernel import (
-    HilbertPoly,
     Poly,
     PolyRing,
     buchberger,
     divide,
-    hilbert_polynomial_from_numerator,
     interreduce,
     monomial_hilbert_numerator,
 )
@@ -146,12 +142,6 @@ class MVec:
         if self.module.ring.field.is_zero(c):
             return self.module.zero()
         return MVec(self.module, {i: p.term_mul(c, exps) for i, p in self.comps.items()})
-
-    def poly_mul(self, f: Poly) -> "MVec":
-        acc = self.module.zero()
-        for m, c in f.terms.items():
-            acc = acc + self.term_mul(c, m)
-        return acc
 
     def sort_key(self):
         okey = self.module.ring.order.key
@@ -275,51 +265,22 @@ def minimal_generators(vecs: list[MVec]) -> list[MVec]:
 
 
 # ---------------------------------------------------------------------------
-# Hilbert data of graded submodules
+# Hilbert series of graded submodules
 # ---------------------------------------------------------------------------
-
-def _leading_monomials_by_component(gb: list[MVec]):
-    by_comp: dict[int, list] = {}
-    for g in gb:
-        c, m, _ = g.leading()
-        by_comp.setdefault(c, []).append(m)
-    return by_comp
-
-
-def submodule_hilbert_function(gb: list[MVec], module: FreeModule, n: int) -> int:
-    """dim of the degree-n piece of the submodule with module Groebner basis gb."""
-    ring = module.ring
-    nv = ring.nvars
-    by_comp = _leading_monomials_by_component(gb)
-    total = 0
-    for c, monos in by_comp.items():
-        m = n - module.degrees[c]
-        if m < 0:
-            continue
-        full = math.comb(m + nv - 1, nv - 1)
-        num = monomial_hilbert_numerator(monos)
-        quot = sum(
-            co * math.comb(m - a + nv - 1, nv - 1) for a, co in num.items() if m - a >= 0
-        )
-        total += full - quot
-    return total
-
 
 def submodule_hilbert_numerator(gb: list[MVec], module: FreeModule) -> dict[int, int]:
     """Numerator N(u) of the Hilbert series N(u)/(1-u)^nvars of the
     submodule with module Groebner basis gb: the sum over components c of
     u^degrees[c] * (1 - N_c(u)), N_c the numerator of S/(leading monomials
     in component c).  Integer arithmetic only."""
+    by_comp: dict[int, list] = {}
+    for g in gb:
+        c, m, _ = g.leading()
+        by_comp.setdefault(c, []).append(m)
     out: dict[int, int] = {}
-    for c, monos in _leading_monomials_by_component(gb).items():
+    for c, monos in by_comp.items():
         shift = module.degrees[c]
         out[shift] = out.get(shift, 0) + 1
         for a, x in monomial_hilbert_numerator(monos).items():
             out[a + shift] = out.get(a + shift, 0) - x
     return {a: x for a, x in out.items() if x}
-
-
-def submodule_hilbert_polynomial(gb: list[MVec], module: FreeModule) -> HilbertPoly:
-    """Hilbert polynomial (in the ambient grading) of the submodule."""
-    return hilbert_polynomial_from_numerator(submodule_hilbert_numerator(gb, module),
-                                             module.ring.nvars)

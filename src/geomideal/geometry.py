@@ -134,18 +134,6 @@ class RationalPoint:
         return "[" + " : ".join(self.field.to_str(c) for c in self.coords) + "]"
 
 
-def point_order(p: RationalPoint, sigma: ProjAutomorphism, bound: int) -> int | None:
-    """Least k in 1..bound with sigma^k(p) = p projectively, else None."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    q = p
-    for k in range(1, bound + 1):
-        q = q.apply(sigma)
-        if q == p:
-            return k
-    return None
-
-
 PERIOD_CAP = 1000  # how far GF(p) orbits and projective orders are scanned
 
 
@@ -229,31 +217,24 @@ def _orbit_exponential_terms(sigma: ProjAutomorphism, p: RationalPoint,
 
 
 def _unipotent_scalar(sigma: ProjAutomorphism):
-    """The scalar c with sigma = c * (unipotent matrix), or None.
+    """The scalar c with sigma = c * (unipotent matrix), or None, over a
+    field of characteristic 0.
 
-    Such a c is the only eigenvalue of sigma, so c = trace / (d + 1) when
-    that division is possible.  Otherwise the characteristic divides d + 1
-    (so it is at most 11) and every nonzero scalar is tried."""
+    Such a c is the only eigenvalue of sigma, so c = trace / (d + 1)."""
     field = sigma.ring.field
     n = sigma.ring.nvars
     M = sigma.matrix
-    if field.char == 0 or n % field.char:
-        trace = field.zero
-        for i in range(n):
-            trace = field.add(trace, M[i][i])
-        candidates = [field.div(trace, field.from_int(n))]
-    else:
-        candidates = [field.from_int(k) for k in range(1, field.char)]
-    for c in candidates:
-        N = [[field.sub(M[i][j], c if i == j else field.zero) for j in range(n)]
-             for i in range(n)]
-        power = N
-        for _ in range(n - 1):
-            power = [[_dot(field, power[i], [N[t][j] for t in range(n)])
-                      for j in range(n)] for i in range(n)]
-        if all(field.is_zero(e) for row in power for e in row):
-            return c
-    return None
+    trace = field.zero
+    for i in range(n):
+        trace = field.add(trace, M[i][i])
+    c = field.div(trace, field.from_int(n))
+    N = [[field.sub(M[i][j], c if i == j else field.zero) for j in range(n)]
+         for i in range(n)]
+    power = N
+    for _ in range(n - 1):
+        power = [[_dot(field, power[i], [N[t][j] for t in range(n)])
+                  for j in range(n)] for i in range(n)]
+    return c if all(field.is_zero(e) for row in power for e in row) else None
 
 
 def _orbit_coordinate_polys(sigma: ProjAutomorphism, p: RationalPoint, scalar):
@@ -490,30 +471,6 @@ def multiplicative_independence(values) -> MultIndependence:
     return MultIndependence(vals, primes, rank, False, tuple(witness))
 
 
-@dataclass(frozen=True)
-class EigenData:
-    """Eigenvalue summary of sigma used by the certificate gates."""
-
-    eigenvalues: tuple | None
-    diagonalizable: bool | None
-    ratio_report: MultIndependence | None
-
-
-def eigen_data(sigma: ProjAutomorphism) -> EigenData:
-    if sigma.is_diagonal():
-        lams = sigma.diagonal_entries()
-        report = None
-        if sigma.ring.field.char == 0:
-            ratios = [lam / lams[0] for lam in lams[1:]]
-            report = multiplicative_independence(ratios)
-        return EigenData(tuple(lams), True, report)
-    scalar = _unipotent_scalar(sigma)
-    if scalar is not None:
-        return EigenData((scalar,) * sigma.ring.nvars,
-                         sigma.is_identity_projectively(), None)
-    return EigenData(None, None, None)
-
-
 # ---------------------------------------------------------------------------
 # invariant coordinate subschemes
 # ---------------------------------------------------------------------------
@@ -560,6 +517,10 @@ def _family_ideal(ring: PolyRing, family) -> HomIdeal:
 
 
 def _ratio_gate(sigma: ProjAutomorphism) -> bool:
+    """Whether sigma is diagonal over Q with distinct, multiplicatively
+    independent eigenvalue ratios; the unions of coordinate subspaces are
+    then exactly its reduced invariant subschemes (the ambient space and the
+    empty scheme, both transverse to everything, left out)."""
     if not sigma.is_diagonal() or sigma.ring.field.char != 0:
         return False
     lams = sigma.diagonal_entries()
@@ -567,27 +528,6 @@ def _ratio_gate(sigma: ProjAutomorphism) -> bool:
         return False
     ratios = [lam / lams[0] for lam in lams[1:]]
     return multiplicative_independence(ratios).independent
-
-
-def invariant_coordinate_subschemes(
-    sigma: ProjAutomorphism, d: int | None = None, max_union: int = 1
-) -> list[HomIdeal]:
-    """Ideals of unions of at most max_union coordinate subspaces of P^d.
-
-    For diagonal sigma with multiplicatively independent eigenvalue ratios
-    these are exactly the reduced invariant subschemes (the ambient space and
-    the empty scheme, both trivially transverse to everything, are omitted).
-    """
-    ring = sigma.ring
-    if d is None:
-        d = ring.nvars - 1
-    if d != ring.nvars - 1:
-        raise ValueError("dimension does not match sigma's ring")
-    if not _ratio_gate(sigma):
-        raise ValueError("invariant family not classified")
-    return [
-        _family_ideal(ring, fam) for fam in _coordinate_families(d, max_union)
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Graded Tor machinery over the polynomial ring and over hypersurface quotients.
 
-Free resolutions are computed by iterated minimal syzygies.  For ideals I, J
-the graded module Tor_j(S/I, S/J) is presented exactly as K'/B' inside the
-j-th resolution step F_j, with
+Free resolutions are computed by iterated minimal syzygies, to at most
+nvars steps.  For ideals I, J the graded module Tor_j(S/I, S/J) is the
+subquotient K'/B' of the j-th resolution step F_j, with
 
     K' = { v in F_j : d_j(v) in J*F_(j-1) }   (preimage, by elimination)
     B' = im d_(j+1) + J*F_j,
 
-so its graded dimensions and Hilbert polynomial come from module Groebner
-bases, with no truncation.  The preimage step returns the reduced basis of
-K' directly, and the Hilbert polynomial is converted once, from the cycle
-minus the boundary integer series numerator.  Sheafifying is exact, so the
+held as the reduced module Groebner bases of K' and B'; the preimage step
+returns the basis of K' directly.  A module and its leading-term module
+share a Hilbert function (Macaulay), so the Hilbert series of Tor_j is one
+integer numerator, the cycle numerator minus the boundary numerator over
+(1 - u)^nvars.  Both the graded dimensions (its coefficients) and the
+Hilbert polynomial are read from that numerator.  Sheafifying is exact, so the
 sheaf Tor of the two subscheme structure sheaves vanishes exactly when the
 Hilbert polynomial of the graded Tor is identically zero; that is the
 transversality criterion used here (insensitive to saturating the inputs).
@@ -35,7 +37,6 @@ from .freemod import (
     minimal_generators,
     module_groebner,
     preimage_generators,
-    submodule_hilbert_function,
     submodule_hilbert_numerator,
     syzygy_generators,
 )
@@ -50,6 +51,7 @@ from .polykernel import (
     ideal_sum,
     monomials_of_degree,
     saturate,
+    series_coefficient,
 )
 
 
@@ -74,12 +76,6 @@ class GradedMap:
                     f"expected {self.source.degrees[i]}"
                 )
 
-    def apply(self, v: MVec) -> MVec:
-        out = self.target.zero()
-        for i, p in v.comps.items():
-            out = out + self.columns[i].poly_mul(p)
-        return out
-
 
 @dataclass
 class FreeResolution:
@@ -88,39 +84,25 @@ class FreeResolution:
     ideal: HomIdeal
     modules: tuple[FreeModule, ...]
     maps: tuple[GradedMap, ...]
-    truncated: bool = False
-    notes: tuple[str, ...] = ()
 
     @property
     def length(self) -> int:
         return len(self.modules) - 1
 
 
-def free_resolution(I: HomIdeal, length: int | None = None,
-                    deg_bound: int | None = None) -> FreeResolution:
-    """Minimal graded free resolution of S/I, to the requested length.
+def free_resolution(I: HomIdeal, length: int | None = None) -> FreeResolution:
+    """Minimal graded free resolution of S/I, exact, to the requested length.
 
-    The projective dimension is at most nvars, so a longer request is clamped
-    with a notice.  deg_bound, if given, drops syzygy generators above that
-    degree and marks the result truncated; by default the resolution is exact.
+    The projective dimension is at most nvars (Hilbert's syzygy theorem), so
+    no length or a longer one resolves to nvars steps.
     """
     ring = I.ring
-    bound = ring.nvars
-    notes: list[str] = []
-    if length is None:
-        length = bound
-    if length > bound:
-        notes.append(
-            f"requested length {length} clamped to {bound} "
-            "(projective dimension bound)"
-        )
-        length = bound
+    length = ring.nvars if length is None else min(length, ring.nvars)
     F0 = FreeModule(ring, (0,))
     modules = [F0]
     maps: list[GradedMap] = []
-    truncated = False
     if I.is_zero_ideal() or length == 0:
-        return FreeResolution(I, tuple(modules), tuple(maps), False, tuple(notes))
+        return FreeResolution(I, tuple(modules), tuple(maps))
     cols = minimal_generators([MVec(F0, {0: g}) for g in I.gens])
     step = 1
     while cols and step <= length:
@@ -130,18 +112,9 @@ def free_resolution(I: HomIdeal, length: int | None = None,
         if step == length:
             break
         syz = syzygy_generators(cols)
-        nxt = minimal_generators(syz) if syz else []
-        if deg_bound is not None:
-            kept = [v for v in nxt if v.degree <= deg_bound]
-            if len(kept) < len(nxt):
-                truncated = True
-                notes.append(
-                    f"syzygy generators above degree {deg_bound} dropped at step {step + 1}"
-                )
-            nxt = kept
-        cols = nxt
+        cols = minimal_generators(syz) if syz else []
         step += 1
-    return FreeResolution(I, tuple(modules), tuple(maps), truncated, tuple(notes))
+    return FreeResolution(I, tuple(modules), tuple(maps))
 
 
 # ---------------------------------------------------------------------------
@@ -149,100 +122,71 @@ def free_resolution(I: HomIdeal, length: int | None = None,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class GradedModulePresentation:
-    """Cokernel presentation: free module on generator_degrees modulo the
-    column span of relation_columns."""
-
-    generator_degrees: tuple[int, ...]
-    relation_columns: tuple[MVec, ...]
-
-
-@dataclass
 class TorModule:
-    """Tor_j(S/I, S/J) as the subquotient K'/B' of the ambient step F_j."""
+    """Tor_j(S/I, S/J) as the subquotient K'/B' of the ambient step F_j,
+    given by the reduced Groebner bases of K' and B'."""
 
     j: int
     ambient: FreeModule
-    cycle_gens: tuple[MVec, ...]
-    boundary_gens: tuple[MVec, ...]
-    _gb_cycles: list = field(default_factory=list, repr=False)
-    _gb_bounds: list = field(default_factory=list, repr=False)
-    _pres: GradedModulePresentation | None = field(default=None, repr=False)
+    _gb_cycles: list = field(repr=False)
+    _gb_bounds: list = field(repr=False)
+    _num: dict[int, int] | None = field(default=None, repr=False)
+
+    def _numerator(self) -> dict[int, int]:
+        """Hilbert series numerator over (1 - u)^nvars: the cycle numerator
+        minus the boundary numerator, computed once."""
+        if self._num is None:
+            num = submodule_hilbert_numerator(self._gb_cycles, self.ambient)
+            for a, x in submodule_hilbert_numerator(self._gb_bounds, self.ambient).items():
+                num[a] = num.get(a, 0) - x
+            self._num = {a: x for a, x in num.items() if x}
+        return self._num
 
     def dimension(self, n: int) -> int:
-        hk = submodule_hilbert_function(self._gb_cycles, self.ambient, n)
-        hb = submodule_hilbert_function(self._gb_bounds, self.ambient, n)
-        return hk - hb
+        return series_coefficient(self._numerator(), self.ambient.ring.nvars, n)
 
     def dims(self, lo: int, hi: int) -> list[int]:
         return [self.dimension(n) for n in range(lo, hi + 1)]
 
     def hilbert_polynomial(self) -> HilbertPoly:
-        """From the cycle numerator minus the boundary numerator, in one
-        conversion to a polynomial."""
-        num = submodule_hilbert_numerator(self._gb_cycles, self.ambient)
-        for a, x in submodule_hilbert_numerator(self._gb_bounds, self.ambient).items():
-            num[a] = num.get(a, 0) - x
-        return hilbert_polynomial_from_numerator(
-            {a: x for a, x in num.items() if x}, self.ambient.ring.nvars)
+        return hilbert_polynomial_from_numerator(self._numerator(), self.ambient.ring.nvars)
 
     def is_sheaf_trivial(self) -> bool:
         """True when the associated sheaf vanishes (Hilbert polynomial 0)."""
         return self.hilbert_polynomial().is_zero()
-
-    def presentation(self) -> GradedModulePresentation:
-        if self._pres is None:
-            gens = minimal_generators(list(self.cycle_gens)) if self.cycle_gens else []
-            rels = preimage_generators(gens, list(self.boundary_gens)) if gens else []
-            self._pres = GradedModulePresentation(
-                tuple(v.degree for v in gens), tuple(rels)
-            )
-        return self._pres
 
 
 def _ideal_times_free(J: HomIdeal, module: FreeModule) -> list[MVec]:
     return [MVec(module, {k: g}) for g in J.gens for k in range(module.rank)]
 
 
-def _zero_tor(j: int, ring: PolyRing) -> TorModule:
-    empty = FreeModule(ring, ())
-    return TorModule(j, empty, (), (), [], [])
-
-
 def tor_from_resolution(res: FreeResolution, J: HomIdeal, j: int) -> TorModule:
     """Tor_j(S/I, S/J) from an already-computed resolution of S/I."""
-    ring = res.ideal.ring
     if j < 0:
         raise ValueError("negative homological degree")
     if j == 0:
         F0 = res.modules[0]
         both = list(res.ideal.gens) + list(J.gens)
-        cycles = (F0.gen(0),)
-        bounds = tuple(MVec(F0, {0: g}) for g in both)
-        return TorModule(
-            0, F0, cycles, bounds,
-            module_groebner(list(cycles)), module_groebner(list(bounds)),
-        )
+        return TorModule(0, F0, module_groebner([F0.gen(0)]),
+                         module_groebner([MVec(F0, {0: g}) for g in both]))
     if j > res.length:
-        return _zero_tor(j, ring)
+        return TorModule(j, FreeModule(res.ideal.ring, ()), [], [])
     Fj = res.modules[j]
     dj = res.maps[j - 1]
-    # already the reduced Groebner basis of K', so it serves as _gb_cycles
+    # already the reduced Groebner basis of K'
     cycles = preimage_generators(
         list(dj.columns), _ideal_times_free(J, res.modules[j - 1])
     )
     bounds = list(res.maps[j].columns) if len(res.maps) > j else []
     bounds += _ideal_times_free(J, Fj)
-    return TorModule(
-        j, Fj, tuple(cycles), tuple(bounds), cycles, module_groebner(bounds),
-    )
+    return TorModule(j, Fj, cycles, module_groebner(bounds))
 
 
 def graded_tor(I: HomIdeal, J: HomIdeal, j: int) -> TorModule:
     """The graded module Tor_j(S/I, S/J), presented exactly."""
     if I.ring != J.ring:
         raise ValueError("ideals live in different rings")
-    res = free_resolution(I, length=min(j + 1, I.ring.nvars))
+    res = free_resolution(I, length=j + 1)
     return tor_from_resolution(res, J, j)
 
 

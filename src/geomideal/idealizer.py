@@ -32,7 +32,6 @@ from .polykernel import (
     intersect,
     monomials_of_degree,
     saturate,
-    unit_ideal,
 )
 from .twist import DegreePiece, ProjAutomorphism, TwistedElement, twist_multiply
 
@@ -105,12 +104,6 @@ class IdealizerScene:
         if m not in self._piece_cache:
             self._piece_cache[m] = degree_piece_basis(self.ideal, m)
         return self._piece_cache[m]
-
-    def veronese(self, v: int) -> "IdealizerScene":
-        """Scene for the v-th power of sigma with the same Z."""
-        sv = ProjAutomorphism(self.ring, self.sigma.power(v))
-        return IdealizerScene(self.ring, sv, self.ideal,
-                              self.declared_components, self.gorenstein_z, self.smooth_z)
 
 
 def idealizer_piece(scene: IdealizerScene, n: int) -> DegreePiece:

@@ -30,7 +30,6 @@ from itertools import combinations, combinations_with_replacement
 from operator import add, le, sub
 
 from .errors import ResourceCapError
-from .fields import QQ, PrimeField, RationalField
 
 
 # ---------------------------------------------------------------------------
@@ -40,12 +39,12 @@ from .fields import QQ, PrimeField, RationalField
 class TermOrder:
     """Monomial well-order given by a key function on exponent tuples.
 
-    kind is one of "degrevlex", "lex", "elim" (single trailing auxiliary
-    variable eliminated first — used by the intersection algorithm).
+    kind is "degrevlex" or "elim" (single trailing auxiliary variable
+    eliminated first — used by the intersection algorithm).
     """
 
     def __init__(self, kind: str, nvars: int):
-        if kind not in ("degrevlex", "lex", "elim"):
+        if kind not in ("degrevlex", "elim"):
             raise ValueError(f"unknown term order kind {kind!r}")
         self.kind = kind
         self.nvars = nvars
@@ -53,8 +52,6 @@ class TermOrder:
     def key(self, exps):
         if self.kind == "degrevlex":
             return (sum(exps), tuple(-e for e in reversed(exps)))
-        if self.kind == "lex":
-            return exps
         # elim: last variable is the auxiliary block, eliminated first;
         # degrevlex inside the main block.
         main = exps[:-1]
@@ -64,8 +61,6 @@ class TermOrder:
         """Key that sorts larger monomials first (a heap pops the largest)."""
         if self.kind == "degrevlex":
             return (-sum(exps), exps[::-1])
-        if self.kind == "lex":
-            return tuple(-e for e in exps)
         main = exps[:-1]
         return (-exps[-1], -sum(main), main[::-1])
 
@@ -84,10 +79,6 @@ class TermOrder:
 
 def degrevlex(nvars: int) -> TermOrder:
     return TermOrder("degrevlex", nvars)
-
-
-def lex(nvars: int) -> TermOrder:
-    return TermOrder("lex", nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +128,6 @@ class PolyRing:
         return Poly(self, clean)
 
     # -- derived rings ------------------------------------------------------
-
-    def with_order(self, order: TermOrder) -> "PolyRing":
-        return PolyRing(self.field, self.nvars, order, self.var_names)
 
     def with_elim_var(self) -> "PolyRing":
         """Ring with one extra auxiliary variable, eliminated first."""
@@ -374,9 +362,7 @@ class Poly:
     def monic(self) -> "Poly":
         if not self.terms:
             return self
-        field = self.ring.field
-        inv = field.inv(self.lc())
-        return Poly(self.ring, {m: field.mul(inv, c) for m, c in self.terms.items()})
+        return self.scale(self.ring.field.inv(self.lc()))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -423,10 +409,13 @@ class Poly:
         return acc
 
     def scale(self, c) -> "Poly":
+        """c times self; a known leading term carries over, since scaling by
+        a nonzero c keeps the leading monomial."""
         field = self.ring.field
         if field.is_zero(c):
             return self.ring.zero()
-        return Poly(self.ring, {m: field.mul(c, x) for m, x in self.terms.items()})
+        lt = None if self._lt is None else (self._lt[0], field.mul(c, self._lt[1]))
+        return Poly(self.ring, {m: field.mul(c, x) for m, x in self.terms.items()}, lt)
 
     def term_mul(self, c, exps) -> "Poly":
         """Multiply by the single term c * x^exps."""
@@ -672,12 +661,6 @@ class HomIdeal:
             self._gb = tuple(groebner_basis(list(self.gens)))
         return self._gb
 
-    def with_cached_basis(self) -> "HomIdeal":
-        gb = self.groebner()
-        out = HomIdeal(self.ring, gb, self.saturated)
-        out._gb = gb  # keep the canonical (leading-term sorted) ordering
-        return out
-
     def contains(self, f: Poly) -> bool:
         return normal_form(f, list(self.groebner())).is_zero()
 
@@ -704,15 +687,6 @@ class HomIdeal:
 
     def __repr__(self):
         return f"HomIdeal({self.gens_text() or '0'})"
-
-
-def groebner(I: HomIdeal, order: TermOrder | None = None) -> HomIdeal:
-    """I with its reduced basis computed (optionally under another order)."""
-    if order is None or order == I.ring.order:
-        return I.with_cached_basis()
-    ring2 = I.ring.with_order(order)
-    gens2 = [Poly(ring2, dict(g.terms)) for g in I.gens]
-    return HomIdeal(ring2, gens2, I.saturated).with_cached_basis()
 
 
 def ideal_equal(I: HomIdeal, J: HomIdeal) -> bool:
@@ -871,15 +845,16 @@ def _ideal_numerator(I: HomIdeal) -> dict[int, int]:
     return I._hilbert_numerator
 
 
+def series_coefficient(num: dict[int, int], nvars: int, n: int) -> int:
+    """The u^n coefficient of the Hilbert series N(u)/(1−u)^nvars."""
+    return sum(
+        c * math.comb(n - a + nvars - 1, nvars - 1) for a, c in num.items() if n >= a
+    )
+
+
 def hilbert_function(I: HomIdeal, n: int) -> int:
     """dim_k (S/I)_n."""
-    if n < 0:
-        return 0
-    nv = I.ring.nvars
-    num = _ideal_numerator(I)
-    return sum(
-        c * math.comb(n - a + nv - 1, nv - 1) for a, c in num.items() if n - a >= 0
-    )
+    return series_coefficient(_ideal_numerator(I), I.ring.nvars, n)
 
 
 @dataclass(frozen=True)

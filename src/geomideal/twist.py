@@ -133,10 +133,6 @@ class ProjAutomorphism:
     def diagonal_entries(self) -> tuple:
         return tuple(self.matrix[i][i] for i in range(self.ring.nvars))
 
-    def is_identity_projectively(self) -> bool:
-        """True when the matrix is a scalar multiple of the identity."""
-        return is_scalar_matrix(self.ring.field, self.matrix)
-
     def __eq__(self, other):
         return (
             isinstance(other, ProjAutomorphism)
@@ -227,11 +223,3 @@ def twist_multiply(a: TwistedElement, b: TwistedElement,
     twisted = sigma.pullback(b.poly, a.degree)
     return TwistedElement(a.degree + b.degree, a.poly * twisted)
 
-
-def graded_piece_B(ring: PolyRing, n: int) -> DegreePiece:
-    """Monomial basis of B_n (all degree-n forms; independent of sigma)."""
-    from .polykernel import monomials_of_degree
-
-    if n < 0:
-        return DegreePiece(n, ())
-    return DegreePiece(n, tuple(ring.monomial(m) for m in monomials_of_degree(ring, n)))

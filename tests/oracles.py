@@ -113,6 +113,26 @@ def brute_hilbert_function(gens_terms, nvars, deg, char=0):
     return total - rank
 
 
+def brute_submodule_dim(vecs, degrees, nvars, deg, char=0):
+    """dim of the degree-deg piece of the submodule of the graded free module
+    with generator degrees `degrees` generated by homogeneous vecs (each a
+    dict component -> term dict): rank of all degree-deg monomial multiples,
+    written on the basis of pairs (component, monomial)."""
+    cols = {(i, m): k for k, (i, m) in enumerate(
+        (i, m) for i, a in enumerate(degrees) for m in monomials(nvars, deg - a))}
+    rows = []
+    for v in vecs:
+        i, terms = next(iter(v.items()))
+        vdeg = sum(next(iter(terms))) + degrees[i]
+        for mu in monomials(nvars, deg - vdeg):
+            row = [0] * len(cols)
+            for i, terms in v.items():
+                for m, c in terms.items():
+                    row[cols[i, tuple(a + b for a, b in zip(m, mu))]] = c
+            rows.append(row)
+    return rref_rank(rows, char)[1]
+
+
 def brute_colon_piece_dim(i_gens, g_terms, nvars, deg, char=0):
     """dim {h in S_deg : h * g in I} by solving the linear condition directly."""
     gdeg = max(sum(m) for m in g_terms)

@@ -20,12 +20,11 @@ from geomideal.geometry import (
     RationalPoint,
     _coordinate_families,
     _family_ideal,
+    _ratio_gate,
+    _unipotent_scalar,
     critical_transversality_certificate,
-    eigen_data,
     forward_orbit_hits,
-    invariant_coordinate_subschemes,
     multiplicative_independence,
-    point_order,
     projective_order,
 )
 from geomideal.homology import (
@@ -41,7 +40,7 @@ from geomideal.polykernel import (
     intersect,
     monomials_of_degree,
 )
-from geomideal.twist import ProjAutomorphism
+from geomideal.twist import ProjAutomorphism, is_scalar_matrix
 
 RQ = PolyRing(QQ, 3)
 R1 = PolyRing(QQ, 2)
@@ -88,28 +87,33 @@ def test_point_apply_matches_matrix_action():
 
 
 # ---------------------------------------------------------------------------
-# point order
+# point order: the period forward_orbit_hits reports
 # ---------------------------------------------------------------------------
+
+def point_period(p, sigma, horizon):
+    Z = HomIdeal(sigma.ring, [sigma.ring.variable(0)])
+    return forward_orbit_hits(p, sigma, Z, horizon).period
+
 
 def test_identity_has_order_one():
     ident = ProjAutomorphism.identity(RQ)
-    assert point_order(pt("[1 : 2 : 3]"), ident, 10) == 1
+    assert point_period(pt("[1 : 2 : 3]"), ident, 10) == 1
 
 
 def test_sign_flip_has_order_two():
     neg = ProjAutomorphism.diagonal(R1, ["1", "-1"])
-    assert point_order(pt("[1:1]"), neg, 10) == 2
+    assert point_period(pt("[1:1]"), neg, 10) == 2
     # but the fixed points have order 1
-    assert point_order(pt("[1:0]"), neg, 10) == 1
+    assert point_period(pt("[1:0]"), neg, 10) == 1
 
 
 def test_shear_orbit_never_returns():
-    assert point_order(pt("[0:1]"), SHEAR, 100) is None
+    assert point_period(pt("[0:1]"), SHEAR, 100) is None
 
 
 def test_scalar_action_is_projectively_trivial():
     five = ProjAutomorphism.diagonal(RQ, ["5", "5", "5"])
-    assert point_order(pt("[1 : 2 : 3]"), five, 10) == 1
+    assert point_period(pt("[1 : 2 : 3]"), five, 10) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +241,8 @@ def test_rescaled_shear_keeps_the_shear_verdicts():
     order = sigma_ideal_order(Z, double, 5)
     assert order == sigma_ideal_order(Z, SHEAR, 5)
     assert order.justification == "unipotent-rigidity"
-    data = eigen_data(double)
-    assert data.eigenvalues == (Fraction(2), Fraction(2))
-    assert data.diagonalizable is False
+    assert _unipotent_scalar(double) == Fraction(2)
+    assert not is_scalar_matrix(QQ, double.matrix)
 
 
 @settings(max_examples=60, deadline=None)
@@ -487,41 +490,34 @@ def test_rational_entries():
 # ---------------------------------------------------------------------------
 
 def test_eigen_data_flagship():
-    data = eigen_data(SIGMA)
-    assert data.eigenvalues == (Fraction(1), Fraction(2), Fraction(3))
-    assert data.diagonalizable
-    assert data.ratio_report.independent
+    assert SIGMA.diagonal_entries() == (Fraction(1), Fraction(2), Fraction(3))
+    assert _ratio_gate(SIGMA)
 
 
 def test_eigen_data_dependent_ratios():
     sig = ProjAutomorphism.diagonal(RQ, ["1", "2", "4"])
-    assert not eigen_data(sig).ratio_report.independent
+    assert not _ratio_gate(sig)
 
 
 def test_eigen_data_unipotent():
-    data = eigen_data(SHEAR)
-    assert data.eigenvalues == (Fraction(1), Fraction(1))
-    assert data.diagonalizable is False
+    assert _unipotent_scalar(SHEAR) == Fraction(1)
+    assert not is_scalar_matrix(QQ, SHEAR.matrix)
+    assert _unipotent_scalar(SIGMA) is None
 
 
-@pytest.mark.parametrize("p, nv, c", [(3, 3, 2), (2, 2, 1), (5, 3, 3)])
-def test_eigen_data_finds_the_scalar_of_a_scaled_unipotent(p, nv, c):
-    # (3, 3) and (2, 2): the characteristic divides d + 1, so the trace
-    # cannot give the scalar
-    ring = PolyRing(PrimeField(p), nv)
-    rows = [[str(c) if j in (i, i + 1) else "0" for j in range(nv)] for i in range(nv)]
-    data = eigen_data(ProjAutomorphism.from_strings(ring, rows))
-    assert data.eigenvalues == (c,) * nv
-    assert data.diagonalizable is False
+@pytest.mark.parametrize("nv, c", [(2, "1"), (3, "-2"), (4, "3/5")])
+def test_unipotent_scalar_of_a_scaled_jordan_block(nv, c):
+    ring = PolyRing(QQ, nv)
+    rows = [[c if j in (i, i + 1) else "0" for j in range(nv)] for i in range(nv)]
+    assert _unipotent_scalar(ProjAutomorphism.from_strings(ring, rows)) == QQ.from_str(c)
 
 
 def test_six_proper_subschemes_on_the_plane():
-    subs = invariant_coordinate_subschemes(SIGMA, max_union=1)
-    assert len(subs) == 6
+    assert len(_coordinate_families(2, max_union=1)) == 6
 
 
 def test_union_of_two_coordinate_points():
-    subs = invariant_coordinate_subschemes(SIGMA, max_union=2)
+    subs = [_family_ideal(RQ, fam) for fam in _coordinate_families(2, max_union=2)]
     p1 = HomIdeal.from_strings(RQ, ["x1", "x2"])
     p2 = HomIdeal.from_strings(RQ, ["x0", "x2"])
     expected = intersect(p1, p2)
@@ -529,23 +525,19 @@ def test_union_of_two_coordinate_points():
 
 
 def test_line_dimension_enumeration():
-    R = PolyRing(QQ, 2)
-    sig = ProjAutomorphism.diagonal(R, ["1", "2"])
-    singles = invariant_coordinate_subschemes(sig, max_union=1)
+    singles = _coordinate_families(1, max_union=1)
     assert len(singles) == 2  # the two coordinate points of the line
-    alls = invariant_coordinate_subschemes(sig, max_union=2)
+    alls = _coordinate_families(1, max_union=2)
     assert len(alls) == 3  # plus their union
 
 
 def test_gate_rejects_dependent_ratios():
     sig = ProjAutomorphism.diagonal(RQ, ["1", "2", "4"])
-    with pytest.raises(ValueError, match="invariant family not classified"):
-        invariant_coordinate_subschemes(sig)
+    assert not _ratio_gate(sig)
 
 
 def test_gate_rejects_non_diagonal():
-    with pytest.raises(ValueError, match="invariant family not classified"):
-        invariant_coordinate_subschemes(SHEAR)
+    assert not _ratio_gate(SHEAR)
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +591,8 @@ def test_certified_scene_transverse_to_every_enumerated_union():
     sc = general_point_scene()
     cert = critical_transversality_certificate(sc)
     assert cert.status == "certified"
-    for Y in invariant_coordinate_subschemes(SIGMA, max_union=2):
-        ok, _ = homologically_transverse(sc.ideal, Y)
+    for fam in _coordinate_families(2, max_union=2):
+        ok, _ = homologically_transverse(sc.ideal, _family_ideal(RQ, fam))
         assert ok
 
 

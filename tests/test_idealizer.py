@@ -208,7 +208,7 @@ def test_ideal_pieces_lie_in_idealizer_pieces():
 def test_veronese_colon_compatibility():
     # (sigma^v)-scene colon at n equals the original colon at v*n
     sc = fat_point_scene()
-    sv = sc.veronese(2)
+    sv = IdealizerScene(RQ, ProjAutomorphism(RQ, SIGMA.power(2)), sc.ideal)
     for n in (1, 2):
         assert ideal_equal(sv.colon_ideal(n), sc.colon_ideal(2 * n))
 

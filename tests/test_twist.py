@@ -12,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomideal.fields import QQ, PrimeField
-from geomideal.polykernel import HomIdeal, PolyRing, monomials_of_degree
+from geomideal.idealizer import IdealizerScene, idealizer_piece
+from geomideal.polykernel import HomIdeal, PolyRing, dim_full_space, monomials_of_degree
 from geomideal.twist import (
     DegreePiece,
     ProjAutomorphism,
     TwistedElement,
-    graded_piece_B,
+    is_scalar_matrix,
     twist_multiply,
 )
 
@@ -192,8 +193,8 @@ def test_diagonal_detection():
 
 def test_identity_detection_up_to_scalar():
     five = ProjAutomorphism.diagonal(RQ, ["5", "5", "5"])
-    assert five.is_identity_projectively()
-    assert not SIGMA.is_identity_projectively()
+    assert is_scalar_matrix(RQ.field, five.matrix)
+    assert not is_scalar_matrix(RQ.field, SIGMA.matrix)
 
 
 def test_twisted_element_validates_degree():
@@ -212,9 +213,12 @@ def test_twisted_addition_requires_equal_degree():
 
 
 def test_graded_piece_dimensions():
-    assert [graded_piece_B(RQ, n).dimension for n in range(5)] == [1, 3, 6, 10, 15]
-    piece = graded_piece_B(RQ, 2)
+    assert [dim_full_space(RQ, n) for n in range(5)] == [1, 3, 6, 10, 15]
+    # R_n = (I : I^{sigma^n})_n is all of B_n when Z is sigma-fixed
+    scene = IdealizerScene(RQ, SIGMA, HomIdeal.from_strings(RQ, ["x1", "x2"]))
+    piece = idealizer_piece(scene, 2)
     assert isinstance(piece, DegreePiece)
+    assert piece.dimension == 6
     assert all(p.degree == 2 for p in piece.basis)
 
 
