@@ -365,13 +365,6 @@ class Evidence:
         if self.kind == "refuted" and self.witness is None:
             raise ValueError("a refutation must carry a witness")
 
-    def describe(self) -> str:
-        if self.kind == "heuristic":
-            return f"heuristic(horizon={self.horizon})"
-        if self.kind == "refuted":
-            return f"refuted(witness: {self.witness})"
-        return self.kind
-
 
 @dataclass(frozen=True)
 class ClassificationRow:

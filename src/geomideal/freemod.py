@@ -47,9 +47,6 @@ class FreeModule:
     def gen(self, i: int) -> "MVec":
         return MVec(self, {i: self.ring.one()})
 
-    def vec(self, comps: dict) -> "MVec":
-        return MVec(self, {i: p for i, p in comps.items() if not p.is_zero()})
-
     def __eq__(self, other):
         return (
             isinstance(other, FreeModule)

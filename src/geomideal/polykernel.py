@@ -11,6 +11,17 @@ the product (coprime) criterion applies to a pair whose two elements each
 have exactly one nonzero component, the same one, which every pair of
 polynomials satisfies.
 
+Quotients.  (I : g) for one form g is (1/g)·(I ∩ (g)).  A linear g in
+degrevlex needs no elimination: change coordinates so that g is the last
+variable y.  For a homogeneous J, in(J : y) = in(J) : y (Bayer & Stillman,
+Invent. Math. 1987; Eisenbud, Commutative Algebra, Prop. 15.12), so dividing
+by y the Groebner basis elements whose leading monomial y divides gives one
+of (J : y).  Mapped back and reduced to H (I's basis if all lie in I), g·H is
+a Groebner basis of I ∩ (g), as in(g·h) = in(g)·in(h): it interreduces with
+no S-pairs.  Any other g eliminates t from t·I + (1−t)·(g).  `intersect`
+returns the smaller ideal's reduced basis when one contains the other, and
+eliminates otherwise.  Every route returns the same generator tuple.
+
 Representation notes.  Monomials are plain exponent tuples of length
 nvars = d + 1; a Poly is a dict {exponent tuple: scalar} plus a cached
 homogeneous-degree tag (None when the terms mix degrees, which only happens
@@ -26,7 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce as _fold
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product, zip_longest
 from operator import add, le, sub
 
 from .errors import ResourceCapError
@@ -36,6 +47,7 @@ from .errors import ResourceCapError
 # term orders
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class TermOrder:
     """Monomial well-order given by a key function on exponent tuples.
 
@@ -43,11 +55,12 @@ class TermOrder:
     eliminated first — used by the intersection algorithm).
     """
 
-    def __init__(self, kind: str, nvars: int):
-        if kind not in ("degrevlex", "elim"):
-            raise ValueError(f"unknown term order kind {kind!r}")
-        self.kind = kind
-        self.nvars = nvars
+    kind: str
+    nvars: int
+
+    def __post_init__(self):
+        if self.kind not in ("degrevlex", "elim"):
+            raise ValueError(f"unknown term order kind {self.kind!r}")
 
     def key(self, exps):
         if self.kind == "degrevlex":
@@ -63,18 +76,6 @@ class TermOrder:
             return (-sum(exps), exps[::-1])
         main = exps[:-1]
         return (-exps[-1], -sum(main), main[::-1])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TermOrder)
-            and (self.kind, self.nvars) == (other.kind, other.nvars)
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.nvars))
-
-    def __repr__(self):
-        return f"TermOrder({self.kind!r}, {self.nvars})"
 
 
 def degrevlex(nvars: int) -> TermOrder:
@@ -113,9 +114,7 @@ class PolyRing:
         return self.monomial((0,) * self.nvars, c)
 
     def variable(self, i: int) -> "Poly":
-        exps = [0] * self.nvars
-        exps[i] = 1
-        return Poly(self, {tuple(exps): self.field.one})
+        return Poly(self, {tuple(int(j == i) for j in range(self.nvars)): self.field.one})
 
     def monomial(self, exps, c=None) -> "Poly":
         c = self.field.one if c is None else c
@@ -123,20 +122,12 @@ class PolyRing:
             return self.zero()
         return Poly(self, {tuple(exps): c})
 
-    def from_terms(self, terms: dict) -> "Poly":
-        clean = {tuple(m): c for m, c in terms.items() if not self.field.is_zero(c)}
-        return Poly(self, clean)
-
     # -- derived rings ------------------------------------------------------
 
     def with_elim_var(self) -> "PolyRing":
         """Ring with one extra auxiliary variable, eliminated first."""
-        return PolyRing(
-            self.field,
-            self.nvars + 1,
-            TermOrder("elim", self.nvars + 1),
-            self.var_names + ("t",),
-        )
+        return PolyRing(self.field, self.nvars + 1, TermOrder("elim", self.nvars + 1),
+                        self.var_names + ("t",))
 
     # -- parsing / printing -------------------------------------------------
 
@@ -312,13 +303,8 @@ class Poly:
     @property
     def degree(self):
         if self._deg == -2:
-            degs = {mono_deg(m) for m in self.terms}
-            if not degs:
-                self._deg = 0
-            elif len(degs) == 1:
-                self._deg = degs.pop()
-            else:
-                self._deg = -1
+            degs = {mono_deg(m) for m in self.terms} or {0}
+            self._deg = degs.pop() if len(degs) == 1 else -1
         return None if self._deg == -1 else self._deg
 
     def is_homogeneous(self) -> bool:
@@ -424,18 +410,6 @@ class Poly:
             return self.ring.zero()
         return Poly(self.ring, {mono_mul(m, exps): field.mul(c, x) for m, x in self.terms.items()})
 
-    def substitute(self, images: list["Poly"]) -> "Poly":
-        """Evaluate at x_i -> images[i] (polynomials over the same field)."""
-        target = images[0].ring if images else self.ring
-        acc = target.zero()
-        for exps, c in self.terms.items():
-            part = target.constant(c)
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    part = part * images[i]
-            acc = acc + part
-        return acc
-
     def evaluate(self, point) -> object:
         """Evaluate at a tuple of field scalars."""
         field = self.ring.field
@@ -467,6 +441,33 @@ class Poly:
 
     def __repr__(self):
         return self.ring.format_poly(self)
+
+
+class Substitution:
+    """The ring map x_i -> images[i] into the images' ring.  The image of each
+    monomial is cached, built as the image of one smaller monomial times one
+    image, so a polynomial's image is the sum of c_t * image(t)."""
+
+    def __init__(self, images: list[Poly]):
+        self.images = images
+        self.ring = images[0].ring
+        self._table = {(0,) * len(images): self.ring.one()}
+
+    def image(self, m) -> Poly:
+        img = self._table.get(m)
+        if img is None:
+            i = next(i for i, e in enumerate(m) if e)
+            img = self.image(m[:i] + (m[i] - 1,) + m[i + 1:]) * self.images[i]
+            self._table[m] = img
+        return img
+
+    def __call__(self, f: Poly) -> Poly:
+        field = self.ring.field
+        acc: dict = {}
+        for m, c in f.terms.items():
+            for t, x in self.image(m).terms.items():
+                acc[t] = field.add(acc.get(t, field.zero), field.mul(c, x))
+        return Poly(self.ring, {t: x for t, x in acc.items() if not field.is_zero(x)})
 
 
 # ---------------------------------------------------------------------------
@@ -635,21 +636,19 @@ class HomIdeal:
     """Homogeneous ideal with cached reduced Groebner basis and saturation flag.
 
     saturated is tri-state: True / False / None (unknown).  The zero ideal is
-    represented by an empty generator list.
+    represented by an empty generator list.  gb, when given, is the known
+    reduced Groebner basis, in decreasing leading-monomial order.
     """
 
-    def __init__(self, ring: PolyRing, gens, saturated: bool | None = None):
+    def __init__(self, ring: PolyRing, gens, saturated: bool | None = None, *, gb=None):
         self.ring = ring
-        clean = []
-        for g in gens:
-            if g.is_zero():
-                continue
+        clean = [g for g in gens if not g.is_zero()]
+        for g in clean:
             if not g.is_homogeneous():
                 raise ValueError(f"inhomogeneous generator: {g}")
-            clean.append(g)
         self.gens = tuple(sorted(clean, key=Poly.sort_key))
         self.saturated = saturated
-        self._gb: tuple[Poly, ...] | None = None
+        self._gb: tuple[Poly, ...] | None = None if gb is None else tuple(gb)
         self._hilbert_numerator: dict[int, int] | None = None
 
     @classmethod
@@ -706,10 +705,16 @@ def unit_ideal(ring: PolyRing) -> HomIdeal:
 
 
 def intersect(I: HomIdeal, J: HomIdeal) -> HomIdeal:
-    """I ∩ J by single auxiliary-variable elimination: t·I + (1−t)·J, kill t."""
+    """I ∩ J.  When one ideal contains the other (normal forms against the
+    cached bases), the smaller one's reduced basis; otherwise single
+    auxiliary-variable elimination: t·I + (1−t)·J, kill t."""
     ring = I.ring
     if I.is_zero_ideal() or J.is_zero_ideal():
         return HomIdeal(ring, [])
+    sat = True if (I.saturated and J.saturated) else None
+    for small, big in ((I, J), (J, I)):
+        if all(big.contains(f) for f in small.gens):
+            return HomIdeal(ring, small.groebner(), sat, gb=small.groebner())
     ering = ring.with_elim_var()
 
     def lift(f: Poly) -> Poly:
@@ -718,22 +723,57 @@ def intersect(I: HomIdeal, J: HomIdeal) -> HomIdeal:
     t = ering.variable(ring.nvars)
     one_minus_t = ering.one() - t
     gens = [t * lift(f) for f in I.gens] + [one_minus_t * lift(g) for g in J.gens]
-    gb = groebner_basis(gens)
-    kept = []
-    for g in gb:
-        if all(m[-1] == 0 for m in g.terms):
-            kept.append(Poly(ring, {m[:-1]: c for m, c in g.terms.items()}))
-    sat = True if (I.saturated and J.saturated) else None
-    return HomIdeal(ring, kept, saturated=sat)
+    # the t-free part of the reduced basis is the reduced degrevlex basis of
+    # I ∩ J, already in decreasing order
+    kept = [Poly(ring, {m[:-1]: c for m, c in g.terms.items()})
+            for g in groebner_basis(gens) if all(m[-1] == 0 for m in g.terms)]
+    return HomIdeal(ring, kept, sat, gb=kept if ring.order.kind == "degrevlex" else None)
 
 
 def _quotient_by_poly(I: HomIdeal, g: Poly) -> HomIdeal:
-    """(I : g) = (1/g) · (I ∩ (g)) for a single nonzero homogeneous g."""
+    """(I : g) = (1/g) · (I ∩ (g)) for a single nonzero homogeneous g, by
+    the revlex route when g is linear in degrevlex (module docstring)."""
     ring = I.ring
     if g.degree == 0:
-        return HomIdeal(ring, list(I.gens), I.saturated)
-    meet = intersect(I, HomIdeal(ring, [g]))
-    return HomIdeal(ring, [_divide_exact(f, g) for f in meet.gens])
+        return HomIdeal(ring, list(I.gens), I.saturated, gb=I._gb)
+    if g.degree > 1 or ring.order.kind != "degrevlex":
+        meet = intersect(I, HomIdeal(ring, [g])).gens
+        return HomIdeal(ring, [_divide_exact(f, g) for f in meet])
+    H = _linear_quotient_basis(I, g)
+    meet = reduce_basis([g * h for h in H])
+    return HomIdeal(ring, [_divide_exact(f, g) for f in meet], gb=H)
+
+
+def _linear_quotient_basis(I: HomIdeal, g: Poly) -> list[Poly]:
+    """Reduced Groebner basis of (I : g) for a linear form g in degrevlex, with
+    g moved to the last variable y (module docstring).  When g is a multiple
+    of y, no coordinates change and I's cached basis is used."""
+    ring = I.ring
+    last = ring.nvars - 1
+    xs = [ring.variable(i) for i in range(ring.nvars)]
+    k = max(m.index(1) for m in g.terms)
+    g = g.scale(ring.field.inv(g.terms[xs[k].lm()]))
+
+    def divide_last(basis):
+        return [Poly(ring, {m[:-1] + (m[-1] - 1,): c for m, c in f.terms.items()})
+                if f.lm()[-1] else f for f in basis]
+
+    if g == xs[last]:
+        quot = divide_last(I.groebner())
+    else:
+        # coordinates y = x except y_last = g and, when k < last, y_k = x_last;
+        # to_y writes x in y (x_k = y_last − (g − x_k)), back writes y in x
+        to_y, back = xs[:], xs[:]
+        to_y[k] = xs[last] - g + xs[k]
+        if k != last:
+            to_y[last], back[k] = xs[k], xs[last]
+        back[last] = g
+        basis = groebner_basis(list(map(Substitution(to_y), I.gens)))
+        quot = list(map(Substitution(back), divide_last(basis)))
+    # (I : g) contains I, so it is I when its generators all lie in I
+    if all(map(I.contains, quot)):
+        return list(I.groebner())
+    return reduce_basis(quot) if g == xs[last] else groebner_basis(quot)
 
 
 def _divide_exact(f: Poly, g: Poly) -> Poly:
@@ -757,10 +797,8 @@ def ideal_quotient(I: HomIdeal, J: HomIdeal) -> HomIdeal:
     ring = I.ring
     if J.is_zero_ideal():
         return unit_ideal(ring)
-    parts = [_quotient_by_poly(I, g) for g in J.gens]
-    out = _fold(intersect, parts)
-    out = HomIdeal(ring, out.gens, saturated=True if I.saturated else None)
-    return out
+    out = _fold(intersect, [_quotient_by_poly(I, g) for g in J.gens])
+    return HomIdeal(ring, out.gens, True if I.saturated else None, gb=out._gb)
 
 
 SATURATION_CAP = 50
@@ -778,7 +816,8 @@ def saturate(I: HomIdeal, J: HomIdeal | None = None) -> HomIdeal:
     for _ in range(SATURATION_CAP):
         nxt = ideal_quotient(cur, J)
         if ideal_equal(nxt, cur):
-            return HomIdeal(ring, cur.gens, saturated=True if mark_saturated else cur.saturated)
+            return HomIdeal(ring, cur.gens, True if mark_saturated else cur.saturated,
+                            gb=cur._gb)
         cur = nxt
     raise ResourceCapError(
         f"saturation did not stabilize within {SATURATION_CAP} colon iterations"
@@ -892,34 +931,25 @@ class HilbertPoly:
         return f"HilbertPoly({self.pretty()})"
 
 
-def _poly_n_add(a: tuple, b: tuple) -> tuple:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
+def _poly_n_trim(out: list) -> tuple:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def _poly_n_add(a: tuple, b: tuple) -> tuple:
+    return _poly_n_trim([x + y for x, y in zip_longest(a, b, fillvalue=Fraction(0))])
 
 
 def _poly_n_scale(a: tuple, s: Fraction) -> tuple:
-    if s == 0:
-        return ()
-    return tuple(c * s for c in a)
+    return _poly_n_trim([c * s for c in a])
 
 
 def _poly_n_mul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for (i, x), (j, y) in product(enumerate(a), enumerate(b)):
+        out[i + j] += x * y
+    return _poly_n_trim(out)
 
 
 def _binomial_poly(shift: int, top: int) -> tuple:
@@ -931,30 +961,11 @@ def _binomial_poly(shift: int, top: int) -> tuple:
 
 
 def hilbert_polynomial_from_numerator(num: dict[int, int], nvars: int) -> HilbertPoly:
-    if not num:
-        return HilbertPoly(())
-    # pull out all (1 - u) factors: N = (1-u)^k * Q with Q(1) != 0
-    coeffs = dict(num)
-    k = 0
-    while sum(coeffs.values()) == 0:
-        top = max(coeffs)
-        q: dict[int, int] = {}
-        run = 0
-        for a in range(top):  # N = (1-u)*Q: q_a = n_a + q_{a-1}
-            run += coeffs.get(a, 0)
-            if run:
-                q[a] = run
-        coeffs = q if q else {}
-        k += 1
-        if not coeffs:
-            return HilbertPoly(())
-    m = nvars - k
-    if m <= 0:
-        return HilbertPoly(())
-    acc: tuple = ()
-    for a, c in sorted(coeffs.items()):
-        acc = _poly_n_add(acc, _poly_n_scale(_binomial_poly(m - 1 - a, m - 1), Fraction(c)))
-    return HilbertPoly(acc)
+    """Σ c_a·C(n − a + nvars − 1, nvars − 1) over the terms c_a·u^a of N: the
+    u^n coefficient of N(u)/(1−u)^nvars for every n ≥ deg N."""
+    r = nvars - 1
+    terms = (_poly_n_scale(_binomial_poly(r - a, r), Fraction(c)) for a, c in sorted(num.items()))
+    return HilbertPoly(_fold(_poly_n_add, terms, ()))
 
 
 def hilbert_polynomial(I: HomIdeal) -> HilbertPoly:
@@ -965,13 +976,9 @@ def hilbert_polynomial(I: HomIdeal) -> HilbertPoly:
 def codimension(I: HomIdeal) -> int:
     """codim of V(I) in P^d, computed as d − deg(Hilbert polynomial).
 
-    The empty subscheme (Hilbert polynomial 0) reports d + 1.
+    The empty subscheme (Hilbert polynomial 0, of degree −1) reports d + 1.
     """
-    d = I.ring.nvars - 1
-    hp = hilbert_polynomial(I)
-    if hp.is_zero():
-        return d + 1
-    return d - hp.degree()
+    return I.ring.nvars - 1 - hilbert_polynomial(I).degree()
 
 
 def dim_full_space(ring: PolyRing, n: int) -> int:
@@ -1029,12 +1036,8 @@ def is_monomial_ideal(I: HomIdeal) -> bool:
 
 def monomial_radical(I: HomIdeal) -> HomIdeal:
     """Radical of a monomial ideal: strip exponents to 1."""
-    ring = I.ring
-    gens = []
-    for g in I.gens:
-        (m,) = g.terms
-        gens.append(ring.monomial(tuple(1 if e else 0 for e in m)))
-    return HomIdeal(ring, groebner_basis(gens))
+    return HomIdeal(I.ring, groebner_basis(
+        [I.ring.monomial(tuple(min(e, 1) for e in g.lm())) for g in I.gens]))
 
 
 def monomial_primary_decomposition(I: HomIdeal) -> list[tuple[HomIdeal, HomIdeal]]:
@@ -1076,15 +1079,12 @@ def monomial_primary_decomposition(I: HomIdeal) -> list[tuple[HomIdeal, HomIdeal
         prime = HomIdeal(ring, [ring.variable(i) for i in supp], saturated=True)
         out.append((merged, prime))
     # drop redundant components (those containing the intersection of the others)
-    kept = list(out)
-    changed = True
-    while changed and len(kept) > 1:
-        changed = False
-        for i in range(len(kept)):
-            others = [kept[j][0] for j in range(len(kept)) if j != i]
-            meet = _fold(intersect, others)
-            if ideal_equal(meet, _fold(intersect, [meet, kept[i][0]])):
-                kept.pop(i)
-                changed = True
-                break
+    kept, i = out, 0
+    while len(kept) > 1 and i < len(kept):
+        others = kept[:i] + kept[i + 1:]
+        meet = _fold(intersect, [c for c, _ in others])
+        if all(kept[i][0].contains(f) for f in meet.gens):
+            kept, i = others, 0
+        else:
+            i += 1
     return kept

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .polykernel import HomIdeal, Poly, PolyRing
+from .polykernel import HomIdeal, Poly, PolyRing, Substitution
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,7 @@ class ProjAutomorphism:
             raise ValueError("sigma matrix is singular")
         self.matrix = matrix
         self._powers: dict[int, tuple] = {0: _identity(field, n), 1: matrix}
+        self._pullbacks: dict[int, Substitution] = {}
 
     @classmethod
     def from_strings(cls, ring: PolyRing, rows: list[list[str]]) -> "ProjAutomorphism":
@@ -90,19 +91,17 @@ class ProjAutomorphism:
     # -- actions ------------------------------------------------------------
 
     def pullback(self, f: Poly, n: int = 1) -> Poly:
-        """f o sigma^n: substitute x_i by the i-th row of M^n applied to x."""
+        """f o sigma^n: substitute x_i by the i-th row of M^n applied to x,
+        through one monomial image table per n."""
         if n == 0 or f.is_zero():
             return f
-        M = self.power(n)
-        ring = self.ring
-        images = []
-        for i in range(ring.nvars):
-            img = ring.zero()
-            for j, c in enumerate(M[i]):
-                if not ring.field.is_zero(c):
-                    img = img + ring.variable(j).scale(c)
-            images.append(img)
-        return f.substitute(images)
+        if n not in self._pullbacks:
+            ring = self.ring
+            self._pullbacks[n] = Substitution([
+                Poly(ring, {ring.variable(j).lm(): c for j, c in enumerate(row)
+                            if not ring.field.is_zero(c)})
+                for row in self.power(n)])
+        return self._pullbacks[n](f)
 
     def pullback_ideal(self, I: HomIdeal, n: int = 1) -> HomIdeal:
         """I^{sigma^n}, generator-wise; V(I^{sigma^n}) = sigma^{-n}(V(I)).

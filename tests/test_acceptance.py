@@ -205,7 +205,7 @@ def _random_homog(ring, rng, deg):
     terms = {m: Fraction(c) for m, c in terms.items() if c}
     if not terms:
         return ring.variable(0) ** deg
-    return ring.from_terms(terms)
+    return sum((ring.monomial(m, c) for m, c in terms.items()), ring.zero())
 
 
 def _canon(basis):

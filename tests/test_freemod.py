@@ -42,7 +42,13 @@ def homogeneous_poly(draw, ring, deg):
     chosen = draw(st.lists(st.sampled_from(monos), max_size=3, unique=True))
     coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(chosen),
                            max_size=len(chosen)))
-    return ring.from_terms({m: ring.field.from_int(c) for m, c in zip(chosen, coeffs)})
+    return sum((ring.monomial(m, ring.field.from_int(c)) for m, c in zip(chosen, coeffs)),
+               ring.zero())
+
+
+def vec(module, comps):
+    """The vector with the given nonzero components."""
+    return MVec(module, {i: p for i, p in comps.items() if not p.is_zero()})
 
 
 @st.composite
@@ -53,7 +59,7 @@ def vectors(draw, module, max_vecs=3):
         deg = draw(st.integers(1, 3))
         comps = {i: draw(homogeneous_poly(module.ring, deg - a))
                  for i, a in enumerate(module.degrees)}
-        v = module.vec(comps)
+        v = vec(module, comps)
         if not v.is_zero():
             out.append(v)
     return out
@@ -106,7 +112,7 @@ def test_rank_one_module_groebner_is_groebner_basis(data):
     polys = [data.draw(homogeneous_poly(ring, d))
              for d in data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))]
     module = FreeModule(ring, (0,))
-    mgb = module_groebner([module.vec({0: f}) for f in polys])
+    mgb = module_groebner([vec(module, {0: f}) for f in polys])
     assert all(set(v.comps) == {0} for v in mgb)
     assert (sorted((v.comps[0] for v in mgb), key=Poly.sort_key)
             == sorted(groebner_basis(polys), key=Poly.sort_key))
@@ -131,7 +137,7 @@ def test_rank_one_mod_normal_form_is_normal_form(data):
     f = data.draw(homogeneous_poly(ring, data.draw(st.integers(1, 4))))
     basis = [data.draw(homogeneous_poly(ring, d))
              for d in data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))]
-    got = mod_normal_form(module.vec({0: f}), [module.vec({0: g}) for g in basis])
+    got = mod_normal_form(vec(module, {0: f}), [vec(module, {0: g}) for g in basis])
     assert got.comps.get(0, ring.zero()) == normal_form(f, basis)
 
 

@@ -280,7 +280,8 @@ def _permuted(perm, ring, sigma, Z, p):
     inv = [perm.index(a) for a in range(ring.nvars)]
     rows = [[sigma.matrix[inv[a]][inv[b]] for b in range(ring.nvars)]
             for a in range(ring.nvars)]
-    gens = [ring.from_terms({tuple(m[i] for i in inv): c for m, c in g.terms.items()})
+    gens = [sum((ring.monomial(tuple(m[i] for i in inv), c) for m, c in g.terms.items()),
+                ring.zero())
             for g in Z.gens]
     return (ProjAutomorphism(ring, rows), HomIdeal(ring, gens),
             RationalPoint.of(field, [p.coords[i] for i in inv]))
@@ -312,7 +313,8 @@ def test_permuting_coordinates_changes_no_orbit_or_order_verdict(data):
     p = RationalPoint.of(field, [field.from_int(x) for x in data.draw(
         st.lists(entry, min_size=nv, max_size=nv).filter(any))])
     monos = monomials_of_degree(ring, data.draw(st.integers(1, 2)))
-    form = ring.from_terms({m: field.from_int(data.draw(entry)) for m in monos})
+    form = sum((ring.monomial(m, field.from_int(data.draw(entry))) for m in monos),
+               ring.zero())
     if form.is_zero():
         return
     Z = HomIdeal(ring, [form])
@@ -394,8 +396,8 @@ def test_prime_field_orbit_verdicts_match_a_rescan(data):
     coords = data.draw(st.lists(entry, min_size=nv, max_size=nv).filter(any))
     p = RationalPoint.of(field, coords)
     form = data.draw(st.lists(entry, min_size=nv, max_size=nv).filter(any))
-    Z = HomIdeal(ring, [ring.from_terms(
-        {tuple(int(i == j) for j in range(nv)): c for i, c in enumerate(form)})])
+    Z = HomIdeal(ring, [sum((ring.variable(i).scale(c) for i, c in enumerate(form)),
+                            ring.zero())])
     horizon = data.draw(st.integers(1, 15))
     rep = forward_orbit_hits(p, sigma, Z, horizon)
     period, hits = _orbit_rescan(sigma, p, Z)
@@ -659,8 +661,8 @@ def line_scenes(draw):
     ring, sigma = (RQ, SIGMA) if d == 2 else (R3, SIGMA3)
     rows = [draw(st.lists(st.integers(-2, 2), min_size=d + 1, max_size=d + 1))
             for _ in range(d - 1)]
-    forms = [ring.from_terms({ring.variable(i).lm(): QQ.from_int(c)
-                              for i, c in enumerate(row)}) for row in rows]
+    forms = [sum((ring.variable(i).scale(QQ.from_int(c)) for i, c in enumerate(row)),
+                 ring.zero()) for row in rows]
     Z = HomIdeal(ring, forms)
     assume(len(Z.groebner()) == d - 1)
     return IdealizerScene(ring, sigma, Z)

@@ -195,8 +195,8 @@ def linear_ideal(draw, ring):
     rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=ring.nvars,
                                   max_size=ring.nvars), min_size=1, max_size=3))
     return HomIdeal(ring, [
-        ring.from_terms({ring.variable(i).lm(): QQ.from_int(c)
-                         for i, c in enumerate(row)})
+        sum((ring.variable(i).scale(QQ.from_int(c)) for i, c in enumerate(row)),
+            ring.zero())
         for row in rows
     ])
 

@@ -12,7 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from geomideal import polykernel
 from geomideal.fields import QQ, PrimeField
+from geomideal.idealizer import IdealizerScene
 from geomideal.linalg import NormalForms
 from geomideal.polykernel import (
     HomIdeal,
@@ -42,6 +44,7 @@ from geomideal.polykernel import (
     saturate,
     unit_ideal,
 )
+from geomideal.twist import ProjAutomorphism
 
 RQ = PolyRing(QQ, 3)
 R7 = PolyRing(PrimeField(7), 3)
@@ -168,20 +171,22 @@ def _nf_calls(gens):
 
 
 def _elim_gens(ring, I, J):
-    """The elimination-ring gens t*I + (1-t)*J that intersect(I, J) builds."""
+    """The elimination-ring gens t*I + (1-t)*J that intersect(I, J) builds
+    when neither ideal contains the other."""
     ering = ring.with_elim_var()
     t = ering.variable(ring.nvars)
 
     def lift(f):
-        return Poly(ering, {m + (0,): c for m, c in ring.parse(f).terms.items()})
+        return Poly(ering, {m + (0,): c for m, c in f.terms.items()})
 
     return [t * lift(f) for f in I] + [(ering.one() - t) * lift(g) for g in J]
 
 
 def _moving_point_nf_calls(ring, Z, moved):
     """nf calls for the meets of Z = V(point) with V(g), one per generator
-    g of Z^sigma (the colon (Z : Z^sigma) divides Z by each g), and then
-    with the moved point V(Z^sigma) itself."""
+    g of Z^sigma (the elimination route of (Z : Z^sigma) divides Z by each
+    g), and then with the moved point V(Z^sigma) itself."""
+    Z, moved = [ring.parse(f) for f in Z], [ring.parse(f) for f in moved]
     meets = [[g] for g in moved] + [moved]
     return [_nf_calls(_elim_gens(ring, Z, J)) for J in meets]
 
@@ -421,6 +426,104 @@ def test_hilbert_inclusion_exclusion(data):
         lhs = hilbert_function(meet, n) + hilbert_function(add, n)
         rhs = hilbert_function(I, n) + hilbert_function(J, n)
         assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# the revlex quotient route and the containment shortcut against elimination
+# ---------------------------------------------------------------------------
+
+def _elim_meet(I, J):
+    """Reduced basis of I ∩ J by eliminating t from t·I + (1−t)·J."""
+    return [Poly(I.ring, {m[:-1]: c for m, c in f.terms.items()})
+            for f in groebner_basis(_elim_gens(I.ring, I.gens, J.gens))
+            if all(m[-1] == 0 for m in f.terms)]
+
+
+def _elim_quotient(I, g):
+    """(I : g) as (1/g)·(I ∩ (g)), with the meet by elimination."""
+    meet = _elim_meet(I, HomIdeal(I.ring, [g]))
+    return HomIdeal(I.ring, [polykernel._divide_exact(f, g) for f in meet])
+
+
+@st.composite
+def linear_divisor(draw, ring):
+    """A linear form: random, a multiple of the last variable, a multiple of
+    another single variable, or one with no last-variable term."""
+    kind = draw(st.sampled_from(["random", "last", "other", "no-last"]))
+    last = ring.nvars - 1
+    coeff = st.integers(-3, 3)
+    if kind == "last":
+        coeffs = [0] * last + [draw(coeff.filter(bool))]
+    elif kind == "other":
+        coeffs = [0] * ring.nvars
+        coeffs[draw(st.integers(0, last - 1))] = draw(coeff.filter(bool))
+    else:
+        coeffs = draw(st.lists(coeff, min_size=ring.nvars, max_size=ring.nvars).filter(any))
+        if kind == "no-last":
+            coeffs[last] = 0
+            if not any(coeffs):
+                coeffs[0] = 1
+    return sum((ring.variable(i).scale(ring.field.from_int(c)) for i, c in enumerate(coeffs)),
+               ring.zero())
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_linear_quotient_matches_elimination(data):
+    """The revlex route returns the elimination route's generators, and its
+    cached basis is the one a fresh computation finds."""
+    ring, I = data.draw(ring_and_ideal())
+    g = data.draw(linear_divisor(ring))
+    shape = data.draw(st.sampled_from(["as drawn", "times g", "contains g", "times h"]))
+    if shape == "times g":  # non-prime, and (I·g : g) = I
+        I = HomIdeal(ring, [f * g for f in I.gens])
+    elif shape == "contains g":  # the unit colon
+        I = HomIdeal(ring, list(I.gens) + [g])
+    elif shape == "times h":  # non-prime
+        h = data.draw(linear_divisor(ring))
+        I = HomIdeal(ring, [f * h for f in I.gens])
+    got = polykernel._quotient_by_poly(I, g)
+    want = _elim_quotient(I, g)
+    assert got.gens == want.gens
+    assert got.saturated == want.saturated
+    assert got.groebner() == want.groebner()
+    if shape == "contains g":
+        assert got.is_unit()
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_intersect_of_nested_ideals_matches_elimination(data):
+    ring, I = data.draw(ring_and_ideal(max_deg=2))
+    _, J = data.draw(ring_and_ideal(max_deg=2))
+    if J.ring != ring:
+        return
+    K = ideal_sum(I, J)
+    want = HomIdeal(ring, _elim_meet(I, K))
+    for meet in (intersect(I, K), intersect(K, I)):
+        assert meet.gens == want.gens
+        assert meet.groebner() == want.groebner()
+
+
+def test_p5_point_colon_runs_no_elimination(monkeypatch):
+    """Set-up (saturation) and colon_ideal(1) on the P^5 point of
+    test_pair_order_pinned_on_p5_point_colon divide only by linear forms, so
+    no Groebner basis is computed in an elimination ring."""
+    ring = PolyRing(QQ, 6)
+    coords = [2, 3, 4, 5, 2]
+    Z = HomIdeal.from_strings(ring, [f"x{i} - {c}*x0" for i, c in enumerate(coords, start=1)])
+    sigma = ProjAutomorphism.diagonal(ring, ["1", "2", "3", "5", "7", "11"])
+    orders = []
+    real = polykernel.buchberger
+
+    def counting(gens, sort_key, nf):
+        orders.extend(g.ring.order.kind for g in gens[:1])
+        return real(gens, sort_key, nf)
+
+    monkeypatch.setattr(polykernel, "buchberger", counting)
+    scene = IdealizerScene(ring, sigma, Z)
+    assert not scene.colon_ideal(1).is_unit()
+    assert orders and "elim" not in orders
 
 
 # ---------------------------------------------------------------------------
