@@ -8,11 +8,11 @@ and transversality certificates (geometry), the component split and verdict
 table (classify), and the scene-file front end (cli).
 """
 
+from .errors import ResourceCapError
 from .fields import QQ, PrimeField, RationalField
 from .polykernel import (
     HomIdeal,
     PolyRing,
-    ResourceCapError,
     codimension,
     degree_piece_basis,
     dim_full_space,

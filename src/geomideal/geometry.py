@@ -128,7 +128,7 @@ class RationalPoint:
             if i == k:
                 continue
             gens.append(ring.variable(i) - ring.variable(k).scale(self.coords[i]))
-        return HomIdeal(ring, tuple(gens), saturated=True)
+        return HomIdeal(ring, tuple(gens))
 
     def __str__(self):
         return "[" + " : ".join(self.field.to_str(c) for c in self.coords) + "]"
@@ -513,7 +513,7 @@ def _family_ideal(ring: PolyRing, family) -> HomIdeal:
     monos = [units[i] for i in family[0]]
     for s in family[1:]:
         monos = _minimalize_monos(mono_lcm(m, units[i]) for m in monos for i in s)
-    return HomIdeal(ring, [ring.monomial(m) for m in monos], saturated=True)
+    return HomIdeal(ring, [ring.monomial(m) for m in monos])
 
 
 def _ratio_gate(sigma: ProjAutomorphism) -> bool:

@@ -49,6 +49,7 @@ from .polykernel import (
     hilbert_polynomial,
     hilbert_polynomial_from_numerator,
     ideal_sum,
+    mono_divides,
     monomials_of_degree,
     saturate,
     series_coefficient,
@@ -288,25 +289,24 @@ class _QuotientRing:
         self.ring = ring
         self.gb = mod_gb
         self.nf = linalg.NormalForms(ring, mod_gb)
-        self._basis: dict[int, list[tuple]] = {}
+        self._standard: dict[int, tuple[list[tuple], dict]] = {}
+
+    def _standard_monomials(self, n: int) -> tuple[list[tuple], dict]:
+        """The degree-n standard monomials of gb and their positions."""
+        if n not in self._standard:
+            lts = [g.lm() for g in self.gb]
+            basis = [m for m in monomials_of_degree(self.ring, n)
+                     if not any(mono_divides(lt, m) for lt in lts)]
+            self._standard[n] = (basis, {m: i for i, m in enumerate(basis)})
+        return self._standard[n]
 
     def basis(self, n: int) -> list[tuple]:
-        if n < 0:
-            return []
-        if n not in self._basis:
-            lts = [g.lm() for g in self.gb]
-            self._basis[n] = [
-                m
-                for m in monomials_of_degree(self.ring, n)
-                if not any(all(a <= b for a, b in zip(lt, m)) for lt in lts)
-            ]
-        return self._basis[n]
+        return self._standard_monomials(n)[0]
 
     def vec(self, f: Poly, n: int) -> list:
         """Coordinates of f, already in normal form, on the degree-n basis."""
         field = self.ring.field
-        basis = self.basis(n)
-        idx = {m: i for i, m in enumerate(basis)}
+        basis, idx = self._standard_monomials(n)
         out = [field.zero] * len(basis)
         for m, c in f.terms.items():
             out[idx[m]] = c

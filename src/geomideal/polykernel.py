@@ -13,14 +13,16 @@ polynomials satisfies.
 
 Quotients.  (I : g) for one form g is (1/g)·(I ∩ (g)).  A linear g in
 degrevlex needs no elimination: change coordinates so that g is the last
-variable y.  For a homogeneous J, in(J : y) = in(J) : y (Bayer & Stillman,
-Invent. Math. 1987; Eisenbud, Commutative Algebra, Prop. 15.12), so dividing
-by y the Groebner basis elements whose leading monomial y divides gives one
-of (J : y).  Mapped back and reduced to H (I's basis if all lie in I), g·H is
-a Groebner basis of I ∩ (g), as in(g·h) = in(g)·in(h): it interreduces with
-no S-pairs.  Any other g eliminates t from t·I + (1−t)·(g).  `intersect`
+variable y.  For a homogeneous J, in(J : y) = in(J) : y and in(J : y^∞) =
+in(J) : y^∞ (Bayer & Stillman, Invent. Math. 1987; Eisenbud, Commutative
+Algebra, Prop. 15.12), so dividing each Groebner basis element of J by y,
+or by the largest power of y dividing it, gives a Groebner basis of (J : y)
+or of (J : y^∞).  Mapped back and reduced, that is the basis of (I : g);
+it is I's basis when all of it lies in I.  Saturation needs no loop:
+(I : m^∞) is the intersection of the (I : x_i^∞), and it is I itself when
+it lies in I.  Any other g eliminates t from t·I + (1−t)·(g).  `intersect`
 returns the smaller ideal's reduced basis when one contains the other, and
-eliminates otherwise.  Every route returns the same generator tuple.
+eliminates otherwise.
 
 Representation notes.  Monomials are plain exponent tuples of length
 nvars = d + 1; a Poly is a dict {exponent tuple: scalar} plus a cached
@@ -39,8 +41,6 @@ from fractions import Fraction
 from functools import reduce as _fold
 from itertools import combinations, combinations_with_replacement, product, zip_longest
 from operator import add, le, sub
-
-from .errors import ResourceCapError
 
 
 # ---------------------------------------------------------------------------
@@ -633,27 +633,26 @@ def reduce_basis(G: list[Poly]) -> list[Poly]:
 # ---------------------------------------------------------------------------
 
 class HomIdeal:
-    """Homogeneous ideal with cached reduced Groebner basis and saturation flag.
+    """Homogeneous ideal with a cached reduced Groebner basis.
 
-    saturated is tri-state: True / False / None (unknown).  The zero ideal is
-    represented by an empty generator list.  gb, when given, is the known
-    reduced Groebner basis, in decreasing leading-monomial order.
+    The zero ideal is represented by an empty generator list.  gb, when
+    given, is the known reduced Groebner basis, in decreasing
+    leading-monomial order.
     """
 
-    def __init__(self, ring: PolyRing, gens, saturated: bool | None = None, *, gb=None):
+    def __init__(self, ring: PolyRing, gens, *, gb=None):
         self.ring = ring
         clean = [g for g in gens if not g.is_zero()]
         for g in clean:
             if not g.is_homogeneous():
                 raise ValueError(f"inhomogeneous generator: {g}")
         self.gens = tuple(sorted(clean, key=Poly.sort_key))
-        self.saturated = saturated
         self._gb: tuple[Poly, ...] | None = None if gb is None else tuple(gb)
         self._hilbert_numerator: dict[int, int] | None = None
 
     @classmethod
-    def from_strings(cls, ring: PolyRing, texts, saturated=None) -> "HomIdeal":
-        return cls(ring, [ring.parse(t) for t in texts], saturated)
+    def from_strings(cls, ring: PolyRing, texts) -> "HomIdeal":
+        return cls(ring, [ring.parse(t) for t in texts])
 
     def groebner(self) -> tuple[Poly, ...]:
         if self._gb is None:
@@ -697,11 +696,11 @@ def ideal_sum(I: HomIdeal, J: HomIdeal) -> HomIdeal:
 
 
 def irrelevant_ideal(ring: PolyRing) -> HomIdeal:
-    return HomIdeal(ring, [ring.variable(i) for i in range(ring.nvars)], saturated=False)
+    return HomIdeal(ring, [ring.variable(i) for i in range(ring.nvars)])
 
 
 def unit_ideal(ring: PolyRing) -> HomIdeal:
-    return HomIdeal(ring, [ring.one()], saturated=True)
+    return HomIdeal(ring, [ring.one()])
 
 
 def intersect(I: HomIdeal, J: HomIdeal) -> HomIdeal:
@@ -711,10 +710,9 @@ def intersect(I: HomIdeal, J: HomIdeal) -> HomIdeal:
     ring = I.ring
     if I.is_zero_ideal() or J.is_zero_ideal():
         return HomIdeal(ring, [])
-    sat = True if (I.saturated and J.saturated) else None
     for small, big in ((I, J), (J, I)):
         if all(big.contains(f) for f in small.gens):
-            return HomIdeal(ring, small.groebner(), sat, gb=small.groebner())
+            return HomIdeal(ring, small.groebner(), gb=small.groebner())
     ering = ring.with_elim_var()
 
     def lift(f: Poly) -> Poly:
@@ -727,39 +725,40 @@ def intersect(I: HomIdeal, J: HomIdeal) -> HomIdeal:
     # I ∩ J, already in decreasing order
     kept = [Poly(ring, {m[:-1]: c for m, c in g.terms.items()})
             for g in groebner_basis(gens) if all(m[-1] == 0 for m in g.terms)]
-    return HomIdeal(ring, kept, sat, gb=kept if ring.order.kind == "degrevlex" else None)
+    return HomIdeal(ring, kept, gb=kept)
 
 
 def _quotient_by_poly(I: HomIdeal, g: Poly) -> HomIdeal:
     """(I : g) = (1/g) · (I ∩ (g)) for a single nonzero homogeneous g, by
-    the revlex route when g is linear in degrevlex (module docstring)."""
+    the revlex route when g is linear (module docstring)."""
     ring = I.ring
     if g.degree == 0:
-        return HomIdeal(ring, list(I.gens), I.saturated, gb=I._gb)
-    if g.degree > 1 or ring.order.kind != "degrevlex":
+        return I
+    if g.degree > 1:
         meet = intersect(I, HomIdeal(ring, [g])).gens
         return HomIdeal(ring, [_divide_exact(f, g) for f in meet])
-    H = _linear_quotient_basis(I, g)
-    meet = reduce_basis([g * h for h in H])
-    return HomIdeal(ring, [_divide_exact(f, g) for f in meet], gb=H)
+    H = _linear_quotient_basis(I, g, 1)
+    return HomIdeal(ring, H, gb=H)
 
 
-def _linear_quotient_basis(I: HomIdeal, g: Poly) -> list[Poly]:
-    """Reduced Groebner basis of (I : g) for a linear form g in degrevlex, with
-    g moved to the last variable y (module docstring).  When g is a multiple
-    of y, no coordinates change and I's cached basis is used."""
+def _linear_quotient_basis(I: HomIdeal, g: Poly, power) -> list[Poly]:
+    """Reduced Groebner basis of (I : g^power) for a linear form g in
+    degrevlex and power 1 or math.inf, with g moved to the last variable y
+    (module docstring).  When g is a multiple of y, no coordinates change
+    and I's cached basis is used."""
     ring = I.ring
     last = ring.nvars - 1
     xs = [ring.variable(i) for i in range(ring.nvars)]
     k = max(m.index(1) for m in g.terms)
     g = g.scale(ring.field.inv(g.terms[xs[k].lm()]))
 
-    def divide_last(basis):
-        return [Poly(ring, {m[:-1] + (m[-1] - 1,): c for m, c in f.terms.items()})
-                if f.lm()[-1] else f for f in basis]
+    def divide_last(f):
+        # y^e divides every term of f once it divides the leading one
+        e = min(f.lm()[-1], power)
+        return Poly(ring, {m[:-1] + (m[-1] - e,): c for m, c in f.terms.items()}) if e else f
 
     if g == xs[last]:
-        quot = divide_last(I.groebner())
+        quot = list(map(divide_last, I.groebner()))
     else:
         # coordinates y = x except y_last = g and, when k < last, y_k = x_last;
         # to_y writes x in y (x_k = y_last − (g − x_k)), back writes y in x
@@ -769,8 +768,8 @@ def _linear_quotient_basis(I: HomIdeal, g: Poly) -> list[Poly]:
             to_y[last], back[k] = xs[k], xs[last]
         back[last] = g
         basis = groebner_basis(list(map(Substitution(to_y), I.gens)))
-        quot = list(map(Substitution(back), divide_last(basis)))
-    # (I : g) contains I, so it is I when its generators all lie in I
+        quot = list(map(Substitution(back), map(divide_last, basis)))
+    # (I : g^power) contains I, so it is I when its generators all lie in I
     if all(map(I.contains, quot)):
         return list(I.groebner())
     return reduce_basis(quot) if g == xs[last] else groebner_basis(quot)
@@ -793,35 +792,20 @@ def _divide_exact(f: Poly, g: Poly) -> Poly:
 
 
 def ideal_quotient(I: HomIdeal, J: HomIdeal) -> HomIdeal:
-    """(I : J) = {f : f·J ⊆ I}; saturated when I is saturated."""
-    ring = I.ring
+    """(I : J) = {f : f·J ⊆ I}, the intersection of the (I : g), g in J."""
     if J.is_zero_ideal():
-        return unit_ideal(ring)
-    out = _fold(intersect, [_quotient_by_poly(I, g) for g in J.gens])
-    return HomIdeal(ring, out.gens, True if I.saturated else None, gb=out._gb)
+        return unit_ideal(I.ring)
+    return _fold(intersect, [_quotient_by_poly(I, g) for g in J.gens])
 
 
-SATURATION_CAP = 50
-
-
-def saturate(I: HomIdeal, J: HomIdeal | None = None) -> HomIdeal:
-    """(I : J^∞) by iterated colon to a fixpoint; J defaults to the irrelevant
-    ideal m = (x0..xd).  Iteration cap 50 guards against bugs (noetherianity
-    guarantees termination)."""
+def saturate(I: HomIdeal) -> HomIdeal:
+    """(I : m^∞) for the irrelevant ideal m = (x0..xd), in one pass: the
+    intersection of the (I : x_i^∞) (module docstring).  I itself when that
+    lies in I, so a saturated ideal keeps its generators."""
     ring = I.ring
-    if J is None:
-        J = irrelevant_ideal(ring)
-    mark_saturated = ideal_equal(J, irrelevant_ideal(ring))
-    cur = I
-    for _ in range(SATURATION_CAP):
-        nxt = ideal_quotient(cur, J)
-        if ideal_equal(nxt, cur):
-            return HomIdeal(ring, cur.gens, True if mark_saturated else cur.saturated,
-                            gb=cur._gb)
-        cur = nxt
-    raise ResourceCapError(
-        f"saturation did not stabilize within {SATURATION_CAP} colon iterations"
-    )
+    parts = [_linear_quotient_basis(I, ring.variable(i), math.inf) for i in range(ring.nvars)]
+    sat = _fold(intersect, [HomIdeal(ring, H, gb=H) for H in parts])
+    return I if all(map(I.contains, sat.gens)) else sat
 
 
 # ---------------------------------------------------------------------------
@@ -1076,7 +1060,7 @@ def monomial_primary_decomposition(I: HomIdeal) -> list[tuple[HomIdeal, HomIdeal
     for supp in sorted(by_prime):
         comps = [HomIdeal(ring, [ring.monomial(m) for m in comp]) for comp in by_prime[supp]]
         merged = _fold(intersect, comps)
-        prime = HomIdeal(ring, [ring.variable(i) for i in supp], saturated=True)
+        prime = HomIdeal(ring, [ring.variable(i) for i in supp])
         out.append((merged, prime))
     # drop redundant components (those containing the intersection of the others)
     kept, i = out, 0

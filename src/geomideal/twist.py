@@ -110,7 +110,7 @@ class ProjAutomorphism:
         """
         if n == 0:
             return I
-        return HomIdeal(self.ring, [self.pullback(g, n) for g in I.gens], I.saturated)
+        return HomIdeal(self.ring, [self.pullback(g, n) for g in I.gens])
 
     def act_point(self, coords: tuple, n: int = 1) -> tuple:
         """sigma^n(p) as raw coordinates M^n . p (no normalization)."""

@@ -335,14 +335,12 @@ def test_saturate_strips_embedded_vertex():
     I = HomIdeal.from_strings(RQ, ["x0^2", "x0*x1", "x0*x2"])
     S = saturate(I)
     assert ideal_equal(S, HomIdeal.from_strings(RQ, ["x0"]))
-    assert S.saturated is True
 
 
 def test_saturate_fixed_point_flagged():
     I = HomIdeal.from_strings(RQ, ["x0 + x1", "x0^2"])
     S = saturate(I)
     assert ideal_equal(S, I)
-    assert S.saturated is True
 
 
 def test_intersect_two_points():
@@ -410,8 +408,44 @@ def test_quotient_preserves_saturation(data):
         return
     I = saturate(I0)
     Q = ideal_quotient(I, J)
-    assert Q.saturated is True
     assert ideal_equal(saturate(Q), Q)
+
+
+def _colon_fixpoint(I):
+    """(I : m^∞) as the first repeat of I, (I : m), ((I : m) : m), ..."""
+    m = irrelevant_ideal(I.ring)
+    cur, nxt = I, ideal_quotient(I, m)
+    while not ideal_equal(nxt, cur):
+        cur, nxt = nxt, ideal_quotient(nxt, m)
+    return cur
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_saturate_matches_the_colon_fixpoint(data):
+    """One pass over the (I : x_i^∞) against the iterated colon by m, on
+    drawn ideals, on I·x_i^k, and on I meeting the coordinate point where
+    only x_i is nonzero (an associated prime that contains the other x_j)."""
+    ring, I = data.draw(ring_and_ideal(max_deg=2))
+    shape = data.draw(st.sampled_from(["as drawn", "times a power", "meet a point"]))
+    i = data.draw(st.integers(0, ring.nvars - 1))
+    if shape == "times a power":
+        xi_k = ring.variable(i) ** data.draw(st.integers(1, 3))
+        I = HomIdeal(ring, [f * xi_k for f in I.gens])
+    elif shape == "meet a point":
+        I = intersect(I, HomIdeal(ring, [ring.variable(j) for j in range(ring.nvars) if j != i]))
+    assert ideal_equal(saturate(I), _colon_fixpoint(I))
+
+
+@pytest.mark.parametrize("ring, texts", [
+    (RQ, ["2*x0 - 4*x2", "x1 + 3*x0 - x2"]),  # generators not reduced
+    (RQ, ["x0 + x1", "x0^2"]),
+    (RQ, ["x0*x2 - x1^2"]),
+    (R7, ["3*x1 - x2", "x0 - 5*x2"]),
+], ids=["point", "double point", "conic", "GF(7) point"])
+def test_saturate_keeps_the_generators_of_a_saturated_ideal(ring, texts):
+    I = HomIdeal.from_strings(ring, texts)
+    assert saturate(I).gens == I.gens
 
 
 @given(st.data())
@@ -470,8 +504,8 @@ def linear_divisor(draw, ring):
 @given(st.data())
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_linear_quotient_matches_elimination(data):
-    """The revlex route returns the elimination route's generators, and its
-    cached basis is the one a fresh computation finds."""
+    """The revlex route's cached basis is the reduced basis that the
+    elimination route finds."""
     ring, I = data.draw(ring_and_ideal())
     g = data.draw(linear_divisor(ring))
     shape = data.draw(st.sampled_from(["as drawn", "times g", "contains g", "times h"]))
@@ -484,8 +518,6 @@ def test_linear_quotient_matches_elimination(data):
         I = HomIdeal(ring, [f * h for f in I.gens])
     got = polykernel._quotient_by_poly(I, g)
     want = _elim_quotient(I, g)
-    assert got.gens == want.gens
-    assert got.saturated == want.saturated
     assert got.groebner() == want.groebner()
     if shape == "contains g":
         assert got.is_unit()
