@@ -4,8 +4,9 @@
 Over A = k[x0,x1,x2]/(x1^2 x2 - x0^3), the residue field at the cusp
 [0:0:1] has Tor_j nonzero for every probed j (the singular point sees
 infinite homological dimension), while a smooth point's Tor dies from
-j = 2 on.  Dimensions are degreewise and reliable inside the truncation
-window printed with the table.
+j = 2 on.  Tor is read off a free resolution over A lifted to S, so every
+printed dimension is exact; the window printed with the table only chooses
+which degrees are shown.
 """
 
 import argparse

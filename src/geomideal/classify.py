@@ -402,8 +402,7 @@ def _row(predicate, verdict, detail, kind, *, horizon=None, witness=None):
 def classify(scene: IdealizerScene, *, sample_points: tuple = (),
              horizon: int = 20, order_bound: int = 12,
              ambient_quotient: HomIdeal | None = None,
-             probe_j_max: int = 6,
-             probe_deg_bound: int | None = None) -> ClassificationReport:
+             probe_j_max: int = 6) -> ClassificationReport:
     """Assemble the eight-row verdict table for a scene.
 
     Declared sample points feed the forward-orbit sampling of the
@@ -414,7 +413,7 @@ def classify(scene: IdealizerScene, *, sample_points: tuple = (),
     """
     if ambient_quotient is not None and not ambient_quotient.is_zero_ideal():
         return _classify_over_quotient(scene, ambient_quotient, sample_points,
-                                       probe_j_max, probe_deg_bound)
+                                       probe_j_max)
 
     notes: list[str] = []
     stab = stabilization_degree(scene, horizon)
@@ -755,17 +754,11 @@ def _classify_unstable(scene, stab, comp, sample_points, horizon, notes) -> Clas
 
 # -- ambient quotient branch: only the cohdim probe runs --------------------
 
-def _classify_over_quotient(scene, quotient, sample_points, probe_j_max,
-                            probe_deg_bound) -> ClassificationReport:
+def _classify_over_quotient(scene, quotient, sample_points,
+                            probe_j_max) -> ClassificationReport:
     notes = ["an ambient quotient was supplied: rows other than the "
              "cohomological-dimension probe are not evaluated over a proper "
              "quotient"]
-    na = ("classification rows are evaluated over the full polynomial "
-          "coordinate ring only")
-    rows = [
-        _row(p, "inconclusive", na, "not-applicable")
-        for p in PREDICATES if p != "finite-cohomological-dimension"
-    ]
 
     point = reduced_point_of(scene.ideal)
     if point is not None:
@@ -782,8 +775,7 @@ def _classify_over_quotient(scene, quotient, sample_points, probe_j_max,
     else:
         try:
             rep = truncated_tor_over_quotient(quotient, scene.ideal, p_ideal,
-                                              j_max=probe_j_max,
-                                              deg_bound=probe_deg_bound)
+                                              j_max=probe_j_max)
         except (UsageError, SceneVerificationError) as exc:
             probe = _row("finite-cohomological-dimension", "inconclusive",
                          f"probe rejected: {exc}", "not-applicable")
@@ -806,10 +798,9 @@ def _classify_over_quotient(scene, quotient, sample_points, probe_j_max,
                     "homological dimension over the quotient", "heuristic",
                     horizon=probe_j_max)
 
-    out = []
-    for p in PREDICATES:
-        if p == "finite-cohomological-dimension":
-            out.append(probe)
-        else:
-            out.append(rows.pop(0))
-    return ClassificationReport(tuple(out), (), tuple(notes))
+    na = ("classification rows are evaluated over the full polynomial "
+          "coordinate ring only")
+    rows = tuple(probe if p == "finite-cohomological-dimension"
+                 else _row(p, "inconclusive", na, "not-applicable")
+                 for p in PREDICATES)
+    return ClassificationReport(rows, (), tuple(notes))

@@ -241,23 +241,26 @@ def preimage_generators(vecs: list[MVec], targets: list[MVec]) -> list[MVec]:
     return _tag_elimination(vecs, targets)
 
 
-def minimal_generators(vecs: list[MVec]) -> list[MVec]:
-    """A minimal generating set of the graded submodule generated by vecs.
+def minimal_generators(vecs: list[MVec], modulo=()) -> list[MVec]:
+    """A minimal generating set of the graded submodule generated by vecs,
+    modulo the submodule generated by the vectors in modulo.
 
     Greedy in ascending degree: a vector already generated by the accepted
-    ones is dropped (graded Nakayama makes this a minimal set).
+    ones and modulo is dropped (graded Nakayama makes this a minimal set).
+    The modulo vectors seed the Groebner basis and are never returned.
     """
     vecs = [v for v in vecs if not v.is_zero()]
     for v in vecs:
         if v.degree is None:
             raise ValueError("minimal generators require homogeneous vectors")
+    modulo = list(modulo)
     accepted: list[MVec] = []
-    gb: list[MVec] = []
+    gb = module_groebner(modulo) if modulo else []
     for v in sorted(vecs, key=MVec.sort_key):
-        if accepted and submodule_contains(gb, v):
+        if gb and submodule_contains(gb, v):
             continue
         accepted.append(v.monic())
-        gb = module_groebner(accepted)
+        gb = module_groebner(modulo + accepted)
     return accepted
 
 

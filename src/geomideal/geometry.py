@@ -275,8 +275,6 @@ def _evaluate_gen_as_poly_in_n(g, coord_polys):
             for _ in range(e):
                 term = _poly_n_mul(term, coord_polys[i])
         total = _poly_n_add(total, term)
-    while total and total[-1] == 0:
-        total = total[:-1]
     return total
 
 
@@ -284,8 +282,7 @@ def _cauchy_root_bound(coeffs) -> int:
     """Integer n0 with no roots of the coefficient-list polynomial >= n0."""
     top = coeffs[-1]
     bound = 1 + max((abs(c / top) for c in coeffs[:-1]), default=Fraction(0))
-    n0 = int(bound) + 1
-    return n0
+    return int(bound) + 1
 
 
 def forward_orbit_hits(p: RationalPoint, sigma: ProjAutomorphism,

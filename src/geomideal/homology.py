@@ -1,4 +1,4 @@
-"""Graded Tor machinery over the polynomial ring and over hypersurface quotients.
+"""Graded Tor machinery over the polynomial ring and over its quotients.
 
 Free resolutions are computed by iterated minimal syzygies, to at most
 nvars steps.  For ideals I, J the graded module Tor_j(S/I, S/J) is the
@@ -17,11 +17,14 @@ sheaf Tor of the two subscheme structure sheaves vanishes exactly when the
 Hilbert polynomial of the graded Tor is identically zero; that is the
 transversality criterion used here (insensitive to saturating the inputs).
 
-Over a quotient coordinate ring A = S/Q resolutions are generally infinite;
-truncated_tor_over_quotient builds one degree-by-degree with linear algebra
-and reports which Tor_j stay nonzero at the top of the reliable degree
-window — finite-length junk concentrated at the cone vertex dies out below
-the window top, positive-dimensional (sheaf-level) contributions persist.
+Over a quotient coordinate ring A = S/Q resolutions are generally infinite.
+free_resolution(I, length, modulo=Q) resolves A/IA to the given length with
+the same kernel: each map is lifted to S, and its kernel over A is the
+preimage of Q times the target.  For Q inside J the Tor formula above then
+gives Tor over A unchanged.  truncated_tor_over_quotient tabulates it at a
+point and reports which Tor_j stay nonzero at the top of a degree window —
+finite-length junk concentrated at the cone vertex dies out below the
+window top, positive-dimensional (sheaf-level) contributions persist.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
 from .errors import ImproperIntersectionError, SceneVerificationError, UsageError
 from .freemod import (
     FreeModule,
@@ -38,19 +40,13 @@ from .freemod import (
     module_groebner,
     preimage_generators,
     submodule_hilbert_numerator,
-    syzygy_generators,
 )
 from .polykernel import (
     HilbertPoly,
     HomIdeal,
-    Poly,
-    PolyRing,
-    groebner_basis,
     hilbert_polynomial,
     hilbert_polynomial_from_numerator,
     ideal_sum,
-    mono_divides,
-    monomials_of_degree,
     saturate,
     series_coefficient,
 )
@@ -91,30 +87,42 @@ class FreeResolution:
         return len(self.modules) - 1
 
 
-def free_resolution(I: HomIdeal, length: int | None = None) -> FreeResolution:
-    """Minimal graded free resolution of S/I, exact, to the requested length.
+def _ideal_times_free(J: HomIdeal, module: FreeModule) -> list[MVec]:
+    return [MVec(module, {k: g}) for g in J.gens for k in range(module.rank)]
 
-    The projective dimension is at most nvars (Hilbert's syzygy theorem), so
-    no length or a longer one resolves to nvars steps.
+
+def free_resolution(I: HomIdeal, length: int | None = None, *,
+                    modulo: HomIdeal | None = None) -> FreeResolution:
+    """Minimal graded free resolution of A/IA over A = S/Q, Q = modulo
+    (A = S when modulo is None or zero), exact, to the requested length.
+
+    Every map is held lifted to S (Eisenbud, Homological algebra on a
+    complete intersection, Trans. AMS 1980): over A the kernel of columns
+    c_i into F is {a : sum a_i*c_i in Q*F}, a preimage, and the next columns
+    are its minimal generators modulo Q times the source.  For Q = 0 the
+    preimage is the syzygy module.  Over S the projective dimension is at
+    most nvars (Hilbert's syzygy theorem), so no length or a longer one
+    resolves to nvars steps; over a nonzero Q the resolution need not end,
+    and a length is required.
     """
     ring = I.ring
-    length = ring.nvars if length is None else min(length, ring.nvars)
-    F0 = FreeModule(ring, (0,))
-    modules = [F0]
+    Q = HomIdeal(ring, ()) if modulo is None else modulo
+    if Q.is_zero_ideal():
+        length = ring.nvars if length is None else min(length, ring.nvars)
+    elif length is None:
+        raise ValueError("a resolution over a nonzero quotient needs a length")
+    modules = [FreeModule(ring, (0,))]
     maps: list[GradedMap] = []
-    if I.is_zero_ideal() or length == 0:
-        return FreeResolution(I, tuple(modules), tuple(maps))
-    cols = minimal_generators([MVec(F0, {0: g}) for g in I.gens])
-    step = 1
-    while cols and step <= length:
+    cols = minimal_generators([MVec(modules[0], {0: g}) for g in I.gens],
+                              _ideal_times_free(Q, modules[0]))
+    while cols and len(maps) < length:
         src = FreeModule(ring, tuple(v.degree for v in cols))
         maps.append(GradedMap(src, modules[-1], tuple(cols)))
         modules.append(src)
-        if step == length:
+        if len(maps) == length:
             break
-        syz = syzygy_generators(cols)
-        cols = minimal_generators(syz) if syz else []
-        step += 1
+        kernel = preimage_generators(cols, _ideal_times_free(Q, modules[-2]))
+        cols = minimal_generators(kernel, _ideal_times_free(Q, src))
     return FreeResolution(I, tuple(modules), tuple(maps))
 
 
@@ -157,12 +165,14 @@ class TorModule:
         return self.hilbert_polynomial().is_zero()
 
 
-def _ideal_times_free(J: HomIdeal, module: FreeModule) -> list[MVec]:
-    return [MVec(module, {k: g}) for g in J.gens for k in range(module.rank)]
-
-
 def tor_from_resolution(res: FreeResolution, J: HomIdeal, j: int) -> TorModule:
-    """Tor_j(S/I, S/J) from an already-computed resolution of S/I."""
+    """Tor_j(S/I, S/J) from an already-computed resolution of S/I.
+
+    For a resolution over A = S/Q (free_resolution(..., modulo=Q)) this is
+    Tor_j over A of A/IA and A/JA, provided Q lies in J: then
+    F tensor_A A/J = F tensor_S S/J, so the cycles and boundaries below are
+    already the ones over A.
+    """
     if j < 0:
         raise ValueError("negative homological degree")
     if j == 0:
@@ -262,11 +272,13 @@ def serre_multiplicity_total(I: HomIdeal, J: HomIdeal) -> Fraction:
 
 @dataclass
 class QuotientTorReport:
-    """Degreewise Tor table over A = S/Q, reliable for n <= window.
+    """Degreewise Tor table over A = S/Q in degrees 0..window.
 
-    verdicts[j] is True when Tor_j persists at the top of the window, the
-    signature of support away from the cone vertex (sheaf-level nonvanishing
-    at the probed point); vertex-supported junk dies out before the top.
+    Every dimension is exact; the window only selects which degrees are
+    tabulated and read.  verdicts[j] is True when Tor_j is nonzero at the
+    top of the window, the signature of support away from the cone vertex
+    (sheaf-level nonvanishing at the probed point); vertex-supported junk
+    dies out before the top.
     """
 
     quotient: HomIdeal
@@ -282,76 +294,28 @@ class QuotientTorReport:
         return bool(self.verdicts) and all(self.verdicts.values())
 
 
-class _QuotientRing:
-    """Degreewise linear-algebra model of A = S/Q and of A/(J)."""
-
-    def __init__(self, ring: PolyRing, mod_gb: list[Poly]):
-        self.ring = ring
-        self.gb = mod_gb
-        self.nf = linalg.NormalForms(ring, mod_gb)
-        self._standard: dict[int, tuple[list[tuple], dict]] = {}
-
-    def _standard_monomials(self, n: int) -> tuple[list[tuple], dict]:
-        """The degree-n standard monomials of gb and their positions."""
-        if n not in self._standard:
-            lts = [g.lm() for g in self.gb]
-            basis = [m for m in monomials_of_degree(self.ring, n)
-                     if not any(mono_divides(lt, m) for lt in lts)]
-            self._standard[n] = (basis, {m: i for i, m in enumerate(basis)})
-        return self._standard[n]
-
-    def basis(self, n: int) -> list[tuple]:
-        return self._standard_monomials(n)[0]
-
-    def vec(self, f: Poly, n: int) -> list:
-        """Coordinates of f, already in normal form, on the degree-n basis."""
-        field = self.ring.field
-        basis, idx = self._standard_monomials(n)
-        out = [field.zero] * len(basis)
-        for m, c in f.terms.items():
-            out[idx[m]] = c
-        return out
-
-
-def _block_vec(qr: _QuotientRing, comps: dict[int, Poly], degrees, n: int) -> list:
-    out: list = []
-    for k, dk in enumerate(degrees):
-        piece = comps.get(k)
-        if piece is None or n - dk < 0:
-            out.extend([qr.ring.field.zero] * len(qr.basis(n - dk)))
-        else:
-            out.extend(qr.vec(piece, n - dk))
-    return out
-
-
 def truncated_tor_over_quotient(
-    ambient_quotient,
+    ambient_quotient: HomIdeal,
     M_ideal: HomIdeal,
     P_ideal: HomIdeal,
     j_max: int = 6,
     deg_bound: int | None = None,
 ) -> QuotientTorReport:
-    """Degree-truncated Tor_j(A/M, k(P)) over the quotient ring A = S/Q.
+    """Tor_j(A/M, k(P)) over the quotient ring A = S/Q, j = 1..j_max,
+    tabulated in degrees 0..window.
 
     Q = ambient_quotient cuts out the ambient subscheme X inside projective
     space (Q = 0 means X is projective space itself); P_ideal must define a
-    rational point lying on X.  A free A-resolution of A/M is grown step by
-    step: kernels of each map are found degreewise by exact linear algebra up
-    to the truncation bound, and minimal generators of those kernels form the
-    next map.  Tensoring with A/P then gives the graded dimension table.  All
-    dimensions with n <= deg_bound are exact.
+    rational point lying on X, so Q lies in P and tor_from_resolution reads
+    Tor over A off the free_resolution of A/MA over A.  Every dimension is
+    exact.
 
     The default window is j_max + (max generator degree of Q) + (max
     generator degree of M) + 2 — wide enough that vertex-supported junk,
     which climbs roughly one degree per homological step, clears the window
     top before the verdict degrees.
     """
-    if isinstance(ambient_quotient, Poly):
-        ambient_quotient = HomIdeal(ambient_quotient.ring, (ambient_quotient,))
     Q = ambient_quotient
-    ring = M_ideal.ring
-    field = ring.field
-
     P = saturate(P_ideal)
     hp = hilbert_polynomial(P)
     if hp.degree() != 0 or hp(0) != 1:
@@ -366,115 +330,21 @@ def truncated_tor_over_quotient(
         q_deg = max((g.degree for g in Q.gens), default=0)
         m_deg = max((g.degree for g in M_ideal.gens), default=1)
         deg_bound = j_max + q_deg + m_deg + 2
-    trunc_bound = deg_bound
-    qa = _QuotientRing(ring, list(Q.groebner()))
-
-    i_gens = [qa.nf(g) for g in M_ideal.gens]
-    i_gens = [g for g in i_gens if not g.is_zero()]
-
-    # --- grow the A-free resolution of A/IA ---------------------------------
-    # maps[s] = (source_degrees, columns) with columns[i] a dict comp -> Poly
-    # mapping into the module with degrees maps[s-1].source_degrees (or (0,)).
-    target_degrees: tuple[int, ...] = (0,)
-    columns: list[dict[int, Poly]] = [{0: g} for g in i_gens]
-    source_degrees = tuple(g.degree for g in i_gens)
-    resolution = [(target_degrees, source_degrees, columns)]
-
-    for _step in range(1, j_max + 1):
-        tdeg, sdeg, cols = resolution[-1]
-        gens: list[tuple[int, dict[int, Poly]]] = []  # (degree, comps)
-        for n in range(0, trunc_bound + 1):
-            # kernel of the map in degree n
-            coords: list[tuple[int, tuple]] = []
-            rows = []
-            for i in range(len(cols)):
-                for mu in qa.basis(n - sdeg[i]):
-                    image = {
-                        k: qa.nf(p, mu) for k, p in cols[i].items()
-                    }
-                    rows.append(_block_vec(qa, image, tdeg, n))
-                    coords.append((i, mu))
-            if not coords:
-                continue
-            # kernel of the map a -> sum a_i * rows[i]: transpose first
-            mat = [[row[w] for row in rows] for w in range(len(rows[0]))]
-            kern = linalg.kernel_basis(field, mat, len(coords))
-            if not kern:
-                continue
-            # span of A_+ multiples of already-accepted generators, degree n;
-            # a kernel vector outside it is a new minimal generator.  The span
-            # lies in the kernel, so once their ranks meet nothing is left.
-            span = linalg.Echelon(field, len(coords))
-            multiples = (
-                {k: qa.nf(p, mu) for k, p in comps.items()}
-                for d0, comps in gens for mu in qa.basis(n - d0)
-            )
-            for moved in multiples:
-                if span.rank == len(kern):
-                    break
-                span.insert(_block_vec(qa, moved, sdeg, n))
-            for kv in kern:
-                if span.rank == len(kern):
-                    break
-                comps: dict[int, Poly] = {}
-                for (i, mu), c in zip(coords, kv):
-                    if not field.is_zero(c):
-                        comps[i] = comps.get(i, ring.zero()) + ring.monomial(mu, c)
-                if span.insert(_block_vec(qa, comps, sdeg, n)):
-                    gens.append((n, comps))
-        if not gens:
-            resolution.append((sdeg, (), []))
-            continue
-        new_sdeg = tuple(d for d, _ in gens)
-        new_cols = [comps for _, comps in gens]
-        resolution.append((sdeg, new_sdeg, new_cols))
-
-    # --- tensor with the residue field at P and take degreewise homology ----
-    qb = _QuotientRing(ring, groebner_basis(list(Q.gens) + list(P.gens)))
-    _rank_cache: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def map_rank(step: int, n: int) -> tuple[int, int]:
-        """(domain dimension, rank) of d_(step+1) tensored down, degree n."""
-        if (step, n) in _rank_cache:
-            return _rank_cache[(step, n)]
-        tdeg, sdeg, cols = resolution[step]
-        rows = []
-        dom = 0
-        for i in range(len(cols)):
-            for mu in qb.basis(n - sdeg[i]):
-                dom += 1
-                image = {
-                    k: qb.nf(p, mu) for k, p in cols[i].items()
-                }
-                rows.append(_block_vec(qb, image, tdeg, n))
-        out = (dom, linalg.rank(field, rows)) if rows else (0, 0)
-        _rank_cache[(step, n)] = out
-        return out
-
-    table: dict[int, list[int]] = {}
-    for j in range(1, j_max + 1):
-        dims = []
-        for n in range(0, trunc_bound + 1):
-            dom_j, rank_j = map_rank(j - 1, n)
-            ker = dom_j - rank_j
-            if j < len(resolution):
-                _, rank_next = map_rank(j, n)
-            else:
-                rank_next = 0
-            dims.append(ker - rank_next)
-        table[j] = dims
-
+    res = free_resolution(M_ideal, j_max + 1, modulo=Q)
+    table = {j: tor_from_resolution(res, P, j).dims(0, deg_bound)
+             for j in range(1, j_max + 1)}
     verdicts = {
         j: any(v > 0 for v in dims[-2:]) for j, dims in table.items()
     }
     notes = (
-        "dimensions exact for n <= window; verdict True = nonzero at window top "
-        "(support off the cone vertex)",
+        "dimensions exact in every degree; the window selects the degrees "
+        "tabulated; verdict True = nonzero at window top (support off the "
+        "cone vertex)",
     )
     return QuotientTorReport(
         quotient=Q,
         point=P,
-        window=trunc_bound,
+        window=deg_bound,
         table=table,
         verdicts=verdicts,
         notes=notes,

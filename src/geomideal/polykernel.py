@@ -695,10 +695,6 @@ def ideal_sum(I: HomIdeal, J: HomIdeal) -> HomIdeal:
     return HomIdeal(I.ring, list(I.gens) + list(J.gens))
 
 
-def irrelevant_ideal(ring: PolyRing) -> HomIdeal:
-    return HomIdeal(ring, [ring.variable(i) for i in range(ring.nvars)])
-
-
 def unit_ideal(ring: PolyRing) -> HomIdeal:
     return HomIdeal(ring, [ring.one()])
 

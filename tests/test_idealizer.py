@@ -26,7 +26,6 @@ from geomideal.polykernel import (
     PolyRing,
     ideal_equal,
     intersect,
-    irrelevant_ideal,
 )
 from geomideal.twist import ProjAutomorphism, TwistedElement, twist_multiply
 
@@ -230,7 +229,7 @@ def test_scene_rejects_zero_ideal():
 
 def test_scene_rejects_empty_subscheme():
     with pytest.raises(SceneVerificationError, match="empty"):
-        IdealizerScene(RQ, SIGMA, irrelevant_ideal(RQ))
+        IdealizerScene(RQ, SIGMA, HomIdeal.from_strings(RQ, ["x0", "x1", "x2"]))
 
 
 def test_declared_components_verified():

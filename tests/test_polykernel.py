@@ -33,7 +33,6 @@ from geomideal.polykernel import (
     ideal_quotient,
     ideal_sum,
     intersect,
-    irrelevant_ideal,
     mono_deg,
     mono_div,
     mono_lcm,
@@ -351,7 +350,7 @@ def test_intersect_two_points():
 
 def test_unit_and_irrelevant_edges():
     assert hilbert_polynomial(unit_ideal(RQ)).is_zero()
-    assert hilbert_polynomial(irrelevant_ideal(RQ)).is_zero()
+    assert hilbert_polynomial(HomIdeal.from_strings(RQ, ["x0", "x1", "x2"])).is_zero()
     assert codimension(unit_ideal(RQ)) == 3
     assert ideal_quotient(HomIdeal.from_strings(RQ, ["x0"]), unit_ideal(RQ)).groebner() == \
         HomIdeal.from_strings(RQ, ["x0"]).groebner()
@@ -413,7 +412,7 @@ def test_quotient_preserves_saturation(data):
 
 def _colon_fixpoint(I):
     """(I : m^∞) as the first repeat of I, (I : m), ((I : m) : m), ..."""
-    m = irrelevant_ideal(I.ring)
+    m = HomIdeal(I.ring, [I.ring.variable(i) for i in range(I.ring.nvars)])
     cur, nxt = I, ideal_quotient(I, m)
     while not ideal_equal(nxt, cur):
         cur, nxt = nxt, ideal_quotient(nxt, m)
