@@ -7,10 +7,12 @@ membership property ("x star I stays in I") is available both as a per-element
 finite-horizon oracle and as an exhaustive subspace computation, so the two
 routes can be compared exactly on small degrees.
 
-The colon route and the membership route agree whenever the oracle horizon M
-is at least the maximal generator degree of the saturated ideal (the tested
-pieces then generate the pulled-back ideal); the oracle is one-sided below
-that horizon and is documented as such.
+At horizon M both oracles test the generators g of the saturated ideal with
+deg g <= M, which is the same condition as testing every form of I_0..I_M:
+I_m is spanned by the products s*g with deg g <= m, and x star (s*g) =
+s^{sigma^n} * (x star g).  The colon route and the membership route agree
+whenever M is at least the maximal generator degree (every generator is then
+tested); the oracle is one-sided below that horizon and is documented as such.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class IdealizerScene:
     gorenstein_z: bool = False
     smooth_z: bool = False
     _colon_cache: dict = field(default_factory=dict, repr=False)
-    _piece_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.ideal.is_zero_ideal():
@@ -99,12 +100,6 @@ class IdealizerScene:
             self._colon_cache[n] = ideal_quotient(self.ideal, pulled)
         return self._colon_cache[n]
 
-    def ideal_piece(self, m: int) -> list[Poly]:
-        """Row-reduced basis of I_m, cached."""
-        if m not in self._piece_cache:
-            self._piece_cache[m] = degree_piece_basis(self.ideal, m)
-        return self._piece_cache[m]
-
 
 def idealizer_piece(scene: IdealizerScene, n: int) -> DegreePiece:
     """Row-reduced basis of R_n = ((I : I^{sigma^n}))_n; R_0 is the scalars."""
@@ -119,26 +114,29 @@ def membership_oracle(x: TwistedElement, scene: IdealizerScene, M: int) -> bool:
     """Finite-horizon test of the defining property: x star I_m inside I_(n+m)
     for all 0 <= m <= M.
 
-    Exact (two-sided) when M is at least the maximal generator degree of the
-    saturated scene ideal; otherwise a necessary condition only.
+    Tests x star g for the generators g of the saturated scene ideal with
+    deg g <= M; those span I_0..I_M as a module, and x star (s*g) =
+    s^{sigma^n} * (x star g).  Exact (two-sided) when M is at least the
+    maximal generator degree; otherwise a necessary condition only.
     """
     if x.is_zero() or x.degree == 0:
         return True
     I = scene.ideal
-    for m in range(0, M + 1):
-        for b in scene.ideal_piece(m):
-            prod = twist_multiply(x, TwistedElement(m, b), scene.sigma)
-            if not I.contains(prod.poly):
-                return False
-    return True
+    return all(
+        I.contains(twist_multiply(x, TwistedElement(g.degree, g), scene.sigma).poly)
+        for g in I.gens if g.degree <= M
+    )
 
 
 def exhaustive_oracle_piece(scene: IdealizerScene, n: int, M: int) -> DegreePiece:
     """The full subspace of B_n passing the membership oracle at horizon M.
 
-    Solves the linear conditions coefficient-wise: for every m <= M and every
-    basis form b of I_m, the product x . (b o sigma^n) must reduce to zero
-    modulo I.  Returns the row-reduced basis, comparable with the colon piece.
+    Solves the linear conditions coefficient-wise: for every generator g of
+    the saturated ideal with deg g <= M, the product x . (g o sigma^n) must
+    reduce to zero modulo I.  That is the condition for every form of
+    I_0..I_M, since those are combinations s*g and x star (s*g) =
+    s^{sigma^n} * (x star g).  Returns the row-reduced basis, comparable
+    with the colon piece.
 
     A normal form modulo a Groebner basis is unique, hence linear, so each
     product is reduced as a combination of the normal forms of its
@@ -151,15 +149,16 @@ def exhaustive_oracle_piece(scene: IdealizerScene, n: int, M: int) -> DegreePiec
         return DegreePiece(0, (ring.one(),))
     monos = monomials_of_degree(ring, n)
     nf = linalg.NormalForms(ring, list(scene.ideal.groebner()))
-    # columns = monos; one condition per (m, b, monomial of a residue)
+    # columns = monos; one condition per (g, monomial of a residue)
     conditions = linalg.Echelon(fieldk, len(monos))
-    for m in range(0, M + 1):
-        for b in scene.ideal_piece(m):
-            # nf(x . b') = nf(x . nf(b')), and nf(b') is short
-            reduced = nf.terms(scene.sigma.pullback(b, n).terms)
-            residues = [nf.terms(reduced, mu) for mu in monos]
-            for t in {t for r in residues for t in r}:
-                conditions.insert([r.get(t, fieldk.zero) for r in residues])
+    for g in scene.ideal.gens:
+        if g.degree > M:
+            continue
+        # nf(x . g') = nf(x . nf(g')), and nf(g') is short
+        reduced = nf.terms(scene.sigma.pullback(g, n).terms)
+        residues = [nf.terms(reduced, mu) for mu in monos]
+        for t in {t for r in residues for t in r}:
+            conditions.insert([r.get(t, fieldk.zero) for r in residues])
     vecs, _ = linalg.rref(fieldk, conditions.kernel())
     out = []
     for v in vecs:

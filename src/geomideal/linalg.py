@@ -211,9 +211,3 @@ class NormalForms:
             for s, e in self.monomial(t if shift is None else mono_mul(t, shift)).items():
                 res[s] = add(res.get(s, zero), mul(c, e))
         return res
-
-    def __call__(self, f: Poly, shift: tuple | None = None) -> Poly:
-        """nf(x^shift * f), equal to normal_form of that product."""
-        is_zero = self.ring.field.is_zero
-        return Poly(self.ring, {s: x for s, x in self.terms(f.terms, shift).items()
-                                if not is_zero(x)})

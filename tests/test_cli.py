@@ -356,6 +356,21 @@ def test_idealizer_oracle_column(tmp_path, capsys):
     assert "oracle" in out and "agree" in out and "disagree" not in out
 
 
+def test_idealizer_oracle_at_the_horizon_cap(capsys):
+    """The oracle tests generators only, so the cap horizon costs no more."""
+    path = str(ROOT / "scenes" / "moving_point.scene")
+
+    def rows(horizon):
+        assert main(["idealizer", path, "--oracle-horizon", str(horizon),
+                     "--format", "records"]) == 0
+        return [r for r in map(json.loads, capsys.readouterr().out.splitlines())
+                if r["record"] == "idealizer-row"]
+
+    at_cap = rows(cli.ORACLE_CAP)
+    assert [r.get("oracle") for r in at_cap[1:]] == ["agree"] * (len(at_cap) - 1)
+    assert at_cap == rows(6)
+
+
 def test_stdin_scene(monkeypatch, capsys):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(MINIMAL_P1))

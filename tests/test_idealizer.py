@@ -6,8 +6,9 @@ positive degree, so dim R_n = C(n+2, 2) - 1 and the colon never returns to I.
 The shear-on-a-line family stabilizes immediately and gives dim R_n = n.
 """
 
+import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from geomideal.fields import QQ, PrimeField
@@ -21,13 +22,17 @@ from geomideal.idealizer import (
     pieces_agree,
     stabilization_degree,
 )
+from geomideal.linalg import Echelon, NormalForms, rref
 from geomideal.polykernel import (
     HomIdeal,
+    Poly,
     PolyRing,
+    degree_piece_basis,
     ideal_equal,
     intersect,
+    monomials_of_degree,
 )
-from geomideal.twist import ProjAutomorphism, TwistedElement, twist_multiply
+from geomideal.twist import DegreePiece, ProjAutomorphism, TwistedElement, twist_multiply
 
 RQ = PolyRing(QQ, 3)
 SIGMA = ProjAutomorphism.diagonal(RQ, ["1", "2", "3"])
@@ -139,15 +144,6 @@ def test_exhaustive_oracle_matches_colon_on_moving_point_over_each_field(field):
         assert pieces_agree(idealizer_piece(sc, n), exhaustive_oracle_piece(sc, n, 2))
 
 
-def test_ideal_pieces_are_cached_on_the_scene():
-    from geomideal.polykernel import degree_piece_basis
-
-    sc = fat_point_scene()
-    for m in range(4):
-        assert sc.ideal_piece(m) is sc.ideal_piece(m)
-        assert sc.ideal_piece(m) == degree_piece_basis(sc.ideal, m)
-
-
 def test_membership_oracle_accepts_and_rejects():
     sc = fat_point_scene()
     assert membership_oracle(TwistedElement(1, RQ.parse("x0")), sc, 4)
@@ -156,7 +152,7 @@ def test_membership_oracle_accepts_and_rejects():
 
 
 def test_membership_oracle_is_one_sided_below_horizon():
-    # with horizon 0 the only tested piece is I_0 = 0, so everything passes
+    # with horizon 0 no generator is tested, so everything passes
     sc = fat_point_scene()
     assert membership_oracle(TwistedElement(1, RQ.parse("x2")), sc, 0)
 
@@ -170,10 +166,102 @@ def test_degree_zero_and_zero_element_trivially_members():
 def test_pieces_agree_detects_difference():
     sc = fat_point_scene()
     a = idealizer_piece(sc, 1)
-    from geomideal.twist import DegreePiece
-
     assert not pieces_agree(a, DegreePiece(1, (RQ.parse("x2"),)))
     assert not pieces_agree(a, DegreePiece(2, a.basis))
+
+
+# ---------------------------------------------------------------------------
+# the generator-wise oracle against the piece-by-piece reference
+# ---------------------------------------------------------------------------
+
+def _passing(sc, n, forms):
+    """Row-reduced basis of {x in B_n : x . (b o sigma^n) in I for b in forms},
+    one condition per (form, monomial of a residue)."""
+    ring, fieldk = sc.ring, sc.ring.field
+    monos = monomials_of_degree(ring, n)
+    nf = NormalForms(ring, list(sc.ideal.groebner()))
+    conditions = Echelon(fieldk, len(monos))
+    for b in forms:
+        reduced = nf.terms(sc.sigma.pullback(b, n).terms)
+        residues = [nf.terms(reduced, mu) for mu in monos]
+        for t in {t for r in residues for t in r}:
+            conditions.insert([r.get(t, fieldk.zero) for r in residues])
+    vecs, _ = rref(fieldk, conditions.kernel())
+    return DegreePiece(n, tuple(
+        Poly(ring, {monos[i]: c for i, c in enumerate(v) if not fieldk.is_zero(c)})
+        for v in vecs))
+
+
+def _piecewise_oracle_piece(sc, n, M):
+    """The oracle piece from every basis form of I_0..I_M: the loop the
+    generator-wise oracle replaced, kept as its reference."""
+    return _passing(sc, n, [b for m in range(M + 1) for b in degree_piece_basis(sc.ideal, m)])
+
+
+FIELDS = [QQ, PrimeField(7), PrimeField(32003)]
+
+
+@st.composite
+def oracle_scenes(draw):
+    """A point or a fat point (the square of a point ideal) in P^2, or a
+    twisted cubic in P^3, under a random invertible sigma = P·D·U (P a
+    permutation, D diagonal, U upper unitriangular)."""
+    field = draw(st.sampled_from(FIELDS))
+    kind = draw(st.sampled_from(["point", "fat point", "curve"]))
+    ring = PolyRing(field, 4 if kind == "curve" else 3)
+    k = ring.nvars
+    diag = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+    shear = draw(st.lists(st.integers(-2, 2), min_size=k * k, max_size=k * k))
+    perm = draw(st.permutations(range(k)))
+    upper = [[diag[i] * (1 if i == j else shear[i * k + j] if j > i else 0)
+              for j in range(k)] for i in range(k)]
+    sigma = ProjAutomorphism(ring, [[field.from_int(c) for c in upper[perm[i]]]
+                                    for i in range(k)])
+    if kind == "curve":
+        ideal = HomIdeal.from_strings(ring, ["x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2"])
+    else:
+        a, b = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+        x0, x1, x2 = (ring.variable(i) for i in range(3))
+        lines = [x0 - x2.scale(field.from_int(a)), x1 - x2.scale(field.from_int(b))]
+        gens = lines if kind == "point" else [f * g for i, f in enumerate(lines) for g in lines[i:]]
+        ideal = HomIdeal(ring, gens)
+    return IdealizerScene(ring, sigma, ideal)
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_exhaustive_oracle_matches_the_piecewise_reference(data):
+    """Generators of degree <= M impose the same conditions as every form of
+    I_0..I_M, below, at and above the maximal generator degree."""
+    sc = data.draw(oracle_scenes())
+    for n in range(1, 4):
+        for M in range(sc.ideal.max_gen_degree() + 2):
+            want = _piecewise_oracle_piece(sc, n, M)
+            got = exhaustive_oracle_piece(sc, n, M)
+            assert [p.terms for p in got.basis] == [p.terms for p in want.basis]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_membership_oracle_is_membership_in_the_exhaustive_piece(data):
+    """x is drawn from the forms passing a random subset of the tested
+    generators, plus at times a monomial, so that it fails some generators
+    and passes others."""
+    sc = data.draw(oracle_scenes())
+    ring, char = sc.ring, sc.ring.field.char
+    n = data.draw(st.integers(1, 3))
+    M = data.draw(st.integers(0, sc.ideal.max_gen_degree() + 1))
+    tested = [g for g in sc.ideal.gens if g.degree <= M]
+    subset = [g for g in tested if data.draw(st.booleans())]
+    x = ring.zero()
+    for b in _passing(sc, n, subset).basis:
+        x = x + b.scale(ring.field.from_int(data.draw(st.integers(-3, 3))))
+    if data.draw(st.booleans()):
+        x = x + ring.monomial(data.draw(st.sampled_from(monomials_of_degree(ring, n))))
+    piece = exhaustive_oracle_piece(sc, n, M)
+    rows = [oracles.poly_to_vec(b.terms, ring.nvars, n) for b in piece.basis]
+    want = oracles.in_span(rows, oracles.poly_to_vec(x.terms, ring.nvars, n), char)
+    assert membership_oracle(TwistedElement(n, x), sc, M) == want
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +283,6 @@ def test_pieces_multiply_into_pieces(data):
 
 
 def test_ideal_pieces_lie_in_idealizer_pieces():
-    from geomideal.polykernel import degree_piece_basis
-
     for sc in (fat_point_scene(), moving_point_scene()):
         for n in range(1, 5):
             Q = sc.colon_ideal(n)
