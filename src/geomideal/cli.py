@@ -68,7 +68,6 @@ COMMANDS = (
 # computation, so the run is refused rather than left to crawl
 MAX_DEGREE_CAP = 32
 HORIZON_CAP = 200
-ORACLE_CAP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +374,6 @@ def _check_caps(sf: SceneFile):
     if sf.horizon > HORIZON_CAP:
         raise ResourceCapError(
             f"horizon {sf.horizon} exceeds the cap {HORIZON_CAP}")
-    if sf.oracle is not None and sf.oracle > ORACLE_CAP:
-        raise ResourceCapError(
-            f"oracle horizon {sf.oracle} exceeds the cap {ORACLE_CAP}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,24 +11,26 @@ the product (coprime) criterion applies to a pair whose two elements each
 have exactly one nonzero component, the same one, which every pair of
 polynomials satisfies.
 
-Quotients.  (I : g) for one form g is (1/g)·(I ∩ (g)).  A linear g in
-degrevlex needs no elimination: change coordinates so that g is the last
-variable y.  For a homogeneous J, in(J : y) = in(J) : y and in(J : y^∞) =
-in(J) : y^∞ (Bayer & Stillman, Invent. Math. 1987; Eisenbud, Commutative
-Algebra, Prop. 15.12), so dividing each Groebner basis element of J by y,
-or by the largest power of y dividing it, gives a Groebner basis of (J : y)
-or of (J : y^∞).  Mapped back and reduced, that is the basis of (I : g);
-it is I's basis when all of it lies in I.  Saturation needs no loop:
+Quotients.  (I : g) for a linear form g in degrevlex needs no auxiliary
+variable: change coordinates so that g is the last variable y.  For a
+homogeneous J, in(J : y) = in(J) : y and in(J : y^∞) = in(J) : y^∞ (Bayer &
+Stillman, Invent. Math. 1987; Eisenbud, Commutative Algebra, Prop. 15.12),
+so dividing each Groebner basis element of J by y, or by the largest power
+of y dividing it, gives a Groebner basis of (J : y) or of (J : y^∞).  Mapped
+back and reduced, that is the basis of (I : g); it is I's basis when all of
+it lies in I.  A J with linear generators only is the intersection of those
+quotients.  Any other J = (g_1, ..., g_k) is one module preimage: (I : J) =
+{a : a·(g_1, ..., g_k) ∈ I·e_1 + ... + I·e_k} (Greuel & Pfister, A Singular
+Introduction to Commutative Algebra, ch. 2).  `intersect` returns the
+smaller ideal's reduced basis when one contains the other, and otherwise
+the preimage of (1, 1) under I·e_1 + J·e_2.  Saturation needs no loop:
 (I : m^∞) is the intersection of the (I : x_i^∞), and it is I itself when
-it lies in I.  Any other g eliminates t from t·I + (1−t)·(g).  `intersect`
-returns the smaller ideal's reduced basis when one contains the other, and
-eliminates otherwise.
+it lies in I.
 
 Representation notes.  Monomials are plain exponent tuples of length
 nvars = d + 1; a Poly is a dict {exponent tuple: scalar} plus a cached
-homogeneous-degree tag (None when the terms mix degrees, which only happens
-inside elimination internals).  Term orders are key functions on exponent
-tuples: bigger key = bigger monomial.
+homogeneous-degree tag (None when the terms mix degrees).  Term orders are
+key functions on exponent tuples: bigger key = bigger monomial.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class TermOrder:
     """Monomial well-order given by a key function on exponent tuples.
 
     kind is "degrevlex" or "elim" (single trailing auxiliary variable
-    eliminated first — used by the intersection algorithm).
+    eliminated first).
     """
 
     kind: str
@@ -699,42 +701,34 @@ def unit_ideal(ring: PolyRing) -> HomIdeal:
     return HomIdeal(ring, [ring.one()])
 
 
+def _preimage(ring: PolyRing, vector: list, parts: list) -> list[Poly]:
+    """Reduced Groebner basis of {a in S : a·vector lies in the sum of the
+    parts[k]·e_k}, sorted by decreasing leading monomial.
+
+    One freemod.preimage_generators run in F = ⊕ S(−deg vector_k), where
+    a·vector has degree deg a and the targets are the f·e_k for f in
+    parts[k].gens.
+    """
+    from . import freemod  # local import: freemod imports this module
+
+    F = freemod.FreeModule(ring, [-v.degree for v in vector])
+    targets = [freemod.MVec(F, {k: f}) for k, part in enumerate(parts) for f in part.gens]
+    pre = freemod.preimage_generators([freemod.MVec(F, dict(enumerate(vector)))], targets)
+    return sorted((a.comps[0] for a in pre), key=lambda f: ring.order.key(f.lm()), reverse=True)
+
+
 def intersect(I: HomIdeal, J: HomIdeal) -> HomIdeal:
     """I ∩ J.  When one ideal contains the other (normal forms against the
-    cached bases), the smaller one's reduced basis; otherwise single
-    auxiliary-variable elimination: t·I + (1−t)·J, kill t."""
+    cached bases), the smaller one's reduced basis; otherwise the preimage
+    of (1, 1) under I·e1 + J·e2."""
     ring = I.ring
     if I.is_zero_ideal() or J.is_zero_ideal():
         return HomIdeal(ring, [])
     for small, big in ((I, J), (J, I)):
         if all(big.contains(f) for f in small.gens):
             return HomIdeal(ring, small.groebner(), gb=small.groebner())
-    ering = ring.with_elim_var()
-
-    def lift(f: Poly) -> Poly:
-        return Poly(ering, {m + (0,): c for m, c in f.terms.items()})
-
-    t = ering.variable(ring.nvars)
-    one_minus_t = ering.one() - t
-    gens = [t * lift(f) for f in I.gens] + [one_minus_t * lift(g) for g in J.gens]
-    # the t-free part of the reduced basis is the reduced degrevlex basis of
-    # I ∩ J, already in decreasing order
-    kept = [Poly(ring, {m[:-1]: c for m, c in g.terms.items()})
-            for g in groebner_basis(gens) if all(m[-1] == 0 for m in g.terms)]
-    return HomIdeal(ring, kept, gb=kept)
-
-
-def _quotient_by_poly(I: HomIdeal, g: Poly) -> HomIdeal:
-    """(I : g) = (1/g) · (I ∩ (g)) for a single nonzero homogeneous g, by
-    the revlex route when g is linear (module docstring)."""
-    ring = I.ring
-    if g.degree == 0:
-        return I
-    if g.degree > 1:
-        meet = intersect(I, HomIdeal(ring, [g])).gens
-        return HomIdeal(ring, [_divide_exact(f, g) for f in meet])
-    H = _linear_quotient_basis(I, g, 1)
-    return HomIdeal(ring, H, gb=H)
+    meet = _preimage(ring, [ring.one(), ring.one()], [I, J])
+    return HomIdeal(ring, meet, gb=meet)
 
 
 def _linear_quotient_basis(I: HomIdeal, g: Poly, power) -> list[Poly]:
@@ -771,27 +765,24 @@ def _linear_quotient_basis(I: HomIdeal, g: Poly, power) -> list[Poly]:
     return reduce_basis(quot) if g == xs[last] else groebner_basis(quot)
 
 
-def _divide_exact(f: Poly, g: Poly) -> Poly:
-    """f / g, for an f that g divides."""
-    field = f.ring.field
-    q: dict = {}
-    p = f
-    glm, glc = g.lt()
-    while p.terms:
-        m, c = p.lt()
-        if not mono_divides(glm, m):
-            raise AssertionError("intersection element not divisible by the quotient divisor")
-        qm = mono_div(m, glm)
-        q[qm] = field.div(c, glc)
-        p = p - g.term_mul(q[qm], qm)
-    return Poly(f.ring, q)
-
-
 def ideal_quotient(I: HomIdeal, J: HomIdeal) -> HomIdeal:
-    """(I : J) = {f : f·J ⊆ I}, the intersection of the (I : g), g in J."""
-    if J.is_zero_ideal():
-        return unit_ideal(I.ring)
-    return _fold(intersect, [_quotient_by_poly(I, g) for g in J.gens])
+    """(I : J) = {f : f·J ⊆ I}, the intersection of the (I : g) over the
+    generators g of J.  When they are all linear, the intersection of
+    their revlex quotients (module docstring).  Otherwise the generators
+    that lie in I are dropped, since (I : g) is the unit ideal for those,
+    and the rest, (g_1, ..., g_k), go through one preimage under the sum of
+    the I·e_k, or through the revlex route if they are all linear."""
+    ring = I.ring
+    gens = list(J.gens)
+    if any(g.degree != 1 for g in gens):
+        gens = [g for g in gens if not I.contains(g)]
+    if not gens:
+        return unit_ideal(ring)
+    if all(g.degree == 1 for g in gens):
+        parts = [_linear_quotient_basis(I, g, 1) for g in gens]
+        return _fold(intersect, [HomIdeal(ring, H, gb=H) for H in parts])
+    quot = _preimage(ring, gens, [I] * len(gens))
+    return HomIdeal(ring, quot, gb=quot)
 
 
 def saturate(I: HomIdeal) -> HomIdeal:

@@ -356,8 +356,9 @@ def test_idealizer_oracle_column(tmp_path, capsys):
     assert "oracle" in out and "agree" in out and "disagree" not in out
 
 
-def test_idealizer_oracle_at_the_horizon_cap(capsys):
-    """The oracle tests generators only, so the cap horizon costs no more."""
+def test_idealizer_oracle_at_horizon_1000(capsys):
+    """The oracle tests generators only, so a large horizon costs no more
+    than the top generator degree, and no cap refuses it."""
     path = str(ROOT / "scenes" / "moving_point.scene")
 
     def rows(horizon):
@@ -366,9 +367,9 @@ def test_idealizer_oracle_at_the_horizon_cap(capsys):
         return [r for r in map(json.loads, capsys.readouterr().out.splitlines())
                 if r["record"] == "idealizer-row"]
 
-    at_cap = rows(cli.ORACLE_CAP)
-    assert [r.get("oracle") for r in at_cap[1:]] == ["agree"] * (len(at_cap) - 1)
-    assert at_cap == rows(6)
+    far = rows(1000)
+    assert [r.get("oracle") for r in far[1:]] == ["agree"] * (len(far) - 1)
+    assert far == rows(6)
 
 
 def test_stdin_scene(monkeypatch, capsys):

@@ -6,13 +6,15 @@ real implementations against those references on random inputs.
 """
 
 from fractions import Fraction
+from functools import reduce as _fold
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from geomideal import polykernel
+from geomideal import cli, freemod, polykernel
 from geomideal.fields import QQ, PrimeField
 from geomideal.idealizer import IdealizerScene
 from geomideal.linalg import NormalForms
@@ -35,6 +37,7 @@ from geomideal.polykernel import (
     intersect,
     mono_deg,
     mono_div,
+    mono_divides,
     mono_lcm,
     monomial_primary_decomposition,
     monomial_radical,
@@ -45,6 +48,7 @@ from geomideal.polykernel import (
 )
 from geomideal.twist import ProjAutomorphism
 
+ROOT = Path(__file__).resolve().parents[1]
 RQ = PolyRing(QQ, 3)
 R7 = PolyRing(PrimeField(7), 3)
 RINGS = [RQ, R7]
@@ -477,10 +481,25 @@ def _elim_meet(I, J):
             if all(m[-1] == 0 for m in f.terms)]
 
 
+def _divide_exact(f, g):
+    """f / g, for an f that g divides."""
+    field = f.ring.field
+    q: dict = {}
+    p = f
+    glm, glc = g.lt()
+    while p.terms:
+        m, c = p.lt()
+        assert mono_divides(glm, m), "intersection element not divisible by the divisor"
+        qm = mono_div(m, glm)
+        q[qm] = field.div(c, glc)
+        p = p - g.term_mul(q[qm], qm)
+    return Poly(f.ring, q)
+
+
 def _elim_quotient(I, g):
     """(I : g) as (1/g)·(I ∩ (g)), with the meet by elimination."""
     meet = _elim_meet(I, HomIdeal(I.ring, [g]))
-    return HomIdeal(I.ring, [polykernel._divide_exact(f, g) for f in meet])
+    return HomIdeal(I.ring, [_divide_exact(f, g) for f in meet])
 
 
 @st.composite
@@ -520,7 +539,7 @@ def test_linear_quotient_matches_elimination(data):
     elif shape == "times h":  # non-prime
         h = data.draw(linear_divisor(ring))
         I = HomIdeal(ring, [f * h for f in I.gens])
-    got = polykernel._quotient_by_poly(I, g)
+    got = ideal_quotient(I, HomIdeal(ring, [g]))
     want = _elim_quotient(I, g)
     assert got.groebner() == want.groebner()
     if shape == "contains g":
@@ -541,14 +560,45 @@ def test_intersect_of_nested_ideals_matches_elimination(data):
         assert meet.groebner() == want.groebner()
 
 
-def test_p5_point_colon_runs_no_elimination(monkeypatch):
-    """Set-up (saturation) and colon_ideal(1) on the P^5 point of
-    test_pair_order_pinned_on_p5_point_colon divide only by linear forms, so
-    no Groebner basis is computed in an elimination ring."""
-    ring = PolyRing(QQ, 6)
-    coords = [2, 3, 4, 5, 2]
-    Z = HomIdeal.from_strings(ring, [f"x{i} - {c}*x0" for i, c in enumerate(coords, start=1)])
-    sigma = ProjAutomorphism.diagonal(ring, ["1", "2", "3", "5", "7", "11"])
+@st.composite
+def quotient_case(draw):
+    """(ring, I, J) with J not all linear: one nonlinear generator, several
+    mixed-degree generators, those and a constant, or one and a member of
+    I; I drawn, zero, or drawn so that neither of I and J contains the
+    other."""
+    ring, I = draw(ring_and_ideal(max_deg=2))
+    shape = draw(st.sampled_from(["nonlinear", "mixed", "constant", "member of I"]))
+    linear = homogeneous_poly(ring, max_deg=1)
+    gens = [draw(homogeneous_poly(ring, max_deg=3).filter(lambda g: g.degree > 1))]
+    if shape in ("mixed", "constant"):
+        gens += [draw(linear)] + draw(st.lists(homogeneous_poly(ring, max_deg=3), max_size=1))
+    if shape == "constant":
+        gens.append(ring.constant(ring.field.from_int(draw(st.integers(1, 6)))))
+    elif shape == "member of I":
+        gens.append(I.gens[0] * draw(linear))
+    J = HomIdeal(ring, gens)
+    kind = draw(st.sampled_from(["as drawn", "zero", "not nested"]))
+    if kind == "zero":
+        I = HomIdeal(ring, [])
+    elif kind == "not nested":
+        assume(not all(map(J.contains, I.gens)) and not all(map(I.contains, J.gens)))
+    return ring, I, J
+
+
+@given(quotient_case())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_quotient_and_intersect_match_elimination(case):
+    """The module preimage against the elimination route kept here as the
+    reference: (I : J) as the meet of the (I : g), g in J, and I ∩ J."""
+    ring, I, J = case
+    want = _fold(intersect, [_elim_quotient(I, g) for g in J.gens])
+    assert ideal_quotient(I, J).groebner() == want.groebner()
+    assert intersect(I, J).groebner() == tuple(_elim_meet(I, J))
+
+
+@pytest.fixture
+def buchberger_orders(monkeypatch):
+    """The term order kind of every Buchberger run, polynomial or module."""
     orders = []
     real = polykernel.buchberger
 
@@ -557,9 +607,52 @@ def test_p5_point_colon_runs_no_elimination(monkeypatch):
         return real(gens, sort_key, nf)
 
     monkeypatch.setattr(polykernel, "buchberger", counting)
+    monkeypatch.setattr(freemod, "buchberger", counting)
+    return orders
+
+
+def test_p5_point_colon_runs_no_elimination(buchberger_orders):
+    """Set-up (saturation) and colon_ideal(1) on the P^5 point of
+    test_pair_order_pinned_on_p5_point_colon divide only by linear forms, so
+    no Groebner basis is computed in an elimination ring."""
+    ring = PolyRing(QQ, 6)
+    coords = [2, 3, 4, 5, 2]
+    Z = HomIdeal.from_strings(ring, [f"x{i} - {c}*x0" for i, c in enumerate(coords, start=1)])
+    sigma = ProjAutomorphism.diagonal(ring, ["1", "2", "3", "5", "7", "11"])
     scene = IdealizerScene(ring, sigma, Z)
     assert not scene.colon_ideal(1).is_unit()
-    assert orders and "elim" not in orders
+    assert buchberger_orders and "elim" not in buchberger_orders
+
+
+TWISTED_CUBIC = """\
+field rational
+dim 3
+sigma
+1 0 0 0
+0 2 0 0
+0 0 3 0
+0 0 0 5
+ideal
+x0*x2 - x1^2
+x0*x3 - x1*x2
+x1*x3 - x2^2
+end
+"""
+
+
+@pytest.mark.parametrize("command", ["colon", "classify", "idealizer"])
+@pytest.mark.parametrize("scene", ["conic_pair", "fat_point", "twisted_cubic"])
+def test_cli_on_curves_and_fat_points_runs_no_elimination(scene, command, tmp_path,
+                                                          buchberger_orders):
+    """A Z that is not a linear point takes the module preimage for its
+    colons and intersections, so no command builds an elimination ring."""
+    if scene == "twisted_cubic":
+        path = tmp_path / "twisted_cubic.scene"
+        path.write_text(TWISTED_CUBIC)
+    else:
+        path = ROOT / "scenes" / f"{scene}.scene"
+    assert cli.main([command, str(path)]) == 0
+    assert buchberger_orders and "elim" not in buchberger_orders
 
 
 # ---------------------------------------------------------------------------
