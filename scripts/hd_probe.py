@@ -5,8 +5,9 @@ Over A = k[x0,x1,x2]/(x1^2 x2 - x0^3), the residue field at the cusp
 [0:0:1] has Tor_j nonzero for every probed j (the singular point sees
 infinite homological dimension), while a smooth point's Tor dies from
 j = 2 on.  Tor is read off a free resolution over A lifted to S, so every
-printed dimension is exact; the window printed with the table only chooses
-which degrees are shown.
+printed dimension is exact.  A Tor_j is marked nonzero when its Hilbert
+polynomial is, i.e. when the Tor sheaf at the point is nonzero; the window
+printed with the table only chooses which degrees are shown.
 """
 
 import argparse
@@ -27,7 +28,7 @@ def show(label, rep):
         dims = " ".join(str(x) for x in rep.table[j])
         alive = "nonzero" if rep.verdicts[j] else "dies"
         print(f"  Tor_{j}: {dims}  [{alive}]")
-    tag = "infinite-hd evidence" if rep.infinite_hd_evidence else "finite hd in window"
+    tag = "infinite-hd evidence" if rep.infinite_hd_evidence else "finite hd"
     print(f"  verdict: {tag}")
 
 

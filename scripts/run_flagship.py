@@ -34,7 +34,7 @@ def flagship_scene():
     ring = PolyRing(QQ, 3)
     sigma = ProjAutomorphism.diagonal(ring, ["1", "2", "3"])
     Z = RationalPoint.parse(QQ, "[1:1:1]").ideal(ring)
-    return IdealizerScene(ring, sigma, Z, gorenstein_z=True, smooth_z=True)
+    return IdealizerScene(ring, sigma, Z, gorenstein_z=True)
 
 
 def main():

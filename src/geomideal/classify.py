@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
 from .errors import SceneVerificationError, UsageError
 from .geometry import (
     RationalPoint,
@@ -31,14 +30,12 @@ from .idealizer import IdealizerScene, stabilization_degree
 from .polykernel import (
     HomIdeal,
     codimension,
-    degree_piece_basis,
     hilbert_polynomial,
     ideal_equal,
     intersect,
     is_monomial_ideal,
     monomial_primary_decomposition,
     monomial_radical,
-    monomials_of_degree,
     saturate,
 )
 from .twist import ProjAutomorphism
@@ -84,75 +81,22 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _splits_along(field, rows, classes, ncols) -> bool:
-    """Does the row space decompose as the direct sum of its intersections
-    with the given coordinate-index classes?"""
-    total = linalg.rank(field, rows)
-    if total == 0:
-        return True
-    acc = 0
-    for cls in classes:
-        rest = [j for j in range(ncols) if j not in cls]
-        restricted = [[r[j] for j in rest] for r in rows]
-        acc += total - linalg.rank(field, restricted)
-    return acc == total
-
-
-def _eigenclass_split(ideal: HomIdeal, sigma: ProjAutomorphism) -> str:
-    """For diagonal sigma over the rationals: "exact" when every graded piece
-    of the ideal is a sum of sigma-eigenspaces (so every power fixes it),
-    "sign" when the pieces only split after identifying eigenvalues up to
-    sign (even powers fix it), "none" when some piece never splits -- in
-    which case no power of sigma fixes the ideal at all.
-    """
-    ring = ideal.ring
-    field = ring.field
-    entries = sigma.diagonal_entries()
-    top = ideal.max_gen_degree()
-    exact_ok = True
-    sign_ok = True
-    for m in range(1, top + 1):
-        basis = degree_piece_basis(ideal, m)
-        if not basis:
-            continue
-        mons = monomials_of_degree(ring, m)
-        rows = [[g.terms.get(mono, field.zero) for mono in mons] for g in basis]
-
-        eigen = []
-        for mono in mons:
-            v = field.one
-            for i, e in enumerate(mono):
-                for _ in range(e):
-                    v = field.mul(v, entries[i])
-            eigen.append(v)
-
-        def classes_by(key):
-            groups: dict = {}
-            for j, v in enumerate(eigen):
-                groups.setdefault(key(v), set()).add(j)
-            return list(groups.values())
-
-        if exact_ok and not _splits_along(field, rows, classes_by(lambda v: v), len(mons)):
-            exact_ok = False
-        if not _splits_along(field, rows, classes_by(abs), len(mons)):
-            sign_ok = False
-            break
-    if exact_ok:
-        return "exact"
-    if sign_ok:
-        return "sign"
-    return "none"
-
-
 def sigma_ideal_order(ideal: HomIdeal, sigma: ProjAutomorphism,
                       bound: int) -> OrderResult:
     """sigma-order of an ideal under pullback, searched to bound and then
     extended by a certificate when the automorphism admits one.
 
-    Certificates: eigenclass obstructions for diagonal sigma in
-    characteristic 0 (scalar eigenvalue ratios never return to 1), rigidity
-    for unipotent sigma (a subspace fixed by some power is fixed by sigma
-    itself), and the finite matrix group over a prime field.
+    Certificates: the eigenclass obstruction for diagonal sigma over Q,
+    rigidity for unipotent sigma (a subspace fixed by some power is fixed
+    by sigma itself), and the finite matrix group over a prime field.
+
+    Eigenclass obstruction.  A diagonal sigma^n fixes I exactly when every
+    graded piece I_m is the sum of its pieces in the sigma^n-eigenspaces,
+    which are spanned by monomials.  Over Q, monomials with equal
+    eigenvalue under sigma^n have equal |eigenvalue| under sigma, and
+    sigma^2 groups monomials by exactly that |eigenvalue|; so if sigma^n
+    fixes I, so does sigma^2, and when sigma^2 does not fix I no power
+    does.  The direct scan has already tried n = 2 when bound >= 2.
     """
     if bound < 1:
         raise ValueError("order bound must be >= 1")
@@ -162,9 +106,8 @@ def sigma_ideal_order(ideal: HomIdeal, sigma: ProjAutomorphism,
     field = sigma.ring.field
     if field.char == 0:
         if sigma.is_diagonal():
-            if _eigenclass_split(ideal, sigma) == "none":
+            if bound >= 2 or not ideal_equal(sigma.pullback_ideal(ideal, 2), ideal):
                 return OrderResult(None, True, "eigenclass-obstruction")
-            # a split would have been caught by the direct scan (n <= 2)
         elif _unipotent_scalar(sigma) is not None:
             return OrderResult(None, True, "unipotent-rigidity")
     else:
@@ -181,35 +124,24 @@ def sigma_ideal_order(ideal: HomIdeal, sigma: ProjAutomorphism,
 # ---------------------------------------------------------------------------
 
 def reduced_point_of(ideal: HomIdeal) -> RationalPoint | None:
-    """The rational point cut out by a saturated ideal, or None.
+    """The rational point cut out by an ideal, or None.
 
-    Requires constant Hilbert polynomial 1 and d independent linear forms
-    whose common zero reproduces the ideal exactly.
+    An ideal is the ideal of a rational point exactly when its reduced
+    Groebner basis is d linear forms x_i − c_i·x_k, where x_k is the one
+    variable that leads none of them; the point is then x_k = 1, x_i = c_i.
     """
     ring = ideal.ring
-    hp = hilbert_polynomial(ideal)
-    if hp.degree() != 0 or hp.constant_value() != 1:
-        return None
-    lin = degree_piece_basis(ideal, 1)
-    if len(lin) != ring.nvars - 1:
-        return None
     field = ring.field
-    mons = monomials_of_degree(ring, 1)
-    var_of_col = [next(i for i, e in enumerate(m) if e) for m in mons]
-    rows = [[g.terms.get(m, field.zero) for m in mons] for g in lin]
-    ker = linalg.kernel_basis(field, rows, len(mons))
-    if len(ker) != 1:
+    gb = ideal.groebner()
+    if len(gb) != ring.nvars - 1 or any(g.degree != 1 for g in gb):
         return None
-    coords = [field.zero] * ring.nvars
-    for j, v in enumerate(ker[0]):
-        coords[var_of_col[j]] = v
-    try:
-        p = RationalPoint.of(field, coords)
-    except ValueError:
-        return None
-    if ideal_equal(ideal, p.ideal(ring)):
-        return p
-    return None
+    lead = {g.lm().index(1): g for g in gb}
+    k = next(i for i in range(ring.nvars) if i not in lead)
+    xk = ring.variable(k).lm()
+    coords = [field.one] * ring.nvars
+    for i, g in lead.items():
+        coords[i] = field.neg(g.terms.get(xk, field.zero))
+    return RationalPoint.of(field, coords)
 
 
 # ---------------------------------------------------------------------------

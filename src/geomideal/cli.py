@@ -106,13 +106,12 @@ class SceneFile:
     oracle: int | None = None
     order_bound: int = 12
     gorenstein_z: bool = False
-    smooth_z: bool = False
 
     def scene(self) -> IdealizerScene:
         return IdealizerScene(
             self.ring, self.sigma, self.ideal,
             declared_components=self.components,
-            gorenstein_z=self.gorenstein_z, smooth_z=self.smooth_z,
+            gorenstein_z=self.gorenstein_z,
         )
 
 
@@ -208,7 +207,7 @@ def parse_scene(text: str) -> SceneFile:
     quotient_block = None
     point_specs: list[tuple[int, str]] = []
     counts: dict[str, int] = {}
-    declares: set[str] = set()
+    gorenstein_z = False
 
     while ps.peek() is not None:
         no, content = ps.take()
@@ -310,11 +309,10 @@ def parse_scene(text: str) -> SceneFile:
             else:
                 counts[_COUNTS[head]] = val
         elif head == "declare":
-            if parts[1:] in (["gorenstein-z"], ["smooth-z"]):
-                declares.add(parts[1])
+            if parts[1:] == ["gorenstein-z"]:
+                gorenstein_z = True
             else:
-                ps.bad(no, "BAD_DECLARE",
-                       "expected 'declare gorenstein-z' or 'declare smooth-z'")
+                ps.bad(no, "BAD_DECLARE", "expected 'declare gorenstein-z'")
 
     for want, name in ((field, "field"), (d, "dim"),
                        (sigma_rows, "sigma"), (ideal_block, "ideal")):
@@ -361,8 +359,7 @@ def parse_scene(text: str) -> SceneFile:
         ring=ring, sigma=sigma, ideal=ideal,
         components=tuple(components), points=tuple(points),
         against=against, quotient=quotient,
-        gorenstein_z="gorenstein-z" in declares,
-        smooth_z="smooth-z" in declares,
+        gorenstein_z=gorenstein_z,
         **counts,
     )
 

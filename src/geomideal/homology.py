@@ -22,9 +22,9 @@ free_resolution(I, length, modulo=Q) resolves A/IA to the given length with
 the same kernel: each map is lifted to S, and its kernel over A is the
 preimage of Q times the target.  For Q inside J the Tor formula above then
 gives Tor over A unchanged.  truncated_tor_over_quotient tabulates it at a
-point and reports which Tor_j stay nonzero at the top of a degree window —
-finite-length junk concentrated at the cone vertex dies out below the
-window top, positive-dimensional (sheaf-level) contributions persist.
+rational point P on a degree window and reports which Tor_j are nonzero as
+sheaves: the sheaf Tor_j(O_Z, k(P)) is supported at P, so it vanishes
+exactly when the Hilbert polynomial of the graded Tor_j is zero.
 """
 
 from __future__ import annotations
@@ -275,10 +275,8 @@ class QuotientTorReport:
     """Degreewise Tor table over A = S/Q in degrees 0..window.
 
     Every dimension is exact; the window only selects which degrees are
-    tabulated and read.  verdicts[j] is True when Tor_j is nonzero at the
-    top of the window, the signature of support away from the cone vertex
-    (sheaf-level nonvanishing at the probed point); vertex-supported junk
-    dies out before the top.
+    tabulated.  verdicts[j] is True when the Hilbert polynomial of Tor_j is
+    nonzero, that is, when the Tor_j sheaf at the probed point is nonzero.
     """
 
     quotient: HomIdeal
@@ -308,12 +306,9 @@ def truncated_tor_over_quotient(
     space (Q = 0 means X is projective space itself); P_ideal must define a
     rational point lying on X, so Q lies in P and tor_from_resolution reads
     Tor over A off the free_resolution of A/MA over A.  Every dimension is
-    exact.
-
-    The default window is j_max + (max generator degree of Q) + (max
-    generator degree of M) + 2 — wide enough that vertex-supported junk,
-    which climbs roughly one degree per homological step, clears the window
-    top before the verdict degrees.
+    exact, and each verdict reads the Hilbert polynomial of the same Tor_j,
+    so the window only chooses the degrees shown.  The default window is
+    j_max + (max generator degree of Q) + (max generator degree of M) + 2.
     """
     Q = ambient_quotient
     P = saturate(P_ideal)
@@ -331,15 +326,13 @@ def truncated_tor_over_quotient(
         m_deg = max((g.degree for g in M_ideal.gens), default=1)
         deg_bound = j_max + q_deg + m_deg + 2
     res = free_resolution(M_ideal, j_max + 1, modulo=Q)
-    table = {j: tor_from_resolution(res, P, j).dims(0, deg_bound)
-             for j in range(1, j_max + 1)}
-    verdicts = {
-        j: any(v > 0 for v in dims[-2:]) for j, dims in table.items()
-    }
+    tors = {j: tor_from_resolution(res, P, j) for j in range(1, j_max + 1)}
+    table = {j: tor.dims(0, deg_bound) for j, tor in tors.items()}
+    verdicts = {j: not tor.is_sheaf_trivial() for j, tor in tors.items()}
     notes = (
         "dimensions exact in every degree; the window selects the degrees "
-        "tabulated; verdict True = nonzero at window top (support off the "
-        "cone vertex)",
+        "tabulated; verdict True = Tor_j has a nonzero Hilbert polynomial "
+        "(nonzero Tor sheaf at the point)",
     )
     return QuotientTorReport(
         quotient=Q,

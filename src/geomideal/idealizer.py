@@ -51,7 +51,6 @@ class IdealizerScene:
     ideal: HomIdeal
     declared_components: tuple[tuple[HomIdeal, HomIdeal | None], ...] = ()
     gorenstein_z: bool = False
-    smooth_z: bool = False
     _colon_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):

@@ -18,14 +18,20 @@ Stillman, Invent. Math. 1987; Eisenbud, Commutative Algebra, Prop. 15.12),
 so dividing each Groebner basis element of J by y, or by the largest power
 of y dividing it, gives a Groebner basis of (J : y) or of (J : y^∞).  Mapped
 back and reduced, that is the basis of (I : g); it is I's basis when all of
-it lies in I.  A J with linear generators only is the intersection of those
-quotients.  Any other J = (g_1, ..., g_k) is one module preimage: (I : J) =
-{a : a·(g_1, ..., g_k) ∈ I·e_1 + ... + I·e_k} (Greuel & Pfister, A Singular
-Introduction to Commutative Algebra, ch. 2).  `intersect` returns the
-smaller ideal's reduced basis when one contains the other, and otherwise
-the preimage of (1, 1) under I·e_1 + J·e_2.  Saturation needs no loop:
-(I : m^∞) is the intersection of the (I : x_i^∞), and it is I itself when
-it lies in I.
+it lies in I.  Generators of J that lie in I are dropped first.  A J with
+linear generators only is the intersection of those quotients.  Any other
+J = (g_1, ..., g_k) is one module preimage: (I : J) = {a : a·(g_1, ...,
+g_k) ∈ I·e_1 + ... + I·e_k} (Greuel & Pfister, A Singular Introduction to
+Commutative Algebra, ch. 2).  `intersect` returns the smaller ideal's
+reduced basis when one contains the other, and otherwise the preimage of
+(1, 1) under I·e_1 + J·e_2.  Saturation needs no loop: (I : m^∞) is the
+intersection of the (I : x_i^∞), and it is I itself when it lies in I.
+
+Degree pieces.  The standard monomials, those no leading monomial of the
+reduced basis divides, are a basis of S/I (Macaulay; Eisenbud, Commutative
+Algebra, Thm 15.3).  So I_n has the basis m − nf(m) over the other degree-n
+monomials m, and that basis is its reduced row echelon form: it is read off
+the Groebner basis, with no matrix.
 
 Representation notes.  Monomials are plain exponent tuples of length
 nvars = d + 1; a Poly is a dict {exponent tuple: scalar} plus a cached
@@ -767,15 +773,13 @@ def _linear_quotient_basis(I: HomIdeal, g: Poly, power) -> list[Poly]:
 
 def ideal_quotient(I: HomIdeal, J: HomIdeal) -> HomIdeal:
     """(I : J) = {f : f·J ⊆ I}, the intersection of the (I : g) over the
-    generators g of J.  When they are all linear, the intersection of
-    their revlex quotients (module docstring).  Otherwise the generators
-    that lie in I are dropped, since (I : g) is the unit ideal for those,
-    and the rest, (g_1, ..., g_k), go through one preimage under the sum of
-    the I·e_k, or through the revlex route if they are all linear."""
+    generators g of J.  The generators that lie in I are dropped first,
+    since (I : g) is the unit ideal for those.  When the rest are all
+    linear, the intersection of their revlex quotients (module docstring);
+    otherwise the rest, (g_1, ..., g_k), go through one preimage under the
+    sum of the I·e_k."""
     ring = I.ring
-    gens = list(J.gens)
-    if any(g.degree != 1 for g in gens):
-        gens = [g for g in gens if not I.contains(g)]
+    gens = [g for g in J.gens if not I.contains(g)]
     if not gens:
         return unit_ideal(ring)
     if all(g.degree == 1 for g in gens):
@@ -933,10 +937,17 @@ def _binomial_poly(shift: int, top: int) -> tuple:
 
 def hilbert_polynomial_from_numerator(num: dict[int, int], nvars: int) -> HilbertPoly:
     """Σ c_a·C(n − a + nvars − 1, nvars − 1) over the terms c_a·u^a of N: the
-    u^n coefficient of N(u)/(1−u)^nvars for every n ≥ deg N."""
+    u^n coefficient of N(u)/(1−u)^nvars for every n ≥ deg N.  With
+    r = nvars − 1, r!·C(n − a + r, r) = (n − a + 1)···(n − a + r) has integer
+    coefficients, so the sum is taken over Z and divided by r! once."""
     r = nvars - 1
-    terms = (_poly_n_scale(_binomial_poly(r - a, r), Fraction(c)) for a, c in sorted(num.items()))
-    return HilbertPoly(_fold(_poly_n_add, terms, ()))
+    total = [0] * (r + 1)
+    for a, c in num.items():
+        term = [c]
+        for i in range(1, r + 1):  # times (n + i − a)
+            term = [x * (i - a) + y for x, y in zip(term + [0], [0] + term)]
+        total = [x + y for x, y in zip(total, term)]
+    return HilbertPoly(_poly_n_trim([Fraction(x, math.factorial(r)) for x in total]))
 
 
 def hilbert_polynomial(I: HomIdeal) -> HilbertPoly:
@@ -962,28 +973,22 @@ def dim_ideal_piece(I: HomIdeal, n: int) -> int:
 
 
 def degree_piece_basis(I: HomIdeal, n: int) -> list[Poly]:
-    """Row-reduced canonical basis of the degree-n piece of I."""
-    from . import linalg  # local import: linalg imports this module
-
+    """Row-reduced canonical basis of the degree-n piece of I, with the
+    degree-n monomials as columns in decreasing order: m − nf(m) for each
+    such m that a leading monomial of the reduced basis divides, largest m
+    first.  Every tail term is a standard monomial, so these rows are the
+    unique reduced echelon form (module docstring)."""
     ring = I.ring
-    monos = monomials_of_degree(ring, n)
-    col = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for g in I.gens:
-        dg = g.degree
-        if dg is None or dg > n:
-            continue
-        for mu in monomials_of_degree(ring, n - dg):
-            prod = g.term_mul(ring.field.one, mu)
-            row = [ring.field.zero] * len(monos)
-            for m, c in prod.terms.items():
-                row[col[m]] = c
-            rows.append(row)
-    reduced, _ = linalg.rref(ring.field, rows)
+    field = ring.field
+    gb = list(I.groebner())
+    leads = [g.lm() for g in gb]
     out = []
-    for row in reduced:
-        terms = {monos[i]: c for i, c in enumerate(row) if not ring.field.is_zero(c)}
-        out.append(Poly(ring, terms))
+    for m in monomials_of_degree(ring, n):
+        if any(mono_divides(lead, m) for lead in leads):
+            row = {m: field.one}
+            for t, c in normal_form(ring.monomial(m), gb).terms.items():
+                row[t] = field.neg(c)
+            out.append(Poly(ring, row, (m, field.one)))
     return out
 
 

@@ -7,7 +7,10 @@ quotient-probe scenes.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from geomideal.classify import (
     CITATIONS,
     EVIDENCE_KINDS,
@@ -22,7 +25,13 @@ from geomideal.classify import (
 from geomideal.fields import QQ, PrimeField
 from geomideal.geometry import RationalPoint
 from geomideal.idealizer import IdealizerScene
-from geomideal.polykernel import HomIdeal, PolyRing, ideal_equal, intersect
+from geomideal.polykernel import (
+    HomIdeal,
+    PolyRing,
+    ideal_equal,
+    intersect,
+    monomials_of_degree,
+)
 from geomideal.twist import ProjAutomorphism
 
 RQ = PolyRing(QQ, 3)
@@ -95,6 +104,68 @@ def test_order_sign_classes_give_period_two():
     assert (r.order, r.justification) == (2, "direct-power-match")
 
 
+def test_order_sign_split_at_bound_one_is_not_certified():
+    # sigma^2 fixes (x0 + x1), so bound 1 leaves the order open
+    neg = ProjAutomorphism.diagonal(RQ, ["1", "-1", "2"])
+    r = sigma_ideal_order(ideal("x0 + x1"), neg, 1)
+    assert (r.order, r.certified_infinite, r.justification) == (
+        None, False, "order-bound-exhausted")
+
+
+def test_order_moving_point_certified_at_bound_one():
+    r = sigma_ideal_order(pt("[1:1:1]").ideal(RQ), SIGMA, 1)
+    assert (r.order, r.certified_infinite, r.justification) == (
+        None, True, "eigenclass-obstruction")
+
+
+def _splits_by_abs_eigenvalue(I, entries):
+    """Reference rank test: every piece I_m up to the top generator degree
+    is the direct sum of its intersections with the spans of the monomial
+    classes of equal |eigenvalue| (oracle linear algebra over Q)."""
+    nv = I.ring.nvars
+    gens = [dict(g.terms) for g in I.gens]
+    for m in range(1, I.max_gen_degree() + 1):
+        monos = oracles.monomials(nv, m)
+        rows = oracles.degree_piece_rows(gens, nv, m)
+        total = oracles.rref_rank(rows)[1]
+        classes: dict = {}
+        for j, mono in enumerate(monos):
+            value = 1
+            for e, x in zip(mono, entries):
+                value *= x ** e
+            classes.setdefault(abs(value), set()).add(j)
+        inside = 0
+        for cls in classes.values():
+            rest = [[r[j] for j in range(len(monos)) if j not in cls] for r in rows]
+            inside += total - oracles.rref_rank(rest)[1]
+        if inside != total:
+            return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_eigenclass_certificate_matches_the_rank_test(data):
+    nv = data.draw(st.integers(2, 3))
+    ring = PolyRing(QQ, nv)
+    entries = data.draw(st.lists(st.sampled_from([1, -1, 2, -2, 3]), min_size=nv, max_size=nv))
+    sigma = ProjAutomorphism.diagonal(ring, [str(x) for x in entries])
+    gens = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        monos = monomials_of_degree(ring, data.draw(st.integers(1, 2)))
+        chosen = data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        gens.append(sum((ring.monomial(m, QQ.from_int(data.draw(st.sampled_from([-2, -1, 1, 3]))))
+                         for m in chosen), ring.zero()))
+    I = HomIdeal(ring, gens)
+    splits = _splits_by_abs_eigenvalue(I, [QQ.from_int(x) for x in entries])
+    for bound in (1, 2, 3):
+        r = sigma_ideal_order(I, sigma, bound)
+        if r.order is None:
+            assert r.certified_infinite == (not splits)
+        else:
+            assert not r.certified_infinite
+
+
 def test_order_unipotent_rigidity():
     R1 = PolyRing(QQ, 2)
     shear = ProjAutomorphism.from_strings(R1, [["1", "1"], ["0", "1"]])
@@ -141,6 +212,20 @@ def test_reduced_point_rejects_non_points():
     assert reduced_point_of(ideal("x0")) is None
     assert reduced_point_of(ideal(*FAT_GENS)) is None
     assert reduced_point_of(ideal("x0*x1")) is None
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_reduced_point_over_gf7_and_with_extra_generators(d):
+    ring = PolyRing(PrimeField(7), d + 1)
+    square = HomIdeal(ring, [ring.monomial(m) for m in monomials_of_degree(ring, 2)])
+    texts = ["[1:3]", "[0:1]"] if d == 1 else ["[1:3:5:6]", "[0:0:2:1]", "[0:0:0:1]"]
+    for text in texts:
+        p = pt(text, PrimeField(7))
+        P = p.ideal(ring)
+        assert reduced_point_of(P) == p
+        quadric = P.gens[0] * ring.variable(d) + P.gens[-1] * ring.variable(0)
+        assert reduced_point_of(HomIdeal(ring, list(P.gens) + [quadric])) == p
+        assert reduced_point_of(intersect(P, square)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -97,11 +97,11 @@ def test_comments_and_blanks_ignored():
 
 
 def test_full_grammar():
-    text = FLAGSHIP + "component\nx0 - x2\nx1 - x2\nend\noracle 5\norder-bound 7\ndeclare smooth-z\n"
+    text = FLAGSHIP + "component\nx0 - x2\nx1 - x2\nend\noracle 5\norder-bound 7\n"
     sf = parse_scene(text)
     assert sf.horizon == 8 and sf.maxdeg == 4 and sf.oracle == 5
     assert sf.order_bound == 7
-    assert sf.gorenstein_z and sf.smooth_z
+    assert sf.gorenstein_z
     assert len(sf.components) == 1 and sf.components[0][1] is None
     assert str(sf.points[0]) == "[1 : 1 : 1]"
 
@@ -239,6 +239,13 @@ def test_parse_error_exit_two(tmp_path, capsys):
     bad = MINIMAL_P1.replace("1 0\n0 1", "1 1\n1 1")
     assert main(["gb", scene_path(tmp_path, bad)]) == 2
     assert "SINGULAR_SIGMA" in capsys.readouterr().err
+
+
+def test_smooth_z_declaration_is_rejected(tmp_path, capsys):
+    # the grammar has no smoothness flag: no verdict would read it
+    bad = FLAGSHIP + "declare smooth-z\n"
+    assert main(["gb", scene_path(tmp_path, bad)]) == 2
+    assert "BAD_DECLARE" in capsys.readouterr().err
 
 
 def test_missing_file_exit_two(tmp_path, capsys):

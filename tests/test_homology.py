@@ -321,6 +321,16 @@ def test_smooth_point_tor_stops_at_one():
     assert not rep.infinite_hd_evidence
 
 
+def test_probe_verdicts_read_the_hilbert_polynomial_of_each_tor():
+    # the smooth point's finite-length Tor_j sits at the top of the default
+    # window for large j (it climbs 3 degrees per 2 steps over the cubic);
+    # a Tor sheaf at the point is zero exactly when its Hilbert polynomial is
+    smooth = truncated_tor_over_quotient(CUBIC, SMOOTH_PT, SMOOTH_PT, j_max=12)
+    cusp = truncated_tor_over_quotient(CUBIC, CUSP, CUSP, j_max=12)
+    assert all(smooth.verdicts[j] is False for j in range(2, 13))
+    assert all(cusp.verdicts[j] is True for j in range(1, 13))
+
+
 def test_probe_point_must_lie_on_quotient_locus():
     off = ideal(RQ, "x0 - x2", "x1 - 2*x2")
     with pytest.raises(ValueError, match="point not on"):

@@ -706,6 +706,39 @@ def test_degree_piece_basis_dimension(ri):
             assert I.contains(b)
 
 
+def _oracle_piece_rref(ring, I, n):
+    """The reduced row echelon form of I_n from the oracle's spanning rows,
+    with the columns reordered to monomials_of_degree (decreasing)."""
+    monos = monomials_of_degree(ring, n)
+    col = {m: i for i, m in enumerate(oracles.monomials(ring.nvars, n))}
+    rows = [[row[col[m]] for m in monos]
+            for row in oracles.degree_piece_rows(_terms_list(I), ring.nvars, n, _char(ring))]
+    reduced, rank = oracles.rref_rank(rows, _char(ring))
+    return reduced[:rank]
+
+
+def _piece_rows(ring, basis, n):
+    monos = monomials_of_degree(ring, n)
+    return [[b.terms.get(m, 0) for m in monos] for b in basis]
+
+
+@given(ring_and_ideal(max_deg=2))
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_degree_piece_basis_is_the_oracle_rref(ri):
+    ring, I = ri
+    for n in range(5):
+        assert _piece_rows(ring, degree_piece_basis(I, n), n) == _oracle_piece_rref(ring, I, n)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=["QQ", "GF7"])
+def test_degree_piece_basis_of_zero_and_unit_ideals(ring):
+    for I in (HomIdeal(ring, []), unit_ideal(ring)):
+        for n in range(4):
+            basis = degree_piece_basis(I, n)
+            assert _piece_rows(ring, basis, n) == _oracle_piece_rref(ring, I, n)
+        assert len(degree_piece_basis(I, 2)) == (0 if I.is_zero_ideal() else 6)
+
+
 # ---------------------------------------------------------------------------
 # monomial primary decomposition
 # ---------------------------------------------------------------------------
