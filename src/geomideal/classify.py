@@ -97,20 +97,26 @@ def sigma_ideal_order(ideal: HomIdeal, sigma: ProjAutomorphism,
     sigma^2 groups monomials by exactly that |eigenvalue|; so if sigma^n
     fixes I, so does sigma^2, and when sigma^2 does not fix I no power
     does.  The direct scan has already tried n = 2 when bound >= 2.
+
+    Both certificates also bound the scan: a diagonal sigma over Q fixes I
+    with some power only if sigma or sigma^2 does, and a unipotent one only
+    if sigma does, so no later power is pulled back.
     """
     if bound < 1:
         raise ValueError("order bound must be >= 1")
-    for n in range(1, bound + 1):
+    field = sigma.ring.field
+    diagonal = field.char == 0 and sigma.is_diagonal()
+    unipotent = field.char == 0 and not diagonal and _unipotent_scalar(sigma) is not None
+    last = 2 if diagonal else 1 if unipotent else bound
+    for n in range(1, min(bound, last) + 1):
         if ideal_equal(sigma.pullback_ideal(ideal, n), ideal):
             return OrderResult(n, False, "direct-power-match")
-    field = sigma.ring.field
-    if field.char == 0:
-        if sigma.is_diagonal():
-            if bound >= 2 or not ideal_equal(sigma.pullback_ideal(ideal, 2), ideal):
-                return OrderResult(None, True, "eigenclass-obstruction")
-        elif _unipotent_scalar(sigma) is not None:
-            return OrderResult(None, True, "unipotent-rigidity")
-    else:
+    if diagonal:
+        if bound >= 2 or not ideal_equal(sigma.pullback_ideal(ideal, 2), ideal):
+            return OrderResult(None, True, "eigenclass-obstruction")
+    elif unipotent:
+        return OrderResult(None, True, "unipotent-rigidity")
+    elif field.char != 0:
         k = projective_order(sigma)
         if k is not None:
             for div in _divisors(k):

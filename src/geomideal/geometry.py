@@ -1,14 +1,17 @@
 """Orbit dynamics of a linear automorphism and transversality certificates.
 
 Verdicts about forward orbits meeting a subscheme come in two strengths.  A
-horizon scan lists the hits n <= horizon exactly.  On top of that, two
-certificate routes can bound ALL hits: for diagonal sigma the evaluation of a
-generator along the orbit is an exponential sum with rational bases, and once
-the dominant term strictly exceeds the rest (a monotone condition, located by
-scanning) there are no further zeros; for unipotent sigma the evaluation is a
-polynomial in n, whose integer roots are bounded by the Cauchy bound.  Signs
-of negative bases are handled by splitting into even/odd subsequences, each
-of which is a positive-base sum.
+horizon scan lists the hits n <= horizon exactly.  On top of that, one
+certificate can bound ALL hits: each generator of Z gets a bound per residue
+class of n past which its evaluation along the orbit has no zero, and n0 is
+the largest over the classes of the least bound over the generators.  For
+diagonal sigma the evaluation is an exponential sum with rational bases,
+split into the even and odd classes so that every base is positive; once
+the dominant term strictly exceeds the rest (a monotone condition, located
+by scanning) the class has no further zeros.  For sigma = c * (I + N) with
+N nilpotent there is one class: the evaluation is a polynomial in n, whose
+integer roots are bounded by the Cauchy bound.  A class on which every
+generator vanishes identically hits forever.
 
 The critical-transversality certificate enumerates the reduced invariant
 subschemes — for diagonal sigma with multiplicatively independent eigenvalue
@@ -25,22 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .fields import QQ
 from .homology import disjoint, free_resolution, transverse_from_resolution
 from .idealizer import IdealizerScene
-from .polykernel import (
-    HomIdeal,
-    PolyRing,
-    _binomial_poly,
-    _minimalize_monos,
-    _poly_n_add,
-    _poly_n_mul,
-    mono_lcm,
-)
-from .twist import ProjAutomorphism, _dot, is_scalar_matrix
+from .polykernel import HomIdeal, PolyRing, Substitution, _minimalize_monos, mono_lcm
+from .twist import ProjAutomorphism, _dot, _mat_mul, is_scalar_matrix
 
 RATIONAL_SUBSTITUTE_NOTE = (
     "eigenvalue ratios multiplicatively independent used as the rational-"
@@ -216,9 +211,9 @@ def _orbit_exponential_terms(sigma: ProjAutomorphism, p: RationalPoint,
     return {b: c for b, c in out.items() if c != 0}
 
 
-def _unipotent_scalar(sigma: ProjAutomorphism):
-    """The scalar c with sigma = c * (unipotent matrix), or None, over a
-    field of characteristic 0.
+def _unipotent_part(sigma: ProjAutomorphism):
+    """(c, N) with sigma = c * (I + N) and N nilpotent, or None, over a field
+    of characteristic 0.
 
     Such a c is the only eigenvalue of sigma, so c = trace / (d + 1)."""
     field = sigma.ring.field
@@ -227,62 +222,64 @@ def _unipotent_scalar(sigma: ProjAutomorphism):
     trace = field.zero
     for i in range(n):
         trace = field.add(trace, M[i][i])
+    if field.is_zero(trace):
+        return None
     c = field.div(trace, field.from_int(n))
-    N = [[field.sub(M[i][j], c if i == j else field.zero) for j in range(n)]
-         for i in range(n)]
+    N = tuple(tuple(field.sub(field.div(M[i][j], c), field.one if i == j else field.zero)
+                    for j in range(n)) for i in range(n))
     power = N
     for _ in range(n - 1):
-        power = [[_dot(field, power[i], [N[t][j] for t in range(n)])
-                  for j in range(n)] for i in range(n)]
-    return c if all(field.is_zero(e) for row in power for e in row) else None
+        power = _mat_mul(field, power, N)
+    return (c, N) if all(field.is_zero(e) for row in power for e in row) else None
 
 
-def _orbit_coordinate_polys(sigma: ProjAutomorphism, p: RationalPoint, scalar):
-    """Coordinates of U^n(p) as polynomials in n, for sigma = scalar * U with
-    U unipotent (the same projective point as sigma^n(p)):
-    U^n = sum_k C(n,k) N^k with N = U - I nilpotent."""
+def _unipotent_scalar(sigma: ProjAutomorphism):
+    """The scalar c with sigma = c * (unipotent matrix), or None, over a
+    field of characteristic 0."""
+    part = _unipotent_part(sigma)
+    return None if part is None else part[0]
+
+
+def _orbit_class_bounds(p: RationalPoint, sigma: ProjAutomorphism, Z: HomIdeal):
+    """Per generator g of Z, one bound per residue class of n past which
+    g(sigma^n p) has no zero (None on a class where g vanishes identically),
+    with the route's justification; (None, None) when no route applies.
+
+    Diagonal sigma: the two parity classes of the dominant-term sum.
+    sigma = c * (I + N) with N nilpotent: sigma^n p is c^n U^n p with
+    U^n = sum_k C(n,k) N^k, so g(U^n p) is a polynomial in n and its
+    integer roots lie below the Cauchy bound; one class."""
     field = sigma.ring.field
-    nv = sigma.ring.nvars
-    N = [
-        [
-            field.sub(field.div(sigma.matrix[i][j], scalar),
-                      field.one if i == j else field.zero)
-            for j in range(nv)
-        ]
-        for i in range(nv)
-    ]
-    vecs = [list(p.coords)]  # N^k p
-    for _ in range(1, nv):
-        prev = vecs[-1]
-        vecs.append([_dot(field, N[i], prev) for i in range(nv)])
-    coord_polys = []
-    for i in range(nv):
-        poly = (Fraction(0),)
-        for k in range(nv):
-            if field.is_zero(vecs[k][i]):
-                continue
-            binom = _binomial_poly(0, k)  # C(n, k)
-            poly = _poly_n_add(poly, tuple(c * vecs[k][i] for c in binom))
-        coord_polys.append(poly)
-    return coord_polys
-
-
-def _evaluate_gen_as_poly_in_n(g, coord_polys):
-    total = (Fraction(0),)
-    for mono, c in g.terms.items():
-        term = (Fraction(c),)
-        for i, e in enumerate(mono):
-            for _ in range(e):
-                term = _poly_n_mul(term, coord_polys[i])
-        total = _poly_n_add(total, term)
-    return total
-
-
-def _cauchy_root_bound(coeffs) -> int:
-    """Integer n0 with no roots of the coefficient-list polynomial >= n0."""
-    top = coeffs[-1]
-    bound = 1 + max((abs(c / top) for c in coeffs[:-1]), default=Fraction(0))
-    return int(bound) + 1
+    if field.char != 0:
+        return None, None
+    if sigma.is_diagonal():
+        terms = [_orbit_exponential_terms(sigma, p, g) for g in Z.gens]
+        return [[_diagonal_class_bound(t, parity) for parity in (0, 1)]
+                for t in terms], "dominant-term"
+    part = _unipotent_part(sigma)
+    if part is None:
+        return None, None
+    N = part[1]
+    ring_n = PolyRing(QQ, 1)
+    n = ring_n.variable(0)
+    coords = [ring_n.zero()] * len(N)
+    binom, vec = ring_n.one(), p.coords  # C(n, k) and N^k p
+    for k in range(1, len(N) + 1):
+        coords = [x + binom.scale(v) for x, v in zip(coords, vec)]
+        binom = (binom * (n - ring_n.constant(k - 1))).scale(Fraction(1, k))
+        vec = tuple(_dot(field, row, vec) for row in N)
+    along = Substitution(coords)
+    bounds = []
+    for g in Z.gens:
+        q = along(g)
+        if q.is_zero():
+            bounds.append([None])
+            continue
+        (deg,), top = q.lt()
+        lower = max((abs(c / top) for (e,), c in q.terms.items() if e < deg),
+                    default=0)
+        bounds.append([int(1 + lower) + 1])
+    return bounds, "polynomial-growth"
 
 
 def forward_orbit_hits(p: RationalPoint, sigma: ProjAutomorphism,
@@ -290,14 +287,16 @@ def forward_orbit_hits(p: RationalPoint, sigma: ProjAutomorphism,
     """Hits {n >= 0 : sigma^n(p) in Z}, with a completeness certificate when
     one of the routes applies.
 
-    Routes, in order: periodicity (orbit revisits p); dominant-term bounds
-    for diagonal sigma (rational eigenvalues, signs split by parity); Cauchy
-    root bounds for unipotent sigma (coordinates polynomial in n).  Over
-    GF(p) every orbit is periodic, so the scan follows the point's own orbit
-    on to PERIOD_CAP steps (past the horizon) and stops when it returns to
-    p; hits are still listed only up to the horizon.  The analytic routes
-    need characteristic 0 and are never taken there.  Otherwise the
-    verdict is horizon-bounded only.
+    Routes, in order: periodicity (orbit revisits p); then one bound per
+    residue class of n from _orbit_class_bounds (dominant terms for diagonal
+    sigma, signs split by parity; the Cauchy root bound for unipotent sigma
+    up to a scalar).  A class on which every generator vanishes identically
+    hits forever; otherwise n0 is the largest of the class bounds, each the
+    least over the generators.  Over GF(p) every orbit is periodic, so the
+    scan follows the point's own orbit on to PERIOD_CAP steps (past the
+    horizon) and stops when it returns to p; hits are still listed only up
+    to the horizon.  The analytic routes need characteristic 0 and are never
+    taken there.  Otherwise the verdict is horizon-bounded only.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -332,59 +331,27 @@ def forward_orbit_hits(p: RationalPoint, sigma: ProjAutomorphism,
 
     hits = [n for n, q in enumerate(orbit[:horizon + 1]) if is_hit(q)]
 
-    if sigma.is_diagonal() and field.char == 0:
-        # dominant-term certificate, one bound per parity class
-        class_bounds = {0: None, 1: None}
-        identically_zero = True
-        for parity in (0, 1):
-            best = None
-            for g in Z.gens:
-                terms = _orbit_exponential_terms(sigma, p, g)
-                b = _diagonal_class_bound(terms, parity)
-                if b is not None:
-                    identically_zero = False
-                    best = b if best is None else min(best, b)
-            class_bounds[parity] = best
-        if identically_zero:
+    rows, justification = _orbit_class_bounds(p, sigma, Z)
+    if rows is not None:
+        classes = [min((b for b in col if b is not None), default=None)
+                   for col in zip(*rows)]
+        if all(b is None for b in classes):
             # every generator vanishes along the whole orbit
-            return OrbitReport(p, horizon,
-                               tuple(range(horizon + 1)), "infinite",
+            return OrbitReport(p, horizon, tuple(range(horizon + 1)), "infinite",
                                justification="identically-zero-evaluation")
-        if all(b is not None for b in class_bounds.values()):
-            n0 = max(class_bounds.values())
-            full = [
-                n for n in range(max(horizon, n0) + 1)
-                if is_hit(p.apply(sigma, n))
-            ]
-            return OrbitReport(p, horizon, tuple(full), "certified-finite",
-                               n0=n0, justification="dominant-term")
-        # one parity class identically zero, the other bounded: the zero
-        # class hits forever
-        return OrbitReport(p, horizon, tuple(hits), "infinite",
-                           justification="identically-zero-evaluation",
-                           notes=("one parity class vanishes identically",))
-
-    scalar = _unipotent_scalar(sigma) if field.char == 0 else None
-    if scalar is not None:
-        coord_polys = _orbit_coordinate_polys(sigma, p, scalar)
-        bounds = []
-        all_zero = True
-        for g in Z.gens:
-            q_poly = _evaluate_gen_as_poly_in_n(g, coord_polys)
-            if q_poly:
-                all_zero = False
-                bounds.append(_cauchy_root_bound(q_poly))
-        if all_zero:
-            return OrbitReport(p, horizon, tuple(range(horizon + 1)),
-                               "infinite",
-                               justification="identically-zero-evaluation")
-        n0 = min(bounds)
+        if None in classes:
+            # one parity class identically zero, the other bounded: the zero
+            # class hits forever
+            return OrbitReport(p, horizon, tuple(hits), "infinite",
+                               justification="identically-zero-evaluation",
+                               notes=("one parity class vanishes identically",))
+        n0 = max(classes)
         full = [
             n for n in range(max(horizon, n0) + 1)
             if is_hit(p.apply(sigma, n))
         ]
         return OrbitReport(p, horizon, tuple(full), "certified-finite",
-                           n0=n0, justification="polynomial-growth")
+                           n0=n0, justification=justification)
 
     verdict = "finite-within-horizon"
     if hits and hits[-1] >= horizon - 1:
@@ -445,13 +412,9 @@ def multiplicative_independence(values) -> MultIndependence:
     else:
         kern = linalg.kernel_basis(QQ, transposed, len(vals))
     vec = kern[0]
-    denom_lcm = 1
-    for c in vec:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in vec]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
+    denom = lcm(*(c.denominator for c in vec))
+    ints = [int(c * denom) for c in vec]
+    g = gcd(*ints)
     witness = [c // g for c in ints]
     # fix the sign: if the product is -1, squaring the relation kills it
     prod_sign = 1
@@ -477,7 +440,7 @@ def _subset_key(s: tuple[int, ...]):
     return (-len(s), s)
 
 
-def _coordinate_families(d: int, max_union: int):
+def _coordinate_families(d: int):
     """Antichains of proper nonempty subsets of {0..d}, in report order."""
     universe = list(range(d + 1))
     subsets = []
@@ -489,8 +452,6 @@ def _coordinate_families(d: int, max_union: int):
     def extend(start: int, chosen: tuple):
         if chosen:
             families.append(chosen)
-        if len(chosen) == max_union:
-            return
         for i in range(start, len(subsets)):
             s = subsets[i]
             if any(set(s) <= set(t) or set(t) <= set(s) for t in chosen):
@@ -572,7 +533,7 @@ def critical_transversality_certificate(scene: IdealizerScene) -> CTCertificate:
         return CTCertificate("inconclusive", 0,
                              reason="invariant family not classified",
                              notes=notes)
-    families = _coordinate_families(d, max_union=2 ** (d + 1) - 2)
+    families = _coordinate_families(d)
     meets: dict[tuple, bool] = {}
     verdicts: dict[tuple, tuple[bool, int | None]] = {}
     res = None

@@ -284,7 +284,6 @@ class QuotientTorReport:
     window: int
     table: dict[int, list[int]]
     verdicts: dict[int, bool]
-    notes: tuple[str, ...] = ()
 
     @property
     def infinite_hd_evidence(self) -> bool:
@@ -329,16 +328,10 @@ def truncated_tor_over_quotient(
     tors = {j: tor_from_resolution(res, P, j) for j in range(1, j_max + 1)}
     table = {j: tor.dims(0, deg_bound) for j, tor in tors.items()}
     verdicts = {j: not tor.is_sheaf_trivial() for j, tor in tors.items()}
-    notes = (
-        "dimensions exact in every degree; the window selects the degrees "
-        "tabulated; verdict True = Tor_j has a nonzero Hilbert polynomial "
-        "(nonzero Tor sheaf at the point)",
-    )
     return QuotientTorReport(
         quotient=Q,
         point=P,
         window=deg_bound,
         table=table,
         verdicts=verdicts,
-        notes=notes,
     )

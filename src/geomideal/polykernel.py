@@ -47,7 +47,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce as _fold
-from itertools import combinations, combinations_with_replacement, product, zip_longest
+from itertools import combinations, combinations_with_replacement
 from operator import add, le, sub
 
 
@@ -910,29 +910,6 @@ def _poly_n_trim(out: list) -> tuple:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def _poly_n_add(a: tuple, b: tuple) -> tuple:
-    return _poly_n_trim([x + y for x, y in zip_longest(a, b, fillvalue=Fraction(0))])
-
-
-def _poly_n_scale(a: tuple, s: Fraction) -> tuple:
-    return _poly_n_trim([c * s for c in a])
-
-
-def _poly_n_mul(a: tuple, b: tuple) -> tuple:
-    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
-    for (i, x), (j, y) in product(enumerate(a), enumerate(b)):
-        out[i + j] += x * y
-    return _poly_n_trim(out)
-
-
-def _binomial_poly(shift: int, top: int) -> tuple:
-    """C(n + shift, top) as a polynomial in n: prod_{i=1..top}(n + shift - top + i)/top!."""
-    acc = (Fraction(1),)
-    for i in range(1, top + 1):
-        acc = _poly_n_mul(acc, (Fraction(shift - top + i), Fraction(1)))
-    return _poly_n_scale(acc, Fraction(1, math.factorial(top)))
 
 
 def hilbert_polynomial_from_numerator(num: dict[int, int], nvars: int) -> HilbertPoly:

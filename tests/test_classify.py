@@ -174,6 +174,30 @@ def test_order_unipotent_rigidity():
     assert r.certified_infinite and r.justification == "unipotent-rigidity"
 
 
+def test_order_scan_stops_where_the_certificates_decide(monkeypatch):
+    """At bound 12 a diagonal sigma pulls back at most sigma and sigma^2,
+    and the shear only sigma itself."""
+    powers = []
+    pullback_ideal = ProjAutomorphism.pullback_ideal
+
+    def counted(self, I, n=1):
+        powers.append(n)
+        return pullback_ideal(self, I, n)
+
+    monkeypatch.setattr(ProjAutomorphism, "pullback_ideal", counted)
+    r = sigma_ideal_order(pt("[1:1:1]").ideal(RQ), SIGMA, 12)
+    assert r.justification == "eigenclass-obstruction" and powers == [1, 2]
+    neg = ProjAutomorphism.diagonal(RQ, ["1", "-1", "2"])
+    powers.clear()
+    assert sigma_ideal_order(ideal("x0 + x1"), neg, 12).order == 2
+    assert powers == [1, 2]
+    R1 = PolyRing(QQ, 2)
+    shear = ProjAutomorphism.from_strings(R1, [["1", "1"], ["0", "1"]])
+    powers.clear()
+    r = sigma_ideal_order(HomIdeal.from_strings(R1, ["x0"]), shear, 12)
+    assert r.justification == "unipotent-rigidity" and powers == [1]
+
+
 def test_order_prime_field_beyond_bound_uses_group_order():
     # over F_7 the entry ratio 2 has multiplicative order 3, past the bound 2
     R7 = PolyRing(PrimeField(7), 3)

@@ -182,16 +182,32 @@ def test_no_certificate_route_is_labeled():
     assert rep.n0 is None
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_certified_finite_soundness_to_twice_the_bound(data):
-    """Exhaustive re-checking up to 2*n0 finds nothing past the hit list."""
-    entries = data.draw(
-        st.lists(st.integers(1, 5), min_size=3, max_size=3).filter(
-            lambda e: len(set(e)) >= 2
+    """Exhaustive re-checking up to 2*n0 finds nothing past the hit list,
+    for diagonal sigma with positive entries, with a negative entry (the
+    parity split) and for a scaled 2x2 or 3x3 Jordan block (the unipotent
+    route)."""
+    shape = data.draw(st.sampled_from(["positive", "negative", "jordan2", "jordan3"]))
+    if shape.startswith("jordan"):
+        # c times a Jordan block of size k, padded by c on the diagonal
+        c = data.draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3)]))
+        k = int(shape[-1])
+        sigma = ProjAutomorphism(RQ, [
+            [c if j == i or j == i + 1 < k else Fraction(0) for j in range(3)]
+            for i in range(3)])
+    else:
+        entries = data.draw(
+            st.lists(st.integers(1, 5), min_size=3, max_size=3).filter(
+                lambda e: len(set(e)) >= 2
+            )
         )
-    )
-    sigma = ProjAutomorphism.diagonal(RQ, [Fraction(e) for e in entries])
+        if shape == "negative":
+            # minus a neighbour's entry: bases r and -r split by parity
+            i = data.draw(st.integers(0, 2))
+            entries[i] = -entries[(i + 1) % 3]
+        sigma = ProjAutomorphism.diagonal(RQ, [Fraction(e) for e in entries])
     coords = data.draw(
         st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(
             lambda c: any(c)
@@ -515,11 +531,11 @@ def test_unipotent_scalar_of_a_scaled_jordan_block(nv, c):
 
 
 def test_six_proper_subschemes_on_the_plane():
-    assert len(_coordinate_families(2, max_union=1)) == 6
+    assert sum(len(fam) == 1 for fam in _coordinate_families(2)) == 6
 
 
 def test_union_of_two_coordinate_points():
-    subs = [_family_ideal(RQ, fam) for fam in _coordinate_families(2, max_union=2)]
+    subs = [_family_ideal(RQ, fam) for fam in _coordinate_families(2)]
     p1 = HomIdeal.from_strings(RQ, ["x1", "x2"])
     p2 = HomIdeal.from_strings(RQ, ["x0", "x2"])
     expected = intersect(p1, p2)
@@ -527,10 +543,9 @@ def test_union_of_two_coordinate_points():
 
 
 def test_line_dimension_enumeration():
-    singles = _coordinate_families(1, max_union=1)
-    assert len(singles) == 2  # the two coordinate points of the line
-    alls = _coordinate_families(1, max_union=2)
-    assert len(alls) == 3  # plus their union
+    alls = _coordinate_families(1)
+    assert alls[:2] == [((0,),), ((1,),)]  # the two coordinate points of the line
+    assert alls[2:] == [((0,), (1,))]  # plus their union
 
 
 def test_gate_rejects_dependent_ratios():
@@ -593,7 +608,7 @@ def test_certified_scene_transverse_to_every_enumerated_union():
     sc = general_point_scene()
     cert = critical_transversality_certificate(sc)
     assert cert.status == "certified"
-    for fam in _coordinate_families(2, max_union=2):
+    for fam in _coordinate_families(2):
         ok, _ = homologically_transverse(sc.ideal, _family_ideal(RQ, fam))
         assert ok
 
@@ -601,7 +616,7 @@ def test_certified_scene_transverse_to_every_enumerated_union():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_family_ideal_matches_the_intersect_fold(d):
     ring = PolyRing(QQ, d + 1)
-    for fam in _coordinate_families(d, max_union=2 ** (d + 1) - 2):
+    for fam in _coordinate_families(d):
         parts = [HomIdeal(ring, [ring.variable(i) for i in s]) for s in fam]
         want = parts[0]
         for part in parts[1:]:
@@ -622,7 +637,7 @@ def plain_certificate(scene):
     """Oracle: Tor against every union in report order, with no localization."""
     ring = scene.ring
     res = free_resolution(scene.ideal)
-    families = _coordinate_families(scene.d, max_union=2 ** (scene.d + 1) - 2)
+    families = _coordinate_families(scene.d)
     for checked, fam in enumerate(families, 1):
         Y = _family_ideal(ring, fam)
         ok, j = transverse_from_resolution(res, Y)
