@@ -19,13 +19,17 @@ so dividing each Groebner basis element of J by y, or by the largest power
 of y dividing it, gives a Groebner basis of (J : y) or of (J : y^∞).  Mapped
 back and reduced, that is the basis of (I : g); it is I's basis when all of
 it lies in I.  Generators of J that lie in I are dropped first.  A J with
-linear generators only is the intersection of those quotients.  Any other
+linear generators only is the intersection of those quotients, taken one
+at a time: once some (I : g) is I, so is (I : J) ⊆ (I : g).  Any other
 J = (g_1, ..., g_k) is one module preimage: (I : J) = {a : a·(g_1, ...,
 g_k) ∈ I·e_1 + ... + I·e_k} (Greuel & Pfister, A Singular Introduction to
 Commutative Algebra, ch. 2).  `intersect` returns the smaller ideal's
 reduced basis when one contains the other, and otherwise the preimage of
-(1, 1) under I·e_1 + J·e_2.  Saturation needs no loop: (I : m^∞) is the
-intersection of the (I : x_i^∞), and it is I itself when it lies in I.
+(1, 1) under I·e_1 + J·e_2.  Saturation: when x_last divides no leading
+monomial of I's reduced basis, the same lemma gives in(I : x_last) = in(I),
+so x_last is a nonzerodivisor on S/I and (I : m^∞) ⊆ (I : x_last^∞) = I.
+Otherwise (I : m^∞) is the intersection of the (I : x_i^∞), with no loop,
+and it is I itself when it lies in I.
 
 Degree pieces.  The standard monomials, those no leading monomial of the
 reduced basis divides, are a basis of S/I (Macaulay; Eisenbud, Commutative
@@ -482,6 +486,20 @@ class Substitution:
 # division and Buchberger
 # ---------------------------------------------------------------------------
 
+class _Basis(list):
+    """A divisor list that keeps each element's leading() beside it, so a
+    growing Buchberger basis gives divide its leading terms once, not per
+    call.  Elements are nonzero."""
+
+    def __init__(self, elems=()):
+        super().__init__(elems)
+        self.lead = [g.leading() for g in self]
+
+    def append(self, g):
+        super().append(g)
+        self.lead.append(g.leading())
+
+
 def divide(f, basis: list) -> dict:
     """Remainder of f under full division by basis, as {(component,
     monomial): coefficient} in decreasing position-over-term order.
@@ -495,7 +513,8 @@ def divide(f, basis: list) -> dict:
     """
     field = f.ring.field
     dkey = f.ring.order.descending_key
-    divisors = [(g.leading(), g) for g in basis if not g.is_zero()]
+    if not isinstance(basis, _Basis):
+        basis = _Basis(g for g in basis if not g.is_zero())
     tails: dict = {}
     acc = {(c, m): x for c, m, x in f.comp_terms()}
     heap = [(c, dkey(m), m) for c, m in acc]
@@ -506,14 +525,14 @@ def divide(f, basis: list) -> dict:
         x = acc.pop((c, m), None)
         if x is None:
             continue
-        for k, ((gc, gm, gx), g) in enumerate(divisors):
+        for k, (gc, gm, gx) in enumerate(basis.lead):
             if gc == c and mono_divides(gm, m):
                 break
         else:
             rem[c, m] = x
             continue
         if k not in tails:
-            tails[k] = [t for t in g.comp_terms() if t[0] != gc or t[1] != gm]
+            tails[k] = [t for t in basis[k].comp_terms() if t[0] != gc or t[1] != gm]
         q = field.div(x, gx)
         shift = mono_div(m, gm)
         for tc, tm, tx in tails[k]:
@@ -556,12 +575,12 @@ def buchberger(gens: list, sort_key, nf) -> list:
     criterion: a third element of the component whose leading monomial
     divides the lcm, with both linking pairs already handled.
     """
-    G = sorted((g.monic() for g in gens if not g.is_zero()), key=sort_key)
+    G = _Basis(sorted((g.monic() for g in gens if not g.is_zero()), key=sort_key))
     if not G:
         return G
     field = G[0].ring.field
     okey = G[0].ring.order.key
-    lead = [g.leading() for g in G]
+    lead = G.lead
     heap: list = []
     pending: set[tuple[int, int]] = set()
 
@@ -595,7 +614,6 @@ def buchberger(gens: list, sort_key, nf) -> list:
         r = nf(s, G)
         if not r.is_zero():
             G.append(r.monic())
-            lead.append(G[-1].leading())
             add_pairs(len(G) - 1)
     return G
 
@@ -775,25 +793,38 @@ def ideal_quotient(I: HomIdeal, J: HomIdeal) -> HomIdeal:
     """(I : J) = {f : f·J ⊆ I}, the intersection of the (I : g) over the
     generators g of J.  The generators that lie in I are dropped first,
     since (I : g) is the unit ideal for those.  When the rest are all
-    linear, the intersection of their revlex quotients (module docstring);
-    otherwise the rest, (g_1, ..., g_k), go through one preimage under the
-    sum of the I·e_k."""
+    linear, the intersection of their revlex quotients (module docstring),
+    which stops at I's basis as soon as one quotient is I; otherwise the
+    rest, (g_1, ..., g_k), go through one preimage under the sum of the
+    I·e_k."""
     ring = I.ring
     gens = [g for g in J.gens if not I.contains(g)]
     if not gens:
         return unit_ideal(ring)
     if all(g.degree == 1 for g in gens):
-        parts = [_linear_quotient_basis(I, g, 1) for g in gens]
-        return _fold(intersect, [HomIdeal(ring, H, gb=H) for H in parts])
+        basis = list(I.groebner())
+        meet = None
+        for g in gens:
+            H = _linear_quotient_basis(I, g, 1)
+            if H == basis:  # (I : J) ⊆ (I : g) = I ⊆ (I : J)
+                return HomIdeal(ring, basis, gb=basis)
+            part = HomIdeal(ring, H, gb=H)
+            meet = part if meet is None else intersect(meet, part)
+        return meet
     quot = _preimage(ring, gens, [I] * len(gens))
     return HomIdeal(ring, quot, gb=quot)
 
 
 def saturate(I: HomIdeal) -> HomIdeal:
-    """(I : m^∞) for the irrelevant ideal m = (x0..xd), in one pass: the
-    intersection of the (I : x_i^∞) (module docstring).  I itself when that
-    lies in I, so a saturated ideal keeps its generators."""
+    """(I : m^∞) for the irrelevant ideal m = (x0..xd).  I itself at once
+    when x_last divides no leading monomial of I's reduced basis, since
+    x_last is then a nonzerodivisor on S/I (Bayer & Stillman; module
+    docstring).  Otherwise one pass: the intersection of the (I : x_i^∞),
+    and I itself when that lies in I, so a saturated ideal keeps its
+    generators."""
     ring = I.ring
+    if not any(g.lm()[-1] for g in I.groebner()):  # x_last is a nonzerodivisor
+        return I
     parts = [_linear_quotient_basis(I, ring.variable(i), math.inf) for i in range(ring.nvars)]
     sat = _fold(intersect, [HomIdeal(ring, H, gb=H) for H in parts])
     return I if all(map(I.contains, sat.gens)) else sat

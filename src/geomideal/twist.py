@@ -159,20 +159,17 @@ def is_scalar_matrix(field, rows) -> bool:
 
 
 def _dot(field, row, vec):
+    """Sum of the products a*b, skipping the pairs with a zero entry."""
     acc = field.zero
     for a, b in zip(row, vec):
-        acc = field.add(acc, field.mul(a, b))
+        if a and b:
+            acc = field.add(acc, field.mul(a, b))
     return acc
 
 
 def _mat_mul(field, A, B):
-    n = len(A)
-    return tuple(
-        tuple(
-            _dot(field, A[i], tuple(B[k][j] for k in range(n))) for j in range(n)
-        )
-        for i in range(n)
-    )
+    cols = tuple(zip(*B))
+    return tuple(tuple(_dot(field, row, col) for col in cols) for row in A)
 
 
 def _mat_inverse(field, M):

@@ -5,6 +5,7 @@ reference implementations in oracles.py; the property tests re-check the
 real implementations against those references on random inputs.
 """
 
+import math
 from fractions import Fraction
 from functools import reduce as _fold
 from pathlib import Path
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import oracles
 from geomideal import cli, freemod, polykernel
 from geomideal.fields import QQ, PrimeField
+from geomideal.geometry import RationalPoint
 from geomideal.idealizer import IdealizerScene
 from geomideal.linalg import NormalForms
 from geomideal.polykernel import (
@@ -208,6 +210,45 @@ def test_pair_order_pinned_on_p5_point_colon():
     moved = [f"{lam}*x{i} - {c}*x0"
              for i, (lam, c) in enumerate(zip(lams, coords), start=1)]
     assert _moving_point_nf_calls(PolyRing(QQ, 6), Z, moved) == [35, 35, 35, 35, 35, 29]
+
+
+P5_MOVING_POINT = """\
+field rational
+dim 5
+sigma
+1 0 0 0 0 0
+0 2 0 0 0 0
+0 0 3 0 0 0
+0 0 0 5 0 0
+0 0 0 0 7 0
+0 0 0 0 0 11
+ideal
+x1 - 2*x0
+x2 - 3*x0
+x3 - 4*x0
+x4 - 5*x0
+x5 - 2*x0
+end
+horizon 6
+"""
+
+
+def test_p5_moving_point_colon_takes_one_linear_quotient_per_degree(tmp_path, monkeypatch):
+    """On the point of test_pair_order_pinned_on_p5_point_colon, saturation
+    stops at its nonzerodivisor test (x5 divides no leading monomial), and
+    each colon n stops at its first linear quotient, which is already I."""
+    powers = []
+    real = polykernel._linear_quotient_basis
+
+    def counting(I, g, power):
+        powers.append(power)
+        return real(I, g, power)
+
+    monkeypatch.setattr(polykernel, "_linear_quotient_basis", counting)
+    path = tmp_path / "p5_point.scene"
+    path.write_text(P5_MOVING_POINT)
+    assert cli.main(["colon", str(path)]) == 0
+    assert powers == [1] * 6
 
 
 def test_pair_order_takes_late_pairs_with_smaller_keys_first():
@@ -594,6 +635,107 @@ def test_quotient_and_intersect_match_elimination(case):
     want = _fold(intersect, [_elim_quotient(I, g) for g in J.gens])
     assert ideal_quotient(I, J).groebner() == want.groebner()
     assert intersect(I, J).groebner() == tuple(_elim_meet(I, J))
+
+
+# ---------------------------------------------------------------------------
+# the nonzerodivisor exits of saturate and the linear colon against the
+# full routes (every (I : x_i^∞), every (I : g), intersected)
+# ---------------------------------------------------------------------------
+
+SCENE_RINGS = [PolyRing(field, n) for field in (QQ, PrimeField(7)) for n in (3, 4, 5)]
+
+
+def _full_saturate(I):
+    ring = I.ring
+    parts = [polykernel._linear_quotient_basis(I, ring.variable(i), math.inf)
+             for i in range(ring.nvars)]
+    sat = _fold(intersect, [HomIdeal(ring, H, gb=H) for H in parts])
+    return I if all(map(I.contains, sat.gens)) else sat
+
+
+def _full_linear_colon(I, J):
+    gens = [g for g in J.gens if not I.contains(g)]
+    if not gens:
+        return unit_ideal(I.ring)
+    parts = [polykernel._linear_quotient_basis(I, g, 1) for g in gens]
+    return _fold(intersect, [HomIdeal(I.ring, H, gb=H) for H in parts])
+
+
+@st.composite
+def moving_scene(draw):
+    """(ring, sigma, Z, e_k): sigma diagonal, so it fixes every coordinate
+    point e_k (and more when eigenvalues repeat); Z a point (on x_d = 0 at
+    times), a line, a conic in a plane, a fat point, or one of the first
+    three together with e_k."""
+    ring = draw(st.sampled_from(SCENE_RINGS))
+    field, nv = ring.field, ring.nvars
+    sigma = ProjAutomorphism.diagonal(
+        ring, [field.from_int(draw(st.sampled_from([1, 2, 3, 5, -1, -2]))) for _ in range(nv)])
+    k = draw(st.integers(0, nv - 1))
+    e_k = HomIdeal(ring, [ring.variable(i) for i in range(nv) if i != k])
+
+    def point():
+        coords = draw(st.lists(st.integers(-3, 3), min_size=nv, max_size=nv)
+                      .filter(lambda c: any(field.from_int(v) for v in c)))
+        return RationalPoint.of(field, [field.from_int(v) for v in coords]).ideal(ring)
+
+    def plane_section(codim):
+        return [draw(linear_divisor(ring)) for _ in range(codim)]
+
+    kind = draw(st.sampled_from(["point", "line", "conic", "fat point", "union"]))
+    inner = draw(st.sampled_from(["point", "line", "conic"])) if kind == "union" else kind
+    if inner == "point":
+        Z = point()
+    elif inner == "line":
+        Z = HomIdeal(ring, plane_section(nv - 2))
+    elif inner == "conic":
+        l1, l2, l3, l4 = plane_section(4)
+        Z = HomIdeal(ring, plane_section(nv - 3) + [l1 * l2 + l3 * l4])
+    else:
+        gens = point().gens
+        Z = HomIdeal(ring, [f * g for f in gens for g in gens])
+    if kind == "union":
+        Z = intersect(Z, e_k)
+    return ring, sigma, Z, e_k
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_saturate_exit_matches_the_full_route(data):
+    """saturate returns I when x_last divides no leading monomial.  On I·x_last
+    and on I·m (not saturated) x_last divides one, so the loop over the
+    (I : x_i^∞) still runs.  Z is a drawn scene or the fixed point e_k."""
+    ring, _, Z, e_k = data.draw(moving_scene())
+    Z = data.draw(st.sampled_from([Z, e_k]))
+    shape = data.draw(st.sampled_from(["as drawn", "times x_last", "times m"]))
+    factors = {"as drawn": [ring.one()], "times x_last": [ring.variable(ring.nvars - 1)],
+               "times m": [ring.variable(i) for i in range(ring.nvars)]}[shape]
+    I = HomIdeal(ring, [x * g for x in factors for g in Z.gens])
+    got, want = saturate(I), _full_saturate(I)
+    assert got.gens == want.gens
+    assert got.groebner() == want.groebner()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_linear_colon_exit_matches_the_full_route(data):
+    """(I : J) for J the pullback under sigma^n of a linear ideal: Z's own
+    linear forms (the colon of the idealizer), the fixed point e_k (larger
+    than I on a union), or random forms; n = 0 gives unit colons."""
+    ring, sigma, Z, e_k = data.draw(moving_scene())
+    I = saturate(Z)
+    source = data.draw(st.sampled_from(["own", "fixed point", "random"]))
+    if source == "own":
+        L = HomIdeal(ring, [g for g in I.gens if g.degree == 1] or e_k.gens)
+    elif source == "fixed point":
+        L = e_k
+    else:
+        L = HomIdeal(ring, [data.draw(linear_divisor(ring))
+                            for _ in range(data.draw(st.integers(1, ring.nvars - 1)))])
+    J = sigma.pullback_ideal(L, data.draw(st.integers(0, 2)))
+    got, want = ideal_quotient(I, J), _full_linear_colon(I, J)
+    assert got.gens == want.gens
+    assert got.groebner() == want.groebner()
 
 
 @pytest.fixture

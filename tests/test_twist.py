@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomideal import linalg
 from geomideal.fields import QQ, PrimeField
 from geomideal.idealizer import IdealizerScene, idealizer_piece
 from geomideal.polykernel import HomIdeal, PolyRing, dim_full_space, monomials_of_degree
@@ -164,6 +165,65 @@ def test_large_first_power_needs_no_recursion():
     assert shear.power(3000) == ((1, 3000), (0, 1))
     assert shear.power(-2500) == ((1, -2500), (0, 1))
     assert shear.power(1234) == ((1, 1234), (0, 1))  # filled in on the way
+
+
+def _dense_mul(field, A, B):
+    """A·B with every product formed, zero or not."""
+    n = len(A)
+    out = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] = field.add(out[i][j], field.mul(A[i][k], B[k][j]))
+    return tuple(map(tuple, out))
+
+
+@st.composite
+def sigma_matrix(draw):
+    """(ring, rows): diagonal, a shear, a scaled permutation or a random
+    invertible matrix over Q or GF(101), on P^2..P^4."""
+    ring = PolyRing(draw(st.sampled_from([QQ, PrimeField(101)])), draw(st.integers(3, 5)))
+    field, nv = ring.field, ring.nvars
+    entry = st.integers(-4, 4).map(field.from_int)
+    unit = entry.filter(bool)
+    kind = draw(st.sampled_from(["diagonal", "shear", "permutation", "random"]))
+    rows = [[field.one if i == j else field.zero for j in range(nv)] for i in range(nv)]
+    if kind == "diagonal":
+        for i in range(nv):
+            rows[i][i] = draw(unit)
+    elif kind == "shear":
+        i, j = draw(st.lists(st.integers(0, nv - 1), min_size=2, max_size=2, unique=True))
+        rows[i][j] = draw(unit)
+    elif kind == "permutation":
+        perm = draw(st.permutations(range(nv)))
+        rows = [[draw(unit) if j == perm[i] else field.zero for j in range(nv)]
+                for i in range(nv)]
+    else:
+        rows = draw(st.lists(st.lists(entry, min_size=nv, max_size=nv),
+                             min_size=nv, max_size=nv)
+                    .filter(lambda r: linalg.rank(field, [list(x) for x in r]) == nv))
+    return ring, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sigma_matrix(), order=st.permutations(range(-3, 7)))
+def test_powers_match_dense_products(case, order):
+    """power(n) for n in -3..6, asked in any order, is the dense product of
+    n copies of M (of M^-1 for n < 0), and M^-1 * M is the identity."""
+    ring, rows = case
+    field = ring.field
+    sigma = ProjAutomorphism(ring, rows)
+    M = sigma.matrix
+    got = {n: sigma.power(n) for n in order}
+    inv = got[-1]
+    identity = tuple(tuple(field.one if i == j else field.zero for j in range(len(M)))
+                     for i in range(len(M)))
+    assert _dense_mul(field, inv, M) == identity
+    for n in order:
+        want = identity
+        for _ in range(abs(n)):
+            want = _dense_mul(field, want, M if n > 0 else inv)
+        assert got[n] == want
 
 
 # ---------------------------------------------------------------------------
