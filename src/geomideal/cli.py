@@ -427,7 +427,7 @@ def records_to_report(records) -> ClassificationReport:
 
 def run_gb(sf: SceneFile) -> list[dict]:
     basis = sf.ideal.groebner()
-    recs = [_record("groebner", generators=len(basis), order=sf.ring.order.kind)]
+    recs = [_record("groebner", generators=len(basis), order="degrevlex")]
     for i, g in enumerate(basis):
         recs.append(_record(
             "generator", index=i, degree=g.degree,

@@ -3,9 +3,10 @@ minimal generators, and Hilbert series numerators of graded submodules.
 
 A vector lives in a FreeModule with a degree tuple (generator e_i has degree
 degrees[i]); components are sparse Polys.  The module term order is
-position-over-term: lower component index wins, ties broken by the ring's
-monomial order.  Putting the ambient components first and syzygy tags last
-makes the same order an elimination order for syzygy computations.
+position-over-term: lower component index wins, ties broken by degrevlex
+(polykernel.mono_key).  Putting the ambient components first and syzygy
+tags last makes the same order an elimination order for syzygy
+computations.
 
 Module Buchberger is polykernel.buchberger run with the module normal form
 below: pairs only within a component, the chain criterion always, and the
@@ -26,6 +27,7 @@ from .polykernel import (
     buchberger,
     divide,
     interreduce,
+    mono_key,
     monomial_hilbert_numerator,
 )
 
@@ -141,12 +143,11 @@ class MVec:
         return MVec(self.module, {i: p.term_mul(c, exps) for i, p in self.comps.items()})
 
     def sort_key(self):
-        okey = self.module.ring.order.key
         fkey = self.module.ring.field.sort_key
         entries = []
         for i in sorted(self.comps):
             for m, c in sorted(self.comps[i].terms.items()):
-                entries.append((i, okey(m), fkey(c)))
+                entries.append((i, mono_key(m), fkey(c)))
         d = self.degree
         return (-1 if d is None else d, tuple(entries))
 
@@ -197,14 +198,23 @@ def submodule_contains(gb: list[MVec], v: MVec) -> bool:
 # syzygies and minimal generators
 # ---------------------------------------------------------------------------
 
-def _tag_elimination(vecs: list[MVec], targets: list[MVec]) -> list[MVec]:
-    """Reduced Groebner basis of {(a_i) : sum a_i*vecs[i] in <targets>}.
+def syzygy_generators(vecs: list[MVec]) -> list[MVec]:
+    """Reduced Groebner basis of the syzygy module
+    {(a_i) : sum a_i * vecs[i] = 0} in S^r."""
+    return preimage_generators(vecs, [])
+
+
+def preimage_generators(vecs: list[MVec], targets: list[MVec]) -> list[MVec]:
+    """Reduced Groebner basis of {(a_i) : sum a_i*vecs[i] lies in
+    <targets>} in S^r, sorted so that module_groebner returns it unchanged.
 
     Lift vecs[i] to (vecs[i], e_i) and each target t to (t, 0) in the
     ambient module plus a tag block S^r placed after it, and keep the basis
     elements that lie wholly in the tag block.  Position-over-term is an
     elimination order for the ambient block, so those elements are the
     reduced Groebner basis of the preimage, already in MVec.sort_key order.
+    Only vecs are tagged: the targets enter untagged, so no syzygies among
+    them are computed and then projected away.
     """
     if not vecs:
         return []
@@ -223,22 +233,6 @@ def _tag_elimination(vecs: list[MVec], targets: list[MVec]) -> list[MVec]:
     tags = FreeModule(ring, tuple(degs))
     return [MVec(tags, {c - m: p for c, p in g.comps.items()})
             for g in module_groebner(lifted) if min(g.comps) >= m]
-
-
-def syzygy_generators(vecs: list[MVec]) -> list[MVec]:
-    """Reduced Groebner basis of the syzygy module
-    {(a_i) : sum a_i * vecs[i] = 0} in S^r (see _tag_elimination)."""
-    return _tag_elimination(vecs, [])
-
-
-def preimage_generators(vecs: list[MVec], targets: list[MVec]) -> list[MVec]:
-    """Reduced Groebner basis of {(a_i) : sum a_i*vecs[i] lies in
-    <targets>} in S^r, sorted so that module_groebner returns it unchanged.
-
-    Only vecs are tagged (see _tag_elimination): the targets enter untagged,
-    so no syzygies among them are computed and then projected away.
-    """
-    return _tag_elimination(vecs, targets)
 
 
 def minimal_generators(vecs: list[MVec], modulo=()) -> list[MVec]:

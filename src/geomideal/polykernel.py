@@ -39,8 +39,9 @@ the Groebner basis, with no matrix.
 
 Representation notes.  Monomials are plain exponent tuples of length
 nvars = d + 1; a Poly is a dict {exponent tuple: scalar} plus a cached
-homogeneous-degree tag (None when the terms mix degrees).  Term orders are
-key functions on exponent tuples: bigger key = bigger monomial.
+homogeneous-degree tag (None when the terms mix degrees).  The one monomial
+order is degrevlex, given by the key function mono_key on exponent tuples:
+bigger key = bigger monomial.
 """
 
 from __future__ import annotations
@@ -56,63 +57,27 @@ from operator import add, le, sub
 
 
 # ---------------------------------------------------------------------------
-# term orders
+# the monomial order (degrevlex) and the polynomial ring
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TermOrder:
-    """Monomial well-order given by a key function on exponent tuples.
-
-    kind is "degrevlex" or "elim" (single trailing auxiliary variable
-    eliminated first).
-    """
-
-    kind: str
-    nvars: int
-
-    def __post_init__(self):
-        if self.kind not in ("degrevlex", "elim"):
-            raise ValueError(f"unknown term order kind {self.kind!r}")
-
-    def key(self, exps):
-        if self.kind == "degrevlex":
-            return (sum(exps), tuple(-e for e in reversed(exps)))
-        # elim: last variable is the auxiliary block, eliminated first;
-        # degrevlex inside the main block.
-        main = exps[:-1]
-        return (exps[-1], sum(main), tuple(-e for e in reversed(main)))
-
-    def descending_key(self, exps):
-        """Key that sorts larger monomials first (a heap pops the largest)."""
-        if self.kind == "degrevlex":
-            return (-sum(exps), exps[::-1])
-        main = exps[:-1]
-        return (-exps[-1], -sum(main), main[::-1])
+def mono_key(exps):
+    """Degrevlex key on an exponent tuple: bigger key = bigger monomial."""
+    return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def degrevlex(nvars: int) -> TermOrder:
-    return TermOrder("degrevlex", nvars)
+def mono_descending_key(exps):
+    """Key that sorts larger monomials first (a heap pops the largest)."""
+    return (-sum(exps), exps[::-1])
 
-
-# ---------------------------------------------------------------------------
-# polynomial ring and polynomials
-# ---------------------------------------------------------------------------
 
 class PolyRing:
-    """Immutable context: coefficient field, number of variables, term order."""
+    """Immutable context: coefficient field and number of variables x0..x(nvars−1)."""
 
-    def __init__(self, field, nvars: int, order: TermOrder | None = None,
-                 var_names: tuple[str, ...] | None = None):
-        if not 1 <= nvars <= 11:
-            raise ValueError("nvars out of the supported range 1..11 (d <= 9 plus auxiliaries)")
+    def __init__(self, field, nvars: int):
+        if not 1 <= nvars <= 10:
+            raise ValueError("nvars out of the supported range 1..10 (d <= 9)")
         self.field = field
         self.nvars = nvars
-        self.order = order if order is not None else degrevlex(nvars)
-        if self.order.nvars != nvars:
-            raise ValueError("order arity does not match nvars")
-        self.var_names = var_names if var_names is not None else tuple(
-            f"x{i}" for i in range(nvars)
-        )
 
     # -- constructors -------------------------------------------------------
 
@@ -133,13 +98,6 @@ class PolyRing:
         if self.field.is_zero(c):
             return self.zero()
         return Poly(self, {tuple(exps): c})
-
-    # -- derived rings ------------------------------------------------------
-
-    def with_elim_var(self) -> "PolyRing":
-        """Ring with one extra auxiliary variable, eliminated first."""
-        return PolyRing(self.field, self.nvars + 1, TermOrder("elim", self.nvars + 1),
-                        self.var_names + ("t",))
 
     # -- parsing / printing -------------------------------------------------
 
@@ -171,24 +129,22 @@ class PolyRing:
     def format_poly(self, f: "Poly") -> str:
         if not f.terms:
             return "0"
-        names = self.var_names
         return _signed_sum(
             (self.field.to_str(f.terms[exps]),
-             "*".join(names[i] if e == 1 else f"{names[i]}^{e}"
-                      for i, e in enumerate(exps) if e))
-            for exps in sorted(f.terms, key=self.order.key, reverse=True))
+             "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps) if e))
+            for exps in sorted(f.terms, key=mono_key, reverse=True))
 
     def __eq__(self, other):
         return (
             isinstance(other, PolyRing)
-            and (self.field, self.nvars, self.order) == (other.field, other.nvars, other.order)
+            and (self.field, self.nvars) == (other.field, other.nvars)
         )
 
     def __hash__(self):
-        return hash((self.field, self.nvars, self.order))
+        return hash((self.field, self.nvars))
 
     def __repr__(self):
-        return f"PolyRing({self.field!r}, nvars={self.nvars}, {self.order.kind})"
+        return f"PolyRing({self.field!r}, nvars={self.nvars})"
 
 
 def _signed_sum(terms) -> str:
@@ -329,11 +285,11 @@ class Poly:
         return max((mono_deg(m) for m in self.terms), default=0)
 
     def lt(self):
-        """Leading (monomial, coefficient) under the ring's order."""
+        """Leading (monomial, coefficient) under degrevlex."""
         if self._lt is None:
             if not self.terms:
                 raise ValueError("zero polynomial has no leading term")
-            m = max(self.terms, key=self.ring.order.key)
+            m = max(self.terms, key=mono_key)
             self._lt = (m, self.terms[m])
         return self._lt
 
@@ -438,11 +394,10 @@ class Poly:
 
     def sort_key(self):
         """Deterministic total order on polynomials (for canonical listings)."""
-        okey = self.ring.order.key
         fkey = self.ring.field.sort_key
         return (
             self.total_degree(),
-            tuple(sorted(((okey(m), fkey(c)) for m, c in self.terms.items()), reverse=True)),
+            tuple(sorted(((mono_key(m), fkey(c)) for m, c in self.terms.items()), reverse=True)),
         )
 
     def __eq__(self, other):
@@ -512,12 +467,11 @@ def divide(f, basis: list) -> dict:
     divides the leading term is used, as in schoolbook division.
     """
     field = f.ring.field
-    dkey = f.ring.order.descending_key
     if not isinstance(basis, _Basis):
         basis = _Basis(g for g in basis if not g.is_zero())
     tails: dict = {}
     acc = {(c, m): x for c, m, x in f.comp_terms()}
-    heap = [(c, dkey(m), m) for c, m in acc]
+    heap = [(c, mono_descending_key(m), m) for c, m in acc]
     heapq.heapify(heap)
     rem: dict = {}
     while heap:
@@ -539,7 +493,7 @@ def divide(f, basis: list) -> dict:
             key = (tc, mono_mul(tm, shift))
             old = acc.get(key)
             if old is None:
-                heapq.heappush(heap, (tc, dkey(key[1]), key[1]))
+                heapq.heappush(heap, (tc, mono_descending_key(key[1]), key[1]))
                 old = field.zero
             old = field.sub(old, field.mul(q, tx))
             if field.is_zero(old):
@@ -564,7 +518,7 @@ def buchberger(gens: list, sort_key, nf) -> list:
     being component 0, plus ncomps, monic, term_mul and subtraction; nf is
     their normal form.  The input is made monic and sorted by sort_key, so
     every choice point is ordered.  Pairs within a component are keyed once,
-    by (degree, component, order key) of the lcm with the index pair as
+    by (degree, component, mono_key) of the lcm with the index pair as
     tie-break, and a heap hands them out in key order; the pending set
     mirrors it for the chain criterion.
 
@@ -579,7 +533,6 @@ def buchberger(gens: list, sort_key, nf) -> list:
     if not G:
         return G
     field = G[0].ring.field
-    okey = G[0].ring.order.key
     lead = G.lead
     heap: list = []
     pending: set[tuple[int, int]] = set()
@@ -589,7 +542,7 @@ def buchberger(gens: list, sort_key, nf) -> list:
         for i in range(j):
             if lead[i][0] == cj:
                 lcm = mono_lcm(lead[i][1], mj)
-                heapq.heappush(heap, ((mono_deg(lcm), cj, okey(lcm)), (i, j)))
+                heapq.heappush(heap, ((mono_deg(lcm), cj, mono_key(lcm)), (i, j)))
                 pending.add((i, j))
 
     for j in range(len(G)):
@@ -627,10 +580,9 @@ def interreduce(G: list, nf) -> list:
     G = [g for g in G if not g.is_zero()]
     if not G:
         return []
-    okey = G[0].ring.order.key
     minimal: list = []
     heads: list = []
-    for g in sorted(G, key=lambda g: (g.leading()[0], okey(g.leading()[1]))):
+    for g in sorted(G, key=lambda g: (g.leading()[0], mono_key(g.leading()[1]))):
         c, m, _ = g.leading()
         if not any(hc == c and mono_divides(hm, m) for hc, hm in heads):
             minimal.append(g)
@@ -644,7 +596,7 @@ def interreduce(G: list, nf) -> list:
 
 
 def groebner_basis(gens: list[Poly]) -> list[Poly]:
-    """Reduced Groebner basis under the generators' ring order."""
+    """Reduced Groebner basis under degrevlex."""
     return reduce_basis(buchberger(gens, Poly.sort_key, normal_form))
 
 
@@ -738,7 +690,7 @@ def _preimage(ring: PolyRing, vector: list, parts: list) -> list[Poly]:
     F = freemod.FreeModule(ring, [-v.degree for v in vector])
     targets = [freemod.MVec(F, {k: f}) for k, part in enumerate(parts) for f in part.gens]
     pre = freemod.preimage_generators([freemod.MVec(F, dict(enumerate(vector)))], targets)
-    return sorted((a.comps[0] for a in pre), key=lambda f: ring.order.key(f.lm()), reverse=True)
+    return sorted((a.comps[0] for a in pre), key=lambda f: mono_key(f.lm()), reverse=True)
 
 
 def intersect(I: HomIdeal, J: HomIdeal) -> HomIdeal:
@@ -1001,13 +953,13 @@ def degree_piece_basis(I: HomIdeal, n: int) -> list[Poly]:
 
 
 def monomials_of_degree(ring: PolyRing, n: int) -> list[tuple]:
-    """All exponent tuples of total degree n, sorted descending in the order."""
+    """All exponent tuples of total degree n, sorted descending in degrevlex."""
     if n < 0:
         return []
     nv = ring.nvars
     monos = [tuple(c.count(i) for i in range(nv))
              for c in combinations_with_replacement(range(nv), n)]
-    return sorted(monos, key=ring.order.key, reverse=True)
+    return sorted(monos, key=mono_key, reverse=True)
 
 
 # ---------------------------------------------------------------------------

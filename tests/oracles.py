@@ -183,6 +183,13 @@ def _drl_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
+def elim_key(m):
+    """Elimination order for a trailing auxiliary variable t: the power of t
+    first, then degrevlex on the rest.  A Groebner basis under it meets the
+    t-free polynomials in a Groebner basis of the elimination ideal."""
+    return (m[-1], _drl_key(m[:-1]))
+
+
 def _sub_scaled(a, b, coeff, shift, char):
     out = dict(a)
     for m, c in b.items():
@@ -197,14 +204,14 @@ def _sub_scaled(a, b, coeff, shift, char):
     return out
 
 
-def naive_normal_form(f, basis, char=0):
+def naive_normal_form(f, basis, char=0, key=_drl_key):
     p = dict(f)
     rem = {}
     while p:
-        m, c = _lt(p, _drl_key)
+        m, c = _lt(p, key)
         done = False
         for g in basis:
-            gm, gc = _lt(g, _drl_key)
+            gm, gc = _lt(g, key)
             if all(a <= b for a, b in zip(gm, m)):
                 shift = tuple(b - a for a, b in zip(gm, m))
                 coeff = c * _inv(char, gc)
@@ -219,13 +226,14 @@ def naive_normal_form(f, basis, char=0):
     return rem
 
 
-def naive_groebner(gens, char=0):
-    """All-pairs Buchberger with FIFO selection; returns the reduced basis
-    as a set of frozensets of (monomial, coefficient) pairs (order-free)."""
+def naive_groebner(gens, char=0, key=_drl_key):
+    """All-pairs Buchberger with FIFO selection under the monomial order
+    key; returns the reduced basis as a set of frozensets of (monomial,
+    coefficient) pairs (order-free)."""
     G = [dict(g) for g in gens if g]
 
     def monic(t):
-        _, c = _lt(t, _drl_key)
+        _, c = _lt(t, key)
         inv = _inv(char, c)
         if char:
             return {m: (v * inv) % char for m, v in t.items()}
@@ -235,8 +243,8 @@ def naive_groebner(gens, char=0):
     pairs = [(i, j) for j in range(len(G)) for i in range(j)]
     while pairs:
         i, j = pairs.pop(0)
-        fm, _ = _lt(G[i], _drl_key)
-        gm, _ = _lt(G[j], _drl_key)
+        fm, _ = _lt(G[i], key)
+        gm, _ = _lt(G[j], key)
         lcm = tuple(max(a, b) for a, b in zip(fm, gm))
         s = _sub_scaled(
             _mul_mono(G[i], tuple(l - a for l, a in zip(lcm, fm)), char),
@@ -245,19 +253,19 @@ def naive_groebner(gens, char=0):
             tuple(l - b for l, b in zip(lcm, gm)),
             char,
         )
-        r = naive_normal_form(s, G, char)
+        r = naive_normal_form(s, G, char, key)
         if r:
             G.append(monic(r))
             pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
     # reduce: minimal, tail-reduced, monic
     minimal = []
     for idx, g in enumerate(G):
-        gm = _lt(g, _drl_key)[0]
+        gm = _lt(g, key)[0]
         dominated = False
         for k, h in enumerate(G):
             if k == idx:
                 continue
-            hm = _lt(h, _drl_key)[0]
+            hm = _lt(h, key)[0]
             if all(a <= b for a, b in zip(hm, gm)) and (hm != gm or k < idx):
                 dominated = True
                 break
@@ -266,7 +274,7 @@ def naive_groebner(gens, char=0):
     final = []
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1:]
-        r = naive_normal_form(g, others, char)
+        r = naive_normal_form(g, others, char, key)
         if r:
             final.append(monic(r))
     return {frozenset(t.items()) for t in final}

@@ -1,4 +1,4 @@
-"""Kernel tests: term orders, parsing, Buchberger, ideal calculus, Hilbert data.
+"""Kernel tests: the monomial order, parsing, Buchberger, ideal calculus, Hilbert data.
 
 Derived constants in the frozen-value tests were produced by the naive
 reference implementations in oracles.py; the property tests re-check the
@@ -18,19 +18,15 @@ import oracles
 from geomideal import cli, freemod, polykernel
 from geomideal.fields import QQ, PrimeField
 from geomideal.geometry import RationalPoint
-from geomideal.idealizer import IdealizerScene
 from geomideal.linalg import NormalForms
 from geomideal.polykernel import (
     HomIdeal,
     Poly,
     PolyRing,
-    TermOrder,
     buchberger,
     codimension,
     degree_piece_basis,
-    degrevlex,
     dim_ideal_piece,
-    groebner_basis,
     hilbert_function,
     hilbert_polynomial,
     ideal_equal,
@@ -39,7 +35,9 @@ from geomideal.polykernel import (
     intersect,
     mono_deg,
     mono_div,
+    mono_descending_key,
     mono_divides,
+    mono_key,
     mono_lcm,
     monomial_primary_decomposition,
     monomial_radical,
@@ -92,25 +90,20 @@ def _terms_list(ideal):
 
 
 # ---------------------------------------------------------------------------
-# orders and parsing
+# the order and parsing
 # ---------------------------------------------------------------------------
 
 def test_degrevlex_classic_comparison():
     # x1^2 beats x0*x2 under degrevlex
-    drl = degrevlex(3)
     a, b = (1, 0, 1), (0, 2, 0)  # x0*x2, x1^2
-    assert drl.key(b) > drl.key(a)
+    assert mono_key(b) > mono_key(a)
 
 
-def test_order_validation():
-    with pytest.raises(ValueError):
-        PolyRing(QQ, 3, degrevlex(4))
-    with pytest.raises(ValueError):
-        from geomideal.polykernel import TermOrder
-
-        TermOrder("weird", 3)
-    with pytest.raises(ValueError):
-        TermOrder("lex", 3)
+def test_nvars_outside_the_grammar_is_rejected():
+    # nvars = d + 1, and the scene grammar allows d <= 9
+    for nvars in (0, 11):
+        with pytest.raises(ValueError):
+            PolyRing(QQ, nvars)
 
 
 def test_parse_spec_shapes():
@@ -159,57 +152,48 @@ def test_groebner_insensitive_to_generator_order(ri):
 
 
 # ---------------------------------------------------------------------------
-# Buchberger pair order, pinned by normal-form call counts recorded with the
-# earlier min-over-all-pending-pairs selection
+# Buchberger pair order, pinned by the normal-form call counts of the module
+# preimage runs that intersect makes
 # ---------------------------------------------------------------------------
 
-def _nf_calls(gens):
-    """How many S-elements buchberger hands to normal_form for gens."""
+def _moving_point_nf_calls(monkeypatch, ring, Z, moved):
+    """nf calls that the module Buchberger makes inside intersect(Z, V(g)),
+    one per generator g of Z^sigma, and then inside intersect(Z, Z^sigma)."""
     calls = []
+    real = freemod.buchberger
 
-    def nf(f, G):
-        calls.append(f)
-        return normal_form(f, G)
+    def counting(gens, sort_key, nf):
+        def counted(f, G):
+            calls.append(f)
+            return nf(f, G)
 
-    buchberger(gens, Poly.sort_key, nf)
-    return len(calls)
+        return real(gens, sort_key, counted)
 
-
-def _elim_gens(ring, I, J):
-    """The elimination-ring gens t*I + (1-t)*J that intersect(I, J) builds
-    when neither ideal contains the other."""
-    ering = ring.with_elim_var()
-    t = ering.variable(ring.nvars)
-
-    def lift(f):
-        return Poly(ering, {m + (0,): c for m, c in f.terms.items()})
-
-    return [t * lift(f) for f in I] + [(ering.one() - t) * lift(g) for g in J]
+    monkeypatch.setattr(freemod, "buchberger", counting)
+    Z, moved = HomIdeal.from_strings(ring, Z), [ring.parse(f) for f in moved]
+    out = []
+    for J in [[g] for g in moved] + [moved]:
+        calls.clear()
+        intersect(Z, HomIdeal(ring, J))
+        out.append(len(calls))
+    return out
 
 
-def _moving_point_nf_calls(ring, Z, moved):
-    """nf calls for the meets of Z = V(point) with V(g), one per generator
-    g of Z^sigma (the elimination route of (Z : Z^sigma) divides Z by each
-    g), and then with the moved point V(Z^sigma) itself."""
-    Z, moved = [ring.parse(f) for f in Z], [ring.parse(f) for f in moved]
-    meets = [[g] for g in moved] + [moved]
-    return [_nf_calls(_elim_gens(ring, Z, J)) for J in meets]
-
-
-def test_pair_order_pinned_on_moving_point_colon():
+def test_pair_order_pinned_on_moving_point_colon(monkeypatch):
     # Z = [1:1:1] in P^2 and its pullback under diag(1, 2, 3)
     assert _moving_point_nf_calls(
-        RQ, ["x0 - x2", "x1 - x2"], ["x0 - 3*x2", "2*x1 - 3*x2"]
-    ) == [7, 7, 7]
+        monkeypatch, RQ, ["x0 - x2", "x1 - x2"], ["x0 - 3*x2", "2*x1 - 3*x2"]
+    ) == [6, 6, 4]
 
 
-def test_pair_order_pinned_on_p5_point_colon():
+def test_pair_order_pinned_on_p5_point_colon(monkeypatch):
     # Z = [1:2:3:4:5:2] in P^5 and its pullback under diag(1, 2, 3, 5, 7, 11)
     coords, lams = [2, 3, 4, 5, 2], [2, 3, 5, 7, 11]
     Z = [f"x{i} - {c}*x0" for i, c in enumerate(coords, start=1)]
     moved = [f"{lam}*x{i} - {c}*x0"
              for i, (lam, c) in enumerate(zip(lams, coords), start=1)]
-    assert _moving_point_nf_calls(PolyRing(QQ, 6), Z, moved) == [35, 35, 35, 35, 35, 29]
+    assert (_moving_point_nf_calls(monkeypatch, PolyRing(QQ, 6), Z, moved)
+            == [30, 30, 30, 30, 30, 24])
 
 
 P5_MOVING_POINT = """\
@@ -252,11 +236,10 @@ def test_p5_moving_point_colon_takes_one_linear_quotient_per_degree(tmp_path, mo
 
 
 def test_pair_order_takes_late_pairs_with_smaller_keys_first():
-    """Inhomogeneous elim input: reductions create pairs whose lcm's have
-    lower degree than pairs already taken, and those are taken next."""
-    ering = PolyRing(QQ, 4, TermOrder("elim", 4))  # x3 is eliminated first
-    gens = [ering.parse(f) for f in
-            ["2*x0*x1*x2^2*x3^2 + x3", "2*x0^2*x1^2*x2 - x0*x1", "2 - x2*x3^2"]]
+    """Inhomogeneous input: reductions create pairs whose lcm's have lower
+    degree than pairs already taken, and those are taken next."""
+    gens = [RQ.parse(f) for f in ["x0^2*x1^2*x2^2 - x0^2*x1^2 + 3*x0", "3*x1 + 3*x2 + x0",
+                                  "-x0^2*x1^2*x2 - x0^2 + 1"]]
     taken = []
 
     def nf(f, G):
@@ -271,7 +254,7 @@ def test_pair_order_takes_late_pairs_with_smaller_keys_first():
         raise AssertionError("not an S-element of the basis")
 
     buchberger(gens, Poly.sort_key, nf)
-    assert taken == [6, 3, 6, 4, 3, 3, 5]
+    assert taken == [5, 6, 5, 6, 5, 5, 6, 6]
 
 
 @given(st.data())
@@ -288,12 +271,9 @@ def test_normal_form_matches_naive_division(data):
         assert dict(normal_form(f, basis).terms) == want
 
 
-@pytest.mark.parametrize("kind", ["degrevlex", "elim"])
-def test_descending_key_reverses_the_order(kind):
-    order = TermOrder(kind, 3)
-    monos = [m for n in range(4) for m in monomials_of_degree(PolyRing(QQ, 3), n)]
-    assert (sorted(monos, key=order.descending_key)
-            == sorted(monos, key=order.key, reverse=True))
+def test_descending_key_reverses_the_order():
+    monos = [m for n in range(4) for m in monomials_of_degree(RQ, n)]
+    assert sorted(monos, key=mono_descending_key) == sorted(monos, key=mono_key, reverse=True)
 
 
 @given(st.data())
@@ -516,10 +496,17 @@ def test_hilbert_inclusion_exclusion(data):
 # ---------------------------------------------------------------------------
 
 def _elim_meet(I, J):
-    """Reduced basis of I ∩ J by eliminating t from t·I + (1−t)·J."""
-    return [Poly(I.ring, {m[:-1]: c for m, c in f.terms.items()})
-            for f in groebner_basis(_elim_gens(I.ring, I.gens, J.gens))
-            if all(m[-1] == 0 for m in f.terms)]
+    """Reduced basis of I ∩ J by eliminating t from t·I + (1−t)·J, with the
+    oracle's Buchberger under its elimination order, sorted by decreasing
+    leading monomial."""
+    field = I.ring.field
+    gens = ([{m + (1,): c for m, c in f.terms.items()} for f in I.gens]
+            + [{**{m + (0,): c for m, c in g.terms.items()},
+                **{m + (1,): field.neg(c) for m, c in g.terms.items()}} for g in J.gens])
+    basis = oracles.naive_groebner(gens, _char(I.ring), key=oracles.elim_key)
+    meet = [Poly(I.ring, {m[:-1]: c for m, c in f}) for f in basis
+            if all(m[-1] == 0 for m, _ in f)]
+    return sorted(meet, key=lambda f: mono_key(f.lm()), reverse=True)
 
 
 def _divide_exact(f, g):
@@ -738,34 +725,6 @@ def test_linear_colon_exit_matches_the_full_route(data):
     assert got.groebner() == want.groebner()
 
 
-@pytest.fixture
-def buchberger_orders(monkeypatch):
-    """The term order kind of every Buchberger run, polynomial or module."""
-    orders = []
-    real = polykernel.buchberger
-
-    def counting(gens, sort_key, nf):
-        orders.extend(g.ring.order.kind for g in gens[:1])
-        return real(gens, sort_key, nf)
-
-    monkeypatch.setattr(polykernel, "buchberger", counting)
-    monkeypatch.setattr(freemod, "buchberger", counting)
-    return orders
-
-
-def test_p5_point_colon_runs_no_elimination(buchberger_orders):
-    """Set-up (saturation) and colon_ideal(1) on the P^5 point of
-    test_pair_order_pinned_on_p5_point_colon divide only by linear forms, so
-    no Groebner basis is computed in an elimination ring."""
-    ring = PolyRing(QQ, 6)
-    coords = [2, 3, 4, 5, 2]
-    Z = HomIdeal.from_strings(ring, [f"x{i} - {c}*x0" for i, c in enumerate(coords, start=1)])
-    sigma = ProjAutomorphism.diagonal(ring, ["1", "2", "3", "5", "7", "11"])
-    scene = IdealizerScene(ring, sigma, Z)
-    assert not scene.colon_ideal(1).is_unit()
-    assert buchberger_orders and "elim" not in buchberger_orders
-
-
 TWISTED_CUBIC = """\
 field rational
 dim 3
@@ -782,19 +741,32 @@ end
 """
 
 
+PREIMAGE_RUNS = {"colon": 12, "classify": 12, "idealizer": 6}
+
+
 @pytest.mark.parametrize("command", ["colon", "classify", "idealizer"])
 @pytest.mark.parametrize("scene", ["conic_pair", "fat_point", "twisted_cubic"])
 def test_cli_on_curves_and_fat_points_runs_no_elimination(scene, command, tmp_path,
-                                                          buchberger_orders):
-    """A Z that is not a linear point takes the module preimage for its
-    colons and intersections, so no command builds an elimination ring."""
+                                                          monkeypatch):
+    """Each command exits 0.  The curves take the module preimage for their
+    nonlinear colons (12 preimage runs for colon and classify, 6 for
+    idealizer); the fat point takes none, since the generator x0^2 of its J
+    lies in I and the rest of J is linear."""
+    runs = []
+    real = freemod.preimage_generators
+
+    def counting(vecs, targets):
+        runs.append(len(vecs))
+        return real(vecs, targets)
+
+    monkeypatch.setattr(freemod, "preimage_generators", counting)
     if scene == "twisted_cubic":
         path = tmp_path / "twisted_cubic.scene"
         path.write_text(TWISTED_CUBIC)
     else:
         path = ROOT / "scenes" / f"{scene}.scene"
     assert cli.main([command, str(path)]) == 0
-    assert buchberger_orders and "elim" not in buchberger_orders
+    assert len(runs) == (0 if scene == "fat_point" else PREIMAGE_RUNS[command])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """The package API as its callers outside the CLI see it.
 
 The experiment scripts are the only callers of the package namespace besides
-the CLI and the tests, so each is run once here: a name they import that
-goes missing fails this file rather than going unnoticed.
+the CLI and the tests.  Every name they import from geomideal is resolved
+here, so one that goes missing fails this file rather than going unnoticed;
+the two quick scripts are also run (colon_reports.py and orbit_reports.py
+take too long to run here).
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -29,6 +33,15 @@ def test_every_exported_name_resolves_once():
     namespace: dict = {}
     exec("from geomideal import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_every_name_the_scripts_import_resolves():
+    for script in sorted((ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(script.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "geomideal":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{script.name}: {node.module}.{alias.name}"
 
 
 def test_flagship_script_runs():
