@@ -11,11 +11,20 @@ Evidence discipline: a row is "certified" or "refuted" only when the verdict
 follows from a re-checkable computation through one of the implemented
 criteria; horizon-limited observations stay "heuristic" and display their
 horizon; rows whose hypotheses are not met are "not-applicable".
+
+Shared rules, each decided once: the right-noetherian row and its strong
+twin share verdict and evidence (_right_rows); in the stable branch a row
+is only as strong as the stabilization behind it, certified or refuted when
+stabilization is certified and heuristic at the horizon otherwise
+(grounded, obstructed); and an unstable scene reports the rows that assume
+a stabilized idealizer as not applicable, while in three of its cases the
+four noetherian rows share one verdict and detail (uniform).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import SceneVerificationError, UsageError
 from .geometry import (
@@ -30,7 +39,6 @@ from .idealizer import IdealizerScene, stabilization_degree
 from .polykernel import (
     HomIdeal,
     codimension,
-    hilbert_polynomial,
     ideal_equal,
     intersect,
     is_monomial_ideal,
@@ -57,16 +65,6 @@ class OrderResult:
     order: int | None
     certified_infinite: bool
     justification: str
-
-    @property
-    def label(self) -> str:
-        if self.order == 1:
-            return "fixed"
-        if self.order is not None:
-            return f"period {self.order}"
-        if self.certified_infinite:
-            return "infinite"
-        return "exceeds-bound"
 
 
 def _divisors(n: int) -> list[int]:
@@ -161,7 +159,6 @@ class ComponentReport:
     codimension: int
     radical_order: OrderResult
     scheme_order: OrderResult
-    notes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -178,19 +175,6 @@ class ComponentAnalysis:
     J_fixed: OrderResult | None
     order_bound: int
     source: str  # "monomial" | "point" | "declared"
-    notes: tuple[str, ...] = ()
-
-
-def _component_radical(comp: HomIdeal, notes: list) -> HomIdeal:
-    if is_monomial_ideal(comp):
-        return monomial_radical(comp)
-    if reduced_point_of(comp) is not None:
-        return comp
-    notes.append(
-        "declared component without a declared radical; "
-        "the component itself is used as the order proxy"
-    )
-    return comp
 
 
 def component_analysis(scene: IdealizerScene, order_bound: int = 12) -> ComponentAnalysis:
@@ -203,13 +187,12 @@ def component_analysis(scene: IdealizerScene, order_bound: int = 12) -> Componen
     if order_bound < 1:
         raise ValueError("order bound must be >= 1")
     sigma, ideal = scene.sigma, scene.ideal
-    notes: list[str] = []
     if scene.declared_components:
         pairs = []
         for comp, prime in scene.declared_components:
             comp = saturate(comp)
             if prime is None:
-                prime = _component_radical(comp, notes)
+                prime = monomial_radical(comp) if is_monomial_ideal(comp) else comp
             pairs.append((comp, prime))
         source = "declared"
     elif is_monomial_ideal(ideal):
@@ -226,35 +209,22 @@ def component_analysis(scene: IdealizerScene, order_bound: int = 12) -> Componen
         source = "point"
 
     reports = []
-    for i, (comp, prime) in enumerate(pairs):
-        comp_notes: list[str] = []
+    for comp, prime in pairs:
         rad = sigma_ideal_order(prime, sigma, order_bound)
         if ideal_equal(comp, prime):
             sch = rad
         else:
             sch = sigma_ideal_order(comp, sigma, order_bound)
-        if rad.order is None and not rad.certified_infinite:
-            comp_notes.append(
-                f"support order undetermined up to {order_bound}; "
-                "treated as infinite-order for the split"
-            )
-        reports.append(ComponentReport(comp, prime, codimension(comp),
-                                       rad, sch, tuple(comp_notes)))
+        reports.append(ComponentReport(comp, prime, codimension(comp), rad, sch))
 
-    finite = [r for r in reports if r.radical_order.order is not None]
-    moving = [r for r in reports if r.radical_order.order is None]
-
-    def _meet_all(rs):
-        acc = None
-        for r in rs:
-            acc = r.component if acc is None else intersect(acc, r.component)
-        return acc
-
-    J_ideal = _meet_all(finite)
-    W_ideal = _meet_all(moving)
+    # a support whose order is undetermined up to the bound counts as moving
+    finite = [r.component for r in reports if r.radical_order.order is not None]
+    moving = [r.component for r in reports if r.radical_order.order is None]
+    J_ideal = reduce(intersect, finite) if finite else None
+    W_ideal = reduce(intersect, moving) if moving else None
     J_fixed = sigma_ideal_order(J_ideal, sigma, order_bound) if J_ideal is not None else None
     return ComponentAnalysis(tuple(reports), W_ideal, J_ideal, J_fixed,
-                             order_bound, source, tuple(notes))
+                             order_bound, source)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +256,10 @@ CITATIONS = {
 }
 
 VERDICTS = ("yes", "no", "inconclusive")
+
+PROBE_J_MAX = 6  # homological degrees probed over an ambient quotient
+
+NOT_FINITELY_GENERATED = "not a finitely generated idealizer; noetherian rows refuted"
 
 
 @dataclass(frozen=True)
@@ -337,10 +311,26 @@ def _row(predicate, verdict, detail, kind, *, horizon=None, witness=None):
                                       horizon=horizon, witness=witness))
 
 
+def _right_rows(verdict, detail, kind, strong_detail, *, horizon=None,
+                witness=None):
+    """The right-noetherian row and its strong twin.  For an idealizer the
+    two properties coincide, so both rows share verdict and evidence."""
+    return (_row("right-noetherian", verdict, detail, kind,
+                 horizon=horizon, witness=witness),
+            _row("strongly-right-noetherian", verdict, strong_detail, kind,
+                 horizon=horizon, witness=witness))
+
+
+def _sample_orbits(sigma, Z, points, horizon):
+    """Forward-orbit reports of the sample points against Z, and the first
+    one that meets Z infinitely often (None if there is none)."""
+    reports = [forward_orbit_hits(p, sigma, Z, horizon) for p in points]
+    return reports, next((r for r in reports if r.verdict == "infinite"), None)
+
+
 def classify(scene: IdealizerScene, *, sample_points: tuple = (),
              horizon: int = 20, order_bound: int = 12,
-             ambient_quotient: HomIdeal | None = None,
-             probe_j_max: int = 6) -> ClassificationReport:
+             ambient_quotient: HomIdeal | None = None) -> ClassificationReport:
     """Assemble the eight-row verdict table for a scene.
 
     Declared sample points feed the forward-orbit sampling of the
@@ -350,8 +340,7 @@ def classify(scene: IdealizerScene, *, sample_points: tuple = (),
     over the wrong coordinate ring.
     """
     if ambient_quotient is not None and not ambient_quotient.is_zero_ideal():
-        return _classify_over_quotient(scene, ambient_quotient, sample_points,
-                                       probe_j_max)
+        return _classify_over_quotient(scene, ambient_quotient, sample_points)
 
     notes: list[str] = []
     stab = stabilization_degree(scene, horizon)
@@ -379,17 +368,15 @@ def _classify_degenerate(scene, stab, notes) -> ClassificationReport:
     agrees = (f"Z is fixed by sigma^{n_unit}: the section ring agrees with the "
               "full twisted coordinate ring in every degree divisible by "
               f"{n_unit}, and is a finite module over that subring")
+    strong = ("finite extensions of the strongly noetherian twisted coordinate "
+              "ring of projective space remain strongly noetherian")
     na = ("the scene degenerates to the twisted coordinate ring in large "
           "degree; idealizer-specific predicates are not evaluated")
     rows = (
         _row("right-noetherian", "yes", agrees, "certified"),
-        _row("strongly-right-noetherian", "yes",
-             "finite extensions of the strongly noetherian twisted coordinate "
-             "ring of projective space remain strongly noetherian", "certified"),
+        _row("strongly-right-noetherian", "yes", strong, "certified"),
         _row("left-noetherian", "yes", agrees, "certified"),
-        _row("strongly-left-noetherian", "yes",
-             "finite extensions of the strongly noetherian twisted coordinate "
-             "ring of projective space remain strongly noetherian", "certified"),
+        _row("strongly-left-noetherian", "yes", strong, "certified"),
         _row("fails-left-chi-1", "inconclusive", na, "not-applicable"),
         _row("right-chi-levels", "inconclusive", na, "not-applicable"),
         _row("finite-cohomological-dimension", "yes",
@@ -403,19 +390,10 @@ def _classify_degenerate(scene, stab, notes) -> ClassificationReport:
 
 # -- stable branch: the colon equals the ideal from some degree on ----------
 
-def _orbit_rows(scene, sample_points, horizon):
-    reports = [forward_orbit_hits(p, scene.sigma, scene.ideal, horizon)
-               for p in sample_points]
-    infinite = next((r for r in reports if r.verdict == "infinite"), None)
-    inconclusive = any(r.verdict == "inconclusive" for r in reports)
-    complete = sum(1 for r in reports if r.verdict == "certified-finite")
-    return reports, infinite, inconclusive, complete
-
-
 def _classify_stable(scene, stab, comp, sample_points, horizon, notes) -> ClassificationReport:
     ct = critical_transversality_certificate(scene)
-    reports, infinite_rep, orbit_inconclusive, complete = _orbit_rows(
-        scene, sample_points, horizon)
+    reports, infinite_rep = _sample_orbits(scene.sigma, scene.ideal,
+                                           sample_points, horizon)
 
     single_point = (comp is not None and len(comp.components) == 1
                     and comp.source in ("point", "declared")
@@ -433,19 +411,24 @@ def _classify_stable(scene, stab, comp, sample_points, horizon, notes) -> Classi
             f"colon equals the ideal of Z from degree {stab.n0} through {stab.bound}; "
             "degrees beyond the bound are unverified"
         )
-    grounded = "certified" if assnot_certified else "heuristic"
-    grounded_h = None if assnot_certified else horizon
+
+    def grounded(pred, verdict, detail):
+        if assnot_certified:
+            return _row(pred, verdict, detail, "certified")
+        return _row(pred, verdict, detail, "heuristic", horizon=horizon)
+
+    def obstructed(pred, detail, witness, heuristic_detail):
+        if assnot_certified:
+            return _row(pred, "no", detail, "refuted", witness=witness)
+        return _row(pred, "no", heuristic_detail, "heuristic", horizon=horizon)
 
     # right-noetherian (and its strong twin)
     if infinite_rep is not None and comp is not None and comp.J_ideal is None:
         witness = (f"forward orbit of {infinite_rep.point} meets Z infinitely "
                    f"often (period {infinite_rep.period})")
-        right = _row("right-noetherian", "no",
-                     "a sampled point returns to Z along a cycle", "refuted",
-                     witness=witness)
-        strong_right = _row("strongly-right-noetherian", "no",
-                            "refuted through the same orbit; the strong "
-                            "property implies the plain one", "refuted",
+        right = _right_rows("no", "a sampled point returns to Z along a cycle",
+                            "refuted", "refuted through the same orbit; the "
+                            "strong property implies the plain one",
                             witness=witness)
     else:
         if infinite_rep is not None:
@@ -456,41 +439,33 @@ def _classify_stable(scene, stab, comp, sample_points, horizon, notes) -> Classi
         elif not reports:
             verdict = "inconclusive"
             detail = "no sample points declared; the forward-orbit predicate was not sampled"
-        elif orbit_inconclusive:
+        elif any(r.verdict == "inconclusive" for r in reports):
             verdict = "inconclusive"
             detail = (f"{len(reports)} sampled orbit(s); at least one scan ends "
                       "at the horizon without a completeness bound")
         else:
+            complete = sum(r.verdict == "certified-finite" for r in reports)
             verdict = "yes"
             detail = (f"{len(reports)} sampled forward orbit(s) meet Z finitely "
                       f"often ({complete} with completeness bounds); the "
                       "predicate quantifies over all points and is sampled only")
-        right = _row("right-noetherian", verdict, detail, "heuristic",
-                     horizon=horizon)
-        strong_right = _row("strongly-right-noetherian", verdict,
+        right = _right_rows(verdict, detail, "heuristic",
                             detail + "; the two right-noetherian properties "
-                            "coincide for stabilized idealizers", "heuristic",
-                            horizon=horizon)
+                            "coincide for stabilized idealizers", horizon=horizon)
 
     # left-noetherian
     if ct.status == "certified":
-        left = _row("left-noetherian", "yes",
-                    f"Z is homologically transverse to all {ct.checked} "
-                    "invariant coordinate-subspace families", grounded,
-                    horizon=grounded_h)
+        left = grounded("left-noetherian", "yes",
+                        f"Z is homologically transverse to all {ct.checked} "
+                        "invariant coordinate-subspace families")
     elif ct.status == "refuted":
         witness = (f"invariant subscheme V({ct.witness_ideal.gens_text()}) is not "
                    f"homologically transverse to Z (Tor_{ct.witness_j} survives "
                    "in high degree)")
-        if assnot_certified:
-            left = _row("left-noetherian", "no",
-                        "an invariant subscheme obstructs transversality",
-                        "refuted", witness=witness)
-        else:
-            left = _row("left-noetherian", "no",
-                        f"an invariant subscheme obstructs transversality ({witness}); "
-                        "colon stabilization itself is horizon-tested",
-                        "heuristic", horizon=horizon)
+        left = obstructed("left-noetherian",
+                          "an invariant subscheme obstructs transversality", witness,
+                          f"an invariant subscheme obstructs transversality ({witness}); "
+                          "colon stabilization itself is horizon-tested")
     else:
         left = _row("left-noetherian", "inconclusive",
                     f"no transversality certificate: {ct.reason}",
@@ -503,45 +478,39 @@ def _classify_stable(scene, stab, comp, sample_points, horizon, notes) -> Classi
     if offending is not None:
         witness = (f"component V({offending.prime.gens_text()}) has codimension "
                    f"{offending.codimension} > 1")
-        if assnot_certified:
-            strong_left = _row("strongly-left-noetherian", "no",
-                               "strong left noetherian needs Z of pure "
-                               "codimension 1", "refuted", witness=witness)
-        else:
-            strong_left = _row("strongly-left-noetherian", "no",
-                               f"{witness}; colon stabilization itself is "
-                               "horizon-tested", "heuristic", horizon=horizon)
+        strong_left = obstructed("strongly-left-noetherian",
+                                 "strong left noetherian needs Z of pure "
+                                 "codimension 1", witness,
+                                 f"{witness}; colon stabilization itself is "
+                                 "horizon-tested")
     elif ct.status == "refuted":
         witness = (f"not left noetherian: invariant subscheme "
                    f"V({ct.witness_ideal.gens_text()}) obstructs transversality")
-        strong_left = _row("strongly-left-noetherian", "no",
-                           "refuted through the left-noetherian obstruction",
-                           "refuted" if assnot_certified else "heuristic",
-                           witness=witness if assnot_certified else None,
-                           horizon=None if assnot_certified else horizon)
+        detail = "refuted through the left-noetherian obstruction"
+        strong_left = obstructed("strongly-left-noetherian", detail, witness, detail)
     elif comp is not None and ct.status == "certified":
-        strong_left = _row("strongly-left-noetherian", "yes",
-                           "Z has pure codimension 1 and the transversality "
-                           "certificate holds", grounded, horizon=grounded_h)
+        strong_left = grounded("strongly-left-noetherian", "yes",
+                               "Z has pure codimension 1 and the transversality "
+                               "certificate holds")
     else:
         strong_left = _row("strongly-left-noetherian", "inconclusive",
                            "needs both a component split and a transversality "
                            "certificate", "not-applicable")
 
     # fails left chi_1
-    chi1 = _row("fails-left-chi-1", "yes",
-                "the coordinate ring modulo the idealizer is infinite-"
-                "dimensional and embeds into a first Ext group against the "
-                "scalars", grounded, horizon=grounded_h)
+    chi1 = grounded("fails-left-chi-1", "yes",
+                    "the coordinate ring modulo the idealizer is infinite-"
+                    "dimensional and embeds into a first Ext group against the "
+                    "scalars")
 
     # right chi levels
     c = codimension(scene.ideal)
-    zero_dim = hilbert_polynomial(scene.ideal).degree() == 0
+    zero_dim = c == scene.d
     if ct.status == "certified" and (scene.gorenstein_z or zero_dim):
         basis = "zero-dimensional Z" if zero_dim else "declared Gorenstein Z"
-        chi_r = _row("right-chi-levels", "yes",
-                     f"satisfies right chi_{c - 1}, fails right chi_{c} "
-                     f"(codimension {c}, {basis})", grounded, horizon=grounded_h)
+        chi_r = grounded("right-chi-levels", "yes",
+                         f"satisfies right chi_{c - 1}, fails right chi_{c} "
+                         f"(codimension {c}, {basis})")
     elif ct.status == "certified":
         chi_r = _row("right-chi-levels", "inconclusive",
                      f"fails right chi_{c} (codimension {c}, smooth ambient "
@@ -553,17 +522,17 @@ def _classify_stable(scene, stab, comp, sample_points, horizon, notes) -> Classi
                      "evaluated", "not-applicable")
 
     # cohomological dimension
-    cohdim = _row("finite-cohomological-dimension", "yes",
-                  "finite on both sides: the ambient space is regular, so the "
-                  "subscheme sheaf has a finite resolution; the left side "
-                  "equals the ambient dimension", grounded, horizon=grounded_h)
+    cohdim = grounded("finite-cohomological-dimension", "yes",
+                      "finite on both sides: the ambient space is regular, so the "
+                      "subscheme sheaf has a finite resolution; the left side "
+                      "equals the ambient dimension")
 
     # tensor square
     if offending is not None:
-        tensor = _row("tensor-square-not-left-noetherian", "yes",
-                      f"Z has a component of codimension {offending.codimension} "
-                      ">= 2, so the Segre square idealizes a subscheme with the "
-                      "same defect", grounded, horizon=grounded_h)
+        tensor = grounded("tensor-square-not-left-noetherian", "yes",
+                          f"Z has a component of codimension {offending.codimension} "
+                          ">= 2, so the Segre square idealizes a subscheme with the "
+                          "same defect")
     elif comp is not None:
         tensor = _row("tensor-square-not-left-noetherian", "inconclusive",
                       "the Segre-square criterion applies only when Z is not of "
@@ -572,128 +541,97 @@ def _classify_stable(scene, stab, comp, sample_points, horizon, notes) -> Classi
         tensor = _row("tensor-square-not-left-noetherian", "inconclusive",
                       "no component split available", "not-applicable")
 
-    rows = (right, strong_right, left, strong_left, chi1, chi_r, cohdim, tensor)
+    rows = right + (left, strong_left, chi1, chi_r, cohdim, tensor)
     return ClassificationReport(rows, (), tuple(notes))
 
 
 # -- unstable branch: the colon keeps exceeding the ideal -------------------
 
 def _classify_unstable(scene, stab, comp, sample_points, horizon, notes) -> ClassificationReport:
-    na_detail = ("the colon does not stabilize; predicates assuming a "
-                 "stabilized idealizer are not evaluated")
-    na_rows = (
-        _row("fails-left-chi-1", "inconclusive", na_detail, "not-applicable"),
-        _row("right-chi-levels", "inconclusive", na_detail, "not-applicable"),
-        _row("finite-cohomological-dimension", "inconclusive", na_detail,
-             "not-applicable"),
-        _row("tensor-square-not-left-noetherian", "inconclusive", na_detail,
-             "not-applicable"),
-    )
+    def uniform(verdict, detail):
+        return tuple(_row(p, verdict, detail, "heuristic", horizon=horizon)
+                     for p in PREDICATES[:4])
 
-    if comp is not None and comp.J_ideal is not None:
-        jf = comp.J_fixed
-        if jf.certified_infinite:
-            # the finite-order part is never fixed as a scheme
-            offender = next(r for r in comp.components
-                            if r.radical_order.order is not None
-                            and r.scheme_order.order is None)
-            witness = (f"component V({offender.component.gens_text()}) has "
-                       f"finite-order support (order {offender.radical_order.order}) "
-                       "but no power of sigma fixes the component scheme "
-                       f"({offender.scheme_order.justification})")
-            flags = ("not a finitely generated idealizer; noetherian rows refuted",)
-            detail_r = ("a noetherian section ring forces some power of sigma "
-                        "to fix the finite-order part of Z as a scheme")
-            rows = (
-                _row("right-noetherian", "no", detail_r, "refuted", witness=witness),
-                _row("strongly-right-noetherian", "no", detail_r, "refuted",
-                     witness=witness),
-                _row("left-noetherian", "no",
-                     "the colon strictly exceeds the ideal of Z at every degree "
-                     f"through {horizon}: the section ring needs a fresh "
-                     "generator in each such degree, while a left noetherian "
-                     "connected graded algebra is finitely generated",
-                     "heuristic", horizon=horizon),
-                _row("strongly-left-noetherian", "no",
-                     "follows from the left-noetherian failure", "heuristic",
-                     horizon=horizon),
-            ) + na_rows
-            return ClassificationReport(rows, flags, tuple(notes))
-        if jf.order is not None:
-            # fixed part plus moving part: the ring reduces to an idealizer
-            # at the moving part, which this engine does not re-run
-            flags = ("fixed-part present",)
-            notes = list(notes) + [
-                f"sigma^{jf.order} fixes the finite-order part J; the section "
-                "ring is a finite module over an idealizer at the moving part W"
-            ]
-            reports = [forward_orbit_hits(p, scene.sigma, comp.W_ideal, horizon)
-                       for p in sample_points]
-            infinite_rep = next((r for r in reports if r.verdict == "infinite"), None)
-            if infinite_rep is not None:
-                witness = (f"forward orbit of {infinite_rep.point} meets the "
-                           f"moving part infinitely often (period {infinite_rep.period})")
-                rn = _row("right-noetherian", "no",
-                          "a sampled point returns to the moving part along a "
-                          "cycle", "refuted", witness=witness)
-                srn = _row("strongly-right-noetherian", "no",
-                           "refuted through the same orbit", "refuted",
-                           witness=witness)
-            elif reports:
-                det = (f"{len(reports)} sampled orbit(s) meet the moving part "
-                       "finitely often; the predicate is sampled only")
-                rn = _row("right-noetherian", "yes", det, "heuristic", horizon=horizon)
-                srn = _row("strongly-right-noetherian", "yes", det, "heuristic",
-                           horizon=horizon)
-            else:
-                det = "no sample points declared for the moving part"
-                rn = _row("right-noetherian", "inconclusive", det, "heuristic",
-                          horizon=horizon)
-                srn = _row("strongly-right-noetherian", "inconclusive", det,
-                           "heuristic", horizon=horizon)
-            rows = (rn, srn,
-                    _row("left-noetherian", "inconclusive",
-                         "the reduction to the moving part is not re-run",
-                         "not-applicable"),
-                    _row("strongly-left-noetherian", "inconclusive",
-                         "the reduction to the moving part is not re-run",
-                         "not-applicable"),
-                    ) + na_rows
-            return ClassificationReport(rows, flags, tuple(notes))
-        # order bound exhausted without a certificate
-        flags = ("not a finitely generated idealizer; noetherian rows refuted",)
-        detail = ("the colon strictly exceeds the ideal of Z at every degree "
-                  f"through {horizon}, and no power of sigma up to "
-                  f"{comp.order_bound} fixes the finite-order part")
-        rows = tuple(_row(p, "no", detail, "heuristic", horizon=horizon)
-                     for p in PREDICATES[:4]) + na_rows
-        return ClassificationReport(rows, flags, tuple(notes))
-
-    if comp is not None:
+    extra = ()
+    if comp is None:
+        flags = (NOT_FINITELY_GENERATED,)
+        rows = uniform("no", "the colon strictly exceeds the ideal of Z at every "
+                       "computed degree and no component split is available")
+    elif comp.J_ideal is None:
         # moving components only, yet the colon has not settled: the horizon
         # is simply too small to see the stable range
-        notes = list(notes) + [
-            f"colon not yet stabilized at horizon {horizon}; every component "
-            "has moving support, so a larger horizon may settle the table"
-        ]
-        rows = tuple(_row(p, "inconclusive",
-                          f"colon still exceeds the ideal at degree {horizon}",
-                          "heuristic", horizon=horizon)
-                     for p in PREDICATES[:4]) + na_rows
-        return ClassificationReport(rows, (), tuple(notes))
+        flags = ()
+        extra = (f"colon not yet stabilized at horizon {horizon}; every component "
+                 "has moving support, so a larger horizon may settle the table",)
+        rows = uniform("inconclusive",
+                       f"colon still exceeds the ideal at degree {horizon}")
+    elif comp.J_fixed.certified_infinite:
+        # the finite-order part is never fixed as a scheme
+        offender = next(r for r in comp.components
+                        if r.radical_order.order is not None
+                        and r.scheme_order.order is None)
+        witness = (f"component V({offender.component.gens_text()}) has "
+                   f"finite-order support (order {offender.radical_order.order}) "
+                   "but no power of sigma fixes the component scheme "
+                   f"({offender.scheme_order.justification})")
+        flags = (NOT_FINITELY_GENERATED,)
+        detail_r = ("a noetherian section ring forces some power of sigma "
+                    "to fix the finite-order part of Z as a scheme")
+        rows = _right_rows("no", detail_r, "refuted", detail_r, witness=witness) + (
+            _row("left-noetherian", "no",
+                 "the colon strictly exceeds the ideal of Z at every degree "
+                 f"through {horizon}: the section ring needs a fresh "
+                 "generator in each such degree, while a left noetherian "
+                 "connected graded algebra is finitely generated",
+                 "heuristic", horizon=horizon),
+            _row("strongly-left-noetherian", "no",
+                 "follows from the left-noetherian failure", "heuristic",
+                 horizon=horizon),
+        )
+    elif comp.J_fixed.order is None:
+        # order bound exhausted without a certificate
+        flags = (NOT_FINITELY_GENERATED,)
+        rows = uniform("no", "the colon strictly exceeds the ideal of Z at every "
+                       f"degree through {horizon}, and no power of sigma up to "
+                       f"{comp.order_bound} fixes the finite-order part")
+    else:
+        # fixed part plus moving part: the ring reduces to an idealizer at
+        # the moving part, which this engine does not re-run
+        flags = ("fixed-part present",)
+        extra = (f"sigma^{comp.J_fixed.order} fixes the finite-order part J; the "
+                 "section ring is a finite module over an idealizer at the "
+                 "moving part W",)
+        reports, infinite_rep = _sample_orbits(scene.sigma, comp.W_ideal,
+                                               sample_points, horizon)
+        if infinite_rep is not None:
+            witness = (f"forward orbit of {infinite_rep.point} meets the "
+                       f"moving part infinitely often (period {infinite_rep.period})")
+            rows = _right_rows("no", "a sampled point returns to the moving part "
+                               "along a cycle", "refuted",
+                               "refuted through the same orbit", witness=witness)
+        elif reports:
+            det = (f"{len(reports)} sampled orbit(s) meet the moving part "
+                   "finitely often; the predicate is sampled only")
+            rows = _right_rows("yes", det, "heuristic", det, horizon=horizon)
+        else:
+            det = "no sample points declared for the moving part"
+            rows = _right_rows("inconclusive", det, "heuristic", det,
+                               horizon=horizon)
+        not_rerun = "the reduction to the moving part is not re-run"
+        rows += (_row("left-noetherian", "inconclusive", not_rerun, "not-applicable"),
+                 _row("strongly-left-noetherian", "inconclusive", not_rerun,
+                      "not-applicable"))
 
-    flags = ("not a finitely generated idealizer; noetherian rows refuted",)
-    detail = ("the colon strictly exceeds the ideal of Z at every computed "
-              "degree and no component split is available")
-    rows = tuple(_row(p, "no", detail, "heuristic", horizon=horizon)
-                 for p in PREDICATES[:4]) + na_rows
-    return ClassificationReport(rows, flags, tuple(notes))
+    na_detail = ("the colon does not stabilize; predicates assuming a "
+                 "stabilized idealizer are not evaluated")
+    rows += tuple(_row(p, "inconclusive", na_detail, "not-applicable")
+                  for p in PREDICATES[4:])
+    return ClassificationReport(rows, flags, tuple(notes) + extra)
 
 
 # -- ambient quotient branch: only the cohdim probe runs --------------------
 
-def _classify_over_quotient(scene, quotient, sample_points,
-                            probe_j_max) -> ClassificationReport:
+def _classify_over_quotient(scene, quotient, sample_points) -> ClassificationReport:
     notes = ["an ambient quotient was supplied: rows other than the "
              "cohomological-dimension probe are not evaluated over a proper "
              "quotient"]
@@ -713,7 +651,7 @@ def _classify_over_quotient(scene, quotient, sample_points,
     else:
         try:
             rep = truncated_tor_over_quotient(quotient, scene.ideal, p_ideal,
-                                              j_max=probe_j_max)
+                                              j_max=PROBE_J_MAX)
         except (UsageError, SceneVerificationError) as exc:
             probe = _row("finite-cohomological-dimension", "inconclusive",
                          f"probe rejected: {exc}", "not-applicable")
@@ -722,10 +660,10 @@ def _classify_over_quotient(scene, quotient, sample_points,
                 probe = _row(
                     "finite-cohomological-dimension", "no",
                     "Tor against the probe point survives through homological "
-                    f"degree {probe_j_max}: evidence that the subscheme sheaf "
+                    f"degree {PROBE_J_MAX}: evidence that the subscheme sheaf "
                     "has infinite homological dimension over the quotient, so "
                     "the right side has infinite cohomological dimension; the "
-                    "left side stays finite", "heuristic", horizon=probe_j_max)
+                    "left side stays finite", "heuristic", horizon=PROBE_J_MAX)
             else:
                 first_zero = next((j for j in sorted(rep.verdicts)
                                    if not rep.verdicts[j]), None)
@@ -734,7 +672,7 @@ def _classify_over_quotient(scene, quotient, sample_points,
                     "Tor against the probe point dies at homological degree "
                     f"{first_zero}: the subscheme sheaf shows finite "
                     "homological dimension over the quotient", "heuristic",
-                    horizon=probe_j_max)
+                    horizon=PROBE_J_MAX)
 
     na = ("classification rows are evaluated over the full polynomial "
           "coordinate ring only")

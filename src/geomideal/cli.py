@@ -39,9 +39,10 @@ from .geometry import (
     forward_orbit_hits,
 )
 from .homology import (
-    graded_tor,
+    free_resolution,
     homologically_transverse,
     serre_multiplicity_total,
+    tor_from_resolution,
 )
 from .idealizer import (
     IdealizerScene,
@@ -461,8 +462,9 @@ def run_tor(sf: SceneFile) -> list[dict]:
     J = _require_against(sf, "tor")
     j_max = sf.ring.nvars
     recs = [_record("tor-table", j_max=j_max, degrees=sf.maxdeg)]
+    res = free_resolution(sf.ideal)
     for j in range(j_max + 1):
-        T = graded_tor(sf.ideal, J, j)
+        T = tor_from_resolution(res, J, j)
         dims = T.dims(0, sf.maxdeg)
         for n, dim in enumerate(dims):
             recs.append(_record("tor", j=j, degree=n, dimension=dim))

@@ -132,10 +132,10 @@ class RationalPoint:
 PERIOD_CAP = 1000  # how far GF(p) orbits and projective orders are scanned
 
 
-def projective_order(sigma: ProjAutomorphism, cap: int = PERIOD_CAP) -> int | None:
-    """Least k >= 1 with sigma^k a scalar matrix, scanning up to cap."""
+def projective_order(sigma: ProjAutomorphism) -> int | None:
+    """Least k >= 1 with sigma^k a scalar matrix, scanning up to PERIOD_CAP."""
     field = sigma.ring.field
-    for k in range(1, cap + 1):
+    for k in range(1, PERIOD_CAP + 1):
         if is_scalar_matrix(field, sigma.power(k)):
             return k
     return None
@@ -368,8 +368,6 @@ def forward_orbit_hits(p: RationalPoint, sigma: ProjAutomorphism,
 class MultIndependence:
     """Independence certificate or relation witness for nonzero rationals."""
 
-    values: tuple[Fraction, ...]
-    primes: tuple[int, ...]
     rank: int
     independent: bool
     witness: tuple[int, ...] | None  # integer exponents with product 1
@@ -403,7 +401,7 @@ def multiplicative_independence(values) -> MultIndependence:
     matrix = [[Fraction(e.get(q, 0)) for q in primes] for e in exps]
     rank = linalg.rank(QQ, [row[:] for row in matrix]) if primes else 0
     if rank == len(vals):
-        return MultIndependence(vals, primes, rank, True, None)
+        return MultIndependence(rank, True, None)
 
     # relation: rational left-kernel vector of the exponent matrix
     transposed = [[matrix[i][j] for i in range(len(vals))] for j in range(len(primes))]
@@ -428,7 +426,7 @@ def multiplicative_independence(values) -> MultIndependence:
         check *= v ** e
     if check != 1:
         raise AssertionError("relation witness failed verification")
-    return MultIndependence(vals, primes, rank, False, tuple(witness))
+    return MultIndependence(rank, False, tuple(witness))
 
 
 # ---------------------------------------------------------------------------

@@ -279,8 +279,6 @@ class QuotientTorReport:
     nonzero, that is, when the Tor_j sheaf at the probed point is nonzero.
     """
 
-    quotient: HomIdeal
-    point: HomIdeal
     window: int
     table: dict[int, list[int]]
     verdicts: dict[int, bool]
@@ -296,7 +294,6 @@ def truncated_tor_over_quotient(
     M_ideal: HomIdeal,
     P_ideal: HomIdeal,
     j_max: int = 6,
-    deg_bound: int | None = None,
 ) -> QuotientTorReport:
     """Tor_j(A/M, k(P)) over the quotient ring A = S/Q, j = 1..j_max,
     tabulated in degrees 0..window.
@@ -306,8 +303,8 @@ def truncated_tor_over_quotient(
     rational point lying on X, so Q lies in P and tor_from_resolution reads
     Tor over A off the free_resolution of A/MA over A.  Every dimension is
     exact, and each verdict reads the Hilbert polynomial of the same Tor_j,
-    so the window only chooses the degrees shown.  The default window is
-    j_max + (max generator degree of Q) + (max generator degree of M) + 2.
+    so the window only chooses the degrees shown: it is j_max + (max
+    generator degree of Q) + (max generator degree of M) + 2.
     """
     Q = ambient_quotient
     P = saturate(P_ideal)
@@ -320,18 +317,11 @@ def truncated_tor_over_quotient(
                 "point not on the subscheme cut out by the ambient quotient"
             )
 
-    if deg_bound is None:
-        q_deg = max((g.degree for g in Q.gens), default=0)
-        m_deg = max((g.degree for g in M_ideal.gens), default=1)
-        deg_bound = j_max + q_deg + m_deg + 2
+    q_deg = max((g.degree for g in Q.gens), default=0)
+    m_deg = max((g.degree for g in M_ideal.gens), default=1)
+    window = j_max + q_deg + m_deg + 2
     res = free_resolution(M_ideal, j_max + 1, modulo=Q)
     tors = {j: tor_from_resolution(res, P, j) for j in range(1, j_max + 1)}
-    table = {j: tor.dims(0, deg_bound) for j, tor in tors.items()}
+    table = {j: tor.dims(0, window) for j, tor in tors.items()}
     verdicts = {j: not tor.is_sheaf_trivial() for j, tor in tors.items()}
-    return QuotientTorReport(
-        quotient=Q,
-        point=P,
-        window=deg_bound,
-        table=table,
-        verdicts=verdicts,
-    )
+    return QuotientTorReport(window=window, table=table, verdicts=verdicts)

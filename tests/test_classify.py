@@ -3,7 +3,8 @@
 The sigma-order engine is checked against hand-derived orders on all three
 certificate routes (eigenclass, unipotent, finite matrix group); the verdict
 table is pinned row-for-row on the moving-point, fat-point, degenerate, and
-quotient-probe scenes.
+quotient-probe scenes, and as rendered text on the unstable and stable
+regimes that no shipped scene reaches.
 """
 
 import pytest
@@ -22,6 +23,7 @@ from geomideal.classify import (
     reduced_point_of,
     sigma_ideal_order,
 )
+from geomideal.cli import render_text, report_to_records
 from geomideal.fields import QQ, PrimeField
 from geomideal.geometry import RationalPoint
 from geomideal.idealizer import IdealizerScene
@@ -71,7 +73,7 @@ def fat_point_scene():
 
 def test_order_fixed_coordinate_line():
     r = sigma_ideal_order(ideal("x0"), SIGMA, 6)
-    assert (r.order, r.label, r.justification) == (1, "fixed", "direct-power-match")
+    assert (r.order, r.justification) == (1, "direct-power-match")
 
 
 def test_order_monomial_ideals_always_fixed_under_diagonal():
@@ -81,7 +83,7 @@ def test_order_monomial_ideals_always_fixed_under_diagonal():
 
 def test_order_period_two_under_coordinate_swap():
     r = sigma_ideal_order(ideal("x0 - x1"), SWAP12, 6)
-    assert (r.order, r.label) == (2, "period 2")
+    assert r.order == 2
 
 
 def test_order_certified_infinite_for_moving_point():
@@ -89,7 +91,6 @@ def test_order_certified_infinite_for_moving_point():
     assert r.order is None
     assert r.certified_infinite
     assert r.justification == "eigenclass-obstruction"
-    assert r.label == "infinite"
 
 
 def test_order_fat_point_scheme_never_fixed_but_radical_is():
@@ -219,7 +220,6 @@ def test_order_triangular_sigma_exhausts_bound():
     r = sigma_ideal_order(pt("[1:1:1]").ideal(RQ), tri, 3)
     assert r.order is None
     assert not r.certified_infinite
-    assert r.label == "exceeds-bound"
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +285,7 @@ def test_declared_period_two_component():
                            declared_components=((line, line),))
     ca = component_analysis(scene, 8)
     assert ca.source == "declared"
-    assert ca.components[0].radical_order.label == "period 2"
+    assert ca.components[0].radical_order.order == 2
     assert ca.J_fixed.order == 2
 
 
@@ -498,7 +498,7 @@ def test_mixed_scene_flags_fixed_part():
     assert rep.row("left-noetherian").evidence.kind == "not-applicable"
 
 
-def test_orbit_chain_merely_needs_a_larger_horizon():
+def orbit_chain_scene():
     # Z = five consecutive orbit points of [1:1:1]: the colon keeps dropping
     # the leading point until the chain separates past the horizon
     pts = [pt("[1:1:1]")]
@@ -510,11 +510,196 @@ def test_orbit_chain_merely_needs_a_larger_horizon():
         ip = p.ideal(RQ)
         comps.append((ip, ip))
         acc = ip if acc is None else intersect(acc, ip)
-    scene = IdealizerScene(RQ, SIGMA, acc, declared_components=tuple(comps))
-    rep = classify(scene, horizon=3, order_bound=4)
+    return IdealizerScene(RQ, SIGMA, acc, declared_components=tuple(comps))
+
+
+def test_orbit_chain_merely_needs_a_larger_horizon():
+    rep = classify(orbit_chain_scene(), horizon=3, order_bound=4)
     assert rep.flags == ()
     assert rep.row("right-noetherian").verdict == "inconclusive"
     assert any("larger horizon" in n for n in rep.notes)
+
+
+# ---------------------------------------------------------------------------
+# classification: pinned text of the regimes no shipped scene reaches
+# ---------------------------------------------------------------------------
+
+def rendered(scene, **kw):
+    return render_text(report_to_records(classify(scene, **kw)))
+
+
+UNSTABLE_NA_ROWS = """\
+fails-left-chi-1: inconclusive  [not-applicable]  (idealizer-ext1-growth)
+    the colon does not stabilize; predicates assuming a stabilized idealizer are not evaluated
+right-chi-levels: inconclusive  [not-applicable]  (codimension-chi-threshold)
+    the colon does not stabilize; predicates assuming a stabilized idealizer are not evaluated
+finite-cohomological-dimension: inconclusive  [not-applicable]  (subscheme-homological-dimension-criterion)
+    the colon does not stabilize; predicates assuming a stabilized idealizer are not evaluated
+tensor-square-not-left-noetherian: inconclusive  [not-applicable]  (segre-product-obstruction)
+    the colon does not stabilize; predicates assuming a stabilized idealizer are not evaluated
+"""
+
+
+def test_unstable_without_component_split_text():
+    # the fat point with no declared component: no split, colon never settles
+    scene = IdealizerScene(RQ, SIGMA, ideal(*FAT_GENS))
+    detail = ("    the colon strictly exceeds the ideal of Z at every computed "
+              "degree and no component split is available\n")
+    assert rendered(scene, horizon=8, order_bound=6) == (
+        "# classification\n"
+        "flag: not a finitely generated idealizer; noetherian rows refuted\n"
+        "right-noetherian: no  [heuristic(horizon=8)]  (finite-forward-orbit-criterion)\n"
+        + detail +
+        "strongly-right-noetherian: no  [heuristic(horizon=8)]  (strong-right-equals-right-for-idealizers)\n"
+        + detail +
+        "left-noetherian: no  [heuristic(horizon=8)]  (critical-transversality-left-noetherian)\n"
+        + detail +
+        "strongly-left-noetherian: no  [heuristic(horizon=8)]  (pure-codimension-one-and-transversality)\n"
+        + detail + UNSTABLE_NA_ROWS +
+        "note: component analysis unavailable: no decomposition available: "
+        "supply component blocks for a subscheme that is neither monomial nor "
+        "a single rational point\n"
+    )
+
+
+def test_unstable_moving_components_only_text():
+    scene = orbit_chain_scene()
+    detail = "    colon still exceeds the ideal at degree 3\n"
+    assert rendered(scene, horizon=3, order_bound=4) == (
+        "# classification\n"
+        "right-noetherian: inconclusive  [heuristic(horizon=3)]  (finite-forward-orbit-criterion)\n"
+        + detail +
+        "strongly-right-noetherian: inconclusive  [heuristic(horizon=3)]  (strong-right-equals-right-for-idealizers)\n"
+        + detail +
+        "left-noetherian: inconclusive  [heuristic(horizon=3)]  (critical-transversality-left-noetherian)\n"
+        + detail +
+        "strongly-left-noetherian: inconclusive  [heuristic(horizon=3)]  (pure-codimension-one-and-transversality)\n"
+        + detail + UNSTABLE_NA_ROWS +
+        "note: colon not yet stabilized at horizon 3; every component has "
+        "moving support, so a larger horizon may settle the table\n"
+    )
+
+
+def test_unstable_order_bound_exhausted_text():
+    # a fat point at a fixed point of a triangular sigma (no certificate
+    # route): the support is fixed, the scheme is not within the bound
+    tri = ProjAutomorphism.from_strings(
+        RQ, [["1", "1", "0"], ["0", "2", "0"], ["0", "0", "1"]]
+    )
+    fat = ideal("x0", "x1^2")
+    scene = IdealizerScene(RQ, tri, fat, declared_components=((fat, None),))
+    detail = ("    the colon strictly exceeds the ideal of Z at every degree "
+              "through 6, and no power of sigma up to 3 fixes the finite-order "
+              "part\n")
+    assert rendered(scene, horizon=6, order_bound=3) == (
+        "# classification\n"
+        "flag: not a finitely generated idealizer; noetherian rows refuted\n"
+        "right-noetherian: no  [heuristic(horizon=6)]  (finite-forward-orbit-criterion)\n"
+        + detail +
+        "strongly-right-noetherian: no  [heuristic(horizon=6)]  (strong-right-equals-right-for-idealizers)\n"
+        + detail +
+        "left-noetherian: no  [heuristic(horizon=6)]  (critical-transversality-left-noetherian)\n"
+        + detail +
+        "strongly-left-noetherian: no  [heuristic(horizon=6)]  (pure-codimension-one-and-transversality)\n"
+        + detail + UNSTABLE_NA_ROWS
+    )
+
+
+FIXED_MOVING_RIGHT_ROWS = {
+    "infinite": (
+        "right-noetherian: no  [refuted]  (finite-forward-orbit-criterion)\n"
+        "    a sampled point returns to the moving part along a cycle\n"
+        "    witness: forward orbit of [0 : 1 : 0] meets the moving part "
+        "infinitely often (period 1)\n"
+        "strongly-right-noetherian: no  [refuted]  (strong-right-equals-right-for-idealizers)\n"
+        "    refuted through the same orbit\n"
+        "    witness: forward orbit of [0 : 1 : 0] meets the moving part "
+        "infinitely often (period 1)\n"
+    ),
+    "finite": (
+        "right-noetherian: yes  [heuristic(horizon=8)]  (finite-forward-orbit-criterion)\n"
+        "    1 sampled orbit(s) meet the moving part finitely often; the "
+        "predicate is sampled only\n"
+        "strongly-right-noetherian: yes  [heuristic(horizon=8)]  (strong-right-equals-right-for-idealizers)\n"
+        "    1 sampled orbit(s) meet the moving part finitely often; the "
+        "predicate is sampled only\n"
+    ),
+    "unsampled": (
+        "right-noetherian: inconclusive  [heuristic(horizon=8)]  (finite-forward-orbit-criterion)\n"
+        "    no sample points declared for the moving part\n"
+        "strongly-right-noetherian: inconclusive  [heuristic(horizon=8)]  (strong-right-equals-right-for-idealizers)\n"
+        "    no sample points declared for the moving part\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("samples,case", [
+    (("[1:2:3]", "[0:1:0]"), "infinite"),
+    (("[1:2:3]",), "finite"),
+    ((), "unsampled"),
+])
+def test_unstable_fixed_and_moving_part_text(samples, case):
+    # the fixed line V(x1) and the moving line V(x0 - x2) under diag(1, 1, 2);
+    # the moving line carries the fixed point [0:1:0]
+    sig = ProjAutomorphism.diagonal(RQ, ["1", "1", "2"])
+    fixed, moving = ideal("x1"), ideal("x0 - x2")
+    scene = IdealizerScene(RQ, sig, intersect(fixed, moving),
+                           declared_components=((fixed, None), (moving, None)))
+    points = tuple(pt(s) for s in samples)
+    assert rendered(scene, sample_points=points, horizon=8, order_bound=6) == (
+        "# classification\n"
+        "flag: fixed-part present\n"
+        + FIXED_MOVING_RIGHT_ROWS[case] +
+        "left-noetherian: inconclusive  [not-applicable]  (critical-transversality-left-noetherian)\n"
+        "    the reduction to the moving part is not re-run\n"
+        "strongly-left-noetherian: inconclusive  [not-applicable]  (pure-codimension-one-and-transversality)\n"
+        "    the reduction to the moving part is not re-run\n"
+        + UNSTABLE_NA_ROWS +
+        "note: sigma^1 fixes the finite-order part J; the section ring is a "
+        "finite module over an idealizer at the moving part W\n"
+    )
+
+
+def test_stable_refuted_ct_cert_with_codimension_two_component_text():
+    # two declared points, one on the invariant line V(x2): the colon settles,
+    # ct-cert is refuted, and stabilization is only horizon-tested
+    on_line, off = pt("[1:1:0]").ideal(RQ), pt("[1:2:3]").ideal(RQ)
+    scene = IdealizerScene(RQ, SIGMA, intersect(on_line, off),
+                           declared_components=((on_line, None), (off, None)))
+    assert rendered(scene, sample_points=(pt("[1:1:1]"),), horizon=8,
+                    order_bound=6) == (
+        "# classification\n"
+        "right-noetherian: yes  [heuristic(horizon=8)]  (finite-forward-orbit-criterion)\n"
+        "    1 sampled forward orbit(s) meet Z finitely often (1 with "
+        "completeness bounds); the predicate quantifies over all points and "
+        "is sampled only\n"
+        "strongly-right-noetherian: yes  [heuristic(horizon=8)]  (strong-right-equals-right-for-idealizers)\n"
+        "    1 sampled forward orbit(s) meet Z finitely often (1 with "
+        "completeness bounds); the predicate quantifies over all points and "
+        "is sampled only; the two right-noetherian properties coincide for "
+        "stabilized idealizers\n"
+        "left-noetherian: no  [heuristic(horizon=8)]  (critical-transversality-left-noetherian)\n"
+        "    an invariant subscheme obstructs transversality (invariant "
+        "subscheme V(x2) is not homologically transverse to Z (Tor_1 survives "
+        "in high degree)); colon stabilization itself is horizon-tested\n"
+        "strongly-left-noetherian: no  [heuristic(horizon=8)]  (pure-codimension-one-and-transversality)\n"
+        "    component V(x2, -x0 + x1) has codimension 2 > 1; colon "
+        "stabilization itself is horizon-tested\n"
+        "fails-left-chi-1: yes  [heuristic(horizon=8)]  (idealizer-ext1-growth)\n"
+        "    the coordinate ring modulo the idealizer is infinite-dimensional "
+        "and embeds into a first Ext group against the scalars\n"
+        "right-chi-levels: inconclusive  [not-applicable]  (codimension-chi-threshold)\n"
+        "    transversality undecided (refuted); chi levels not evaluated\n"
+        "finite-cohomological-dimension: yes  [heuristic(horizon=8)]  (subscheme-homological-dimension-criterion)\n"
+        "    finite on both sides: the ambient space is regular, so the "
+        "subscheme sheaf has a finite resolution; the left side equals the "
+        "ambient dimension\n"
+        "tensor-square-not-left-noetherian: yes  [heuristic(horizon=8)]  (segre-product-obstruction)\n"
+        "    Z has a component of codimension 2 >= 2, so the Segre square "
+        "idealizes a subscheme with the same defect\n"
+        "note: colon equals the ideal of Z from degree 1 through 8; degrees "
+        "beyond the bound are unverified\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +711,10 @@ CUBIC = "x1^2*x2 - x0^3"
 
 def test_quotient_probe_flags_infinite_on_the_cusp():
     scene = IdealizerScene(RQ, SIGMA, ideal("x0", "x1"))
-    rep = classify(scene, ambient_quotient=ideal(CUBIC), probe_j_max=4)
+    rep = classify(scene, ambient_quotient=ideal(CUBIC))
     row = rep.row("finite-cohomological-dimension")
     assert (row.verdict, row.evidence.kind) == ("no", "heuristic")
-    assert row.evidence.horizon == 4
+    assert row.evidence.horizon == 6
     for r in rep.rows:
         if r.predicate != "finite-cohomological-dimension":
             assert r.evidence.kind == "not-applicable"
@@ -537,7 +722,7 @@ def test_quotient_probe_flags_infinite_on_the_cusp():
 
 def test_quotient_probe_passes_smooth_point():
     scene = IdealizerScene(RQ, SIGMA, ideal("x0 - x2", "x1 - x2"))
-    rep = classify(scene, ambient_quotient=ideal(CUBIC), probe_j_max=4)
+    rep = classify(scene, ambient_quotient=ideal(CUBIC))
     row = rep.row("finite-cohomological-dimension")
     assert row.verdict == "yes"
     assert "homological degree 2" in row.detail
@@ -545,7 +730,7 @@ def test_quotient_probe_passes_smooth_point():
 
 def test_quotient_probe_rejects_off_curve_point():
     scene = IdealizerScene(RQ, SIGMA, ideal("x0 - x2", "x1 - 2*x2"))
-    rep = classify(scene, ambient_quotient=ideal(CUBIC), probe_j_max=3)
+    rep = classify(scene, ambient_quotient=ideal(CUBIC))
     row = rep.row("finite-cohomological-dimension")
     assert row.evidence.kind == "not-applicable"
     assert "probe rejected" in row.detail

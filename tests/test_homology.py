@@ -358,12 +358,6 @@ def test_zero_quotient_matches_polynomial_ring():
     assert all(v == 0 for v in rep.table[4])
 
 
-def test_probe_window_overridable():
-    rep = truncated_tor_over_quotient(CUBIC, CUSP, CUSP, j_max=2, deg_bound=7)
-    assert rep.window == 7
-    assert len(rep.table[1]) == 8
-
-
 # captured from the earlier degree-by-degree linear-algebra probe (exact up
 # to the window) with j_max = 6 and the default window 12; the node's table
 # equals the cusp's
@@ -461,8 +455,8 @@ def test_probe_tor1_matches_the_intersection_formula(data):
         for mono in monomials_of_degree(ring, 2):
             quad = quad + ring.monomial(mono, F.from_int(data.draw(st.integers(-2, 2))))
         M = HomIdeal(ring, (line, quad))
-    rep = truncated_tor_over_quotient(Q, M, P, j_max=1, deg_bound=5)
-    assert rep.table[1] == [_brute_tor1(Q, M, P, n, F.char) for n in range(6)]
+    rep = truncated_tor_over_quotient(Q, M, P, j_max=1)
+    assert rep.table[1][:6] == [_brute_tor1(Q, M, P, n, F.char) for n in range(6)]
 
 
 def _compose(outer, v):
