@@ -34,7 +34,7 @@ from .geometry import (
     projective_order,
     _unipotent_scalar,
 )
-from .homology import truncated_tor_over_quotient
+from .homology import point_coordinates, truncated_tor_over_quotient
 from .idealizer import IdealizerScene, stabilization_degree
 from .polykernel import (
     HomIdeal,
@@ -128,24 +128,10 @@ def sigma_ideal_order(ideal: HomIdeal, sigma: ProjAutomorphism,
 # ---------------------------------------------------------------------------
 
 def reduced_point_of(ideal: HomIdeal) -> RationalPoint | None:
-    """The rational point cut out by an ideal, or None.
-
-    An ideal is the ideal of a rational point exactly when its reduced
-    Groebner basis is d linear forms x_i − c_i·x_k, where x_k is the one
-    variable that leads none of them; the point is then x_k = 1, x_i = c_i.
-    """
-    ring = ideal.ring
-    field = ring.field
-    gb = ideal.groebner()
-    if len(gb) != ring.nvars - 1 or any(g.degree != 1 for g in gb):
-        return None
-    lead = {g.lm().index(1): g for g in gb}
-    k = next(i for i in range(ring.nvars) if i not in lead)
-    xk = ring.variable(k).lm()
-    coords = [field.one] * ring.nvars
-    for i, g in lead.items():
-        coords[i] = field.neg(g.terms.get(xk, field.zero))
-    return RationalPoint.of(field, coords)
+    """The rational point cut out by an ideal (homology.point_coordinates),
+    or None."""
+    coords = point_coordinates(ideal)
+    return None if coords is None else RationalPoint.of(ideal.ring.field, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +587,12 @@ def _classify_unstable(scene, stab, comp, sample_points, horizon, notes) -> Clas
         extra = (f"sigma^{comp.J_fixed.order} fixes the finite-order part J; the "
                  "section ring is a finite module over an idealizer at the "
                  "moving part W",)
-        reports, infinite_rep = _sample_orbits(scene.sigma, comp.W_ideal,
-                                               sample_points, horizon)
+        # every support may have finite order while the colon still moves
+        # ((I : I^(sigma^n)) is the unit ideal when sigma^n fixes Z): then
+        # there is no moving part to sample orbits against
+        reports, infinite_rep = (
+            ([], None) if comp.W_ideal is None
+            else _sample_orbits(scene.sigma, comp.W_ideal, sample_points, horizon))
         if infinite_rep is not None:
             witness = (f"forward orbit of {infinite_rep.point} meets the "
                        f"moving part infinitely often (period {infinite_rep.period})")
@@ -614,7 +604,8 @@ def _classify_unstable(scene, stab, comp, sample_points, horizon, notes) -> Clas
                    "finitely often; the predicate is sampled only")
             rows = _right_rows("yes", det, "heuristic", det, horizon=horizon)
         else:
-            det = "no sample points declared for the moving part"
+            det = ("Z has no moving part: every component has finite-order support"
+                   if sample_points else "no sample points declared for the moving part")
             rows = _right_rows("inconclusive", det, "heuristic", det,
                                horizon=horizon)
         not_rerun = "the reduction to the moving part is not re-run"

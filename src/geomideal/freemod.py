@@ -15,13 +15,17 @@ component, where S(f.e, g.e) = S(f, g).e makes it sound.  The normal form
 is polykernel.divide, the heap division kernel that polynomials share.
 
 Syzygies and preimages tag only the vectors being combined, so their
-output is already a reduced Groebner basis.  The Hilbert series of a
-submodule is one integer numerator summed over components.
+output is already a reduced Groebner basis.  Minimal generators keep one
+Buchberger run open (polykernel.GroebnerRun) and add each accepted
+vector's remainder to it, rather than start a fresh run per accepted
+vector.  The Hilbert series of a submodule is one integer numerator summed
+over components.
 """
 
 from __future__ import annotations
 
 from .polykernel import (
+    GroebnerRun,
     Poly,
     PolyRing,
     buchberger,
@@ -190,10 +194,6 @@ def reduce_module_basis(G: list[MVec]) -> list[MVec]:
     return sorted(interreduce(G, mod_normal_form), key=MVec.sort_key)
 
 
-def submodule_contains(gb: list[MVec], v: MVec) -> bool:
-    return mod_normal_form(v, gb).is_zero()
-
-
 # ---------------------------------------------------------------------------
 # syzygies and minimal generators
 # ---------------------------------------------------------------------------
@@ -241,20 +241,27 @@ def minimal_generators(vecs: list[MVec], modulo=()) -> list[MVec]:
 
     Greedy in ascending degree: a vector already generated by the accepted
     ones and modulo is dropped (graded Nakayama makes this a minimal set).
-    The modulo vectors seed the Groebner basis and are never returned.
+    One GroebnerRun, seeded with modulo, stays open: a vector is tested by
+    its remainder against the run's basis, and a nonzero remainder joins
+    the run, which is completed again.  Membership does not depend on the
+    Groebner basis that decides it, so the accepted list is the one that a
+    fresh module_groebner per accepted vector gives.  The modulo vectors
+    are never returned.
     """
     vecs = [v for v in vecs if not v.is_zero()]
     for v in vecs:
         if v.degree is None:
             raise ValueError("minimal generators require homogeneous vectors")
-    modulo = list(modulo)
     accepted: list[MVec] = []
-    gb = module_groebner(modulo) if modulo else []
+    run = GroebnerRun(list(modulo), MVec.sort_key, mod_normal_form)
+    run.complete()
     for v in sorted(vecs, key=MVec.sort_key):
-        if gb and submodule_contains(gb, v):
+        r = mod_normal_form(v, run.basis)
+        if r.is_zero():
             continue
         accepted.append(v.monic())
-        gb = module_groebner(modulo + accepted)
+        run.add(r)
+        run.complete()
     return accepted
 
 

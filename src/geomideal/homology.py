@@ -21,10 +21,14 @@ Over a quotient coordinate ring A = S/Q resolutions are generally infinite.
 free_resolution(I, length, modulo=Q) resolves A/IA to the given length with
 the same kernel: each map is lifted to S, and its kernel over A is the
 preimage of Q times the target.  For Q inside J the Tor formula above then
-gives Tor over A unchanged.  truncated_tor_over_quotient tabulates it at a
-rational point P on a degree window and reports which Tor_j are nonzero as
-sheaves: the sheaf Tor_j(O_Z, k(P)) is supported at P, so it vanishes
-exactly when the Hilbert polynomial of the graded Tor_j is zero.
+gives Tor over A unchanged; tor_from_resolution serves any such J.
+truncated_tor_over_quotient probes at a rational point P = p on a degree
+window and reports which Tor_j are nonzero as sheaves: the sheaf
+Tor_j(O_Z, k(P)) is supported at P, so it vanishes exactly when the Hilbert
+polynomial of the graded Tor_j is zero.  There S/P is k[t] (x_i -> p_i*t),
+so F tensor S/P is a complex of graded free k[t]-modules whose maps are the
+scalar matrices d_j(p); Tor at P is read from their ranks, degree by degree,
+with no module Groebner run.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .freemod import (
     preimage_generators,
     submodule_hilbert_numerator,
 )
+from .linalg import Echelon
 from .polykernel import (
     HilbertPoly,
     HomIdeal,
@@ -266,6 +271,27 @@ def serre_multiplicity_total(I: HomIdeal, J: HomIdeal) -> Fraction:
     return total
 
 
+def point_coordinates(ideal: HomIdeal) -> list | None:
+    """Coordinates of the rational point an ideal cuts out, or None.
+
+    An ideal is the ideal of a rational point exactly when its reduced
+    Groebner basis is d linear forms x_i − c_i·x_k, where x_k is the one
+    variable that leads none of them; the point is then x_k = 1, x_i = c_i.
+    """
+    ring = ideal.ring
+    field = ring.field
+    gb = ideal.groebner()
+    if len(gb) != ring.nvars - 1 or any(g.degree != 1 for g in gb):
+        return None
+    lead = {g.lm().index(1): g for g in gb}
+    k = next(i for i in range(ring.nvars) if i not in lead)
+    xk = ring.variable(k).lm()
+    coords = [field.one] * ring.nvars
+    for i, g in lead.items():
+        coords[i] = field.neg(g.terms.get(xk, field.zero))
+    return coords
+
+
 # ---------------------------------------------------------------------------
 # truncated Tor over a hypersurface quotient
 # ---------------------------------------------------------------------------
@@ -300,11 +326,19 @@ def truncated_tor_over_quotient(
 
     Q = ambient_quotient cuts out the ambient subscheme X inside projective
     space (Q = 0 means X is projective space itself); P_ideal must define a
-    rational point lying on X, so Q lies in P and tor_from_resolution reads
-    Tor over A off the free_resolution of A/MA over A.  Every dimension is
-    exact, and each verdict reads the Hilbert polynomial of the same Tor_j,
-    so the window only chooses the degrees shown: it is j_max + (max
-    generator degree of Q) + (max generator degree of M) + 2.
+    rational point p lying on X, so Q lies in P and Tor over A is the
+    homology of F tensor S/P, F the free_resolution of A/MA over A lifted to
+    S.  S/P is k[t] by x_i -> p_i*t, and F tensor S/P is a complex of graded
+    free k[t]-modules with scalar maps d_j(p), so
+
+        dim Tor_j in degree n = #{generators of F_j of degree <= n}
+                                - rank_n d_j(p) - rank_n d_(j+1)(p)
+
+    with no Groebner run past the resolution.  The Hilbert polynomial of
+    Tor_j is the constant rank F_j - rank d_j(p) - rank d_(j+1)(p), and its
+    verdict is whether that is nonzero.  Every dimension is exact, so the
+    window only chooses the degrees shown: it is j_max + (max generator
+    degree of Q) + (max generator degree of M) + 2.
     """
     Q = ambient_quotient
     P = saturate(P_ideal)
@@ -321,7 +355,39 @@ def truncated_tor_over_quotient(
     m_deg = max((g.degree for g in M_ideal.gens), default=1)
     window = j_max + q_deg + m_deg + 2
     res = free_resolution(M_ideal, j_max + 1, modulo=Q)
-    tors = {j: tor_from_resolution(res, P, j) for j in range(1, j_max + 1)}
-    table = {j: tor.dims(0, window) for j, tor in tors.items()}
-    verdicts = {j: not tor.is_sheaf_trivial() for j, tor in tors.items()}
+    point = point_coordinates(P)
+    # ranks[k] belongs to d_(k+1); maps past the resolution's end are zero
+    ranks = [_ranks_at_point(d, point, window) for d in res.maps]
+    ranks += [([0] * (window + 1), 0)] * (j_max + 1 - len(ranks))
+    table, verdicts = {}, {}
+    for j in range(1, j_max + 1):
+        degrees = res.modules[j].degrees if j <= res.length else ()
+        (in_n, in_full), (out_n, out_full) = ranks[j - 1], ranks[j]
+        table[j] = [sum(a <= n for a in degrees) - in_n[n] - out_n[n]
+                    for n in range(window + 1)]
+        verdicts[j] = len(degrees) != in_full + out_full
     return QuotientTorReport(window=window, table=table, verdicts=verdicts)
+
+
+def _ranks_at_point(d: GradedMap, point, window: int) -> tuple[list[int], int]:
+    """Ranks of d tensor S/P over S/P = k[t] (x_i -> p_i*t): per degree
+    n = 0..window, and in all large degrees.
+
+    An entry f of column c becomes f(p)*t^(deg f), in a row of degree at
+    most deg c, so the degree-n piece of the map is spanned by the scalar
+    columns f(p) of the source generators of degree at most n.  One echelon
+    takes the columns in ascending source degree."""
+    field = d.target.ring.field
+    ech = Echelon(field, d.target.rank)
+    degrees = d.source.degrees
+    by_degree = [0] * (window + 1)
+    for c in sorted(range(d.source.rank), key=degrees.__getitem__):
+        col = [field.zero] * d.target.rank
+        for r, f in d.columns[c].comps.items():
+            col[r] = f.evaluate(point)
+        ech.insert(col)
+        if degrees[c] <= window:
+            by_degree[degrees[c]] = ech.rank
+    for n in range(1, window + 1):
+        by_degree[n] = max(by_degree[n], by_degree[n - 1])
+    return by_degree, ech.rank

@@ -4,7 +4,7 @@ The commutative kernel everything else sits on: polynomials over Q or GF(p)
 in variables x0..x9, reduced Groebner bases, colon ideals, intersections,
 saturation, and Hilbert functions / polynomials of graded quotients.
 
-One Buchberger driver (`buchberger`, then `interreduce`) serves both
+One Buchberger driver (`GroebnerRun`, then `interreduce`) serves both
 polynomial ideals and graded submodules of free modules (freemod): a Poly is
 a vector with the single component 0.  The chain criterion always applies;
 the product (coprime) criterion applies to a pair whose two elements each
@@ -510,17 +510,23 @@ def normal_form(f: Poly, basis: list[Poly]) -> Poly:
     return Poly(f.ring, rem, next(iter(rem.items()), None))
 
 
-def buchberger(gens: list, sort_key, nf) -> list:
-    """A Groebner basis (not yet interreduced) of the nonzero gens.
+class GroebnerRun:
+    """An open Buchberger run: a basis, its pair heap and its pending set.
 
     The one Buchberger loop, for polynomials and module vectors alike:
     elements expose leading() -> (component, monomial, coefficient), a Poly
     being component 0, plus ncomps, monic, term_mul and subtraction; nf is
-    their normal form.  The input is made monic and sorted by sort_key, so
-    every choice point is ordered.  Pairs within a component are keyed once,
-    by (degree, component, mono_key) of the lcm with the index pair as
+    their normal form.  The seed gens are made monic and sorted by sort_key,
+    so every choice point is ordered.  Pairs within a component are keyed
+    once, by (degree, component, mono_key) of the lcm with the index pair as
     tie-break, and a heap hands them out in key order; the pending set
     mirrors it for the chain criterion.
+
+    add(g) appends a nonzero g, made monic, and pushes its pairs; complete()
+    takes pairs until the heap is empty, so the basis is then a Groebner
+    basis (not yet interreduced) of everything added.  A caller that grows
+    a module one element at a time keeps one run open and never recomputes
+    the pairs it already reduced.
 
     Two criteria skip a pair.  Coprime leading monomials, when both elements
     have exactly one nonzero component (the same one, since pairs never
@@ -529,15 +535,26 @@ def buchberger(gens: list, sort_key, nf) -> list:
     criterion: a third element of the component whose leading monomial
     divides the lcm, with both linking pairs already handled.
     """
-    G = _Basis(sorted((g.monic() for g in gens if not g.is_zero()), key=sort_key))
-    if not G:
-        return G
-    field = G[0].ring.field
-    lead = G.lead
-    heap: list = []
-    pending: set[tuple[int, int]] = set()
 
-    def add_pairs(j):
+    __slots__ = ("nf", "basis", "heap", "pending")
+
+    def __init__(self, gens: list, sort_key, nf):
+        self.nf = nf
+        self.basis = _Basis()
+        self.heap: list = []
+        self.pending: set[tuple[int, int]] = set()
+        for g in sorted((g.monic() for g in gens if not g.is_zero()), key=sort_key):
+            self._push(g)
+
+    def add(self, g) -> None:
+        """Append the nonzero g, made monic, and push its pairs."""
+        self._push(g.monic())
+
+    def _push(self, g) -> None:
+        G, heap, pending = self.basis, self.heap, self.pending
+        G.append(g)
+        lead = G.lead
+        j = len(G) - 1
         cj, mj, _ = lead[j]
         for i in range(j):
             if lead[i][0] == cj:
@@ -545,30 +562,39 @@ def buchberger(gens: list, sort_key, nf) -> list:
                 heapq.heappush(heap, ((mono_deg(lcm), cj, mono_key(lcm)), (i, j)))
                 pending.add((i, j))
 
-    for j in range(len(G)):
-        add_pairs(j)
+    def complete(self) -> list:
+        """Reduce every pending pair; returns the basis."""
+        G, heap, pending, nf = self.basis, self.heap, self.pending, self.nf
+        if not G:
+            return G
+        field = G[0].ring.field
+        lead = G.lead
+        while heap:
+            _, pair = heapq.heappop(heap)
+            pending.discard(pair)
+            i, j = pair
+            ci, mi, ai = lead[i]
+            _, mj, aj = lead[j]
+            lcm = mono_lcm(mi, mj)
+            if G[i].ncomps == 1 and G[j].ncomps == 1 and lcm == mono_mul(mi, mj):
+                continue
+            if any(k != i and k != j and ck == ci and mono_divides(mk, lcm)
+                   and (min(i, k), max(i, k)) not in pending
+                   and (min(j, k), max(j, k)) not in pending
+                   for k, (ck, mk, _) in enumerate(lead)):
+                continue
+            s = (G[i].term_mul(field.inv(ai), mono_div(lcm, mi))
+                 - G[j].term_mul(field.inv(aj), mono_div(lcm, mj)))
+            r = nf(s, G)
+            if not r.is_zero():
+                self._push(r.monic())
+        return G
 
-    while heap:
-        _, pair = heapq.heappop(heap)
-        pending.discard(pair)
-        i, j = pair
-        ci, mi, ai = lead[i]
-        _, mj, aj = lead[j]
-        lcm = mono_lcm(mi, mj)
-        if G[i].ncomps == 1 and G[j].ncomps == 1 and lcm == mono_mul(mi, mj):
-            continue
-        if any(k != i and k != j and ck == ci and mono_divides(mk, lcm)
-               and (min(i, k), max(i, k)) not in pending
-               and (min(j, k), max(j, k)) not in pending
-               for k, (ck, mk, _) in enumerate(lead)):
-            continue
-        s = (G[i].term_mul(field.inv(ai), mono_div(lcm, mi))
-             - G[j].term_mul(field.inv(aj), mono_div(lcm, mj)))
-        r = nf(s, G)
-        if not r.is_zero():
-            G.append(r.monic())
-            add_pairs(len(G) - 1)
-    return G
+
+def buchberger(gens: list, sort_key, nf) -> list:
+    """A Groebner basis (not yet interreduced) of the nonzero gens: one
+    GroebnerRun seeded with them and completed."""
+    return GroebnerRun(gens, sort_key, nf).complete()
 
 
 def interreduce(G: list, nf) -> list:

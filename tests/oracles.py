@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's algorithms: division and
 Buchberger are reimplemented naively (all S-pairs, no elimination criteria),
 membership / Hilbert counts go through bare linear algebra on degree pieces.
-Derived constants frozen into tests were produced by these.
+Derived constants frozen into tests were produced by these.  The one
+exception is greedy_minimal_generators, the former minimal-generators loop
+replayed over the library's module Groebner bases.
 """
 
 from fractions import Fraction
@@ -283,3 +285,24 @@ def naive_groebner(gens, char=0, key=_drl_key):
 def _mul_mono(terms, shift, char):
     out = {tuple(a + b for a, b in zip(m, shift)): c for m, c in terms.items()}
     return out
+
+
+# -- minimal generators, one fresh module Groebner basis per accepted vector -
+
+def greedy_minimal_generators(vecs, modulo=()):
+    """The greedy minimal generating set, as freemod.minimal_generators
+    computed it before its Buchberger run stayed open: ascending sort_key
+    order, and a from-scratch module_groebner of modulo plus the accepted
+    vectors after each acceptance.  It reuses the library's module Groebner
+    basis, so it checks the open run's bookkeeping, not module Buchberger."""
+    from geomideal.freemod import MVec, mod_normal_form, module_groebner
+
+    modulo = list(modulo)
+    accepted = []
+    gb = module_groebner(modulo) if modulo else []
+    for v in sorted((v for v in vecs if not v.is_zero()), key=MVec.sort_key):
+        if gb and mod_normal_form(v, gb).is_zero():
+            continue
+        accepted.append(v.monic())
+        gb = module_groebner(modulo + accepted)
+    return accepted

@@ -660,6 +660,34 @@ def test_unstable_fixed_and_moving_part_text(samples, case):
     )
 
 
+def test_unstable_fixed_part_without_moving_part_text():
+    # both supports V(x0) and V(x1) have finite order under the shear
+    # x2 -> x2 + 6*x1 over GF(7), and sigma^7 fixes Z, yet the colon moves
+    # ((I : I^(sigma^7)) is the unit ideal): no moving part, no orbit sampled
+    r7 = PolyRing(PrimeField(7), 3)
+    shear = ProjAutomorphism.from_strings(
+        r7, [["1", "0", "0"], ["0", "1", "6"], ["0", "0", "1"]]
+    )
+    scene = IdealizerScene(r7, shear, ideal("x0*x1", ring=r7))
+    detail = "    Z has no moving part: every component has finite-order support\n"
+    assert rendered(scene, sample_points=(pt("[0:1:0]", PrimeField(7)),),
+                    horizon=5, order_bound=1) == (
+        "# classification\n"
+        "flag: fixed-part present\n"
+        "right-noetherian: inconclusive  [heuristic(horizon=5)]  (finite-forward-orbit-criterion)\n"
+        + detail +
+        "strongly-right-noetherian: inconclusive  [heuristic(horizon=5)]  (strong-right-equals-right-for-idealizers)\n"
+        + detail +
+        "left-noetherian: inconclusive  [not-applicable]  (critical-transversality-left-noetherian)\n"
+        "    the reduction to the moving part is not re-run\n"
+        "strongly-left-noetherian: inconclusive  [not-applicable]  (pure-codimension-one-and-transversality)\n"
+        "    the reduction to the moving part is not re-run\n"
+        + UNSTABLE_NA_ROWS +
+        "note: sigma^7 fixes the finite-order part J; the section ring is a "
+        "finite module over an idealizer at the moving part W\n"
+    )
+
+
 def test_stable_refuted_ct_cert_with_codimension_two_component_text():
     # two declared points, one on the invariant line V(x2): the colon settles,
     # ct-cert is refuted, and stabilization is only horizon-tested

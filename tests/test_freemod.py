@@ -13,6 +13,7 @@ from geomideal.fields import QQ, PrimeField
 from geomideal.freemod import (
     FreeModule,
     MVec,
+    minimal_generators,
     mod_normal_form,
     module_groebner,
     preimage_generators,
@@ -172,3 +173,22 @@ def test_submodule_hilbert_numerator_matches_the_hilbert_function(data):
         want = oracles.brute_submodule_dim(terms, module.degrees, ring.nvars, n,
                                            ring.field.char)
         assert series_coefficient(num, ring.nvars, n) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_minimal_generators_match_the_greedy_fresh_basis_loop(data):
+    """One open Buchberger run accepts exactly the vectors that a fresh
+    module Groebner basis per accepted vector accepts, with and without
+    modulo: membership does not depend on the basis that decides it."""
+    ring = data.draw(st.sampled_from(RINGS))
+    module = FreeModule(ring, data.draw(st.sampled_from([(0,), (0, 0), (0, 1), (1, 0, 1)])))
+    vecs = data.draw(vectors(module, max_vecs=5))
+    # repeats and sums force some vectors to be redundant
+    if vecs:
+        vecs += data.draw(st.lists(st.sampled_from(vecs), max_size=2))
+    if len(vecs) > 1 and vecs[0].degree == vecs[1].degree:
+        vecs.append(vecs[0] + vecs[1])
+    modulo = data.draw(st.one_of(st.just([]), vectors(module)))
+    assert (minimal_generators(vecs, modulo)
+            == oracles.greedy_minimal_generators(vecs, modulo))

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import oracles
 from geomideal.errors import SceneVerificationError, UsageError
 from geomideal.fields import QQ, PrimeField
-from geomideal import homology
-from geomideal.freemod import MVec, module_groebner, submodule_contains
+from geomideal import freemod, homology
+from geomideal.freemod import MVec, mod_normal_form, module_groebner
 from geomideal.homology import (
     ImproperIntersectionError,
     disjoint,
@@ -26,6 +26,7 @@ from geomideal.homology import (
     graded_tor,
     homologically_transverse,
     serre_multiplicity_total,
+    tor_from_resolution,
     transverse_from_resolution,
     truncated_tor_over_quotient,
 )
@@ -459,6 +460,51 @@ def test_probe_tor1_matches_the_intersection_formula(data):
     assert rep.table[1][:6] == [_brute_tor1(Q, M, P, n, F.char) for n in range(6)]
 
 
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_probe_scalar_ranks_match_the_module_tor(data):
+    """The probe's table and verdicts, read from the ranks of d_j(p) over
+    S/P = k[t], equal the dimensions and Hilbert polynomials of the module
+    Tor_j that tor_from_resolution computes from the same resolution."""
+    ring, Q, P = data.draw(cubic_through_a_point())
+    F = ring.field
+    if data.draw(st.booleans()):
+        M = P
+    else:
+        line = P.gens[0] + P.gens[1].scale(F.from_int(data.draw(st.integers(-2, 2))))
+        quad = ring.zero()
+        for mono in monomials_of_degree(ring, 2):
+            quad = quad + ring.monomial(mono, F.from_int(data.draw(st.integers(-2, 2))))
+        M = HomIdeal(ring, (line, quad))
+    j_max = data.draw(st.integers(1, 8))
+    rep = truncated_tor_over_quotient(Q, M, P, j_max=j_max)
+    res = free_resolution(M, j_max + 1, modulo=Q)
+    tors = {j: tor_from_resolution(res, P, j) for j in range(1, j_max + 1)}
+    assert rep.table == {j: t.dims(0, rep.window) for j, t in tors.items()}
+    assert rep.verdicts == {j: not t.is_sheaf_trivial() for j, t in tors.items()}
+
+
+def test_probe_reads_tor_without_a_module_tor(monkeypatch):
+    """The probe's only module Groebner runs are the resolution's preimages,
+    one per map after the first."""
+    calls = []
+    real = freemod.module_groebner
+
+    def counting(vecs):
+        calls.append(len(vecs))
+        return real(vecs)
+
+    def no_tor(*args):
+        raise AssertionError("the probe reads Tor from scalar ranks")
+
+    monkeypatch.setattr(freemod, "module_groebner", counting)
+    monkeypatch.setattr(homology, "module_groebner", counting)
+    monkeypatch.setattr(homology, "tor_from_resolution", no_tor)
+    rep = truncated_tor_over_quotient(CUBIC, CUSP, CUSP, j_max=6)
+    assert rep.table == PINNED_TABLES["cusp"]
+    assert len(calls) == 6
+
+
 def _compose(outer, v):
     """outer applied to v: sum over components k of v_k * (column k)."""
     out = outer.target.zero()
@@ -485,7 +531,7 @@ def test_quotient_resolution_composes_into_q_times_the_target(ring):
             QF = module_groebner([MVec(target, {k: g}) for g in Q.gens
                                   for k in range(target.rank)])
             for v in res.maps[j].columns:
-                assert submodule_contains(QF, _compose(res.maps[j - 1], v))
+                assert mod_normal_form(_compose(res.maps[j - 1], v), QF).is_zero()
 
 
 @settings(max_examples=20, deadline=None)
