@@ -79,6 +79,13 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _fixed_by_power(ideal: HomIdeal, sigma: ProjAutomorphism, n: int) -> bool:
+    """Whether I^{sigma^n} = I.  The pullback has I's Hilbert function, so
+    it is I once every pulled-back generator lies in I: normal forms against
+    I's cached basis, with no Groebner run of the pullback."""
+    return all(ideal.contains(sigma.pullback(g, n)) for g in ideal.gens)
+
+
 def sigma_ideal_order(ideal: HomIdeal, sigma: ProjAutomorphism,
                       bound: int) -> OrderResult:
     """sigma-order of an ideal under pullback, searched to bound and then
@@ -107,10 +114,10 @@ def sigma_ideal_order(ideal: HomIdeal, sigma: ProjAutomorphism,
     unipotent = field.char == 0 and not diagonal and _unipotent_scalar(sigma) is not None
     last = 2 if diagonal else 1 if unipotent else bound
     for n in range(1, min(bound, last) + 1):
-        if ideal_equal(sigma.pullback_ideal(ideal, n), ideal):
+        if _fixed_by_power(ideal, sigma, n):
             return OrderResult(n, False, "direct-power-match")
     if diagonal:
-        if bound >= 2 or not ideal_equal(sigma.pullback_ideal(ideal, 2), ideal):
+        if bound >= 2 or not _fixed_by_power(ideal, sigma, 2):
             return OrderResult(None, True, "eigenclass-obstruction")
     elif unipotent:
         return OrderResult(None, True, "unipotent-rigidity")
@@ -118,7 +125,7 @@ def sigma_ideal_order(ideal: HomIdeal, sigma: ProjAutomorphism,
         k = projective_order(sigma)
         if k is not None:
             for div in _divisors(k):
-                if div > bound and ideal_equal(sigma.pullback_ideal(ideal, div), ideal):
+                if div > bound and _fixed_by_power(ideal, sigma, div):
                     return OrderResult(div, False, "finite-matrix-group")
     return OrderResult(None, False, "order-bound-exhausted")
 

@@ -11,25 +11,24 @@ the product (coprime) criterion applies to a pair whose two elements each
 have exactly one nonzero component, the same one, which every pair of
 polynomials satisfies.
 
-Quotients.  (I : g) for a linear form g in degrevlex needs no auxiliary
-variable: change coordinates so that g is the last variable y.  For a
-homogeneous J, in(J : y) = in(J) : y and in(J : y^∞) = in(J) : y^∞ (Bayer &
-Stillman, Invent. Math. 1987; Eisenbud, Commutative Algebra, Prop. 15.12),
-so dividing each Groebner basis element of J by y, or by the largest power
-of y dividing it, gives a Groebner basis of (J : y) or of (J : y^∞).  Mapped
-back and reduced, that is the basis of (I : g); it is I's basis when all of
-it lies in I.  Generators of J that lie in I are dropped first.  A J with
-linear generators only is the intersection of those quotients, taken one
-at a time: once some (I : g) is I, so is (I : J) ⊆ (I : g).  Any other
+Quotients.  Generators of J that lie in I are dropped first.  For a form h
+of degree e, 0 → S/(I : h)(−e) → S/I → S/(I + (h)) → 0 is exact, and
+I ⊆ (I : h), so h is a nonzerodivisor on S/I, that is (I : h) = I, exactly
+when HS(S/(I + (h))) = (1 − t^e)·HS(S/I): two Hilbert numerators.  Once
+some generator g passes, (I : J) ⊆ (I : g) = I, so (I : J) is I.  Otherwise
 J = (g_1, ..., g_k) is one module preimage: (I : J) = {a : a·(g_1, ...,
 g_k) ∈ I·e_1 + ... + I·e_k} (Greuel & Pfister, A Singular Introduction to
 Commutative Algebra, ch. 2).  `intersect` returns the smaller ideal's
 reduced basis when one contains the other, and otherwise the preimage of
-(1, 1) under I·e_1 + J·e_2.  Saturation: when x_last divides no leading
-monomial of I's reduced basis, the same lemma gives in(I : x_last) = in(I),
-so x_last is a nonzerodivisor on S/I and (I : m^∞) ⊆ (I : x_last^∞) = I.
-Otherwise (I : m^∞) is the intersection of the (I : x_i^∞), with no loop,
-and it is I itself when it lies in I.
+(1, 1) under I·e_1 + J·e_2.  Saturation: for a homogeneous K in degrevlex,
+in(K : x_last^∞) = in(K) : x_last^∞ (Bayer & Stillman, Invent. Math. 1987;
+Eisenbud, Commutative Algebra, Prop. 15.12), so dividing each Groebner
+basis element of K by the largest power of x_last dividing it gives a
+Groebner basis of (K : x_last^∞); (I : x_i^∞) is that with x_i and x_last
+swapped.  When x_last divides no leading monomial of I's reduced basis,
+the lemma gives (I : x_last^∞) = I, so x_last is a nonzerodivisor on S/I and
+(I : m^∞) ⊆ (I : x_last^∞) = I.  Otherwise (I : m^∞) is the intersection
+of the (I : x_i^∞), with no loop, and it is I itself when it lies in I.
 
 Degree pieces.  The standard monomials, those no leading monomial of the
 reduced basis divides, are a basis of S/I (Macaulay; Eisenbud, Commutative
@@ -230,7 +229,11 @@ class _PolyParser:
             return self.ring.variable(idx)
         if "/" in tok:
             num, den = tok.split("/")
-            return self.ring.constant(self.ring.field.from_fraction(Fraction(int(num), int(den))))
+            try:
+                value = self.ring.field.from_fraction(Fraction(int(num), int(den)))
+            except ZeroDivisionError:  # den = 0, or p | den over GF(p)
+                raise ValueError(f"coefficient {tok} is not in the field") from None
+            return self.ring.constant(value)
         if tok.isdigit():
             return self.ring.constant(self.ring.field.from_int(int(tok)))
         raise ValueError(f"unexpected token {tok!r}")
@@ -733,64 +736,45 @@ def intersect(I: HomIdeal, J: HomIdeal) -> HomIdeal:
     return HomIdeal(ring, meet, gb=meet)
 
 
-def _linear_quotient_basis(I: HomIdeal, g: Poly, power) -> list[Poly]:
-    """Reduced Groebner basis of (I : g^power) for a linear form g in
-    degrevlex and power 1 or math.inf, with g moved to the last variable y
-    (module docstring).  When g is a multiple of y, no coordinates change
-    and I's cached basis is used."""
-    ring = I.ring
-    last = ring.nvars - 1
-    xs = [ring.variable(i) for i in range(ring.nvars)]
-    k = max(m.index(1) for m in g.terms)
-    g = g.scale(ring.field.inv(g.terms[xs[k].lm()]))
-
-    def divide_last(f):
-        # y^e divides every term of f once it divides the leading one
-        e = min(f.lm()[-1], power)
-        return Poly(ring, {m[:-1] + (m[-1] - e,): c for m, c in f.terms.items()}) if e else f
-
-    if g == xs[last]:
-        quot = list(map(divide_last, I.groebner()))
-    else:
-        # coordinates y = x except y_last = g and, when k < last, y_k = x_last;
-        # to_y writes x in y (x_k = y_last − (g − x_k)), back writes y in x
-        to_y, back = xs[:], xs[:]
-        to_y[k] = xs[last] - g + xs[k]
-        if k != last:
-            to_y[last], back[k] = xs[k], xs[last]
-        back[last] = g
-        basis = groebner_basis(list(map(Substitution(to_y), I.gens)))
-        quot = list(map(Substitution(back), map(divide_last, basis)))
-    # (I : g^power) contains I, so it is I when its generators all lie in I
-    if all(map(I.contains, quot)):
-        return list(I.groebner())
-    return reduce_basis(quot) if g == xs[last] else groebner_basis(quot)
+def _is_nonzerodivisor(I: HomIdeal, g: Poly) -> bool:
+    """Whether g is a nonzerodivisor on S/I, from Hilbert numerators
+    (module docstring)."""
+    return (_ideal_numerator(HomIdeal(I.ring, I.groebner() + (g,)))
+            == _numerator_mul(_ideal_numerator(I), {0: 1, g.degree: -1}))
 
 
 def ideal_quotient(I: HomIdeal, J: HomIdeal) -> HomIdeal:
-    """(I : J) = {f : f·J ⊆ I}, the intersection of the (I : g) over the
-    generators g of J.  The generators that lie in I are dropped first,
-    since (I : g) is the unit ideal for those.  When the rest are all
-    linear, the intersection of their revlex quotients (module docstring),
-    which stops at I's basis as soon as one quotient is I; otherwise the
-    rest, (g_1, ..., g_k), go through one preimage under the sum of the
-    I·e_k."""
+    """(I : J) = {f : f·J ⊆ I}.  The generators of J that lie in I are
+    dropped first, since (I : g) is the unit ideal for those.  When one of
+    the rest is a nonzerodivisor on S/I, (I : J) ⊆ (I : g) = I, so it is I
+    with I's basis; otherwise the rest, (g_1, ..., g_k), go through one
+    preimage under the sum of the I·e_k."""
     ring = I.ring
     gens = [g for g in J.gens if not I.contains(g)]
     if not gens:
         return unit_ideal(ring)
-    if all(g.degree == 1 for g in gens):
-        basis = list(I.groebner())
-        meet = None
-        for g in gens:
-            H = _linear_quotient_basis(I, g, 1)
-            if H == basis:  # (I : J) ⊆ (I : g) = I ⊆ (I : J)
-                return HomIdeal(ring, basis, gb=basis)
-            part = HomIdeal(ring, H, gb=H)
-            meet = part if meet is None else intersect(meet, part)
-        return meet
+    if any(_is_nonzerodivisor(I, g) for g in gens):
+        basis = I.groebner()
+        return HomIdeal(ring, basis, gb=basis)
     quot = _preimage(ring, gens, [I] * len(gens))
     return HomIdeal(ring, quot, gb=quot)
+
+
+def _saturate_variable(I: HomIdeal, i: int) -> HomIdeal:
+    """(I : x_i^∞), with x_i and x_last swapped so that the largest power of
+    x_last dividing each element of a Groebner basis is divided out (module
+    docstring); I itself when all of it lies in I."""
+    ring = I.ring
+    xs = [ring.variable(j) for j in range(ring.nvars)]
+    xs[i], xs[-1] = xs[-1], xs[i]
+    swap = Substitution(xs)
+    basis = I.groebner() if i == ring.nvars - 1 else groebner_basis(list(map(swap, I.gens)))
+    quot = [swap(Poly(ring, {m[:-1] + (m[-1] - f.lm()[-1],): c for m, c in f.terms.items()}))
+            for f in basis]
+    if all(map(I.contains, quot)):
+        return I
+    basis = groebner_basis(quot)
+    return HomIdeal(ring, basis, gb=basis)
 
 
 def saturate(I: HomIdeal) -> HomIdeal:
@@ -800,11 +784,9 @@ def saturate(I: HomIdeal) -> HomIdeal:
     docstring).  Otherwise one pass: the intersection of the (I : x_i^∞),
     and I itself when that lies in I, so a saturated ideal keeps its
     generators."""
-    ring = I.ring
     if not any(g.lm()[-1] for g in I.groebner()):  # x_last is a nonzerodivisor
         return I
-    parts = [_linear_quotient_basis(I, ring.variable(i), math.inf) for i in range(ring.nvars)]
-    sat = _fold(intersect, [HomIdeal(ring, H, gb=H) for H in parts])
+    sat = _fold(intersect, [_saturate_variable(I, i) for i in range(I.ring.nvars)])
     return I if all(map(I.contains, sat.gens)) else sat
 
 

@@ -8,6 +8,7 @@ exception is greedy_minimal_generators, the former minimal-generators loop
 replayed over the library's module Groebner bases.
 """
 
+from functools import lru_cache
 from fractions import Fraction
 from math import comb
 
@@ -181,10 +182,12 @@ def _lt(terms, keyf):
     return m, terms[m]
 
 
+@lru_cache(maxsize=None)
 def _drl_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
+@lru_cache(maxsize=None)
 def elim_key(m):
     """Elimination order for a trailing auxiliary variable t: the power of t
     first, then degrevlex on the rest.  A Groebner basis under it meets the

@@ -18,6 +18,7 @@ from geomideal.classify import (
     PREDICATES,
     ClassificationRow,
     Evidence,
+    _fixed_by_power,
     classify,
     component_analysis,
     reduced_point_of,
@@ -177,15 +178,17 @@ def test_order_unipotent_rigidity():
 
 def test_order_scan_stops_where_the_certificates_decide(monkeypatch):
     """At bound 12 a diagonal sigma pulls back at most sigma and sigma^2,
-    and the shear only sigma itself."""
+    and the shear only sigma itself.  Each power is tried generator by
+    generator and stops at the first pullback outside I, so each power
+    shows up once here."""
     powers = []
-    pullback_ideal = ProjAutomorphism.pullback_ideal
+    pullback = ProjAutomorphism.pullback
 
-    def counted(self, I, n=1):
+    def counted(self, f, n=1):
         powers.append(n)
-        return pullback_ideal(self, I, n)
+        return pullback(self, f, n)
 
-    monkeypatch.setattr(ProjAutomorphism, "pullback_ideal", counted)
+    monkeypatch.setattr(ProjAutomorphism, "pullback", counted)
     r = sigma_ideal_order(pt("[1:1:1]").ideal(RQ), SIGMA, 12)
     assert r.justification == "eigenclass-obstruction" and powers == [1, 2]
     neg = ProjAutomorphism.diagonal(RQ, ["1", "-1", "2"])
@@ -197,6 +200,34 @@ def test_order_scan_stops_where_the_certificates_decide(monkeypatch):
     powers.clear()
     r = sigma_ideal_order(HomIdeal.from_strings(R1, ["x0"]), shear, 12)
     assert r.justification == "unipotent-rigidity" and powers == [1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fixed_by_power_agrees_with_ideal_equality(data):
+    """The containment test behind sigma_ideal_order against the Groebner
+    equality of I^(sigma^n) and I, over Q and GF(7), for diagonal sigma
+    (entries of finite order among them), a permutation times a diagonal,
+    and upper triangular sigma."""
+    field = data.draw(st.sampled_from([QQ, PrimeField(7)]))
+    nv = data.draw(st.integers(2, 3))
+    ring = PolyRing(field, nv)
+    entries = data.draw(st.lists(st.sampled_from([1, -1, 2, 3]), min_size=nv, max_size=nv))
+    kind = data.draw(st.sampled_from(["diagonal", "permutation", "triangular"]))
+    perm = data.draw(st.permutations(range(nv))) if kind == "permutation" else range(nv)
+    rows = [[entries[i] if j == perm[i] else
+             data.draw(st.integers(-2, 2)) if kind == "triangular" and j > i else 0
+             for j in range(nv)] for i in range(nv)]
+    sigma = ProjAutomorphism(ring, [[field.from_int(x) for x in row] for row in rows])
+    gens = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        monos = monomials_of_degree(ring, data.draw(st.integers(1, 2)))
+        chosen = data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        gens.append(sum((ring.monomial(m, field.from_int(data.draw(st.sampled_from([-2, -1, 1, 3]))))
+                         for m in chosen), ring.zero()))
+    I = HomIdeal(ring, gens)
+    n = data.draw(st.integers(1, 6))
+    assert _fixed_by_power(I, sigma, n) == ideal_equal(sigma.pullback_ideal(I, n), I)
 
 
 def test_order_prime_field_beyond_bound_uses_group_order():

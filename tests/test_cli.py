@@ -241,6 +241,16 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert "SINGULAR_SIGMA" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, coefficient", [("rational", "1/0"), ("prime 7", "1/7")])
+def test_coefficient_outside_the_field_exits_two(tmp_path, capsys, field, coefficient):
+    # a zero denominator, or one the characteristic divides, has no value
+    text = MINIMAL_P1.replace("field rational", f"field {field}").replace(
+        "x0\n", f"x0 + {coefficient}*x1\n")
+    assert main(["gb", scene_path(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert "BAD_GENERATOR" in err and "Traceback" not in err
+
+
 def test_smooth_z_declaration_is_rejected(tmp_path, capsys):
     # the grammar has no smoothness flag: no verdict would read it
     bad = FLAGSHIP + "declare smooth-z\n"

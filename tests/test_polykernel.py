@@ -5,7 +5,6 @@ reference implementations in oracles.py; the property tests re-check the
 real implementations against those references on random inputs.
 """
 
-import math
 from fractions import Fraction
 from functools import reduce as _fold
 from pathlib import Path
@@ -217,22 +216,31 @@ horizon 6
 """
 
 
-def test_p5_moving_point_colon_takes_one_linear_quotient_per_degree(tmp_path, monkeypatch):
+def test_p5_moving_point_colon_takes_one_nonzerodivisor_test_per_degree(tmp_path,
+                                                                       monkeypatch):
     """On the point of test_pair_order_pinned_on_p5_point_colon, saturation
     stops at its nonzerodivisor test (x5 divides no leading monomial), and
-    each colon n stops at its first linear quotient, which is already I."""
-    powers = []
-    real = polykernel._linear_quotient_basis
+    each colon n stops at the Hilbert-series test of its first generator,
+    which passes: a linear form off the point is a nonzerodivisor.  No
+    module preimage runs."""
+    tests, runs = [], []
+    real_test, real_preimage = polykernel._is_nonzerodivisor, freemod.preimage_generators
 
-    def counting(I, g, power):
-        powers.append(power)
-        return real(I, g, power)
+    def counting_test(I, g):
+        tests.append(real_test(I, g))
+        return tests[-1]
 
-    monkeypatch.setattr(polykernel, "_linear_quotient_basis", counting)
+    def counting_preimage(vecs, targets):
+        runs.append(len(vecs))
+        return real_preimage(vecs, targets)
+
+    monkeypatch.setattr(polykernel, "_is_nonzerodivisor", counting_test)
+    monkeypatch.setattr(freemod, "preimage_generators", counting_preimage)
     path = tmp_path / "p5_point.scene"
     path.write_text(P5_MOVING_POINT)
     assert cli.main(["colon", str(path)]) == 0
-    assert powers == [1] * 6
+    assert tests == [True] * 6
+    assert runs == []
 
 
 def test_pair_order_takes_late_pairs_with_smaller_keys_first():
@@ -530,6 +538,15 @@ def _elim_quotient(I, g):
     return HomIdeal(I.ring, [_divide_exact(f, g) for f in meet])
 
 
+def _elim_colon(I, J):
+    """(I : J) as the meet of the (I : g) over the generators g of J, with I
+    given by the oracle's reduced basis (the elimination is much faster on
+    it than on a redundant generator list)."""
+    I = HomIdeal(I.ring, [Poly(I.ring, dict(f))
+                          for f in oracles.naive_groebner(_terms_list(I), _char(I.ring))])
+    return _fold(intersect, [_elim_quotient(I, g) for g in J.gens])
+
+
 @st.composite
 def linear_divisor(draw, ring):
     """A linear form: random, a multiple of the last variable, a multiple of
@@ -555,8 +572,8 @@ def linear_divisor(draw, ring):
 @given(st.data())
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_linear_quotient_matches_elimination(data):
-    """The revlex route's cached basis is the reduced basis that the
-    elimination route finds."""
+    """(I : g) for a linear form g, by either route, has the reduced basis
+    that the elimination route finds."""
     ring, I = data.draw(ring_and_ideal())
     g = data.draw(linear_divisor(ring))
     shape = data.draw(st.sampled_from(["as drawn", "times g", "contains g", "times h"]))
@@ -619,42 +636,30 @@ def test_quotient_and_intersect_match_elimination(case):
     """The module preimage against the elimination route kept here as the
     reference: (I : J) as the meet of the (I : g), g in J, and I ∩ J."""
     ring, I, J = case
-    want = _fold(intersect, [_elim_quotient(I, g) for g in J.gens])
-    assert ideal_quotient(I, J).groebner() == want.groebner()
+    assert ideal_quotient(I, J).groebner() == _elim_colon(I, J).groebner()
     assert intersect(I, J).groebner() == tuple(_elim_meet(I, J))
 
 
 # ---------------------------------------------------------------------------
-# the nonzerodivisor exits of saturate and the linear colon against the
-# full routes (every (I : x_i^∞), every (I : g), intersected)
+# the nonzerodivisor exits of saturate and of the colon against the full
+# saturation (every (I : x_i^∞), intersected) and against elimination
 # ---------------------------------------------------------------------------
 
 SCENE_RINGS = [PolyRing(field, n) for field in (QQ, PrimeField(7)) for n in (3, 4, 5)]
 
 
 def _full_saturate(I):
-    ring = I.ring
-    parts = [polykernel._linear_quotient_basis(I, ring.variable(i), math.inf)
-             for i in range(ring.nvars)]
-    sat = _fold(intersect, [HomIdeal(ring, H, gb=H) for H in parts])
+    sat = _fold(intersect, [polykernel._saturate_variable(I, i) for i in range(I.ring.nvars)])
     return I if all(map(I.contains, sat.gens)) else sat
 
 
-def _full_linear_colon(I, J):
-    gens = [g for g in J.gens if not I.contains(g)]
-    if not gens:
-        return unit_ideal(I.ring)
-    parts = [polykernel._linear_quotient_basis(I, g, 1) for g in gens]
-    return _fold(intersect, [HomIdeal(I.ring, H, gb=H) for H in parts])
-
-
 @st.composite
-def moving_scene(draw):
+def moving_scene(draw, rings=SCENE_RINGS):
     """(ring, sigma, Z, e_k): sigma diagonal, so it fixes every coordinate
     point e_k (and more when eigenvalues repeat); Z a point (on x_d = 0 at
     times), a line, a conic in a plane, a fat point, or one of the first
     three together with e_k."""
-    ring = draw(st.sampled_from(SCENE_RINGS))
+    ring = draw(st.sampled_from(rings))
     field, nv = ring.field, ring.nvars
     sigma = ProjAutomorphism.diagonal(
         ring, [field.from_int(draw(st.sampled_from([1, 2, 3, 5, -1, -2]))) for _ in range(nv)])
@@ -704,25 +709,31 @@ def test_saturate_exit_matches_the_full_route(data):
 
 
 @given(st.data())
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_linear_colon_exit_matches_the_full_route(data):
-    """(I : J) for J the pullback under sigma^n of a linear ideal: Z's own
-    linear forms (the colon of the idealizer), the fixed point e_k (larger
-    than I on a union), or random forms; n = 0 gives unit colons."""
-    ring, sigma, Z, e_k = data.draw(moving_scene())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_nonzerodivisor_colon_matches_elimination(data):
+    """(I : J) against the elimination reference, for J the pullback under
+    sigma^n of Z's own linear forms (the colon of the idealizer) or of the
+    fixed point e_k (larger than I on a union), a random linear ideal, or
+    products of two linear forms; n = 0 gives unit colons.  Both routes
+    run: the nonzerodivisor exit and the preimage.  P^2 and P^3 only: the
+    reference's elimination takes seconds on a P^4 fat point."""
+    ring, sigma, Z, e_k = data.draw(moving_scene([r for r in SCENE_RINGS if r.nvars < 5]))
     I = saturate(Z)
-    source = data.draw(st.sampled_from(["own", "fixed point", "random"]))
+    source = data.draw(st.sampled_from(["own", "fixed point", "random linear", "nonlinear"]))
+    n = data.draw(st.integers(0, 2))
     if source == "own":
-        L = HomIdeal(ring, [g for g in I.gens if g.degree == 1] or e_k.gens)
+        J = sigma.pullback_ideal(HomIdeal(ring, [g for g in I.gens if g.degree == 1] or e_k.gens), n)
     elif source == "fixed point":
-        L = e_k
+        J = sigma.pullback_ideal(e_k, n)
     else:
-        L = HomIdeal(ring, [data.draw(linear_divisor(ring))
-                            for _ in range(data.draw(st.integers(1, ring.nvars - 1)))])
-    J = sigma.pullback_ideal(L, data.draw(st.integers(0, 2)))
-    got, want = ideal_quotient(I, J), _full_linear_colon(I, J)
-    assert got.gens == want.gens
+        forms = [data.draw(linear_divisor(ring))
+                 for _ in range(data.draw(st.integers(1, ring.nvars - 1)))]
+        if source == "nonlinear":
+            forms = [f * data.draw(linear_divisor(ring)) for f in forms]
+        J = HomIdeal(ring, forms)
+    got, want = ideal_quotient(I, J), _elim_colon(I, J)
     assert got.groebner() == want.groebner()
+    assert got.gens == HomIdeal(ring, want.groebner()).gens
 
 
 TWISTED_CUBIC = """\
@@ -741,17 +752,19 @@ end
 """
 
 
-PREIMAGE_RUNS = {"colon": 12, "classify": 12, "idealizer": 6}
+FAT_POINT_PREIMAGE_RUNS = {"colon": 8, "classify": 8, "idealizer": 5}
 
 
 @pytest.mark.parametrize("command", ["colon", "classify", "idealizer"])
 @pytest.mark.parametrize("scene", ["conic_pair", "fat_point", "twisted_cubic"])
 def test_cli_on_curves_and_fat_points_runs_no_elimination(scene, command, tmp_path,
                                                           monkeypatch):
-    """Each command exits 0.  The curves take the module preimage for their
-    nonlinear colons (12 preimage runs for colon and classify, 6 for
-    idealizer); the fat point takes none, since the generator x0^2 of its J
-    lies in I and the rest of J is linear."""
+    """Each command exits 0.  The curves (a conic, the twisted cubic) take
+    no module preimage: their ideals are prime, so the first generator of
+    each J outside I is a nonzerodivisor.  The fat point takes one
+    preimage per colon (8 for colon and classify, 5 for idealizer): its J
+    is x0^2, which lies in I, and a linear form through the support point,
+    a zero divisor."""
     runs = []
     real = freemod.preimage_generators
 
@@ -766,7 +779,7 @@ def test_cli_on_curves_and_fat_points_runs_no_elimination(scene, command, tmp_pa
     else:
         path = ROOT / "scenes" / f"{scene}.scene"
     assert cli.main([command, str(path)]) == 0
-    assert len(runs) == (0 if scene == "fat_point" else PREIMAGE_RUNS[command])
+    assert len(runs) == (FAT_POINT_PREIMAGE_RUNS[command] if scene == "fat_point" else 0)
 
 
 # ---------------------------------------------------------------------------
