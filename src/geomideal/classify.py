@@ -365,6 +365,20 @@ def _classify_degenerate(scene, stab, notes) -> ClassificationReport:
               "ring of projective space remain strongly noetherian")
     na = ("the scene degenerates to the twisted coordinate ring in large "
           "degree; idealizer-specific predicates are not evaluated")
+    if n_unit == 1:
+        cohdim = _row("finite-cohomological-dimension", "yes",
+                      "finite on both sides: the ring has finite codimension in "
+                      "the twisted coordinate ring of a regular ambient space",
+                      "certified")
+    else:
+        # the colon is the unit ideal exactly where sigma^n fixes Z; at every
+        # other n it is a proper saturated ideal, whose degree-n piece is proper
+        cohdim = _row("finite-cohomological-dimension", "inconclusive",
+                      f"R_n is a proper subspace of B_n whenever {n_unit} does not "
+                      "divide n, so the ring has infinite codimension in the "
+                      "twisted coordinate ring; whether finite cohomological "
+                      "dimension passes to it from the subring in degrees "
+                      f"divisible by {n_unit} is not checked", "not-applicable")
     rows = (
         _row("right-noetherian", "yes", agrees, "certified"),
         _row("strongly-right-noetherian", "yes", strong, "certified"),
@@ -372,9 +386,7 @@ def _classify_degenerate(scene, stab, notes) -> ClassificationReport:
         _row("strongly-left-noetherian", "yes", strong, "certified"),
         _row("fails-left-chi-1", "inconclusive", na, "not-applicable"),
         _row("right-chi-levels", "inconclusive", na, "not-applicable"),
-        _row("finite-cohomological-dimension", "yes",
-             "finite on both sides: the ring has finite codimension in the "
-             "twisted coordinate ring of a regular ambient space", "certified"),
+        cohdim,
         _row("tensor-square-not-left-noetherian", "inconclusive", na,
              "not-applicable"),
     )
@@ -591,14 +603,18 @@ def _classify_unstable(scene, stab, comp, sample_points, horizon, notes) -> Clas
         # fixed part plus moving part: the ring reduces to an idealizer at
         # the moving part, which this engine does not re-run
         flags = ("fixed-part present",)
-        extra = (f"sigma^{comp.J_fixed.order} fixes the finite-order part J; the "
-                 "section ring is a finite module over an idealizer at the "
-                 "moving part W",)
+        k = comp.J_fixed.order
         # every support may have finite order while the colon still moves
         # ((I : I^(sigma^n)) is the unit ideal when sigma^n fixes Z): then
-        # there is no moving part to sample orbits against
+        # there is no moving part to sample orbits against or reduce to
+        no_w = comp.W_ideal is None
+        extra = ((f"sigma^{k} fixes the finite-order part J, which is all of Z: "
+                  "there is no moving part W, and the colon is the unit ideal "
+                  f"in every degree divisible by {k}",) if no_w else
+                 (f"sigma^{k} fixes the finite-order part J; the section ring is "
+                  "a finite module over an idealizer at the moving part W",))
         reports, infinite_rep = (
-            ([], None) if comp.W_ideal is None
+            ([], None) if no_w
             else _sample_orbits(scene.sigma, comp.W_ideal, sample_points, horizon))
         if infinite_rep is not None:
             witness = (f"forward orbit of {infinite_rep.point} meets the "
@@ -612,10 +628,12 @@ def _classify_unstable(scene, stab, comp, sample_points, horizon, notes) -> Clas
             rows = _right_rows("yes", det, "heuristic", det, horizon=horizon)
         else:
             det = ("Z has no moving part: every component has finite-order support"
-                   if sample_points else "no sample points declared for the moving part")
+                   if no_w else "no sample points declared for the moving part")
             rows = _right_rows("inconclusive", det, "heuristic", det,
                                horizon=horizon)
-        not_rerun = "the reduction to the moving part is not re-run"
+        not_rerun = ("Z has no moving part to reduce to, and the degrees where "
+                     "the colon is the unit ideal lie past the horizon" if no_w
+                     else "the reduction to the moving part is not re-run")
         rows += (_row("left-noetherian", "inconclusive", not_rerun, "not-applicable"),
                  _row("strongly-left-noetherian", "inconclusive", not_rerun,
                       "not-applicable"))

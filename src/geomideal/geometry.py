@@ -27,14 +27,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd, lcm
 
 from . import linalg
 from .fields import QQ
-from .homology import disjoint, free_resolution, transverse_from_resolution
+from .homology import Transversality
 from .idealizer import IdealizerScene
-from .polykernel import HomIdeal, PolyRing, Substitution, _minimalize_monos, mono_lcm
+from .polykernel import (HomIdeal, PolyRing, Substitution, _minimalize_monos,
+                         hilbert_polynomial, mono_lcm)
 from .twist import ProjAutomorphism, _dot, _mat_mul, is_scalar_matrix
 
 RATIONAL_SUBSTITUTE_NOTE = (
@@ -438,7 +440,8 @@ def _subset_key(s: tuple[int, ...]):
     return (-len(s), s)
 
 
-def _coordinate_families(d: int):
+@cache
+def _coordinate_families(d: int) -> tuple:
     """Antichains of proper nonempty subsets of {0..d}, in report order."""
     universe = list(range(d + 1))
     subsets = []
@@ -458,7 +461,7 @@ def _coordinate_families(d: int):
 
     extend(0, ())
     families.sort(key=lambda fam: (len(fam), [_subset_key(s) for s in fam]))
-    return families
+    return tuple(families)
 
 
 def _family_ideal(ring: PolyRing, family) -> HomIdeal:
@@ -503,6 +506,31 @@ class CTCertificate:
     notes: tuple[str, ...] = ()
 
 
+def _meets_z(transversality: Transversality):
+    """s -> whether L_s = V(x_i : i in s) meets Z = V(transversality.ideal),
+    memoized.  Exact rules decide first, and a Groebner basis of I + I_L
+    runs only when they do not:
+
+    (a) |s| <= dim Z: L_s has codimension |s|, so it meets Z (the projective
+        dimension theorem, Hartshorne I.7.2; dim Z is the degree of the
+        Hilbert polynomial).
+    (b) some hyperplane H_i, i in s, misses Z: then so does L_s ⊆ H_i.  The
+        hyperplanes are tested on demand, stopping at the first that misses.
+    """
+    dim_z = hilbert_polynomial(transversality.ideal).degree()
+    ring = transversality.ideal.ring
+    known: dict[tuple, bool] = {}
+
+    def meets(s: tuple[int, ...]) -> bool:
+        if s not in known:
+            known[s] = len(s) <= dim_z or (
+                (len(s) == 1 or all(meets((i,)) for i in s))
+                and transversality.meets(_family_ideal(ring, (s,))))
+        return known[s]
+
+    return meets
+
+
 def critical_transversality_certificate(scene: IdealizerScene) -> CTCertificate:
     """Certified iff Z is homologically transverse to every union of
     coordinate subspaces; refuted with the first failing union (smaller
@@ -510,15 +538,20 @@ def critical_transversality_certificate(scene: IdealizerScene) -> CTCertificate:
     when sigma is outside the classified family or the field has positive
     characteristic.
 
-    Tor is run only where a union meets Z.  A Tor sheaf is supported on the
-    intersection: Supp Tor_j(O_Z, O_Y) ⊆ Z ∩ Y (Serre, Algèbre locale,
-    multiplicités; Hartshorne, Algebraic Geometry III.6).  Let Y' be the
-    sub-union of the members of Y that meet Z.  On the open complement of
-    the other members, which contains Z, Y and Y' agree, so they have the
-    same Tor sheaves and the same least failing j; an empty Y' is
-    transverse.  Each coordinate subspace is tested once for meeting Z and
-    each Y' is checked once.  `checked` still counts every union, and a
-    refutation names the full union and its ideal.
+    Three rules spare the algebra, and none changes a verdict or witness:
+    - A Tor sheaf is supported on the intersection: Supp Tor_j(O_Z, O_Y) ⊆
+      Z ∩ Y (Serre, Algèbre locale, multiplicités; Hartshorne, Algebraic
+      Geometry III.6).  Let Y' be the sub-union of the members of Y that
+      meet Z.  On the open complement of the other members, which contains
+      Z, Y and Y' agree, so they have the same Tor sheaves and the same least
+      failing j; an empty Y' is transverse.  Whether a coordinate subspace
+      meets Z is decided on the subspace lattice (_meets_z), once each.
+    - A Y' made only of hyperplanes is the hypersurface V(prod x_i), settled
+      by Hilbert numerators with no resolution (Transversality, route 2).
+    - Z is resolved only when a Y' that is not a hypersurface meets it, and
+      then once; each Y' is checked once.
+    `checked` still counts every union, and a refutation names the full
+    union and its ideal.
     """
     sigma, ring = scene.sigma, scene.ring
     d = scene.d
@@ -532,20 +565,15 @@ def critical_transversality_certificate(scene: IdealizerScene) -> CTCertificate:
                              reason="invariant family not classified",
                              notes=notes)
     families = _coordinate_families(d)
-    meets: dict[tuple, bool] = {}
+    transverse = Transversality(scene.ideal)
+    meets = _meets_z(transverse)
     verdicts: dict[tuple, tuple[bool, int | None]] = {}
-    res = None
     for checked, fam in enumerate(families, 1):
-        for s in fam:
-            if s not in meets:
-                meets[s] = not disjoint(scene.ideal, _family_ideal(ring, (s,)))
-        sub = tuple(s for s in fam if meets[s])
+        sub = tuple(s for s in fam if meets(s))
         if not sub:
             continue
         if sub not in verdicts:
-            if res is None:
-                res = free_resolution(scene.ideal)
-            verdicts[sub] = transverse_from_resolution(res, _family_ideal(ring, sub))
+            verdicts[sub] = transverse(_family_ideal(ring, sub))
         ok, j = verdicts[sub]
         if not ok:
             return CTCertificate("refuted", checked, witness_family=fam,

@@ -16,6 +16,9 @@ Hilbert polynomial are read from that numerator.  Sheafifying is exact, so the
 sheaf Tor of the two subscheme structure sheaves vanishes exactly when the
 Hilbert polynomial of the graded Tor is identically zero; that is the
 transversality criterion used here (insensitive to saturating the inputs).
+Transversality asks for Tor modules only when neither of two exact rules
+decides: subschemes that do not meet are transverse, and against a
+principal J the one Tor that can survive is read from Hilbert numerators.
 
 Over a quotient coordinate ring A = S/Q resolutions are generally infinite.
 free_resolution(I, length, modulo=Q) resolves A/IA to the given length with
@@ -49,6 +52,8 @@ from .linalg import Echelon
 from .polykernel import (
     HilbertPoly,
     HomIdeal,
+    _ideal_numerator,
+    _numerator_mul,
     hilbert_polynomial,
     hilbert_polynomial_from_numerator,
     ideal_sum,
@@ -206,30 +211,70 @@ def graded_tor(I: HomIdeal, J: HomIdeal, j: int) -> TorModule:
     return tor_from_resolution(res, J, j)
 
 
-def disjoint(I: HomIdeal, J: HomIdeal) -> bool:
-    """Whether the subschemes cut out by I and J do not meet, that is,
-    whether I + J has the zero Hilbert polynomial."""
-    return hilbert_polynomial(ideal_sum(I, J)).is_zero()
+class Transversality:
+    """Homological transversality of Z = V(I) to many subschemes Y = V(J).
+
+    Each J takes the first of three routes that decides it:
+
+    1. Z and Y do not meet.  A Tor sheaf is supported on the intersection:
+       Supp Tor_j(O_Z, O_Y) ⊆ Z ∩ Y (Serre, Algèbre locale, multiplicités;
+       Hartshorne, Algebraic Geometry III.6), so they are transverse.
+    2. J = (f) is principal, of degree e.  S/(f) has the resolution
+       0 → S(−e) → S → S/(f) → 0, so Tor_j = 0 for j ≥ 2, and
+       0 → Tor_1 → S/I(−e) → S/I → S/(I + f) → 0 is exact.  The Tor_1
+       sheaf vanishes exactly when the series numerator
+       N(I + f) − (1 − u^e)·N(I) has the zero Hilbert polynomial, that is,
+       when N(I + f) and (1 − u^e)·N(I) give the same one; a failure has
+       j = 1.  I + f is the sum route 1 already reduced.
+    3. Otherwise Tor_j from a free resolution of I, made on first need and
+       kept for every later J.
+
+    The sum I + J of each J is kept, so asking whether Z meets Y and then
+    whether it is transverse to Y runs one Groebner basis of I + J.
+    """
+
+    def __init__(self, I: HomIdeal):
+        self.ideal = I
+        self._sums: dict[tuple, HomIdeal] = {}
+        self._resolution: FreeResolution | None = None
+
+    def _sum(self, J: HomIdeal) -> HomIdeal:
+        if J.gens not in self._sums:
+            self._sums[J.gens] = ideal_sum(self.ideal, J)
+        return self._sums[J.gens]
+
+    def meets(self, J: HomIdeal) -> bool:
+        """Whether Z and V(J) meet: I + J has a nonzero Hilbert polynomial."""
+        return not hilbert_polynomial(self._sum(J)).is_zero()
+
+    def __call__(self, J: HomIdeal) -> tuple[bool, int | None]:
+        """(True, None) when transverse, else (False, the least failing j)."""
+        if not self.meets(J):
+            return True, None
+        gens = J.gens if len(J.gens) == 1 else J.groebner()
+        if len(gens) == 1:
+            lift = _numerator_mul(_ideal_numerator(self.ideal), {0: 1, gens[0].degree: -1})
+            if hilbert_polynomial(self._sum(J)) == hilbert_polynomial_from_numerator(
+                    lift, J.ring.nvars):
+                return True, None
+            return False, 1
+        if self._resolution is None:
+            self._resolution = free_resolution(self.ideal)
+        return transverse_from_resolution(self._resolution, J)
 
 
 def homologically_transverse(I: HomIdeal, J: HomIdeal) -> tuple[bool, int | None]:
     """Whether the subschemes cut out by I and J are homologically transverse.
 
-    Checks that every sheaf Tor_j for j = 1..nvars vanishes, via Hilbert
-    polynomials of the graded Tor modules; on failure returns the least
-    failing j.  The verdict depends only on the subschemes, not on the
-    chosen (possibly unsaturated) defining ideals.
-
-    A Tor sheaf is supported on the intersection: Supp Tor_j(O_Z, O_Y) ⊆
-    Z ∩ Y (Serre, Algèbre locale, multiplicités; Hartshorne, Algebraic
-    Geometry III.6).  So disjoint subschemes are transverse, and that is
-    answered without resolving I.
+    Checks that every sheaf Tor_j for j = 1..nvars vanishes, by the routes
+    of Transversality: disjoint, then principal J, then Tor modules from a
+    resolution of I.  On failure returns the least failing j.  The verdict
+    depends only on the subschemes, not on the chosen (possibly unsaturated)
+    defining ideals.
     """
     if I.ring != J.ring:
         raise ValueError("ideals live in different rings")
-    if disjoint(I, J):
-        return True, None
-    return transverse_from_resolution(free_resolution(I), J)
+    return Transversality(I)(J)
 
 
 def transverse_from_resolution(res: FreeResolution,

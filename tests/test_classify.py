@@ -8,7 +8,7 @@ regimes that no shipped scene reaches.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -27,7 +27,7 @@ from geomideal.classify import (
 from geomideal.cli import render_text, report_to_records
 from geomideal.fields import QQ, PrimeField
 from geomideal.geometry import RationalPoint
-from geomideal.idealizer import IdealizerScene
+from geomideal.idealizer import IdealizerScene, idealizer_hilbert, stabilization_degree
 from geomideal.polykernel import (
     HomIdeal,
     PolyRing,
@@ -508,6 +508,101 @@ def test_identity_scene_degenerates_with_flags():
     assert rep.row("finite-cohomological-dimension").verdict == "yes"
 
 
+def test_degenerate_first_unit_colon_past_one_is_not_certified_text():
+    # sigma^2 fixes Z = [1:1:1], sigma does not: R_n = B_n only for even n
+    sigma = ProjAutomorphism.diagonal(RQ, ["1", "-1", "1"])
+    scene = IdealizerScene(RQ, sigma, ideal("x0 - x2", "x1 - x2"))
+    assert [(r.dim_B - r.dim_R) for r in idealizer_hilbert(scene, 6)] == [0, 1, 0, 1, 0, 1, 0]
+    agrees = ("    Z is fixed by sigma^2: the section ring agrees with the full "
+              "twisted coordinate ring in every degree divisible by 2, and is a "
+              "finite module over that subring\n")
+    strong = ("    finite extensions of the strongly noetherian twisted coordinate "
+              "ring of projective space remain strongly noetherian\n")
+    na = ("    the scene degenerates to the twisted coordinate ring in large "
+          "degree; idealizer-specific predicates are not evaluated\n")
+    assert rendered(scene, horizon=6) == (
+        "# classification\n"
+        "flag: fixed-part present\n"
+        "flag: degenerate: W = X behavior (the colon is the unit ideal at degree 2)\n"
+        "right-noetherian: yes  [certified]  (finite-forward-orbit-criterion)\n"
+        + agrees +
+        "strongly-right-noetherian: yes  [certified]  (strong-right-equals-right-for-idealizers)\n"
+        + strong +
+        "left-noetherian: yes  [certified]  (critical-transversality-left-noetherian)\n"
+        + agrees +
+        "strongly-left-noetherian: yes  [certified]  (pure-codimension-one-and-transversality)\n"
+        + strong +
+        "fails-left-chi-1: inconclusive  [not-applicable]  (idealizer-ext1-growth)\n"
+        + na +
+        "right-chi-levels: inconclusive  [not-applicable]  (codimension-chi-threshold)\n"
+        + na +
+        "finite-cohomological-dimension: inconclusive  [not-applicable]  "
+        "(subscheme-homological-dimension-criterion)\n"
+        "    R_n is a proper subspace of B_n whenever 2 does not divide n, so the "
+        "ring has infinite codimension in the twisted coordinate ring; whether "
+        "finite cohomological dimension passes to it from the subring in degrees "
+        "divisible by 2 is not checked\n"
+        "tensor-square-not-left-noetherian: inconclusive  [not-applicable]  "
+        "(segre-product-obstruction)\n"
+        + na
+    )
+
+
+@st.composite
+def finite_order_scenes(draw):
+    """sigma of finite order (a +-1 diagonal or a permutation over Q, or a
+    diagonal over GF(p)) and Z a point, a line or a conic of the plane."""
+    kind = draw(st.sampled_from(["signs", "permutation", "prime"]))
+    field = PrimeField(draw(st.sampled_from([3, 5, 7]))) if kind == "prime" else QQ
+    ring = PolyRing(field, 3)
+    if kind == "signs":
+        sigma = ProjAutomorphism.diagonal(
+            ring, draw(st.lists(st.sampled_from(["1", "-1"]), min_size=3, max_size=3)))
+    elif kind == "permutation":
+        perm = draw(st.permutations(range(3)))
+        sigma = ProjAutomorphism.from_strings(
+            ring, [["1" if j == perm[i] else "0" for j in range(3)] for i in range(3)])
+    else:
+        sigma = ProjAutomorphism.diagonal(
+            ring, [str(draw(st.integers(1, field.char - 1))) for _ in range(3)])
+    small = st.integers(-2, 2)
+
+    def form(degree):
+        monos = monomials_of_degree(ring, degree)
+        cs = draw(st.lists(small, min_size=len(monos), max_size=len(monos)))
+        return sum((ring.monomial(m).scale(field.from_int(c)) for m, c in zip(monos, cs)),
+                   ring.zero())
+
+    shape = draw(st.sampled_from(["point", "line", "conic"]))
+    if shape == "point":
+        coords = draw(st.lists(small, min_size=3, max_size=3))
+        assume(any(c % field.char for c in coords) if field.char else any(coords))
+        Z = RationalPoint.of(field, [field.from_int(c) for c in coords]).ideal(ring)
+    else:
+        f = form(1 if shape == "line" else 2)
+        assume(not f.is_zero())
+        Z = HomIdeal(ring, [f])
+    return IdealizerScene(ring, sigma, Z)
+
+
+@settings(max_examples=30, deadline=None)
+@given(scene=finite_order_scenes())
+def test_finite_codimension_claims_hold_to_the_horizon(scene):
+    """A row that claims finite codimension in the twisted coordinate ring
+    has dim B_n = dim R_n for every n through the horizon; a degenerate
+    scene whose first unit colon is at k > 1 claims none, and there R_n
+    differs from B_n exactly when k does not divide n."""
+    horizon = 6
+    rep = classify(scene, horizon=horizon)
+    table = idealizer_hilbert(scene, horizon)[1:]
+    if any(r.verdict == "yes" and "finite codimension" in r.detail for r in rep.rows):
+        assert all(r.dim_B == r.dim_R for r in table)
+    stab = stabilization_degree(scene, horizon)
+    if stab.degenerate and (k := stab.table.index("unit") + 1) > 1:
+        assert rep.row("finite-cohomological-dimension").evidence.kind != "certified"
+        assert all((r.dim_B == r.dim_R) == (r.n % k == 0) for r in table)
+
+
 def test_prime_field_torsion_degenerates_at_the_entry_order():
     R7 = PolyRing(PrimeField(7), 3)
     sig7 = ProjAutomorphism.diagonal(R7, ["1", "2", "3"])
@@ -701,8 +796,9 @@ def test_unstable_fixed_part_without_moving_part_text():
     )
     scene = IdealizerScene(r7, shear, ideal("x0*x1", ring=r7))
     detail = "    Z has no moving part: every component has finite-order support\n"
-    assert rendered(scene, sample_points=(pt("[0:1:0]", PrimeField(7)),),
-                    horizon=5, order_bound=1) == (
+    not_rerun = ("    Z has no moving part to reduce to, and the degrees where the "
+                 "colon is the unit ideal lie past the horizon\n")
+    expected = (
         "# classification\n"
         "flag: fixed-part present\n"
         "right-noetherian: inconclusive  [heuristic(horizon=5)]  (finite-forward-orbit-criterion)\n"
@@ -710,13 +806,17 @@ def test_unstable_fixed_part_without_moving_part_text():
         "strongly-right-noetherian: inconclusive  [heuristic(horizon=5)]  (strong-right-equals-right-for-idealizers)\n"
         + detail +
         "left-noetherian: inconclusive  [not-applicable]  (critical-transversality-left-noetherian)\n"
-        "    the reduction to the moving part is not re-run\n"
+        + not_rerun +
         "strongly-left-noetherian: inconclusive  [not-applicable]  (pure-codimension-one-and-transversality)\n"
-        "    the reduction to the moving part is not re-run\n"
+        + not_rerun
         + UNSTABLE_NA_ROWS +
-        "note: sigma^7 fixes the finite-order part J; the section ring is a "
-        "finite module over an idealizer at the moving part W\n"
+        "note: sigma^7 fixes the finite-order part J, which is all of Z: there "
+        "is no moving part W, and the colon is the unit ideal in every degree "
+        "divisible by 7\n"
     )
+    # with or without sample points: there is no moving part to sample
+    for points in ((pt("[0:1:0]", PrimeField(7)),), ()):
+        assert rendered(scene, sample_points=points, horizon=5, order_bound=1) == expected
 
 
 def test_stable_refuted_ct_cert_with_codimension_two_component_text():

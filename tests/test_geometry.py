@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geomideal import geometry
+from geomideal import homology
 from geomideal.classify import sigma_ideal_order
 from geomideal.fields import QQ, PrimeField
 from geomideal.geometry import (
@@ -20,6 +20,7 @@ from geomideal.geometry import (
     RationalPoint,
     _coordinate_families,
     _family_ideal,
+    _meets_z,
     _ratio_gate,
     _unipotent_scalar,
     critical_transversality_certificate,
@@ -28,6 +29,7 @@ from geomideal.geometry import (
     projective_order,
 )
 from geomideal.homology import (
+    Transversality,
     free_resolution,
     homologically_transverse,
     transverse_from_resolution,
@@ -36,7 +38,9 @@ from geomideal.idealizer import IdealizerScene
 from geomideal.polykernel import (
     HomIdeal,
     PolyRing,
+    hilbert_polynomial,
     ideal_equal,
+    ideal_sum,
     intersect,
     monomials_of_degree,
 )
@@ -544,8 +548,8 @@ def test_union_of_two_coordinate_points():
 
 def test_line_dimension_enumeration():
     alls = _coordinate_families(1)
-    assert alls[:2] == [((0,),), ((1,),)]  # the two coordinate points of the line
-    assert alls[2:] == [((0,), (1,))]  # plus their union
+    assert alls[:2] == (((0,),), ((1,),))  # the two coordinate points of the line
+    assert alls[2:] == (((0,), (1,)),)  # plus their union
 
 
 def test_gate_rejects_dependent_ratios():
@@ -689,8 +693,15 @@ def test_localized_certificate_matches_the_plain_loop(scene):
 
 
 def count_certificate_work(monkeypatch):
-    """Count the resolutions and Tor checks the certificate asks for."""
-    work = {"resolutions": 0, "tor": []}
+    """Count what the certificate asks of homology: disjointness tests (each
+    one Groebner basis of a sum I + J), resolutions of Z, Tor checks against
+    a resolution, and the sub-unions it checks for transversality."""
+    work = {"sums": 0, "resolutions": 0, "tor": [], "checked": []}
+    ideal_sum, check = homology.ideal_sum, Transversality.__call__
+
+    def counted_sum(I, J):
+        work["sums"] += 1
+        return ideal_sum(I, J)
 
     def counted_resolution(I, *args, **kwargs):
         work["resolutions"] += 1
@@ -700,8 +711,14 @@ def count_certificate_work(monkeypatch):
         work["tor"].append(J.gens_text())
         return transverse_from_resolution(res, J)
 
-    monkeypatch.setattr(geometry, "free_resolution", counted_resolution)
-    monkeypatch.setattr(geometry, "transverse_from_resolution", counted_tor)
+    def counted_check(self, J):
+        work["checked"].append(J.gens_text())
+        return check(self, J)
+
+    monkeypatch.setattr(homology, "ideal_sum", counted_sum)
+    monkeypatch.setattr(homology, "free_resolution", counted_resolution)
+    monkeypatch.setattr(homology, "transverse_from_resolution", counted_tor)
+    monkeypatch.setattr(Transversality, "__call__", counted_check)
     return work
 
 
@@ -710,7 +727,9 @@ def test_p3_point_off_the_hyperplanes_needs_no_tor(monkeypatch):
     Z = RationalPoint.parse(QQ, "[1:2:3:4]").ideal(R3)
     cert = critical_transversality_certificate(IdealizerScene(R3, SIGMA3, Z))
     assert (cert.status, cert.checked) == ("certified", 165)
-    assert work == {"resolutions": 0, "tor": []}
+    # the four hyperplanes miss Z, and every other coordinate subspace lies
+    # in one of them: 4 disjointness tests for the 14 subspaces
+    assert work == {"sums": 4, "resolutions": 0, "tor": [], "checked": []}
 
 
 def test_p3_line_checks_each_meeting_sub_union_once(monkeypatch):
@@ -718,10 +737,12 @@ def test_p3_line_checks_each_meeting_sub_union_once(monkeypatch):
     Z = HomIdeal.from_strings(R3, ["x0+x1-2*x2-x3", "x1+x2-3*x3"])
     cert = critical_transversality_certificate(IdealizerScene(R3, SIGMA3, Z))
     assert (cert.status, cert.checked) == ("certified", 165)
-    assert work["resolutions"] == 1
-    # the line meets the four coordinate planes and no smaller coordinate
-    # subspace, so its meeting sub-unions are the 15 nonempty sets of planes
-    assert len(set(work["tor"])) == len(work["tor"]) == 15
+    # the line meets the four coordinate planes (by dimension, untested) and
+    # no smaller coordinate subspace (10 tests), so its meeting sub-unions
+    # are the 15 nonempty sets of planes: hypersurfaces, one sum each, no
+    # resolution and no Tor module
+    assert (work["resolutions"], work["tor"], work["sums"]) == (0, [], 10 + 15)
+    assert len(set(work["checked"])) == len(work["checked"]) == 15
 
 
 def test_p3_point_on_one_hyperplane_refuted_after_one_tor(monkeypatch):
@@ -729,4 +750,65 @@ def test_p3_point_on_one_hyperplane_refuted_after_one_tor(monkeypatch):
     Z = HomIdeal.from_strings(R3, ["x0", "x1-2*x3", "x2-3*x3"])
     cert = critical_transversality_certificate(IdealizerScene(R3, SIGMA3, Z))
     assert certificate_summary(cert) == ("refuted", 11, ((0,),), "x0", 1)
-    assert work == {"resolutions": 1, "tor": ["x0"]}
+    # Tor_1 against V(x0) from Hilbert numerators, on the sum I + (x0) that
+    # the hyperplane test already reduced: 4 hyperplane tests, no resolution
+    assert work == {"sums": 4, "resolutions": 0, "tor": [], "checked": ["x0"]}
+
+
+@st.composite
+def lattice_subschemes(draw):
+    """Z on P^2 or P^3: a point, a line, a conic, a fat point, a union of a
+    line and a point, or a monomial ideal, often through coordinate points."""
+    d = draw(st.sampled_from([2, 3]))
+    ring = RQ if d == 2 else R3
+
+    def form(degree):
+        monos = monomials_of_degree(ring, degree)
+        coeffs = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2]),
+                               min_size=len(monos), max_size=len(monos)))
+        return sum((ring.monomial(m).scale(QQ.from_int(c))
+                    for m, c in zip(monos, coeffs)), ring.zero())
+
+    def point():
+        coords = draw(st.lists(st.sampled_from([0, 0, 1, 2, -3]),
+                               min_size=d + 1, max_size=d + 1))
+        coords[draw(st.integers(0, d))] = 1
+        return RationalPoint.of(QQ, [QQ.from_int(c) for c in coords]).ideal(ring)
+
+    def line():
+        return HomIdeal(ring, [form(1) for _ in range(d - 1)])
+
+    kind = draw(st.sampled_from(["point", "line", "conic", "fat", "union", "monomial"]))
+    if kind == "point":
+        Z = point()
+    elif kind == "line":
+        Z = line()
+    elif kind == "conic":
+        Z = HomIdeal(ring, [form(1) for _ in range(d - 2)] + [form(2)])
+    elif kind == "fat":
+        P = point()
+        Z = HomIdeal(ring, [f * g for f in P.gens for g in P.gens])
+    elif kind == "union":
+        Z = intersect(line(), point())
+    else:
+        exps = draw(st.lists(st.lists(st.integers(0, 2), min_size=d + 1, max_size=d + 1),
+                             min_size=1, max_size=3))
+        Z = HomIdeal(ring, [ring.monomial(tuple(e)) for e in exps if any(e)]
+                     or [ring.variable(0)])
+    assume(not hilbert_polynomial(Z).is_zero())
+    return Z
+
+
+@settings(max_examples=40, deadline=None)
+@given(Z=lattice_subschemes(), data=st.data())
+def test_lattice_decision_matches_a_direct_disjointness_test(Z, data):
+    """Rules (a) and (b) decide "L_s meets Z" as a direct test would, in any
+    order of asking."""
+    d = Z.ring.nvars - 1
+    subsets = [s for fam in _coordinate_families(d) if len(fam) == 1 for s in fam]
+    meets = _meets_z(Transversality(Z))
+    for s in data.draw(st.permutations(subsets)):
+        L = _family_ideal(Z.ring, (s,))
+        assert meets(s) == (not hilbert_polynomial(ideal_sum(Z, L)).is_zero()), s
+
+
