@@ -225,7 +225,7 @@ class Transversality:
        sheaf vanishes exactly when the series numerator
        N(I + f) − (1 − u^e)·N(I) has the zero Hilbert polynomial, that is,
        when N(I + f) and (1 − u^e)·N(I) give the same one; a failure has
-       j = 1.  I + f is the sum route 1 already reduced.
+       j = 1.  I + f is the sum route 1 already computed.
     3. Otherwise Tor_j from a free resolution of I, made on first need and
        kept for every later J.
 

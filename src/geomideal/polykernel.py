@@ -11,11 +11,14 @@ the product (coprime) criterion applies to a pair whose two elements each
 have exactly one nonzero component, the same one, which every pair of
 polynomials satisfies.
 
-Quotients.  Generators of J that lie in I are dropped first.  For a form h
-of degree e, 0 → S/(I : h)(−e) → S/I → S/(I + (h)) → 0 is exact, and
-I ⊆ (I : h), so h is a nonzerodivisor on S/I, that is (I : h) = I, exactly
-when HS(S/(I + (h))) = (1 − t^e)·HS(S/I): two Hilbert numerators.  Once
-some generator g passes, (I : J) ⊆ (I : g) = I, so (I : J) is I.  Otherwise
+Quotients.  Generators of J that lie in I are dropped first.  When I's
+reduced basis is empty or all linear, S/I is a polynomial ring, a domain,
+so (I : J) is I with no Groebner run.  Else, for a form h of degree e,
+0 → S/(I : h)(−e) → S/I → S/(I + (h)) → 0 is exact, and I ⊆ (I : h), so h
+is a nonzerodivisor on S/I, that is (I : h) = I, exactly when
+HS(S/(I + (h))) = (1 − t^e)·HS(S/I): two Hilbert numerators, the first
+read off `ideal_sum`'s unreduced extension of I's basis by h.  Once some
+generator g passes, (I : J) ⊆ (I : g) = I, so (I : J) is I.  Otherwise
 J = (g_1, ..., g_k) is one module preimage: (I : J) = {a : a·(g_1, ...,
 g_k) ∈ I·e_1 + ... + I·e_k} (Greuel & Pfister, A Singular Introduction to
 Commutative Algebra, ch. 2).  `intersect` returns the smaller ideal's
@@ -531,6 +534,13 @@ class GroebnerRun:
     a module one element at a time keeps one run open and never recomputes
     the pairs it already reduced.
 
+    A run may start from a finished block, monic elements that already form
+    a Groebner basis (I's reduced basis in ideal_sum).  They enter first,
+    with no pairs among them: each such S-pair reduces to zero modulo the
+    block (Buchberger's criterion; Cox, Little & O'Shea, Ideals, Varieties,
+    and Algorithms, §2.6), hence modulo every larger basis, so the chain
+    criterion may count it as already treated.
+
     Two criteria skip a pair.  Coprime leading monomials, when both elements
     have exactly one nonzero component (the same one, since pairs never
     cross components): S(f.e, g.e) = S(f, g).e, so the polynomial product
@@ -541,9 +551,9 @@ class GroebnerRun:
 
     __slots__ = ("nf", "basis", "heap", "pending")
 
-    def __init__(self, gens: list, sort_key, nf):
+    def __init__(self, gens: list, sort_key, nf, finished=()):
         self.nf = nf
-        self.basis = _Basis()
+        self.basis = _Basis(finished)
         self.heap: list = []
         self.pending: set[tuple[int, int]] = set()
         for g in sorted((g.monic() for g in gens if not g.is_zero()), key=sort_key):
@@ -644,10 +654,13 @@ class HomIdeal:
 
     The zero ideal is represented by an empty generator list.  gb, when
     given, is the known reduced Groebner basis, in decreasing
-    leading-monomial order.
+    leading-monomial order.  basis, when given instead, is a Groebner basis
+    not yet reduced (from ideal_sum): the Hilbert numerator reads its
+    leading monomials, which generate in(I) like those of any Groebner
+    basis, and groebner() reduces it on its first call.
     """
 
-    def __init__(self, ring: PolyRing, gens, *, gb=None):
+    def __init__(self, ring: PolyRing, gens, *, gb=None, basis=None):
         self.ring = ring
         clean = [g for g in gens if not g.is_zero()]
         for g in clean:
@@ -655,6 +668,7 @@ class HomIdeal:
                 raise ValueError(f"inhomogeneous generator: {g}")
         self.gens = tuple(sorted(clean, key=Poly.sort_key))
         self._gb: tuple[Poly, ...] | None = None if gb is None else tuple(gb)
+        self._basis = basis
         self._hilbert_numerator: dict[int, int] | None = None
 
     @classmethod
@@ -663,7 +677,8 @@ class HomIdeal:
 
     def groebner(self) -> tuple[Poly, ...]:
         if self._gb is None:
-            self._gb = tuple(groebner_basis(list(self.gens)))
+            self._gb = tuple(groebner_basis(list(self.gens)) if self._basis is None
+                             else reduce_basis(self._basis))
         return self._gb
 
     def contains(self, f: Poly) -> bool:
@@ -699,7 +714,12 @@ def ideal_equal(I: HomIdeal, J: HomIdeal) -> bool:
 
 
 def ideal_sum(I: HomIdeal, J: HomIdeal) -> HomIdeal:
-    return HomIdeal(I.ring, list(I.gens) + list(J.gens))
+    """I + J from one Groebner run that starts from I's reduced basis as a
+    finished block (GroebnerRun) and adds the nonzero normal forms of J's
+    generators; the completed basis is kept unreduced (HomIdeal)."""
+    gb = list(I.groebner())
+    run = GroebnerRun([normal_form(g, gb) for g in J.gens], Poly.sort_key, normal_form, gb)
+    return HomIdeal(I.ring, I.gens + J.gens, basis=run.complete())
 
 
 def unit_ideal(ring: PolyRing) -> HomIdeal:
@@ -739,7 +759,7 @@ def intersect(I: HomIdeal, J: HomIdeal) -> HomIdeal:
 def _is_nonzerodivisor(I: HomIdeal, g: Poly) -> bool:
     """Whether g is a nonzerodivisor on S/I, from Hilbert numerators
     (module docstring)."""
-    return (_ideal_numerator(HomIdeal(I.ring, I.groebner() + (g,)))
+    return (_ideal_numerator(ideal_sum(I, HomIdeal(I.ring, [g])))
             == _numerator_mul(_ideal_numerator(I), {0: 1, g.degree: -1}))
 
 
@@ -747,14 +767,16 @@ def ideal_quotient(I: HomIdeal, J: HomIdeal) -> HomIdeal:
     """(I : J) = {f : f·J ⊆ I}.  The generators of J that lie in I are
     dropped first, since (I : g) is the unit ideal for those.  When one of
     the rest is a nonzerodivisor on S/I, (I : J) ⊆ (I : g) = I, so it is I
-    with I's basis; otherwise the rest, (g_1, ..., g_k), go through one
-    preimage under the sum of the I·e_k."""
+    with I's basis: at once when that basis is empty or all linear, since
+    S/I is then a polynomial ring, a domain, else by the Hilbert test.
+    Otherwise the rest, (g_1, ..., g_k), go through one preimage under the
+    sum of the I·e_k."""
     ring = I.ring
     gens = [g for g in J.gens if not I.contains(g)]
     if not gens:
         return unit_ideal(ring)
-    if any(_is_nonzerodivisor(I, g) for g in gens):
-        basis = I.groebner()
+    basis = I.groebner()
+    if all(f.degree == 1 for f in basis) or any(_is_nonzerodivisor(I, g) for g in gens):
         return HomIdeal(ring, basis, gb=basis)
     quot = _preimage(ring, gens, [I] * len(gens))
     return HomIdeal(ring, quot, gb=quot)
@@ -845,7 +867,7 @@ def monomial_hilbert_numerator(monos) -> dict[int, int]:
 
 def _ideal_numerator(I: HomIdeal) -> dict[int, int]:
     if I._hilbert_numerator is None:
-        lt = [g.lm() for g in I.groebner()]
+        lt = [g.lm() for g in (I.groebner() if I._basis is None else I._basis)]
         I._hilbert_numerator = monomial_hilbert_numerator(lt)
     return I._hilbert_numerator
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from geomideal import cli
+from geomideal import cli, polykernel
 from geomideal.cli import (
     SceneError,
     emit_records,
@@ -431,3 +431,55 @@ def test_shipped_scenes_match_the_golden_capture(monkeypatch, capsys):
         if (rc, out, err) != (want["rc"], want["stdout"], want["stderr"]):
             differ.append(key)
     assert differ == []
+
+
+# ---------------------------------------------------------------------------
+# generator invariance: rescaled, reordered and padded generators
+# ---------------------------------------------------------------------------
+
+def invariance_scene(sigma, ideal, against):
+    n = len(sigma)
+    rows = [" ".join(str(lam if i == j else 0) for j in range(n)) for i, lam in enumerate(sigma)]
+    return "\n".join(["field rational", f"dim {n - 1}", "sigma", *rows, "ideal", *ideal,
+                      "end", "against", *against, "end", "horizon 8", ""])
+
+
+# (sigma, generators, the same ideal rescaled, reordered and padded with a
+# multiple of a generator, a subscheme to test transversality against)
+INVARIANCE_CASES = {
+    "point": ([1, 2, 3], ["x0 - x2", "x1 - x2"],
+              ["x0^2 - x0*x2", "3*x1 - 3*x2", "-2*x0 + 2*x2"], ["x0 - x1"]),
+    "line": ([1, 2, 3, 5], ["x0 + x1 - 2*x2 - x3", "x1 + x2 - 3*x3"],
+             ["-2*x1 - 2*x2 + 6*x3", "x0^2 + x0*x1 - 2*x0*x2 - x0*x3",
+              "3*x0 + 3*x1 - 6*x2 - 3*x3"], ["x0 - x3"]),
+    "fat_point": ([1, 2, 3], ["x0 + x1", "x0^2"],
+                  ["5*x0^2", "x0^2 + x0*x1", "-x0 - x1"], ["x1 - x2"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANCE_CASES))
+def test_generators_rescaled_reordered_and_padded_change_no_output(case, tmp_path, capsys,
+                                                                   monkeypatch):
+    """colon, ct-cert and transverse print the same bytes for the padded
+    generators as for the plain ones.  The domain exit of the colon reads
+    I's reduced basis, never its generators, so the padded point and line
+    (a quadric among their generators) still take it: no Hilbert test."""
+    sigma, plain, padded, against = INVARIANCE_CASES[case]
+    tests = []
+    real_test = polykernel._is_nonzerodivisor
+
+    def counting_test(I, g):
+        tests.append(g)
+        return real_test(I, g)
+
+    monkeypatch.setattr(polykernel, "_is_nonzerodivisor", counting_test)
+    for command in ("colon", "ct-cert", "transverse"):
+        outs = []
+        for gens in (plain, padded):
+            path = scene_path(tmp_path, invariance_scene(sigma, gens, against))
+            tests.clear()
+            assert main([command, path]) == 0
+            outs.append(capsys.readouterr().out)
+            if command == "colon" and case != "fat_point":
+                assert tests == []
+        assert outs[0] == outs[1]

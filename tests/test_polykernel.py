@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from geomideal import cli, freemod, polykernel
+from geomideal import cli, freemod, idealizer, polykernel
 from geomideal.fields import QQ, PrimeField
 from geomideal.geometry import RationalPoint
 from geomideal.linalg import NormalForms
@@ -216,31 +216,53 @@ horizon 6
 """
 
 
-def test_p5_moving_point_colon_takes_one_nonzerodivisor_test_per_degree(tmp_path,
-                                                                       monkeypatch):
-    """On the point of test_pair_order_pinned_on_p5_point_colon, saturation
-    stops at its nonzerodivisor test (x5 divides no leading monomial), and
-    each colon n stops at the Hilbert-series test of its first generator,
-    which passes: a linear form off the point is a nonzerodivisor.  No
-    module preimage runs."""
-    tests, runs = [], []
+def _count_colon_work(monkeypatch):
+    """Record the verdict of each Hilbert nonzerodivisor test, the size of
+    each module preimage run, and each groebner_basis call made inside a
+    colon of the idealizer."""
+    work = {"tests": [], "runs": [], "gb_inside": []}
+    inside = []
     real_test, real_preimage = polykernel._is_nonzerodivisor, freemod.preimage_generators
+    real_gb, real_quotient = polykernel.groebner_basis, idealizer.ideal_quotient
 
     def counting_test(I, g):
-        tests.append(real_test(I, g))
-        return tests[-1]
+        work["tests"].append(real_test(I, g))
+        return work["tests"][-1]
 
     def counting_preimage(vecs, targets):
-        runs.append(len(vecs))
+        work["runs"].append(len(vecs))
         return real_preimage(vecs, targets)
+
+    def counting_gb(gens):
+        if inside:
+            work["gb_inside"].append(len(gens))
+        return real_gb(gens)
+
+    def counting_quotient(I, J):
+        inside.append(J)
+        try:
+            return real_quotient(I, J)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(polykernel, "_is_nonzerodivisor", counting_test)
     monkeypatch.setattr(freemod, "preimage_generators", counting_preimage)
+    monkeypatch.setattr(polykernel, "groebner_basis", counting_gb)
+    monkeypatch.setattr(idealizer, "ideal_quotient", counting_quotient)
+    return work
+
+
+def test_p5_moving_point_colon_takes_the_domain_exit(tmp_path, monkeypatch):
+    """On the point of test_pair_order_pinned_on_p5_point_colon, saturation
+    stops at its nonzerodivisor test (x5 divides no leading monomial), and
+    each colon n stops at the domain exit: I's reduced basis is linear, so
+    S/I is a domain and every generator outside I is a nonzerodivisor.  No
+    Hilbert test, module preimage or Groebner run happens in a colon."""
+    work = _count_colon_work(monkeypatch)
     path = tmp_path / "p5_point.scene"
     path.write_text(P5_MOVING_POINT)
     assert cli.main(["colon", str(path)]) == 0
-    assert tests == [True] * 6
-    assert runs == []
+    assert work == {"tests": [], "runs": [], "gb_inside": []}
 
 
 def test_pair_order_takes_late_pairs_with_smaller_keys_first():
@@ -709,14 +731,41 @@ def test_saturate_exit_matches_the_full_route(data):
 
 
 @given(st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_extended_sum_matches_a_fresh_groebner_run(data):
+    """ideal_sum(I, J) starts its run from I's reduced basis as a finished
+    block.  Its reduced basis is that of a fresh run on all the generators,
+    and the Hilbert numerator read off the unreduced basis is the one read
+    after reduction.  I is a drawn scene; J is random linear forms,
+    products of two, or a coordinate family (x_i : i in s)."""
+    ring, _, Z, _ = data.draw(moving_scene())
+    kind = data.draw(st.sampled_from(["linear", "products", "coordinates"]))
+    if kind == "coordinates":
+        gens = [ring.variable(i) for i in data.draw(
+            st.lists(st.integers(0, ring.nvars - 1), min_size=1, unique=True))]
+    else:
+        gens = [data.draw(linear_divisor(ring))
+                for _ in range(data.draw(st.integers(1, ring.nvars - 1)))]
+        if kind == "products":
+            gens = [f * data.draw(linear_divisor(ring)) for f in gens]
+    K = ideal_sum(Z, HomIdeal(ring, gens))
+    before = polykernel._ideal_numerator(K)
+    assert K.groebner() == tuple(polykernel.groebner_basis(list(Z.gens) + gens))
+    assert before == polykernel.monomial_hilbert_numerator([f.lm() for f in K.groebner()])
+
+
+@given(st.data())
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_nonzerodivisor_colon_matches_elimination(data):
     """(I : J) against the elimination reference, for J the pullback under
     sigma^n of Z's own linear forms (the colon of the idealizer) or of the
     fixed point e_k (larger than I on a union), a random linear ideal, or
     products of two linear forms; n = 0 gives unit colons.  Both routes
-    run: the nonzerodivisor exit and the preimage.  P^2 and P^3 only: the
-    reference's elimination takes seconds on a P^4 fat point."""
+    run: the nonzerodivisor exit and the preimage.  The Hilbert test's
+    verdict on J's first generator g outside I is checked on its own
+    against (I : g) = I, since the domain exit skips it on linear I.
+    P^2 and P^3 only: the reference's elimination takes seconds on a P^4
+    fat point."""
     ring, sigma, Z, e_k = data.draw(moving_scene([r for r in SCENE_RINGS if r.nvars < 5]))
     I = saturate(Z)
     source = data.draw(st.sampled_from(["own", "fixed point", "random linear", "nonlinear"]))
@@ -734,6 +783,10 @@ def test_nonzerodivisor_colon_matches_elimination(data):
     got, want = ideal_quotient(I, J), _elim_colon(I, J)
     assert got.groebner() == want.groebner()
     assert got.gens == HomIdeal(ring, want.groebner()).gens
+    g = next((g for g in J.gens if not I.contains(g)), None)
+    if g is not None:
+        by_g = want if len(J.gens) == 1 else _elim_colon(I, HomIdeal(ring, [g]))
+        assert polykernel._is_nonzerodivisor(I, g) == (by_g == I)
 
 
 TWISTED_CUBIC = """\
@@ -750,6 +803,18 @@ x0*x3 - x1*x2
 x1*x3 - x2^2
 end
 """
+
+
+def test_twisted_cubic_colon_extends_the_basis_of_i(tmp_path, monkeypatch):
+    """The twisted cubic's I is not linear, so each colon n (the default
+    horizon 12) runs the Hilbert test of its first generator outside I,
+    which passes since I is prime.  The test extends I's reduced basis
+    (ideal_sum), so no groebner_basis call happens inside a colon."""
+    work = _count_colon_work(monkeypatch)
+    path = tmp_path / "twisted_cubic.scene"
+    path.write_text(TWISTED_CUBIC)
+    assert cli.main(["colon", str(path)]) == 0
+    assert work == {"tests": [True] * 12, "runs": [], "gb_inside": []}
 
 
 FAT_POINT_PREIMAGE_RUNS = {"colon": 8, "classify": 8, "idealizer": 5}
