@@ -25,6 +25,11 @@ free_resolution(I, length, modulo=Q) resolves A/IA to the given length with
 the same kernel: each map is lifted to S, and its kernel over A is the
 preimage of Q times the target.  For Q inside J the Tor formula above then
 gives Tor over A unchanged; tor_from_resolution serves any such J.
+When Q = (f) is principal of degree e >= 1, a minimal resolution over A
+turns 2-periodic at its first matrix factorization (Eisenbud, Homological
+algebra on a complete intersection, Trans. AMS 1980): once d_j*d_(j+1) =
+f*U for an invertible scalar matrix U, the maps U^-1*d_j and d_(j+1) repeat,
+shifted by e, and no further preimage is computed.
 truncated_tor_over_quotient probes at a rational point P = p on a degree
 window and reports which Tor_j are nonzero as sheaves: the sheaf
 Tor_j(O_Z, k(P)) is supported at P, so it vanishes exactly when the Hilbert
@@ -52,6 +57,7 @@ from .linalg import Echelon
 from .polykernel import (
     HilbertPoly,
     HomIdeal,
+    Poly,
     _ideal_numerator,
     _numerator_mul,
     hilbert_polynomial,
@@ -114,13 +120,33 @@ def free_resolution(I: HomIdeal, length: int | None = None, *,
     most nvars (Hilbert's syzygy theorem), so no length or a longer one
     resolves to nvars steps; over a nonzero Q the resolution need not end,
     and a length is required.
+
+    Periodic tail.  When Q's reduced basis is one form f of degree e >= 1,
+    each new map d_(j+1), j >= 1, is tested against the one before it
+    (_matrix_factorization).  Once d_j*d_(j+1) = f*U over S with U an
+    invertible scalar matrix, the rest is written down, with no preimage:
+    d_(j+2k) = U^-1*d_j and d_(j+2k+1) = d_(j+1), sources shifted by k*e.
+    S is a domain, so d_j is invertible over Frac S and
+    d_(j+1)*U^-1*d_j = f*1.  For a in F_(j+1), d_(j+1)*a lies in f*F_j
+    exactly when U*a lies in d_j*F_j, so over A the kernel of d_(j+1) is
+    the image of U^-1*d_j.  Its entries have positive degree, as d_j's do,
+    so it is the next map of a minimal resolution, and the next product is
+    f*1, so the pair repeats.  Minimal graded resolutions are unique up to
+    graded isomorphism, so the generator degrees, and the ranks of every
+    d_j at a point of V(Q) degree by degree, are those of the step-by-step
+    run.
     """
     ring = I.ring
     Q = HomIdeal(ring, ()) if modulo is None else modulo
+    f = None
     if Q.is_zero_ideal():
         length = ring.nvars if length is None else min(length, ring.nvars)
     elif length is None:
         raise ValueError("a resolution over a nonzero quotient needs a length")
+    else:
+        gb = Q.gens if len(Q.gens) == 1 else Q.groebner()
+        if len(gb) == 1 and gb[0].degree:
+            f = gb[0].monic()
     modules = [FreeModule(ring, (0,))]
     maps: list[GradedMap] = []
     cols = minimal_generators([MVec(modules[0], {0: g}) for g in I.gens],
@@ -131,9 +157,66 @@ def free_resolution(I: HomIdeal, length: int | None = None, *,
         modules.append(src)
         if len(maps) == length:
             break
+        u_inv = None if f is None or len(maps) < 2 else _matrix_factorization(
+            maps[-2], maps[-1], f)
+        if u_inv is not None:
+            comps = [_scalar_times(u_inv, col) for col in maps[-2].columns]
+            while len(maps) < length:
+                src = FreeModule(ring, tuple(a + f.degree for a in modules[-2].degrees))
+                maps.append(GradedMap(src, modules[-1], tuple(
+                    MVec(modules[-1], c) for c in comps)))
+                modules.append(src)
+                comps = [c.comps for c in maps[-2].columns]
+            break
         kernel = preimage_generators(cols, _ideal_times_free(Q, modules[-2]))
         cols = minimal_generators(kernel, _ideal_times_free(Q, src))
     return FreeResolution(I, tuple(modules), tuple(maps))
+
+
+def _matrix_factorization(d: GradedMap, d_next: GradedMap, f: Poly) -> list[list] | None:
+    """U^-1 when d and d_next are square of one rank and d*d_next = f*U over
+    S for an invertible scalar matrix U; else None.
+
+    Entry (i, c) of the product is sum over k of d[i][k]*d_next[k][c], and
+    must be u*f for a scalar u.  U is invertible exactly when the reduced
+    echelon form of [U | 1] is [1 | U^-1]."""
+    r = d.target.rank
+    if not r == d.source.rank == d_next.source.rank:
+        return None
+    field = f.ring.field
+    rows = [[field.zero] * r + [field.one if a == i else field.zero for a in range(r)]
+            for i in range(r)]
+    for c, col in enumerate(d_next.columns):
+        entries: dict[int, Poly] = {}
+        for k, p in col.comps.items():
+            for i, q in d.columns[k].comps.items():
+                entries[i] = entries[i] + q * p if i in entries else q * p
+        for i, p in entries.items():
+            if p.is_zero():
+                continue
+            u = field.div(p.lc(), f.lc())
+            if p != f.scale(u):
+                return None
+            rows[i][c] = u
+    ech = Echelon(field, 2 * r)
+    for row in rows:
+        ech.insert(row)
+    if ech.pivots != list(range(r)):
+        return None
+    return [row[r:] for row in ech.rows()]
+
+
+def _scalar_times(u: list[list], col: MVec) -> dict:
+    """The components of u times the column col, u a scalar matrix."""
+    ring = col.ring
+    out = {}
+    for a, row in enumerate(u):
+        p = ring.zero()
+        for i, q in col.comps.items():
+            p = p + q.scale(row[i])
+        if not p.is_zero():
+            out[a] = p
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,13 @@ def exhaustive_oracle_piece(scene: IdealizerScene, n: int, M: int) -> DegreePiec
     product is reduced as a combination of the normal forms of its
     monomials, and each monomial is reduced once per call
     (`linalg.NormalForms`).
+
+    The condition rows enter the echelon with their columns reversed, so
+    its pivots are the last monomials, and each kernel vector has 1 at its
+    free column, 0 at the other free columns, and otherwise entries only at
+    later monomials.  Read back in monomial order, last vector first, the
+    kernel vectors are its reduced echelon form, which is unique: the
+    row-reduced basis, with no second elimination.
     """
     ring = scene.ring
     fieldk = ring.field
@@ -148,20 +155,19 @@ def exhaustive_oracle_piece(scene: IdealizerScene, n: int, M: int) -> DegreePiec
         return DegreePiece(0, (ring.one(),))
     monos = monomials_of_degree(ring, n)
     nf = linalg.NormalForms(ring, list(scene.ideal.groebner()))
-    # columns = monos; one condition per (g, monomial of a residue)
+    # columns = monos, last first; one condition per (g, monomial of a residue)
     conditions = linalg.Echelon(fieldk, len(monos))
     for g in scene.ideal.gens:
         if g.degree > M:
             continue
         # nf(x . g') = nf(x . nf(g')), and nf(g') is short
         reduced = nf.terms(scene.sigma.pullback(g, n).terms)
-        residues = [nf.terms(reduced, mu) for mu in monos]
+        residues = [nf.terms(reduced, mu) for mu in reversed(monos)]
         for t in {t for r in residues for t in r}:
             conditions.insert([r.get(t, fieldk.zero) for r in residues])
-    vecs, _ = linalg.rref(fieldk, conditions.kernel())
     out = []
-    for v in vecs:
-        terms = {monos[i]: c for i, c in enumerate(v) if not fieldk.is_zero(c)}
+    for v in reversed(conditions.kernel()):
+        terms = {m: c for m, c in zip(monos, reversed(v)) if not fieldk.is_zero(c)}
         out.append(Poly(ring, terms))
     return DegreePiece(n, tuple(out))
 

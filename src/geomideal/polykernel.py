@@ -967,16 +967,22 @@ def degree_piece_basis(I: HomIdeal, n: int) -> list[Poly]:
     degree-n monomials as columns in decreasing order: m − nf(m) for each
     such m that a leading monomial of the reduced basis divides, largest m
     first.  Every tail term is a standard monomial, so these rows are the
-    unique reduced echelon form (module docstring)."""
+    unique reduced echelon form (module docstring).  The nf(m) come from one
+    table of monomial normal forms (linalg.NormalForms), which reduces each
+    monomial once, from the tail of its first divisor; m is divisible by a
+    leading monomial exactly when m is not a term of nf(m)."""
+    # linalg imports this module, so the import waits for the first call
+    from .linalg import NormalForms
+
     ring = I.ring
     field = ring.field
-    gb = list(I.groebner())
-    leads = [g.lm() for g in gb]
+    nf = NormalForms(ring, list(I.groebner()))
     out = []
     for m in monomials_of_degree(ring, n):
-        if any(mono_divides(lead, m) for lead in leads):
+        tail = nf.monomial(m)
+        if m not in tail:
             row = {m: field.one}
-            for t, c in normal_form(ring.monomial(m), gb).terms.items():
+            for t, c in tail.items():
                 row[t] = field.neg(c)
             out.append(Poly(ring, row, (m, field.one)))
     return out

@@ -3,9 +3,12 @@
 Everything here deliberately avoids the library's algorithms: division and
 Buchberger are reimplemented naively (all S-pairs, no elimination criteria),
 membership / Hilbert counts go through bare linear algebra on degree pieces.
-Derived constants frozen into tests were produced by these.  The one
-exception is greedy_minimal_generators, the former minimal-generators loop
-replayed over the library's module Groebner bases.
+Derived constants frozen into tests were produced by these.  The
+exceptions replay a former library loop over the library's own kernels:
+greedy_minimal_generators (minimal generators, one fresh module Groebner
+basis per accepted vector), stepwise_resolution (a resolution over a
+quotient, one preimage per map) and rref_oracle_piece (the idealizer
+oracle's conditions in monomial order, then a separate rref).
 """
 
 from functools import lru_cache
@@ -309,3 +312,55 @@ def greedy_minimal_generators(vecs, modulo=()):
         accepted.append(v.monic())
         gb = module_groebner(modulo + accepted)
     return accepted
+
+
+# -- a resolution over a quotient, one preimage run per map ------------------
+
+def stepwise_resolution(I, length, *, modulo):
+    """free_resolution(I, length, modulo=modulo) step by step: every map is
+    the minimal generators, modulo Q times the source, of the preimage of Q
+    times the target, with no periodic tail over a hypersurface."""
+    from geomideal.freemod import FreeModule, MVec, minimal_generators, preimage_generators
+    from geomideal.homology import FreeResolution, GradedMap
+
+    def q_times(module):
+        return [MVec(module, {k: g}) for g in modulo.gens for k in range(module.rank)]
+
+    modules = [FreeModule(I.ring, (0,))]
+    maps = []
+    cols = minimal_generators([MVec(modules[0], {0: g}) for g in I.gens],
+                              q_times(modules[0]))
+    while cols and len(maps) < length:
+        src = FreeModule(I.ring, tuple(v.degree for v in cols))
+        maps.append(GradedMap(src, modules[-1], tuple(cols)))
+        modules.append(src)
+        if len(maps) == length:
+            break
+        kernel = preimage_generators(cols, q_times(modules[-2]))
+        cols = minimal_generators(kernel, q_times(src))
+    return FreeResolution(I, tuple(modules), tuple(maps))
+
+
+# -- the idealizer oracle with the conditions in monomial order ---------------
+
+def rref_oracle_piece(scene, n, forms):
+    """Row-reduced basis of {x in B_n : x . (b o sigma^n) in I for b in
+    forms}, as exhaustive_oracle_piece computed it before its columns were
+    reversed: one condition row per (form, monomial of a residue), columns
+    in monomial order, then linalg.rref of the echelon's kernel."""
+    from geomideal import linalg
+    from geomideal.polykernel import Poly, monomials_of_degree
+
+    ring = scene.ring
+    field = ring.field
+    monos = monomials_of_degree(ring, n)
+    nf = linalg.NormalForms(ring, list(scene.ideal.groebner()))
+    conditions = linalg.Echelon(field, len(monos))
+    for b in forms:
+        reduced = nf.terms(scene.sigma.pullback(b, n).terms)
+        residues = [nf.terms(reduced, mu) for mu in monos]
+        for t in {t for r in residues for t in r}:
+            conditions.insert([r.get(t, field.zero) for r in residues])
+    rows, _ = linalg.rref(field, conditions.kernel())
+    return [Poly(ring, {monos[i]: c for i, c in enumerate(v) if not field.is_zero(c)})
+            for v in rows]

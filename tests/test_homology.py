@@ -560,9 +560,8 @@ def test_probe_scalar_ranks_match_the_module_tor(data):
     assert rep.verdicts == {j: not t.is_sheaf_trivial() for j, t in tors.items()}
 
 
-def test_probe_reads_tor_without_a_module_tor(monkeypatch):
-    """The probe's only module Groebner runs are the resolution's preimages,
-    one per map after the first."""
+def _count_module_groebner(monkeypatch):
+    """The sizes of the module_groebner runs made from here on."""
     calls = []
     real = freemod.module_groebner
 
@@ -576,8 +575,26 @@ def test_probe_reads_tor_without_a_module_tor(monkeypatch):
     monkeypatch.setattr(freemod, "module_groebner", counting)
     monkeypatch.setattr(homology, "module_groebner", counting)
     monkeypatch.setattr(homology, "tor_from_resolution", no_tor)
+    return calls
+
+
+def test_probe_reads_tor_without_a_module_tor(monkeypatch):
+    """The probe's only module Groebner runs are the resolution's preimages
+    behind d_2 and d_3; d_2*d_3 is a matrix factorization of the cubic, so
+    d_4..d_7 are written down from it."""
+    calls = _count_module_groebner(monkeypatch)
     rep = truncated_tor_over_quotient(CUBIC, CUSP, CUSP, j_max=6)
     assert rep.table == PINNED_TABLES["cusp"]
+    assert len(calls) == 2
+
+
+def test_probe_over_two_generators_runs_one_preimage_per_map(monkeypatch):
+    """A quotient with two reduced generators has no periodic tail: one
+    preimage run per map after the first."""
+    calls = _count_module_groebner(monkeypatch)
+    Q = ideal(RQ, "x1^2*x2 - x0^3", "x0*x1*x2")
+    rep = truncated_tor_over_quotient(Q, CUSP, CUSP, j_max=6)
+    assert all(rep.verdicts.values())
     assert len(calls) == 6
 
 
@@ -608,6 +625,78 @@ def test_quotient_resolution_composes_into_q_times_the_target(ring):
                                   for k in range(target.rank)])
             for v in res.maps[j].columns:
                 assert mod_normal_form(_compose(res.maps[j - 1], v), QF).is_zero()
+
+
+R32003 = PolyRing(PrimeField(32003), 3)
+
+
+@st.composite
+def hypersurface_probe(draw):
+    """(ring, f, M, P): f a plane cubic smooth, nodal or cuspidal at the
+    rational point P = [a:b:1], or one of the conics x0*x1, x0^2 through P
+    (then a = 0); M is P, P^2, or a line and a quadric through P."""
+    ring = draw(st.sampled_from((RQ, R7, R32003)))
+    F = ring.field
+    kind = draw(st.sampled_from(["smooth", "node", "cusp", "x0*x1", "x0^2"]))
+    a = 0 if kind.startswith("x0") else draw(st.integers(-2, 2))
+    b = draw(st.integers(-2, 2))
+    x0, x1, x2 = (ring.variable(i) for i in range(3))
+    u, v = x0 - x2.scale(F.from_int(a)), x1 - x2.scale(F.from_int(b))
+
+    def combination(forms, nonzero=False):
+        out = sum((p.scale(F.from_int(draw(st.integers(-3, 3)))) for p in forms),
+                  ring.zero())
+        assume(not nonzero or not out.is_zero())
+        return out
+
+    cubic = combination([u * u * v, u * v * v, v ** 3])
+    cubic = cubic + (u ** 3).scale(F.from_int(draw(st.sampled_from([-2, -1, 1, 3]))))
+    f = {
+        "smooth": combination([u, v], nonzero=True) * x2 * x2
+        + combination([u * u, u * v, v * v]) * x2 + cubic,
+        "node": u * v * x2 + cubic,
+        "cusp": v * v * x2 + cubic,
+        "x0*x1": x0 * x1,
+        "x0^2": x0 * x0,
+    }[kind]
+    P = HomIdeal(ring, (u, v))
+    M = draw(st.sampled_from([
+        P,
+        HomIdeal(ring, (u * u, u * v, v * v)),
+        HomIdeal(ring, (combination([u, v], nonzero=True),
+                        combination([g * x for g in (u, v) for x in (x0, x1, x2)]))),
+    ]))
+    return ring, f, M, P
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_periodic_tail_matches_the_stepwise_resolution(data):
+    """Over a hypersurface the resolution with its periodic tail has the
+    generator degrees, probe tables and verdicts of the step-by-step one;
+    every composite d_k*d_(k+1) lies in (f); and the tail does not depend on
+    how Q's generators are given."""
+    ring, f, M, P = data.draw(hypersurface_probe())
+    F = ring.field
+    j_max = data.draw(st.integers(1, 9))
+    Q = HomIdeal(ring, (f,))
+    res = free_resolution(M, j_max + 1, modulo=Q)
+    ref = oracles.stepwise_resolution(M, j_max + 1, modulo=Q)
+    assert [m.degrees for m in res.modules] == [m.degrees for m in ref.modules]
+    for k in range(1, res.length):
+        for v in res.maps[k].columns:
+            for p in _compose(res.maps[k - 1], v).comps.values():
+                assert not oracles.naive_normal_form(p.terms, [f.terms], F.char)
+    rep = truncated_tor_over_quotient(Q, M, P, j_max=j_max)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "free_resolution", oracles.stepwise_resolution)
+        want = truncated_tor_over_quotient(Q, M, P, j_max=j_max)
+    assert (rep.table, rep.verdicts) == (want.table, want.verdicts)
+    c = F.from_int(data.draw(st.sampled_from([-2, 3, 5])))
+    for gens in ((f.scale(c),), (f, ring.variable(0) * f)):
+        other = free_resolution(M, j_max + 1, modulo=HomIdeal(ring, gens))
+        assert other.modules == res.modules
+        assert [m.columns for m in other.maps] == [m.columns for m in res.maps]
 
 
 @settings(max_examples=20, deadline=None)

@@ -22,10 +22,8 @@ from geomideal.idealizer import (
     pieces_agree,
     stabilization_degree,
 )
-from geomideal.linalg import Echelon, NormalForms, rref
 from geomideal.polykernel import (
     HomIdeal,
-    Poly,
     PolyRing,
     degree_piece_basis,
     ideal_equal,
@@ -177,19 +175,7 @@ def test_pieces_agree_detects_difference():
 def _passing(sc, n, forms):
     """Row-reduced basis of {x in B_n : x . (b o sigma^n) in I for b in forms},
     one condition per (form, monomial of a residue)."""
-    ring, fieldk = sc.ring, sc.ring.field
-    monos = monomials_of_degree(ring, n)
-    nf = NormalForms(ring, list(sc.ideal.groebner()))
-    conditions = Echelon(fieldk, len(monos))
-    for b in forms:
-        reduced = nf.terms(sc.sigma.pullback(b, n).terms)
-        residues = [nf.terms(reduced, mu) for mu in monos]
-        for t in {t for r in residues for t in r}:
-            conditions.insert([r.get(t, fieldk.zero) for r in residues])
-    vecs, _ = rref(fieldk, conditions.kernel())
-    return DegreePiece(n, tuple(
-        Poly(ring, {monos[i]: c for i, c in enumerate(v) if not fieldk.is_zero(c)})
-        for v in vecs))
+    return DegreePiece(n, tuple(oracles.rref_oracle_piece(sc, n, forms)))
 
 
 def _piecewise_oracle_piece(sc, n, M):
@@ -239,6 +225,34 @@ def test_exhaustive_oracle_matches_the_piecewise_reference(data):
             want = _piecewise_oracle_piece(sc, n, M)
             got = exhaustive_oracle_piece(sc, n, M)
             assert [p.terms for p in got.basis] == [p.terms for p in want.basis]
+
+
+@st.composite
+def moving_scenes(draw):
+    """oracle_scenes, or a line or a conic in P^2 under its sigma."""
+    sc = draw(oracle_scenes())
+    ring = sc.ring
+    kind = draw(st.sampled_from(["as drawn", "line", "conic"]))
+    if ring.nvars == 4 or kind == "as drawn":
+        return sc
+    F = ring.field
+    x0, x1, x2 = (ring.variable(i) for i in range(3))
+    a, b = (F.from_int(c) for c in draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2)))
+    form = (x0 + x1.scale(a) + x2.scale(b) if kind == "line"
+            else x0 * x2 - x1 * x1 + (x0 * x1).scale(a) + (x1 * x2).scale(b))
+    return IdealizerScene(ring, sc.sigma, HomIdeal(ring, (form,)))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_exhaustive_oracle_is_the_rref_of_its_kernel(data):
+    """The kernel read off the column-reversed echelon is the reduced
+    echelon form that a separate rref of the kernel gives."""
+    sc = data.draw(moving_scenes())
+    n, M = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    want = oracles.rref_oracle_piece(sc, n, [g for g in sc.ideal.gens if g.degree <= M])
+    got = exhaustive_oracle_piece(sc, n, M)
+    assert [p.terms for p in got.basis] == [p.terms for p in want]
 
 
 @given(st.data())
