@@ -118,7 +118,9 @@ def main():
         shape, p, sigma, Z, horizon = draw_case(rng, field)
         r = forward_orbit_hits(p, sigma, Z, horizon)
         tally[(repr(field), shape, r.verdict, r.justification)] += 1
-        print(k, repr(field), shape, sigma.matrix, Z.gens_text(), r.point,
+        matrix = "(" + ", ".join(
+            "(" + ", ".join(field.to_str(e) for e in row) + ")" for row in sigma.matrix) + ")"
+        print(k, repr(field), shape, matrix, Z.gens_text(), r.point,
               r.horizon, r.hits, r.verdict, r.n0, r.period, r.justification,
               r.notes, r.first_hit, sep=" | ")
     for key, n in sorted(tally.items(), key=str):

@@ -18,6 +18,7 @@ import dataclasses
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from .classify import (
@@ -712,7 +713,10 @@ def render_text(records: list[dict]) -> str:
 # entry point
 # ---------------------------------------------------------------------------
 
-def main(argv=None) -> int:
+@cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    `main` call in the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="geomideal",
         description="geometric idealizer scenes: Groebner data, twisted "
@@ -729,7 +733,11 @@ def main(argv=None) -> int:
                         help="override the scene's oracle horizon")
     parser.add_argument("--horizon", type=int, default=None,
                         help="override the scene's horizon")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _arg_parser().parse_args(argv)
     for flag, val in (("--max-degree", args.max_degree),
                       ("--oracle-horizon", args.oracle_horizon),
                       ("--horizon", args.horizon)):

@@ -1,9 +1,19 @@
 """Exact coefficient fields: the rationals and prime fields.
 
-Scalars are plain Python values (`fractions.Fraction` for Q, small ints in
-[0, p) for GF(p)); the field objects below bundle the arithmetic so the rest
-of the engine never branches on the coefficient type.  No floating point
-anywhere.
+Scalars are plain Python values; the field objects below bundle the
+arithmetic so the rest of the engine never branches on the coefficient type.
+No floating point anywhere.
+
+- GF(p): ints in [0, p).
+- Q: a canonical int-or-`Fraction` form.  An integral value is a plain
+  `int`; only a value with denominator > 1 is a `fractions.Fraction`.  Most
+  products in elimination have two integral operands, and int arithmetic
+  skips `Fraction`'s dispatch entirely.  The numbers are the same either way
+  (`Fraction(n) == n`, equal hashes, equal `str`), so only `repr` tells the
+  two forms apart.
+
+Since ``int / int`` is a float, a true division on Q scalars must go through
+`RationalField.div` or have a `Fraction` operand.
 """
 
 from __future__ import annotations
@@ -36,43 +46,52 @@ def is_prime(n: int) -> bool:
 
 
 class RationalField:
-    """The field Q with Fraction scalars."""
+    """The field Q with int-or-Fraction scalars: int iff integral."""
 
     name = "rational"
     char = 0
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
 
     def div(self, a, b):
-        return a / b
+        if a.__class__ is int and b.__class__ is int:
+            if a % b == 0:  # raises ZeroDivisionError when b == 0
+                return a // b
+            return Fraction(a, b)
+        c = a / b
+        return c if c.denominator != 1 else c.numerator
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        return 1 / a
+        return self.div(1, a)
 
     def is_zero(self, a) -> bool:
         return a == 0
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return n
 
     def from_fraction(self, q: Fraction):
-        return Fraction(q)
+        q = Fraction(q)
+        return q if q.denominator != 1 else q.numerator
 
     def from_str(self, text: str):
-        return Fraction(text.strip())
+        return self.from_fraction(Fraction(text.strip()))
 
     def to_str(self, a) -> str:
         return str(a)

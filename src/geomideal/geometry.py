@@ -278,7 +278,7 @@ def _orbit_class_bounds(p: RationalPoint, sigma: ProjAutomorphism, Z: HomIdeal):
             bounds.append([None])
             continue
         (deg,), top = q.lt()
-        lower = max((abs(c / top) for (e,), c in q.terms.items() if e < deg),
+        lower = max((abs(Fraction(c) / top) for (e,), c in q.terms.items() if e < deg),
                     default=0)
         bounds.append([int(1 + lower) + 1])
     return bounds, "polynomial-growth"
@@ -485,7 +485,7 @@ def _ratio_gate(sigma: ProjAutomorphism) -> bool:
     lams = sigma.diagonal_entries()
     if len(set(lams)) != len(lams):
         return False
-    ratios = [lam / lams[0] for lam in lams[1:]]
+    ratios = [Fraction(lam) / lams[0] for lam in lams[1:]]
     return multiplicative_independence(ratios).independent
 
 

@@ -6,7 +6,9 @@ one row at a time.  Its rows are sparse (``{column: scalar}``), fully
 reduced (pivot entry 1, zeros above and below every pivot) and keyed by
 pivot column, so inserting a row costs one pass over the pivots it meets
 and nothing already reduced is reduced again.  Scalars are the field's own
-values: `Fraction` over Q, ints in [0, p) over GF(p).  No floating point.
+values: over Q an int when integral and a `Fraction` otherwise, ints in
+[0, p) over GF(p).  No floating point: every division goes through
+`field.div`/`field.inv`, since ``int / int`` would be a float.
 
 The reduced row echelon form of a matrix is unique, so `Echelon.rows()` and
 `Echelon.kernel()` do not depend on the order in which rows were inserted,

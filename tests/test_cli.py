@@ -258,6 +258,20 @@ def test_smooth_z_declaration_is_rejected(tmp_path, capsys):
     assert "BAD_DECLARE" in capsys.readouterr().err
 
 
+def test_one_parser_survives_a_usage_error(tmp_path, capsys):
+    # main builds its argument parser once per process and reuses it
+    cli._arg_parser.cache_clear()
+    path = scene_path(tmp_path, MINIMAL_P1)
+    assert main(["gb", path]) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["gb", path, "--format", "yaml"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(["gb", path]) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_missing_file_exit_two(tmp_path, capsys):
     assert main(["gb", str(tmp_path / "absent.scene")]) == 2
 

@@ -557,6 +557,12 @@ def test_gate_rejects_dependent_ratios():
     assert not _ratio_gate(sig)
 
 
+def test_gate_rejects_dependent_ratios_below_one():
+    # the ratios 1/3 and 3 are dependent; 1/3 must stay exact, not a float
+    sig = ProjAutomorphism.diagonal(RQ, ["3", "1", "9"])
+    assert not _ratio_gate(sig)
+
+
 def test_gate_rejects_non_diagonal():
     assert not _ratio_gate(SHEAR)
 
