@@ -10,7 +10,10 @@ a fat point or the union of a point, line or conic with a coordinate point
 on the hyperplane x_d = 0, and some inputs are multiplied by (x0, ..., xd)
 first, so saturation has work to do.  sigma is diagonal, a shear, a scaled
 permutation or a random invertible matrix; the field is Q, GF(7) or
-GF(101).  Run it on two source trees and compare:
+GF(101).  A second section, with its own seed and tally, draws 60 moving
+points of P^4..P^6 over Q and GF(32003) under diagonal sigma, a quarter
+of them on a coordinate hyperplane (x_d = 0 among them).  Run it on two
+source trees and compare:
 
     PYTHONPATH=<checkout>/src python scripts/colon_reports.py > reports.txt
 """
@@ -35,6 +38,9 @@ from geomideal.idealizer import IdealizerScene
 
 COUNT = 400
 SEED = 1
+MOVING_COUNT = 60
+MOVING_SEED = 2
+EIGENVALUES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
 HORIZON = 3
 SHAPES = ["diag", "diag", "shear", "perm", "random"]
 KINDS = ["point", "point", "line", "conic", "fat-point", "union"]
@@ -111,6 +117,48 @@ def bases_text(ring, basis):
     return "[" + ", ".join(ring.format_poly(g) for g in basis) + "]"
 
 
+def draw_moving_point(rng, ring):
+    """A diagonal sigma with distinct eigenvalues and a point with
+    coordinates in 1..5, one of them set to 0 a quarter of the time."""
+    field, nv = ring.field, ring.nvars
+    sigma = ProjAutomorphism.diagonal(
+        ring, [field.one] + [field.from_int(v) for v in rng.sample(EIGENVALUES, nv - 1)])
+    coords = [rng.randint(1, 5) for _ in range(nv)]
+    kind = "point"
+    if rng.random() < 0.25:
+        coords[rng.choice([nv - 1, rng.randrange(nv)])] = 0
+        kind = "hyperplane point"
+    Z = RationalPoint.of(field, [field.from_int(c) for c in coords]).ideal(ring)
+    return sigma, kind, Z
+
+
+def report(k, ring, shape, sigma, kind, Z, tally):
+    """Print one case's line and count its statuses in tally."""
+    field = ring.field
+    sat = saturate(Z)
+    rows = "; ".join(" ".join(map(field.to_str, row)) for row in sigma.matrix)
+    head = [k, repr(field), shape, rows, kind, Z.gens_text(),
+            bases_text(ring, sat.groebner())]
+    try:
+        scene = IdealizerScene(ring, sigma, Z)
+    except SceneVerificationError as exc:
+        tally[(repr(field), kind, "error")] += 1
+        print(*head, f"error: {exc}", sep=" | ")
+        return
+    rep = stabilization_degree(scene, HORIZON)
+    tally[(repr(field), kind, rep.table)] += 1
+    colons = []
+    for n in range(1, HORIZON + 1):
+        Q = scene.colon_ideal(n)
+        colons.append(f"{bases_text(ring, Q.groebner())} dim_R={dim_ideal_piece(Q, n)}")
+    print(*head, rep.table, rep.n0, rep.degenerate, *colons, sep=" | ")
+
+
+def print_tally(tally):
+    for key, n in sorted(tally.items(), key=str):
+        print("#", *key, n)
+
+
 def main():
     rng = random.Random(SEED)
     fields = [QQ, QQ, PrimeField(7), PrimeField(101)]
@@ -124,25 +172,17 @@ def main():
         if rng.random() < 0.2:
             m = [ring.variable(i) for i in range(ring.nvars)]
             Z = HomIdeal(ring, [x * g for x in m for g in Z.gens])
-        sat = saturate(Z)
-        rows = "; ".join(" ".join(map(field.to_str, row)) for row in sigma.matrix)
-        head = [k, repr(field), shape, rows, kind, Z.gens_text(),
-                bases_text(ring, sat.groebner())]
-        try:
-            scene = IdealizerScene(ring, sigma, Z)
-        except SceneVerificationError as exc:
-            tally[(repr(field), kind, "error")] += 1
-            print(*head, f"error: {exc}", sep=" | ")
-            continue
-        rep = stabilization_degree(scene, HORIZON)
-        tally[(repr(field), kind, rep.table)] += 1
-        colons = []
-        for n in range(1, HORIZON + 1):
-            Q = scene.colon_ideal(n)
-            colons.append(f"{bases_text(ring, Q.groebner())} dim_R={dim_ideal_piece(Q, n)}")
-        print(*head, rep.table, rep.n0, rep.degenerate, *colons, sep=" | ")
-    for key, n in sorted(tally.items(), key=str):
-        print("#", *key, n)
+        report(k, ring, shape, sigma, kind, Z, tally)
+    print_tally(tally)
+    print("## moving points of P^4..P^6")
+    rng = random.Random(MOVING_SEED)
+    fields = [QQ, PrimeField(32003)]
+    tally = Counter()
+    for k in range(MOVING_COUNT):
+        ring = PolyRing(rng.choice(fields), rng.randint(5, 7))
+        sigma, kind, Z = draw_moving_point(rng, ring)
+        report(k, ring, "diag", sigma, kind, Z, tally)
+    print_tally(tally)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Exact linear algebra over the coefficient fields: one incremental echelon,
-and normal forms modulo a Groebner basis as a linear map.
+the reduced bases of linear ideals, and normal forms modulo a Groebner
+basis as a linear map.
 
 Every elimination in the engine goes through `Echelon`, a row space grown
 one row at a time.  Its rows are sparse (``{column: scalar}``), fully
@@ -15,6 +16,9 @@ The reduced row echelon form of a matrix is unique, so `Echelon.rows()` and
 and every caller sees the same numbers as from a from-scratch elimination.
 `rref`, `rank`, `kernel_basis` and `in_row_space` are thin wrappers over it
 for callers that hold a whole dense matrix (lists of rows).
+`linear_groebner_basis` reads the reduced Groebner basis of linear forms
+off one echelon: in degree 1 degrevlex orders x0 > ... > xd, so that basis
+is the reduced row echelon form with x_i as column i.
 
 `NormalForms` tabulates the normal-form map on monomials: a normal form
 modulo a Groebner basis is unique, hence linear, so the normal form of any
@@ -114,6 +118,31 @@ class Echelon:
                 v[p] = neg(r.get(fc, zero))
             out.append(v)
         return out
+
+
+def linear_groebner_basis(ring: PolyRing, forms) -> list[Poly]:
+    """Reduced Groebner basis of an ideal generated by linear forms.
+
+    In degree 1 degrevlex orders the variables x0 > x1 > ... > xd, so with
+    x_i as column i a monic form's leading monomial is its pivot column and
+    the reduced basis is the reduced row echelon form of the coefficient
+    matrix: one row per pivot, pivot entry 1, no other pivot column among
+    its terms.  Rows come out in increasing pivot order, that is by
+    decreasing leading monomial, as `polykernel.reduce_basis` sorts them;
+    each row's terms are in decreasing order, leading term first."""
+    field, n = ring.field, ring.nvars
+    xs = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    ech = Echelon(field, n)
+    for f in forms:
+        row = [field.zero] * n
+        for m, c in f.terms.items():
+            row[m.index(1)] = c
+        ech.insert(row)
+    out = []
+    for p in ech.pivots:
+        r = ech._rows[p]
+        out.append(Poly(ring, {xs[c]: r[c] for c in sorted(r)}, (xs[p], field.one)))
+    return out
 
 
 def _echelon(field, rows, ncols=None) -> Echelon:

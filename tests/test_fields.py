@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geomideal.fields import QQ
+from geomideal import cli
+from geomideal.fields import QQ, PrimeField
 from geomideal.geometry import RationalPoint
 from geomideal.homology import free_resolution
 from geomideal.idealizer import IdealizerScene, idealizer_piece
@@ -99,6 +100,42 @@ def test_from_str_reduces_to_an_int():
     got = QQ.from_str("6/3")
     assert got == 2 and type(got) is int
     assert type(QQ.from_str("-4/6")) is Fraction
+
+
+FIELDS = [QQ, PrimeField(7)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("text", ["007", "-0", "+3", "\u0663", "2.5", "1e2", "1_0", "3/4",
+                                  " -12 "])
+def test_literals_read_as_fraction_reads_them(field, text):
+    # plain decimal integers take the int fast path, the rest go to Fraction
+    got, want = field.from_str(text), field.from_fraction(Fraction(text))
+    assert got == want and type(got) is type(want)
+
+
+@given(ints)
+def test_integer_literals_read_as_fraction_reads_them(n):
+    for field in FIELDS:
+        assert field.from_str(str(n)) == field.from_fraction(Fraction(n))
+
+
+@pytest.mark.parametrize("field, text", [
+    *((f, t) for f in ("rational", "prime 7") for t in ("\u00b2", "nan", "", "1/0")),
+    ("prime 7", "1/7"),
+])
+def test_bad_literals_exit_two(field, text, tmp_path, capsys):
+    """A literal Fraction rejects, or one with no value in the field, is a
+    BAD_RATIONAL diagnostic (exit 2) as a point coordinate and, when it is
+    one whitespace-free token, as a sigma entry."""
+    places = [("1 0\n0 1", text)] + ([(f"1 0\n0 {text}", "1")] if text else [])
+    for sigma, point in places:
+        path = tmp_path / "scene.scene"
+        path.write_text(f"field {field}\ndim 1\nsigma\n{sigma}\nideal\nx0\nend\n"
+                        f"point [1:{point}]\n")
+        assert cli.main(["gb", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "BAD_RATIONAL" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("zero", [0, Fraction(0)])

@@ -19,6 +19,7 @@ from geomideal.fields import QQ, PrimeField
 from geomideal.geometry import RationalPoint
 from geomideal.linalg import NormalForms
 from geomideal.polykernel import (
+    GroebnerRun,
     HomIdeal,
     Poly,
     PolyRing,
@@ -42,6 +43,7 @@ from geomideal.polykernel import (
     monomial_radical,
     monomials_of_degree,
     normal_form,
+    reduce_basis,
     saturate,
     unit_ideal,
 )
@@ -752,6 +754,101 @@ def test_extended_sum_matches_a_fresh_groebner_run(data):
     before = polykernel._ideal_numerator(K)
     assert K.groebner() == tuple(polykernel.groebner_basis(list(Z.gens) + gens))
     assert before == polykernel.monomial_hilbert_numerator([f.lm() for f in K.groebner()])
+
+
+LINEAR_RINGS = [PolyRing(field, n) for field in (QQ, PrimeField(7)) for n in (2, 4, 7)]
+
+
+@st.composite
+def linear_generators(draw, ring, rank=None):
+    """Linear forms with coefficients a/b (|a| <= 3, b <= 4), together with
+    repeats, scaled copies and sums of them, and zero forms.  rank=ring.nvars
+    adds every variable, so the forms span the irrelevant ideal."""
+    field, nv = ring.field, ring.nvars
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4).map(field.from_fraction)
+    xs = monomials_of_degree(ring, 1)
+
+    def form():
+        cs = draw(st.lists(coeff, min_size=nv, max_size=nv))
+        return Poly(ring, {x: c for x, c in zip(xs, cs) if not field.is_zero(c)})
+
+    base = [form() for _ in range(draw(st.integers(1, nv)))]
+    gens = list(base)
+    for _ in range(draw(st.integers(0, 3))):
+        f, g = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+        gens.append(draw(st.sampled_from([f, f.scale(draw(coeff)), f + g, f - f])))
+    if rank == nv:
+        gens += [ring.variable(i).scale(draw(coeff.filter(bool))) for i in range(nv)]
+    return draw(st.permutations(gens))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_linear_groebner_basis_is_the_buchberger_basis(data):
+    """The reduced basis of linear forms from one echelon is the reduced
+    basis of a Buchberger run, term for term and in the same term order;
+    of the irrelevant ideal it is x0, ..., xd."""
+    ring = data.draw(st.sampled_from(LINEAR_RINGS))
+    full = data.draw(st.booleans())
+    gens = data.draw(linear_generators(ring, ring.nvars if full else None))
+    got = polykernel.groebner_basis(gens)
+    want = reduce_basis(buchberger(gens, Poly.sort_key, normal_form))
+    assert got == want
+    assert [list(g.terms) for g in got] == [list(g.terms) for g in want]
+    assert [g.lt() for g in got] == [Poly(ring, dict(g.terms)).lt() for g in got]
+    if full:
+        assert got == [ring.variable(i) for i in range(ring.nvars)]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_linear_ideal_sum_matches_the_groebner_run_extension(data):
+    """ideal_sum of linear I and linear J reads its basis off one echelon;
+    the GroebnerRun extension of I's reduced basis by J's normal forms has
+    the same reduced basis and the same Hilbert numerator."""
+    ring = data.draw(st.sampled_from(LINEAR_RINGS))
+    I = HomIdeal(ring, data.draw(linear_generators(ring)))
+    J = HomIdeal(ring, data.draw(linear_generators(ring)))
+    K = ideal_sum(I, J)
+    gb = list(I.groebner())
+    ext = GroebnerRun([normal_form(g, gb) for g in J.gens], Poly.sort_key, normal_form,
+                      gb).complete()
+    assert K.groebner() == tuple(reduce_basis(ext))
+    assert (polykernel._ideal_numerator(K)
+            == polykernel.monomial_hilbert_numerator([f.lm() for f in ext]))
+
+
+@pytest.mark.parametrize("field", ["rational", "prime 7"])
+def test_irrelevant_ideal_saturates_to_the_unit_ideal(field, tmp_path, capsys):
+    # three independent linear forms in P^2, over Q and over GF(7)
+    path = tmp_path / "irrelevant.scene"
+    path.write_text(f"field {field}\ndim 2\nsigma\n1 0 0\n0 2 0\n0 0 3\nideal\n"
+                    "x0 + 1/2*x1\nx1 - x2\nx0 + x1 + x2\nend\n")
+    assert cli.main(["colon", str(path)]) == 3
+    assert "saturates to the unit ideal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["rational", "prime 32003"])
+def test_p6_moving_point_colon_runs_no_groebner_machinery(field, tmp_path, monkeypatch):
+    """Building a P^6 moving-point scene and its colons reads every reduced
+    basis off an echelon and takes the domain exit: no Buchberger run,
+    Hilbert test or module preimage is ever called."""
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called on a point scene")
+        return call
+
+    monkeypatch.setattr(GroebnerRun, "complete", forbidden("GroebnerRun.complete"))
+    monkeypatch.setattr(polykernel, "_is_nonzerodivisor", forbidden("_is_nonzerodivisor"))
+    monkeypatch.setattr(polykernel, "_preimage", forbidden("_preimage"))
+    coords, lams = [2, 3, 4, 5, 2, 3], [2, 3, 5, 7, 11, 13]
+    sigma = "\n".join(" ".join(str(lam if i == j else 0) for j in range(7))
+                      for i, lam in enumerate([1] + lams))
+    ideal = "\n".join(f"x{i} - {c}*x0" for i, c in enumerate(coords, start=1))
+    path = tmp_path / "p6_point.scene"
+    path.write_text(f"field {field}\ndim 6\nsigma\n{sigma}\nideal\n{ideal}\nend\n"
+                    "horizon 4\n")
+    assert cli.main(["colon", str(path)]) == 0
 
 
 @given(st.data())
