@@ -120,8 +120,9 @@ class Echelon:
         return out
 
 
-def linear_groebner_basis(ring: PolyRing, forms) -> list[Poly]:
-    """Reduced Groebner basis of an ideal generated by linear forms.
+def linear_groebner_basis(forms) -> list[Poly] | None:
+    """Reduced Groebner basis of the ideal the forms generate when every
+    nonzero one is linear, else None; [] when none is nonzero.
 
     In degree 1 degrevlex orders the variables x0 > x1 > ... > xd, so with
     x_i as column i a monic form's leading monomial is its pivot column and
@@ -130,6 +131,12 @@ def linear_groebner_basis(ring: PolyRing, forms) -> list[Poly]:
     its terms.  Rows come out in increasing pivot order, that is by
     decreasing leading monomial, as `polykernel.reduce_basis` sorts them;
     each row's terms are in decreasing order, leading term first."""
+    forms = [f for f in forms if not f.is_zero()]
+    if not forms:
+        return []
+    if any(f.degree != 1 for f in forms):
+        return None
+    ring = forms[0].ring
     field, n = ring.field, ring.nvars
     xs = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     ech = Echelon(field, n)

@@ -12,14 +12,13 @@ have exactly one nonzero component, the same one, which every pair of
 polynomials satisfies.
 
 Quotients.  When I's reduced basis is empty or all linear, S/I is a
-polynomial ring, a domain, so (I : J) is the unit ideal when J ⊆ I and I
-otherwise: the first generator of J outside I decides.  Else the
-generators of J in I are dropped, and for a form h of degree e,
+polynomial ring, a domain, so (I : J) is (1) when J ⊆ I and I otherwise.
+Else the generators of J in I are dropped, and for a form h of degree e,
 0 → S/(I : h)(−e) → S/I → S/(I + (h)) → 0 is exact, and I ⊆ (I : h), so h
 is a nonzerodivisor on S/I, that is (I : h) = I, exactly when
 HS(S/(I + (h))) = (1 − t^e)·HS(S/I): two Hilbert numerators, the first
-read off `ideal_sum`'s extension of I's basis by h.  Once some generator g
-passes, (I : J) ⊆ (I : g) = I, so (I : J) is I.  Otherwise
+read off `ideal_sum`'s unreduced extension of I's basis by h.  Once some
+generator g passes, (I : J) ⊆ (I : g) = I, so (I : J) is I.  Otherwise
 J = (g_1, ..., g_k) is one module preimage: (I : J) = {a : a·(g_1, ...,
 g_k) ∈ I·e_1 + ... + I·e_k} (Greuel & Pfister, A Singular Introduction to
 Commutative Algebra, ch. 2).  `intersect` returns the smaller ideal's
@@ -637,10 +636,8 @@ def interreduce(G: list, nf) -> list:
 
 def groebner_basis(gens: list[Poly]) -> list[Poly]:
     """Reduced Groebner basis under degrevlex; of linear gens, one echelon."""
-    if gens and all(g.degree == 1 for g in gens):
-        from .linalg import linear_groebner_basis  # linalg imports this module
-        return linear_groebner_basis(gens[0].ring, gens)
-    return reduce_basis(buchberger(gens, Poly.sort_key, normal_form))
+    from .linalg import linear_groebner_basis  # linalg imports this module
+    return linear_groebner_basis(gens) or reduce_basis(buchberger(gens, Poly.sort_key, normal_form))
 
 
 def reduce_basis(G: list[Poly]) -> list[Poly]:
@@ -718,12 +715,10 @@ def ideal_equal(I: HomIdeal, J: HomIdeal) -> bool:
 
 
 def ideal_sum(I: HomIdeal, J: HomIdeal) -> HomIdeal:
-    """I + J: one echelon when I's reduced basis and J's generators are all
-    linear, else one GroebnerRun from I's reduced basis as a finished block
-    plus the nonzero normal forms of J's generators, kept unreduced."""
+    """I + J from one Groebner run that starts from I's reduced basis as a
+    finished block (GroebnerRun) and adds the nonzero normal forms of J's
+    generators; the completed basis is kept unreduced (HomIdeal)."""
     gb = list(I.groebner())
-    if all(f.degree == 1 for f in gb + list(J.gens)):
-        return HomIdeal(I.ring, I.gens + J.gens)  # groebner() takes the echelon
     run = GroebnerRun([normal_form(g, gb) for g in J.gens], Poly.sort_key, normal_form, gb)
     return HomIdeal(I.ring, I.gens + J.gens, basis=run.complete())
 
@@ -770,9 +765,10 @@ def _is_nonzerodivisor(I: HomIdeal, g: Poly) -> bool:
 
 
 def ideal_quotient(I: HomIdeal, J: HomIdeal) -> HomIdeal:
-    """(I : J) = {f : f·J ⊆ I}: the domain exit when I's reduced basis is
-    empty or all linear, else the Hilbert test, else one preimage under the
-    sum of the I·e_k (module docstring)."""
+    """(I : J) = {f : f·J ⊆ I}.  When I's reduced basis is empty or all
+    linear, S/I is a domain: (I : J) is (1) when J ⊆ I and I otherwise, and
+    the first generator of J outside I decides.  Else the generators of J
+    outside I go to the Hilbert test, then to one preimage (module docstring)."""
     ring, basis = I.ring, I.groebner()
     if all(f.degree == 1 for f in basis):  # S/I is a domain
         inside = all(map(I.contains, J.gens))  # stops at the first g outside I
@@ -923,6 +919,12 @@ class HilbertPoly:
         return f"HilbertPoly({self.pretty()})"
 
 
+def _poly_n_trim(out: list) -> tuple:
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
 def hilbert_polynomial_from_numerator(num: dict[int, int], nvars: int) -> HilbertPoly:
     """Σ c_a·C(n − a + nvars − 1, nvars − 1) over the terms c_a·u^a of N: the
     u^n coefficient of N(u)/(1−u)^nvars for every n ≥ deg N.  With
@@ -935,9 +937,7 @@ def hilbert_polynomial_from_numerator(num: dict[int, int], nvars: int) -> Hilber
         for i in range(1, r + 1):  # times (n + i − a)
             term = [x * (i - a) + y for x, y in zip(term + [0], [0] + term)]
         total = [x + y for x, y in zip(total, term)]
-    while total and total[-1] == 0:
-        total.pop()
-    return HilbertPoly(tuple(Fraction(x, math.factorial(r)) for x in total))
+    return HilbertPoly(_poly_n_trim([Fraction(x, math.factorial(r)) for x in total]))
 
 
 def hilbert_polynomial(I: HomIdeal) -> HilbertPoly:
