@@ -26,10 +26,11 @@ the same kernel: each map is lifted to S, and its kernel over A is the
 preimage of Q times the target.  For Q inside J the Tor formula above then
 gives Tor over A unchanged; tor_from_resolution serves any such J.
 When Q = (f) is principal of degree e >= 1, a minimal resolution over A
-turns 2-periodic at its first matrix factorization (Eisenbud, Homological
-algebra on a complete intersection, Trans. AMS 1980): once d_j*d_(j+1) =
-f*U for an invertible scalar matrix U, the maps U^-1*d_j and d_(j+1) repeat,
-shifted by e, and no further preimage is computed.
+turns 2-periodic at a matrix factorization of f (Eisenbud, Homological
+algebra on a complete intersection, Trans. AMS 1980): at the first square
+map d_j with psi = f*d_j^-1 polynomial and no constant entry in d_j or
+psi, the next map is psi, the maps d_j and psi then repeat, shifted by e,
+and no further preimage is computed.
 truncated_tor_over_quotient probes at a rational point P = p on a degree
 window and reports which Tor_j are nonzero as sheaves: the sheaf
 Tor_j(O_Z, k(P)) is supported at P, so it vanishes exactly when the Hilbert
@@ -53,7 +54,7 @@ from .freemod import (
     preimage_generators,
     submodule_hilbert_numerator,
 )
-from .linalg import Echelon
+from .linalg import Echelon, det_adjugate, exact_quotient
 from .polykernel import (
     HilbertPoly,
     HomIdeal,
@@ -122,19 +123,24 @@ def free_resolution(I: HomIdeal, length: int | None = None, *,
     and a length is required.
 
     Periodic tail.  When Q's reduced basis is one form f of degree e >= 1,
-    each new map d_(j+1), j >= 1, is tested against the one before it
-    (_matrix_factorization).  Once d_j*d_(j+1) = f*U over S with U an
-    invertible scalar matrix, the rest is written down, with no preimage:
-    d_(j+2k) = U^-1*d_j and d_(j+2k+1) = d_(j+1), sources shifted by k*e.
-    S is a domain, so d_j is invertible over Frac S and
-    d_(j+1)*U^-1*d_j = f*1.  For a in F_(j+1), d_(j+1)*a lies in f*F_j
-    exactly when U*a lies in d_j*F_j, so over A the kernel of d_(j+1) is
-    the image of U^-1*d_j.  Its entries have positive degree, as d_j's do,
-    so it is the next map of a minimal resolution, and the next product is
-    f*1, so the pair repeats.  Minimal graded resolutions are unique up to
-    graded isomorphism, so the generator degrees, and the ranks of every
-    d_j at a point of V(Q) degree by degree, are those of the step-by-step
-    run.
+    each new square map d_j, j >= 1 (F_j and F_(j-1) of one rank), is
+    tried (_periodic_map): psi = f*d_j^-1 = f*adj(d_j)/det(d_j), with the
+    determinant and adjugate from fraction-free elimination
+    (linalg.det_adjugate).  psi is taken when det d_j != 0, det d_j divides
+    every entry of f*adj(d_j) (linalg.exact_quotient), and no entry of d_j
+    or psi is a nonzero constant.  The rest is then written down, with no
+    preimage: d_(j+1) = psi, and the tail alternates d_j and psi, sources
+    shifted by e per two steps.  S is a domain and d_j*psi = psi*d_j = f*1.
+    If d_j*a = f*b, then d_j*(a - psi*b) = 0, so a = psi*b: over A the
+    kernel of d_j is the image of psi, and likewise the kernel of psi is
+    the image of d_j.  Both have entries of positive degree, so the pair
+    is a minimal resolution from j on.  Whenever d_j*d_(j+1) = f*U for an
+    invertible U, f*d_j^-1 = d_(j+1)*U^-1 is polynomial with entries of
+    positive degree, so such a factorization is found at d_j, before
+    d_(j+1) is computed.  Minimal graded resolutions are unique up
+    to graded isomorphism, so the generator degrees, and the ranks of
+    every d_j at a point of V(Q) degree by degree, are those of the
+    step-by-step run.
     """
     ring = I.ring
     Q = HomIdeal(ring, ()) if modulo is None else modulo
@@ -157,10 +163,8 @@ def free_resolution(I: HomIdeal, length: int | None = None, *,
         modules.append(src)
         if len(maps) == length:
             break
-        u_inv = None if f is None or len(maps) < 2 else _matrix_factorization(
-            maps[-2], maps[-1], f)
-        if u_inv is not None:
-            comps = [_scalar_times(u_inv, col) for col in maps[-2].columns]
+        comps = None if f is None else _periodic_map(maps[-1], f)
+        if comps is not None:
             while len(maps) < length:
                 src = FreeModule(ring, tuple(a + f.degree for a in modules[-2].degrees))
                 maps.append(GradedMap(src, modules[-1], tuple(
@@ -173,50 +177,24 @@ def free_resolution(I: HomIdeal, length: int | None = None, *,
     return FreeResolution(I, tuple(modules), tuple(maps))
 
 
-def _matrix_factorization(d: GradedMap, d_next: GradedMap, f: Poly) -> list[list] | None:
-    """U^-1 when d and d_next are square of one rank and d*d_next = f*U over
-    S for an invertible scalar matrix U; else None.
-
-    Entry (i, c) of the product is sum over k of d[i][k]*d_next[k][c], and
-    must be u*f for a scalar u.  U is invertible exactly when the reduced
-    echelon form of [U | 1] is [1 | U^-1]."""
-    r = d.target.rank
-    if not r == d.source.rank == d_next.source.rank:
+def _periodic_map(d: GradedMap, f: Poly) -> list[dict] | None:
+    """The components of the columns of psi = f*d^-1 = f*adj(d)/det(d)
+    when d is square, det d != 0, det d divides every entry of f*adj(d),
+    and no entry of d or of psi is a nonzero constant; else None."""
+    r = d.source.rank
+    if r != d.target.rank:
         return None
-    field = f.ring.field
-    rows = [[field.zero] * r + [field.one if a == i else field.zero for a in range(r)]
-            for i in range(r)]
-    for c, col in enumerate(d_next.columns):
-        entries: dict[int, Poly] = {}
-        for k, p in col.comps.items():
-            for i, q in d.columns[k].comps.items():
-                entries[i] = entries[i] + q * p if i in entries else q * p
-        for i, p in entries.items():
-            if p.is_zero():
-                continue
-            u = field.div(p.lc(), f.lc())
-            if p != f.scale(u):
-                return None
-            rows[i][c] = u
-    ech = Echelon(field, 2 * r)
-    for row in rows:
-        ech.insert(row)
-    if ech.pivots != list(range(r)):
+    zero = f.ring.zero()
+    det, adj = det_adjugate([[d.columns[c].comps.get(i, zero) for c in range(r)]
+                             for i in range(r)])
+    if adj is None:
         return None
-    return [row[r:] for row in ech.rows()]
-
-
-def _scalar_times(u: list[list], col: MVec) -> dict:
-    """The components of u times the column col, u a scalar matrix."""
-    ring = col.ring
-    out = {}
-    for a, row in enumerate(u):
-        p = ring.zero()
-        for i, q in col.comps.items():
-            p = p + q.scale(row[i])
-        if not p.is_zero():
-            out[a] = p
-    return out
+    psi = [[exact_quotient(f * adj[k][c], det) for k in range(r)] for c in range(r)]
+    entries = [p for col in d.columns for p in col.comps.values()]
+    entries += [q for col in psi for q in col]
+    if any(q is None or q.degree == 0 and not q.is_zero() for q in entries):
+        return None
+    return [{k: q for k, q in enumerate(col) if not q.is_zero()} for col in psi]
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ class IdealizerScene:
     declared_components: tuple[tuple[HomIdeal, HomIdeal | None], ...] = ()
     gorenstein_z: bool = False
     _colon_cache: dict = field(default_factory=dict, repr=False)
+    _pulled_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.ideal.is_zero_ideal():
@@ -92,11 +93,19 @@ class IdealizerScene:
 
     # -- core pieces --------------------------------------------------------
 
+    def pulled_ideal(self, n: int) -> HomIdeal:
+        """I^{sigma^n}, cached: the colon and the oracle both read it."""
+        if n not in self._pulled_cache:
+            self._pulled_cache[n] = self.sigma.pullback_ideal(self.ideal, n)
+        return self._pulled_cache[n]
+
     def colon_ideal(self, n: int) -> HomIdeal:
-        """(I : I^{sigma^n}), cached; saturated since I is."""
+        """(I : I^{sigma^n}), cached; saturated since I is.  A colon equal
+        to I is cached as I itself, so its degree pieces and the oracle's
+        residues share I's one table of monomial normal forms."""
         if n not in self._colon_cache:
-            pulled = self.sigma.pullback_ideal(self.ideal, n)
-            self._colon_cache[n] = ideal_quotient(self.ideal, pulled)
+            Q = ideal_quotient(self.ideal, self.pulled_ideal(n))
+            self._colon_cache[n] = self.ideal if Q == self.ideal else Q
         return self._colon_cache[n]
 
 
@@ -139,8 +148,10 @@ def exhaustive_oracle_piece(scene: IdealizerScene, n: int, M: int) -> DegreePiec
 
     A normal form modulo a Groebner basis is unique, hence linear, so each
     product is reduced as a combination of the normal forms of its
-    monomials, and each monomial is reduced once per call
-    (`linalg.NormalForms`).
+    monomials, read from I's one table (`HomIdeal.normal_forms`): each
+    monomial is reduced once per scene, for every degree n and for the
+    colon pieces that equal I's.  The pulled-back generators are the
+    scene's (`IdealizerScene.pulled_ideal`), shared with the colon.
 
     The condition rows enter the echelon with their columns reversed, so
     its pivots are the last monomials, and each kernel vector has 1 at its
@@ -154,14 +165,16 @@ def exhaustive_oracle_piece(scene: IdealizerScene, n: int, M: int) -> DegreePiec
     if n == 0:
         return DegreePiece(0, (ring.one(),))
     monos = monomials_of_degree(ring, n)
-    nf = linalg.NormalForms(ring, list(scene.ideal.groebner()))
+    nf = scene.ideal.normal_forms()
     # columns = monos, last first; one condition per (g, monomial of a residue)
     conditions = linalg.Echelon(fieldk, len(monos))
-    for g in scene.ideal.gens:
-        if g.degree > M:
+    # g o sigma^n has the degree of g, and the echelon does not depend on
+    # the order of its rows
+    for pulled in scene.pulled_ideal(n).gens:
+        if pulled.degree > M:
             continue
         # nf(x . g') = nf(x . nf(g')), and nf(g') is short
-        reduced = nf.terms(scene.sigma.pullback(g, n).terms)
+        reduced = nf.terms(pulled.terms)
         residues = [nf.terms(reduced, mu) for mu in reversed(monos)]
         for t in {t for r in residues for t in r}:
             conditions.insert([r.get(t, fieldk.zero) for r in residues])

@@ -23,11 +23,16 @@ is the reduced row echelon form with x_i as column i.
 `NormalForms` tabulates the normal-form map on monomials: a normal form
 modulo a Groebner basis is unique, hence linear, so the normal form of any
 polynomial is the combination of its monomials' cached normal forms.
+
+Over the polynomial ring itself, `exact_quotient` divides one polynomial by
+another when the division is exact, and `det_adjugate` gives the
+determinant and adjugate of a square polynomial matrix by fraction-free
+elimination, whose every division is exact.
 """
 
 from __future__ import annotations
 
-from .polykernel import Poly, PolyRing, mono_div, mono_divides, mono_mul
+from .polykernel import Poly, PolyRing, mono_div, mono_divides, mono_key, mono_mul
 
 
 class Echelon:
@@ -249,3 +254,85 @@ class NormalForms:
             for s, e in self.monomial(t if shift is None else mono_mul(t, shift)).items():
                 res[s] = add(res.get(s, zero), mul(c, e))
         return res
+
+    def piece(self, monos) -> list[Poly]:
+        """The rows m - nf(m), in the given order, for the monomials m of
+        monos that a leading monomial of the basis divides: m is one
+        exactly when m is not a term of nf(m).  Over the degree-n
+        monomials in decreasing order these are the reduced echelon basis
+        of the degree-n piece of the ideal (polykernel.degree_piece_basis)."""
+        field = self.ring.field
+        one, neg = field.one, field.neg
+        out = []
+        for m in monos:
+            tail = self.monomial(m)
+            if m not in tail:
+                row = {m: one}
+                for t, c in tail.items():
+                    row[t] = neg(c)
+                out.append(Poly(self.ring, row, (m, one)))
+        return out
+
+
+def exact_quotient(p: Poly, q: Poly) -> Poly | None:
+    """p/q when the nonzero q divides p, else None.
+
+    S is a domain, so when p = q*h the leading monomial of p is lm(q)
+    times that of h: each step divides the leading term of what is left by
+    lt(q), and a leading monomial that lm(q) does not divide means no h."""
+    field = p.ring.field
+    sub, mul, is_zero, zero = field.sub, field.mul, field.is_zero, field.zero
+    lm, inv = q.lm(), field.inv(q.lc())
+    tail = [(s, c) for s, c in q.terms.items() if s != lm]
+    rest, quot = dict(p.terms), {}
+    while rest:
+        m = max(rest, key=mono_key)
+        if not mono_divides(lm, m):
+            return None
+        t, a = mono_div(m, lm), mul(rest.pop(m), inv)
+        quot[t] = a
+        for s, c in tail:
+            u = mono_mul(s, t)
+            x = sub(rest.get(u, zero), mul(a, c))
+            if is_zero(x):
+                rest.pop(u, None)
+            else:
+                rest[u] = x
+    return Poly(q.ring, quot)
+
+
+def det_adjugate(rows: list[list[Poly]]) -> tuple[Poly, list[list[Poly]] | None]:
+    """(det D, adj D) for a nonempty square matrix D of polynomials, given
+    by rows; (0, None) when det D = 0.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968) on
+    [D | 1]: step k replaces every row i != k by
+    (p_k*row_i - a_ik*row_k)/p_(k-1), with a_ik the row's current entry in
+    column k, p_k the k-th pivot and p_(-1) = 1.  Each entry is then a
+    minor of [D | 1] (Sylvester's identity), so every division is exact,
+    and the r steps make r - 1 row updates of 2r entries each: O(r^3)
+    polynomial products, where the Leibniz formula has r! terms.  With
+    the rows permuted by P the end is [det(PD)*1 | X] with
+    X = det(PD)*D^-1, so det D = sign(P)*det(PD) and adj D = sign(P)*X."""
+    r = len(rows)
+    ring = rows[0][0].ring
+    zero, one = ring.zero(), ring.one()
+    m = [list(row) + [one if c == i else zero for c in range(r)]
+         for i, row in enumerate(rows)]
+    prev, sign = one, 1
+    for k in range(r):
+        p = next((i for i in range(k, r) if not m[i][k].is_zero()), None)
+        if p is None:
+            return zero, None
+        if p != k:
+            m[k], m[p], sign = m[p], m[k], -sign
+        pivot, row_k = m[k][k], m[k]
+        for i in range(r):
+            if i != k:
+                a = m[i][k]
+                row = [pivot * x - a * y for x, y in zip(m[i], row_k)]
+                m[i] = row if k == 0 else [exact_quotient(x, prev) for x in row]
+        prev = pivot
+    if sign < 0:
+        return -prev, [[-x for x in row[r:]] for row in m]
+    return prev, [row[r:] for row in m]

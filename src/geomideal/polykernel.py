@@ -671,6 +671,7 @@ class HomIdeal:
         self._gb: tuple[Poly, ...] | None = None if gb is None else tuple(gb)
         self._basis = basis
         self._hilbert_numerator: dict[int, int] | None = None
+        self._normal_forms = None
 
     @classmethod
     def from_strings(cls, ring: PolyRing, texts) -> "HomIdeal":
@@ -681,6 +682,13 @@ class HomIdeal:
             self._gb = tuple(groebner_basis(list(self.gens)) if self._basis is None
                              else reduce_basis(self._basis))
         return self._gb
+
+    def normal_forms(self):
+        """The linalg.NormalForms table of the reduced basis, built once."""
+        if self._normal_forms is None:
+            from .linalg import NormalForms  # linalg imports this module
+            self._normal_forms = NormalForms(self.ring, list(self.groebner()))
+        return self._normal_forms
 
     def contains(self, f: Poly) -> bool:
         return normal_form(f, list(self.groebner())).is_zero()
@@ -967,25 +975,11 @@ def degree_piece_basis(I: HomIdeal, n: int) -> list[Poly]:
     degree-n monomials as columns in decreasing order: m − nf(m) for each
     such m that a leading monomial of the reduced basis divides, largest m
     first.  Every tail term is a standard monomial, so these rows are the
-    unique reduced echelon form (module docstring).  The nf(m) come from one
-    table of monomial normal forms (linalg.NormalForms), which reduces each
-    monomial once, from the tail of its first divisor; m is divisible by a
-    leading monomial exactly when m is not a term of nf(m)."""
-    # linalg imports this module, so the import waits for the first call
-    from .linalg import NormalForms
-
-    ring = I.ring
-    field = ring.field
-    nf = NormalForms(ring, list(I.groebner()))
-    out = []
-    for m in monomials_of_degree(ring, n):
-        tail = nf.monomial(m)
-        if m not in tail:
-            row = {m: field.one}
-            for t, c in tail.items():
-                row[t] = field.neg(c)
-            out.append(Poly(ring, row, (m, field.one)))
-    return out
+    unique reduced echelon form (module docstring).  The nf(m) come from
+    I's one table of monomial normal forms (HomIdeal.normal_forms), which
+    reduces each monomial once, from the tail of its first divisor, and
+    serves every degree and every other reader of the table."""
+    return I.normal_forms().piece(monomials_of_degree(I.ring, n))
 
 
 def monomials_of_degree(ring: PolyRing, n: int) -> list[tuple]:

@@ -9,10 +9,13 @@ greedy_minimal_generators (minimal generators, one fresh module Groebner
 basis per accepted vector), stepwise_resolution (a resolution over a
 quotient, one preimage per map) and rref_oracle_piece (the idealizer
 oracle's conditions in monomial order, then a separate rref).
+leibniz_det_adjugate works over any commutative ring whose elements have
++, - and *, the library's polynomials among them.
 """
 
 from functools import lru_cache
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 
@@ -364,3 +367,31 @@ def rref_oracle_piece(scene, n, forms):
     rows, _ = linalg.rref(field, conditions.kernel())
     return [Poly(ring, {monos[i]: c for i, c in enumerate(v) if not field.is_zero(c)})
             for v in rows]
+
+
+# -- determinant and adjugate by the Leibniz formula -------------------------
+
+def leibniz_det_adjugate(rows, zero, one):
+    """(det D, adj D) of a square matrix D over a commutative ring: det D is
+    the sum over permutations s of sign(s) * D[0][s(0)] * ... , and
+    adj D[i][j] = (-1)^(i+j) times the determinant of D without row j and
+    column i.  r! terms per determinant, so small matrices only."""
+    def det(m):
+        total = zero
+        for perm in permutations(range(len(m))):
+            term = one
+            for i, j in enumerate(perm):
+                term = term * m[i][j]
+            odd = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1:]) % 2
+            total = total - term if odd else total + term
+        return total
+
+    r = len(rows)
+    adj = []
+    for i in range(r):
+        adj.append([])
+        for j in range(r):
+            minor = det([[rows[a][b] for b in range(r) if b != i]
+                         for a in range(r) if a != j])
+            adj[i].append(zero - minor if (i + j) % 2 else minor)
+    return det(rows), adj

@@ -579,13 +579,13 @@ def _count_module_groebner(monkeypatch):
 
 
 def test_probe_reads_tor_without_a_module_tor(monkeypatch):
-    """The probe's only module Groebner runs are the resolution's preimages
-    behind d_2 and d_3; d_2*d_3 is a matrix factorization of the cubic, so
-    d_4..d_7 are written down from it."""
+    """The probe's only module Groebner run is the resolution's preimage
+    behind d_2.  d_2 is square and psi = f*d_2^-1 is polynomial with no
+    constant entry, so d_3 = psi and d_4..d_7 repeat the pair (d_2, psi)."""
     calls = _count_module_groebner(monkeypatch)
     rep = truncated_tor_over_quotient(CUBIC, CUSP, CUSP, j_max=6)
     assert rep.table == PINNED_TABLES["cusp"]
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_probe_over_two_generators_runs_one_preimage_per_map(monkeypatch):
@@ -697,6 +697,63 @@ def test_periodic_tail_matches_the_stepwise_resolution(data):
         other = free_resolution(M, j_max + 1, modulo=HomIdeal(ring, gens))
         assert other.modules == res.modules
         assert [m.columns for m in other.maps] == [m.columns for m in res.maps]
+
+
+def _factors(f, d):
+    """Whether the square map d has f*d^-1 polynomial with no nonzero
+    constant entry, by the Leibniz formula and the oracle's naive division."""
+    ring, r = f.ring, d.source.rank
+    rows = [[d.columns[c].comps.get(i, ring.zero()) for c in range(r)] for i in range(r)]
+    det, adj = oracles.leibniz_det_adjugate(rows, ring.zero(), ring.one())
+    products = [f * a for row in adj for a in row if not a.is_zero()]
+    return not det.is_zero() and all(
+        p.degree > det.degree
+        and not oracles.naive_normal_form(p.terms, [det.terms], ring.field.char)
+        for p in products)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_tail_is_a_matrix_factorization_from_the_first_square_map_that_factors_f(data):
+    """The tail starts at the first square map d_j (j >= 1, F_j and F_(j-1)
+    of one rank) with f*d_j^-1 polynomial and no constant entry: from there
+    on every composite d_k*d_(k+1) is f*1 over S, not just a matrix with
+    entries in (f).  A square map whose f*d_j^-1 is not polynomial (d_2 for
+    f = x1*x2^2 - 2*x0^3 and M = (x0, x1^2), say) is resolved past by a
+    preimage."""
+    ring, f, M, P = data.draw(hypersurface_probe())
+    res = free_resolution(M, 8, modulo=HomIdeal(ring, (f,)))
+    f = f.monic()
+    first = next((k for k in range(1, res.length)
+                  if res.modules[k].rank == res.modules[k - 1].rank
+                  and _factors(f, res.maps[k - 1])), res.length)
+    for k in range(first, res.length):
+        for c, v in enumerate(res.maps[k].columns):
+            assert _compose(res.maps[k - 1], v) == MVec(res.maps[k - 1].target, {c: f})
+
+
+@pytest.mark.parametrize("ring", [RQ, R7], ids=["Q", "GF7"])
+def test_principal_ideal_over_a_reducible_quadric_runs_no_preimage(ring, monkeypatch):
+    """I = (x0) over Q = (x0*x1): d_1 = x0 is square and f/x0 = x1, so the
+    maps alternate x0 and x1 with no module Groebner run at all."""
+    calls = _count_module_groebner(monkeypatch)
+    res = free_resolution(ideal(ring, "x0"), 6, modulo=ideal(ring, "x0*x1"))
+    assert [m.degrees for m in res.modules] == [(k,) for k in range(7)]
+    assert calls == []
+
+
+@pytest.mark.parametrize("ring", [RQ, R7], ids=["Q", "GF7"])
+def test_square_maps_that_do_not_factor_f_open_no_tail(ring):
+    """Over Q = (x1^2*x2), d_1 = x0 is square but f/x0 is not polynomial,
+    and the unit ideal's d_1 = 1 is a constant: neither starts a periodic
+    tail, and both resolutions are the step-by-step ones."""
+    Q = ideal(ring, "x1^2*x2")
+    for gens, degrees in ((("x0",), [(0,), (1,)]), (("1",), [(0,), (0,)])):
+        I = ideal(ring, *gens)
+        res = free_resolution(I, 6, modulo=Q)
+        ref = oracles.stepwise_resolution(I, 6, modulo=Q)
+        assert [m.degrees for m in res.modules] == degrees
+        assert [m.columns for m in res.maps] == [m.columns for m in ref.maps]
 
 
 @settings(max_examples=20, deadline=None)

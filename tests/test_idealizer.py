@@ -6,11 +6,14 @@ positive degree, so dim R_n = C(n+2, 2) - 1 and the colon never returns to I.
 The shear-on-a-line family stabilizes immediately and gives dim R_n = n.
 """
 
+from pathlib import Path
+
 import oracles
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from geomideal import cli, linalg, twist
 from geomideal.fields import QQ, PrimeField
 from geomideal.idealizer import (
     IdealizerScene,
@@ -356,3 +359,27 @@ def test_declared_prime_must_contain_component():
     wrong_prime = HomIdeal.from_strings(RQ, ["x0"])
     with pytest.raises(SceneVerificationError, match="prime"):
         IdealizerScene(RQ, SIGMA, p1, declared_components=((p1, wrong_prime),))
+
+
+def test_idealizer_command_reduces_each_monomial_in_one_table(monkeypatch):
+    """`idealizer` on moving_point: every colon equals I, so the colon
+    pieces and the exhaustive oracle read I's one table of monomial normal
+    forms, and each generator is pulled back once per degree."""
+    counts = {"tables": 0, "pullbacks": 0}
+    init, pullback = linalg.NormalForms.__init__, twist.ProjAutomorphism.pullback
+
+    def counting_init(self, *args):
+        counts["tables"] += 1
+        init(self, *args)
+
+    def counting_pullback(self, *args):
+        counts["pullbacks"] += 1
+        return pullback(self, *args)
+
+    monkeypatch.setattr(linalg.NormalForms, "__init__", counting_init)
+    monkeypatch.setattr(twist.ProjAutomorphism, "pullback", counting_pullback)
+    path = Path(__file__).resolve().parents[1] / "scenes" / "moving_point.scene"
+    sf = cli.parse_scene(path.read_text())
+    rows = [r for r in cli.run_idealizer(sf) if r["record"] == "idealizer-row"]
+    assert [r.get("oracle") for r in rows] == [None] + ["agree"] * sf.maxdeg
+    assert counts == {"tables": 1, "pullbacks": len(sf.ideal.gens) * sf.maxdeg}

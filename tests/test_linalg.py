@@ -3,14 +3,17 @@
 `oracles.rref_rank` is a from-scratch dense Gauss-Jordan pass that shares no
 code with `geomideal.linalg`; every property below is over Q, GF(7) and
 GF(32003), on small matrices with many zeros so that rank drops are common.
+The polynomial-matrix helpers are checked against the Leibniz formula and
+the oracle's naive division.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from geomideal import linalg
 from geomideal.fields import QQ, PrimeField
+from geomideal.polykernel import PolyRing
 
 FIELDS = (QQ, PrimeField(7), PrimeField(32003))
 
@@ -97,3 +100,40 @@ def test_in_row_space_matches_the_reference_span_test(data):
             vec = [field.add(x, field.mul(field.from_int(c), y))
                    for x, y in zip(vec, row)]
     assert linalg.in_row_space(field, rows, vec) == oracles.in_span(rows, vec, field.char)
+
+
+def _polynomial(draw, ring):
+    """A small polynomial, often zero, not always homogeneous."""
+    field = ring.field
+    out = ring.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        exps = tuple(draw(st.integers(0, 2)) for _ in range(ring.nvars))
+        out = out + ring.monomial(exps, field.from_int(draw(st.sampled_from([1, -1, 2, 3, -5]))))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_det_adjugate_matches_the_leibniz_formula(data):
+    ring = PolyRing(data.draw(st.sampled_from(FIELDS)), 2)
+    r = data.draw(st.integers(1, 4))
+    rows = [[_polynomial(data.draw, ring) for _ in range(r)] for _ in range(r)]
+    det, adj = linalg.det_adjugate(rows)
+    want_det, want_adj = oracles.leibniz_det_adjugate(rows, ring.zero(), ring.one())
+    assert det == want_det
+    assert adj == (None if want_det.is_zero() else want_adj)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_exact_quotient_divides_exactly_or_declines(data):
+    """(p*q)/q = p, and p/q is None exactly when p has a nonzero remainder
+    on division by q (the oracle's naive normal form)."""
+    ring = PolyRing(data.draw(st.sampled_from(FIELDS)), 3)
+    p, q = _polynomial(data.draw, ring), _polynomial(data.draw, ring)
+    assume(not q.is_zero())
+    assert linalg.exact_quotient(p * q, q) == p
+    h = linalg.exact_quotient(p, q)
+    rem = oracles.naive_normal_form(p.terms, [q.terms], ring.field.char)
+    assert (h is None) == bool(rem)
+    assert h is None or h * q == p

@@ -4,7 +4,7 @@ The experiment scripts are the only callers of the package namespace besides
 the CLI and the tests.  Every name they import from geomideal is resolved
 here, so one that goes missing fails this file rather than going unnoticed;
 the two quick scripts are also run (colon_reports.py and orbit_reports.py
-take too long to run here).
+take too long to run here), and so is `python -m geomideal`.
 """
 
 import ast
@@ -15,14 +15,19 @@ import sys
 from pathlib import Path
 
 import geomideal
+from geomideal import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run_script(name, *args):
+def _run(*args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+    return subprocess.run([sys.executable, *args],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+def _run_script(name, *args):
+    return _run(str(ROOT / "scripts" / name), *args)
 
 
 def test_every_exported_name_resolves_once():
@@ -54,3 +59,12 @@ def test_hd_probe_script_runs():
     out = _run_script("hd_probe.py", "--j-max", "2")
     assert out.returncode == 0, out.stderr
     assert "  Tor_2: 0 0 1 2 2 2 2 2 2  [nonzero]" in out.stdout.splitlines()
+
+
+def test_module_entry_point_runs_the_cli(capsys):
+    """`python -m geomideal` prints what cli.main prints, writes nothing to
+    stderr, and exits with cli.main's code: 2 for a usage error."""
+    out = _run("-m", "geomideal", "gb", "scenes/moving_point.scene")
+    assert cli.main(["gb", str(ROOT / "scenes" / "moving_point.scene")]) == 0
+    assert (out.returncode, out.stdout, out.stderr) == (0, capsys.readouterr().out, "")
+    assert _run("-m", "geomideal", "no-such-command", "scenes/moving_point.scene").returncode == 2
