@@ -400,17 +400,14 @@ def multiplicative_independence(values) -> MultIndependence:
             e[q] = e.get(q, 0) - k
         exps.append({q: k for q, k in e.items() if k})
     primes = tuple(sorted({q for e in exps for q in e}))
-    matrix = [[Fraction(e.get(q, 0)) for q in primes] for e in exps]
-    rank = linalg.rank(QQ, [row[:] for row in matrix]) if primes else 0
-    if rank == len(vals):
+    # the relations are the left kernel of the exponent matrix (one row per
+    # value, one column per prime), and its rank is len(vals) - len(kernel)
+    transposed = [[Fraction(e.get(q, 0)) for e in exps] for q in primes]
+    kern = linalg.kernel_basis(QQ, transposed, len(vals))
+    rank = len(vals) - len(kern)
+    if not kern:
         return MultIndependence(rank, True, None)
 
-    # relation: rational left-kernel vector of the exponent matrix
-    transposed = [[matrix[i][j] for i in range(len(vals))] for j in range(len(primes))]
-    if not primes:
-        kern = [[Fraction(1)] + [Fraction(0)] * (len(vals) - 1)]
-    else:
-        kern = linalg.kernel_basis(QQ, transposed, len(vals))
     vec = kern[0]
     denom = lcm(*(c.denominator for c in vec))
     ints = [int(c * denom) for c in vec]

@@ -1,20 +1,26 @@
 """Graded Tor machinery over the polynomial ring and over its quotients.
 
 Free resolutions are computed by iterated minimal syzygies, to at most
-nvars steps.  For ideals I, J the graded module Tor_j(S/I, S/J) is the
-subquotient K'/B' of the j-th resolution step F_j, with
+nvars steps.  For ideals I, J and the resolution F of S/I, Tor_j(S/I, S/J)
+is the homology of F tensor S/J, whose maps d_j-bar are graded of degree 0.
+Let B_j = im d_(j+1) + J*F_j in F_j (B_j = J*F_j past the last map, and
+F_(-1) = 0).  The image of d_j-bar is F_(j-1)-bar minus the cokernel
+F_(j-1)/B_(j-1), and its kernel is F_j-bar minus that image, so
 
-    K' = { v in F_j : d_j(v) in J*F_(j-1) }   (preimage, by elimination)
-    B' = im d_(j+1) + J*F_j,
+    HS(Tor_j) = HS(F_j/B_j) + HS(F_(j-1)/B_(j-1)) - HS(F_(j-1)-bar),
 
-held as the reduced module Groebner bases of K' and B'; the preimage step
-returns the basis of K' directly.  A module and its leading-term module
-share a Hilbert function (Macaulay), so the Hilbert series of Tor_j is one
-integer numerator, the cycle numerator minus the boundary numerator over
-(1 - u)^nvars.  Both the graded dimensions (its coefficients) and the
-Hilbert polynomial are read from that numerator.  Sheafifying is exact, so the
-sheaf Tor of the two subscheme structure sheaves vanishes exactly when the
-Hilbert polynomial of the graded Tor is identically zero; that is the
+where HS(F_(j-1)-bar) is N(S/J)/(1 - u)^nvars times u^a summed over the
+generator degrees a of F_(j-1).  A module and its leading-term module share
+a Hilbert function (Macaulay), so each cokernel numerator comes from one
+reduced module Groebner basis of B_j; the resolution keeps it per J, and
+Tor_j and Tor_(j+1) share it.  The Hilbert series of Tor_j is thus one
+integer numerator over (1 - u)^nvars, and both the graded dimensions (its
+coefficients) and the Hilbert polynomial are read from it.  Summed with
+signs, the F_j-bar give the Euler characteristic
+sum (-1)^j HS(Tor_j) = N(S/I)*N(S/J)/(1 - u)^nvars, so the Serre total
+needs no resolution at all.  Sheafifying is exact, so the sheaf Tor of
+the two subscheme structure sheaves vanishes exactly when the Hilbert
+polynomial of the graded Tor is identically zero; that is the
 transversality criterion used here (insensitive to saturating the inputs).
 Transversality asks for Tor modules only when neither of two exact rules
 decides: subschemes that do not meet are transverse, and against a
@@ -23,8 +29,9 @@ principal J the one Tor that can survive is read from Hilbert numerators.
 Over a quotient coordinate ring A = S/Q resolutions are generally infinite.
 free_resolution(I, length, modulo=Q) resolves A/IA to the given length with
 the same kernel: each map is lifted to S, and its kernel over A is the
-preimage of Q times the target.  For Q inside J the Tor formula above then
-gives Tor over A unchanged; tor_from_resolution serves any such J.
+preimage of Q times the target.  For Q inside J, F tensor_A A/J is
+F tensor_S S/J, so the Tor formula above gives Tor over A unchanged;
+tor_from_resolution serves any such J.
 When Q = (f) is principal of degree e >= 1, a minimal resolution over A
 turns 2-periodic at a matrix factorization of f (Eisenbud, Homological
 algebra on a complete intersection, Trans. AMS 1980): at the first square
@@ -42,6 +49,7 @@ with no module Groebner run.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -98,10 +106,35 @@ class FreeResolution:
     ideal: HomIdeal
     modules: tuple[FreeModule, ...]
     maps: tuple[GradedMap, ...]
+    _cokernels: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def length(self) -> int:
         return len(self.modules) - 1
+
+    def cokernel_numerator(self, J: HomIdeal, j: int) -> dict[int, int]:
+        """Hilbert series numerator of F_j/B_j, B_j = im d_(j+1) + J*F_j
+        (J*F_j past the last map; 0 when there is no F_j), from one reduced
+        module Groebner basis of B_j, kept per (J.gens, j)."""
+        key = (J.gens, j)
+        if key not in self._cokernels:
+            num = {}
+            if 0 <= j <= self.length:
+                Fj = self.modules[j]
+                bounds = list(self.maps[j].columns) if j < self.length else []
+                bounds += _ideal_times_free(J, Fj)
+                num = _numerator_add(Counter(Fj.degrees), submodule_hilbert_numerator(
+                    module_groebner(bounds), Fj), -1)
+            self._cokernels[key] = num
+        return self._cokernels[key]
+
+
+def _numerator_add(a: dict[int, int], b: dict[int, int], sign: int = 1) -> dict[int, int]:
+    """a + sign*b, zero coefficients dropped."""
+    out = dict(a)
+    for k, x in b.items():
+        out[k] = out.get(k, 0) + sign * x
+    return {k: x for k, x in out.items() if x}
 
 
 def _ideal_times_free(J: HomIdeal, module: FreeModule) -> list[MVec]:
@@ -203,33 +236,20 @@ def _periodic_map(d: GradedMap, f: Poly) -> list[dict] | None:
 
 @dataclass
 class TorModule:
-    """Tor_j(S/I, S/J) as the subquotient K'/B' of the ambient step F_j,
-    given by the reduced Groebner bases of K' and B'."""
+    """Tor_j(S/I, S/J) by its Hilbert series numerator over (1 - u)^nvars."""
 
     j: int
-    ambient: FreeModule
-    _gb_cycles: list = field(repr=False)
-    _gb_bounds: list = field(repr=False)
-    _num: dict[int, int] | None = field(default=None, repr=False)
-
-    def _numerator(self) -> dict[int, int]:
-        """Hilbert series numerator over (1 - u)^nvars: the cycle numerator
-        minus the boundary numerator, computed once."""
-        if self._num is None:
-            num = submodule_hilbert_numerator(self._gb_cycles, self.ambient)
-            for a, x in submodule_hilbert_numerator(self._gb_bounds, self.ambient).items():
-                num[a] = num.get(a, 0) - x
-            self._num = {a: x for a, x in num.items() if x}
-        return self._num
+    nvars: int
+    numerator: dict[int, int]
 
     def dimension(self, n: int) -> int:
-        return series_coefficient(self._numerator(), self.ambient.ring.nvars, n)
+        return series_coefficient(self.numerator, self.nvars, n)
 
     def dims(self, lo: int, hi: int) -> list[int]:
         return [self.dimension(n) for n in range(lo, hi + 1)]
 
     def hilbert_polynomial(self) -> HilbertPoly:
-        return hilbert_polynomial_from_numerator(self._numerator(), self.ambient.ring.nvars)
+        return hilbert_polynomial_from_numerator(self.numerator, self.nvars)
 
     def is_sheaf_trivial(self) -> bool:
         """True when the associated sheaf vanishes (Hilbert polynomial 0)."""
@@ -237,31 +257,20 @@ class TorModule:
 
 
 def tor_from_resolution(res: FreeResolution, J: HomIdeal, j: int) -> TorModule:
-    """Tor_j(S/I, S/J) from an already-computed resolution of S/I.
+    """Tor_j(S/I, S/J) from an already-computed resolution of S/I:
+    HS(F_j/B_j) + HS(F_(j-1)/B_(j-1)) - HS(F_(j-1) tensor S/J), with the
+    cokernel numerators kept on the resolution (module docstring).
 
     For a resolution over A = S/Q (free_resolution(..., modulo=Q)) this is
     Tor_j over A of A/IA and A/JA, provided Q lies in J: then
-    F tensor_A A/J = F tensor_S S/J, so the cycles and boundaries below are
-    already the ones over A.
+    F tensor_A A/J = F tensor_S S/J, and the complex is the same.
     """
     if j < 0:
         raise ValueError("negative homological degree")
-    if j == 0:
-        F0 = res.modules[0]
-        both = list(res.ideal.gens) + list(J.gens)
-        return TorModule(0, F0, module_groebner([F0.gen(0)]),
-                         module_groebner([MVec(F0, {0: g}) for g in both]))
-    if j > res.length:
-        return TorModule(j, FreeModule(res.ideal.ring, ()), [], [])
-    Fj = res.modules[j]
-    dj = res.maps[j - 1]
-    # already the reduced Groebner basis of K'
-    cycles = preimage_generators(
-        list(dj.columns), _ideal_times_free(J, res.modules[j - 1])
-    )
-    bounds = list(res.maps[j].columns) if len(res.maps) > j else []
-    bounds += _ideal_times_free(J, Fj)
-    return TorModule(j, Fj, cycles, module_groebner(bounds))
+    prev = res.modules[j - 1].degrees if 0 < j <= res.length + 1 else ()
+    num = _numerator_add(res.cokernel_numerator(J, j), res.cokernel_numerator(J, j - 1))
+    num = _numerator_add(num, _numerator_mul(Counter(prev), _ideal_numerator(J)), -1)
+    return TorModule(j, J.ring.nvars, num)
 
 
 def graded_tor(I: HomIdeal, J: HomIdeal, j: int) -> TorModule:
@@ -353,28 +362,19 @@ def serre_multiplicity_total(I: HomIdeal, J: HomIdeal) -> Fraction:
     (constant) Hilbert polynomials of the Tor_j sheaves.
 
     Only defined when the intersection is finite; otherwise raises
-    ImproperIntersectionError.
+    ImproperIntersectionError.  Every Tor_j is annihilated by I + J, so its
+    Hilbert polynomial is then constant, and the alternating sum is the
+    Hilbert polynomial of the Euler characteristic N(S/I)*N(S/J) over
+    (1 - u)^nvars (module docstring): no resolution is made.
     """
     if I.ring != J.ring:
         raise ValueError("ideals live in different rings")
-    both = ideal_sum(I, J)
-    hp0 = hilbert_polynomial(both)
-    if hp0.degree() > 0:
+    if hilbert_polynomial(ideal_sum(I, J)).degree() > 0:
         raise ImproperIntersectionError(
             "improper intersection; multiplicity undefined by this operation"
         )
-    res = free_resolution(I)
-    total = Fraction(0)
-    sign = 1
-    for j in range(0, I.ring.nvars + 1):
-        hp = tor_from_resolution(res, J, j).hilbert_polynomial()
-        if hp.degree() > 0:
-            raise ImproperIntersectionError(
-                "improper intersection; multiplicity undefined by this operation"
-            )
-        total += sign * hp.constant_value()
-        sign = -sign
-    return total
+    euler = _numerator_mul(_ideal_numerator(I), _ideal_numerator(J))
+    return hilbert_polynomial_from_numerator(euler, I.ring.nvars).constant_value()
 
 
 def point_coordinates(ideal: HomIdeal) -> list | None:

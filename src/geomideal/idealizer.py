@@ -101,11 +101,13 @@ class IdealizerScene:
 
     def colon_ideal(self, n: int) -> HomIdeal:
         """(I : I^{sigma^n}), cached; saturated since I is.  A colon equal
-        to I is cached as I itself, so its degree pieces and the oracle's
-        residues share I's one table of monomial normal forms."""
+        to I, or to a colon already cached, is cached as that ideal itself,
+        so equal colons and the oracle's residues share one table of
+        monomial normal forms."""
         if n not in self._colon_cache:
             Q = ideal_quotient(self.ideal, self.pulled_ideal(n))
-            self._colon_cache[n] = self.ideal if Q == self.ideal else Q
+            self._colon_cache[n] = next(
+                (P for P in (self.ideal, *self._colon_cache.values()) if P == Q), Q)
         return self._colon_cache[n]
 
 

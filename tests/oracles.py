@@ -344,6 +344,40 @@ def stepwise_resolution(I, length, *, modulo):
     return FreeResolution(I, tuple(modules), tuple(maps))
 
 
+# -- Tor as a subquotient of the resolution step -----------------------------
+
+def subquotient_tor_numerator(res, J, j):
+    """Hilbert series numerator of Tor_j(S/I, S/J) over (1 - u)^nvars from
+    the resolution res of S/I, as the subquotient K'/B' of F_j:
+    K' = {v in F_j : d_j(v) in J*F_(j-1)} (all of F_0 for j = 0) from
+    freemod.preimage_generators, B' = im d_(j+1) + J*F_j (J*F_j past the
+    last map) from module_groebner, and the numerator of K' minus that of
+    B'; 0 past the resolution.  It replays the library's module kernels, so
+    it checks the cokernel identity, not module Buchberger."""
+    from geomideal.freemod import (
+        MVec,
+        module_groebner,
+        preimage_generators,
+        submodule_hilbert_numerator,
+    )
+
+    def j_times(module):
+        return [MVec(module, {k: g}) for g in J.gens for k in range(module.rank)]
+
+    if j > res.length:
+        return {}
+    Fj = res.modules[j]
+    if j == 0:
+        cycles = [Fj.gen(k) for k in range(Fj.rank)]
+    else:
+        cycles = preimage_generators(list(res.maps[j - 1].columns), j_times(res.modules[j - 1]))
+    bounds = list(res.maps[j].columns) if j < res.length else []
+    num = submodule_hilbert_numerator(cycles, Fj)
+    for a, x in submodule_hilbert_numerator(module_groebner(bounds + j_times(Fj)), Fj).items():
+        num[a] = num.get(a, 0) - x
+    return {a: x for a, x in num.items() if x}
+
+
 # -- the idealizer oracle with the conditions in monomial order ---------------
 
 def rref_oracle_piece(scene, n, forms):

@@ -9,6 +9,7 @@ quotient is checked against (I cap J)/IJ computed by bare linear algebra.
 
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import oracles
 from geomideal.errors import SceneVerificationError, UsageError
 from geomideal.fields import QQ, PrimeField
-from geomideal import freemod, homology
+from geomideal import cli, freemod, homology
 from geomideal.freemod import MVec, mod_normal_form, module_groebner
 from geomideal.homology import (
     ImproperIntersectionError,
@@ -34,6 +35,8 @@ from geomideal.polykernel import (
     HomIdeal,
     PolyRing,
     hilbert_function,
+    hilbert_polynomial,
+    hilbert_polynomial_from_numerator,
     ideal_sum,
     intersect,
     monomials_of_degree,
@@ -326,6 +329,113 @@ def test_improper_intersection_raises():
     with pytest.raises(ImproperIntersectionError) as exc:
         serre_multiplicity_total(ideal(RQ, "x0"), ideal(RQ, "x0"))
     assert str(exc.value) == "improper intersection; multiplicity undefined by this operation"
+
+
+# ---------------------------------------------------------------------------
+# Tor from two cokernels against the subquotient oracle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def tor_pair(draw, field):
+    """(I, J, Q) in one ring over field: I from curve_or_point; J one or two
+    random forms of degree 1 or 2, a monomial ideal, or I times a linear
+    form (so V(J) contains Z); Q = (g*h) for a generator g of J and a
+    random linear form h, so that Q lies in J."""
+    I = draw(curve_or_point(field))
+    ring = I.ring
+
+    def form(degree):
+        monos = monomials_of_degree(ring, degree)
+        cs = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2]), min_size=len(monos),
+                           max_size=len(monos)))
+        f = sum((ring.monomial(m).scale(field.from_int(c)) for m, c in zip(monos, cs)),
+                ring.zero())
+        assume(not f.is_zero())
+        return f
+
+    kind = draw(st.sampled_from(["form", "form", "forms", "monomial", "through-z"]))
+    if kind.startswith("form"):
+        J = HomIdeal(ring, [form(draw(st.integers(1, 2)))
+                            for _ in range(1 if kind == "form" else 2)])
+    elif kind == "monomial":
+        J = draw(monomial_ideal(ring, max_deg=2))
+    else:
+        h = form(1)
+        J = HomIdeal(ring, [g * h for g in I.gens])
+    Q = HomIdeal(ring, [draw(st.sampled_from(J.gens)) * form(1)])
+    return I, J, Q
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), field=st.sampled_from([QQ, PrimeField(7)]))
+def test_tor_numerators_match_the_subquotient_oracle(data, field):
+    """Over S and over a principal Q inside J, every Tor_j numerator read
+    from the two cokernels equals the cycle-minus-boundary numerator of the
+    subquotient, for j = 0..length + 1."""
+    I, J, Q = data.draw(tor_pair(field))
+    over_q = data.draw(st.booleans())
+    res = free_resolution(I, 3, modulo=Q) if over_q else free_resolution(I)
+    for j in range(res.length + 2):
+        want = oracles.subquotient_tor_numerator(res, J, j)
+        assert tor_from_resolution(res, J, j).numerator == want
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), field=st.sampled_from([QQ, PrimeField(7)]))
+def test_serre_total_is_the_alternating_sum_of_the_oracle_tors(data, field):
+    """The Euler-characteristic total equals the alternating sum of the
+    constant Hilbert polynomials of the subquotient Tor_j, and it raises
+    exactly when HP(S/(I + J)), the Hilbert polynomial of Tor_0, has
+    positive degree."""
+    I, J, _ = data.draw(tor_pair(field))
+    res = free_resolution(I)
+    hps = [hilbert_polynomial_from_numerator(oracles.subquotient_tor_numerator(res, J, j),
+                                             I.ring.nvars)
+           for j in range(res.length + 1)]
+    improper = hilbert_polynomial(ideal_sum(I, J)).degree() > 0
+    assert improper == any(hp.degree() > 0 for hp in hps)
+    if improper:
+        with pytest.raises(ImproperIntersectionError):
+            serre_multiplicity_total(I, J)
+    else:
+        assert serre_multiplicity_total(I, J) == sum(
+            (-1) ** j * hp.constant_value() for j, hp in enumerate(hps))
+
+
+def test_tor_runs_one_module_groebner_per_cokernel_and_no_preimage(monkeypatch):
+    """Tor_0..Tor_(length + 1) make one module Groebner run per step F_j,
+    each cokernel shared by Tor_j and Tor_(j+1), and no preimage."""
+    I, J = ideal(RQ, "x0", "x1"), ideal(RQ, "x0 + x2", "x1^2")
+    res = free_resolution(I)
+    want = [oracles.subquotient_tor_numerator(res, J, j) for j in range(res.length + 2)]
+    calls = []
+    real = freemod.module_groebner
+
+    def counting(vecs):
+        calls.append(len(vecs))
+        return real(vecs)
+
+    def no_preimage(*args):
+        raise AssertionError("Tor reads two cokernels, not a cycle preimage")
+
+    monkeypatch.setattr(homology, "module_groebner", counting)
+    monkeypatch.setattr(homology, "preimage_generators", no_preimage)
+    monkeypatch.setattr(freemod, "preimage_generators", no_preimage)
+    got = [tor_from_resolution(res, J, j).numerator for j in range(res.length + 2)]
+    assert got == want
+    assert len(calls) == res.length + 1
+
+
+def test_bezout_makes_no_resolution(monkeypatch):
+    def forbid(*args, **kwargs):
+        raise AssertionError("the Serre total is read from the Euler characteristic")
+
+    monkeypatch.setattr(homology, "free_resolution", forbid)
+    monkeypatch.setattr(homology, "module_groebner", forbid)
+    monkeypatch.setattr(freemod, "module_groebner", forbid)
+    path = Path(__file__).resolve().parents[1] / "scenes" / "conic_pair.scene"
+    assert cli.run_bezout(cli.parse_scene(path.read_text())) == [
+        {"record": "bezout", "total": "4"}]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ positive degree, so dim R_n = C(n+2, 2) - 1 and the colon never returns to I.
 The shear-on-a-line family stabilizes immediately and gives dim R_n = n.
 """
 
+import dataclasses
 from pathlib import Path
 
 import oracles
@@ -383,3 +384,22 @@ def test_idealizer_command_reduces_each_monomial_in_one_table(monkeypatch):
     rows = [r for r in cli.run_idealizer(sf) if r["record"] == "idealizer-row"]
     assert [r.get("oracle") for r in rows] == [None] + ["agree"] * sf.maxdeg
     assert counts == {"tables": 1, "pullbacks": len(sf.ideal.gens) * sf.maxdeg}
+
+
+def test_equal_colons_share_one_table(monkeypatch):
+    """`idealizer --oracle-horizon 3` on fat_point: every colon is (x0, x1),
+    not I, so the five colon pieces share one table and the oracle reads
+    I's: two tables in all."""
+    tables = []
+    init = linalg.NormalForms.__init__
+
+    def counting_init(self, *args):
+        tables.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(linalg.NormalForms, "__init__", counting_init)
+    path = Path(__file__).resolve().parents[1] / "scenes" / "fat_point.scene"
+    sf = dataclasses.replace(cli.parse_scene(path.read_text()), oracle=3)
+    rows = [r for r in cli.run_idealizer(sf) if r["record"] == "idealizer-row"]
+    assert [r.get("oracle") for r in rows] == [None] + ["agree"] * sf.maxdeg
+    assert len(tables) == 2
