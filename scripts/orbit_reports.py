@@ -7,7 +7,11 @@ verdict, justification).  sigma is diagonal (positive entries, some entries
 negated, or entries +-a with a linear Z through a point with p_i = p_j, so
 one parity class vanishes), a scaled Jordan matrix, a scaled unipotent
 upper-triangular matrix, or triangular with mixed eigenvalues; the field is
-Q or GF(7), GF(11), GF(103).  Run it on two source trees and compare:
+Q or GF(7), GF(11), GF(103).  Then 120 long GF(101) and GF(1009) diagonal
+cases: the point's period is longer than the horizon (up to 100 over
+GF(101)), and over GF(1009) it can be 1008, past PERIOD_CAP, so both the
+long periodic scan and the capped scan are printed.  Run it on two source
+trees and compare:
 
     PYTHONPATH=<checkout>/src python scripts/orbit_reports.py > reports.txt
 """
@@ -27,6 +31,7 @@ from geomideal import (
 )
 
 COUNT = 1200
+LONG_COUNT = 120
 SEED = 1
 SHAPES = ["diag", "diag", "diag-neg", "diag-pm", "jordan", "jordan", "unipotent", "triangular"]
 
@@ -109,13 +114,40 @@ def draw_case(rng, field):
     return shape, p, sigma, HomIdeal(ring, gens), rng.randint(3, 12)
 
 
-def main():
-    rng = random.Random(SEED)
+def draw_long_case(rng):
+    """Diagonal sigma = diag(1, g^a, ...) over GF(101) or GF(1009), g a
+    primitive root; a = 1 gives the full period p - 1."""
+    field, root = rng.choice([(PrimeField(101), 2), (PrimeField(1009), 11)])
+    nv = rng.randint(2, 3)
+    ring = PolyRing(field, nv)
+    sigma = ProjAutomorphism.diagonal(ring, [field.one] + [
+        pow(root, rng.choice([1, 1, rng.randrange(1, field.p - 1)]), field.p)
+        for _ in range(nv - 1)])
+    coords = [field.from_int(rng.randint(0, field.p - 1)) for _ in range(nv)]
+    coords[0] = field.one
+    p = RationalPoint.of(field, coords)
+    if rng.random() < 0.6:
+        # Z through a point of the orbit, possibly past the horizon or the cap
+        gens = list(p.apply(sigma, rng.randint(0, 1100)).ideal(ring).gens)
+        gens = gens[:rng.randint(1, len(gens))]
+    else:
+        form = draw_form(rng, ring, rng.randint(1, 2))
+        gens = [ring.variable(1) if form.is_zero() else form]
+    return "diag-long", p, sigma, HomIdeal(ring, gens), rng.randint(3, 12)
+
+
+def draw_cases(rng):
     fields = [QQ, QQ, QQ, QQ, PrimeField(7), PrimeField(11), PrimeField(103)]
+    for _ in range(COUNT):
+        yield draw_case(rng, rng.choice(fields))
+    for _ in range(LONG_COUNT):
+        yield draw_long_case(rng)
+
+
+def main():
     tally = Counter()
-    for k in range(COUNT):
-        field = rng.choice(fields)
-        shape, p, sigma, Z, horizon = draw_case(rng, field)
+    for k, (shape, p, sigma, Z, horizon) in enumerate(draw_cases(random.Random(SEED))):
+        field = sigma.ring.field
         r = forward_orbit_hits(p, sigma, Z, horizon)
         tally[(repr(field), shape, r.verdict, r.justification)] += 1
         matrix = "(" + ", ".join(

@@ -1,7 +1,10 @@
 """Orbit dynamics of a linear automorphism and transversality certificates.
 
 Verdicts about forward orbits meeting a subscheme come in two strengths.  A
-horizon scan lists the hits n <= horizon exactly.  On top of that, one
+horizon scan lists the hits n <= horizon exactly.  It walks raw vectors
+w_n = M^n p, never normalized: Z has homogeneous generators, so whether
+w_n is a hit does not depend on its scale, and the orbit is back at p
+exactly when w_n is proportional to p.  On top of that, one
 certificate can bound ALL hits: each generator of Z gets a bound per residue
 class of n past which its evaluation along the orbit has no zero, and n0 is
 the largest over the classes of the least bound over the generators.  For
@@ -188,9 +191,10 @@ def _diagonal_class_bound(terms: dict, parity: int) -> int | None:
     top = max(by_abs)
     rest = [(r / top, abs(c)) for r, c in by_abs.items() if r != top]
     lead = abs(by_abs[top])
-    n = 0
-    while sum(c * rho ** n for rho, c in rest) >= lead:
+    n, powers = 0, [c for _, c in rest]  # c * rho^n, one multiplication per step
+    while sum(powers) >= lead:
         n += 1
+        powers = [t * rho for t, (rho, _) in zip(powers, rest)]
     return n
 
 
@@ -207,8 +211,6 @@ def _orbit_exponential_terms(sigma: ProjAutomorphism, p: RationalPoint,
             if e:
                 val *= p.coords[i] ** e
                 base *= lams[i] ** e
-        if val == 0:
-            continue
         out[base] = out.get(base, Fraction(0)) + val
     return {b: c for b, c in out.items() if c != 0}
 
@@ -289,49 +291,76 @@ def forward_orbit_hits(p: RationalPoint, sigma: ProjAutomorphism,
     """Hits {n >= 0 : sigma^n(p) in Z}, with a completeness certificate when
     one of the routes applies.
 
+    The orbit is walked once, on raw vectors w_n = M^n p: one sparse
+    matrix-vector product per step, with no normalization, inversion or
+    matrix power.  Neither test below depends on the scale of w_n.  A hit
+    is g(w_n) = 0 for every generator g, and g(c w) = c^deg(g) g(w) since Z
+    has homogeneous generators.  The orbit returns to p exactly when w_n is
+    proportional to p, that is w_n[i] = w_n[k] * p[i] for every i, k the
+    pivot of p (p[k] = 1).
+
     Routes, in order: periodicity (orbit revisits p); then one bound per
     residue class of n from _orbit_class_bounds (dominant terms for diagonal
     sigma, signs split by parity; the Cauchy root bound for unipotent sigma
     up to a scalar).  A class on which every generator vanishes identically
     hits forever; otherwise n0 is the largest of the class bounds, each the
-    least over the generators.  Over GF(p) every orbit is periodic, so the
-    scan follows the point's own orbit on to PERIOD_CAP steps (past the
-    horizon) and stops when it returns to p; hits are still listed only up
-    to the horizon.  The analytic routes need characteristic 0 and are never
-    taken there.  Otherwise the verdict is horizon-bounded only.
+    least over the generators, and the same walk goes on to max(horizon, n0)
+    to list every hit.  Over GF(p) every orbit is periodic, so the scan
+    follows the point's own orbit on to PERIOD_CAP steps (past the horizon)
+    and stops when it returns to p; hits are still listed only up to the
+    horizon.  The analytic routes need characteristic 0 and are never taken
+    there.  Otherwise the verdict is horizon-bounded only.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     field = sigma.ring.field
+    add, mul = field.add, field.mul
+    matrix = [[(j, c) for j, c in enumerate(row) if c] for row in sigma.matrix]
+    gens = [[(c, [(i, e) for i, e in enumerate(m) if e]) for m, c in g.terms.items()]
+            for g in Z.gens]
+    k = next(i for i, v in enumerate(p.coords) if v)
 
-    def is_hit(q: RationalPoint) -> bool:
-        return q.on_subscheme(Z)
+    def step(w):
+        out = []
+        for row in matrix:
+            acc = field.zero
+            for j, c in row:
+                acc = add(acc, mul(c, w[j]))
+            out.append(acc)
+        return out
+
+    def is_hit(w) -> bool:
+        for g in gens:
+            total = field.zero
+            for c, factors in g:
+                for i, e in factors:
+                    c = mul(c, w[i] ** e)
+                total = add(total, c)
+            if total:
+                return False
+        return True
 
     scan = horizon if field.char == 0 else max(horizon, PERIOD_CAP)
-
-    # scan, watching for periodicity
-    orbit = [p]
+    orbit = [p.coords]
     period = None
     for n in range(1, scan + 1):
-        q = orbit[-1].apply(sigma)
-        if q == p and period is None:
+        w = step(orbit[-1])
+        if all(x == mul(w[k], v) for x, v in zip(w, p.coords)):
             period = n
             break
-        orbit.append(q)
+        orbit.append(w)
 
     if period is not None:
-        cycle_hits = [n for n, q in enumerate(orbit) if is_hit(q)]
+        cycle_hits = [n for n, w in enumerate(orbit) if is_hit(w)]
         if cycle_hits:
-            hits = tuple(
-                n for n in range(horizon + 1) if (n % period) in cycle_hits
-            )
+            hits = tuple(n for n in range(horizon + 1) if n % period in cycle_hits)
             return OrbitReport(p, horizon, hits, "infinite", period=period,
                                justification="periodicity",
                                first_hit=None if hits else cycle_hits[0])
         return OrbitReport(p, horizon, (), "certified-finite", n0=period,
                            period=period, justification="periodicity")
 
-    hits = [n for n, q in enumerate(orbit[:horizon + 1]) if is_hit(q)]
+    hits = [n for n, w in enumerate(orbit[:horizon + 1]) if is_hit(w)]
 
     rows, justification = _orbit_class_bounds(p, sigma, Z)
     if rows is not None:
@@ -348,16 +377,13 @@ def forward_orbit_hits(p: RationalPoint, sigma: ProjAutomorphism,
                                justification="identically-zero-evaluation",
                                notes=("one parity class vanishes identically",))
         n0 = max(classes)
-        full = [
-            n for n in range(max(horizon, n0) + 1)
-            if is_hit(p.apply(sigma, n))
-        ]
-        return OrbitReport(p, horizon, tuple(full), "certified-finite",
+        while len(orbit) <= n0:
+            orbit.append(step(orbit[-1]))
+        hits += [n for n in range(horizon + 1, n0 + 1) if is_hit(orbit[n])]
+        return OrbitReport(p, horizon, tuple(hits), "certified-finite",
                            n0=n0, justification=justification)
 
-    verdict = "finite-within-horizon"
-    if hits and hits[-1] >= horizon - 1:
-        verdict = "inconclusive"
+    verdict = "inconclusive" if hits and hits[-1] >= horizon - 1 else "finite-within-horizon"
     return OrbitReport(p, horizon, tuple(hits), verdict,
                        notes=("no certificate route for this sigma",))
 

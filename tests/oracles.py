@@ -429,3 +429,139 @@ def leibniz_det_adjugate(rows, zero, one):
                          for a in range(r) if a != j])
             adj[i].append(zero - minor if (i + j) % 2 else minor)
     return det(rows), adj
+
+
+# -- forward orbits on normalized points -------------------------------------
+
+def _normalized(vec, char):
+    """vec scaled to first nonzero entry 1, over Q (Fractions) or GF(char)."""
+    vec = [v % char if char else Fraction(v) for v in vec]
+    inv = _inv(char, next(v for v in vec if v != 0))
+    return tuple(v * inv % char if char else v * inv for v in vec)
+
+
+def _evaluate(terms, point, char):
+    total = 0
+    for mono, c in terms.items():
+        for x, e in zip(point, mono):
+            c = c * x ** e
+        total += c
+    return total % char if char else total
+
+
+def _dominant_bound(terms, lams, point, parity):
+    """Least n >= 0 with |C_top| * top^n > sum |C_r| * r^n, where the
+    evaluation along the orbit of the diagonal matrix diag(lams) is
+    sum C_b * b^n, grouped by |b| with sign(b)^parity; None when it is 0."""
+    by_base = {}
+    for mono, c in terms.items():
+        val, base = Fraction(c), Fraction(1)
+        for x, lam, e in zip(point, lams, mono):
+            val, base = val * x ** e, base * lam ** e
+        by_base[base] = by_base.get(base, 0) + val
+    by_abs = {}
+    for b, v in by_base.items():
+        by_abs[abs(b)] = by_abs.get(abs(b), 0) + (-v if b < 0 and parity else v)
+    by_abs = {r: v for r, v in by_abs.items() if v != 0}
+    if not by_abs:
+        return None
+    top = max(by_abs)
+    n = 0
+    while abs(by_abs[top]) * top ** n <= sum(abs(v) * r ** n for r, v in by_abs.items()
+                                             if r != top):
+        n += 1
+    return n
+
+
+def _unipotent_bound(terms, U, point):
+    """Cauchy bound int(1 + max |a_i / a_top|) + 1 on the integer roots of
+    q(n) = g(U^n p), U unipotent; q is interpolated from its values at
+    n = 0..D by forward differences, D = deg(g) * (nvars - 1) >= deg q.
+    None when q is 0."""
+    nv = len(U)
+    D = max(sum(m) for m in terms) * (nv - 1)
+    values, w = [], list(point)
+    for _ in range(D + 1):
+        values.append(_evaluate(terms, w, 0))
+        w = [sum(a * b for a, b in zip(row, w)) for row in U]
+    coeffs = [Fraction(0)] * (D + 1)
+    binom = [Fraction(1)]  # C(n, k) as coefficients of 1, n, n^2, ...
+    for k in range(D + 1):
+        diff = sum((-1) ** (k - j) * comb(k, j) * values[j] for j in range(k + 1))
+        for i, b in enumerate(binom):
+            coeffs[i] += diff * b
+        binom = [(binom[i - 1] if i else 0) - k * (binom[i] if i < len(binom) else 0)
+                 for i in range(len(binom) + 1)]
+        binom = [b / (k + 1) for b in binom]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        return None
+    lower = max((abs(a / coeffs[-1]) for a in coeffs[:-1]), default=0)
+    return int(1 + lower) + 1
+
+
+def _class_bounds(matrix, point, gens_terms):
+    """Per generator, a bound per residue class of n (two for diagonal
+    matrices, one for c times a unipotent matrix), or None for any other."""
+    nv = len(matrix)
+    if all(matrix[i][j] == 0 for i in range(nv) for j in range(nv) if i != j):
+        lams = [matrix[i][i] for i in range(nv)]
+        return [[_dominant_bound(t, lams, point, parity) for parity in (0, 1)]
+                for t in gens_terms]
+    c = sum(matrix[i][i] for i in range(nv)) / Fraction(nv)
+    if c == 0:
+        return None
+    U = [[a / c for a in row] for row in matrix]
+    N = [[U[i][j] - (i == j) for j in range(nv)] for i in range(nv)]
+    power = N
+    for _ in range(nv - 1):
+        power = [[sum(power[i][k] * N[k][j] for k in range(nv)) for j in range(nv)]
+                 for i in range(nv)]
+    if any(x != 0 for row in power for x in row):
+        return None
+    return [[_unipotent_bound(t, U, point)] for t in gens_terms]
+
+
+def brute_orbit(matrix, point, gens_terms, horizon, char=0, cap=1000):
+    """(hits, period, first_hit, n0, verdict) of the forward orbit of point
+    under matrix against the forms gens_terms ({exponents: coefficient}),
+    walked on normalized tuples: periodic when the orbit returns to point
+    within the scan (horizon over Q, max(horizon, cap) over GF(char));
+    otherwise, over Q, certified by the class bounds when matrix is
+    diagonal or unipotent up to a scalar."""
+    mat = [[x % char if char else Fraction(x) for x in row] for row in matrix]
+    p = _normalized(point, char)
+
+    def step(q):
+        return _normalized([sum(a * b for a, b in zip(row, q)) for row in mat], char)
+
+    def hit(q):
+        return all(_evaluate(t, q, char) == 0 for t in gens_terms)
+
+    orbit = [p]
+    while len(orbit) <= (max(horizon, cap) if char else horizon):
+        q = step(orbit[-1])
+        if q == p:
+            period = len(orbit)
+            cycle = [n for n, q in enumerate(orbit) if hit(q)]
+            if not cycle:
+                return (), period, None, period, "certified-finite"
+            hits = tuple(n for n in range(horizon + 1) if n % period in cycle)
+            return hits, period, None if hits else cycle[0], None, "infinite"
+        orbit.append(q)
+    hits = tuple(n for n in range(horizon + 1) if hit(orbit[n]))
+    bounds = None if char else _class_bounds(mat, p, gens_terms)
+    if bounds is None:
+        verdict = "inconclusive" if hits and hits[-1] >= horizon - 1 else "finite-within-horizon"
+        return hits, None, None, None, verdict
+    classes = [min((b for b in col if b is not None), default=None) for col in zip(*bounds)]
+    if all(b is None for b in classes):
+        return tuple(range(horizon + 1)), None, None, None, "infinite"
+    if None in classes:
+        return hits, None, None, None, "infinite"
+    n0 = max(classes)
+    while len(orbit) <= n0:
+        orbit.append(step(orbit[-1]))
+    hits = tuple(n for n in range(max(horizon, n0) + 1) if hit(orbit[n]))
+    return hits, None, None, n0, "certified-finite"

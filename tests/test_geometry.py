@@ -12,10 +12,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from geomideal import homology
 from geomideal.classify import sigma_ideal_order
 from geomideal.fields import QQ, PrimeField
 from geomideal.geometry import (
+    PERIOD_CAP,
     CTCertificate,
     RationalPoint,
     _coordinate_families,
@@ -458,6 +460,103 @@ def test_prime_field_orbit_past_the_cap_lists_hits_to_the_horizon_only():
     assert rep.verdict == "finite-within-horizon"
     assert rep.period is None
     assert rep.hits == (3,)
+
+
+def _oracle_orbit(p, sigma, Z, horizon):
+    return oracles.brute_orbit(sigma.matrix, p.coords, [dict(g.terms) for g in Z.gens],
+                               horizon, sigma.ring.field.char, PERIOD_CAP)
+
+
+def _report_fields(rep):
+    return (rep.hits, rep.period, rep.first_hit, rep.n0, rep.verdict)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_orbit_reports_match_the_normalized_point_oracle(data):
+    """hits, period, first_hit, n0 and verdict equal a brute-force walk on
+    normalized points, for diagonal, scaled Jordan, shear and triangular
+    sigma over Q and GF(5), GF(7), GF(11), GF(103)."""
+    field = data.draw(st.sampled_from(
+        [QQ, QQ, PrimeField(5), PrimeField(7), PrimeField(11), PrimeField(103)]))
+    nv = data.draw(st.integers(2, 3))
+    ring = PolyRing(field, nv)
+    shape = data.draw(st.sampled_from(["diagonal", "jordan", "shear", "triangular"]))
+    entry = st.integers(-3, 3)
+    nonzero = entry.filter(bool)
+    c = data.draw(st.sampled_from([Fraction(1), Fraction(-1, 2), Fraction(2, 3)]))
+    rows = [[Fraction(0)] * nv for _ in range(nv)]
+    for i in range(nv):
+        if shape == "diagonal":
+            rows[i][i] = data.draw(nonzero)
+        elif shape == "jordan":  # c times one Jordan block
+            rows[i][i] = c
+            if i + 1 < nv:
+                rows[i][i + 1] = c
+        elif shape == "shear":
+            rows[i][i] = 1
+            rows[i][i + 1:] = [data.draw(entry) for _ in range(nv - i - 1)]
+        else:
+            rows[i][i] = data.draw(nonzero)
+            rows[i][i + 1:] = [data.draw(entry) for _ in range(nv - i - 1)]
+    sigma = ProjAutomorphism(ring, [[field.from_fraction(Fraction(x)) for x in r]
+                                    for r in rows])
+    coords = data.draw(st.lists(entry, min_size=nv, max_size=nv).filter(any))
+    p = RationalPoint.of(field, [field.from_int(x) for x in coords])
+    forms = ["x0 - x1", "x1", "x0*x1 - x1^2", f"x0^2 + x1*x{nv - 1} - 2*x{nv - 1}^2"]
+    choice = data.draw(st.integers(0, len(forms)))
+    if choice == len(forms):  # through an orbit point, maybe past the horizon
+        Z = p.apply(sigma, data.draw(st.integers(0, 20))).ideal(ring)
+    else:
+        Z = HomIdeal.from_strings(ring, [forms[choice]])
+    horizon = data.draw(st.integers(1, 12))
+    rep = forward_orbit_hits(p, sigma, Z, horizon)
+    assert _report_fields(rep) == _oracle_orbit(p, sigma, Z, horizon)
+
+
+@pytest.mark.parametrize("rows, point, form, hits, n0, justification", [
+    # 64 - 2^n: zero at n = 6, dominant from 2^7 > 64 * 1^7 on
+    ([["1", "0"], ["0", "2"]], "[1:1]", "64*x0 - x1", (6,), 7, "dominant-term"),
+    # -1/3 times the shear: [0:1] -> [n:1], Cauchy bound 11 on n - 9
+    ([["-1/3", "-1/3"], ["0", "-1/3"]], "[0:1]", "x0 - 9*x1", (9,), 11,
+     "polynomial-growth"),
+])
+def test_certified_rational_orbit_past_the_horizon(rows, point, form, hits, n0,
+                                                   justification):
+    """The walk goes on to n0 > horizon, and sigma caches no power above 1."""
+    sigma = ProjAutomorphism.from_strings(R1, rows)
+    Z = HomIdeal.from_strings(R1, [form])
+    rep = forward_orbit_hits(pt(point), sigma, Z, 3)
+    assert (rep.verdict, rep.hits, rep.n0, rep.justification) == (
+        "certified-finite", hits, n0, justification)
+    assert _report_fields(rep) == _oracle_orbit(pt(point), sigma, Z, 3)
+    assert max(sigma._powers) <= 1
+
+
+def test_prime_field_orbit_builds_no_point_and_no_matrix_power(monkeypatch):
+    """Period 100 over GF(101) (2 is a primitive root): the scan normalizes
+    no point and takes no power of sigma."""
+    ring = PolyRing(PrimeField(101), 3)
+    sigma = ProjAutomorphism.diagonal(ring, ["1", "2", "4"])
+    p = pt("[1:1:1]", ring.field)
+    Z = HomIdeal.from_strings(ring, ["x1 - 8*x0"])
+    calls = []
+    of, power = RationalPoint.of.__func__, ProjAutomorphism.power
+
+    def counted_of(cls, field, values):
+        calls.append("of")
+        return of(cls, field, values)
+
+    def counted_power(self, n):
+        if n >= 2:
+            calls.append(n)
+        return power(self, n)
+
+    monkeypatch.setattr(RationalPoint, "of", classmethod(counted_of))
+    monkeypatch.setattr(ProjAutomorphism, "power", counted_power)
+    rep = forward_orbit_hits(p, sigma, Z, 12)
+    assert (rep.verdict, rep.hits, rep.period) == ("infinite", (3,), 100)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
