@@ -191,7 +191,8 @@ def _diagonal_class_bound(terms: dict, parity: int) -> int | None:
     top = max(by_abs)
     rest = [(r / top, abs(c)) for r, c in by_abs.items() if r != top]
     lead = abs(by_abs[top])
-    n, powers = 0, [c for _, c in rest]  # c * rho^n, one multiplication per step
+    n = 0
+    powers = [c for _, c in rest]  # c * rho^n, one multiplication per step
     while sum(powers) >= lead:
         n += 1
         powers = [t * rho for t, (rho, _) in zip(powers, rest)]
@@ -211,6 +212,8 @@ def _orbit_exponential_terms(sigma: ProjAutomorphism, p: RationalPoint,
             if e:
                 val *= p.coords[i] ** e
                 base *= lams[i] ** e
+        if val == 0:
+            continue
         out[base] = out.get(base, Fraction(0)) + val
     return {b: c for b, c in out.items() if c != 0}
 
@@ -341,6 +344,8 @@ def forward_orbit_hits(p: RationalPoint, sigma: ProjAutomorphism,
         return True
 
     scan = horizon if field.char == 0 else max(horizon, PERIOD_CAP)
+
+    # scan, watching for periodicity
     orbit = [p.coords]
     period = None
     for n in range(1, scan + 1):
@@ -353,7 +358,9 @@ def forward_orbit_hits(p: RationalPoint, sigma: ProjAutomorphism,
     if period is not None:
         cycle_hits = [n for n, w in enumerate(orbit) if is_hit(w)]
         if cycle_hits:
-            hits = tuple(n for n in range(horizon + 1) if n % period in cycle_hits)
+            hits = tuple(
+                n for n in range(horizon + 1) if (n % period) in cycle_hits
+            )
             return OrbitReport(p, horizon, hits, "infinite", period=period,
                                justification="periodicity",
                                first_hit=None if hits else cycle_hits[0])
@@ -383,7 +390,9 @@ def forward_orbit_hits(p: RationalPoint, sigma: ProjAutomorphism,
         return OrbitReport(p, horizon, tuple(hits), "certified-finite",
                            n0=n0, justification=justification)
 
-    verdict = "inconclusive" if hits and hits[-1] >= horizon - 1 else "finite-within-horizon"
+    verdict = "finite-within-horizon"
+    if hits and hits[-1] >= horizon - 1:
+        verdict = "inconclusive"
     return OrbitReport(p, horizon, tuple(hits), verdict,
                        notes=("no certificate route for this sigma",))
 

@@ -360,6 +360,7 @@ def tor_pair(draw, field):
     elif kind == "monomial":
         J = draw(monomial_ideal(ring, max_deg=2))
     else:
+        assume(I.gens)  # a zero linear form leaves I = (0), and then J = (0)
         h = form(1)
         J = HomIdeal(ring, [g * h for g in I.gens])
     Q = HomIdeal(ring, [draw(st.sampled_from(J.gens)) * form(1)])
