@@ -61,11 +61,6 @@ from .polykernel import (
 from .twist import ProjAutomorphism, TwistedElement, twist_multiply
 from .fields import PrimeField, RationalField
 
-COMMANDS = (
-    "gb", "colon", "tor", "transverse", "bezout",
-    "twist-check", "idealizer", "orbit", "ct-cert", "classify",
-)
-
 # hard ceilings: beyond these the exact-arithmetic kernels stop being a desk
 # computation, so the run is refused rather than left to crawl
 MAX_DEGREE_CAP = 32
@@ -199,7 +194,6 @@ def parse_scene(text: str) -> SceneFile:
     diagnostic found (line number + code + message), not just the first."""
     ps = _Parser(text)
     field = None
-    field_line = None
     d = None
     sigma_rows = None
     sigma_line = None
@@ -222,7 +216,6 @@ def parse_scene(text: str) -> SceneFile:
             if field is not None:
                 ps.bad(no, "DUPLICATE_DIRECTIVE", "field given twice")
                 continue
-            field_line = no
             if parts[1:] == ["rational"]:
                 field = RationalField()
             elif len(parts) == 3 and parts[1] == "prime":
@@ -329,8 +322,7 @@ def parse_scene(text: str) -> SceneFile:
     try:
         sigma = ProjAutomorphism(ring, sigma_rows)
     except ValueError as exc:
-        code = "SINGULAR_SIGMA" if "singular" in str(exc) else "NON_SQUARE_SIGMA"
-        ps.bad(sigma_line, code, str(exc))
+        ps.bad(sigma_line, "SINGULAR_SIGMA", str(exc))
 
     def build(block):
         polys = _parse_polys(ps, ring, block)
@@ -578,6 +570,14 @@ DISPATCH = {
     "ct-cert": run_ct_cert,
     "classify": run_classify,
 }
+COMMANDS = tuple(DISPATCH)
+
+# the scene counts a command-line flag may override: (flag, SceneFile field, help)
+_OVERRIDES = (
+    ("--max-degree", "maxdeg", "override the scene's maxdeg"),
+    ("--oracle-horizon", "oracle", "override the scene's oracle horizon"),
+    ("--horizon", "horizon", "override the scene's horizon"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -727,23 +727,21 @@ def _arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("scene", help="path to a scene file, or - for stdin")
     parser.add_argument("--format", choices=("text", "records"),
                         default="text")
-    parser.add_argument("--max-degree", type=int, default=None,
-                        help="override the scene's maxdeg")
-    parser.add_argument("--oracle-horizon", type=int, default=None,
-                        help="override the scene's oracle horizon")
-    parser.add_argument("--horizon", type=int, default=None,
-                        help="override the scene's horizon")
+    for flag, _, text in _OVERRIDES:
+        parser.add_argument(flag, type=int, default=None, help=text)
     return parser
 
 
 def main(argv=None) -> int:
     args = _arg_parser().parse_args(argv)
-    for flag, val in (("--max-degree", args.max_degree),
-                      ("--oracle-horizon", args.oracle_horizon),
-                      ("--horizon", args.horizon)):
+    overrides = {}
+    for flag, name, _ in _OVERRIDES:
+        val = getattr(args, flag[2:].replace("-", "_"))
         if val is not None and val < 1:
             print(f"geomideal: {flag} must be positive", file=sys.stderr)
             return 2
+        if val is not None:
+            overrides[name] = val
 
     if args.scene == "-":
         text = sys.stdin.read()
@@ -760,15 +758,7 @@ def main(argv=None) -> int:
             print(f"{args.scene}:{diag}", file=sys.stderr)
         return 2
 
-    overrides = {}
-    if args.max_degree is not None:
-        overrides["maxdeg"] = args.max_degree
-    if args.oracle_horizon is not None:
-        overrides["oracle"] = args.oracle_horizon
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if overrides:
-        sf = dataclasses.replace(sf, **overrides)
+    sf = dataclasses.replace(sf, **overrides)
 
     try:
         _check_caps(sf)

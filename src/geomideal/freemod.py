@@ -33,6 +33,7 @@ from .polykernel import (
     interreduce,
     mono_key,
     monomial_hilbert_numerator,
+    numerator_add,
 )
 
 
@@ -135,11 +136,6 @@ class MVec:
 
     def __neg__(self) -> "MVec":
         return MVec(self.module, {i: -p for i, p in self.comps.items()})
-
-    def scale(self, c) -> "MVec":
-        if self.module.ring.field.is_zero(c):
-            return self.module.zero()
-        return MVec(self.module, {i: p.scale(c) for i, p in self.comps.items()})
 
     def term_mul(self, c, exps) -> "MVec":
         if self.module.ring.field.is_zero(c):
@@ -280,8 +276,6 @@ def submodule_hilbert_numerator(gb: list[MVec], module: FreeModule) -> dict[int,
         by_comp.setdefault(c, []).append(m)
     out: dict[int, int] = {}
     for c, monos in by_comp.items():
-        shift = module.degrees[c]
-        out[shift] = out.get(shift, 0) + 1
-        for a, x in monomial_hilbert_numerator(monos).items():
-            out[a + shift] = out.get(a + shift, 0) - x
-    return {a: x for a, x in out.items() if x}
+        one_minus = numerator_add({0: 1}, monomial_hilbert_numerator(monos), -1)
+        out = numerator_add(out, one_minus, 1, module.degrees[c])
+    return out

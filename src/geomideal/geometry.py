@@ -106,10 +106,6 @@ class RationalPoint:
         except ValueError as exc:
             raise PointSyntaxError("BAD_POINT", str(exc)) from None
 
-    @property
-    def d(self) -> int:
-        return len(self.coords) - 1
-
     def apply(self, sigma: ProjAutomorphism, n: int = 1) -> "RationalPoint":
         return RationalPoint.of(self.field, sigma.act_point(self.coords, n))
 
@@ -138,11 +134,14 @@ PERIOD_CAP = 1000  # how far GF(p) orbits and projective orders are scanned
 
 
 def projective_order(sigma: ProjAutomorphism) -> int | None:
-    """Least k >= 1 with sigma^k a scalar matrix, scanning up to PERIOD_CAP."""
+    """Least k >= 1 with sigma^k a scalar matrix, scanning up to PERIOD_CAP
+    with a running product, so no power is left cached on sigma."""
     field = sigma.ring.field
+    power = sigma.matrix
     for k in range(1, PERIOD_CAP + 1):
-        if is_scalar_matrix(field, sigma.power(k)):
+        if is_scalar_matrix(field, power):
             return k
+        power = _mat_mul(field, power, sigma.matrix)
     return None
 
 

@@ -24,7 +24,9 @@ polynomial of the graded Tor is identically zero; that is the
 transversality criterion used here (insensitive to saturating the inputs).
 Transversality asks for Tor modules only when neither of two exact rules
 decides: subschemes that do not meet are transverse, and against a
-principal J the one Tor that can survive is read from Hilbert numerators.
+principal J = (f), f of degree e, the one Tor that can survive is
+Tor_1 = ((I : f)/I)(-e), the kernel of f on (S/I)(-e), whose series
+numerator is the section numerator N(I + f) - (1 - u^e)*N(I) (polykernel).
 
 Over a quotient coordinate ring A = S/Q resolutions are generally infinite.
 free_resolution(I, length, modulo=Q) resolves A/IA to the given length with
@@ -67,12 +69,13 @@ from .polykernel import (
     HilbertPoly,
     HomIdeal,
     Poly,
-    _ideal_numerator,
-    _numerator_mul,
     hilbert_polynomial,
     hilbert_polynomial_from_numerator,
     ideal_sum,
+    numerator_add,
+    numerator_mul,
     saturate,
+    section_numerator,
     series_coefficient,
 )
 
@@ -123,18 +126,10 @@ class FreeResolution:
                 Fj = self.modules[j]
                 bounds = list(self.maps[j].columns) if j < self.length else []
                 bounds += _ideal_times_free(J, Fj)
-                num = _numerator_add(Counter(Fj.degrees), submodule_hilbert_numerator(
+                num = numerator_add(Counter(Fj.degrees), submodule_hilbert_numerator(
                     module_groebner(bounds), Fj), -1)
             self._cokernels[key] = num
         return self._cokernels[key]
-
-
-def _numerator_add(a: dict[int, int], b: dict[int, int], sign: int = 1) -> dict[int, int]:
-    """a + sign*b, zero coefficients dropped."""
-    out = dict(a)
-    for k, x in b.items():
-        out[k] = out.get(k, 0) + sign * x
-    return {k: x for k, x in out.items() if x}
 
 
 def _ideal_times_free(J: HomIdeal, module: FreeModule) -> list[MVec]:
@@ -268,8 +263,8 @@ def tor_from_resolution(res: FreeResolution, J: HomIdeal, j: int) -> TorModule:
     if j < 0:
         raise ValueError("negative homological degree")
     prev = res.modules[j - 1].degrees if 0 < j <= res.length + 1 else ()
-    num = _numerator_add(res.cokernel_numerator(J, j), res.cokernel_numerator(J, j - 1))
-    num = _numerator_add(num, _numerator_mul(Counter(prev), _ideal_numerator(J)), -1)
+    num = numerator_add(res.cokernel_numerator(J, j), res.cokernel_numerator(J, j - 1))
+    num = numerator_add(num, numerator_mul(Counter(prev), J.hilbert_numerator()), -1)
     return TorModule(j, J.ring.nvars, num)
 
 
@@ -289,13 +284,11 @@ class Transversality:
     1. Z and Y do not meet.  A Tor sheaf is supported on the intersection:
        Supp Tor_j(O_Z, O_Y) ⊆ Z ∩ Y (Serre, Algèbre locale, multiplicités;
        Hartshorne, Algebraic Geometry III.6), so they are transverse.
-    2. J = (f) is principal, of degree e.  S/(f) has the resolution
-       0 → S(−e) → S → S/(f) → 0, so Tor_j = 0 for j ≥ 2, and
-       0 → Tor_1 → S/I(−e) → S/I → S/(I + f) → 0 is exact.  The Tor_1
-       sheaf vanishes exactly when the series numerator
-       N(I + f) − (1 − u^e)·N(I) has the zero Hilbert polynomial, that is,
-       when N(I + f) and (1 − u^e)·N(I) give the same one; a failure has
-       j = 1.  I + f is the sum route 1 already computed.
+    2. J = (f) is principal.  S/(f) has the resolution
+       0 → S(−e) → S → S/(f) → 0, so Tor_j = 0 for j ≥ 2, and the Tor_1
+       sheaf vanishes exactly when the section numerator (module
+       docstring) of the sum I + f that route 1 already computed has the
+       zero Hilbert polynomial; a failure has j = 1.
     3. Otherwise Tor_j from a free resolution of I, made on first need and
        kept for every later J.
 
@@ -323,9 +316,8 @@ class Transversality:
             return True, None
         gens = J.gens if len(J.gens) == 1 else J.groebner()
         if len(gens) == 1:
-            lift = _numerator_mul(_ideal_numerator(self.ideal), {0: 1, gens[0].degree: -1})
-            if hilbert_polynomial(self._sum(J)) == hilbert_polynomial_from_numerator(
-                    lift, J.ring.nvars):
+            section = section_numerator(self.ideal, self._sum(J), gens[0].degree)
+            if hilbert_polynomial_from_numerator(section, J.ring.nvars).is_zero():
                 return True, None
             return False, 1
         if self._resolution is None:
@@ -373,7 +365,7 @@ def serre_multiplicity_total(I: HomIdeal, J: HomIdeal) -> Fraction:
         raise ImproperIntersectionError(
             "improper intersection; multiplicity undefined by this operation"
         )
-    euler = _numerator_mul(_ideal_numerator(I), _ideal_numerator(J))
+    euler = numerator_mul(I.hilbert_numerator(), J.hilbert_numerator())
     return hilbert_polynomial_from_numerator(euler, I.ring.nvars).constant_value()
 
 
@@ -448,8 +440,8 @@ def truncated_tor_over_quotient(
     """
     Q = ambient_quotient
     P = saturate(P_ideal)
-    hp = hilbert_polynomial(P)
-    if hp.degree() != 0 or hp(0) != 1:
+    point = point_coordinates(P)
+    if point is None:
         raise UsageError("P_ideal does not define a single rational point")
     for g in Q.gens:
         if not P.contains(g):
@@ -461,7 +453,6 @@ def truncated_tor_over_quotient(
     m_deg = max((g.degree for g in M_ideal.gens), default=1)
     window = j_max + q_deg + m_deg + 2
     res = free_resolution(M_ideal, j_max + 1, modulo=Q)
-    point = point_coordinates(P)
     # ranks[k] belongs to d_(k+1); maps past the resolution's end are zero
     ranks = [_ranks_at_point(d, point, window) for d in res.maps]
     ranks += [([0] * (window + 1), 0)] * (j_max + 1 - len(ranks))

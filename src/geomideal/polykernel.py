@@ -13,12 +13,14 @@ polynomials satisfies.
 
 Quotients.  When I's reduced basis is empty or all linear, S/I is a
 polynomial ring, a domain, so (I : J) is (1) when J ⊆ I and I otherwise.
-Else the generators of J in I are dropped, and for a form h of degree e,
-0 → S/(I : h)(−e) → S/I → S/(I + (h)) → 0 is exact, and I ⊆ (I : h), so h
-is a nonzerodivisor on S/I, that is (I : h) = I, exactly when
-HS(S/(I + (h))) = (1 − t^e)·HS(S/I): two Hilbert numerators, the first
-read off `ideal_sum`'s unreduced extension of I's basis by h.  Once some
-generator g passes, (I : J) ⊆ (I : g) = I, so (I : J) is I.  Otherwise
+Else the generators of J in I are dropped, and the others go to the
+section rule: for a form h of degree e, multiplication by h makes
+0 → ((I : h)/I)(−e) → (S/I)(−e) → S/I → S/(I + (h)) → 0 exact, so the
+Hilbert numerators N over (1 − u)^nvars satisfy
+N(I + (h)) − (1 − u^e)·N(I) = u^e·N((I : h)/I) (`section_numerator`, with
+I + (h) from `ideal_sum`'s unreduced extension of I's basis by h), zero
+exactly when (I : h) = I, that is, when h is a nonzerodivisor on S/I.  Once
+some generator g passes, (I : J) ⊆ (I : g) = I, so (I : J) is I.  Otherwise
 J = (g_1, ..., g_k) is one module preimage: (I : J) = {a : a·(g_1, ...,
 g_k) ∈ I·e_1 + ... + I·e_k} (Greuel & Pfister, A Singular Introduction to
 Commutative Algebra, ch. 2).  `intersect` returns the smaller ideal's
@@ -287,9 +289,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        return max((mono_deg(m) for m in self.terms), default=0)
-
     def lt(self):
         """Leading (monomial, coefficient) under degrevlex."""
         if self._lt is None:
@@ -402,7 +401,7 @@ class Poly:
         """Deterministic total order on polynomials (for canonical listings)."""
         fkey = self.ring.field.sort_key
         return (
-            self.total_degree(),
+            max(map(mono_deg, self.terms), default=0),
             tuple(sorted(((mono_key(m), fkey(c)) for m, c in self.terms.items()), reverse=True)),
         )
 
@@ -683,6 +682,13 @@ class HomIdeal:
                              else reduce_basis(self._basis))
         return self._gb
 
+    def hilbert_numerator(self) -> dict[int, int]:
+        """N(u) of the Hilbert series N(u)/(1−u)^nvars of S/I, built once."""
+        if self._hilbert_numerator is None:
+            basis = self.groebner() if self._basis is None else self._basis
+            self._hilbert_numerator = monomial_hilbert_numerator([g.lm() for g in basis])
+        return self._hilbert_numerator
+
     def normal_forms(self):
         """The linalg.NormalForms table of the reduced basis, built once."""
         if self._normal_forms is None:
@@ -766,10 +772,8 @@ def intersect(I: HomIdeal, J: HomIdeal) -> HomIdeal:
 
 
 def _is_nonzerodivisor(I: HomIdeal, g: Poly) -> bool:
-    """Whether g is a nonzerodivisor on S/I, from Hilbert numerators
-    (module docstring)."""
-    return (_ideal_numerator(ideal_sum(I, HomIdeal(I.ring, [g])))
-            == _numerator_mul(_ideal_numerator(I), {0: 1, g.degree: -1}))
+    """Whether g is a nonzerodivisor on S/I: a zero section numerator."""
+    return not section_numerator(I, ideal_sum(I, HomIdeal(I.ring, [g])), g.degree)
 
 
 def ideal_quotient(I: HomIdeal, J: HomIdeal) -> HomIdeal:
@@ -833,12 +837,27 @@ def _minimalize_monos(monos):
     return out
 
 
-def _numerator_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+def numerator_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """a·b, zero coefficients dropped."""
     out: dict[int, int] = {}
     for i, x in a.items():
         for j, y in b.items():
             out[i + j] = out.get(i + j, 0) + x * y
     return {k: v for k, v in out.items() if v}
+
+
+def numerator_add(a: dict, b: dict, sign: int = 1, shift: int = 0) -> dict[int, int]:
+    """a + sign·u^shift·b, zero coefficients dropped."""
+    out = dict(a)
+    for k, x in b.items():
+        out[k + shift] = out.get(k + shift, 0) + sign * x
+    return {k: x for k, x in out.items() if x}
+
+
+def section_numerator(I: HomIdeal, total: HomIdeal, e: int) -> dict[int, int]:
+    """N(I + (f)) − (1 − u^e)·N(I), total = I + (f), f of degree e (module docstring)."""
+    num = numerator_add(total.hilbert_numerator(), I.hilbert_numerator(), -1)
+    return numerator_add(num, I.hilbert_numerator(), 1, e)
 
 
 def monomial_hilbert_numerator(monos) -> dict[int, int]:
@@ -856,28 +875,13 @@ def monomial_hilbert_numerator(monos) -> dict[int, int]:
     if all(not any(map(min, a, b)) for a, b in combinations(monos, 2)):
         acc = {0: 1}
         for m in monos:
-            acc = _numerator_mul(acc, {0: 1, mono_deg(m): -1})
+            acc = numerator_mul(acc, {0: 1, mono_deg(m): -1})
         return acc
-    # split on the last (largest) generator
-    m = monos[-1]
-    rest = monos[:-1]
-    colon = _minimalize_monos(
-        tuple(max(e - f, 0) for e, f in zip(n, m)) for n in rest
-    )
-    n_rest = monomial_hilbert_numerator(rest)
-    n_colon = monomial_hilbert_numerator(colon)
-    out = dict(n_rest)
-    dm = mono_deg(m)
-    for a, c in n_colon.items():
-        out[a + dm] = out.get(a + dm, 0) - c
-    return {k: v for k, v in out.items() if v}
-
-
-def _ideal_numerator(I: HomIdeal) -> dict[int, int]:
-    if I._hilbert_numerator is None:
-        lt = [g.lm() for g in (I.groebner() if I._basis is None else I._basis)]
-        I._hilbert_numerator = monomial_hilbert_numerator(lt)
-    return I._hilbert_numerator
+    # split on the last (largest) generator; the recursion minimalizes the colon
+    m, rest = monos[-1], monos[:-1]
+    colon = [tuple(max(e - f, 0) for e, f in zip(n, m)) for n in rest]
+    return numerator_add(monomial_hilbert_numerator(rest),
+                         monomial_hilbert_numerator(colon), -1, mono_deg(m))
 
 
 def series_coefficient(num: dict[int, int], nvars: int, n: int) -> int:
@@ -889,7 +893,7 @@ def series_coefficient(num: dict[int, int], nvars: int, n: int) -> int:
 
 def hilbert_function(I: HomIdeal, n: int) -> int:
     """dim_k (S/I)_n."""
-    return series_coefficient(_ideal_numerator(I), I.ring.nvars, n)
+    return series_coefficient(I.hilbert_numerator(), I.ring.nvars, n)
 
 
 @dataclass(frozen=True)
@@ -927,12 +931,6 @@ class HilbertPoly:
         return f"HilbertPoly({self.pretty()})"
 
 
-def _poly_n_trim(out: list) -> tuple:
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def hilbert_polynomial_from_numerator(num: dict[int, int], nvars: int) -> HilbertPoly:
     """Σ c_a·C(n − a + nvars − 1, nvars − 1) over the terms c_a·u^a of N: the
     u^n coefficient of N(u)/(1−u)^nvars for every n ≥ deg N.  With
@@ -945,12 +943,14 @@ def hilbert_polynomial_from_numerator(num: dict[int, int], nvars: int) -> Hilber
         for i in range(1, r + 1):  # times (n + i − a)
             term = [x * (i - a) + y for x, y in zip(term + [0], [0] + term)]
         total = [x + y for x, y in zip(total, term)]
-    return HilbertPoly(_poly_n_trim([Fraction(x, math.factorial(r)) for x in total]))
+    while total and total[-1] == 0:
+        total.pop()
+    return HilbertPoly(tuple(Fraction(x, math.factorial(r)) for x in total))
 
 
 def hilbert_polynomial(I: HomIdeal) -> HilbertPoly:
     """The eventual polynomial n -> dim (S/I)_n."""
-    return hilbert_polynomial_from_numerator(_ideal_numerator(I), I.ring.nvars)
+    return hilbert_polynomial_from_numerator(I.hilbert_numerator(), I.ring.nvars)
 
 
 def codimension(I: HomIdeal) -> int:

@@ -206,9 +206,6 @@ class TwistedElement:
             raise ValueError("cannot add twisted elements of different degrees")
         return TwistedElement(self.degree, self.poly + other.poly)
 
-    def scale(self, c) -> "TwistedElement":
-        return TwistedElement(self.degree, self.poly.scale(c))
-
     def __repr__(self):
         return f"TwistedElement(deg={self.degree}, {self.poly})"
 

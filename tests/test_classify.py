@@ -238,6 +238,18 @@ def test_order_prime_field_beyond_bound_uses_group_order():
     assert (r.order, r.justification) == (3, "finite-matrix-group")
 
 
+def test_projective_order_scan_caches_no_power_past_the_bound():
+    # 11 has order 1008 mod 1009, past PERIOD_CAP, so the projective-order
+    # scan runs to the cap; only the powers the bounded search pulled back
+    # stay cached on sigma
+    F = PrimeField(1009)
+    R = PolyRing(F, 3)
+    sigma = ProjAutomorphism.diagonal(R, ["1", "11", "121"])
+    r = sigma_ideal_order(pt("[1:2:3]", F).ideal(R), sigma, 12)
+    assert (r.order, r.justification) == (None, "order-bound-exhausted")
+    assert max(sigma._powers) <= 12
+
+
 def test_order_bound_validation():
     with pytest.raises(ValueError):
         sigma_ideal_order(ideal("x0"), SIGMA, 0)
@@ -861,6 +873,21 @@ def test_stable_refuted_ct_cert_with_codimension_two_component_text():
     )
 
 
+def test_stable_certified_hyperplane_component_rows():
+    # a declared hyperplane has pure codimension 1 and a certified ct-cert,
+    # but Z is neither zero-dimensional nor declared Gorenstein
+    plane = ideal("x0 + x1 + x2")
+    scene = IdealizerScene(RQ, SIGMA, plane, declared_components=((plane, None),))
+    rep = classify(scene, horizon=12)
+    strong = rep.row("strongly-left-noetherian")
+    assert (strong.verdict, strong.evidence.kind, strong.evidence.horizon) == ("yes", "heuristic", 12)
+    assert strong.detail == "Z has pure codimension 1 and the transversality certificate holds"
+    chi = rep.row("right-chi-levels")
+    assert (chi.verdict, chi.evidence.kind) == ("inconclusive", "not-applicable")
+    assert chi.detail == ("fails right chi_1 (codimension 1, smooth ambient space); the "
+                          "lower level needs a declared Gorenstein structure on Z")
+
+
 # ---------------------------------------------------------------------------
 # classification: ambient quotient probe
 # ---------------------------------------------------------------------------
@@ -885,6 +912,22 @@ def test_quotient_probe_passes_smooth_point():
     row = rep.row("finite-cohomological-dimension")
     assert row.verdict == "yes"
     assert "homological degree 2" in row.detail
+
+
+def test_quotient_probe_uses_the_declared_point_when_z_is_not_a_point():
+    scene = IdealizerScene(RQ, SIGMA, ideal("x0"))
+    rep = classify(scene, sample_points=(pt("[0:0:1]"),), ambient_quotient=ideal(CUBIC))
+    row = rep.row("finite-cohomological-dimension")
+    assert (row.verdict, row.evidence.kind, row.evidence.horizon) == ("yes", "heuristic", 6)
+    assert row.detail.startswith("Tor against the probe point dies at homological degree 2")
+
+
+def test_quotient_probe_without_a_point_is_not_applicable():
+    scene = IdealizerScene(RQ, SIGMA, ideal("x0"))
+    row = classify(scene, ambient_quotient=ideal(CUBIC)).row("finite-cohomological-dimension")
+    assert (row.verdict, row.evidence.kind) == ("inconclusive", "not-applicable")
+    assert row.detail == ("no probe point available: Z is not a single point and no "
+                          "sample point was declared")
 
 
 def test_quotient_probe_rejects_off_curve_point():

@@ -198,6 +198,57 @@ def test_multiple_diagnostics_collected():
     assert "MISSING_FIELD" in codes(err)
 
 
+def diagnostics(text):
+    with pytest.raises(SceneError) as err:
+        parse_scene(text)
+    return [(d.line, d.code, d.message) for d in err.value.diagnostics]
+
+
+@pytest.mark.parametrize("extra", ["field rational", "dim 1", "sigma", "ideal\nx1\nend"])
+def test_duplicate_directive_diagnostic(extra):
+    head = extra.split()[0]
+    assert diagnostics(MINIMAL_P1 + extra + "\n") == [
+        (9, "DUPLICATE_DIRECTIVE", f"{head} given twice")]
+
+
+@pytest.mark.parametrize("dim, message", [
+    ("one", "expected 'dim <d>'"),
+    ("0", "dimension 0 outside 1..9"),
+    ("10", "dimension 10 outside 1..9"),
+])
+def test_bad_dim_diagnostic(dim, message):
+    found = diagnostics(MINIMAL_P1.replace("dim 1", f"dim {dim}"))
+    assert found[0] == (2, "BAD_DIM", message)
+    assert (8, "MISSING_DIM", "scene has no dim declaration") in found
+
+
+@pytest.mark.parametrize("line, message", [
+    ("horizon many", "expected 'horizon <N>'"),
+    ("maxdeg", "expected 'maxdeg <N>'"),
+    ("oracle 0", "oracle must be positive"),
+    ("order-bound -2", "order-bound must be positive"),
+])
+def test_bad_count_diagnostic(line, message):
+    assert diagnostics(MINIMAL_P1 + line + "\n") == [(9, "BAD_COUNT", message)]
+
+
+@pytest.mark.parametrize("head", ["ideal", "against", "component"])
+def test_empty_block_diagnostic(head):
+    assert diagnostics(MINIMAL_P1 + f"{head}\nend\n") == [
+        (9, "EMPTY_BLOCK", f"{head} block has no generators")]
+
+
+def test_zero_generator_diagnostic():
+    assert diagnostics(MINIMAL_P1.replace("x0\nend", "x0\nx1 - x1\nend")) == [
+        (8, "BAD_GENERATOR", "zero generator")]
+
+
+def test_directive_inside_a_block_is_missing_end():
+    text = MINIMAL_P1.replace("x0\nend\n", "x0\nhorizon 3\n")
+    assert diagnostics(text) == [
+        (8, "MISSING_END", "block interrupted by directive 'horizon' before 'end'")]
+
+
 # ---------------------------------------------------------------------------
 # records
 # ---------------------------------------------------------------------------
@@ -341,6 +392,20 @@ def test_resource_cap_exit_four(tmp_path, capsys):
     assert main(["idealizer", scene_path(tmp_path, MINIMAL_P1),
                  "--max-degree", "99"]) == 4
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via", ["flag", "scene"])
+def test_horizon_above_the_cap_exits_four(via, tmp_path, capsys):
+    over = str(cli.HORIZON_CAP + 1)
+    if via == "flag":
+        argv = ["colon", scene_path(tmp_path, MINIMAL_P1), "--horizon", over]
+    else:
+        argv = ["colon", scene_path(tmp_path, MINIMAL_P1 + f"horizon {over}\n")]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"geomideal: resource cap: horizon {over} exceeds "
+                            f"the cap {cli.HORIZON_CAP}\n")
 
 
 def test_byte_identical_runs(tmp_path, capsys):
