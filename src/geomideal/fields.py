@@ -14,11 +14,28 @@ No floating point anywhere.
 
 Since ``int / int`` is a float, a true division on Q scalars must go through
 `RationalField.div` or have a `Fraction` operand.
+
+Integral rows.  Exact linear algebra (`linalg`) works on sparse rows
+``{key: int}`` and needs exactly two steps that depend on the field, so
+each field has them as methods and no caller branches on the field:
+
+- ``split(row)`` writes a sparse row of scalars as a new row of integral
+  numerators over one positive common denominator.  Over Q that is the lcm
+  of the entries' denominators; over GF(p) every scalar is already an int,
+  so the numerators are the scalars themselves, over 1.
+- ``reduce_row(row, den)`` puts an integral row over an integral
+  denominator (nonzero entries, den != 0) into canonical form.  Over Q the
+  gcd of den and every entry is divided out and den made positive: with
+  den = the row's own pivot entry this is the primitive integer row with a
+  positive pivot.  Over GF(p) the entries are reduced mod p and multiplied
+  by den^-1, zeros dropped, over 1: with den = the pivot entry the row is
+  monic.  Over Q a row already in that form is returned as it is.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def is_prime(n: int) -> bool:
@@ -110,6 +127,23 @@ class RationalField:
     def sort_key(self, a):
         return (a.numerator, a.denominator)
 
+    def split(self, row: dict) -> tuple[dict, int]:
+        """(nums, den): integral nums with row = nums/den, den the lcm of
+        the entries' denominators."""
+        den = lcm(*[x.denominator for x in row.values()])
+        if den == 1:
+            return {k: x.numerator for k, x in row.items()}, 1
+        return {k: x.numerator * (den // x.denominator) for k, x in row.items()}, den
+
+    def reduce_row(self, row: dict, den: int) -> tuple[dict, int]:
+        """row/den with the gcd of den and the entries divided out, den > 0."""
+        g = gcd(den, *row.values())
+        if den < 0:
+            g = -g
+        if g == 1:
+            return row, den
+        return {k: x // g for k, x in row.items()}, den // g
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -177,6 +211,18 @@ class PrimeField:
 
     def sort_key(self, a):
         return (a % self.p, 1)
+
+    def split(self, row: dict) -> tuple[dict, int]:
+        """(a copy of row, 1): residues are their own integral numerators."""
+        return dict(row), 1
+
+    def reduce_row(self, row: dict, den: int) -> tuple[dict, int]:
+        """The residues of row/den, zeros dropped, over 1."""
+        p = self.p
+        if den % p == 1:
+            return {k: r for k, x in row.items() if (r := x % p)}, 1
+        inv = self.inv(den)
+        return {k: r for k, x in row.items() if (r := x * inv % p)}, 1
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

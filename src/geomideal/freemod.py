@@ -15,24 +15,27 @@ component, where S(f.e, g.e) = S(f, g).e makes it sound.  The normal form
 is polykernel.divide, the heap division kernel that polynomials share.
 
 Syzygies and preimages tag only the vectors being combined, so their
-output is already a reduced Groebner basis.  Minimal generators keep one
-Buchberger run open (polykernel.GroebnerRun) and add each accepted
-vector's remainder to it, rather than start a fresh run per accepted
-vector.  The Hilbert series of a submodule is one integer numerator summed
-over components.
+output is already a reduced Groebner basis.  Minimal generators are graded
+Nakayama on linear algebra, with no Buchberger run: one `linalg.Echelon`
+per degree, whose columns are (component, monomial) pairs, decides whether
+a vector lies in the span of the ones accepted so far.  The Hilbert series
+of a submodule is one integer numerator summed over components.
 """
 
 from __future__ import annotations
 
+from .linalg import Echelon
 from .polykernel import (
-    GroebnerRun,
     Poly,
     PolyRing,
     buchberger,
+    dim_full_space,
     divide,
     interreduce,
     mono_key,
+    mono_mul,
     monomial_hilbert_numerator,
+    monomials_of_degree,
     numerator_add,
 )
 
@@ -237,28 +240,53 @@ def minimal_generators(vecs: list[MVec], modulo=()) -> list[MVec]:
 
     Greedy in ascending degree: a vector already generated by the accepted
     ones and modulo is dropped (graded Nakayama makes this a minimal set).
-    One GroebnerRun, seeded with modulo, stays open: a vector is tested by
-    its remainder against the run's basis, and a nonzero remainder joins
-    the run, which is completed again.  Membership does not depend on the
-    Groebner basis that decides it, so the accepted list is the one that a
-    fresh module_groebner per accepted vector gives.  The modulo vectors
-    are never returned.
+    That test is linear algebra.  A vector v of degree d lies in the
+    submodule generated by the vectors w so far exactly when its
+    coefficients, indexed by (component, monomial), lie in the k-span of
+    the x^a * w with |a| = d - deg w.  One `linalg.Echelon` per degree holds
+    that span: it is built from every w when the first vector of its
+    degree comes, and a vector it accepts joins it (and every later
+    degree's span) as one more w.  Membership does not depend on how it is
+    decided, so the accepted list is the one that a fresh module_groebner
+    per accepted vector gives.  The modulo vectors are never returned.
     """
-    vecs = [v for v in vecs if not v.is_zero()]
-    for v in vecs:
-        if v.degree is None:
-            raise ValueError("minimal generators require homogeneous vectors")
+    vecs = [(v, v.degree) for v in vecs if not v.is_zero()]
+    spanning = [(w, w.degree) for w in modulo if not w.is_zero()]
+    if any(d is None for _, d in vecs + spanning):
+        raise ValueError("minimal generators require homogeneous vectors")
     accepted: list[MVec] = []
-    run = GroebnerRun(list(modulo), MVec.sort_key, mod_normal_form)
-    run.complete()
-    for v in sorted(vecs, key=MVec.sort_key):
-        r = mod_normal_form(v, run.basis)
-        if r.is_zero():
-            continue
-        accepted.append(v.monic())
-        run.add(r)
-        run.complete()
+    spans: dict[int, tuple[Echelon, dict]] = {}
+    for v, d in sorted(vecs, key=lambda vd: MVec.sort_key(vd[0])):
+        if d not in spans:
+            spans[d] = _degree_span(v.module, d, spanning)
+        ech, columns = spans[d]
+        if ech.insert(_coefficients(v, (0,) * v.ring.nvars, columns)):
+            accepted.append(v.monic())
+            spanning.append((v, d))
     return accepted
+
+
+def _degree_span(module: FreeModule, d: int, spanning) -> tuple[Echelon, dict]:
+    """The echelon of the x^a * w over the (w, deg w) in spanning with
+    deg w <= d and the monomials x^a of degree d - deg w, with the map from
+    (component, monomial) to its column."""
+    ring = module.ring
+    ech = Echelon(ring.field, sum(dim_full_space(ring, d - e) for e in module.degrees))
+    columns: dict = {}
+    for w, e in spanning:
+        for a in monomials_of_degree(ring, d - e):
+            ech.insert(_coefficients(w, a, columns))
+    return ech, columns
+
+
+def _coefficients(w: MVec, a: tuple, columns: dict) -> dict:
+    """The coefficients of x^a * w as a sparse row, columns numbered in
+    order of first appearance."""
+    row = {}
+    for c, p in w.comps.items():
+        for m, x in p.terms.items():
+            row[columns.setdefault((c, mono_mul(m, a)), len(columns))] = x
+    return row
 
 
 # ---------------------------------------------------------------------------

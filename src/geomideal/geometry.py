@@ -436,7 +436,7 @@ def multiplicative_independence(values) -> MultIndependence:
     primes = tuple(sorted({q for e in exps for q in e}))
     # the relations are the left kernel of the exponent matrix (one row per
     # value, one column per prime), and its rank is len(vals) - len(kernel)
-    transposed = [[Fraction(e.get(q, 0)) for e in exps] for q in primes]
+    transposed = [[e.get(q, 0) for e in exps] for q in primes]
     kern = linalg.kernel_basis(QQ, transposed, len(vals))
     rank = len(vals) - len(kern)
     if not kern:

@@ -479,9 +479,8 @@ def _ranks_at_point(d: GradedMap, point, window: int) -> tuple[list[int], int]:
     degrees = d.source.degrees
     by_degree = [0] * (window + 1)
     for c in sorted(range(d.source.rank), key=degrees.__getitem__):
-        col = [field.zero] * d.target.rank
-        for r, f in d.columns[c].comps.items():
-            col[r] = f.evaluate(point)
+        col = {r: x for r, f in d.columns[c].comps.items()
+               if not field.is_zero(x := f.evaluate(point))}
         ech.insert(col)
         if degrees[c] <= window:
             by_degree[degrees[c]] = ech.rank

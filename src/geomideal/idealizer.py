@@ -18,6 +18,7 @@ tested); the oracle is one-sided below that horizon and is documented as such.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from . import linalg
 from .errors import SceneVerificationError
@@ -32,7 +33,6 @@ from .polykernel import (
     ideal_equal,
     ideal_quotient,
     intersect,
-    monomials_of_degree,
     saturate,
 )
 from .twist import DegreePiece, ProjAutomorphism, TwistedElement, twist_multiply
@@ -153,7 +153,10 @@ def exhaustive_oracle_piece(scene: IdealizerScene, n: int, M: int) -> DegreePiec
     monomials, read from I's one table (`HomIdeal.normal_forms`): each
     monomial is reduced once per scene, for every degree n and for the
     colon pieces that equal I's.  The pulled-back generators are the
-    scene's (`IdealizerScene.pulled_ideal`), shared with the colon.
+    scene's (`IdealizerScene.pulled_ideal`), shared with the colon.  The
+    residues come out integral, each over one denominator; over the lcm L
+    of a generator's residue denominators its condition rows are integral,
+    and scaling a row changes no solution.
 
     The condition rows enter the echelon with their columns reversed, so
     its pivots are the last monomials, and each kernel vector has 1 at its
@@ -163,27 +166,34 @@ def exhaustive_oracle_piece(scene: IdealizerScene, n: int, M: int) -> DegreePiec
     row-reduced basis, with no second elimination.
     """
     ring = scene.ring
-    fieldk = ring.field
     if n == 0:
         return DegreePiece(0, (ring.one(),))
-    monos = monomials_of_degree(ring, n)
     nf = scene.ideal.normal_forms()
+    monos = nf.monomials(n)
+    last = len(monos) - 1
     # columns = monos, last first; one condition per (g, monomial of a residue)
-    conditions = linalg.Echelon(fieldk, len(monos))
+    conditions = linalg.Echelon(ring.field, len(monos))
     # g o sigma^n has the degree of g, and the echelon does not depend on
     # the order of its rows
     for pulled in scene.pulled_ideal(n).gens:
         if pulled.degree > M:
             continue
-        # nf(x . g') = nf(x . nf(g')), and nf(g') is short
-        reduced = nf.terms(pulled.terms)
-        residues = [nf.terms(reduced, mu) for mu in reversed(monos)]
-        for t in {t for r in residues for t in r}:
-            conditions.insert([r.get(t, fieldk.zero) for r in residues])
+        # nf(x . g') = nf(x . nf(g')), and nf(g') is short; its denominator
+        # scales every condition row of g alike
+        (reduced, _), = nf.shifted(pulled.terms, [(0,) * ring.nvars])
+        residues = nf.shifted(reduced, reversed(monos))
+        L = lcm(*[d for _, d in residues])
+        rows: dict[tuple, dict] = {}
+        for col, (nums, d) in enumerate(residues):
+            f = L // d
+            for t, x in nums.items():
+                if x:
+                    rows.setdefault(t, {})[col] = f * x
+        for row in rows.values():
+            conditions.insert(row)
     out = []
-    for v in reversed(conditions.kernel()):
-        terms = {m: c for m, c in zip(monos, reversed(v)) if not fieldk.is_zero(c)}
-        out.append(Poly(ring, terms))
+    for v in reversed(conditions.sparse_kernel()):
+        out.append(Poly(ring, {monos[last - c]: v[c] for c in sorted(v, reverse=True)}))
     return DegreePiece(n, tuple(out))
 
 

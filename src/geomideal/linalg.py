@@ -3,26 +3,36 @@ the reduced bases of linear ideals, and normal forms modulo a Groebner
 basis as a linear map.
 
 Every elimination in the engine goes through `Echelon`, a row space grown
-one row at a time.  Its rows are sparse (``{column: scalar}``), fully
-reduced (pivot entry 1, zeros above and below every pivot) and keyed by
-pivot column, so inserting a row costs one pass over the pivots it meets
-and nothing already reduced is reduced again.  Scalars are the field's own
-values: over Q an int when integral and a `Fraction` otherwise, ints in
-[0, p) over GF(p).  No floating point: every division goes through
-`field.div`/`field.inv`, since ``int / int`` would be a float.
+one row at a time.  Its one entry point takes sparse rows
+(``{column: nonzero scalar}``; over GF(p) any integers standing for the
+residues), and it hands back sparse kernel vectors; `rref`, `rank`, `kernel_basis` and
+`in_row_space` are thin dense wrappers over it for callers that hold a
+whole matrix (lists of rows).
 
-The reduced row echelon form of a matrix is unique, so `Echelon.rows()` and
-`Echelon.kernel()` do not depend on the order in which rows were inserted,
-and every caller sees the same numbers as from a from-scratch elimination.
-`rref`, `rank`, `kernel_basis` and `in_row_space` are thin wrappers over it
-for callers that hold a whole dense matrix (lists of rows).
-`linear_groebner_basis` reads the reduced Groebner basis of linear forms
-off one echelon: in degree 1 degrevlex orders x0 > ... > xd, so that basis
-is the reduced row echelon form with x_i as column i.
+Rows are stored fraction-free, keyed by pivot column.  On insert a row's
+denominators are cleared (`field.split`), the stored rows are eliminated
+from it by integer cross-multiplication, and what is left is put in the
+field's canonical integral form (`field.reduce_row` with the pivot entry
+as denominator): over Q the primitive integer row with a positive pivot,
+over GF(p) the monic row of residues, whose cross factor is 1 and is
+skipped.  Stored rows are zero on each other's pivot columns, so a row is
+reduced by one pass over the pivots it meets and nothing already reduced
+is reduced again.  A row is divided by its pivot only when `rows()` or a
+kernel is read.  No floating point: that division goes through
+`field.div`, since ``int / int`` would be a float.
+
+The reduced row echelon form of a matrix is unique, and so is its
+canonical integral form, so the stored rows, `rows()` and the kernels do
+not depend on the order in which rows were inserted: every caller sees the
+same numbers as from a from-scratch elimination.  `linear_groebner_basis`
+reads the reduced Groebner basis of linear forms off one echelon: in
+degree 1 degrevlex orders x0 > ... > xd, so that basis is the reduced row
+echelon form with x_i as column i.
 
 `NormalForms` tabulates the normal-form map on monomials: a normal form
 modulo a Groebner basis is unique, hence linear, so the normal form of any
-polynomial is the combination of its monomials' cached normal forms.
+polynomial is the combination of its monomials' cached normal forms.  Its
+entries are integral too, one integer denominator over integer numerators.
 
 Over the polynomial ring itself, `exact_quotient` divides one polynomial by
 another when the division is exact, and `det_adjugate` gives the
@@ -32,18 +42,40 @@ elimination, whose every division is exact.
 
 from __future__ import annotations
 
-from .polykernel import Poly, PolyRing, mono_div, mono_divides, mono_key, mono_mul
+from math import gcd, lcm
+
+from .polykernel import (
+    Poly,
+    PolyRing,
+    mono_div,
+    mono_divides,
+    mono_key,
+    mono_mul,
+    monomials_of_degree,
+)
+
+
+def _scalars(field, nums: dict, den: int) -> dict:
+    """The field scalars x/den of a canonical integral row over den, or
+    their negatives over -den, as a new dict."""
+    if den == 1:
+        return dict(nums)
+    if den == -1:
+        neg = field.neg
+        return {k: neg(x) for k, x in nums.items()}
+    div = field.div
+    return {k: div(x, den) for k, x in nums.items()}
 
 
 class Echelon:
-    """The reduced row echelon form of the rows inserted so far."""
+    """The row space of the rows inserted so far, in canonical integral form."""
 
     __slots__ = ("field", "ncols", "_rows")
 
     def __init__(self, field, ncols: int):
         self.field = field
         self.ncols = ncols
-        self._rows: dict[int, dict] = {}  # pivot column -> sparse reduced row
+        self._rows: dict[int, dict] = {}  # pivot column -> canonical integral row
 
     @property
     def rank(self) -> int:
@@ -53,76 +85,102 @@ class Echelon:
     def pivots(self) -> list[int]:
         return sorted(self._rows)
 
-    def residue(self, row) -> dict:
-        """Sparse remainder of a dense row after clearing every pivot column.
+    def residue(self, row: dict) -> dict:
+        """A nonzero integral multiple of what is left of a sparse row once
+        every pivot column is cleared: empty exactly when the row lies in
+        the row space.
 
-        Stored rows are zero on each other's pivots, so clearing one pivot
-        never disturbs another, and one pass over the pivots the row meets
-        suffices."""
+        Stored rows are zero on each other's pivots, so the row's entry at
+        a pivot p is never changed by clearing another, and the row minus
+        sum (v_p / a_p) * r_p, over the stored rows r_p it meets with pivot
+        entries a_p, is the remainder.  It is scaled by the lcm of the
+        reduced denominators a_p / gcd(a_p, v_p) up front, so every
+        multiplier is an integer; over GF(p) every a_p is 1."""
         field = self.field
-        is_zero, sub, mul, zero = field.is_zero, field.sub, field.mul, field.zero
-        v = {c: x for c, x in enumerate(row) if not is_zero(x)}
-        for p in [c for c in v if c in self._rows]:
-            f = v.pop(p)
-            for c, y in self._rows[p].items():
+        rows = self._rows
+        v, _ = field.split(row)
+        hits = [(p, rows[p]) for p in v if p in rows]
+        if not hits:
+            return field.reduce_row(v, 1)[0]
+        scale = lcm(*[a // gcd(a, v[p]) for p, r in hits if (a := r[p]) != 1])
+        if scale != 1:
+            v = {c: scale * x for c, x in v.items()}
+        from_int = field.from_int
+        for p, r in hits:
+            f = from_int(v.pop(p)) // r[p]
+            if not f:
+                continue
+            for c, y in r.items():
                 if c != p:
-                    x = sub(v.get(c, zero), mul(f, y))
-                    if is_zero(x):
-                        del v[c]
-                    else:
+                    x = v.get(c, 0) - f * y
+                    if x:
                         v[c] = x
-        return v
+                    else:
+                        del v[c]
+        return field.reduce_row(v, 1)[0]
 
-    def insert(self, row) -> bool:
-        """Add a dense row; True iff it was not already in the row space."""
+    def insert(self, row: dict) -> bool:
+        """Add a sparse row; True iff it was not already in the row space."""
         v = self.residue(row)
         if not v:
             return False
-        field = self.field
-        is_zero, sub, mul, zero = field.is_zero, field.sub, field.mul, field.zero
+        reduce_row = self.field.reduce_row
         p = min(v)
-        inv = field.inv(v.pop(p))
-        v = {c: mul(inv, x) for c, x in v.items()}
-        for r in self._rows.values():
-            f = r.pop(p, None)
+        v = reduce_row(v, v[p])[0]
+        a = v[p]
+        rows = self._rows
+        for q, r in rows.items():
+            f = r.get(p)
             if f is None:
                 continue
+            b = a
+            if b != 1:
+                g = gcd(b, f)
+                b, f = b // g, f // g
+                r = {c: b * x for c, x in r.items()}
+            del r[p]
             for c, y in v.items():
-                x = sub(r.get(c, zero), mul(f, y))
-                if is_zero(x):
-                    del r[c]
-                else:
-                    r[c] = x
-        v[p] = field.one
-        self._rows[p] = v
+                if c != p:
+                    x = r.get(c, 0) - f * y
+                    if x:
+                        r[c] = x
+                    else:
+                        del r[c]
+            rows[q] = reduce_row(r, r[q])[0]
+        rows[p] = v
         return True
+
+    def sparse_rows(self) -> list[dict]:
+        """The reduced rows {column: scalar}, pivot entry 1, in increasing
+        pivot order."""
+        field = self.field
+        return [_scalars(field, r, r[p]) for p, r in sorted(self._rows.items())]
 
     def rows(self) -> list[list]:
         """The reduced rows as dense lists, in increasing pivot order."""
-        zero = self.field.zero
-        out = []
-        for p in self.pivots:
-            dense = [zero] * self.ncols
-            for c, x in self._rows[p].items():
-                dense[c] = x
-            out.append(dense)
-        return out
+        return [self._dense(r) for r in self.sparse_rows()]
+
+    def sparse_kernel(self) -> list[dict]:
+        """Basis of {v : A v = 0} as sparse vectors, one per free column (in
+        increasing order) with 1 there, 0 at every other free column, and
+        minus the reduced rows' entries in that column at the pivots."""
+        field = self.field
+        out = {fc: {fc: field.one} for fc in range(self.ncols) if fc not in self._rows}
+        for p, r in sorted(self._rows.items()):
+            for c, x in _scalars(field, r, -r[p]).items():
+                if c != p:
+                    out[c][p] = x
+        return list(out.values())
 
     def kernel(self) -> list[list]:
-        """Basis of {v : A v = 0}, one vector per free column (in increasing
-        order) with 1 there and 0 at every other free column."""
-        field = self.field
-        zero, neg = field.zero, field.neg
-        out = []
-        for fc in range(self.ncols):
-            if fc in self._rows:
-                continue
-            v = [zero] * self.ncols
-            v[fc] = field.one
-            for p, r in self._rows.items():
-                v[p] = neg(r.get(fc, zero))
-            out.append(v)
-        return out
+        """`sparse_kernel` as dense lists."""
+        return [self._dense(v) for v in self.sparse_kernel()]
+
+    def _dense(self, v: dict) -> list:
+        dense = [self.field.zero] * self.ncols
+        for c, x in v.items():
+            dense[c] = x
+        return dense
 
 
 def linear_groebner_basis(forms) -> list[Poly] | None:
@@ -146,15 +204,9 @@ def linear_groebner_basis(forms) -> list[Poly] | None:
     xs = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     ech = Echelon(field, n)
     for f in forms:
-        row = [field.zero] * n
-        for m, c in f.terms.items():
-            row[m.index(1)] = c
-        ech.insert(row)
-    out = []
-    for p in ech.pivots:
-        r = ech._rows[p]
-        out.append(Poly(ring, {xs[c]: r[c] for c in sorted(r)}, (xs[p], field.one)))
-    return out
+        ech.insert({m.index(1): c for m, c in f.terms.items()})
+    return [Poly(ring, {xs[c]: r[c] for c in sorted(r)}, (xs[p], field.one))
+            for p, r in zip(ech.pivots, ech.sparse_rows())]
 
 
 def _echelon(field, rows, ncols=None) -> Echelon:
@@ -162,8 +214,13 @@ def _echelon(field, rows, ncols=None) -> Echelon:
         ncols = len(rows[0]) if rows else 0
     ech = Echelon(field, ncols)
     for r in rows:
-        ech.insert(r)
+        ech.insert(_sparse(field, r))
     return ech
+
+
+def _sparse(field, row) -> dict:
+    is_zero = field.is_zero
+    return {c: x for c, x in enumerate(row) if not is_zero(x)}
 
 
 def rref(field, rows):
@@ -186,90 +243,111 @@ def kernel_basis(field, rows, ncols):
 
 def in_row_space(field, rows, vector) -> bool:
     """True iff vector is a linear combination of the given rows."""
-    return not _echelon(field, rows, len(vector)).residue(vector)
+    return not _echelon(field, rows, len(vector)).residue(_sparse(field, vector))
+
+
+def _accumulate(pairs) -> tuple[dict, int]:
+    """sum a * nums/d over the (a, (nums, d)) pairs, as integral numerators
+    (zeros possible) over the lcm of the d."""
+    if len(pairs) == 1:
+        (a, (nums, d)), = pairs
+        return {s: a * x for s, x in nums.items()}, d
+    common = lcm(*[d for _, (_, d) in pairs])
+    acc: dict = {}
+    for a, (nums, d) in pairs:
+        f = a * (common // d)
+        for s, x in nums.items():
+            acc[s] = acc.get(s, 0) + f * x
+    return acc, common
 
 
 class NormalForms:
-    """Normal forms modulo one fixed Groebner basis, from cached monomials.
+    """Normal forms modulo one fixed homogeneous Groebner basis, tabulated
+    on monomials a whole degree at a time.
 
     The basis must be a Groebner basis, so that nf(sum c_t t) =
     sum c_t nf(t) and each monomial is reduced once per table.  A monomial
-    divisible by the leading monomial lm of the first basis element g that
-    divides it reduces to the combination of the (smaller) monomials of its
-    quotient times the tail of g; those are looked up or reduced first,
-    with an explicit stack instead of recursion.
+    m that the leading monomial lm of some basis element g divides (the
+    first such g) reduces to the combination of the monomials m/lm * t over
+    the tail terms t of g.  Those are smaller than m and of its degree, so
+    a degree filled in increasing monomial order finds every one of them
+    already filled: no stack and no second visit.
+
+    Each entry is integral: (nums, den) with nf(m) = sum nums[s]/den * s,
+    in the field's canonical form (`field.reduce_row`), so over Q the
+    table holds no `Fraction` and a combination is integer arithmetic over
+    one common denominator.  The table keeps each filled degree's monomial
+    list, which the degree pieces and the idealizer oracle read.
     """
 
     def __init__(self, ring: PolyRing, basis: list[Poly]):
         field = ring.field
         self.ring = ring
-        self._divisors = [
-            (g.lm(), [(t, field.neg(field.div(c, g.lc())))
-                      for t, c in g.terms.items() if t != g.lm()])
-            for g in basis if not g.is_zero()
-        ]
-        self._cache: dict[tuple, dict] = {}
-
-    def monomial(self, mono: tuple) -> dict:
-        """nf(x^mono) as a dict monomial -> nonzero scalar (do not mutate)."""
-        cache = self._cache
-        if mono in cache:
-            return cache[mono]
-        field = self.ring.field
-        add, mul, is_zero, zero = field.add, field.mul, field.is_zero, field.zero
-        stack = [mono]
-        while stack:
-            m = stack[-1]
-            if m in cache:
-                stack.pop()
+        self._divisors = []
+        for g in basis:
+            if g.is_zero():
                 continue
-            hit = next(((lm, tail) for lm, tail in self._divisors
-                        if mono_divides(lm, m)), None)
-            if hit is None:
-                cache[m] = {m: field.one}
-                stack.pop()
-                continue
-            lm, tail = hit
-            q = mono_div(m, lm)
-            deps = [(mono_mul(t, q), a) for t, a in tail]
-            missing = [d for d, _ in deps if d not in cache]
-            if missing:
-                stack.extend(missing)
-                continue
-            res: dict = {}
-            for d, a in deps:
-                for s, e in cache[d].items():
-                    res[s] = add(res.get(s, zero), mul(a, e))
-            cache[m] = {s: x for s, x in res.items() if not is_zero(x)}
-            stack.pop()
-        return cache[mono]
+            lm = g.lm()
+            nums, _ = field.split(g.terms)
+            self._divisors.append(
+                (lm, nums[lm], [(t, -x) for t, x in nums.items() if t != lm]))
+        self._table: dict[tuple, tuple[dict, int]] = {}
+        self._monos: dict[int, list[tuple]] = {}
 
-    def terms(self, terms: dict, shift: tuple | None = None) -> dict:
-        """nf(x^shift * sum c_t x^t) for terms = {t: c_t}, as a dict
-        monomial -> scalar (zero entries possible)."""
-        field = self.ring.field
-        add, mul, zero = field.add, field.mul, field.zero
-        res: dict = {}
-        for t, c in terms.items():
-            for s, e in self.monomial(t if shift is None else mono_mul(t, shift)).items():
-                res[s] = add(res.get(s, zero), mul(c, e))
-        return res
+    def monomials(self, n: int) -> list[tuple]:
+        """The degree-n monomials in decreasing order, their normal forms
+        filled (do not mutate)."""
+        monos = self._monos.get(n)
+        if monos is None:
+            monos = self._monos[n] = monomials_of_degree(self.ring, n)
+            table, reduce_row = self._table, self.ring.field.reduce_row
+            for m in reversed(monos):
+                for lm, lc, tail in self._divisors:
+                    if mono_divides(lm, m):
+                        q = mono_div(m, lm)
+                        acc, d = _accumulate([(a, table[mono_mul(t, q)]) for t, a in tail])
+                        table[m] = reduce_row({s: x for s, x in acc.items() if x}, lc * d)
+                        break
+                else:
+                    table[m] = ({m: 1}, 1)
+        return monos
 
-    def piece(self, monos) -> list[Poly]:
-        """The rows m - nf(m), in the given order, for the monomials m of
-        monos that a leading monomial of the basis divides: m is one
-        exactly when m is not a term of nf(m).  Over the degree-n
-        monomials in decreasing order these are the reduced echelon basis
-        of the degree-n piece of the ideal (polykernel.degree_piece_basis)."""
-        field = self.ring.field
-        one, neg = field.one, field.neg
+    def _entry(self, m: tuple) -> tuple[dict, int]:
+        """The table entry of m, its degree filled first when it is new."""
+        entry = self._table.get(m)
+        if entry is None:
+            self.monomials(sum(m))
+            entry = self._table[m]
+        return entry
+
+    def shifted(self, terms: dict, shifts) -> list[tuple[dict, int]]:
+        """nf(x^mu * sum c_t x^t) for terms = {t: c_t} and each mu of
+        shifts, as integral numerators (zeros possible) over one positive
+        denominator each, not reduced."""
+        nums, den = self.ring.field.split(terms)
+        get, entry = self._table.get, self._entry
+        terms = list(nums.items())
         out = []
-        for m in monos:
-            tail = self.monomial(m)
-            if m not in tail:
+        for mu in shifts:
+            acc, d = _accumulate([(c, get(m) or entry(m))
+                                  for t, c in terms for m in (mono_mul(t, mu),)])
+            out.append((acc, den * d))
+        return out
+
+    def piece(self, n: int) -> list[Poly]:
+        """The rows m - nf(m), in decreasing order, for the degree-n
+        monomials m that a leading monomial of the basis divides: m is one
+        exactly when m is not a term of nf(m).  These are the reduced
+        echelon basis of the degree-n piece of the ideal
+        (polykernel.degree_piece_basis)."""
+        field = self.ring.field
+        one = field.one
+        out = []
+        for m in self.monomials(n):
+            nums, den = self._table[m]
+            if m not in nums:
                 row = {m: one}
-                for t, c in tail.items():
-                    row[t] = neg(c)
+                row.update(_scalars(field, nums, -den))
                 out.append(Poly(self.ring, row, (m, one)))
         return out
 

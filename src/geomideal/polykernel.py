@@ -527,11 +527,8 @@ class GroebnerRun:
     tie-break, and a heap hands them out in key order; the pending set
     mirrors it for the chain criterion.
 
-    add(g) appends a nonzero g, made monic, and pushes its pairs; complete()
-    takes pairs until the heap is empty, so the basis is then a Groebner
-    basis (not yet interreduced) of everything added.  A caller that grows
-    a module one element at a time keeps one run open and never recomputes
-    the pairs it already reduced.
+    complete() takes pairs until the heap is empty, so the basis is then a
+    Groebner basis (not yet interreduced) of everything pushed.
 
     A run may start from a finished block, monic elements that already form
     a Groebner basis (I's reduced basis in ideal_sum).  They enter first,
@@ -557,10 +554,6 @@ class GroebnerRun:
         self.pending: set[tuple[int, int]] = set()
         for g in sorted((g.monic() for g in gens if not g.is_zero()), key=sort_key):
             self._push(g)
-
-    def add(self, g) -> None:
-        """Append the nonzero g, made monic, and push its pairs."""
-        self._push(g.monic())
 
     def _push(self, g) -> None:
         G, heap, pending = self.basis, self.heap, self.pending
@@ -977,9 +970,10 @@ def degree_piece_basis(I: HomIdeal, n: int) -> list[Poly]:
     first.  Every tail term is a standard monomial, so these rows are the
     unique reduced echelon form (module docstring).  The nf(m) come from
     I's one table of monomial normal forms (HomIdeal.normal_forms), which
-    reduces each monomial once, from the tail of its first divisor, and
-    serves every degree and every other reader of the table."""
-    return I.normal_forms().piece(monomials_of_degree(I.ring, n))
+    fills a degree at a time, reducing each monomial once from the tail of
+    its first divisor, and serves every degree and every other reader of
+    the table."""
+    return I.normal_forms().piece(n)
 
 
 def monomials_of_degree(ring: PolyRing, n: int) -> list[tuple]:

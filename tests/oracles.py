@@ -61,6 +61,25 @@ def rref_rank(rows, char=0):
     return rows, rank
 
 
+def gauss_jordan(rows, ncols, char=0):
+    """(reduced rows, pivot columns, kernel) of a dense matrix by plain
+    Gauss-Jordan elimination on Fractions (char 0) or residues mod char.
+    The kernel of {v : A v = 0} has one vector per free column, in
+    increasing order, with 1 there, 0 at the other free columns and minus
+    the reduced rows' entries in that column at the pivots."""
+    reduced, rank = rref_rank(rows, char)
+    reduced = reduced[:rank]
+    pivots = [next(c for c, x in enumerate(row) if x != 0) for row in reduced]
+    kernel = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[free] = 1
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[free] % char if char else -row[free]
+        kernel.append(v)
+    return reduced, pivots, kernel
+
+
 def in_span(rows, vec, char=0):
     _, r0 = rref_rank(rows, char)
     _, r1 = rref_rank(list(rows) + [vec], char)
@@ -393,11 +412,15 @@ def rref_oracle_piece(scene, n, forms):
     monos = monomials_of_degree(ring, n)
     nf = linalg.NormalForms(ring, list(scene.ideal.groebner()))
     conditions = linalg.Echelon(field, len(monos))
+    def terms(terms, shift=None):
+        (nums, den), = nf.shifted(terms, [shift or (0,) * ring.nvars])
+        return {t: field.div(x, den) for t, x in nums.items() if not field.is_zero(x)}
+
     for b in forms:
-        reduced = nf.terms(scene.sigma.pullback(b, n).terms)
-        residues = [nf.terms(reduced, mu) for mu in monos]
+        reduced = terms(scene.sigma.pullback(b, n).terms)
+        residues = [terms(reduced, mu) for mu in monos]
         for t in {t for r in residues for t in r}:
-            conditions.insert([r.get(t, field.zero) for r in residues])
+            conditions.insert({j: r[t] for j, r in enumerate(residues) if t in r})
     rows, _ = linalg.rref(field, conditions.kernel())
     return [Poly(ring, {monos[i]: c for i, c in enumerate(v) if not field.is_zero(c)})
             for v in rows]

@@ -250,6 +250,18 @@ def test_projective_order_scan_caches_no_power_past_the_bound():
     assert max(sigma._powers) <= 12
 
 
+def test_group_order_route_caches_no_power_past_the_bound():
+    # 7 has order 996 mod 997, so sigma^996 is scalar and fixes the point;
+    # the powers past the bound 12 (the divisors 83 ... 996 of 996) are
+    # taken by squaring, and only the bounded scan's 0..12 stay cached
+    F = PrimeField(997)
+    R = PolyRing(F, 3)
+    sigma = ProjAutomorphism.diagonal(R, ["1", "7", "49"])
+    r = sigma_ideal_order(pt("[1:2:3]", F).ideal(R), sigma, 12)
+    assert (r.order, r.justification) == (996, "finite-matrix-group")
+    assert (len(sigma._powers), len(sigma._pullbacks)) == (13, 12)
+
+
 def test_order_bound_validation():
     with pytest.raises(ValueError):
         sigma_ideal_order(ideal("x0"), SIGMA, 0)

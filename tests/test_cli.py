@@ -562,3 +562,24 @@ def test_generators_rescaled_reordered_and_padded_change_no_output(case, tmp_pat
             if command == "colon" and case != "fat_point":
                 assert tests == []
         assert outs[0] == outs[1]
+
+
+CURVES = sorted((ROOT / "scenes" / "curves").glob("*.scene"))
+# the commands that need a line the probe curves do not have
+NEEDS = {"tor": "against", "transverse": "against", "bezout": "against",
+         "orbit": "point"}
+
+
+@pytest.mark.parametrize("path", CURVES, ids=lambda p: p.stem)
+def test_probe_curves_run_under_every_command(path, capsys):
+    """Each probe curve exits 0 with nothing on stderr under every command,
+    or 2, with no traceback, where the command needs a line it lacks."""
+    assert [p.stem for p in CURVES] == ["ci3", "rnc4", "rnc5", "rnc6", "tc3"]
+    for command in cli.COMMANDS:
+        code = main([command, str(path)])
+        err = capsys.readouterr().err
+        if command in NEEDS:
+            assert code == 2 and f"'{NEEDS[command]}'" in err
+            assert "Traceback" not in err
+        else:
+            assert (code, err) == (0, "")

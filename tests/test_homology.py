@@ -92,6 +92,20 @@ def test_resolution_square_free_products():
     assert res.modules[2].degrees == (3, 3)
 
 
+@pytest.mark.parametrize("D", [3, 4, 5, 6])
+def test_rational_normal_curve_has_the_eagon_northcott_betti_numbers(D):
+    """The rational normal curve in P^D, cut out by the 2x2 minors of
+    [[x0 ... x(D-1)], [x1 ... xD]], has beta_i = i*C(D, i+1) syzygies, all
+    in degree i + 1 (Eagon-Northcott; Eisenbud, The Geometry of Syzygies,
+    2005, ch. 6): expected numbers from the formula alone."""
+    ring = PolyRing(QQ, D + 1)
+    I = HomIdeal.from_strings(ring, [f"x{i}*x{j + 1} - x{i + 1}*x{j}"
+                                     for i in range(D) for j in range(i + 1, D)])
+    res = free_resolution(I)
+    want = [(0,)] + [(i + 1,) * (i * comb(D, i + 1)) for i in range(1, D)]
+    assert [F.degrees for F in res.modules] == want
+
+
 def test_resolution_length_clamped_to_ambient():
     I = ideal(RQ, "x0", "x1", "x2")
     res = free_resolution(I, length=10)

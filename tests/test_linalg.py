@@ -1,19 +1,25 @@
 """The incremental echelon kernel, checked against the reference elimination.
 
-`oracles.rref_rank` is a from-scratch dense Gauss-Jordan pass that shares no
-code with `geomideal.linalg`; every property below is over Q, GF(7) and
-GF(32003), on small matrices with many zeros so that rank drops are common.
-The polynomial-matrix helpers are checked against the Leibniz formula and
-the oracle's naive division.
+`oracles.rref_rank` and `oracles.gauss_jordan` are from-scratch dense
+Gauss-Jordan passes that share no code with `geomideal.linalg`; the
+properties below are over Q, GF(7) and GF(32003), on small matrices with
+many zeros so that rank drops are common, and over Q with non-integral
+entries too.  The table of monomial normal forms is checked against
+`polykernel.normal_form`.  The polynomial-matrix helpers are checked
+against the Leibniz formula and the oracle's naive division.
 """
 
+import math
+from fractions import Fraction
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from geomideal import linalg
 from geomideal.fields import QQ, PrimeField
-from geomideal.polykernel import PolyRing
+from geomideal.polykernel import HomIdeal, PolyRing, normal_form
 
 FIELDS = (QQ, PrimeField(7), PrimeField(32003))
 
@@ -34,6 +40,11 @@ def reference(field, rows):
     return reduced[:r], r
 
 
+def sparse(field, row):
+    """A dense row as the echelon's sparse input."""
+    return {c: x for c, x in enumerate(row) if not field.is_zero(x)}
+
+
 @settings(max_examples=150, deadline=None)
 @given(field_and_matrix())
 def test_insert_is_true_exactly_when_the_rank_grows(case):
@@ -41,7 +52,7 @@ def test_insert_is_true_exactly_when_the_rank_grows(case):
     ech = linalg.Echelon(field, ncols)
     for i, row in enumerate(rows):
         before = ech.rank
-        grew = ech.insert(row)
+        grew = ech.insert(sparse(field, row))
         assert grew == (ech.rank == before + 1)
         assert grew or ech.rank == before
         assert ech.rank == reference(field, rows[:i + 1])[1]
@@ -54,7 +65,7 @@ def test_dense_listing_is_the_reference_rref_in_every_insertion_order(data):
     order = data.draw(st.permutations(range(len(rows))))
     ech = linalg.Echelon(field, ncols)
     for i in order:
-        ech.insert(rows[i])
+        ech.insert(sparse(field, rows[i]))
     expected, r = reference(field, rows)
     assert ech.rows() == expected
     assert ech.rank == r
@@ -70,7 +81,7 @@ def test_kernel_vectors_are_annihilated_and_count_ncols_minus_rank(case):
     field, ncols, rows = case
     ech = linalg.Echelon(field, ncols)
     for row in rows:
-        ech.insert(row)
+        ech.insert(sparse(field, row))
     kernel = ech.kernel()
     assert len(kernel) == ncols - ech.rank
     for v in kernel:
@@ -83,6 +94,47 @@ def test_kernel_vectors_are_annihilated_and_count_ncols_minus_rank(case):
     if kernel:
         assert reference(field, kernel)[1] == len(kernel)
     assert linalg.kernel_basis(field, rows, ncols) == kernel
+
+
+@st.composite
+def rows_with_fractions(draw):
+    """(field, ncols, dense rows) over Q or GF(7): entries with
+    denominators 2, 3 and 4, often a zero row and a repeated row."""
+    field = draw(st.sampled_from((QQ, PrimeField(7))))
+    ncols = draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-3, 4),
+                             Fraction(5, 3)]).map(field.from_fraction)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    if draw(st.booleans()):
+        rows.append([field.zero] * ncols)
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    return field, ncols, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_echelon_is_the_gauss_jordan_oracle_in_every_insertion_order(data):
+    """rows(), pivots, rank, kernel() and the sparse kernel equal the plain
+    Gauss-Jordan pass, whatever the order of insertion; over Q every stored
+    row is a primitive integer row with a positive pivot, and over GF(7) a
+    monic row of residues."""
+    field, ncols, rows = data.draw(rows_with_fractions())
+    order = data.draw(st.permutations(range(len(rows))))
+    ech = linalg.Echelon(field, ncols)
+    for i in order:
+        ech.insert(sparse(field, rows[i]))
+    want_rows, want_pivots, want_kernel = oracles.gauss_jordan(rows, ncols, field.char)
+    assert ech.rows() == want_rows
+    assert ech.pivots == want_pivots and ech.rank == len(want_pivots)
+    assert ech.kernel() == want_kernel
+    assert ech.sparse_kernel() == [sparse(field, v) for v in want_kernel]
+    for p, row in ech._rows.items():
+        assert all(type(x) is int and x != 0 for x in row.values())
+        if field.char:
+            assert row[p] == 1 and all(0 < x < field.char for x in row.values())
+        else:
+            assert row[p] > 0 and math.gcd(*row.values()) == 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -137,3 +189,28 @@ def test_exact_quotient_divides_exactly_or_declines(data):
     rem = oracles.naive_normal_form(p.terms, [q.terms], ring.field.char)
     assert (h is None) == bool(rem)
     assert h is None or h * q == p
+
+
+# the point [1/2 : 2/3 : 1], the fat point of scenes/fat_point.scene, a conic
+NF_IDEALS = {
+    "non-integral point": ["2*x0 - x2", "3*x1 - 2*x2"],
+    "fat point": ["x0 + x1", "x0^2"],
+    "conic": ["x0^2 + 3*x1*x2 - 2*x2^2"],
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+@pytest.mark.parametrize("name", sorted(NF_IDEALS))
+def test_normal_form_table_entries_are_the_normal_forms(field, name):
+    """Every entry of the table up to degree 6 is one integer denominator
+    over integer numerators, and it is the normal form of its monomial."""
+    ring = PolyRing(field, 3)
+    gb = list(HomIdeal.from_strings(ring, NF_IDEALS[name]).groebner())
+    table = linalg.NormalForms(ring, gb)
+    for n in range(7):
+        for m in table.monomials(n):
+            nums, den = table._table[m]
+            assert type(den) is int and den > 0
+            assert all(type(x) is int and x != 0 for x in nums.values())
+            value = {t: field.div(x, den) for t, x in nums.items()}
+            assert value == normal_form(ring.monomial(m), gb).terms

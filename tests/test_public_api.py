@@ -3,8 +3,8 @@
 The experiment scripts are the only callers of the package namespace besides
 the CLI and the tests.  Every name they import from geomideal is resolved
 here, so one that goes missing fails this file rather than going unnoticed;
-the two quick scripts are also run (colon_reports.py and orbit_reports.py
-take too long to run here), and so is `python -m geomideal`.
+the quick scripts are also run (colon_reports.py and orbit_reports.py take
+too long to run here), and so is `python -m geomideal`.
 """
 
 import ast
@@ -59,6 +59,17 @@ def test_hd_probe_script_runs():
     out = _run_script("hd_probe.py", "--j-max", "2")
     assert out.returncode == 0, out.stderr
     assert "  Tor_2: 0 0 1 2 2 2 2 2 2  [nonzero]" in out.stdout.splitlines()
+
+
+def test_verdict_ledger_counts_its_rows():
+    """One "scene predicate verdict evidence" line per classify row of the
+    11 scenes, 8 rows each, and a last line that counts the decided ones."""
+    out = _run_script("verdict_reports.py")
+    assert out.returncode == 0, out.stderr
+    *rows, last = out.stdout.splitlines()
+    assert len(rows) == 88 and all(len(row.split()) == 4 for row in rows)
+    decided = sum(row.split()[3] in ("certified", "refuted") for row in rows)
+    assert last == f"{decided} of {len(rows)} rows certified or refuted"
 
 
 def test_module_entry_point_runs_the_cli(capsys):
