@@ -46,7 +46,7 @@ from .polykernel import (
     monomial_radical,
     saturate,
 )
-from .twist import ProjAutomorphism
+from .twist import ProjAutomorphism, _mat_pow
 
 
 # ---------------------------------------------------------------------------
@@ -80,15 +80,10 @@ def _divisors(n: int) -> list[int]:
 
 
 def _fixed_by_power(ideal: HomIdeal, sigma: ProjAutomorphism, n: int) -> bool:
-    """Whether I^{sigma^n} = I, through sigma's cached pullbacks."""
-    return _fixed_by(ideal, lambda g: sigma.pullback(g, n))
-
-
-def _fixed_by(ideal: HomIdeal, pull) -> bool:
-    """Whether the pullback pull(I) is I.  It has I's Hilbert function, so
+    """Whether I^{sigma^n} = I.  The pullback has I's Hilbert function, so
     it is I once every pulled-back generator lies in I: normal forms against
     I's cached basis, with no Groebner run of the pullback."""
-    return all(ideal.contains(pull(g)) for g in ideal.gens)
+    return all(ideal.contains(sigma.pullback(g, n)) for g in ideal.gens)
 
 
 def sigma_ideal_order(ideal: HomIdeal, sigma: ProjAutomorphism,
@@ -130,8 +125,12 @@ def sigma_ideal_order(ideal: HomIdeal, sigma: ProjAutomorphism,
         k = projective_order(sigma)
         if k is not None:
             for div in _divisors(k):
-                if div > bound and _fixed_by(ideal, sigma.uncached_pullback(div)):
-                    return OrderResult(div, False, "finite-matrix-group")
+                if div > bound:
+                    # sigma^div by squaring, on a throwaway automorphism:
+                    # nothing past the bound is cached on sigma
+                    power = ProjAutomorphism(sigma.ring, _mat_pow(field, sigma.matrix, div))
+                    if _fixed_by_power(ideal, power, 1):
+                        return OrderResult(div, False, "finite-matrix-group")
     return OrderResult(None, False, "order-bound-exhausted")
 
 

@@ -29,7 +29,7 @@ each field has them as methods and no caller branches on the field:
   den = the row's own pivot entry this is the primitive integer row with a
   positive pivot.  Over GF(p) the entries are reduced mod p and multiplied
   by den^-1, zeros dropped, over 1: with den = the pivot entry the row is
-  monic.  Over Q a row already in that form is returned as it is.
+  monic.
 """
 
 from __future__ import annotations
@@ -131,8 +131,6 @@ class RationalField:
         """(nums, den): integral nums with row = nums/den, den the lcm of
         the entries' denominators."""
         den = lcm(*[x.denominator for x in row.values()])
-        if den == 1:
-            return {k: x.numerator for k, x in row.items()}, 1
         return {k: x.numerator * (den // x.denominator) for k, x in row.items()}, den
 
     def reduce_row(self, row: dict, den: int) -> tuple[dict, int]:
@@ -140,8 +138,6 @@ class RationalField:
         g = gcd(den, *row.values())
         if den < 0:
             g = -g
-        if g == 1:
-            return row, den
         return {k: x // g for k, x in row.items()}, den // g
 
     def __eq__(self, other):
@@ -219,8 +215,6 @@ class PrimeField:
     def reduce_row(self, row: dict, den: int) -> tuple[dict, int]:
         """The residues of row/den, zeros dropped, over 1."""
         p = self.p
-        if den % p == 1:
-            return {k: r for k, x in row.items() if (r := x % p)}, 1
         inv = self.inv(den)
         return {k: r for k, x in row.items() if (r := x * inv % p)}, 1
 

@@ -273,8 +273,11 @@ def _degree_span(module: FreeModule, d: int, spanning) -> tuple[Echelon, dict]:
     ring = module.ring
     ech = Echelon(ring.field, sum(dim_full_space(ring, d - e) for e in module.degrees))
     columns: dict = {}
+    monos: dict[int, list[tuple]] = {}  # d - deg w -> its monomials
     for w, e in spanning:
-        for a in monomials_of_degree(ring, d - e):
+        if d - e not in monos:
+            monos[d - e] = monomials_of_degree(ring, d - e)
+        for a in monos[d - e]:
             ech.insert(_coefficients(w, a, columns))
     return ech, columns
 

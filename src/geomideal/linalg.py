@@ -5,9 +5,9 @@ basis as a linear map.
 Every elimination in the engine goes through `Echelon`, a row space grown
 one row at a time.  Its one entry point takes sparse rows
 (``{column: nonzero scalar}``; over GF(p) any integers standing for the
-residues), and it hands back sparse kernel vectors; `rref`, `rank`, `kernel_basis` and
-`in_row_space` are thin dense wrappers over it for callers that hold a
-whole matrix (lists of rows).
+residues) and hands back sparse rows and kernel vectors; `rref`, `rank`,
+`kernel_basis` and `in_row_space` are thin dense wrappers over it for
+callers that hold a whole matrix (lists of rows).
 
 Rows are stored fraction-free, keyed by pivot column.  On insert a row's
 denominators are cleared (`field.split`), the stored rows are eliminated
@@ -17,13 +17,13 @@ as denominator): over Q the primitive integer row with a positive pivot,
 over GF(p) the monic row of residues, whose cross factor is 1 and is
 skipped.  Stored rows are zero on each other's pivot columns, so a row is
 reduced by one pass over the pivots it meets and nothing already reduced
-is reduced again.  A row is divided by its pivot only when `rows()` or a
-kernel is read.  No floating point: that division goes through
+is reduced again.  A row is divided by its pivot only when the rows or a
+kernel are read.  No floating point: that division goes through
 `field.div`, since ``int / int`` would be a float.
 
 The reduced row echelon form of a matrix is unique, and so is its
-canonical integral form, so the stored rows, `rows()` and the kernels do
-not depend on the order in which rows were inserted: every caller sees the
+canonical integral form, so the stored rows, the reduced rows and the
+kernels do not depend on the order in which rows were inserted: every caller sees the
 same numbers as from a from-scratch elimination.  `linear_groebner_basis`
 reads the reduced Groebner basis of linear forms off one echelon: in
 degree 1 degrevlex orders x0 > ... > xd, so that basis is the reduced row
@@ -58,11 +58,6 @@ from .polykernel import (
 def _scalars(field, nums: dict, den: int) -> dict:
     """The field scalars x/den of a canonical integral row over den, or
     their negatives over -den, as a new dict."""
-    if den == 1:
-        return dict(nums)
-    if den == -1:
-        neg = field.neg
-        return {k: neg(x) for k, x in nums.items()}
     div = field.div
     return {k: div(x, den) for k, x in nums.items()}
 
@@ -156,10 +151,6 @@ class Echelon:
         field = self.field
         return [_scalars(field, r, r[p]) for p, r in sorted(self._rows.items())]
 
-    def rows(self) -> list[list]:
-        """The reduced rows as dense lists, in increasing pivot order."""
-        return [self._dense(r) for r in self.sparse_rows()]
-
     def sparse_kernel(self) -> list[dict]:
         """Basis of {v : A v = 0} as sparse vectors, one per free column (in
         increasing order) with 1 there, 0 at every other free column, and
@@ -171,16 +162,6 @@ class Echelon:
                 if c != p:
                     out[c][p] = x
         return list(out.values())
-
-    def kernel(self) -> list[list]:
-        """`sparse_kernel` as dense lists."""
-        return [self._dense(v) for v in self.sparse_kernel()]
-
-    def _dense(self, v: dict) -> list:
-        dense = [self.field.zero] * self.ncols
-        for c, x in v.items():
-            dense[c] = x
-        return dense
 
 
 def linear_groebner_basis(forms) -> list[Poly] | None:
@@ -223,13 +204,20 @@ def _sparse(field, row) -> dict:
     return {c: x for c, x in enumerate(row) if not is_zero(x)}
 
 
+def _dense(field, ncols: int, v: dict) -> list:
+    dense = [field.zero] * ncols
+    for c, x in v.items():
+        dense[c] = x
+    return dense
+
+
 def rref(field, rows):
     """Reduced row echelon form.  Returns (new_rows, pivot_columns).
 
     Zero rows are dropped; pivot entries are 1 with zeros above and below.
     """
     ech = _echelon(field, rows)
-    return ech.rows(), ech.pivots
+    return [_dense(field, ech.ncols, r) for r in ech.sparse_rows()], ech.pivots
 
 
 def rank(field, rows) -> int:
@@ -238,7 +226,7 @@ def rank(field, rows) -> int:
 
 def kernel_basis(field, rows, ncols):
     """Basis of the right kernel {v : A v = 0} of the ncols-column matrix A."""
-    return _echelon(field, rows, ncols).kernel()
+    return [_dense(field, ncols, v) for v in _echelon(field, rows, ncols).sparse_kernel()]
 
 
 def in_row_space(field, rows, vector) -> bool:
@@ -249,9 +237,6 @@ def in_row_space(field, rows, vector) -> bool:
 def _accumulate(pairs) -> tuple[dict, int]:
     """sum a * nums/d over the (a, (nums, d)) pairs, as integral numerators
     (zeros possible) over the lcm of the d."""
-    if len(pairs) == 1:
-        (a, (nums, d)), = pairs
-        return {s: a * x for s, x in nums.items()}, d
     common = lcm(*[d for _, (_, d) in pairs])
     acc: dict = {}
     for a, (nums, d) in pairs:

@@ -96,21 +96,12 @@ class ProjAutomorphism:
         if n == 0 or f.is_zero():
             return f
         if n not in self._pullbacks:
-            self._pullbacks[n] = _substitution(self.ring, self.power(n))
+            ring = self.ring
+            self._pullbacks[n] = Substitution([
+                Poly(ring, {ring.variable(j).lm(): c for j, c in enumerate(row)
+                            if not ring.field.is_zero(c)})
+                for row in self.power(n)])
         return self._pullbacks[n](f)
-
-    def uncached_pullback(self, n: int) -> Substitution:
-        """The map f -> f o sigma^n for n >= 1, with M^n by repeated squaring
-        and nothing cached on sigma: for one power far past the cached ones."""
-        field = self.ring.field
-        m, power = self.matrix, None
-        while n:
-            if n & 1:
-                power = m if power is None else _mat_mul(field, power, m)
-            n >>= 1
-            if n:
-                m = _mat_mul(field, m, m)
-        return _substitution(self.ring, power)
 
     def pullback_ideal(self, I: HomIdeal, n: int = 1) -> HomIdeal:
         """I^{sigma^n}, generator-wise; V(I^{sigma^n}) = sigma^{-n}(V(I)).
@@ -152,14 +143,6 @@ class ProjAutomorphism:
         return f"ProjAutomorphism({self.matrix})"
 
 
-def _substitution(ring: PolyRing, matrix) -> Substitution:
-    """x_i -> the i-th row of matrix applied to x."""
-    return Substitution([
-        Poly(ring, {ring.variable(j).lm(): c for j, c in enumerate(row)
-                    if not ring.field.is_zero(c)})
-        for row in matrix])
-
-
 def _identity(field, n):
     return tuple(
         tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)
@@ -187,6 +170,18 @@ def _dot(field, row, vec):
 def _mat_mul(field, A, B):
     cols = tuple(zip(*B))
     return tuple(tuple(_dot(field, row, col) for col in cols) for row in A)
+
+
+def _mat_pow(field, M, n):
+    """M^n for n >= 1 by repeated squaring."""
+    power = None
+    while n:
+        if n & 1:
+            power = M if power is None else _mat_mul(field, power, M)
+        n >>= 1
+        if n:
+            M = _mat_mul(field, M, M)
+    return power
 
 
 def _mat_inverse(field, M):

@@ -412,6 +412,7 @@ def rref_oracle_piece(scene, n, forms):
     monos = monomials_of_degree(ring, n)
     nf = linalg.NormalForms(ring, list(scene.ideal.groebner()))
     conditions = linalg.Echelon(field, len(monos))
+
     def terms(terms, shift=None):
         (nums, den), = nf.shifted(terms, [shift or (0,) * ring.nvars])
         return {t: field.div(x, den) for t, x in nums.items() if not field.is_zero(x)}
@@ -421,7 +422,9 @@ def rref_oracle_piece(scene, n, forms):
         residues = [terms(reduced, mu) for mu in monos]
         for t in {t for r in residues for t in r}:
             conditions.insert({j: r[t] for j, r in enumerate(residues) if t in r})
-    rows, _ = linalg.rref(field, conditions.kernel())
+    kernel = [[v.get(i, field.zero) for i in range(len(monos))]
+              for v in conditions.sparse_kernel()]
+    rows, _ = linalg.rref(field, kernel)
     return [Poly(ring, {monos[i]: c for i, c in enumerate(v) if not field.is_zero(c)})
             for v in rows]
 

@@ -3,8 +3,8 @@
 `oracles.rref_rank` and `oracles.gauss_jordan` are from-scratch dense
 Gauss-Jordan passes that share no code with `geomideal.linalg`; the
 properties below are over Q, GF(7) and GF(32003), on small matrices with
-many zeros so that rank drops are common, and over Q with non-integral
-entries too.  The table of monomial normal forms is checked against
+many zeros, non-integral entries, zero rows and repeated rows, so that
+rank drops are common.  The table of monomial normal forms is checked against
 `polykernel.normal_form`.  The polynomial-matrix helpers are checked
 against the Leibniz formula and the oracle's naive division.
 """
@@ -26,12 +26,19 @@ FIELDS = (QQ, PrimeField(7), PrimeField(32003))
 
 @st.composite
 def field_and_matrix(draw, max_rows=6, max_cols=6):
+    """(field, ncols, dense rows): entries with denominators 2, 3 and 4
+    among the integers, often a zero row and a repeated row."""
     field = draw(st.sampled_from(FIELDS))
     ncols = draw(st.integers(1, max_cols))
-    entry = st.sampled_from([0, 0, 0, 1, -1, 2, 3, -5, 7])
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, 3, -5, 7,
+                             Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)])
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                          max_size=max_rows))
-    return field, ncols, [[field.from_int(x) for x in r] for r in rows]
+    if draw(st.booleans()):
+        rows.append([0] * ncols)
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    return field, ncols, [[field.from_fraction(Fraction(x)) for x in r] for r in rows]
 
 
 def reference(field, rows):
@@ -43,6 +50,11 @@ def reference(field, rows):
 def sparse(field, row):
     """A dense row as the echelon's sparse input."""
     return {c: x for c, x in enumerate(row) if not field.is_zero(x)}
+
+
+def dense(field, ncols, v):
+    """A sparse row of the echelon as a dense list."""
+    return [v.get(c, field.zero) for c in range(ncols)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -58,21 +70,31 @@ def test_insert_is_true_exactly_when_the_rank_grows(case):
         assert ech.rank == reference(field, rows[:i + 1])[1]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_dense_listing_is_the_reference_rref_in_every_insertion_order(data):
+    """The reduced rows, pivots, rank and kernel equal the plain
+    Gauss-Jordan pass, whatever the order of insertion; over Q every stored
+    row is a primitive integer row with a positive pivot, and over GF(p) a
+    monic row of residues."""
     field, ncols, rows = data.draw(field_and_matrix())
     order = data.draw(st.permutations(range(len(rows))))
     ech = linalg.Echelon(field, ncols)
     for i in order:
         ech.insert(sparse(field, rows[i]))
-    expected, r = reference(field, rows)
-    assert ech.rows() == expected
-    assert ech.rank == r
-    assert ech.pivots == [next(c for c, x in enumerate(row) if x != 0)
-                          for row in expected]
-    assert linalg.rref(field, rows) == (expected, ech.pivots)
-    assert linalg.rank(field, rows) == r
+    expected, pivots, kernel = oracles.gauss_jordan(rows, ncols, field.char)
+    assert [dense(field, ncols, r) for r in ech.sparse_rows()] == expected
+    assert ech.pivots == pivots and ech.rank == len(pivots)
+    assert ech.sparse_kernel() == [sparse(field, v) for v in kernel]
+    assert linalg.rref(field, rows) == (expected, pivots)
+    assert linalg.rank(field, rows) == len(pivots)
+    assert linalg.kernel_basis(field, rows, ncols) == kernel
+    for p, row in ech._rows.items():
+        assert all(type(x) is int and x != 0 for x in row.values())
+        if field.char:
+            assert row[p] == 1 and all(0 < x < field.char for x in row.values())
+        else:
+            assert row[p] > 0 and math.gcd(*row.values()) == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -82,7 +104,7 @@ def test_kernel_vectors_are_annihilated_and_count_ncols_minus_rank(case):
     ech = linalg.Echelon(field, ncols)
     for row in rows:
         ech.insert(sparse(field, row))
-    kernel = ech.kernel()
+    kernel = [dense(field, ncols, v) for v in ech.sparse_kernel()]
     assert len(kernel) == ncols - ech.rank
     for v in kernel:
         for row in rows:
@@ -94,47 +116,6 @@ def test_kernel_vectors_are_annihilated_and_count_ncols_minus_rank(case):
     if kernel:
         assert reference(field, kernel)[1] == len(kernel)
     assert linalg.kernel_basis(field, rows, ncols) == kernel
-
-
-@st.composite
-def rows_with_fractions(draw):
-    """(field, ncols, dense rows) over Q or GF(7): entries with
-    denominators 2, 3 and 4, often a zero row and a repeated row."""
-    field = draw(st.sampled_from((QQ, PrimeField(7))))
-    ncols = draw(st.integers(1, 6))
-    entry = st.sampled_from([0, 0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-3, 4),
-                             Fraction(5, 3)]).map(field.from_fraction)
-    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
-    if draw(st.booleans()):
-        rows.append([field.zero] * ncols)
-    if rows and draw(st.booleans()):
-        rows.append(list(draw(st.sampled_from(rows))))
-    return field, ncols, rows
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_echelon_is_the_gauss_jordan_oracle_in_every_insertion_order(data):
-    """rows(), pivots, rank, kernel() and the sparse kernel equal the plain
-    Gauss-Jordan pass, whatever the order of insertion; over Q every stored
-    row is a primitive integer row with a positive pivot, and over GF(7) a
-    monic row of residues."""
-    field, ncols, rows = data.draw(rows_with_fractions())
-    order = data.draw(st.permutations(range(len(rows))))
-    ech = linalg.Echelon(field, ncols)
-    for i in order:
-        ech.insert(sparse(field, rows[i]))
-    want_rows, want_pivots, want_kernel = oracles.gauss_jordan(rows, ncols, field.char)
-    assert ech.rows() == want_rows
-    assert ech.pivots == want_pivots and ech.rank == len(want_pivots)
-    assert ech.kernel() == want_kernel
-    assert ech.sparse_kernel() == [sparse(field, v) for v in want_kernel]
-    for p, row in ech._rows.items():
-        assert all(type(x) is int and x != 0 for x in row.values())
-        if field.char:
-            assert row[p] == 1 and all(0 < x < field.char for x in row.values())
-        else:
-            assert row[p] > 0 and math.gcd(*row.values()) == 1
 
 
 @settings(max_examples=100, deadline=None)
