@@ -124,14 +124,15 @@ _COUNTS = {"horizon": "horizon", "maxdeg": "maxdeg", "oracle": "oracle",
 
 class _Parser:
     def __init__(self, text: str):
+        raw_lines = text.splitlines()
         self.lines = []
-        for no, raw in enumerate(text.splitlines(), start=1):
+        for no, raw in enumerate(raw_lines, start=1):
             content = raw.split("#", 1)[0].strip()
             if content:
                 self.lines.append((no, content))
         self.pos = 0
         self.diags: list[Diagnostic] = []
-        self.last_line = len(text.splitlines()) or 1
+        self.last_line = len(raw_lines) or 1
 
     def bad(self, line, code, message):
         self.diags.append(Diagnostic(line, code, message))

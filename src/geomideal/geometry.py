@@ -499,7 +499,7 @@ def _family_ideal(ring: PolyRing, family) -> HomIdeal:
     """Ideal of a union of coordinate subspaces: the intersection of the
     monomial ideals (x_i : i in s), generated by the minimal lcm's of one
     variable from each member."""
-    units = [tuple(int(i == k) for k in range(ring.nvars)) for i in range(ring.nvars)]
+    units = ring.units
     monos = [units[i] for i in family[0]]
     for s in family[1:]:
         monos = _minimalize_monos(mono_lcm(m, units[i]) for m in monos for i in s)

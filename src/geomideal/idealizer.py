@@ -94,10 +94,22 @@ class IdealizerScene:
     # -- core pieces --------------------------------------------------------
 
     def pulled_ideal(self, n: int) -> HomIdeal:
-        """I^{sigma^n}, cached: the colon and the oracle both read it."""
-        if n not in self._pulled_cache:
-            self._pulled_cache[n] = self.sigma.pullback_ideal(self.ideal, n)
-        return self._pulled_cache[n]
+        """I^{sigma^n}, cached: the colon and the oracle both read it.
+
+        For n >= 1 it is stepped, I^{sigma^n} = (I^{sigma^(n-1)})^sigma
+        since (f o sigma^(n-1)) o sigma = f o sigma^n, from the largest
+        cached degree below n, so a walk over n = 1..N uses sigma's one
+        pullback table and no matrix power.  Exact arithmetic makes each
+        step's generators those of the direct pullback by sigma^n."""
+        if n < 1:
+            return self.sigma.pullback_ideal(self.ideal, n)
+        cache = self._pulled_cache
+        if n not in cache:
+            k = max((k for k in cache if k < n), default=0)
+            pulled = cache.get(k, self.ideal)
+            for k in range(k + 1, n + 1):
+                pulled = cache[k] = self.sigma.pullback_ideal(pulled)
+        return cache[n]
 
     def colon_ideal(self, n: int) -> HomIdeal:
         """(I : I^{sigma^n}), cached; saturated since I is.  A colon equal

@@ -181,9 +181,8 @@ def linear_groebner_basis(forms) -> list[Poly] | None:
     if any(f.degree != 1 for f in forms):
         return None
     ring = forms[0].ring
-    field, n = ring.field, ring.nvars
-    xs = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    ech = Echelon(field, n)
+    field, xs = ring.field, ring.units
+    ech = Echelon(field, ring.nvars)
     for f in forms:
         ech.insert({m.index(1): c for m, c in f.terms.items()})
     return [Poly(ring, {xs[c]: r[c] for c in sorted(r)}, (xs[p], field.one))

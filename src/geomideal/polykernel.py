@@ -56,8 +56,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce as _fold
-from itertools import combinations, combinations_with_replacement
-from operator import add, le, sub
+from itertools import combinations
+from operator import add, le, neg, sub
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ from operator import add, le, sub
 
 def mono_key(exps):
     """Degrevlex key on an exponent tuple: bigger key = bigger monomial."""
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    return (sum(exps), tuple(map(neg, exps[::-1])))
 
 
 def mono_descending_key(exps):
@@ -74,14 +74,20 @@ def mono_descending_key(exps):
     return (-sum(exps), exps[::-1])
 
 
+def unit_exponents(nvars: int) -> tuple:
+    """The exponent tuples of x0, x1, ..., x(nvars−1)."""
+    return tuple(tuple(int(i == j) for j in range(nvars)) for i in range(nvars))
+
+
 class PolyRing:
-    """Immutable context: coefficient field and number of variables x0..x(nvars−1)."""
+    """Immutable context: field, nvars, and units[i] = the exponents of x_i."""
 
     def __init__(self, field, nvars: int):
         if not 1 <= nvars <= 10:
             raise ValueError("nvars out of the supported range 1..10 (d <= 9)")
         self.field = field
         self.nvars = nvars
+        self.units = unit_exponents(nvars)
 
     # -- constructors -------------------------------------------------------
 
@@ -95,7 +101,7 @@ class PolyRing:
         return self.monomial((0,) * self.nvars, c)
 
     def variable(self, i: int) -> "Poly":
-        return Poly(self, {tuple(int(j == i) for j in range(self.nvars)): self.field.one})
+        return Poly(self, {self.units[i]: self.field.one})
 
     def monomial(self, exps, c=None) -> "Poly":
         c = self.field.one if c is None else c
@@ -139,10 +145,8 @@ class PolyRing:
             for exps in sorted(f.terms, key=mono_key, reverse=True))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PolyRing)
-            and (self.field, self.nvars) == (other.field, other.nvars)
-        )
+        return (isinstance(other, PolyRing)
+                and (self.field, self.nvars) == (other.field, other.nvars))
 
     def __hash__(self):
         return hash((self.field, self.nvars))
@@ -294,7 +298,7 @@ class Poly:
         if self._lt is None:
             if not self.terms:
                 raise ValueError("zero polynomial has no leading term")
-            m = max(self.terms, key=mono_key)
+            m = min(self.terms, key=mono_descending_key)
             self._lt = (m, self.terms[m])
         return self._lt
 
@@ -362,10 +366,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        acc = self.ring.one()
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        return _fold(Poly.__mul__, [self] * n, self.ring.one())
 
     def scale(self, c) -> "Poly":
         """c times self; a known leading term carries over, since scaling by
@@ -400,10 +401,8 @@ class Poly:
     def sort_key(self):
         """Deterministic total order on polynomials (for canonical listings)."""
         fkey = self.ring.field.sort_key
-        return (
-            max(map(mono_deg, self.terms), default=0),
-            tuple(sorted(((mono_key(m), fkey(c)) for m, c in self.terms.items()), reverse=True)),
-        )
+        return (max(map(mono_deg, self.terms), default=0), tuple(sorted(
+            ((mono_key(m), fkey(c)) for m, c in self.terms.items()), reverse=True)))
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.ring == other.ring and self.terms == other.terms
@@ -418,12 +417,15 @@ class Poly:
 class Substitution:
     """The ring map x_i -> images[i] into the images' ring.  The image of each
     monomial is cached, built as the image of one smaller monomial times one
-    image, so a polynomial's image is the sum of c_t * image(t)."""
+    image, so a polynomial's image is the sum of c_t * image(t).  The table
+    starts with 1 and the images, keyed by len(images) exponents: the source
+    ring's, which may differ from the images' ring."""
 
     def __init__(self, images: list[Poly]):
         self.images = images
         self.ring = images[0].ring
-        self._table = {(0,) * len(images): self.ring.one()}
+        self._table = dict(zip(unit_exponents(len(images)), images))
+        self._table[(0,) * len(images)] = self.ring.one()
 
     def image(self, m) -> Poly:
         img = self._table.get(m)
@@ -645,29 +647,34 @@ def reduce_basis(G: list[Poly]) -> list[Poly]:
 class HomIdeal:
     """Homogeneous ideal with a cached reduced Groebner basis.
 
-    The zero ideal is represented by an empty generator list.  gb, when
-    given, is the known reduced Groebner basis, in decreasing
-    leading-monomial order.  basis, when given instead, is a Groebner basis
+    The zero ideal is represented by an empty generator list, and gens are
+    kept in Poly.sort_key order.  basis, when given, is a Groebner basis
     not yet reduced (from ideal_sum): the Hilbert numerator reads its
     leading monomials, which generate in(I) like those of any Groebner
     basis, and groebner() reduces it on its first call.
     """
 
-    def __init__(self, ring: PolyRing, gens, *, gb=None, basis=None):
+    def __init__(self, ring: PolyRing, gens, *, basis=None, _gb=None):
         self.ring = ring
         clean = [g for g in gens if not g.is_zero()]
         for g in clean:
             if not g.is_homogeneous():
                 raise ValueError(f"inhomogeneous generator: {g}")
-        self.gens = tuple(sorted(clean, key=Poly.sort_key))
-        self._gb: tuple[Poly, ...] | None = None if gb is None else tuple(gb)
+        self.gens = tuple(clean[::-1] if _gb else sorted(clean, key=Poly.sort_key))
+        self._gb = _gb
         self._basis = basis
-        self._hilbert_numerator: dict[int, int] | None = None
-        self._normal_forms = None
+        self._hilbert_numerator = self._normal_forms = self._divisors = None
 
     @classmethod
     def from_strings(cls, ring: PolyRing, texts) -> "HomIdeal":
         return cls(ring, [ring.parse(t) for t in texts])
+
+    @classmethod
+    def from_basis(cls, ring: PolyRing, gb) -> "HomIdeal":
+        """The ideal of a known reduced basis gb, by decreasing leading monomial
+        (reduce_basis).  Monic with distinct leading monomials, gb sorts by
+        them alone under Poly.sort_key, so gb reversed is the sorted gens."""
+        return cls(ring, gb, _gb=tuple(gb))
 
     def groebner(self) -> tuple[Poly, ...]:
         if self._gb is None:
@@ -690,7 +697,10 @@ class HomIdeal:
         return self._normal_forms
 
     def contains(self, f: Poly) -> bool:
-        return normal_form(f, list(self.groebner())).is_zero()
+        """Whether f reduces to 0 by the reduced basis, one _Basis for all f."""
+        if self._divisors is None:
+            self._divisors = _Basis(self.groebner())
+        return not divide(f, self._divisors)
 
     def is_unit(self) -> bool:
         gb = self.groebner()
@@ -703,11 +713,8 @@ class HomIdeal:
         return max((g.degree for g in self.gens), default=0)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, HomIdeal)
-            and self.ring == other.ring
-            and self.groebner() == other.groebner()
-        )
+        return (isinstance(other, HomIdeal) and self.ring == other.ring
+                and self.groebner() == other.groebner())
 
     def gens_text(self) -> str:
         """The generators, comma-separated, in the ring's print format."""
@@ -759,9 +766,9 @@ def intersect(I: HomIdeal, J: HomIdeal) -> HomIdeal:
         return HomIdeal(ring, [])
     for small, big in ((I, J), (J, I)):
         if all(big.contains(f) for f in small.gens):
-            return HomIdeal(ring, small.groebner(), gb=small.groebner())
+            return HomIdeal.from_basis(ring, small.groebner())
     meet = _preimage(ring, [ring.one(), ring.one()], [I, J])
-    return HomIdeal(ring, meet, gb=meet)
+    return HomIdeal.from_basis(ring, meet)
 
 
 def _is_nonzerodivisor(I: HomIdeal, g: Poly) -> bool:
@@ -777,14 +784,14 @@ def ideal_quotient(I: HomIdeal, J: HomIdeal) -> HomIdeal:
     ring, basis = I.ring, I.groebner()
     if all(f.degree == 1 for f in basis):  # S/I is a domain
         inside = all(map(I.contains, J.gens))  # stops at the first g outside I
-        return unit_ideal(ring) if inside else HomIdeal(ring, basis, gb=basis)
+        return unit_ideal(ring) if inside else HomIdeal.from_basis(ring, basis)
     gens = [g for g in J.gens if not I.contains(g)]
     if not gens:
         return unit_ideal(ring)
     if any(_is_nonzerodivisor(I, g) for g in gens):
-        return HomIdeal(ring, basis, gb=basis)
+        return HomIdeal.from_basis(ring, basis)
     quot = _preimage(ring, gens, [I] * len(gens))
-    return HomIdeal(ring, quot, gb=quot)
+    return HomIdeal.from_basis(ring, quot)
 
 
 def _saturate_variable(I: HomIdeal, i: int) -> HomIdeal:
@@ -800,8 +807,7 @@ def _saturate_variable(I: HomIdeal, i: int) -> HomIdeal:
             for f in basis]
     if all(map(I.contains, quot)):
         return I
-    basis = groebner_basis(quot)
-    return HomIdeal(ring, basis, gb=basis)
+    return HomIdeal.from_basis(ring, groebner_basis(quot))
 
 
 def saturate(I: HomIdeal) -> HomIdeal:
@@ -879,9 +885,7 @@ def monomial_hilbert_numerator(monos) -> dict[int, int]:
 
 def series_coefficient(num: dict[int, int], nvars: int, n: int) -> int:
     """The u^n coefficient of the Hilbert series N(u)/(1−u)^nvars."""
-    return sum(
-        c * math.comb(n - a + nvars - 1, nvars - 1) for a, c in num.items() if n >= a
-    )
+    return sum(c * math.comb(n - a + nvars - 1, nvars - 1) for a, c in num.items() if n >= a)
 
 
 def hilbert_function(I: HomIdeal, n: int) -> int:
@@ -903,10 +907,7 @@ class HilbertPoly:
         return not self.coeffs
 
     def __call__(self, n: int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * n + c
-        return acc
+        return _fold(lambda acc, c: acc * n + c, reversed(self.coeffs), Fraction(0))
 
     def constant_value(self) -> Fraction:
         """The value when the polynomial is constant (degree <= 0)."""
@@ -947,10 +948,8 @@ def hilbert_polynomial(I: HomIdeal) -> HilbertPoly:
 
 
 def codimension(I: HomIdeal) -> int:
-    """codim of V(I) in P^d, computed as d − deg(Hilbert polynomial).
-
-    The empty subscheme (Hilbert polynomial 0, of degree −1) reports d + 1.
-    """
+    """codim of V(I) in P^d, computed as d − deg(Hilbert polynomial); the
+    empty subscheme (Hilbert polynomial 0, of degree −1) reports d + 1."""
     return I.ring.nvars - 1 - hilbert_polynomial(I).degree()
 
 
@@ -969,21 +968,21 @@ def degree_piece_basis(I: HomIdeal, n: int) -> list[Poly]:
     such m that a leading monomial of the reduced basis divides, largest m
     first.  Every tail term is a standard monomial, so these rows are the
     unique reduced echelon form (module docstring).  The nf(m) come from
-    I's one table of monomial normal forms (HomIdeal.normal_forms), which
-    fills a degree at a time, reducing each monomial once from the tail of
-    its first divisor, and serves every degree and every other reader of
-    the table."""
+    I's one table of monomial normal forms (HomIdeal.normal_forms)."""
     return I.normal_forms().piece(n)
 
 
 def monomials_of_degree(ring: PolyRing, n: int) -> list[tuple]:
-    """All exponent tuples of total degree n, sorted descending in degrevlex."""
+    """All exponent tuples of total degree n, descending in degrevlex, with
+    no sort: the larger of two has the smaller last exponent, or on a tie the
+    larger rest; so the last exponent e ascends, and each e runs through the
+    other exponents' descending list in degree n − e, built variable by variable."""
     if n < 0:
         return []
-    nv = ring.nvars
-    monos = [tuple(c.count(i) for i in range(nv))
-             for c in combinations_with_replacement(range(nv), n)]
-    return sorted(monos, key=mono_key, reverse=True)
+    heads = [[(k,)] for k in range(n + 1)]  # heads[k]: degree k in x0
+    for _ in range(ring.nvars - 1):
+        heads = [[h + (e,) for e in range(k + 1) for h in heads[k - e]] for k in range(n + 1)]
+    return heads[n]
 
 
 # ---------------------------------------------------------------------------

@@ -92,14 +92,17 @@ class ProjAutomorphism:
 
     def pullback(self, f: Poly, n: int = 1) -> Poly:
         """f o sigma^n: substitute x_i by the i-th row of M^n applied to x,
-        through one monomial image table per n."""
+        through one monomial image table (Substitution) per n, whose images
+        are built on the ring's unit exponent tuples.  A caller that needs
+        every n up to N steps with n = 1 (IdealizerScene.pulled_ideal), so
+        one table and no power of M serve them all."""
         if n == 0 or f.is_zero():
             return f
         if n not in self._pullbacks:
             ring = self.ring
+            is_zero, units = ring.field.is_zero, ring.units
             self._pullbacks[n] = Substitution([
-                Poly(ring, {ring.variable(j).lm(): c for j, c in enumerate(row)
-                            if not ring.field.is_zero(c)})
+                Poly(ring, {units[j]: c for j, c in enumerate(row) if not is_zero(c)})
                 for row in self.power(n)])
         return self._pullbacks[n](f)
 

@@ -15,7 +15,7 @@ leibniz_det_adjugate works over any commutative ring whose elements have
 
 from functools import lru_cache
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import comb
 
 
@@ -97,6 +97,17 @@ def monomials(nvars, deg):
     for e in range(deg + 1):
         out.extend((e,) + rest for rest in monomials(nvars - 1, deg - e))
     return sorted(out)
+
+
+def sorted_monomials_of_degree(nvars, deg):
+    """The degree-deg exponent tuples as the library once listed them: each
+    multiset of deg variables counted out, then sorted descending in
+    degrevlex (_drl_key)."""
+    if deg < 0:
+        return []
+    monos = [tuple(c.count(i) for i in range(nvars))
+             for c in combinations_with_replacement(range(nvars), deg)]
+    return sorted(monos, key=_drl_key, reverse=True)
 
 
 def poly_to_vec(terms, nvars, deg):

@@ -362,6 +362,42 @@ def test_declared_prime_must_contain_component():
         IdealizerScene(RQ, SIGMA, p1, declared_components=((p1, wrong_prime),))
 
 
+SIGMA_ROWS = {
+    "diagonal": [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]],
+    "shear": [["1", "1", "0"], ["0", "1", "1"], ["0", "0", "1"]],
+    "dense": [["2", "1", "1"], ["1", "3", "1"], ["1", "1", "5"]],  # det 22, a unit mod 7
+}
+PULLED_IDEALS = [["x0+x1", "x0^2"], ["x0*x2 - x1^2 + x0*x1"], ["x0-2*x2", "x1+x2"]]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("kind", sorted(SIGMA_ROWS))
+def test_stepped_pullback_is_the_direct_pullback(field, kind):
+    """pulled_ideal steps I^{sigma^n} from the largest cached degree below n;
+    in any order of requests it has the generators of the direct pullback
+    by sigma^n, taken on a separate sigma."""
+    ring = PolyRing(field, 3)
+    for texts in PULLED_IDEALS:
+        sc = IdealizerScene(ring, ProjAutomorphism.from_strings(ring, SIGMA_ROWS[kind]),
+                            HomIdeal.from_strings(ring, texts))
+        direct = ProjAutomorphism.from_strings(ring, SIGMA_ROWS[kind])
+        for n in (3, 1, 8, 5, 2, 7, 4, 6, 0):
+            assert sc.pulled_ideal(n).gens == direct.pullback_ideal(sc.ideal, n).gens
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("kind", sorted(SIGMA_ROWS))
+def test_stabilization_takes_no_power_of_sigma(field, kind):
+    """stabilization_degree to 8 walks every colon on sigma's one pullback
+    table: sigma holds no matrix power above 1 and at most one table."""
+    ring = PolyRing(field, 3)
+    for texts in PULLED_IDEALS:
+        sigma = ProjAutomorphism.from_strings(ring, SIGMA_ROWS[kind])
+        stabilization_degree(IdealizerScene(ring, sigma, HomIdeal.from_strings(ring, texts)), 8)
+        assert max(sigma._powers) <= 1
+        assert len(sigma._pullbacks) <= 1
+
+
 def test_idealizer_command_reduces_each_monomial_in_one_table(monkeypatch):
     """`idealizer` on moving_point: every colon equals I, so the colon
     pieces and the exhaustive oracle read I's one table of monomial normal

@@ -27,6 +27,7 @@ from geomideal.polykernel import (
     codimension,
     degree_piece_basis,
     dim_ideal_piece,
+    groebner_basis,
     hilbert_function,
     hilbert_polynomial,
     ideal_equal,
@@ -306,6 +307,31 @@ def test_normal_form_matches_naive_division(data):
 def test_descending_key_reverses_the_order():
     monos = [m for n in range(4) for m in monomials_of_degree(RQ, n)]
     assert sorted(monos, key=mono_descending_key) == sorted(monos, key=mono_key, reverse=True)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_monomials_of_degree_is_the_sorted_enumeration(field):
+    for nvars in range(1, 11):
+        ring = PolyRing(field, nvars)
+        for n in range(9):
+            assert monomials_of_degree(ring, n) == oracles.sorted_monomials_of_degree(nvars, n)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_known_basis_gens_are_the_sorted_basis(data):
+    """HomIdeal.from_basis reverses a reduced basis instead of sorting it:
+    the reversal is Poly.sort_key order on the bases of groebner_basis,
+    intersect, ideal_quotient and saturate, and the ideals these return
+    list their generators in that order."""
+    ring, I = data.draw(ring_and_ideal(max_deg=2))
+    J = HomIdeal(ring, data.draw(st.lists(homogeneous_poly(ring, 2), min_size=1, max_size=3)))
+    bases = [groebner_basis(list(I.gens))]
+    for K in (intersect(I, J), ideal_quotient(I, J), saturate(I), saturate(J)):
+        assert list(K.gens) == sorted(K.gens, key=Poly.sort_key)
+        bases.append(list(K.groebner()))
+    for gb in bases:
+        assert list(HomIdeal.from_basis(ring, gb).gens) == sorted(gb, key=Poly.sort_key)
 
 
 @given(st.data())
