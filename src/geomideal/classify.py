@@ -32,7 +32,7 @@ from .geometry import (
     critical_transversality_certificate,
     forward_orbit_hits,
     projective_order,
-    _unipotent_scalar,
+    _unipotent_part,
 )
 from .homology import point_coordinates, truncated_tor_over_quotient
 from .idealizer import IdealizerScene, stabilization_degree
@@ -111,7 +111,7 @@ def sigma_ideal_order(ideal: HomIdeal, sigma: ProjAutomorphism,
         raise ValueError("order bound must be >= 1")
     field = sigma.ring.field
     diagonal = field.char == 0 and sigma.is_diagonal()
-    unipotent = field.char == 0 and not diagonal and _unipotent_scalar(sigma) is not None
+    unipotent = field.char == 0 and not diagonal and _unipotent_part(sigma) is not None
     last = 2 if diagonal else 1 if unipotent else bound
     for n in range(1, min(bound, last) + 1):
         if _fixed_by_power(ideal, sigma, n):
@@ -126,8 +126,8 @@ def sigma_ideal_order(ideal: HomIdeal, sigma: ProjAutomorphism,
         if k is not None:
             for div in _divisors(k):
                 if div > bound:
-                    # sigma^div by squaring, on a throwaway automorphism:
-                    # nothing past the bound is cached on sigma
+                    # div can reach k - 1 (996 over GF(997)): sigma^div by
+                    # squaring, not div steps of sigma
                     power = ProjAutomorphism(sigma.ring, _mat_pow(field, sigma.matrix, div))
                     if _fixed_by_power(ideal, power, 1):
                         return OrderResult(div, False, "finite-matrix-group")

@@ -40,7 +40,7 @@ from .homology import Transversality
 from .idealizer import IdealizerScene
 from .polykernel import (HomIdeal, PolyRing, Substitution, _minimalize_monos,
                          hilbert_polynomial, mono_lcm)
-from .twist import ProjAutomorphism, _dot, _mat_mul, is_scalar_matrix
+from .twist import ProjAutomorphism, _dot, _mat_mul, _mat_pow, is_scalar_matrix
 
 RATIONAL_SUBSTITUTE_NOTE = (
     "eigenvalue ratios multiplicatively independent used as the rational-"
@@ -135,7 +135,7 @@ PERIOD_CAP = 1000  # how far GF(p) orbits and projective orders are scanned
 
 def projective_order(sigma: ProjAutomorphism) -> int | None:
     """Least k >= 1 with sigma^k a scalar matrix, scanning up to PERIOD_CAP
-    with a running product, so no power is left cached on sigma."""
+    with a running product."""
     field = sigma.ring.field
     power = sigma.matrix
     for k in range(1, PERIOD_CAP + 1):
@@ -233,17 +233,8 @@ def _unipotent_part(sigma: ProjAutomorphism):
     c = field.div(trace, field.from_int(n))
     N = tuple(tuple(field.sub(field.div(M[i][j], c), field.one if i == j else field.zero)
                     for j in range(n)) for i in range(n))
-    power = N
-    for _ in range(n - 1):
-        power = _mat_mul(field, power, N)
-    return (c, N) if all(field.is_zero(e) for row in power for e in row) else None
-
-
-def _unipotent_scalar(sigma: ProjAutomorphism):
-    """The scalar c with sigma = c * (unipotent matrix), or None, over a
-    field of characteristic 0."""
-    part = _unipotent_part(sigma)
-    return None if part is None else part[0]
+    nilpotent = all(field.is_zero(e) for row in _mat_pow(field, N, n) for e in row)
+    return (c, N) if nilpotent else None
 
 
 def _orbit_class_bounds(p: RationalPoint, sigma: ProjAutomorphism, Z: HomIdeal):

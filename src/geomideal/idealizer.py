@@ -35,7 +35,7 @@ from .polykernel import (
     intersect,
     saturate,
 )
-from .twist import DegreePiece, ProjAutomorphism, TwistedElement, twist_multiply
+from .twist import DegreePiece, ProjAutomorphism, TwistedElement, _check_exponent
 
 
 @dataclass
@@ -94,22 +94,19 @@ class IdealizerScene:
     # -- core pieces --------------------------------------------------------
 
     def pulled_ideal(self, n: int) -> HomIdeal:
-        """I^{sigma^n}, cached: the colon and the oracle both read it.
+        """I^{sigma^n} for n >= 0, cached: the colon and both oracles read it.
 
-        For n >= 1 it is stepped, I^{sigma^n} = (I^{sigma^(n-1)})^sigma
-        since (f o sigma^(n-1)) o sigma = f o sigma^n, from the largest
-        cached degree below n, so a walk over n = 1..N uses sigma's one
-        pullback table and no matrix power.  Exact arithmetic makes each
-        step's generators those of the direct pullback by sigma^n."""
-        if n < 1:
-            return self.sigma.pullback_ideal(self.ideal, n)
+        It is stepped, I^{sigma^n} = (I^{sigma^(n-1)})^sigma since
+        (f o sigma^(n-1)) o sigma = f o sigma^n, from the largest cached
+        degree below n (from I itself when there is none), so a walk over
+        n = 1..N pulls each generator back once per degree."""
+        _check_exponent(n)
         cache = self._pulled_cache
-        if n not in cache:
-            k = max((k for k in cache if k < n), default=0)
-            pulled = cache.get(k, self.ideal)
-            for k in range(k + 1, n + 1):
-                pulled = cache[k] = self.sigma.pullback_ideal(pulled)
-        return cache[n]
+        k = max((k for k in cache if k <= n), default=0)
+        pulled = cache.get(k, self.ideal)
+        for k in range(k + 1, n + 1):
+            pulled = cache[k] = self.sigma.pullback_ideal(pulled)
+        return pulled
 
     def colon_ideal(self, n: int) -> HomIdeal:
         """(I : I^{sigma^n}), cached; saturated since I is.  A colon equal
@@ -136,18 +133,17 @@ def membership_oracle(x: TwistedElement, scene: IdealizerScene, M: int) -> bool:
     """Finite-horizon test of the defining property: x star I_m inside I_(n+m)
     for all 0 <= m <= M.
 
-    Tests x star g for the generators g of the saturated scene ideal with
-    deg g <= M; those span I_0..I_M as a module, and x star (s*g) =
-    s^{sigma^n} * (x star g).  Exact (two-sided) when M is at least the
-    maximal generator degree; otherwise a necessary condition only.
+    Tests x star g = x . (g o sigma^n) for the generators g of the
+    saturated scene ideal with deg g <= M; those span I_0..I_M as a module,
+    and x star (s*g) = s^{sigma^n} * (x star g).  The pulled-back
+    generators are the scene's (`IdealizerScene.pulled_ideal`), shared with
+    the colon.  Exact (two-sided) when M is at least the maximal generator
+    degree; otherwise a necessary condition only.
     """
     if x.is_zero() or x.degree == 0:
         return True
-    I = scene.ideal
-    return all(
-        I.contains(twist_multiply(x, TwistedElement(g.degree, g), scene.sigma).poly)
-        for g in I.gens if g.degree <= M
-    )
+    return all(scene.ideal.contains(x.poly * h)
+               for h in scene.pulled_ideal(x.degree).gens if h.degree <= M)
 
 
 def exhaustive_oracle_piece(scene: IdealizerScene, n: int, M: int) -> DegreePiece:

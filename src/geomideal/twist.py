@@ -10,6 +10,10 @@ with sigma^n applied to the right-hand factor; degree-0 scalars stay
 central and the product is associative.  Scaling the matrix by a nonzero
 constant changes nothing at the level of ideals, subschemes, or verdicts
 (homogeneous data rescales by a unit).
+
+Only the powers sigma^n with n >= 0 act: the product above and the
+idealizer's colons (I : I^{sigma^n}) need no other, and sigma^n acts as n
+steps of sigma, on forms and on points alike.
 """
 
 from __future__ import annotations
@@ -33,7 +37,13 @@ class DegreePiece:
 
 
 class ProjAutomorphism:
-    """Linear automorphism of P^d with cached inverse and powers."""
+    """Linear automorphism of P^d and its action by sigma^n, n >= 0.
+
+    Holds the matrix and one monomial image table (Substitution) for sigma
+    itself, built on the first pullback; sigma^n acts as n steps of sigma,
+    so no power of the matrix is formed or kept."""
+
+    __slots__ = ("ring", "matrix", "_pullback")
 
     def __init__(self, ring: PolyRing, rows):
         self.ring = ring
@@ -45,8 +55,7 @@ class ProjAutomorphism:
         if linalg.rank(field, [list(r) for r in matrix]) != n:
             raise ValueError("sigma matrix is singular")
         self.matrix = matrix
-        self._powers: dict[int, tuple] = {0: _identity(field, n), 1: matrix}
-        self._pullbacks: dict[int, Substitution] = {}
+        self._pullback = None  # sigma's Substitution, built on the first pullback
 
     @classmethod
     def from_strings(cls, ring: PolyRing, rows: list[list[str]]) -> "ProjAutomorphism":
@@ -66,62 +75,45 @@ class ProjAutomorphism:
 
     @classmethod
     def identity(cls, ring: PolyRing) -> "ProjAutomorphism":
-        return cls(ring, _identity(ring.field, ring.nvars))
-
-    # -- matrix powers ------------------------------------------------------
-
-    def power(self, n: int) -> tuple:
-        """M^n, stepping by M or M^-1 from the nearest cached power toward 0."""
-        if n in self._powers:
-            return self._powers[n]
-        field = self.ring.field
-        step = 1 if n > 0 else -1
-        if step not in self._powers:
-            self._powers[step] = _mat_inverse(field, self.matrix)
-        k = n
-        while k not in self._powers:
-            k -= step
-        m = self._powers[k]
-        while k != n:
-            k += step
-            m = _mat_mul(field, m, self._powers[step])
-            self._powers[k] = m
-        return m
+        field, n = ring.field, ring.nvars
+        return cls(ring, [[field.one if i == j else field.zero for j in range(n)]
+                          for i in range(n)])
 
     # -- actions ------------------------------------------------------------
 
     def pullback(self, f: Poly, n: int = 1) -> Poly:
-        """f o sigma^n: substitute x_i by the i-th row of M^n applied to x,
-        through one monomial image table (Substitution) per n, whose images
-        are built on the ring's unit exponent tuples.  A caller that needs
-        every n up to N steps with n = 1 (IdealizerScene.pulled_ideal), so
-        one table and no power of M serve them all."""
-        if n == 0 or f.is_zero():
-            return f
-        if n not in self._pullbacks:
+        """f o sigma^n: n substitutions of x_i by the i-th row of M applied
+        to x, on sigma's one table, since (f o sigma^(k-1)) o sigma =
+        f o sigma^k."""
+        _check_exponent(n)
+        if n and self._pullback is None:
             ring = self.ring
             is_zero, units = ring.field.is_zero, ring.units
-            self._pullbacks[n] = Substitution([
+            self._pullback = Substitution([
                 Poly(ring, {units[j]: c for j, c in enumerate(row) if not is_zero(c)})
-                for row in self.power(n)])
-        return self._pullbacks[n](f)
+                for row in self.matrix])
+        for _ in range(n):
+            f = self._pullback(f)
+        return f
 
     def pullback_ideal(self, I: HomIdeal, n: int = 1) -> HomIdeal:
         """I^{sigma^n}, generator-wise; V(I^{sigma^n}) = sigma^{-n}(V(I)).
 
         Saturation is preserved (an automorphism fixes the irrelevant ideal).
         """
+        _check_exponent(n)
         if n == 0:
             return I
         return HomIdeal(self.ring, [self.pullback(g, n) for g in I.gens])
 
     def act_point(self, coords: tuple, n: int = 1) -> tuple:
-        """sigma^n(p) as raw coordinates M^n . p (no normalization)."""
+        """sigma^n(p) as raw coordinates M^n . p, by n products with M (no
+        normalization)."""
+        _check_exponent(n)
         field = self.ring.field
-        M = self.power(n)
-        return tuple(
-            _dot(field, row, coords) for row in M
-        )
+        for _ in range(n):
+            coords = tuple(_dot(field, row, coords) for row in self.matrix)
+        return coords
 
     def is_diagonal(self) -> bool:
         field = self.ring.field
@@ -146,10 +138,9 @@ class ProjAutomorphism:
         return f"ProjAutomorphism({self.matrix})"
 
 
-def _identity(field, n):
-    return tuple(
-        tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)
-    )
+def _check_exponent(n):
+    if n < 0:
+        raise ValueError(f"sigma acts by its powers n >= 0, not n = {n}")
 
 
 def is_scalar_matrix(field, rows) -> bool:
@@ -185,15 +176,6 @@ def _mat_pow(field, M, n):
         if n:
             M = _mat_mul(field, M, M)
     return power
-
-
-def _mat_inverse(field, M):
-    n = len(M)
-    aug = [list(M[i]) + [field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-    reduced, pivots = linalg.rref(field, aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return tuple(tuple(reduced[i][n:]) for i in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ basis per accepted vector), stepwise_resolution (a resolution over a
 quotient, one preimage per map) and rref_oracle_piece (the idealizer
 oracle's conditions in monomial order, then a separate rref).
 leibniz_det_adjugate works over any commutative ring whose elements have
-+, - and *, the library's polynomials among them.
++, - and *, the library's polynomials among them; dense_power and
+dense_pullback form M^n as n dense products and expand f o M^n with the
+library polynomials' + and *, not with its substitution tables.
 """
 
 from functools import lru_cache
@@ -466,6 +468,45 @@ def leibniz_det_adjugate(rows, zero, one):
                          for a in range(r) if a != j])
             adj[i].append(zero - minor if (i + j) % 2 else minor)
     return det(rows), adj
+
+
+# -- powers of a matrix and the pullback by them ------------------------------
+
+def dense_mul(field, A, B):
+    """A·B with every product formed, zero or not, in the library field's
+    arithmetic."""
+    n = len(A)
+    out = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] = field.add(out[i][j], field.mul(A[i][k], B[k][j]))
+    return tuple(map(tuple, out))
+
+
+def dense_power(field, M, n):
+    """M^n for n >= 0 as n dense products, starting from the identity."""
+    power = tuple(tuple(field.one if i == j else field.zero for j in range(len(M)))
+                  for i in range(len(M)))
+    for _ in range(n):
+        power = dense_mul(field, power, M)
+    return power
+
+
+def dense_pullback(f, M, n):
+    """f o M^n for a library polynomial f: each x_i replaced by the linear
+    form of row i of M^n, every monomial expanded as a product of those
+    forms."""
+    ring = f.ring
+    images = [sum((ring.variable(j).scale(c) for j, c in enumerate(row)), ring.zero())
+              for row in dense_power(ring.field, M, n)]
+    out = ring.zero()
+    for mono, c in f.terms.items():
+        term = ring.constant(c)
+        for image, e in zip(images, mono):
+            term = term * image ** e
+        out = out + term
+    return out
 
 
 # -- forward orbits on normalized points -------------------------------------

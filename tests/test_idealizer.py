@@ -151,6 +151,12 @@ def test_membership_oracle_accepts_and_rejects():
     assert membership_oracle(TwistedElement(1, RQ.parse("x0")), sc, 4)
     assert membership_oracle(TwistedElement(1, RQ.parse("x1")), sc, 4)
     assert not membership_oracle(TwistedElement(1, RQ.parse("x2")), sc, 4)
+    # [0:0:1] has period two under the swap of x1 and x2, so I^{sigma^n} is
+    # I for even n only: x2 fails in degree 1, and x2^2 passes in degree 2
+    swap = ProjAutomorphism.from_strings(RQ, [["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]])
+    sc = IdealizerScene(RQ, swap, HomIdeal.from_strings(RQ, ["x0", "x1"]))
+    assert not membership_oracle(TwistedElement(1, RQ.parse("x2")), sc, 1)
+    assert membership_oracle(TwistedElement(2, RQ.parse("x2^2")), sc, 1)
 
 
 def test_membership_oracle_is_one_sided_below_horizon():
@@ -311,7 +317,8 @@ def test_ideal_pieces_lie_in_idealizer_pieces():
 def test_veronese_colon_compatibility():
     # (sigma^v)-scene colon at n equals the original colon at v*n
     sc = fat_point_scene()
-    sv = IdealizerScene(RQ, ProjAutomorphism(RQ, SIGMA.power(2)), sc.ideal)
+    sv = IdealizerScene(RQ, ProjAutomorphism(RQ, oracles.dense_power(QQ, SIGMA.matrix, 2)),
+                        sc.ideal)
     for n in (1, 2):
         assert ideal_equal(sv.colon_ideal(n), sc.colon_ideal(2 * n))
 
@@ -374,28 +381,40 @@ PULLED_IDEALS = [["x0+x1", "x0^2"], ["x0*x2 - x1^2 + x0*x1"], ["x0-2*x2", "x1+x2
 @pytest.mark.parametrize("kind", sorted(SIGMA_ROWS))
 def test_stepped_pullback_is_the_direct_pullback(field, kind):
     """pulled_ideal steps I^{sigma^n} from the largest cached degree below n;
-    in any order of requests it has the generators of the direct pullback
-    by sigma^n, taken on a separate sigma."""
+    in any order of requests it has the generators of the dense pullback
+    by M^n (oracles.dense_pullback)."""
     ring = PolyRing(field, 3)
     for texts in PULLED_IDEALS:
         sc = IdealizerScene(ring, ProjAutomorphism.from_strings(ring, SIGMA_ROWS[kind]),
                             HomIdeal.from_strings(ring, texts))
-        direct = ProjAutomorphism.from_strings(ring, SIGMA_ROWS[kind])
+        M = sc.sigma.matrix
         for n in (3, 1, 8, 5, 2, 7, 4, 6, 0):
-            assert sc.pulled_ideal(n).gens == direct.pullback_ideal(sc.ideal, n).gens
+            want = HomIdeal(ring, [oracles.dense_pullback(g, M, n) for g in sc.ideal.gens])
+            assert sc.pulled_ideal(n).gens == want.gens
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
 @pytest.mark.parametrize("kind", sorted(SIGMA_ROWS))
-def test_stabilization_takes_no_power_of_sigma(field, kind):
-    """stabilization_degree to 8 walks every colon on sigma's one pullback
-    table: sigma holds no matrix power above 1 and at most one table."""
+def test_stabilization_takes_no_power_of_sigma(field, kind, monkeypatch):
+    """stabilization_degree to 8 walks every colon by single steps of
+    sigma: each generator is pulled back once per degree, by sigma itself.
+    sigma holds its matrix and one pullback table, and no other state."""
+    steps = []
+    pullback = ProjAutomorphism.pullback
+
+    def counted(self, f, n=1):
+        steps.append(n)
+        return pullback(self, f, n)
+
+    monkeypatch.setattr(ProjAutomorphism, "pullback", counted)
     ring = PolyRing(field, 3)
     for texts in PULLED_IDEALS:
         sigma = ProjAutomorphism.from_strings(ring, SIGMA_ROWS[kind])
-        stabilization_degree(IdealizerScene(ring, sigma, HomIdeal.from_strings(ring, texts)), 8)
-        assert max(sigma._powers) <= 1
-        assert len(sigma._pullbacks) <= 1
+        sc = IdealizerScene(ring, sigma, HomIdeal.from_strings(ring, texts))
+        steps.clear()
+        stabilization_degree(sc, 8)
+        assert steps == [1] * (8 * len(sc.ideal.gens))
+        assert not hasattr(sigma, "__dict__")
 
 
 def test_idealizer_command_reduces_each_monomial_in_one_table(monkeypatch):

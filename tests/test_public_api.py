@@ -72,6 +72,16 @@ def test_verdict_ledger_counts_its_rows():
     assert last == f"{decided} of {len(rows)} rows certified or refuted"
 
 
+def test_code_size_script_counts_every_module():
+    """One row per module of the package, then a total that sums them."""
+    out = _run_script("code_size.py")
+    assert out.returncode == 0, out.stderr
+    _, *rows, total = [line.split() for line in out.stdout.splitlines()]
+    assert [r[0] for r in rows] == sorted(p.name for p in (ROOT / "src" / "geomideal").glob("*.py"))
+    assert total == ["total", *(str(sum(int(r[k]) for r in rows)) for k in (1, 2))]
+    assert all(int(r[1]) > 0 for r in rows)
+
+
 def test_module_entry_point_runs_the_cli(capsys):
     """`python -m geomideal` prints what cli.main prints, writes nothing to
     stderr, and exits with cli.main's code: 2 for a usage error."""

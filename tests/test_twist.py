@@ -11,14 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from geomideal import linalg
 from geomideal.fields import QQ, PrimeField
+from geomideal.geometry import RationalPoint
 from geomideal.idealizer import IdealizerScene, idealizer_piece
 from geomideal.polykernel import HomIdeal, PolyRing, dim_full_space, monomials_of_degree
 from geomideal.twist import (
     DegreePiece,
     ProjAutomorphism,
     TwistedElement,
+    _mat_pow,
     is_scalar_matrix,
     twist_multiply,
 )
@@ -113,7 +116,7 @@ def test_twist_associativity(data):
 
 
 @settings(max_examples=50, deadline=None)
-@given(data=st.data(), m=st.integers(-3, 3), n=st.integers(-3, 3))
+@given(data=st.data(), m=st.integers(0, 3), n=st.integers(0, 3))
 def test_pullback_group_action(data, m, n):
     sigma = _random_sigma(data.draw)
     f = data.draw(twisted_element()).poly
@@ -126,7 +129,7 @@ def test_pullback_is_ring_homomorphism(data):
     sigma = _random_sigma(data.draw)
     f = data.draw(twisted_element()).poly
     g = data.draw(twisted_element()).poly
-    n = data.draw(st.integers(-2, 3))
+    n = data.draw(st.integers(0, 3))
     assert sigma.pullback(f * g, n) == sigma.pullback(f, n) * sigma.pullback(g, n)
     assert sigma.pullback(f + g, n) == sigma.pullback(f, n) + sigma.pullback(g, n)
 
@@ -135,7 +138,7 @@ def test_pullback_point_adjunction():
     # (f o sigma^n)(p) = f(sigma^n p)
     f = RQ.parse("x0^2*x1 - 3*x2^3 + x0*x1*x2")
     p = (Fraction(1), Fraction(-2), Fraction(1, 3))
-    for n in (-2, -1, 0, 1, 3):
+    for n in (0, 1, 2, 3):
         assert SIGMA.pullback(f, n).evaluate(p) == f.evaluate(SIGMA.act_point(p, n))
 
 
@@ -143,7 +146,7 @@ def test_pullback_ideal_membership_commutes():
     I = HomIdeal.from_strings(RQ, ["x0 + x1", "x0^2"])
     g = RQ.parse("x0*x1 + x1^2")  # = (x0+x1)*x1, in I
     h = RQ.parse("x2^2")
-    for n in (1, 2, -1):
+    for n in (1, 2, 3):
         In = SIGMA.pullback_ideal(I, n)
         assert In.contains(SIGMA.pullback(g, n))
         assert not In.contains(SIGMA.pullback(h, n))
@@ -159,23 +162,20 @@ def test_projective_rescaling_gives_same_action():
         assert ideal_equal(SIGMA.pullback_ideal(I, n), scaled.pullback_ideal(I, n))
 
 
-def test_large_first_power_needs_no_recursion():
-    R1 = PolyRing(QQ, 2)
-    shear = ProjAutomorphism.from_strings(R1, [["1", "1"], ["0", "1"]])
-    assert shear.power(3000) == ((1, 3000), (0, 1))
-    assert shear.power(-2500) == ((1, -2500), (0, 1))
-    assert shear.power(1234) == ((1, 1234), (0, 1))  # filled in on the way
-
-
-def _dense_mul(field, A, B):
-    """A·B with every product formed, zero or not."""
-    n = len(A)
-    out = [[field.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                out[i][j] = field.add(out[i][j], field.mul(A[i][k], B[k][j]))
-    return tuple(map(tuple, out))
+def test_sigma_acts_by_nonnegative_powers_only():
+    """sigma^n acts for n >= 0 only; every entry point refuses n < 0."""
+    I = HomIdeal.from_strings(RQ, ["x0 + x1", "x0^2"])
+    scene = IdealizerScene(RQ, SIGMA, I)
+    refusals = [
+        lambda: SIGMA.pullback(RQ.parse("x0"), -1),
+        lambda: SIGMA.pullback_ideal(I, -1),
+        lambda: SIGMA.act_point((Fraction(1), Fraction(1), Fraction(1)), -1),
+        lambda: RationalPoint.parse(QQ, "[1:1:1]").apply(SIGMA, -2),
+        lambda: scene.pulled_ideal(-1),
+    ]
+    for call in refusals:
+        with pytest.raises(ValueError, match="n >= 0"):
+            call()
 
 
 @st.composite
@@ -206,24 +206,25 @@ def sigma_matrix(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=sigma_matrix(), order=st.permutations(range(-3, 7)))
-def test_powers_match_dense_products(case, order):
-    """power(n) for n in -3..6, asked in any order, is the dense product of
-    n copies of M (of M^-1 for n < 0), and M^-1 * M is the identity."""
+@given(case=sigma_matrix(), data=st.data())
+def test_powers_match_dense_products(case, data):
+    """The columns of sigma^n(e_j) for n in 0..6 and _mat_pow(M, n) for n
+    in 1..6 are the dense product of n copies of M, and the pullback of a
+    form by sigma^n is its substitution by that product."""
     ring, rows = case
     field = ring.field
     sigma = ProjAutomorphism(ring, rows)
     M = sigma.matrix
-    got = {n: sigma.power(n) for n in order}
-    inv = got[-1]
-    identity = tuple(tuple(field.one if i == j else field.zero for j in range(len(M)))
-                     for i in range(len(M)))
-    assert _dense_mul(field, inv, M) == identity
-    for n in order:
-        want = identity
-        for _ in range(abs(n)):
-            want = _dense_mul(field, want, M if n > 0 else inv)
-        assert got[n] == want
+    basis = oracles.dense_power(field, M, 0)
+    monos = monomials_of_degree(ring, 2)
+    chosen = data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+    f = sum((ring.monomial(m, field.from_int(data.draw(st.integers(1, 5)))) for m in chosen),
+            ring.zero())
+    for n in range(7):
+        want = oracles.dense_power(field, M, n)
+        assert tuple(zip(*(sigma.act_point(e, n) for e in basis))) == want
+        assert n == 0 or _mat_pow(field, M, n) == want
+        assert sigma.pullback(f, n) == oracles.dense_pullback(f, M, n)
 
 
 # ---------------------------------------------------------------------------
