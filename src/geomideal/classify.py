@@ -79,11 +79,31 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+class _PowerScan:
+    """I's generators pulled back by sigma^n for a nondecreasing n, each kept
+    at its latest pullback and stepped from there, (f o sigma^k) o
+    sigma^(n-k) = f o sigma^n, only when it is examined; so a scan to n = B
+    applies sigma's table at most B times per generator examined."""
+
+    def __init__(self, ideal: HomIdeal, sigma: ProjAutomorphism):
+        self.ideal, self.sigma = ideal, sigma
+        self.latest = [(0, g) for g in ideal.gens]  # (k, g o sigma^k)
+
+    def fixes(self, n: int) -> bool:
+        """Whether I^{sigma^n} = I.  The pullback has I's Hilbert function,
+        so it is I once every pulled-back generator lies in I: normal forms
+        against I's cached basis, with no Groebner run of the pullback."""
+        for i, (k, f) in enumerate(self.latest):
+            f = self.sigma.pullback(f, n - k)
+            self.latest[i] = (n, f)
+            if not self.ideal.contains(f):
+                return False
+        return True
+
+
 def _fixed_by_power(ideal: HomIdeal, sigma: ProjAutomorphism, n: int) -> bool:
-    """Whether I^{sigma^n} = I.  The pullback has I's Hilbert function, so
-    it is I once every pulled-back generator lies in I: normal forms against
-    I's cached basis, with no Groebner run of the pullback."""
-    return all(ideal.contains(sigma.pullback(g, n)) for g in ideal.gens)
+    """Whether I^{sigma^n} = I (_PowerScan.fixes)."""
+    return _PowerScan(ideal, sigma).fixes(n)
 
 
 def sigma_ideal_order(ideal: HomIdeal, sigma: ProjAutomorphism,
@@ -113,11 +133,12 @@ def sigma_ideal_order(ideal: HomIdeal, sigma: ProjAutomorphism,
     diagonal = field.char == 0 and sigma.is_diagonal()
     unipotent = field.char == 0 and not diagonal and _unipotent_part(sigma) is not None
     last = 2 if diagonal else 1 if unipotent else bound
+    scan = _PowerScan(ideal, sigma)
     for n in range(1, min(bound, last) + 1):
-        if _fixed_by_power(ideal, sigma, n):
+        if scan.fixes(n):
             return OrderResult(n, False, "direct-power-match")
     if diagonal:
-        if bound >= 2 or not _fixed_by_power(ideal, sigma, 2):
+        if bound >= 2 or not scan.fixes(2):
             return OrderResult(None, True, "eigenclass-obstruction")
     elif unipotent:
         return OrderResult(None, True, "unipotent-rigidity")

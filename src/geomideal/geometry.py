@@ -135,7 +135,14 @@ PERIOD_CAP = 1000  # how far GF(p) orbits and projective orders are scanned
 
 def projective_order(sigma: ProjAutomorphism) -> int | None:
     """Least k >= 1 with sigma^k a scalar matrix, scanning up to PERIOD_CAP
-    with a running product."""
+    with a running product; None past the cap.  The scan runs once per
+    sigma, which keeps its result."""
+    if sigma._projective_order == 0:  # not yet scanned
+        sigma._projective_order = _scan_projective_order(sigma)
+    return sigma._projective_order
+
+
+def _scan_projective_order(sigma: ProjAutomorphism) -> int | None:
     field = sigma.ring.field
     power = sigma.matrix
     for k in range(1, PERIOD_CAP + 1):

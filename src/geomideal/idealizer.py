@@ -18,13 +18,10 @@ tested); the oracle is one-sided below that horizon and is documented as such.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 
-from . import linalg
 from .errors import SceneVerificationError
 from .polykernel import (
     HomIdeal,
-    Poly,
     PolyRing,
     degree_piece_basis,
     dim_full_space,
@@ -156,53 +153,18 @@ def exhaustive_oracle_piece(scene: IdealizerScene, n: int, M: int) -> DegreePiec
     s^{sigma^n} * (x star g).  Returns the row-reduced basis, comparable
     with the colon piece.
 
-    A normal form modulo a Groebner basis is unique, hence linear, so each
-    product is reduced as a combination of the normal forms of its
-    monomials, read from I's one table (`HomIdeal.normal_forms`): each
-    monomial is reduced once per scene, for every degree n and for the
-    colon pieces that equal I's.  The pulled-back generators are the
-    scene's (`IdealizerScene.pulled_ideal`), shared with the colon.  The
-    residues come out integral, each over one denominator; over the lcm L
-    of a generator's residue denominators its condition rows are integral,
-    and scaling a row changes no solution.
-
-    The condition rows enter the echelon with their columns reversed, so
-    its pivots are the last monomials, and each kernel vector has 1 at its
-    free column, 0 at the other free columns, and otherwise entries only at
-    later monomials.  Read back in monomial order, last vector first, the
-    kernel vectors are its reduced echelon form, which is unique: the
-    row-reduced basis, with no second elimination.
+    The solutions are the annihilator of those products in I's one table
+    of monomial normal forms (`linalg.NormalForms.annihilator`, through
+    `HomIdeal.normal_forms`): each monomial is reduced once per scene, for
+    every degree n and for the colon pieces that equal I's, and the kernel
+    comes out as its reduced echelon form.  The pulled-back generators are
+    the scene's (`IdealizerScene.pulled_ideal`), shared with the colon;
+    g o sigma^n has the degree of g.
     """
-    ring = scene.ring
     if n == 0:
-        return DegreePiece(0, (ring.one(),))
-    nf = scene.ideal.normal_forms()
-    monos = nf.monomials(n)
-    last = len(monos) - 1
-    # columns = monos, last first; one condition per (g, monomial of a residue)
-    conditions = linalg.Echelon(ring.field, len(monos))
-    # g o sigma^n has the degree of g, and the echelon does not depend on
-    # the order of its rows
-    for pulled in scene.pulled_ideal(n).gens:
-        if pulled.degree > M:
-            continue
-        # nf(x . g') = nf(x . nf(g')), and nf(g') is short; its denominator
-        # scales every condition row of g alike
-        (reduced, _), = nf.shifted(pulled.terms, [(0,) * ring.nvars])
-        residues = nf.shifted(reduced, reversed(monos))
-        L = lcm(*[d for _, d in residues])
-        rows: dict[tuple, dict] = {}
-        for col, (nums, d) in enumerate(residues):
-            f = L // d
-            for t, x in nums.items():
-                if x:
-                    rows.setdefault(t, {})[col] = f * x
-        for row in rows.values():
-            conditions.insert(row)
-    out = []
-    for v in reversed(conditions.sparse_kernel()):
-        out.append(Poly(ring, {monos[last - c]: v[c] for c in sorted(v, reverse=True)}))
-    return DegreePiece(n, tuple(out))
+        return DegreePiece(0, (scene.ring.one(),))
+    forms = [f for f in scene.pulled_ideal(n).gens if f.degree <= M]
+    return DegreePiece(n, tuple(scene.ideal.normal_forms().annihilator(forms, n)))
 
 
 def pieces_agree(a: DegreePiece, b: DegreePiece) -> bool:

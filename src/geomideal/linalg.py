@@ -33,6 +33,9 @@ echelon form with x_i as column i.
 modulo a Groebner basis is unique, hence linear, so the normal form of any
 polynomial is the combination of its monomials' cached normal forms.  Its
 entries are integral too, one integer denominator over integer numerators.
+Its annihilator, the forms x of one degree with nf(x.f) = 0, is the
+idealizer oracle's subspace and, degree by degree until the Hilbert series
+is reached, a zero-divisor colon (I : g).
 
 Over the polynomial ring itself, `exact_quotient` divides one polynomial by
 another when the division is exact, and `det_adjugate` gives the
@@ -45,13 +48,18 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .polykernel import (
+    HomIdeal,
     Poly,
     PolyRing,
+    dim_full_space,
     mono_div,
     mono_divides,
     mono_key,
     mono_mul,
+    monomial_hilbert_numerator,
     monomials_of_degree,
+    numerator_add,
+    series_coefficient,
 )
 
 
@@ -334,6 +342,91 @@ class NormalForms:
                 row.update(_scalars(field, nums, -den))
                 out.append(Poly(self.ring, row, (m, one)))
         return out
+
+    def annihilator(self, forms, n: int) -> list[Poly]:
+        """The reduced echelon basis of {x in S_n : nf(x . f) = 0 for every f
+        in forms}, each element monic, largest leading monomial first.
+
+        A normal form modulo a Groebner basis is unique, hence linear, so
+        each product is reduced as a combination of the normal forms of its
+        monomials, read from this table.  The residues come out integral,
+        each over one denominator; over the lcm L of a form's residue
+        denominators its condition rows are integral, and scaling a row
+        changes no solution.
+
+        The condition rows enter the echelon with their columns reversed, so
+        its pivots are the last monomials, and each kernel vector has 1 at
+        its free column, 0 at the other free columns, and otherwise entries
+        only at later monomials.  Read back in monomial order, last vector
+        first, the kernel vectors are its reduced echelon form, which is
+        unique: the row-reduced basis, with no second elimination.
+        """
+        ring = self.ring
+        monos = self.monomials(n)
+        last = len(monos) - 1
+        # columns = monos, last first; one condition per (f, monomial of a residue)
+        conditions = Echelon(ring.field, len(monos))
+        # the echelon does not depend on the order of its rows
+        for form in forms:
+            # nf(x . f) = nf(x . nf(f)), and nf(f) is short; its denominator
+            # scales every condition row of f alike
+            (reduced, _), = self.shifted(form.terms, [(0,) * ring.nvars])
+            residues = self.shifted(reduced, reversed(monos))
+            L = lcm(*[d for _, d in residues])
+            rows: dict[tuple, dict] = {}
+            for col, (nums, d) in enumerate(residues):
+                f = L // d
+                for t, x in nums.items():
+                    if x:
+                        rows.setdefault(t, {})[col] = f * x
+            for row in rows.values():
+                conditions.insert(row)
+        out = []
+        for v in reversed(conditions.sparse_kernel()):
+            terms = {monos[last - c]: v[c] for c in sorted(v, reverse=True)}
+            out.append(Poly(ring, terms, next(iter(terms.items()))))
+        return out
+
+    def colon(self, g: Poly, section: dict[int, int]) -> HomIdeal:
+        """The ideal (I : g), from its reduced Groebner basis, for I the
+        ideal of this table's basis and g a form of degree e outside I with
+        section numerator s (polykernel.section_numerator).  From
+        0 -> S/(I : g)(-e) -> S/I -> S/(I + (g)) -> 0, the target Hilbert
+        numerator of S/(I : g) is N(I) - u^(-e)*s.
+
+        Degree by degree from 0, (I : g)_d is the annihilator of g in S_d,
+        given in reduced echelon form.  Its leading monomials are those of
+        in(I : g)_d, and every other term of a row is a non-leading, that
+        is standard, monomial; so a row whose leading monomial no earlier
+        one divides is m - nf(m) for a minimal generator m of in(I : g),
+        an element of the reduced basis.  The rows kept generate a
+        monomial ideal inside in(I : g), equal to it in every degree seen;
+        once its Hilbert numerator is the target the two are equal, and
+        the rows kept are the reduced basis (a Hilbert-driven stop:
+        Traverso, J. Symbolic Comput. 1996).
+
+        Each degree's kernel must have dimension dim S_d minus the target
+        series' coefficient.  Two different numerators differ in some
+        coefficient, so a wrong section fails that check in some degree and
+        the loop cannot run forever; the failure is an internal error.
+        """
+        ring = self.ring
+        whole = monomial_hilbert_numerator([lm for lm, _, _ in self._divisors])
+        target = numerator_add(whole, section, -1, -g.degree)
+        basis: list[Poly] = []
+        found, d = {0: 1}, -1
+        while found != target:
+            d += 1
+            rows = self.annihilator([g], d)
+            want = dim_full_space(ring, d) - series_coefficient(target, ring.nvars, d)
+            if len(rows) != want:
+                raise AssertionError(f"(I : g) has dimension {len(rows)} in degree {d}, "
+                                     f"its Hilbert series {want}")
+            new = [f for f in rows if not any(mono_divides(h.lm(), f.lm()) for h in basis)]
+            if new:
+                basis = new + basis
+                found = monomial_hilbert_numerator([h.lm() for h in basis])
+        return HomIdeal.from_basis(ring, basis)  # by decreasing leading monomial
 
 
 def exact_quotient(p: Poly, q: Poly) -> Poly | None:

@@ -21,9 +21,10 @@ N(I + (h)) − (1 − u^e)·N(I) = u^e·N((I : h)/I) (`section_numerator`, with
 I + (h) from `ideal_sum`'s unreduced extension of I's basis by h), zero
 exactly when (I : h) = I, that is, when h is a nonzerodivisor on S/I.  Once
 some generator g passes, (I : J) ⊆ (I : g) = I, so (I : J) is I.  Otherwise
-J = (g_1, ..., g_k) is one module preimage: (I : J) = {a : a·(g_1, ...,
-g_k) ∈ I·e_1 + ... + I·e_k} (Greuel & Pfister, A Singular Introduction to
-Commutative Algebra, ch. 2).  `intersect` returns the smaller ideal's
+(I : J) is the meet of the (I : g), each read degree by degree off I's
+normal forms until its leading monomials give N(I) − u^(−e)·s, the numerator
+of S/(I : g) by the sequence above, s the section numerator (a Hilbert-driven
+stop, `linalg.NormalForms.colon`; Traverso, J. Symbolic Comput. 1996).  `intersect` returns the smaller ideal's
 reduced basis when one contains the other, and otherwise the preimage of
 (1, 1) under I·e_1 + J·e_2.  Saturation: for a homogeneous K in degrevlex,
 in(K : x_last^∞) = in(K) : x_last^∞ (Bayer & Stillman, Invent. Math. 1987;
@@ -741,46 +742,41 @@ def unit_ideal(ring: PolyRing) -> HomIdeal:
     return HomIdeal(ring, [ring.one()])
 
 
-def _preimage(ring: PolyRing, vector: list, parts: list) -> list[Poly]:
-    """Reduced Groebner basis of {a in S : a·vector lies in the sum of the
-    parts[k]·e_k}, sorted by decreasing leading monomial.
-
-    One freemod.preimage_generators run in F = ⊕ S(−deg vector_k), where
-    a·vector has degree deg a and the targets are the f·e_k for f in
-    parts[k].gens.
-    """
+def _preimage(I: HomIdeal, J: HomIdeal) -> list[Poly]:
+    """Reduced Groebner basis of I ∩ J, by decreasing leading monomial: the
+    preimage of (1, 1) under I·e_1 + J·e_2, one freemod.preimage_generators
+    run in F = S ⊕ S (Greuel & Pfister, A Singular Introduction to
+    Commutative Algebra, ch. 2)."""
     from . import freemod  # local import: freemod imports this module
 
-    F = freemod.FreeModule(ring, [-v.degree for v in vector])
-    targets = [freemod.MVec(F, {k: f}) for k, part in enumerate(parts) for f in part.gens]
-    pre = freemod.preimage_generators([freemod.MVec(F, dict(enumerate(vector)))], targets)
+    F, one = freemod.FreeModule(I.ring, [0, 0]), I.ring.one()
+    targets = [freemod.MVec(F, {k: f}) for k, part in enumerate((I, J)) for f in part.gens]
+    pre = freemod.preimage_generators([freemod.MVec(F, {0: one, 1: one})], targets)
     return sorted((a.comps[0] for a in pre), key=lambda f: mono_key(f.lm()), reverse=True)
 
 
 def intersect(I: HomIdeal, J: HomIdeal) -> HomIdeal:
-    """I ∩ J.  When one ideal contains the other (normal forms against the
-    cached bases), the smaller one's reduced basis; otherwise the preimage
-    of (1, 1) under I·e1 + J·e2."""
+    """I ∩ J: the smaller ideal's reduced basis when one contains the other
+    (normal forms against the cached bases), else `_preimage`."""
     ring = I.ring
     if I.is_zero_ideal() or J.is_zero_ideal():
         return HomIdeal(ring, [])
     for small, big in ((I, J), (J, I)):
         if all(big.contains(f) for f in small.gens):
             return HomIdeal.from_basis(ring, small.groebner())
-    meet = _preimage(ring, [ring.one(), ring.one()], [I, J])
-    return HomIdeal.from_basis(ring, meet)
+    return HomIdeal.from_basis(ring, _preimage(I, J))
 
 
-def _is_nonzerodivisor(I: HomIdeal, g: Poly) -> bool:
-    """Whether g is a nonzerodivisor on S/I: a zero section numerator."""
-    return not section_numerator(I, ideal_sum(I, HomIdeal(I.ring, [g])), g.degree)
+def _section(I: HomIdeal, g: Poly) -> dict[int, int]:
+    """g's section numerator on S/I, zero exactly when g is a nonzerodivisor."""
+    return section_numerator(I, ideal_sum(I, HomIdeal(I.ring, [g])), g.degree)
 
 
 def ideal_quotient(I: HomIdeal, J: HomIdeal) -> HomIdeal:
     """(I : J) = {f : f·J ⊆ I}.  When I's reduced basis is empty or all
     linear, S/I is a domain: (I : J) is (1) when J ⊆ I and I otherwise, and
-    the first generator of J outside I decides.  Else the generators of J
-    outside I go to the Hilbert test, then to one preimage (module docstring)."""
+    the first generator of J outside I decides.  Else I at the first zero
+    section, or the meet of the Hilbert-driven (I : g) (module docstring)."""
     ring, basis = I.ring, I.groebner()
     if all(f.degree == 1 for f in basis):  # S/I is a domain
         inside = all(map(I.contains, J.gens))  # stops at the first g outside I
@@ -788,10 +784,12 @@ def ideal_quotient(I: HomIdeal, J: HomIdeal) -> HomIdeal:
     gens = [g for g in J.gens if not I.contains(g)]
     if not gens:
         return unit_ideal(ring)
-    if any(_is_nonzerodivisor(I, g) for g in gens):
-        return HomIdeal.from_basis(ring, basis)
-    quot = _preimage(ring, gens, [I] * len(gens))
-    return HomIdeal.from_basis(ring, quot)
+    sections = []
+    for g in gens:
+        if not (s := _section(I, g)):
+            return HomIdeal.from_basis(ring, basis)
+        sections.append(s)
+    return _fold(intersect, map(I.normal_forms().colon, gens, sections))
 
 
 def _saturate_variable(I: HomIdeal, i: int) -> HomIdeal:

@@ -41,9 +41,11 @@ class ProjAutomorphism:
 
     Holds the matrix and one monomial image table (Substitution) for sigma
     itself, built on the first pullback; sigma^n acts as n steps of sigma,
-    so no power of the matrix is formed or kept."""
+    so no power of the matrix is formed or kept.  It also keeps
+    geometry.projective_order's result for this sigma, on first use (0
+    until then; the order itself is at least 1, or None past the scan)."""
 
-    __slots__ = ("ring", "matrix", "_pullback")
+    __slots__ = ("ring", "matrix", "_pullback", "_projective_order")
 
     def __init__(self, ring: PolyRing, rows):
         self.ring = ring
@@ -56,6 +58,7 @@ class ProjAutomorphism:
             raise ValueError("sigma matrix is singular")
         self.matrix = matrix
         self._pullback = None  # sigma's Substitution, built on the first pullback
+        self._projective_order = 0  # not yet scanned
 
     @classmethod
     def from_strings(cls, ring: PolyRing, rows: list[list[str]]) -> "ProjAutomorphism":

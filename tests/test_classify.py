@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from geomideal import geometry
 from geomideal.classify import (
     CITATIONS,
     EVIDENCE_KINDS,
@@ -31,6 +32,7 @@ from geomideal.idealizer import IdealizerScene, idealizer_hilbert, stabilization
 from geomideal.polykernel import (
     HomIdeal,
     PolyRing,
+    Substitution,
     ideal_equal,
     intersect,
     monomials_of_degree,
@@ -179,8 +181,9 @@ def test_order_unipotent_rigidity():
 def test_order_scan_stops_where_the_certificates_decide(monkeypatch):
     """At bound 12 a diagonal sigma pulls back at most sigma and sigma^2,
     and the shear only sigma itself.  Each power is tried generator by
-    generator and stops at the first pullback outside I, so each power
-    shows up once here."""
+    generator and stops at the first pullback outside I, and sigma^2 steps
+    that generator's pullback by sigma, so each power shows up once here,
+    as one step."""
     powers = []
     pullback = ProjAutomorphism.pullback
 
@@ -190,11 +193,11 @@ def test_order_scan_stops_where_the_certificates_decide(monkeypatch):
 
     monkeypatch.setattr(ProjAutomorphism, "pullback", counted)
     r = sigma_ideal_order(pt("[1:1:1]").ideal(RQ), SIGMA, 12)
-    assert r.justification == "eigenclass-obstruction" and powers == [1, 2]
+    assert r.justification == "eigenclass-obstruction" and powers == [1, 1]
     neg = ProjAutomorphism.diagonal(RQ, ["1", "-1", "2"])
     powers.clear()
     assert sigma_ideal_order(ideal("x0 + x1"), neg, 12).order == 2
-    assert powers == [1, 2]
+    assert powers == [1, 1]
     R1 = PolyRing(QQ, 2)
     shear = ProjAutomorphism.from_strings(R1, [["1", "1"], ["0", "1"]])
     powers.clear()
@@ -246,6 +249,52 @@ def test_projective_order_scan_caches_no_power_past_the_bound():
     sigma = ProjAutomorphism.diagonal(R, ["1", "11", "121"])
     r = sigma_ideal_order(pt("[1:2:3]", F).ideal(R), sigma, 12)
     assert (r.order, r.justification) == (None, "order-bound-exhausted")
+
+
+def test_order_scan_steps_each_generator_from_its_last_pullback(monkeypatch):
+    """At bound 12 the scan of a GF(1009) point under diag(1, 11, 121) stops
+    at the first generator for each n, stepped from its pullback at n - 1:
+    12 applications of sigma's table, where pulling back by sigma^n from
+    scratch would make 1 + 2 + ... + 12 = 78."""
+    calls = []
+    real = Substitution.__call__
+
+    def counted(self, f):
+        calls.append(f)
+        return real(self, f)
+
+    monkeypatch.setattr(Substitution, "__call__", counted)
+    F = PrimeField(1009)
+    R = PolyRing(F, 3)
+    sigma = ProjAutomorphism.diagonal(R, ["1", "11", "121"])
+    r = sigma_ideal_order(pt("[1:2:3]", F).ideal(R), sigma, 12)
+    assert (r.order, r.justification) == (None, "order-bound-exhausted")
+    assert len(calls) == 12
+
+
+def test_projective_order_is_scanned_once_per_sigma(monkeypatch):
+    """The PERIOD_CAP scan runs on the first call only: a second call, and a
+    second order search on the same sigma, make no matrix product."""
+    products = []
+    real = geometry._mat_mul
+
+    def counted(field, A, B):
+        products.append(1)
+        return real(field, A, B)
+
+    monkeypatch.setattr(geometry, "_mat_mul", counted)
+    F = PrimeField(1009)
+    R = PolyRing(F, 3)
+    sigma = ProjAutomorphism.diagonal(R, ["1", "11", "121"])
+    assert geometry.projective_order(sigma) is None
+    assert len(products) == geometry.PERIOD_CAP
+    products.clear()
+    assert geometry.projective_order(sigma) is None
+    r = sigma_ideal_order(pt("[1:2:3]", F).ideal(R), sigma, 12)
+    assert (r.order, r.justification) == (None, "order-bound-exhausted")
+    assert products == []
+    fresh = ProjAutomorphism.diagonal(R, ["1", "11", "121"])
+    assert geometry.projective_order(fresh) is None and len(products) == geometry.PERIOD_CAP
 
 
 def test_group_order_route_caches_no_power_past_the_bound():
