@@ -35,7 +35,10 @@ polynomial is the combination of its monomials' cached normal forms.  Its
 entries are integral too, one integer denominator over integer numerators.
 Its annihilator, the forms x of one degree with nf(x.f) = 0, is the
 idealizer oracle's subspace and, degree by degree until the Hilbert series
-is reached, a zero-divisor colon (I : g).
+is reached, a zero-divisor colon (I : g).  The table also keeps, per monic
+normal form h, h's section numerator and (I : h): a form g reaches both
+only through its h, so the colons of one ideal by forms with equal h share
+one run.
 
 Over the polynomial ring itself, `exact_quotient` divides one polynomial by
 another when the division is exact, and `det_adjugate` gives the
@@ -52,6 +55,8 @@ from .polykernel import (
     Poly,
     PolyRing,
     dim_full_space,
+    ideal_sum,
+    mono_descending_key,
     mono_div,
     mono_divides,
     mono_key,
@@ -59,6 +64,7 @@ from .polykernel import (
     monomial_hilbert_numerator,
     monomials_of_degree,
     numerator_add,
+    section_numerator,
     series_coefficient,
 )
 
@@ -253,6 +259,13 @@ def _accumulate(pairs) -> tuple[dict, int]:
     return acc, common
 
 
+def _section(I: HomIdeal, g: Poly) -> dict[int, int]:
+    """g's section numerator on S/I (polykernel.section_numerator), zero
+    exactly when g is a nonzerodivisor: one Groebner run of I + (g) that
+    extends I's reduced basis (polykernel.ideal_sum)."""
+    return section_numerator(I, ideal_sum(I, HomIdeal(I.ring, [g])), g.degree)
+
+
 class NormalForms:
     """Normal forms modulo one fixed homogeneous Groebner basis, tabulated
     on monomials a whole degree at a time.
@@ -269,7 +282,9 @@ class NormalForms:
     in the field's canonical form (`field.reduce_row`), so over Q the
     table holds no `Fraction` and a combination is integer arithmetic over
     one common denominator.  The table keeps each filled degree's monomial
-    list, which the degree pieces and the idealizer oracle read.
+    list, which the degree pieces and the idealizer oracle read, and the
+    section numerator and colon of each monic normal form asked of it
+    (polykernel.ideal_quotient).
     """
 
     def __init__(self, ring: PolyRing, basis: list[Poly]):
@@ -285,6 +300,9 @@ class NormalForms:
                 (lm, nums[lm], [(t, -x) for t, x in nums.items() if t != lm]))
         self._table: dict[tuple, tuple[dict, int]] = {}
         self._monos: dict[int, list[tuple]] = {}
+        # monic normal form h -> its section numerator, and -> (I : h)
+        self._sections: dict[Poly, dict[int, int]] = {}
+        self._quotients: dict[Poly, HomIdeal] = {}
 
     def monomials(self, n: int) -> list[tuple]:
         """The degree-n monomials in decreasing order, their normal forms
@@ -325,6 +343,32 @@ class NormalForms:
                                   for t, c in terms for m in (mono_mul(t, mu),)])
             out.append((acc, den * d))
         return out
+
+    def remainder(self, f: Poly) -> Poly | None:
+        """The monic normal form of the form f, None when f lies in the ideal."""
+        field = self.ring.field
+        (nums, den), = self.shifted(f.terms, [(0,) * self.ring.nvars])
+        nums, _ = field.reduce_row({t: x for t, x in nums.items() if x}, den)
+        if not nums:
+            return None
+        lead = min(nums, key=mono_descending_key)
+        return Poly(self.ring, _scalars(field, nums, nums[lead]), (lead, field.one))
+
+    def section(self, ideal: HomIdeal, h: Poly) -> dict[int, int]:
+        """The section numerator of h on S/I (`_section`), computed once per
+        h: ideal is I, the ideal of this table's basis, and h a monic
+        normal form outside it (`remainder`)."""
+        s = self._sections.get(h)
+        if s is None:
+            s = self._sections[h] = _section(ideal, h)
+        return s
+
+    def quotient(self, ideal: HomIdeal, h: Poly) -> HomIdeal:
+        """(I : h) for h as in `section`, built by `colon` once per h."""
+        Q = self._quotients.get(h)
+        if Q is None:
+            Q = self._quotients[h] = self.colon(h, self.section(ideal, h))
+        return Q
 
     def piece(self, n: int) -> list[Poly]:
         """The rows m - nf(m), in decreasing order, for the degree-n

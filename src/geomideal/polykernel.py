@@ -13,20 +13,30 @@ polynomials satisfies.
 
 Quotients.  When I's reduced basis is empty or all linear, S/I is a
 polynomial ring, a domain, so (I : J) is (1) when J ⊆ I and I otherwise.
-Else the generators of J in I are dropped, and the others go to the
-section rule: for a form h of degree e, multiplication by h makes
+Else each generator g of J is replaced by h, the monic normal form of g
+modulo I's reduced basis: g − c·h lies in I for some c ≠ 0, so
+(I : g) = (I : h) and I + (g) = I + (h).  Generators in I (h = 0) are
+dropped, and each distinct h goes once to the section rule and, when it
+fails, once to the colon below; I's table (`linalg.NormalForms`) keeps
+both per h for the life of I.  For a binomial I under a diagonal σ, the
+generators of I^{σ^n} reduce to the same h for every n, so the colons of
+the idealizer share one run; where the normal forms differ with n, as
+for a complete intersection of two quadrics that are not binomials,
+nothing is shared.  The section rule: for a form h of degree e,
+multiplication by h makes
 0 → ((I : h)/I)(−e) → (S/I)(−e) → S/I → S/(I + (h)) → 0 exact, so the
 Hilbert numerators N over (1 − u)^nvars satisfy
 N(I + (h)) − (1 − u^e)·N(I) = u^e·N((I : h)/I) (`section_numerator`, with
 I + (h) from `ideal_sum`'s unreduced extension of I's basis by h), zero
 exactly when (I : h) = I, that is, when h is a nonzerodivisor on S/I.  Once
-some generator g passes, (I : J) ⊆ (I : g) = I, so (I : J) is I.  Otherwise
-(I : J) is the meet of the (I : g), each read degree by degree off I's
+some h passes, (I : J) ⊆ (I : h) = I, so (I : J) is I.  Otherwise
+(I : J) is the meet of the (I : h), each read degree by degree off I's
 normal forms until its leading monomials give N(I) − u^(−e)·s, the numerator
-of S/(I : g) by the sequence above, s the section numerator (a Hilbert-driven
-stop, `linalg.NormalForms.colon`; Traverso, J. Symbolic Comput. 1996).  `intersect` returns the smaller ideal's
-reduced basis when one contains the other, and otherwise the preimage of
-(1, 1) under I·e_1 + J·e_2.  Saturation: for a homogeneous K in degrevlex,
+of S/(I : h) by the sequence above, s the section numerator (a Hilbert-driven
+stop, `linalg.NormalForms.colon`; Traverso, J. Symbolic Comput. 1996).
+`intersect` returns the smaller ideal's reduced basis when one contains
+the other, and otherwise the preimage of (1, 1) under I·e_1 + J·e_2.
+Saturation: for a homogeneous K in degrevlex,
 in(K : x_last^∞) = in(K) : x_last^∞ (Bayer & Stillman, Invent. Math. 1987;
 Eisenbud, Commutative Algebra, Prop. 15.12), so dividing each Groebner
 basis element of K by the largest power of x_last dividing it gives a
@@ -767,29 +777,26 @@ def intersect(I: HomIdeal, J: HomIdeal) -> HomIdeal:
     return HomIdeal.from_basis(ring, _preimage(I, J))
 
 
-def _section(I: HomIdeal, g: Poly) -> dict[int, int]:
-    """g's section numerator on S/I, zero exactly when g is a nonzerodivisor."""
-    return section_numerator(I, ideal_sum(I, HomIdeal(I.ring, [g])), g.degree)
-
-
 def ideal_quotient(I: HomIdeal, J: HomIdeal) -> HomIdeal:
     """(I : J) = {f : f·J ⊆ I}.  When I's reduced basis is empty or all
     linear, S/I is a domain: (I : J) is (1) when J ⊆ I and I otherwise, and
     the first generator of J outside I decides.  Else I at the first zero
-    section, or the meet of the Hilbert-driven (I : g) (module docstring)."""
+    section, or the meet of the Hilbert-driven (I : g) (module docstring).
+    Both depend on g only through its monic normal form h modulo I, since
+    g − c·h lies in I, so each is computed once per h and kept on I's
+    table (linalg.NormalForms): a binomial I under a diagonal σ asks the
+    same h at every n."""
     ring, basis = I.ring, I.groebner()
     if all(f.degree == 1 for f in basis):  # S/I is a domain
         inside = all(map(I.contains, J.gens))  # stops at the first g outside I
         return unit_ideal(ring) if inside else HomIdeal.from_basis(ring, basis)
-    gens = [g for g in J.gens if not I.contains(g)]
-    if not gens:
+    nf = I.normal_forms()
+    hs = dict.fromkeys(filter(None, map(nf.remainder, J.gens)))
+    if not hs:
         return unit_ideal(ring)
-    sections = []
-    for g in gens:
-        if not (s := _section(I, g)):
-            return HomIdeal.from_basis(ring, basis)
-        sections.append(s)
-    return _fold(intersect, map(I.normal_forms().colon, gens, sections))
+    if not all(nf.section(I, h) for h in hs):
+        return HomIdeal.from_basis(ring, basis)
+    return _fold(intersect, [nf.quotient(I, h) for h in hs])
 
 
 def _saturate_variable(I: HomIdeal, i: int) -> HomIdeal:

@@ -54,9 +54,13 @@ class ProjAutomorphism:
         matrix = tuple(tuple(row) for row in rows)
         if len(matrix) != n or any(len(r) != n for r in matrix):
             raise ValueError(f"sigma matrix must be {n}x{n}")
-        if linalg.rank(field, [list(r) for r in matrix]) != n:
-            raise ValueError("sigma matrix is singular")
         self.matrix = matrix
+        if self.is_diagonal():
+            singular = any(map(field.is_zero, self.diagonal_entries()))
+        else:
+            singular = linalg.rank(field, [list(r) for r in matrix]) != n
+        if singular:
+            raise ValueError("sigma matrix is singular")
         self._pullback = None  # sigma's Substitution, built on the first pullback
         self._projective_order = 0  # not yet scanned
 

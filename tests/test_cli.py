@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from geomideal import cli, polykernel
+from geomideal import cli, linalg
 from geomideal.cli import (
     SceneError,
     emit_records,
@@ -292,6 +292,31 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert "SINGULAR_SIGMA" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, sigma, ranks", [
+    ("rational", "1 0 0\n0 0 0\n0 0 3", 0),
+    ("prime 7", "1 0 0\n0 7 0\n0 0 3", 0),
+    ("rational", "1 1 0\n1 1 0\n0 0 1", 1),
+    ("prime 7", "1 2 0\n3 6 0\n0 0 3", 1),
+])
+def test_singular_sigma_diagnostic_bytes(field, sigma, ranks, tmp_path, capsys, monkeypatch):
+    """A diagonal sigma is singular exactly when a diagonal entry is zero,
+    so it is checked with no rank; any other sigma takes one rank.  Both
+    print the same SINGULAR_SIGMA line and exit 2."""
+    calls = []
+    real_rank = linalg.rank
+
+    def counting(*args):
+        calls.append(args)
+        return real_rank(*args)
+
+    monkeypatch.setattr(linalg, "rank", counting)
+    path = scene_path(tmp_path, f"field {field}\ndim 2\nsigma\n{sigma}\nideal\nx0 - x1\nend\n")
+    assert main(["colon", path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"{path}:line 3: SINGULAR_SIGMA: sigma matrix is singular\n"
+    assert len(calls) == ranks
+
+
 @pytest.mark.parametrize("field, coefficient", [("rational", "1/0"), ("prime 7", "1/7")])
 def test_coefficient_outside_the_field_exits_two(tmp_path, capsys, field, coefficient):
     # a zero denominator, or one the characteristic divides, has no value
@@ -545,13 +570,13 @@ def test_generators_rescaled_reordered_and_padded_change_no_output(case, tmp_pat
     (a quadric among their generators) still take it: no Hilbert test."""
     sigma, plain, padded, against = INVARIANCE_CASES[case]
     tests = []
-    real_test = polykernel._section
+    real_test = linalg._section
 
     def counting_test(I, g):
         tests.append(g)
         return real_test(I, g)
 
-    monkeypatch.setattr(polykernel, "_section", counting_test)
+    monkeypatch.setattr(linalg, "_section", counting_test)
     for command in ("colon", "ct-cert", "transverse"):
         outs = []
         for gens in (plain, padded):

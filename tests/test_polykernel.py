@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from geomideal import cli, freemod, idealizer, polykernel
+from geomideal import cli, freemod, idealizer, linalg, polykernel
 from geomideal.fields import QQ, PrimeField
 from geomideal.geometry import RationalPoint
 from geomideal.linalg import NormalForms, linear_groebner_basis
@@ -222,12 +222,14 @@ horizon 6
 
 def _count_colon_work(monkeypatch):
     """Record the verdict of each Hilbert nonzerodivisor test (a zero section
-    numerator), the size of each module preimage run, and each
-    groebner_basis call made inside a colon of the idealizer."""
-    work = {"tests": [], "runs": [], "gb_inside": []}
+    numerator), the size of each module preimage run, each groebner_basis
+    call made inside a colon of the idealizer, and the degree of each form
+    whose zero-divisor colon is built (NormalForms.colon)."""
+    work = {"tests": [], "runs": [], "gb_inside": [], "colons": []}
     inside = []
-    real_test, real_preimage = polykernel._section, freemod.preimage_generators
+    real_test, real_preimage = linalg._section, freemod.preimage_generators
     real_gb, real_quotient = polykernel.groebner_basis, idealizer.ideal_quotient
+    real_colon = NormalForms.colon
 
     def counting_test(I, g):
         section = real_test(I, g)
@@ -250,7 +252,12 @@ def _count_colon_work(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(polykernel, "_section", counting_test)
+    def counting_colon(table, g, section):
+        work["colons"].append(g.degree)
+        return real_colon(table, g, section)
+
+    monkeypatch.setattr(linalg, "_section", counting_test)
+    monkeypatch.setattr(NormalForms, "colon", counting_colon)
     monkeypatch.setattr(freemod, "preimage_generators", counting_preimage)
     monkeypatch.setattr(polykernel, "groebner_basis", counting_gb)
     monkeypatch.setattr(idealizer, "ideal_quotient", counting_quotient)
@@ -267,7 +274,7 @@ def test_p5_moving_point_colon_takes_the_domain_exit(tmp_path, monkeypatch):
     path = tmp_path / "p5_point.scene"
     path.write_text(P5_MOVING_POINT)
     assert cli.main(["colon", str(path)]) == 0
-    assert work == {"tests": [], "runs": [], "gb_inside": []}
+    assert work == {"tests": [], "runs": [], "gb_inside": [], "colons": []}
 
 
 def test_pair_order_takes_late_pairs_with_smaller_keys_first():
@@ -883,7 +890,7 @@ def test_p6_moving_point_colon_runs_no_groebner_machinery(field, tmp_path, monke
         return call
 
     monkeypatch.setattr(GroebnerRun, "complete", forbidden("GroebnerRun.complete"))
-    monkeypatch.setattr(polykernel, "_section", forbidden("_section"))
+    monkeypatch.setattr(linalg, "_section", forbidden("_section"))
     monkeypatch.setattr(polykernel, "_preimage", forbidden("_preimage"))
     coords, lams = [2, 3, 4, 5, 2, 3], [2, 3, 5, 7, 11, 13]
     sigma = "\n".join(" ".join(str(lam if i == j else 0) for j in range(7))
@@ -927,7 +934,7 @@ def test_nonzerodivisor_colon_matches_elimination(data):
     g = next((g for g in J.gens if not I.contains(g)), None)
     if g is not None:
         by_g = want if len(J.gens) == 1 else _elim_colon(I, HomIdeal(ring, [g]))
-        assert (not polykernel._section(I, g)) == (by_g == I)
+        assert (not linalg._section(I, g)) == (by_g == I)
 
 
 @st.composite
@@ -994,7 +1001,7 @@ def test_zero_divisor_colon_matches_elimination(case):
     assert got.gens == HomIdeal(ring, got.groebner()).gens
     nf = I.normal_forms()
     for g in gens:
-        section = polykernel._section(I, g)
+        section = linalg._section(I, g)
         assert section, "a zero divisor has a nonzero section numerator"
         with mock.patch.object(freemod, "preimage_generators", side_effect=AssertionError):
             Q = ideal_quotient(I, HomIdeal(ring, [g]))
@@ -1002,6 +1009,70 @@ def test_zero_divisor_colon_matches_elimination(case):
             I.hilbert_numerator(), section, -1, -g.degree)
         for d in range(6):
             assert len(nf.annihilator([g], d)) == dim_ideal_piece(Q, d)
+
+
+@st.composite
+def keyed_colon_case(draw):
+    """(I, g, h, c) in P^2 or P^3 over Q or GF(7): I saturated with a
+    nonlinear reduced basis (a fat point (l, m^2), two or three points, or
+    a rational normal curve with rescaled coordinates, whose generators are
+    binomials), g a form of degree 1 or 2 outside I, h a form of I of g's
+    degree (zero at times) and c a nonzero scalar."""
+    ring = draw(st.sampled_from([r for r in SCENE_RINGS if r.nvars < 5]))
+    field, nv = ring.field, ring.nvars
+    coeff = st.integers(-3, 3).map(field.from_int)
+
+    def point():
+        coords = draw(st.lists(coeff, min_size=nv, max_size=nv).filter(any))
+        return RationalPoint.of(field, coords).ideal(ring)
+
+    kind = draw(st.sampled_from(["fat point", "points", "binomial curve"]))
+    if kind == "fat point":
+        m = point()
+        ell = sum((f * ring.constant(draw(coeff)) for f in m.gens), ring.zero())
+        assume(not ell.is_zero())
+        I = HomIdeal(ring, [ell] + [f * g for f in m.gens for g in m.gens])
+    elif kind == "points":
+        primes = [point() for _ in range(draw(st.integers(2, 3)))]
+        assume(len({P.gens for P in primes}) == len(primes))
+        I = _fold(intersect, primes)
+    else:
+        units = st.sampled_from([1, 2, 3, -1, -2]).map(field.from_int)
+        x = [ring.variable(i) * ring.constant(draw(units)) for i in range(nv)]
+        I = HomIdeal(ring, [x[i] * x[j + 1] - x[i + 1] * x[j]
+                            for i in range(nv - 1) for j in range(i + 1, nv - 1)])
+    g = draw(homogeneous_poly(ring, max_deg=2))
+    assume(not I.contains(g))
+    h = sum((f * draw(homogeneous_poly(ring, max_deg=g.degree - f.degree))
+             if f.degree < g.degree else f * ring.constant(draw(coeff))
+             for f in I.gens if f.degree <= g.degree), ring.zero())
+    c = draw(st.sampled_from([1, 2, -3, 5]).map(field.from_int))
+    return I, g, h, c
+
+
+@given(keyed_colon_case())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_colon_keyed_by_the_monic_normal_form(case):
+    """(I : g) and g's section depend on g only through its monic normal
+    form, since g - nf(g) lies in I.  So (I : c*g + h), for h in I and c
+    nonzero, asked of an I whose table already answered (I : g), is read
+    from that table's memo with no second section test or colon run, and
+    equals the same colon asked cold of a fresh copy of I.  Its pieces in
+    degrees d <= 3 have the dimensions of the brute-force colon by g."""
+    I, g, h, c = case
+    ring = I.ring
+    f = g * ring.constant(c) + h
+    warm = HomIdeal(ring, I.gens)
+    ideal_quotient(warm, HomIdeal(ring, [g]))
+    with mock.patch.object(linalg, "_section", side_effect=AssertionError), \
+            mock.patch.object(NormalForms, "colon", side_effect=AssertionError):
+        got = ideal_quotient(warm, HomIdeal(ring, [f]))
+    want = ideal_quotient(HomIdeal(ring, I.gens), HomIdeal(ring, [f]))
+    assert got.groebner() == want.groebner()
+    assert got.gens == want.gens
+    for d in range(4):
+        assert dim_ideal_piece(got, d) == oracles.brute_colon_piece_dim(
+            _terms_list(I), dict(g.terms), ring.nvars, d, _char(ring))
 
 
 def test_hilbert_driven_colon_rejects_a_wrong_section():
@@ -1012,7 +1083,7 @@ def test_hilbert_driven_colon_rejects_a_wrong_section():
     minus u^5 − u^6 (target (1 − u)^2 + u^4 − u^5)."""
     I = HomIdeal.from_strings(RQ, ["x0 + x1", "x0^2"])
     g = RQ.parse("x0 + 2*x1")
-    section = polykernel._section(I, g)
+    section = linalg._section(I, g)
     assert section == {2: 1, 3: -2, 4: 1}
     nf = I.normal_forms()
     assert nf.colon(g, section).groebner() == (RQ.parse("x0"), RQ.parse("x1"))
@@ -1039,14 +1110,38 @@ end
 
 def test_twisted_cubic_colon_extends_the_basis_of_i(tmp_path, monkeypatch):
     """The twisted cubic's I is not linear, so each colon n (the default
-    horizon 12) runs the Hilbert test of its first generator outside I,
+    horizon 12) asks for the Hilbert test of its first generator outside I,
     which passes since I is prime.  The test extends I's reduced basis
-    (ideal_sum), so no groebner_basis call happens inside a colon."""
+    (ideal_sum), so no groebner_basis call happens inside a colon.  I is
+    binomial and sigma diagonal, so that generator pulled back by sigma^n
+    has one monic normal form for every n: the 12 colons share one test."""
     work = _count_colon_work(monkeypatch)
     path = tmp_path / "twisted_cubic.scene"
     path.write_text(TWISTED_CUBIC)
     assert cli.main(["colon", str(path)]) == 0
-    assert work == {"tests": [True] * 12, "runs": [], "gb_inside": []}
+    assert work == {"tests": [True], "runs": [], "gb_inside": [], "colons": []}
+
+
+@pytest.mark.parametrize("scene, tests, colons", [
+    ("curves/rnc4", [True], []),
+    ("fat_point", [False], [1]),
+    ("curves/ci3", [True] * 8, []),
+])
+def test_colon_command_runs_one_test_per_monic_normal_form(scene, tests, colons, monkeypatch):
+    """The section test and the zero-divisor colon are made once per monic
+    normal form h of a generator, on I's table.  The binomial curve rnc4
+    under a diagonal sigma has one h for all 8 colons.  The fat point
+    (x0 + x1, x0^2) pulls back to (x0 + 2^n*x1, x0^2), whose linear
+    generator, a zero divisor, reduces to (2^n - 1)*x1 for every n, so one
+    test and one (I : h) serve 8 colons.  The
+    complete intersection ci3 is not binomial: its h differs per n, and
+    nothing is shared.  A second run of the same scene counts the same."""
+    work = _count_colon_work(monkeypatch)
+    for _ in range(2):  # the memo lives on the scene's ideal, not the process
+        assert cli.main(["colon", str(ROOT / "scenes" / f"{scene}.scene")]) == 0
+        assert work == {"tests": tests, "runs": [], "gb_inside": [], "colons": colons}
+        for counts in work.values():
+            counts.clear()
 
 
 @pytest.mark.parametrize("command", ["colon", "classify", "idealizer"])

@@ -10,6 +10,7 @@ too long to run here), and so is `python -m geomideal`.
 import ast
 import importlib
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -73,13 +74,18 @@ def test_verdict_ledger_counts_its_rows():
 
 
 def test_code_size_script_counts_every_module():
-    """One row per module of the package, then a total that sums them."""
+    """One row per module of the package, then a total that sums them.  The
+    tokens column counts every token but comments and NL: 9 for
+    "x = 1  # c", a blank line and "y = 2" (two NEWLINEs and the
+    ENDMARKER among them)."""
     out = _run_script("code_size.py")
     assert out.returncode == 0, out.stderr
     _, *rows, total = [line.split() for line in out.stdout.splitlines()]
     assert [r[0] for r in rows] == sorted(p.name for p in (ROOT / "src" / "geomideal").glob("*.py"))
-    assert total == ["total", *(str(sum(int(r[k]) for r in rows)) for k in (1, 2))]
+    assert total == ["total", *(str(sum(int(r[k]) for r in rows)) for k in (1, 2, 3))]
     assert all(int(r[1]) > 0 for r in rows)
+    script = runpy.run_path(str(ROOT / "scripts" / "code_size.py"))
+    assert script["code_size"]("x = 1  # c\n\ny = 2\n") == (2, 9, 9)
 
 
 def test_module_entry_point_runs_the_cli(capsys):
