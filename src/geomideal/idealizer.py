@@ -163,8 +163,9 @@ def exhaustive_oracle_piece(scene: IdealizerScene, n: int, M: int) -> DegreePiec
     """
     if n == 0:
         return DegreePiece(0, (scene.ring.one(),))
-    forms = [f for f in scene.pulled_ideal(n).gens if f.degree <= M]
-    return DegreePiece(n, tuple(scene.ideal.normal_forms().annihilator(forms, n)))
+    table = scene.ideal.normal_forms()
+    conditions = [(table, f) for f in scene.pulled_ideal(n).gens if f.degree <= M]
+    return DegreePiece(n, tuple(table.annihilator(conditions, n)))
 
 
 def pieces_agree(a: DegreePiece, b: DegreePiece) -> bool:

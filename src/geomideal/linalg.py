@@ -33,12 +33,24 @@ echelon form with x_i as column i.
 modulo a Groebner basis is unique, hence linear, so the normal form of any
 polynomial is the combination of its monomials' cached normal forms.  Its
 entries are integral too, one integer denominator over integer numerators.
-Its annihilator, the forms x of one degree with nf(x.f) = 0, is the
-idealizer oracle's subspace and, degree by degree until the Hilbert series
-is reached, a zero-divisor colon (I : g).  The table also keeps, per monic
-normal form h, h's section numerator and (I : h): a form g reaches both
-only through its h, so the colons of one ideal by forms with equal h share
-one run.
+Its annihilator, the forms x of one degree with nf_T(x.f) = 0 for a list
+of conditions (T, f), each T a table of the ring, is the idealizer
+oracle's subspace and the one step of one loop, `kernel_ideal`: degree by
+degree from 0 it builds the ideal K of those x until the leading monomials
+found give the Hilbert numerator of S/K, known in advance.  That loop has
+two users, each with the exact sequence that gives its target:
+
+- the zero-divisor colon (I : h), one condition (I's table, h), for h of
+  degree e with section numerator s: from
+  0 -> S/(I : h)(-e) -> S/I -> S/(I + (h)) -> 0,
+  N(S/(I : h)) = N(I) - u^(-e)*s;
+- the intersection I ∩ J, two conditions (I's table, 1) and (J's table, 1):
+  from 0 -> S/(I ∩ J) -> S/I ⊕ S/J -> S/(I + J) -> 0,
+  N(S/(I ∩ J)) = N(I) + N(J) - N(I + J).
+
+The table also keeps, per monic normal form h, h's section numerator and
+(I : h): a form g reaches both only through its h, so the colons of one
+ideal by forms with equal h share one run.
 
 Over the polynomial ring itself, `exact_quotient` divides one polynomial by
 another when the division is exact, and `det_adjugate` gives the
@@ -282,7 +294,7 @@ class NormalForms:
     in the field's canonical form (`field.reduce_row`), so over Q the
     table holds no `Fraction` and a combination is integer arithmetic over
     one common denominator.  The table keeps each filled degree's monomial
-    list, which the degree pieces and the idealizer oracle read, and the
+    list, which the degree pieces and the kernel loop read, and the
     section numerator and colon of each monic normal form asked of it
     (polykernel.ideal_quotient).
     """
@@ -364,10 +376,14 @@ class NormalForms:
         return s
 
     def quotient(self, ideal: HomIdeal, h: Poly) -> HomIdeal:
-        """(I : h) for h as in `section`, built by `colon` once per h."""
+        """(I : h) for h as in `section`, once per h: the `kernel_ideal` of
+        the one condition (this table, h), whose target N(I) - u^(-e)*s
+        follows from the section numerator s of h, of degree e."""
         Q = self._quotients.get(h)
         if Q is None:
-            Q = self._quotients[h] = self.colon(h, self.section(ideal, h))
+            target = numerator_add(ideal.hilbert_numerator(), self.section(ideal, h),
+                                   -1, -h.degree)
+            Q = self._quotients[h] = self.kernel_ideal([(self, h)], target)
         return Q
 
     def piece(self, n: int) -> list[Poly]:
@@ -387,35 +403,37 @@ class NormalForms:
                 out.append(Poly(self.ring, row, (m, one)))
         return out
 
-    def annihilator(self, forms, n: int) -> list[Poly]:
-        """The reduced echelon basis of {x in S_n : nf(x . f) = 0 for every f
-        in forms}, each element monic, largest leading monomial first.
+    def annihilator(self, conditions, n: int) -> list[Poly]:
+        """The reduced echelon basis of {x in S_n : nf_T(x . f) = 0 for every
+        condition (T, f)}, T a table of this ring (this one or another),
+        each element monic, largest leading monomial first.
 
         A normal form modulo a Groebner basis is unique, hence linear, so
         each product is reduced as a combination of the normal forms of its
-        monomials, read from this table.  The residues come out integral,
-        each over one denominator; over the lcm L of a form's residue
-        denominators its condition rows are integral, and scaling a row
-        changes no solution.
+        monomials, read from T.  The residues come out integral, each over
+        one denominator; over the lcm L of a condition's residue
+        denominators its rows are integral, and scaling a row changes no
+        solution.
 
-        The condition rows enter the echelon with their columns reversed, so
-        its pivots are the last monomials, and each kernel vector has 1 at
-        its free column, 0 at the other free columns, and otherwise entries
-        only at later monomials.  Read back in monomial order, last vector
-        first, the kernel vectors are its reduced echelon form, which is
-        unique: the row-reduced basis, with no second elimination.
+        The condition rows enter one echelon whose columns are this table's
+        degree-n monomials, reversed, so its pivots are the last monomials,
+        and each kernel vector has 1 at its free column, 0 at the other free
+        columns, and otherwise entries only at later monomials.  Read back
+        in monomial order, last vector first, the kernel vectors are its
+        reduced echelon form, which is unique: the row-reduced basis, with
+        no second elimination.
         """
         ring = self.ring
         monos = self.monomials(n)
         last = len(monos) - 1
-        # columns = monos, last first; one condition per (f, monomial of a residue)
-        conditions = Echelon(ring.field, len(monos))
+        # columns = monos, last first; one row per (condition, monomial of a residue)
+        echelon = Echelon(ring.field, len(monos))
         # the echelon does not depend on the order of its rows
-        for form in forms:
+        for table, form in conditions:
             # nf(x . f) = nf(x . nf(f)), and nf(f) is short; its denominator
-            # scales every condition row of f alike
-            (reduced, _), = self.shifted(form.terms, [(0,) * ring.nvars])
-            residues = self.shifted(reduced, reversed(monos))
+            # scales every row of the condition alike
+            (reduced, _), = table.shifted(form.terms, [(0,) * ring.nvars])
+            residues = table.shifted(reduced, reversed(monos))
             L = lcm(*[d for _, d in residues])
             rows: dict[tuple, dict] = {}
             for col, (nums, d) in enumerate(residues):
@@ -424,47 +442,46 @@ class NormalForms:
                     if x:
                         rows.setdefault(t, {})[col] = f * x
             for row in rows.values():
-                conditions.insert(row)
+                echelon.insert(row)
         out = []
-        for v in reversed(conditions.sparse_kernel()):
+        for v in reversed(echelon.sparse_kernel()):
             terms = {monos[last - c]: v[c] for c in sorted(v, reverse=True)}
             out.append(Poly(ring, terms, next(iter(terms.items()))))
         return out
 
-    def colon(self, g: Poly, section: dict[int, int]) -> HomIdeal:
-        """The ideal (I : g), from its reduced Groebner basis, for I the
-        ideal of this table's basis and g a form of degree e outside I with
-        section numerator s (polykernel.section_numerator).  From
-        0 -> S/(I : g)(-e) -> S/I -> S/(I + (g)) -> 0, the target Hilbert
-        numerator of S/(I : g) is N(I) - u^(-e)*s.
+    def kernel_ideal(self, conditions, target: dict[int, int]) -> HomIdeal:
+        """The ideal K = {x : nf_T(x . f) = 0 for every condition (T, f)},
+        from its reduced Groebner basis, given the Hilbert numerator target
+        of S/K.  Its two users (module docstring) know that numerator from
+        an exact sequence: the colon (I : h) is the one condition (I's
+        table, h), the intersection I ∩ J the two (I's table, 1) and (J's
+        table, 1).
 
-        Degree by degree from 0, (I : g)_d is the annihilator of g in S_d,
-        given in reduced echelon form.  Its leading monomials are those of
-        in(I : g)_d, and every other term of a row is a non-leading, that
-        is standard, monomial; so a row whose leading monomial no earlier
-        one divides is m - nf(m) for a minimal generator m of in(I : g),
-        an element of the reduced basis.  The rows kept generate a
-        monomial ideal inside in(I : g), equal to it in every degree seen;
-        once its Hilbert numerator is the target the two are equal, and
-        the rows kept are the reduced basis (a Hilbert-driven stop:
-        Traverso, J. Symbolic Comput. 1996).
+        Degree by degree from 0, K_d is the `annihilator` of the
+        conditions, given in reduced echelon form.  Its leading monomials
+        are those of in(K)_d, and every other term of a row is a standard
+        monomial of K; so a row whose leading monomial no earlier one
+        divides is m - nf_K(m) for a minimal generator m of in(K), an
+        element of the reduced basis.  The rows kept generate a monomial
+        ideal inside in(K), equal to it in every degree seen; once its
+        Hilbert numerator is the target the two are equal, and the rows
+        kept are the reduced basis (a Hilbert-driven stop: Traverso, J.
+        Symbolic Comput. 1996).
 
         Each degree's kernel must have dimension dim S_d minus the target
         series' coefficient.  Two different numerators differ in some
-        coefficient, so a wrong section fails that check in some degree and
+        coefficient, so a wrong target fails that check in some degree and
         the loop cannot run forever; the failure is an internal error.
         """
         ring = self.ring
-        whole = monomial_hilbert_numerator([lm for lm, _, _ in self._divisors])
-        target = numerator_add(whole, section, -1, -g.degree)
         basis: list[Poly] = []
         found, d = {0: 1}, -1
         while found != target:
             d += 1
-            rows = self.annihilator([g], d)
+            rows = self.annihilator(conditions, d)
             want = dim_full_space(ring, d) - series_coefficient(target, ring.nvars, d)
             if len(rows) != want:
-                raise AssertionError(f"(I : g) has dimension {len(rows)} in degree {d}, "
+                raise AssertionError(f"the kernel has dimension {len(rows)} in degree {d}, "
                                      f"its Hilbert series {want}")
             new = [f for f in rows if not any(mono_divides(h.lm(), f.lm()) for h in basis)]
             if new:

@@ -5,11 +5,11 @@ in variables x0..x9, reduced Groebner bases, colon ideals, intersections,
 saturation, and Hilbert functions / polynomials of graded quotients.
 
 One Buchberger driver (`GroebnerRun`, then `interreduce`) serves both
-polynomial ideals and graded submodules of free modules (freemod): a Poly is
-a vector with the single component 0.  The chain criterion always applies;
-the product (coprime) criterion applies to a pair whose two elements each
-have exactly one nonzero component, the same one, which every pair of
-polynomials satisfies.
+polynomial ideals and, in the layer above this one, graded submodules of
+free modules: a Poly is a vector with the single component 0.  The chain
+criterion always applies; the product (coprime) criterion applies to a
+pair whose two elements each have exactly one nonzero component, the same
+one, which every pair of polynomials satisfies.
 
 Quotients.  When I's reduced basis is empty or all linear, S/I is a
 polynomial ring, a domain, so (I : J) is (1) when J ⊆ I and I otherwise.
@@ -30,12 +30,15 @@ N(I + (h)) − (1 − u^e)·N(I) = u^e·N((I : h)/I) (`section_numerator`, with
 I + (h) from `ideal_sum`'s unreduced extension of I's basis by h), zero
 exactly when (I : h) = I, that is, when h is a nonzerodivisor on S/I.  Once
 some h passes, (I : J) ⊆ (I : h) = I, so (I : J) is I.  Otherwise
-(I : J) is the meet of the (I : h), each read degree by degree off I's
-normal forms until its leading monomials give N(I) − u^(−e)·s, the numerator
-of S/(I : h) by the sequence above, s the section numerator (a Hilbert-driven
-stop, `linalg.NormalForms.colon`; Traverso, J. Symbolic Comput. 1996).
-`intersect` returns the smaller ideal's reduced basis when one contains
-the other, and otherwise the preimage of (1, 1) under I·e_1 + J·e_2.
+(I : J) is the meet of the (I : h).  Each is a kernel ideal read degree by
+degree off normal forms until its leading monomials give a known Hilbert
+numerator (a Hilbert-driven stop, `linalg.NormalForms.kernel_ideal`;
+Traverso, J. Symbolic Comput. 1996): (I : h) is the kernel of
+x ↦ nf_I(x·h), with numerator N(I) − u^(−e)·s by the sequence above, s the
+section numerator.  `intersect` returns the smaller ideal's reduced basis
+when one contains the other, and otherwise I ∩ J, the kernel of
+x ↦ (nf_I(x), nf_J(x)), with numerator N(I) + N(J) − N(I + J) from
+0 → S/(I ∩ J) → S/I ⊕ S/J → S/(I + J) → 0 (I + J by `ideal_sum`).
 Saturation: for a homogeneous K in degrevlex,
 in(K : x_last^∞) = in(K) : x_last^∞ (Bayer & Stillman, Invent. Math. 1987;
 Eisenbud, Commutative Algebra, Prop. 15.12), so dividing each Groebner
@@ -752,29 +755,21 @@ def unit_ideal(ring: PolyRing) -> HomIdeal:
     return HomIdeal(ring, [ring.one()])
 
 
-def _preimage(I: HomIdeal, J: HomIdeal) -> list[Poly]:
-    """Reduced Groebner basis of I ∩ J, by decreasing leading monomial: the
-    preimage of (1, 1) under I·e_1 + J·e_2, one freemod.preimage_generators
-    run in F = S ⊕ S (Greuel & Pfister, A Singular Introduction to
-    Commutative Algebra, ch. 2)."""
-    from . import freemod  # local import: freemod imports this module
-
-    F, one = freemod.FreeModule(I.ring, [0, 0]), I.ring.one()
-    targets = [freemod.MVec(F, {k: f}) for k, part in enumerate((I, J)) for f in part.gens]
-    pre = freemod.preimage_generators([freemod.MVec(F, {0: one, 1: one})], targets)
-    return sorted((a.comps[0] for a in pre), key=lambda f: mono_key(f.lm()), reverse=True)
-
-
 def intersect(I: HomIdeal, J: HomIdeal) -> HomIdeal:
     """I ∩ J: the smaller ideal's reduced basis when one contains the other
-    (normal forms against the cached bases), else `_preimage`."""
+    (normal forms against the cached bases), else the forms that both
+    tables reduce to zero, stopped by N(I) + N(J) − N(I + J) (module
+    docstring)."""
     ring = I.ring
     if I.is_zero_ideal() or J.is_zero_ideal():
         return HomIdeal(ring, [])
     for small, big in ((I, J), (J, I)):
         if all(big.contains(f) for f in small.gens):
             return HomIdeal.from_basis(ring, small.groebner())
-    return HomIdeal.from_basis(ring, _preimage(I, J))
+    target = numerator_add(numerator_add(I.hilbert_numerator(), J.hilbert_numerator()),
+                           ideal_sum(I, J).hilbert_numerator(), -1)
+    nf, one = I.normal_forms(), ring.one()
+    return nf.kernel_ideal([(nf, one), (J.normal_forms(), one)], target)
 
 
 def ideal_quotient(I: HomIdeal, J: HomIdeal) -> HomIdeal:

@@ -328,6 +328,22 @@ def _mul_mono(terms, shift, char):
     return out
 
 
+def elim_meet(I, J):
+    """Reduced basis of the ideal intersection I ∩ J by eliminating t from
+    t·I + (1−t)·J, with naive_groebner under elim_key, as library
+    polynomials sorted by decreasing leading monomial."""
+    from geomideal.polykernel import Poly, mono_key
+
+    field = I.ring.field
+    gens = ([{m + (1,): c for m, c in f.terms.items()} for f in I.gens]
+            + [{**{m + (0,): c for m, c in g.terms.items()},
+                **{m + (1,): field.neg(c) for m, c in g.terms.items()}} for g in J.gens])
+    basis = naive_groebner(gens, field.char, key=elim_key)
+    meet = [Poly(I.ring, {m[:-1]: c for m, c in f}) for f in basis
+            if all(m[-1] == 0 for m, _ in f)]
+    return sorted(meet, key=lambda f: mono_key(f.lm()), reverse=True)
+
+
 # -- minimal generators, one fresh module Groebner basis per accepted vector -
 
 def greedy_minimal_generators(vecs, modulo=()):

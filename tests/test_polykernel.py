@@ -5,6 +5,7 @@ reference implementations in oracles.py; the property tests re-check the
 real implementations against those references on random inputs.
 """
 
+import sys
 from fractions import Fraction
 from functools import reduce as _fold
 from pathlib import Path
@@ -155,13 +156,15 @@ def test_groebner_insensitive_to_generator_order(ri):
 
 
 # ---------------------------------------------------------------------------
-# Buchberger pair order, pinned by the normal-form call counts of the module
-# preimage runs that intersect makes
+# Buchberger pair order, pinned by the normal-form call counts of module
+# preimage runs: I ∩ J as the preimage of (1, 1) under I·e_1 + J·e_2
 # ---------------------------------------------------------------------------
 
 def _moving_point_nf_calls(monkeypatch, ring, Z, moved):
-    """nf calls that the module Buchberger makes inside intersect(Z, V(g)),
-    one per generator g of Z^sigma, and then inside intersect(Z, Z^sigma)."""
+    """nf calls that the module Buchberger makes in the preimage of (1, 1)
+    under Z·e_1 + J·e_2 in S ⊕ S (Greuel & Pfister, A Singular Introduction
+    to Commutative Algebra, ch. 2), for J = (g), one per generator g of
+    Z^sigma, and then for J = Z^sigma."""
     calls = []
     real = freemod.buchberger
 
@@ -174,11 +177,15 @@ def _moving_point_nf_calls(monkeypatch, ring, Z, moved):
 
     monkeypatch.setattr(freemod, "buchberger", counting)
     Z, moved = HomIdeal.from_strings(ring, Z), [ring.parse(f) for f in moved]
+    F = freemod.FreeModule(ring, [0, 0])
+    ones = [freemod.MVec(F, {0: ring.one(), 1: ring.one()})]
     out = []
     for J in [[g] for g in moved] + [moved]:
         calls.clear()
-        intersect(Z, HomIdeal(ring, J))
+        targets = [freemod.MVec(F, {k: f}) for k, gens in enumerate((Z.gens, J)) for f in gens]
+        pre = freemod.preimage_generators(ones, targets)
         out.append(len(calls))
+        assert HomIdeal(ring, [a.comps[0] for a in pre]) == intersect(Z, HomIdeal(ring, J))
     return out
 
 
@@ -222,23 +229,25 @@ horizon 6
 
 def _count_colon_work(monkeypatch):
     """Record the verdict of each Hilbert nonzerodivisor test (a zero section
-    numerator), the size of each module preimage run, each groebner_basis
-    call made inside a colon of the idealizer, and the degree of each form
-    whose zero-divisor colon is built (NormalForms.colon)."""
-    work = {"tests": [], "runs": [], "gb_inside": [], "colons": []}
+    numerator), the size of each module Groebner run, each groebner_basis
+    call made inside a colon of the idealizer, and the degrees of the
+    condition forms of each Hilbert-driven kernel run
+    (NormalForms.kernel_ideal): [e] for a zero-divisor colon by a form of
+    degree e, [0, 0] for an intersection."""
+    work = {"tests": [], "runs": [], "gb_inside": [], "kernels": []}
     inside = []
-    real_test, real_preimage = linalg._section, freemod.preimage_generators
+    real_test, real_module_gb = linalg._section, freemod.module_groebner
     real_gb, real_quotient = polykernel.groebner_basis, idealizer.ideal_quotient
-    real_colon = NormalForms.colon
+    real_kernel = NormalForms.kernel_ideal
 
     def counting_test(I, g):
         section = real_test(I, g)
         work["tests"].append(not section)
         return section
 
-    def counting_preimage(vecs, targets):
+    def counting_module_gb(vecs):
         work["runs"].append(len(vecs))
-        return real_preimage(vecs, targets)
+        return real_module_gb(vecs)
 
     def counting_gb(gens):
         if inside:
@@ -252,13 +261,13 @@ def _count_colon_work(monkeypatch):
         finally:
             inside.pop()
 
-    def counting_colon(table, g, section):
-        work["colons"].append(g.degree)
-        return real_colon(table, g, section)
+    def counting_kernel(table, conditions, target):
+        work["kernels"].append([f.degree for _, f in conditions])
+        return real_kernel(table, conditions, target)
 
     monkeypatch.setattr(linalg, "_section", counting_test)
-    monkeypatch.setattr(NormalForms, "colon", counting_colon)
-    monkeypatch.setattr(freemod, "preimage_generators", counting_preimage)
+    monkeypatch.setattr(NormalForms, "kernel_ideal", counting_kernel)
+    monkeypatch.setattr(freemod, "module_groebner", counting_module_gb)
     monkeypatch.setattr(polykernel, "groebner_basis", counting_gb)
     monkeypatch.setattr(idealizer, "ideal_quotient", counting_quotient)
     return work
@@ -269,12 +278,12 @@ def test_p5_moving_point_colon_takes_the_domain_exit(tmp_path, monkeypatch):
     stops at its nonzerodivisor test (x5 divides no leading monomial), and
     each colon n stops at the domain exit: I's reduced basis is linear, so
     S/I is a domain and every generator outside I is a nonzerodivisor.  No
-    Hilbert test, module preimage or Groebner run happens in a colon."""
+    Hilbert test, module or kernel run, or Groebner run happens in a colon."""
     work = _count_colon_work(monkeypatch)
     path = tmp_path / "p5_point.scene"
     path.write_text(P5_MOVING_POINT)
     assert cli.main(["colon", str(path)]) == 0
-    assert work == {"tests": [], "runs": [], "gb_inside": [], "colons": []}
+    assert work == {"tests": [], "runs": [], "gb_inside": [], "kernels": []}
 
 
 def test_pair_order_takes_late_pairs_with_smaller_keys_first():
@@ -563,20 +572,6 @@ def test_hilbert_inclusion_exclusion(data):
 # the revlex quotient route and the containment shortcut against elimination
 # ---------------------------------------------------------------------------
 
-def _elim_meet(I, J):
-    """Reduced basis of I ∩ J by eliminating t from t·I + (1−t)·J, with the
-    oracle's Buchberger under its elimination order, sorted by decreasing
-    leading monomial."""
-    field = I.ring.field
-    gens = ([{m + (1,): c for m, c in f.terms.items()} for f in I.gens]
-            + [{**{m + (0,): c for m, c in g.terms.items()},
-                **{m + (1,): field.neg(c) for m, c in g.terms.items()}} for g in J.gens])
-    basis = oracles.naive_groebner(gens, _char(I.ring), key=oracles.elim_key)
-    meet = [Poly(I.ring, {m[:-1]: c for m, c in f}) for f in basis
-            if all(m[-1] == 0 for m, _ in f)]
-    return sorted(meet, key=lambda f: mono_key(f.lm()), reverse=True)
-
-
 def _divide_exact(f, g):
     """f / g, for an f that g divides."""
     field = f.ring.field
@@ -594,7 +589,7 @@ def _divide_exact(f, g):
 
 def _elim_quotient(I, g):
     """(I : g) as (1/g)·(I ∩ (g)), with the meet by elimination."""
-    meet = _elim_meet(I, HomIdeal(I.ring, [g]))
+    meet = oracles.elim_meet(I, HomIdeal(I.ring, [g]))
     return HomIdeal(I.ring, [_divide_exact(f, g) for f in meet])
 
 
@@ -659,7 +654,7 @@ def test_intersect_of_nested_ideals_matches_elimination(data):
     if J.ring != ring:
         return
     K = ideal_sum(I, J)
-    want = HomIdeal(ring, _elim_meet(I, K))
+    want = HomIdeal(ring, oracles.elim_meet(I, K))
     for meet in (intersect(I, K), intersect(K, I)):
         assert meet.gens == want.gens
         assert meet.groebner() == want.groebner()
@@ -693,11 +688,12 @@ def quotient_case(draw):
 @given(quotient_case())
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_quotient_and_intersect_match_elimination(case):
-    """The module preimage against the elimination route kept here as the
-    reference: (I : J) as the meet of the (I : g), g in J, and I ∩ J."""
+    """The colon and the intersection against the elimination route kept
+    here as the reference: (I : J) as the meet of the (I : g), g in J, and
+    I ∩ J."""
     ring, I, J = case
     assert ideal_quotient(I, J).groebner() == _elim_colon(I, J).groebner()
-    assert intersect(I, J).groebner() == tuple(_elim_meet(I, J))
+    assert intersect(I, J).groebner() == tuple(oracles.elim_meet(I, J))
 
 
 # ---------------------------------------------------------------------------
@@ -883,7 +879,7 @@ def test_irrelevant_ideal_saturates_to_the_unit_ideal(field, tmp_path, capsys):
 def test_p6_moving_point_colon_runs_no_groebner_machinery(field, tmp_path, monkeypatch):
     """Building a P^6 moving-point scene and its colons reads every reduced
     basis off an echelon and takes the domain exit: no Buchberger run,
-    Hilbert test or module preimage is ever called."""
+    Hilbert test or module Groebner run is ever called."""
     def forbidden(name):
         def call(*args, **kwargs):
             raise AssertionError(f"{name} called on a point scene")
@@ -891,7 +887,7 @@ def test_p6_moving_point_colon_runs_no_groebner_machinery(field, tmp_path, monke
 
     monkeypatch.setattr(GroebnerRun, "complete", forbidden("GroebnerRun.complete"))
     monkeypatch.setattr(linalg, "_section", forbidden("_section"))
-    monkeypatch.setattr(polykernel, "_preimage", forbidden("_preimage"))
+    monkeypatch.setattr(freemod, "module_groebner", forbidden("module_groebner"))
     coords, lams = [2, 3, 4, 5, 2, 3], [2, 3, 5, 7, 11, 13]
     sigma = "\n".join(" ".join(str(lam if i == j else 0) for j in range(7))
                       for i, lam in enumerate([1] + lams))
@@ -909,9 +905,9 @@ def test_nonzerodivisor_colon_matches_elimination(data):
     sigma^n of Z's own linear forms (the colon of the idealizer) or of the
     fixed point e_k (larger than I on a union), a random linear ideal, or
     products of two linear forms; n = 0 gives unit colons.  Both routes
-    run: the nonzerodivisor exit and the preimage.  The Hilbert test's
-    verdict on J's first generator g outside I is checked on its own
-    against (I : g) = I, since the domain exit skips it on linear I.
+    run: the nonzerodivisor exit and the Hilbert-driven kernel.  The
+    Hilbert test's verdict on J's first generator g outside I is checked on
+    its own against (I : g) = I, since the domain exit skips it on linear I.
     P^2 and P^3 only: the reference's elimination takes seconds on a P^4
     fat point."""
     ring, sigma, Z, e_k = data.draw(moving_scene([r for r in SCENE_RINGS if r.nvars < 5]))
@@ -989,26 +985,81 @@ def zero_divisor_case(draw):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_zero_divisor_colon_matches_elimination(case):
     """(I : J) for J of one or two zero divisors against the elimination
-    reference; two generators fold intersect over the (I : g).  Each (I : g)
-    alone runs no module preimage, has the Hilbert numerator N(I) − u^(−e)·s
-    of its section s, and in every degree d <= 5 its piece has the dimension
-    of the annihilator of g in S_d."""
+    reference; two generators fold intersect over the (I : g).  Neither the
+    colons nor that intersection runs a module Groebner basis.  Each (I : g)
+    has the Hilbert numerator N(I) − u^(−e)·s of its section s, and in
+    every degree d <= 5 its piece has the dimension of the annihilator of g
+    in S_d."""
     I, gens = case
     ring = I.ring
     J = HomIdeal(ring, gens)
-    got = ideal_quotient(I, J)
+    with mock.patch.object(freemod, "module_groebner", side_effect=AssertionError):
+        got = ideal_quotient(I, J)
+        quotients = [ideal_quotient(I, HomIdeal(ring, [g])) for g in gens]
     assert got.groebner() == _elim_colon(I, J).groebner()
     assert got.gens == HomIdeal(ring, got.groebner()).gens
     nf = I.normal_forms()
-    for g in gens:
+    for g, Q in zip(gens, quotients):
         section = linalg._section(I, g)
         assert section, "a zero divisor has a nonzero section numerator"
-        with mock.patch.object(freemod, "preimage_generators", side_effect=AssertionError):
-            Q = ideal_quotient(I, HomIdeal(ring, [g]))
         assert Q.hilbert_numerator() == polykernel.numerator_add(
             I.hilbert_numerator(), section, -1, -g.degree)
         for d in range(6):
-            assert len(nf.annihilator([g], d)) == dim_ideal_piece(Q, d)
+            assert len(nf.annihilator([(nf, g)], d)) == dim_ideal_piece(Q, d)
+
+
+@st.composite
+def meet_case(draw):
+    """(I, J) in P^2 or P^3 over Q or GF(7), neither containing the other,
+    each the ideal of two or three points, a fat point (l, m^2) with l a
+    linear form through the point, a line, or a point and a line."""
+    ring = draw(st.sampled_from([r for r in SCENE_RINGS if r.nvars < 5]))
+    field, nv = ring.field, ring.nvars
+    coeff = st.integers(-3, 3).map(field.from_int)
+
+    def point():
+        coords = draw(st.lists(coeff, min_size=nv, max_size=nv).filter(any))
+        return RationalPoint.of(field, coords).ideal(ring)
+
+    def line():
+        forms = [draw(linear_divisor(ring)) for _ in range(nv - 2)]
+        L = HomIdeal(ring, forms)
+        assume(len(L.groebner()) == nv - 2)
+        return L
+
+    def scheme():
+        kind = draw(st.sampled_from(["points", "fat point", "line", "point and line"]))
+        if kind == "points":
+            primes = [point() for _ in range(draw(st.integers(2, 3)))]
+            assume(len({P.gens for P in primes}) == len(primes))
+            return _fold(intersect, primes)
+        if kind == "fat point":
+            m = point()
+            ell = sum((f * ring.constant(draw(coeff)) for f in m.gens), ring.zero())
+            assume(not ell.is_zero())
+            return HomIdeal(ring, [ell] + [f * g for f in m.gens for g in m.gens])
+        if kind == "line":
+            return line()
+        return intersect(line(), point())
+
+    I, J = scheme(), scheme()
+    assume(not all(map(J.contains, I.gens)) and not all(map(I.contains, J.gens)))
+    return I, J
+
+
+@given(meet_case())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_intersect_matches_elimination(case):
+    """I ∩ J of two schemes, neither inside the other, is the kernel of
+    x ↦ (nf_I(x), nf_J(x)) stopped at N(I) + N(J) − N(I + J): the reduced
+    basis the elimination reference finds, with no module Groebner run."""
+    I, J = case
+    with mock.patch.object(freemod, "module_groebner", side_effect=AssertionError):
+        got = intersect(I, J)
+    assert got.groebner() == tuple(oracles.elim_meet(I, J))
+    assert got.hilbert_numerator() == polykernel.numerator_add(
+        polykernel.numerator_add(I.hilbert_numerator(), J.hilbert_numerator()),
+        ideal_sum(I, J).hilbert_numerator(), -1)
 
 
 @st.composite
@@ -1056,7 +1107,7 @@ def test_colon_keyed_by_the_monic_normal_form(case):
     """(I : g) and g's section depend on g only through its monic normal
     form, since g - nf(g) lies in I.  So (I : c*g + h), for h in I and c
     nonzero, asked of an I whose table already answered (I : g), is read
-    from that table's memo with no second section test or colon run, and
+    from that table's memo with no second section test or kernel run, and
     equals the same colon asked cold of a fresh copy of I.  Its pieces in
     degrees d <= 3 have the dimensions of the brute-force colon by g."""
     I, g, h, c = case
@@ -1065,7 +1116,7 @@ def test_colon_keyed_by_the_monic_normal_form(case):
     warm = HomIdeal(ring, I.gens)
     ideal_quotient(warm, HomIdeal(ring, [g]))
     with mock.patch.object(linalg, "_section", side_effect=AssertionError), \
-            mock.patch.object(NormalForms, "colon", side_effect=AssertionError):
+            mock.patch.object(NormalForms, "kernel_ideal", side_effect=AssertionError):
         got = ideal_quotient(warm, HomIdeal(ring, [f]))
     want = ideal_quotient(HomIdeal(ring, I.gens), HomIdeal(ring, [f]))
     assert got.groebner() == want.groebner()
@@ -1076,20 +1127,41 @@ def test_colon_keyed_by_the_monic_normal_form(case):
 
 
 def test_hilbert_driven_colon_rejects_a_wrong_section():
-    """A section numerator whose target is not the Hilbert numerator of
-    S/(I : g) fails the per-degree dimension check, an internal error,
-    where the two series first differ: in degree 1 for the zero section
+    """A target that is not the Hilbert numerator of the kernel ideal fails
+    the per-degree dimension check, an internal error, where the two series
+    first differ.  The colon (I : g): in degree 1 for the zero section
     (target N(I)), in degree 4 for the true section s = u^2 − 2u^3 + u^4
-    minus u^5 − u^6 (target (1 − u)^2 + u^4 − u^5)."""
+    minus u^5 − u^6 (target (1 − u)^2 + u^4 − u^5).  The intersection of
+    the points (x0, x1) and (x1, x2), whose true target is
+    1 − u − u^2 + u^3: in degree 0 for 2 − 4u + 2u^2 (N(I + J) left out),
+    in degree 3 for the true target plus u^3 − u^4, and in degree 1 when
+    intersect is handed I for I + J (target N(I))."""
     I = HomIdeal.from_strings(RQ, ["x0 + x1", "x0^2"])
     g = RQ.parse("x0 + 2*x1")
     section = linalg._section(I, g)
     assert section == {2: 1, 3: -2, 4: 1}
     nf = I.normal_forms()
-    assert nf.colon(g, section).groebner() == (RQ.parse("x0"), RQ.parse("x1"))
+
+    def colon_target(s):
+        return polykernel.numerator_add(I.hilbert_numerator(), s, -1, -g.degree)
+
+    assert (nf.kernel_ideal([(nf, g)], colon_target(section)).groebner()
+            == (RQ.parse("x0"), RQ.parse("x1")))
     for wrong, degree in (({}, 1), ({**section, 5: -1, 6: 1}, 4)):
         with pytest.raises(AssertionError, match=f"in degree {degree},"):
-            nf.colon(g, wrong)
+            nf.kernel_ideal([(nf, g)], colon_target(wrong))
+    P, Q = HomIdeal.from_strings(RQ, ["x0", "x1"]), HomIdeal.from_strings(RQ, ["x1", "x2"])
+    tables, one = [P.normal_forms(), Q.normal_forms()], RQ.one()
+    conditions = [(table, one) for table in tables]
+    meet = {0: 1, 1: -1, 2: -1, 3: 1}
+    assert (tables[0].kernel_ideal(conditions, meet).groebner()
+            == intersect(P, Q).groebner() == (RQ.parse("x0*x2"), RQ.parse("x1")))
+    for wrong, degree in (({0: 2, 1: -4, 2: 2}, 0), ({**meet, 3: 2, 4: -1}, 3)):
+        with pytest.raises(AssertionError, match=f"in degree {degree},"):
+            tables[0].kernel_ideal(conditions, wrong)
+    with mock.patch.object(polykernel, "ideal_sum", return_value=P), \
+            pytest.raises(AssertionError, match="in degree 1,"):
+        intersect(HomIdeal(RQ, P.gens), HomIdeal(RQ, Q.gens))
 
 
 TWISTED_CUBIC = """\
@@ -1119,12 +1191,12 @@ def test_twisted_cubic_colon_extends_the_basis_of_i(tmp_path, monkeypatch):
     path = tmp_path / "twisted_cubic.scene"
     path.write_text(TWISTED_CUBIC)
     assert cli.main(["colon", str(path)]) == 0
-    assert work == {"tests": [True], "runs": [], "gb_inside": [], "colons": []}
+    assert work == {"tests": [True], "runs": [], "gb_inside": [], "kernels": []}
 
 
 @pytest.mark.parametrize("scene, tests, colons", [
     ("curves/rnc4", [True], []),
-    ("fat_point", [False], [1]),
+    ("fat_point", [False], [[1]]),
     ("curves/ci3", [True] * 8, []),
 ])
 def test_colon_command_runs_one_test_per_monic_normal_form(scene, tests, colons, monkeypatch):
@@ -1133,13 +1205,14 @@ def test_colon_command_runs_one_test_per_monic_normal_form(scene, tests, colons,
     under a diagonal sigma has one h for all 8 colons.  The fat point
     (x0 + x1, x0^2) pulls back to (x0 + 2^n*x1, x0^2), whose linear
     generator, a zero divisor, reduces to (2^n - 1)*x1 for every n, so one
-    test and one (I : h) serve 8 colons.  The
+    test and one (I : h), a kernel run on one condition of degree 1, serve
+    8 colons.  The
     complete intersection ci3 is not binomial: its h differs per n, and
     nothing is shared.  A second run of the same scene counts the same."""
     work = _count_colon_work(monkeypatch)
     for _ in range(2):  # the memo lives on the scene's ideal, not the process
         assert cli.main(["colon", str(ROOT / "scenes" / f"{scene}.scene")]) == 0
-        assert work == {"tests": tests, "runs": [], "gb_inside": [], "colons": colons}
+        assert work == {"tests": tests, "runs": [], "gb_inside": [], "kernels": colons}
         for counts in work.values():
             counts.clear()
 
@@ -1148,20 +1221,27 @@ def test_colon_command_runs_one_test_per_monic_normal_form(scene, tests, colons,
 @pytest.mark.parametrize("scene", ["conic_pair", "fat_point", "twisted_cubic"])
 def test_cli_on_curves_and_fat_points_runs_no_elimination(scene, command, tmp_path,
                                                           monkeypatch):
-    """Each command exits 0 and takes no module preimage.  The curves (a
-    conic, the twisted cubic) have prime ideals, so the first generator of
-    each J outside I is a nonzerodivisor.  The fat point's J is x0^2, which
-    lies in I, and a linear form through the support point, a zero divisor:
-    its colon is read degree by degree off I's normal forms, stopped by the
-    Hilbert series, with no preimage."""
+    """Each command exits 0 and runs no module Groebner basis inside a colon
+    or an intersection.  The curves (a conic, the twisted cubic) have prime
+    ideals, so the first generator of each J outside I is a nonzerodivisor.
+    The fat point's J is x0^2, which lies in I, and a linear form through
+    the support point, a zero divisor: its colon is read degree by degree
+    off I's normal forms, stopped by the Hilbert series.  Intersections
+    take the same kernel loop.  (`classify` resolves the conic pair's
+    critical subschemes for Tor, a module Groebner run outside both.)"""
     runs = []
-    real = freemod.preimage_generators
+    real = freemod.module_groebner
+    scopes = {polykernel.intersect.__code__, polykernel.ideal_quotient.__code__}
 
-    def counting(vecs, targets):
-        runs.append(len(vecs))
-        return real(vecs, targets)
+    def counting(vecs):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in scopes:
+            frame = frame.f_back
+        if frame is not None:
+            runs.append(len(vecs))
+        return real(vecs)
 
-    monkeypatch.setattr(freemod, "preimage_generators", counting)
+    monkeypatch.setattr(freemod, "module_groebner", counting)
     if scene == "twisted_cubic":
         path = tmp_path / "twisted_cubic.scene"
         path.write_text(TWISTED_CUBIC)

@@ -88,6 +88,28 @@ def test_code_size_script_counts_every_module():
     assert script["code_size"]("x = 1  # c\n\ny = 2\n") == (2, 9, 9)
 
 
+def test_polykernel_imports_no_module_layer_and_stays_under_the_token_step():
+    """The polynomial kernel imports neither the free modules nor homology,
+    at module level or inside a function: its colons and intersections are
+    kernels of normal-form maps (linalg, reached through
+    HomIdeal.normal_forms).  Its source stays at most 8192 tokens (the
+    code_size.py count): past that CPython's parser token array doubles,
+    and the compile of this file, the peak of a fresh import, takes about
+    0.5 MB more memory."""
+    path = ROOT / "src" / "geomideal" / "polykernel.py"
+    source = path.read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        assert not {"freemod", "homology"} & {part for name in names for part in name.split(".")}
+    script = runpy.run_path(str(ROOT / "scripts" / "code_size.py"))
+    assert script["code_size"](source)[2] <= 8192
+
+
 def test_module_entry_point_runs_the_cli(capsys):
     """`python -m geomideal` prints what cli.main prints, writes nothing to
     stderr, and exits with cli.main's code: 2 for a usage error."""
