@@ -8,15 +8,20 @@ position-over-term: lower component index wins, ties broken by degrevlex
 tags last makes the same order an elimination order for syzygy
 computations.
 
-Module Buchberger is polykernel.buchberger run with the module normal form
-below: pairs only within a component, the chain criterion always, and the
-product (coprime) criterion when both vectors have a single nonzero
-component, where S(f.e, g.e) = S(f, g).e makes it sound.  The normal form
-is polykernel.divide, the heap division kernel that polynomials share.
+Module Groebner bases come from linalg.graded_groebner, the engine that
+polynomial ideals use, on flat terms: the term x^m e_c is the exponent
+tuple m + (degrees[c], -1 - c, 1 + c).  Its sum is the term's degree; one
+flat term divides another only when their last two entries agree, that is
+within a component; and within one degree the reversed tuples sort
+position over term, as reversed monomials sort degrevlex.  Pairs within a
+component, the chain criterion always, and the product criterion when both
+vectors have a single nonzero component, where S(f.e, g.e) = S(f, g).e
+makes it sound.  The normal form is polykernel.divide on the same flat
+terms.
 
 Syzygies and preimages tag only the vectors being combined, so their
 output is already a reduced Groebner basis.  Minimal generators are graded
-Nakayama on linear algebra, with no Buchberger run: one `linalg.Echelon`
+Nakayama on linear algebra, with no Groebner run: one `linalg.Echelon`
 per degree, whose columns are (component, monomial) pairs, decides whether
 a vector lies in the span of the ones accepted so far.  The Hilbert series
 of a submodule is one integer numerator summed over components.
@@ -24,14 +29,13 @@ of a submodule is one integer numerator summed over components.
 
 from __future__ import annotations
 
-from .linalg import Echelon
+from .linalg import Echelon, graded_groebner
 from .polykernel import (
     Poly,
     PolyRing,
-    buchberger,
     dim_full_space,
     divide,
-    interreduce,
+    mono_descending_key,
     mono_key,
     mono_mul,
     monomial_hilbert_numerator,
@@ -50,12 +54,6 @@ class FreeModule:
     @property
     def rank(self) -> int:
         return len(self.degrees)
-
-    def zero(self) -> "MVec":
-        return MVec(self, {})
-
-    def gen(self, i: int) -> "MVec":
-        return MVec(self, {i: self.ring.one()})
 
     def __eq__(self, other):
         return (
@@ -84,14 +82,6 @@ class MVec:
     @property
     def ring(self) -> PolyRing:
         return self.module.ring
-
-    @property
-    def ncomps(self) -> int:
-        return len(self.comps)
-
-    def comp_terms(self) -> list:
-        """(component, monomial, coefficient) per term."""
-        return [(c, m, x) for c, p in self.comps.items() for m, x in p.terms.items()]
 
     @property
     def degree(self):
@@ -123,28 +113,6 @@ class MVec:
         inv = field.inv(self.leading()[2])
         return MVec(self.module, {i: p.scale(inv) for i, p in self.comps.items()})
 
-    def __add__(self, other: "MVec") -> "MVec":
-        out = dict(self.comps)
-        for i, p in other.comps.items():
-            s = out.get(i)
-            q = p if s is None else s + p
-            if q.is_zero():
-                out.pop(i, None)
-            else:
-                out[i] = q
-        return MVec(self.module, out)
-
-    def __sub__(self, other: "MVec") -> "MVec":
-        return self + (-other)
-
-    def __neg__(self) -> "MVec":
-        return MVec(self.module, {i: -p for i, p in self.comps.items()})
-
-    def term_mul(self, c, exps) -> "MVec":
-        if self.module.ring.field.is_zero(c):
-            return self.module.zero()
-        return MVec(self.module, {i: p.term_mul(c, exps) for i, p in self.comps.items()})
-
     def sort_key(self):
         fkey = self.module.ring.field.sort_key
         entries = []
@@ -169,28 +137,53 @@ class MVec:
 
 
 # ---------------------------------------------------------------------------
-# division and Buchberger
+# division and Groebner bases
 # ---------------------------------------------------------------------------
 
-def mod_normal_form(v: MVec, basis: list[MVec]) -> MVec:
-    """Full remainder of v under division by basis (position-over-term).
+def _codes(module: FreeModule) -> list[tuple]:
+    """Per component c, the entries (degrees[c], -1 - c, 1 + c) that its
+    terms x^m e_c carry after m, as linalg.graded_groebner reads them."""
+    return [(s, -1 - c, 1 + c) for c, s in enumerate(module.degrees)]
 
-    divide returns each component's terms in decreasing order, so the first
-    one is that component's leading term."""
-    rem: dict[int, dict] = {}
-    for (c, m), x in divide(v, basis).items():
-        rem.setdefault(c, {})[m] = x
-    return MVec(v.module, {c: Poly(v.ring, t, next(iter(t.items())))
-                           for c, t in rem.items()})
+
+def _flat(v: MVec, codes) -> dict:
+    """v's terms {m + codes[c]: coefficient}."""
+    return {m + codes[c]: x for c, p in v.comps.items() for m, x in p.terms.items()}
+
+
+def _vector(module: FreeModule, terms: dict) -> MVec:
+    """The vector of flat terms given in decreasing order, so that the
+    first term of each component is its leading one."""
+    comps: dict[int, dict] = {}
+    for t, x in terms.items():
+        comps.setdefault(t[-1] - 1, {})[t[:-3]] = x
+    return MVec(module, {c: Poly(module.ring, p, next(iter(p.items())))
+                         for c, p in comps.items()})
+
+
+def mod_normal_form(v: MVec, basis: list[MVec]) -> MVec:
+    """Full remainder of the homogeneous v under division by basis, on the
+    flat terms (polykernel.divide)."""
+    codes = _codes(v.module)
+    flats = [_flat(g, codes) for g in basis]
+    divisors = [(min(t, key=mono_descending_key), t) for t in flats if t]
+    return _vector(v.module, divide(v.ring.field, _flat(v, codes), divisors))
 
 
 def module_groebner(vecs: list[MVec]) -> list[MVec]:
-    """Reduced module Groebner basis (polykernel.buchberger, module normal form)."""
-    return reduce_module_basis(buchberger(vecs, MVec.sort_key, mod_normal_form))
+    """Reduced module Groebner basis, in MVec.sort_key order: one
+    linalg.graded_groebner run on the flat terms."""
+    if not vecs:
+        return []
+    module = vecs[0].module
+    codes = _codes(module)
+    return reduce_module_basis([_vector(module, terms) for _, terms in graded_groebner(
+        module.ring.field, module.ring.nvars, [_flat(v, codes) for v in vecs])])
 
 
 def reduce_module_basis(G: list[MVec]) -> list[MVec]:
-    return sorted(interreduce(G, mod_normal_form), key=MVec.sort_key)
+    """A reduced module Groebner basis G in MVec.sort_key order."""
+    return sorted(G, key=MVec.sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +213,13 @@ def preimage_generators(vecs: list[MVec], targets: list[MVec]) -> list[MVec]:
     module = vecs[0].module
     ring = module.ring
     m = module.rank
-    degs = []
-    for v in vecs:
-        d = v.degree
-        if d is None:
-            raise ValueError("syzygies require homogeneous vectors")
-        degs.append(d)
-    big = FreeModule(ring, module.degrees + tuple(degs))
+    degs = tuple(v.degree for v in vecs)
+    if None in degs:
+        raise ValueError("syzygies require homogeneous vectors")
+    big = FreeModule(ring, module.degrees + degs)
     lifted = [MVec(big, {**v.comps, m + i: ring.one()}) for i, v in enumerate(vecs)]
     lifted += [MVec(big, dict(t.comps)) for t in targets]
-    tags = FreeModule(ring, tuple(degs))
+    tags = FreeModule(ring, degs)
     return [MVec(tags, {c - m: p for c, p in g.comps.items()})
             for g in module_groebner(lifted) if min(g.comps) >= m]
 

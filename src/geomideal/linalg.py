@@ -1,6 +1,6 @@
 """Exact linear algebra over the coefficient fields: one incremental echelon,
-the reduced bases of linear ideals, and normal forms modulo a Groebner
-basis as a linear map.
+the graded Groebner engine on it, and normal forms modulo a Groebner basis
+as a linear map.
 
 Every elimination in the engine goes through `Echelon`, a row space grown
 one row at a time.  Its one entry point takes sparse rows
@@ -24,10 +24,17 @@ kernel are read.  No floating point: that division goes through
 The reduced row echelon form of a matrix is unique, and so is its
 canonical integral form, so the stored rows, the reduced rows and the
 kernels do not depend on the order in which rows were inserted: every caller sees the
-same numbers as from a from-scratch elimination.  `linear_groebner_basis`
-reads the reduced Groebner basis of linear forms off one echelon: in
-degree 1 degrevlex orders x0 > ... > xd, so that basis is the reduced row
-echelon form with x_i as column i.
+same numbers as from a from-scratch elimination.
+
+`graded_groebner` is the one Groebner engine, for polynomial ideals
+(`polykernel.groebner_basis`, `polykernel.ideal_sum`) and graded submodules
+of free modules (`freemod.module_groebner`): every ideal and module here is
+homogeneous, so it runs degree by degree, one echelon per degree whose rows
+are that degree's pairs, inputs and reducers (Lazard, EUROCAL 1983; the
+normal strategy of Faugère's F4, J. Pure Appl. Algebra 1999), and reads
+the reduced basis straight off the reduced rows.  Linear input is its one
+degree-1 echelon.  A module term carries its component as three entries
+after the monomial, so the engine sees exponent tuples only.
 
 `NormalForms` tabulates the normal-form map on monomials: a normal form
 modulo a Groebner basis is unique, hence linear, so the normal form of any
@@ -61,6 +68,7 @@ elimination, whose every division is exact.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 
 from .polykernel import (
     HomIdeal,
@@ -72,6 +80,7 @@ from .polykernel import (
     mono_div,
     mono_divides,
     mono_key,
+    mono_lcm,
     mono_mul,
     monomial_hilbert_numerator,
     monomials_of_degree,
@@ -171,11 +180,14 @@ class Echelon:
         rows[p] = v
         return True
 
+    def row(self, p: int) -> dict:
+        """The reduced row {column: scalar} with pivot p, pivot entry 1."""
+        r = self._rows[p]
+        return _scalars(self.field, r, r[p])
+
     def sparse_rows(self) -> list[dict]:
-        """The reduced rows {column: scalar}, pivot entry 1, in increasing
-        pivot order."""
-        field = self.field
-        return [_scalars(field, r, r[p]) for p, r in sorted(self._rows.items())]
+        """The reduced rows, in increasing pivot order."""
+        return [self.row(p) for p in self.pivots]
 
     def sparse_kernel(self) -> list[dict]:
         """Basis of {v : A v = 0} as sparse vectors, one per free column (in
@@ -190,29 +202,156 @@ class Echelon:
         return list(out.values())
 
 
-def linear_groebner_basis(forms) -> list[Poly] | None:
-    """Reduced Groebner basis of the ideal the forms generate when every
-    nonzero one is linear, else None; [] when none is nonzero.
+def graded_groebner(field, nvars, gens, finished=()) -> list[tuple]:
+    """The reduced Groebner basis of the homogeneous gens and of finished,
+    a reduced Groebner basis itself (a finished block), as (leading term,
+    terms) pairs with leading coefficient 1; gens are {term: scalar} dicts
+    and finished are (leading term, terms) pairs.
 
-    In degree 1 degrevlex orders the variables x0 > x1 > ... > xd, so with
-    x_i as column i a monic form's leading monomial is its pivot column and
-    the reduced basis is the reduced row echelon form of the coefficient
-    matrix: one row per pivot, pivot entry 1, no other pivot column among
-    its terms.  Rows come out in increasing pivot order, that is by
-    decreasing leading monomial, as `polykernel.reduce_basis` sorts them;
-    each row's terms are in decreasing order, leading term first."""
-    forms = [f for f in forms if not f.is_zero()]
-    if not forms:
-        return []
-    if any(f.degree != 1 for f in forms):
-        return None
-    ring = forms[0].ring
-    field, xs = ring.field, ring.units
-    ech = Echelon(field, ring.nvars)
-    for f in forms:
-        ech.insert({m.index(1): c for m, c in f.terms.items()})
-    return [Poly(ring, {xs[c]: r[c] for c in sorted(r)}, (xs[p], field.one))
-            for p, r in zip(ech.pivots, ech.sparse_rows())]
+    A term is an exponent tuple whose first nvars entries are its monomial,
+    and its degree is its sum, so the engine serves polynomials as they
+    are.  A module vector's term (c, m) is the tuple m + (s, -1 - c, 1 + c),
+    s the degree of the generator e_c (freemod): its sum is the true degree
+    deg m + s; one term divides another only within a component, since the
+    last two entries must match; and within one degree the reversed tuples
+    sort position over term (the lower component, then the larger
+    monomial), as reversed monomials sort degrevlex.
+
+    Degree by degree (Lazard, EUROCAL 1983), with the normal strategy of
+    F4 (Faugère, J. Pure Appl. Algebra 1999): the rows of degree d are the
+    inputs of that degree, both halves (lcm/lm_i)*g_i of every pair whose
+    lcm has degree d, and, for every column that a leading term of the
+    basis divides, one multiple of that basis element with that leading
+    term (symbolic preprocessing).  One `Echelon` on the columns, largest
+    first, puts them in reduced echelon form, and a pivot no earlier
+    leading term divides starts a new basis element.  Every column a
+    leading term divides is a pivot, so the new rows are reduced against
+    every leading term up to degree d, and nothing of higher degree divides
+    their terms: the reduced basis is read off the rows, with no
+    interreduction.
+
+    The rows of an echelon are combinations of the basis multiples and the
+    new rows, one per pivot, so each S-element has a representation below
+    its lcm.  A pair is skipped when that holds already: by the product
+    criterion, when the two leading monomials are coprime and each element
+    lies in one component, S(f.e, g.e) = S(f, g).e; by the chain criterion,
+    when a third
+    leading term divides the lcm and the lcms of its two pairs with them
+    divide it properly (Buchberger, EUROSAM 1979); and between two elements
+    of the finished block, whose S-element reduces to zero modulo the block
+    (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, §2.6).  A
+    block element enters the basis unchanged in its degree unless a leading
+    term from outside the block divides one of its terms, and then it is a
+    row of that degree's echelon; a new pivot of its own degree among its
+    tail terms is eliminated with that new row (`_tail_reduce`).
+
+    Raises ValueError on an inhomogeneous element.
+    """
+    todo: dict[int, list] = {}  # degree -> (leading term in the block or None, terms)
+    for g in gens:
+        if g:
+            degs = set(map(sum, g))
+            if len(degs) > 1:
+                raise ValueError("a graded Groebner basis needs homogeneous elements")
+            todo.setdefault(degs.pop(), []).append((None, g))
+    for lead, g in finished:
+        todo.setdefault(sum(lead), []).append((lead, g))
+    block_leads = {lead for lead, _ in finished}
+    basis: list[tuple] = []  # (leading term, terms, from the block)
+    lone: list[bool] = []  # whether all of basis[i] lies in one component
+    free: list[int] = []  # the i with basis[i] not from the block
+    pairs: dict[int, list] = {}  # degree -> (i, j, lcm)
+    while todo or pairs:
+        d = min([*todo, *pairs])
+        rows = []
+        start = len(basis)
+        outside = [basis[i][0] for i in free]
+        for lead, g in todo.pop(d, ()):
+            if lead is None or outside and any(mono_divides(m, t) for t in g for m in outside):
+                rows.append(g)
+            else:
+                basis.append((lead, g, True))
+        passed = len(basis)
+        multiples = set()
+        for i, j, lcm in pairs.pop(d, ()):
+            mi, mj = basis[i][0], basis[j][0]
+            if not any(mono_divides(m, lcm) and mono_lcm(mi, m) != lcm
+                       and mono_lcm(mj, m) != lcm for m, _, _ in basis[:start]):
+                multiples |= {(i, mono_div(lcm, mi)), (j, mono_div(lcm, mj))}
+        if rows or multiples:
+            new = _degree_rows(field, basis, rows, multiples)
+            if passed > start:
+                _tail_reduce(field, basis, start, passed, new)
+            basis += [(lead, t, lead in block_leads) for lead, t in new]
+        for j in range(start, len(basis)):
+            m, terms, blocked = basis[j]
+            c = m[nvars:]
+            lone.append(not c or all(t[nvars:] == c for t in terms))
+            for i in free if blocked else range(j):
+                mi = basis[i][0]
+                if mi[nvars:] == c and not (
+                        lone[i] and lone[j] and not sum(map(mul, mi[:nvars], m))):
+                    lcm = mono_lcm(mi, m)
+                    pairs.setdefault(sum(lcm), []).append((i, j, lcm))
+            if not blocked:
+                free.append(j)
+    return [(lead, terms) for lead, terms, _ in basis]
+
+
+def _tail_reduce(field, basis, start, passed, new) -> None:
+    """Eliminate from the block elements basis[start:passed] of one degree
+    the pivots of that degree's new rows: those rows are zero on every
+    other pivot, so one subtraction per pivot met leaves each element
+    reduced."""
+    zero, sub, mul, is_zero = field.zero, field.sub, field.mul, field.is_zero
+    heads = dict(new)
+    for k in range(start, passed):
+        lead, terms, _ = basis[k]
+        hits = [(terms[p], heads[p]) for p in terms if p in heads]
+        if hits:
+            terms = dict(terms)
+            for x, t in hits:
+                for col, y in t.items():
+                    v = sub(terms.get(col, zero), mul(x, y))
+                    if is_zero(v):
+                        del terms[col]
+                    else:
+                        terms[col] = v
+            basis[k] = lead, terms, True
+
+
+def _degree_rows(field, basis, rows, multiples) -> list[tuple]:
+    """The new elements of one degree of `graded_groebner`, as (leading
+    term, terms) with the terms in decreasing order: the rows given, the
+    basis multiples (index, monomial) and a reducer for every column that
+    a leading term of the basis divides, in one echelon."""
+    def multiple(terms, mu):
+        return {mono_mul(t, mu): x for t, x in terms.items()}
+
+    matrix = list(rows)
+    reduced = set()
+    for i, mu in multiples:
+        m, terms, _ = basis[i]
+        matrix.append(multiple(terms, mu))
+        reduced.add(mono_mul(m, mu))
+    seen = set(reduced)
+    for row in matrix:  # grows by the reducers
+        for t in row:
+            if t not in seen:
+                seen.add(t)
+                for m, terms, _ in basis:
+                    if mono_divides(m, t):
+                        matrix.append(multiple(terms, mono_div(t, m)))
+                        reduced.add(t)
+                        break
+    cols = [t[::-1] for t in sorted(t[::-1] for t in seen)]  # largest first
+    index = {t: k for k, t in enumerate(cols)}
+    ech = Echelon(field, len(cols))
+    for row in sorted(({index[t]: x for t, x in row.items()} for row in matrix),
+                      key=min, reverse=True):
+        ech.insert(row)
+    return [(cols[p], {cols[k]: x for k, x in sorted(ech.row(p).items())})
+            for p in ech.pivots if cols[p] not in reduced]
 
 
 def _echelon(field, rows, ncols=None) -> Echelon:
@@ -273,8 +412,8 @@ def _accumulate(pairs) -> tuple[dict, int]:
 
 def _section(I: HomIdeal, g: Poly) -> dict[int, int]:
     """g's section numerator on S/I (polykernel.section_numerator), zero
-    exactly when g is a nonzerodivisor: one Groebner run of I + (g) that
-    extends I's reduced basis (polykernel.ideal_sum)."""
+    exactly when g is a nonzerodivisor: one graded run of I + (g) that
+    takes I's reduced basis as a finished block (polykernel.ideal_sum)."""
     return section_numerator(I, ideal_sum(I, HomIdeal(I.ring, [g])), g.degree)
 
 

@@ -4,12 +4,14 @@ The commutative kernel everything else sits on: polynomials over Q or GF(p)
 in variables x0..x9, reduced Groebner bases, colon ideals, intersections,
 saturation, and Hilbert functions / polynomials of graded quotients.
 
-One Buchberger driver (`GroebnerRun`, then `interreduce`) serves both
-polynomial ideals and, in the layer above this one, graded submodules of
-free modules: a Poly is a vector with the single component 0.  The chain
-criterion always applies; the product (coprime) criterion applies to a
-pair whose two elements each have exactly one nonzero component, the same
-one, which every pair of polynomials satisfies.
+Reduced Groebner bases come from one graded engine,
+`linalg.graded_groebner`, degree by degree on the fraction-free
+`linalg.Echelon`; it serves polynomial ideals here and, in the layer above
+this one, graded submodules of free modules.  A polynomial's terms enter as
+they are, exponent tuples; `groebner_basis` and `ideal_sum` are its two
+adapters, the second passing I's reduced basis as a finished block.
+`divide`, the heap division kernel, is left for one-off normal forms and
+membership.
 
 Quotients.  When I's reduced basis is empty or all linear, S/I is a
 polynomial ring, a domain, so (I : J) is (1) when J ⊆ I and I otherwise.
@@ -27,7 +29,7 @@ multiplication by h makes
 0 → ((I : h)/I)(−e) → (S/I)(−e) → S/I → S/(I + (h)) → 0 exact, so the
 Hilbert numerators N over (1 − u)^nvars satisfy
 N(I + (h)) − (1 − u^e)·N(I) = u^e·N((I : h)/I) (`section_numerator`, with
-I + (h) from `ideal_sum`'s unreduced extension of I's basis by h), zero
+I + (h) from `ideal_sum`, which extends I's reduced basis by h), zero
 exactly when (I : h) = I, that is, when h is a nonzerodivisor on S/I.  Once
 some h passes, (I : J) ⊆ (I : h) = I, so (I : J) is I.  Otherwise
 (I : J) is the meet of the (I : h).  Each is a kernel ideal read degree by
@@ -275,7 +277,7 @@ def mono_div(a, b):
 
 
 def mono_lcm(a, b):
-    return tuple(map(max, a, b))
+    return tuple([x if x > y else y for x, y in zip(a, b)])  # map(max) is slower
 
 
 def mono_deg(a):
@@ -321,20 +323,6 @@ class Poly:
 
     def lc(self):
         return self.lt()[1]
-
-    def leading(self):
-        """(component, monomial, coefficient): a Poly is component 0."""
-        m, c = self.lt()
-        return (0, m, c)
-
-    @property
-    def ncomps(self) -> int:
-        """Number of nonzero components when read as a rank-1 vector."""
-        return 1 if self.terms else 0
-
-    def comp_terms(self) -> list:
-        """(component, monomial, coefficient) per term, component always 0."""
-        return [(0, m, c) for m, c in self.terms.items()]
 
     def monic(self) -> "Poly":
         if not self.terms:
@@ -390,13 +378,6 @@ class Poly:
             return self.ring.zero()
         lt = None if self._lt is None else (self._lt[0], field.mul(c, self._lt[1]))
         return Poly(self.ring, {m: field.mul(c, x) for m, x in self.terms.items()}, lt)
-
-    def term_mul(self, c, exps) -> "Poly":
-        """Multiply by the single term c * x^exps."""
-        field = self.ring.field
-        if field.is_zero(c):
-            return self.ring.zero()
-        return Poly(self.ring, {mono_mul(m, exps): field.mul(c, x) for m, x in self.terms.items()})
 
     def evaluate(self, point) -> object:
         """Evaluate at a tuple of field scalars."""
@@ -459,64 +440,52 @@ class Substitution:
 
 
 # ---------------------------------------------------------------------------
-# division and Buchberger
+# division and Groebner bases
 # ---------------------------------------------------------------------------
 
-class _Basis(list):
-    """A divisor list that keeps each element's leading() beside it, so a
-    growing Buchberger basis gives divide its leading terms once, not per
-    call.  Elements are nonzero."""
+def divide(field, terms: dict, basis: list) -> dict:
+    """Remainder of terms {term: coefficient} under full division by the
+    basis, (leading term, terms) pairs, in decreasing order.
 
-    def __init__(self, elems=()):
-        super().__init__(elems)
-        self.lead = [g.leading() for g in self]
-
-    def append(self, g):
-        super().append(g)
-        self.lead.append(g.leading())
-
-
-def divide(f, basis: list) -> dict:
-    """Remainder of f under full division by basis, as {(component,
-    monomial): coefficient} in decreasing position-over-term order.
-
-    The one division kernel, for polynomials (component 0) and module
-    vectors: undivided terms live in a mutable dict and their descending
-    keys in a heap, where a cancelled term's key is skipped when popped
-    (Monagan & Pearce, CASC 2007), so a step costs one divisor's size, not
-    a copy of the remainder.  The first basis element whose leading term
-    divides the leading term is used, as in schoolbook division.
+    The one division kernel, for polynomials and for module vectors, whose
+    terms carry their component as in linalg.graded_groebner: a term's
+    degree is its sum, and within one degree the reversed tuples order
+    position over term.  Undivided terms live in a mutable dict and their
+    descending keys in a heap, where a cancelled term's key is skipped when
+    popped (Monagan & Pearce, CASC 2007), so a step costs one divisor's
+    size, not a copy of the remainder.  The first basis element whose
+    leading term divides the leading term is used, as in schoolbook
+    division.
     """
-    field = f.ring.field
-    if not isinstance(basis, _Basis):
-        basis = _Basis(g for g in basis if not g.is_zero())
     tails: dict = {}
-    acc = {(c, m): x for c, m, x in f.comp_terms()}
-    heap = [(c, mono_descending_key(m), m) for c, m in acc]
+    acc = dict(terms)
+    heap = [(mono_descending_key(t), t) for t in acc]
     heapq.heapify(heap)
     rem: dict = {}
     while heap:
-        c, _, m = heapq.heappop(heap)
-        x = acc.pop((c, m), None)
+        _, t = heapq.heappop(heap)
+        x = acc.pop(t, None)
         if x is None:
             continue
-        for k, (gc, gm, gx) in enumerate(basis.lead):
-            if gc == c and mono_divides(gm, m):
+        for k, (lead, _) in enumerate(basis):
+            if mono_divides(lead, t):
                 break
         else:
-            rem[c, m] = x
+            rem[t] = x
             continue
         if k not in tails:
-            tails[k] = [t for t in basis[k].comp_terms() if t[0] != gc or t[1] != gm]
-        q = field.div(x, gx)
-        shift = mono_div(m, gm)
-        for tc, tm, tx in tails[k]:
-            key = (tc, mono_mul(tm, shift))
+            g = basis[k][1]
+            tails[k] = g[lead], [(s, y) for s, y in g.items() if s != lead]
+        lc, tail = tails[k]
+        q = field.div(x, lc)
+        shift = mono_div(t, lead)
+        for s, y in tail:
+            key = mono_mul(s, shift)
             old = acc.get(key)
             if old is None:
-                heapq.heappush(heap, (tc, mono_descending_key(key[1]), key[1]))
+                heapq.heappush(heap, (mono_descending_key(key), key))
                 old = field.zero
-            old = field.sub(old, field.mul(q, tx))
+            old = field.sub(old, field.mul(q, y))
             if field.is_zero(old):
                 del acc[key]
             else:
@@ -527,131 +496,30 @@ def divide(f, basis: list) -> dict:
 def normal_form(f: Poly, basis: list[Poly]) -> Poly:
     """Remainder of f under full multivariate division by basis; divide
     returns it in decreasing order, so its first term is the leading one."""
-    rem = {m: c for (_, m), c in divide(f, basis).items()}
+    rem = divide(f.ring.field, f.terms, [(g.lm(), g.terms) for g in basis if g.terms])
     return Poly(f.ring, rem, next(iter(rem.items()), None))
 
 
-class GroebnerRun:
-    """An open Buchberger run: a basis, its pair heap and its pending set.
-
-    The one Buchberger loop, for polynomials and module vectors alike:
-    elements expose leading() -> (component, monomial, coefficient), a Poly
-    being component 0, plus ncomps, monic, term_mul and subtraction; nf is
-    their normal form.  The seed gens are made monic and sorted by sort_key,
-    so every choice point is ordered.  Pairs within a component are keyed
-    once, by (degree, component, mono_key) of the lcm with the index pair as
-    tie-break, and a heap hands them out in key order; the pending set
-    mirrors it for the chain criterion.
-
-    complete() takes pairs until the heap is empty, so the basis is then a
-    Groebner basis (not yet interreduced) of everything pushed.
-
-    A run may start from a finished block, monic elements that already form
-    a Groebner basis (I's reduced basis in ideal_sum).  They enter first,
-    with no pairs among them: each such S-pair reduces to zero modulo the
-    block (Buchberger's criterion; Cox, Little & O'Shea, Ideals, Varieties,
-    and Algorithms, §2.6), hence modulo every larger basis, so the chain
-    criterion may count it as already treated.
-
-    Two criteria skip a pair.  Coprime leading monomials, when both elements
-    have exactly one nonzero component (the same one, since pairs never
-    cross components): S(f.e, g.e) = S(f, g).e, so the polynomial product
-    criterion carries over; polynomials always qualify.  The chain
-    criterion: a third element of the component whose leading monomial
-    divides the lcm, with both linking pairs already handled.
-    """
-
-    __slots__ = ("nf", "basis", "heap", "pending")
-
-    def __init__(self, gens: list, sort_key, nf, finished=()):
-        self.nf = nf
-        self.basis = _Basis(finished)
-        self.heap: list = []
-        self.pending: set[tuple[int, int]] = set()
-        for g in sorted((g.monic() for g in gens if not g.is_zero()), key=sort_key):
-            self._push(g)
-
-    def _push(self, g) -> None:
-        G, heap, pending = self.basis, self.heap, self.pending
-        G.append(g)
-        lead = G.lead
-        j = len(G) - 1
-        cj, mj, _ = lead[j]
-        for i in range(j):
-            if lead[i][0] == cj:
-                lcm = mono_lcm(lead[i][1], mj)
-                heapq.heappush(heap, ((mono_deg(lcm), cj, mono_key(lcm)), (i, j)))
-                pending.add((i, j))
-
-    def complete(self) -> list:
-        """Reduce every pending pair; returns the basis."""
-        G, heap, pending, nf = self.basis, self.heap, self.pending, self.nf
-        if not G:
-            return G
-        field = G[0].ring.field
-        lead = G.lead
-        while heap:
-            _, pair = heapq.heappop(heap)
-            pending.discard(pair)
-            i, j = pair
-            ci, mi, ai = lead[i]
-            _, mj, aj = lead[j]
-            lcm = mono_lcm(mi, mj)
-            if G[i].ncomps == 1 and G[j].ncomps == 1 and lcm == mono_mul(mi, mj):
-                continue
-            if any(k != i and k != j and ck == ci and mono_divides(mk, lcm)
-                   and (min(i, k), max(i, k)) not in pending
-                   and (min(j, k), max(j, k)) not in pending
-                   for k, (ck, mk, _) in enumerate(lead)):
-                continue
-            s = (G[i].term_mul(field.inv(ai), mono_div(lcm, mi))
-                 - G[j].term_mul(field.inv(aj), mono_div(lcm, mj)))
-            r = nf(s, G)
-            if not r.is_zero():
-                self._push(r.monic())
-        return G
-
-
-def buchberger(gens: list, sort_key, nf) -> list:
-    """A Groebner basis (not yet interreduced) of the nonzero gens: one
-    GroebnerRun seeded with them and completed."""
-    return GroebnerRun(gens, sort_key, nf).complete()
-
-
-def interreduce(G: list, nf) -> list:
-    """Minimalize and tail-reduce a Groebner basis with the normal form nf.
-
-    Works for polynomials and module vectors (see buchberger); the result is
-    monic, in increasing (component, leading monomial) order.
-    """
-    G = [g for g in G if not g.is_zero()]
-    if not G:
-        return []
-    minimal: list = []
-    heads: list = []
-    for g in sorted(G, key=lambda g: (g.leading()[0], mono_key(g.leading()[1]))):
-        c, m, _ = g.leading()
-        if not any(hc == c and mono_divides(hm, m) for hc, hm in heads):
-            minimal.append(g)
-            heads.append((c, m))
-    reduced = []
-    for idx, g in enumerate(minimal):
-        r = nf(g, minimal[:idx] + minimal[idx + 1:])
-        if not r.is_zero():
-            reduced.append(r.monic())
-    return reduced
-
-
 def groebner_basis(gens: list[Poly]) -> list[Poly]:
-    """Reduced Groebner basis under degrevlex; of linear gens, one echelon."""
-    from .linalg import linear_groebner_basis  # linalg imports this module
-    return linear_groebner_basis(gens) or reduce_basis(buchberger(gens, Poly.sort_key, normal_form))
+    """Reduced Groebner basis under degrevlex, by decreasing leading monomial."""
+    return _graded(gens[0].ring, [f.terms for f in gens]) if gens else []
+
+
+def _graded(ring: PolyRing, rows, finished=()) -> list[Poly]:
+    """The reduced basis, by decreasing leading monomial, of the forms
+    whose terms are the dicts rows and of finished, a reduced basis that
+    enters as a finished block (ideal_sum): one linalg.graded_groebner
+    run."""
+    from .linalg import graded_groebner  # linalg imports this module
+    one = ring.field.one
+    basis = graded_groebner(ring.field, ring.nvars, rows, [(g.lm(), g.terms) for g in finished])
+    return [Poly(ring, terms, (lead, one))
+            for lead, terms in sorted(basis, key=lambda e: mono_descending_key(e[0]))]
 
 
 def reduce_basis(G: list[Poly]) -> list[Poly]:
-    """Interreduce a Groebner basis to the unique reduced one, sorted by
-    decreasing leading monomial."""
-    return interreduce(G, normal_form)[::-1]
+    """The reduced basis of the ideal of a Groebner basis G."""
+    return groebner_basis(G)
 
 
 # ---------------------------------------------------------------------------
@@ -662,21 +530,23 @@ class HomIdeal:
     """Homogeneous ideal with a cached reduced Groebner basis.
 
     The zero ideal is represented by an empty generator list, and gens are
-    kept in Poly.sort_key order.  basis, when given, is a Groebner basis
-    not yet reduced (from ideal_sum): the Hilbert numerator reads its
-    leading monomials, which generate in(I) like those of any Groebner
-    basis, and groebner() reduces it on its first call.
+    kept in Poly.sort_key order.  The only basis an ideal holds is the
+    reduced one: groebner() runs groebner_basis on the gens once, unless
+    the ideal was built from_basis (sums, colons, intersections).  The
+    Hilbert numerator, the normal-form table and the divisor list of
+    membership are all read off it.
     """
 
-    def __init__(self, ring: PolyRing, gens, *, basis=None, _gb=None):
+    def __init__(self, ring: PolyRing, gens, *, _gb=None):
         self.ring = ring
-        clean = [g for g in gens if not g.is_zero()]
-        for g in clean:
-            if not g.is_homogeneous():
-                raise ValueError(f"inhomogeneous generator: {g}")
-        self.gens = tuple(clean[::-1] if _gb else sorted(clean, key=Poly.sort_key))
+        if _gb is None:
+            gens = [g for g in gens if not g.is_zero()]
+            for g in gens:
+                if not g.is_homogeneous():
+                    raise ValueError(f"inhomogeneous generator: {g}")
+            gens = sorted(gens, key=Poly.sort_key)
+        self.gens = tuple(gens)
         self._gb = _gb
-        self._basis = basis
         self._hilbert_numerator = self._normal_forms = self._divisors = None
 
     @classmethod
@@ -685,22 +555,21 @@ class HomIdeal:
 
     @classmethod
     def from_basis(cls, ring: PolyRing, gb) -> "HomIdeal":
-        """The ideal of a known reduced basis gb, by decreasing leading monomial
-        (reduce_basis).  Monic with distinct leading monomials, gb sorts by
-        them alone under Poly.sort_key, so gb reversed is the sorted gens."""
-        return cls(ring, gb, _gb=tuple(gb))
+        """The ideal of a known reduced basis gb, by decreasing leading
+        monomial (groebner_basis), with no checks: it is homogeneous and
+        nonzero, and monic with distinct leading monomials, it sorts by them
+        alone under Poly.sort_key, so gb reversed is the sorted gens."""
+        return cls(ring, gb[::-1], _gb=tuple(gb))
 
     def groebner(self) -> tuple[Poly, ...]:
         if self._gb is None:
-            self._gb = tuple(groebner_basis(list(self.gens)) if self._basis is None
-                             else reduce_basis(self._basis))
+            self._gb = tuple(groebner_basis(list(self.gens)))
         return self._gb
 
     def hilbert_numerator(self) -> dict[int, int]:
         """N(u) of the Hilbert series N(u)/(1−u)^nvars of S/I, built once."""
         if self._hilbert_numerator is None:
-            basis = self.groebner() if self._basis is None else self._basis
-            self._hilbert_numerator = monomial_hilbert_numerator([g.lm() for g in basis])
+            self._hilbert_numerator = monomial_hilbert_numerator([g.lm() for g in self.groebner()])
         return self._hilbert_numerator
 
     def normal_forms(self):
@@ -710,11 +579,15 @@ class HomIdeal:
             self._normal_forms = NormalForms(self.ring, list(self.groebner()))
         return self._normal_forms
 
-    def contains(self, f: Poly) -> bool:
-        """Whether f reduces to 0 by the reduced basis, one _Basis for all f."""
+    def _remainder(self, f: Poly) -> dict:
+        """The terms of f's normal form modulo the reduced basis (divide),
+        its divisor list built once."""
         if self._divisors is None:
-            self._divisors = _Basis(self.groebner())
-        return not divide(f, self._divisors)
+            self._divisors = [(g.lm(), g.terms) for g in self.groebner()]
+        return divide(self.ring.field, f.terms, self._divisors)
+
+    def contains(self, f: Poly) -> bool:
+        return not self._remainder(f)
 
     def is_unit(self) -> bool:
         gb = self.groebner()
@@ -743,12 +616,13 @@ def ideal_equal(I: HomIdeal, J: HomIdeal) -> bool:
 
 
 def ideal_sum(I: HomIdeal, J: HomIdeal) -> HomIdeal:
-    """I + J from one Groebner run that starts from I's reduced basis as a
-    finished block (GroebnerRun) and adds the nonzero normal forms of J's
-    generators; the completed basis is kept unreduced (HomIdeal)."""
-    gb = list(I.groebner())
-    run = GroebnerRun([normal_form(g, gb) for g in J.gens], Poly.sort_key, normal_form, gb)
-    return HomIdeal(I.ring, I.gens + J.gens, basis=run.complete())
+    """I + J, the ideal of its reduced basis: one linalg.graded_groebner
+    run on the normal forms of J's generators modulo I's reduced basis,
+    which enters as a finished block, with no pairs among it and each
+    element re-reduced only where a leading monomial from J divides one of
+    its terms."""
+    return HomIdeal.from_basis(I.ring, _graded(I.ring, list(map(I._remainder, J.gens)),
+                                               I.groebner()))
 
 
 def unit_ideal(ring: PolyRing) -> HomIdeal:

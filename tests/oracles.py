@@ -351,7 +351,7 @@ def greedy_minimal_generators(vecs, modulo=()):
     computed it before its Buchberger run stayed open: ascending sort_key
     order, and a from-scratch module_groebner of modulo plus the accepted
     vectors after each acceptance.  It reuses the library's module Groebner
-    basis, so it checks the open run's bookkeeping, not module Buchberger."""
+    basis, so it checks the open run's bookkeeping, not the module engine."""
     from geomideal.freemod import MVec, mod_normal_form, module_groebner
 
     modulo = list(modulo)
@@ -401,7 +401,7 @@ def subquotient_tor_numerator(res, J, j):
     freemod.preimage_generators, B' = im d_(j+1) + J*F_j (J*F_j past the
     last map) from module_groebner, and the numerator of K' minus that of
     B'; 0 past the resolution.  It replays the library's module kernels, so
-    it checks the cokernel identity, not module Buchberger."""
+    it checks the cokernel identity, not the module engine."""
     from geomideal.freemod import (
         MVec,
         module_groebner,
@@ -416,7 +416,7 @@ def subquotient_tor_numerator(res, J, j):
         return {}
     Fj = res.modules[j]
     if j == 0:
-        cycles = [Fj.gen(k) for k in range(Fj.rank)]
+        cycles = [MVec(Fj, {k: Fj.ring.one()}) for k in range(Fj.rank)]
     else:
         cycles = preimage_generators(list(res.maps[j - 1].columns), j_times(res.modules[j - 1]))
     bounds = list(res.maps[j].columns) if j < res.length else []

@@ -5,6 +5,7 @@ every S-vector of two basis elements with the same leading component must
 reduce to zero, whatever criteria the engine used to skip pairs.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,21 +67,22 @@ def vectors(draw, module, max_vecs=3):
     return out
 
 
+def combination(module, pairs) -> MVec:
+    """The sum of a*v over the (polynomial a, vector v) pairs."""
+    comps = {}
+    for a, v in pairs:
+        for i, p in v.comps.items():
+            comps[i] = comps.get(i, module.ring.zero()) + a * p
+    return vec(module, comps)
+
+
 def s_vector(f: MVec, g: MVec) -> MVec:
-    field = f.ring.field
+    field, ring = f.ring.field, f.ring
     _, fm, fc = f.leading()
     _, gm, gc = g.leading()
     lcm = mono_lcm(fm, gm)
-    return (f.term_mul(field.inv(fc), mono_div(lcm, fm))
-            - g.term_mul(field.inv(gc), mono_div(lcm, gm)))
-
-
-def combination(coeffs: MVec, vecs: list[MVec]) -> MVec:
-    acc = vecs[0].module.zero()
-    for i, a in coeffs.comps.items():
-        for m, c in a.terms.items():
-            acc = acc + vecs[i].term_mul(c, m)
-    return acc
+    return combination(f.module, [(ring.monomial(mono_div(lcm, fm), field.inv(fc)), f),
+                                  (ring.monomial(mono_div(lcm, gm), field.neg(field.inv(gc))), g)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -127,7 +129,7 @@ def test_syzygy_generators_annihilate_their_inputs(data):
     vecs = data.draw(vectors(module))
     for s in syzygy_generators(vecs):
         assert len(s.comps) >= 1
-        assert combination(s, vecs).is_zero()
+        assert combination(module, [(a, vecs[i]) for i, a in s.comps.items()]).is_zero()
 
 
 @settings(max_examples=30, deadline=None)
@@ -153,10 +155,27 @@ def test_preimage_generators_are_a_reduced_basis_mapping_into_the_targets(data):
     assert module_groebner(pre) == pre
     target_gb = module_groebner(targets)
     for s in pre:
-        assert mod_normal_form(combination(s, vecs), target_gb).is_zero()
+        image = combination(module, [(a, vecs[i]) for i, a in s.comps.items()])
+        assert mod_normal_form(image, target_gb).is_zero()
     # every syzygy of vecs maps to 0, so it lies in the preimage
     for s in syzygy_generators(vecs):
         assert mod_normal_form(s, pre).is_zero()
+
+
+def test_module_entry_points_reject_inhomogeneous_vectors():
+    """module_groebner, preimage_generators (vectors and targets alike) and
+    syzygy_generators reach the graded engine, which takes homogeneous
+    elements only."""
+    ring = RINGS[0]
+    module = FreeModule(ring, (0, 1))
+    good = vec(module, {0: ring.parse("x0^2"), 1: ring.parse("x1")})
+    bad = vec(module, {0: ring.parse("x0"), 1: ring.parse("x1")})  # degrees 1 and 2
+    for call in (lambda: module_groebner([good, bad]),
+                 lambda: preimage_generators([good], [bad]),
+                 lambda: preimage_generators([bad], [good]),
+                 lambda: syzygy_generators([good, bad])):
+        with pytest.raises(ValueError, match="homogeneous"):
+            call()
 
 
 @settings(max_examples=30, deadline=None)
@@ -188,7 +207,7 @@ def test_minimal_generators_match_the_greedy_fresh_basis_loop(data):
     if vecs:
         vecs += data.draw(st.lists(st.sampled_from(vecs), max_size=2))
     if len(vecs) > 1 and vecs[0].degree == vecs[1].degree:
-        vecs.append(vecs[0] + vecs[1])
+        vecs.append(combination(module, [(ring.one(), vecs[0]), (ring.one(), vecs[1])]))
     modulo = data.draw(st.one_of(st.just([]), vectors(module)))
     assert (minimal_generators(vecs, modulo)
             == oracles.greedy_minimal_generators(vecs, modulo))

@@ -725,11 +725,11 @@ def test_probe_over_two_generators_runs_one_preimage_per_map(monkeypatch):
 
 def _compose(outer, v):
     """outer applied to v: sum over components k of v_k * (column k)."""
-    out = outer.target.zero()
+    comps = {}
     for k, p in v.comps.items():
-        for mono, c in p.terms.items():
-            out = out + outer.columns[k].term_mul(c, mono)
-    return out
+        for i, q in outer.columns[k].comps.items():
+            comps[i] = comps.get(i, p.ring.zero()) + q * p
+    return MVec(outer.target, {i: q for i, q in comps.items() if not q.is_zero()})
 
 
 @pytest.mark.parametrize("ring", [RQ, R7], ids=["Q", "GF7"])

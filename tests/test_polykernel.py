@@ -1,4 +1,4 @@
-"""Kernel tests: the monomial order, parsing, Buchberger, ideal calculus, Hilbert data.
+"""Kernel tests: the monomial order, parsing, Groebner bases, ideal calculus, Hilbert data.
 
 Derived constants in the frozen-value tests were produced by the naive
 reference implementations in oracles.py; the property tests re-check the
@@ -19,13 +19,11 @@ import oracles
 from geomideal import cli, freemod, idealizer, linalg, polykernel
 from geomideal.fields import QQ, PrimeField
 from geomideal.geometry import RationalPoint
-from geomideal.linalg import NormalForms, linear_groebner_basis
+from geomideal.linalg import NormalForms
 from geomideal.polykernel import (
-    GroebnerRun,
     HomIdeal,
     Poly,
     PolyRing,
-    buchberger,
     codimension,
     degree_piece_basis,
     dim_ideal_piece,
@@ -36,17 +34,14 @@ from geomideal.polykernel import (
     ideal_quotient,
     ideal_sum,
     intersect,
-    mono_deg,
     mono_div,
     mono_descending_key,
     mono_divides,
     mono_key,
-    mono_lcm,
     monomial_primary_decomposition,
     monomial_radical,
     monomials_of_degree,
     normal_form,
-    reduce_basis,
     saturate,
     unit_ideal,
 )
@@ -63,8 +58,8 @@ RINGS = [RQ, R7]
 # ---------------------------------------------------------------------------
 
 @st.composite
-def homogeneous_poly(draw, ring, max_deg=3):
-    deg = draw(st.integers(1, max_deg))
+def homogeneous_poly(draw, ring, max_deg=3, min_deg=1):
+    deg = draw(st.integers(min_deg, max_deg))
     monos = monomials_of_degree(ring, deg)
     chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
     coeffs = [
@@ -155,45 +150,150 @@ def test_groebner_insensitive_to_generator_order(ri):
     assert I.groebner() == rev.groebner()
 
 
+def test_graded_engine_rejects_inhomogeneous_input():
+    """groebner_basis and ideal_sum reach the graded engine, which takes
+    homogeneous elements only; ideal_sum is handed an ideal built with no
+    checks (from_basis), so the engine's own check is the one that fires."""
+    f, g = RQ.parse("x0^2 + x1"), RQ.parse("x0 - x2")
+    with pytest.raises(ValueError, match="homogeneous"):
+        groebner_basis([g, f])
+    with pytest.raises(ValueError, match="homogeneous"):
+        ideal_sum(HomIdeal(RQ, [g]), HomIdeal.from_basis(RQ, [f]))
+
+
+@st.composite
+def block_sum_case(draw):
+    """(I, J) over Q or GF(7) in P^2 or P^3: I has two or three forms of
+    degree 2 or 3, the first a multiple l·h of a form l of lower degree, and
+    J is l, a variable or a random form of lower degree, with at times one
+    more.  J's leading monomials then divide leading monomials and tail
+    terms of I's reduced basis, which the finished block must re-reduce or
+    drop."""
+    ring = draw(st.sampled_from([PolyRing(field, n) for field in (QQ, PrimeField(7))
+                                 for n in (3, 4)]))
+    d = draw(st.integers(2, 3))
+    e = draw(st.integers(1, d - 1))
+    l = draw(homogeneous_poly(ring, e, e))
+    I = [l * draw(homogeneous_poly(ring, d - e, d - e))]
+    I += [draw(homogeneous_poly(ring, d, 2)) for _ in range(draw(st.integers(1, 2)))]
+    J = [draw(st.one_of(st.just(l), st.sampled_from([ring.variable(i) for i in range(ring.nvars)]),
+                        homogeneous_poly(ring, d - 1)))
+         for _ in range(draw(st.integers(1, 2)))]
+    return HomIdeal(ring, I), HomIdeal(ring, J)
+
+
+@given(block_sum_case())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_sum_with_a_finished_block_matches_naive_oracle(case):
+    """ideal_sum(I, J) passes I's reduced basis to the graded engine as a
+    finished block: an element enters unchanged unless a leading monomial
+    from J divides one of its terms, and no pair among the block is
+    reduced.  The reduced basis is still the oracle's, by decreasing
+    leading monomial."""
+    I, J = case
+    got = ideal_sum(I, J).groebner()
+    want = oracles.naive_groebner([dict(f.terms) for f in I.gens + J.gens], _char(I.ring))
+    assert {frozenset(g.terms.items()) for g in got} == want
+    assert [g.lm() for g in got] == sorted((g.lm() for g in got), key=mono_descending_key)
+
+
+def _mod_p(ring_p, f):
+    """The integral-or-p-integral form f over Q read in GF(p)."""
+    field = ring_p.field
+    return Poly(ring_p, {m: y for m, c in f.terms.items()
+                         if (y := field.from_fraction(Fraction(c)))})
+
+
+def _cross_check_mod_p(F, p, top):
+    """The reduction-mod-p cross-check for integral forms F over Q and their
+    reduced basis G (Winkler, J. Symbolic Comput. 1988; Arnold, J. Symbolic
+    Comput. 2003).  A rank can only drop mod p, so the GF(p) Hilbert
+    function of F mod p is never below the Q one.  When G is p-integral,
+    each f in F divides by G with p-integral quotients, so F mod p lies in
+    the ideal of G mod p; if moreover G mod p reduces to zero modulo the
+    GF(p) basis, the two ideals agree, G mod p has the leading monomials of
+    G, the two Hilbert functions are equal, and the GF(p) reduced basis is
+    G mod p.  Returns whether that last case held."""
+    ring = F[0].ring
+    ring_p = PolyRing(PrimeField(p), ring.nvars)
+    Fp = [_mod_p(ring_p, f) for f in F]
+    I, Ip = HomIdeal(ring, F), HomIdeal(ring_p, Fp)
+    assert all(hilbert_function(Ip, n) >= hilbert_function(I, n) for n in range(top))
+    G = groebner_basis(F)
+    if any(Fraction(c).denominator % p == 0 for g in G for c in g.terms.values()):
+        return False
+    Gp = [_mod_p(ring_p, g) for g in G]
+    if not all(normal_form(g, list(Ip.groebner())).is_zero() for g in Gp):
+        return False
+    assert Ip.groebner() == tuple(Gp)
+    assert all(hilbert_function(Ip, n) == hilbert_function(I, n) for n in range(top))
+    return True
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_reduction_mod_p_cross_checks_the_rational_basis(data):
+    """The cross-check on integral forms of degree 1-3 in P^1..P^3, mod 2, 3,
+    5 and 7: the Q and GF(p) row forms of the engine tested against each
+    other."""
+    ring = data.draw(st.sampled_from([PolyRing(QQ, n) for n in (2, 3, 4)]))
+    F = [data.draw(homogeneous_poly(ring)) for _ in range(data.draw(st.integers(1, 4)))]
+    _cross_check_mod_p(F, data.draw(st.sampled_from([2, 3, 5, 7])), 7)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_p_integral_basis_of_an_unlucky_prime_is_not_the_mod_p_basis(p):
+    """F = {x0 + x1, x0 + (1 + p)*x1} has the p-integral reduced basis
+    G = {x0, x1} over Q, yet F mod p generates only (x0 + x1): x1 does not
+    reduce to zero modulo it, so p-integrality alone decides nothing, and
+    the GF(p) Hilbert function is above the Q one in degree 1."""
+    ring = PolyRing(QQ, 2)
+    F = [ring.parse("x0 + x1"), ring.parse(f"x0 + {1 + p}*x1")]
+    assert groebner_basis(F) == [ring.parse("x0"), ring.parse("x1")]
+    assert not _cross_check_mod_p(F, p, 4)
+    ring_p = PolyRing(PrimeField(p), 2)
+    Ip = HomIdeal(ring_p, [_mod_p(ring_p, f) for f in F])
+    assert Ip.groebner() == (ring_p.parse("x0 + x1"),)
+    assert hilbert_function(Ip, 1) == 1 > hilbert_function(HomIdeal(ring, F), 1) == 0
+
+
 # ---------------------------------------------------------------------------
-# Buchberger pair order, pinned by the normal-form call counts of module
-# preimage runs: I ∩ J as the preimage of (1, 1) under I·e_1 + J·e_2
+# the graded engine's work, pinned by the echelon rows of module preimage
+# runs: I ∩ J as the preimage of (1, 1) under I·e_1 + J·e_2
 # ---------------------------------------------------------------------------
 
-def _moving_point_nf_calls(monkeypatch, ring, Z, moved):
-    """nf calls that the module Buchberger makes in the preimage of (1, 1)
-    under Z·e_1 + J·e_2 in S ⊕ S (Greuel & Pfister, A Singular Introduction
-    to Commutative Algebra, ch. 2), for J = (g), one per generator g of
-    Z^sigma, and then for J = Z^sigma."""
-    calls = []
-    real = freemod.buchberger
+def _moving_point_rows(monkeypatch, ring, Z, moved):
+    """Rows the graded engine inserts into its echelons (inputs, both halves
+    of each pair left by the criteria, and reducers) in the preimage of
+    (1, 1) under Z·e_1 + J·e_2 in S ⊕ S (Greuel & Pfister, A Singular
+    Introduction to Commutative Algebra, ch. 2), for J = (g), one per
+    generator g of Z^sigma, and then for J = Z^sigma."""
+    rows = []
+    real = linalg.Echelon.insert
 
-    def counting(gens, sort_key, nf):
-        def counted(f, G):
-            calls.append(f)
-            return nf(f, G)
+    def counting(self, row):
+        rows.append(row)
+        return real(self, row)
 
-        return real(gens, sort_key, counted)
-
-    monkeypatch.setattr(freemod, "buchberger", counting)
+    monkeypatch.setattr(linalg.Echelon, "insert", counting)
     Z, moved = HomIdeal.from_strings(ring, Z), [ring.parse(f) for f in moved]
     F = freemod.FreeModule(ring, [0, 0])
     ones = [freemod.MVec(F, {0: ring.one(), 1: ring.one()})]
     out = []
     for J in [[g] for g in moved] + [moved]:
-        calls.clear()
+        rows.clear()
         targets = [freemod.MVec(F, {k: f}) for k, gens in enumerate((Z.gens, J)) for f in gens]
         pre = freemod.preimage_generators(ones, targets)
-        out.append(len(calls))
+        out.append(len(rows))
         assert HomIdeal(ring, [a.comps[0] for a in pre]) == intersect(Z, HomIdeal(ring, J))
     return out
 
 
 def test_pair_order_pinned_on_moving_point_colon(monkeypatch):
     # Z = [1:1:1] in P^2 and its pullback under diag(1, 2, 3)
-    assert _moving_point_nf_calls(
+    assert _moving_point_rows(
         monkeypatch, RQ, ["x0 - x2", "x1 - x2"], ["x0 - 3*x2", "2*x1 - 3*x2"]
-    ) == [6, 6, 4]
+    ) == [17, 17, 16]
 
 
 def test_pair_order_pinned_on_p5_point_colon(monkeypatch):
@@ -202,8 +302,8 @@ def test_pair_order_pinned_on_p5_point_colon(monkeypatch):
     Z = [f"x{i} - {c}*x0" for i, c in enumerate(coords, start=1)]
     moved = [f"{lam}*x{i} - {c}*x0"
              for i, (lam, c) in enumerate(zip(lams, coords), start=1)]
-    assert (_moving_point_nf_calls(monkeypatch, PolyRing(QQ, 6), Z, moved)
-            == [30, 30, 30, 30, 30, 24])
+    assert (_moving_point_rows(monkeypatch, PolyRing(QQ, 6), Z, moved)
+            == [69, 69, 69, 69, 68, 55])
 
 
 P5_MOVING_POINT = """\
@@ -286,28 +386,6 @@ def test_p5_moving_point_colon_takes_the_domain_exit(tmp_path, monkeypatch):
     assert work == {"tests": [], "runs": [], "gb_inside": [], "kernels": []}
 
 
-def test_pair_order_takes_late_pairs_with_smaller_keys_first():
-    """Inhomogeneous input: reductions create pairs whose lcm's have lower
-    degree than pairs already taken, and those are taken next."""
-    gens = [RQ.parse(f) for f in ["x0^2*x1^2*x2^2 - x0^2*x1^2 + 3*x0", "3*x1 + 3*x2 + x0",
-                                  "-x0^2*x1^2*x2 - x0^2 + 1"]]
-    taken = []
-
-    def nf(f, G):
-        # the lcm degree of the pair whose S-element f is
-        for j in range(len(G)):
-            for i in range(j):
-                (mi, _), (mj, _) = G[i].lt(), G[j].lt()
-                lcm = mono_lcm(mi, mj)
-                if f == G[i].term_mul(1, mono_div(lcm, mi)) - G[j].term_mul(1, mono_div(lcm, mj)):
-                    taken.append(mono_deg(lcm))
-                    return normal_form(f, G)
-        raise AssertionError("not an S-element of the basis")
-
-    buchberger(gens, Poly.sort_key, nf)
-    assert taken == [5, 6, 5, 6, 5, 5, 6, 6]
-
-
 @given(st.data())
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_normal_form_matches_naive_division(data):
@@ -388,7 +466,7 @@ def test_summed_monomial_normal_forms_equal_the_normal_form_of_the_product(data)
     for _ in range(3):
         f = data.draw(homogeneous_poly(ring))
         mu = data.draw(st.sampled_from(monomials_of_degree(ring, data.draw(st.integers(0, 3)))))
-        assert nf(f.terms, mu) == normal_form(f.term_mul(ring.field.one, mu), gb).terms
+        assert nf(f.terms, mu) == normal_form(f * ring.monomial(mu), gb).terms
         assert nf(f.terms) == normal_form(f, gb).terms
 
 
@@ -583,7 +661,7 @@ def _divide_exact(f, g):
         assert mono_divides(glm, m), "intersection element not divisible by the divisor"
         qm = mono_div(m, glm)
         q[qm] = field.div(c, glc)
-        p = p - g.term_mul(q[qm], qm)
+        p = p - g * f.ring.monomial(qm, q[qm])
     return Poly(f.ring, q)
 
 
@@ -769,9 +847,9 @@ def test_saturate_exit_matches_the_full_route(data):
 def test_extended_sum_matches_a_fresh_groebner_run(data):
     """ideal_sum(I, J) starts its run from I's reduced basis as a finished
     block.  Its reduced basis is that of a fresh run on all the generators,
-    and the Hilbert numerator read off the unreduced basis is the one read
-    after reduction.  I is a drawn scene; J is random linear forms,
-    products of two, or a coordinate family (x_i : i in s)."""
+    and its Hilbert numerator is read off it.  I is a drawn scene; J is
+    random linear forms, products of two, or a coordinate family
+    (x_i : i in s)."""
     ring, _, Z, _ = data.draw(moving_scene())
     kind = data.draw(st.sampled_from(["linear", "products", "coordinates"]))
     if kind == "coordinates":
@@ -817,38 +895,64 @@ def linear_generators(draw, ring, rank=None):
 @given(st.data())
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_linear_groebner_basis_is_the_buchberger_basis(data):
-    """The reduced basis of linear forms from one echelon is the reduced
-    basis of a Buchberger run, term for term and in the same term order;
-    of the irrelevant ideal it is x0, ..., xd.  Zero forms are skipped, so
-    groebner_basis takes the echelon for every such set."""
+    """Linear forms are one degree-1 echelon of the graded engine, whose
+    reduced rows are the reduced basis of the oracle's all-pairs Buchberger
+    run, by decreasing leading monomial, each element's terms in decreasing
+    order with its cached leading term first; of the irrelevant ideal it is
+    x0, ..., xd.  Zero forms are skipped, and no form at all has the empty
+    basis."""
     ring = data.draw(st.sampled_from(LINEAR_RINGS))
     full = data.draw(st.booleans())
     gens = data.draw(linear_generators(ring, ring.nvars if full else None))
-    got = linear_groebner_basis(gens)
-    want = reduce_basis(buchberger(gens, Poly.sort_key, normal_form))
-    assert got == want == polykernel.groebner_basis(gens)
-    assert [list(g.terms) for g in got] == [list(g.terms) for g in want]
+    got = groebner_basis(gens)
+    assert ({frozenset(g.terms.items()) for g in got}
+            == oracles.naive_groebner([dict(f.terms) for f in gens], _char(ring)))
+    assert [g.lm() for g in got] == sorted((g.lm() for g in got), key=mono_descending_key)
+    assert [list(g.terms) for g in got] == [sorted(g.terms, key=mono_descending_key)
+                                            for g in got]
     assert [g.lt() for g in got] == [Poly(ring, dict(g.terms)).lt() for g in got]
     if full:
         assert got == [ring.variable(i) for i in range(ring.nvars)]
+    assert groebner_basis([]) == groebner_basis([ring.zero()]) == []
 
 
 def test_linear_groebner_basis_declines_nonlinear_forms():
+    """Linear forms stop at the degree-1 echelon; a nonlinear form of
+    degree d takes the engine on to an echelon of degree d (the constant 1
+    to degree 0), and its basis is still the oracle's.  An inhomogeneous
+    form is declined with ValueError."""
     ring = PolyRing(QQ, 3)
     x0, x1, x2 = (ring.variable(i) for i in range(3))
-    assert linear_groebner_basis([]) == linear_groebner_basis([x0 - x0]) == []
-    for extra in (x0 * x1, ring.one(), x0 * x1 + x2):
-        assert linear_groebner_basis([x0, x1, extra]) is None
+    echelons = []
 
+    class Counting(linalg.Echelon):
+        def __init__(self, field, ncols):
+            echelons.append(ncols)
+            super().__init__(field, ncols)
+
+    with mock.patch.object(linalg, "Echelon", Counting):
+        assert groebner_basis([]) == groebner_basis([x0 - x0]) == []
+        assert groebner_basis([x0, x1]) == [x0, x1]
+        assert len(echelons) == 1
+        for extra in (x0 * x1, x2 * x2, ring.one()):
+            echelons.clear()
+            gens = [x0, x1, extra]
+            got = groebner_basis(gens)
+            assert ({frozenset(g.terms.items()) for g in got}
+                    == oracles.naive_groebner([dict(f.terms) for f in gens], _char(ring)))
+            assert len(echelons) == 2
+        with pytest.raises(ValueError, match="homogeneous"):
+            groebner_basis([x0, x1, x0 * x1 + x2])
 
 @given(st.data())
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_linear_ideal_sum_has_the_echelon_basis(data):
-    """The sum of linear I and J, one GroebnerRun that extends I's reduced
-    basis by J's normal forms, has the echelon basis of all their linear
-    generators as its reduced basis, and its unreduced basis gives the same
-    Hilbert numerator.  I may carry a redundant nonlinear generator, so
-    that its own basis comes from Buchberger."""
+    """The sum of linear I and J is at most one degree-1 echelon of the
+    graded engine: the rows of J's normal forms modulo I's reduced basis,
+    which enters as a finished block and is re-reduced by the new pivots;
+    linear leading monomials are coprime, so no pair is reduced.  Its
+    reduced basis is that of all the linear generators.  I may carry a
+    redundant nonlinear generator, and its reduced basis is still linear."""
     ring = data.draw(st.sampled_from(LINEAR_RINGS))
     lin = data.draw(linear_generators(ring))
     nonzero = [f for f in lin if not f.is_zero()]
@@ -858,8 +962,19 @@ def test_linear_ideal_sum_has_the_echelon_basis(data):
         extra = [data.draw(st.sampled_from(nonzero)) * x]
     I = HomIdeal(ring, lin + extra)
     J = HomIdeal(ring, data.draw(linear_generators(ring)))
-    K = ideal_sum(I, J)
-    want = linear_groebner_basis(lin + list(J.gens))
+    I.groebner()
+    echelons = []
+
+    class Counting(linalg.Echelon):
+        def __init__(self, field, ncols):
+            echelons.append(ncols)
+            super().__init__(field, ncols)
+
+    with mock.patch.object(linalg, "Echelon", Counting):
+        K = ideal_sum(I, J)
+    assert len(echelons) <= 1
+    want = groebner_basis(lin + list(J.gens))
+    assert all(f.degree == 1 for f in want)
     assert K.groebner() == tuple(want)
     assert (K.hilbert_numerator()
             == polykernel.monomial_hilbert_numerator([f.lm() for f in want]))
@@ -878,14 +993,22 @@ def test_irrelevant_ideal_saturates_to_the_unit_ideal(field, tmp_path, capsys):
 @pytest.mark.parametrize("field", ["rational", "prime 32003"])
 def test_p6_moving_point_colon_runs_no_groebner_machinery(field, tmp_path, monkeypatch):
     """Building a P^6 moving-point scene and its colons reads every reduced
-    basis off an echelon and takes the domain exit: no Buchberger run,
+    basis off a degree-1 echelon of the graded engine and takes the domain
+    exit: the engine reduces no pair and no form above degree 1, and no
     Hilbert test or module Groebner run is ever called."""
     def forbidden(name):
         def call(*args, **kwargs):
             raise AssertionError(f"{name} called on a point scene")
         return call
 
-    monkeypatch.setattr(GroebnerRun, "complete", forbidden("GroebnerRun.complete"))
+    real_rows = linalg._degree_rows
+
+    def degree_one(field, basis, rows, multiples):
+        if multiples or any(sum(t) != 1 for row in rows for t in row):
+            raise AssertionError("the engine went past degree 1 on a point scene")
+        return real_rows(field, basis, rows, multiples)
+
+    monkeypatch.setattr(linalg, "_degree_rows", degree_one)
     monkeypatch.setattr(linalg, "_section", forbidden("_section"))
     monkeypatch.setattr(freemod, "module_groebner", forbidden("module_groebner"))
     coords, lams = [2, 3, 4, 5, 2, 3], [2, 3, 5, 7, 11, 13]
