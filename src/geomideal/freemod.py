@@ -167,7 +167,8 @@ def mod_normal_form(v: MVec, basis: list[MVec]) -> MVec:
     codes = _codes(v.module)
     flats = [_flat(g, codes) for g in basis]
     divisors = [(min(t, key=mono_descending_key), t) for t in flats if t]
-    return _vector(v.module, divide(v.ring.field, _flat(v, codes), divisors))
+    _, rem = divide(v.ring.field, _flat(v, codes), divisors)
+    return _vector(v.module, rem)
 
 
 def module_groebner(vecs: list[MVec]) -> list[MVec]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
 from math import gcd, lcm
 
@@ -38,8 +38,7 @@ from . import linalg
 from .fields import QQ
 from .homology import Transversality
 from .idealizer import IdealizerScene
-from .polykernel import (HomIdeal, PolyRing, Substitution, _minimalize_monos,
-                         hilbert_polynomial, mono_lcm)
+from .polykernel import HomIdeal, PolyRing, Substitution, hilbert_polynomial, monomial_meet
 from .twist import ProjAutomorphism, _dot, _mat_mul, _mat_pow, is_scalar_matrix
 
 RATIONAL_SUBSTITUTE_NOTE = (
@@ -497,10 +496,7 @@ def _family_ideal(ring: PolyRing, family) -> HomIdeal:
     """Ideal of a union of coordinate subspaces: the intersection of the
     monomial ideals (x_i : i in s), generated by the minimal lcm's of one
     variable from each member."""
-    units = ring.units
-    monos = [units[i] for i in family[0]]
-    for s in family[1:]:
-        monos = _minimalize_monos(mono_lcm(m, units[i]) for m in monos for i in s)
+    monos = reduce(monomial_meet, [[ring.units[i] for i in s] for s in family])
     return HomIdeal(ring, [ring.monomial(m) for m in monos])
 
 

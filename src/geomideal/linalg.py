@@ -60,7 +60,10 @@ The table also keeps, per monic normal form h, h's section numerator and
 ideal by forms with equal h share one run.
 
 Over the polynomial ring itself, `exact_quotient` divides one polynomial by
-another when the division is exact, and `det_adjugate` gives the
+another when the division is exact: it is the division by the one-element
+list [q] (`polykernel.divide`), since {q} is a Groebner basis of (q)
+(Cox, Little & O'Shea, §2.3), whose remainder is zero exactly when q
+divides p.  `det_adjugate` gives the
 determinant and adjugate of a square polynomial matrix by fraction-free
 elimination, whose every division is exact.
 """
@@ -75,11 +78,11 @@ from .polykernel import (
     Poly,
     PolyRing,
     dim_full_space,
+    divide,
     ideal_sum,
     mono_descending_key,
     mono_div,
     mono_divides,
-    mono_key,
     mono_lcm,
     mono_mul,
     monomial_hilbert_numerator,
@@ -240,10 +243,11 @@ def graded_groebner(field, nvars, gens, finished=()) -> list[tuple]:
     divide it properly (Buchberger, EUROSAM 1979); and between two elements
     of the finished block, whose S-element reduces to zero modulo the block
     (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, §2.6).  A
-    block element enters the basis unchanged in its degree unless a leading
-    term from outside the block divides one of its terms, and then it is a
-    row of that degree's echelon; a new pivot of its own degree among its
-    tail terms is eliminated with that new row (`_tail_reduce`).
+    degree that holds an input, a pair multiple, or a block element one of
+    whose terms a leading term from outside the block divides makes every
+    block element of that degree a row of its one echelon, which reduces
+    it against that degree's new pivots too; any other degree has no new
+    pivot, and its block elements enter the basis unchanged.
 
     Raises ValueError on an inhomogeneous element.
     """
@@ -263,26 +267,21 @@ def graded_groebner(field, nvars, gens, finished=()) -> list[tuple]:
     pairs: dict[int, list] = {}  # degree -> (i, j, lcm)
     while todo or pairs:
         d = min([*todo, *pairs])
-        rows = []
         start = len(basis)
-        outside = [basis[i][0] for i in free]
-        for lead, g in todo.pop(d, ()):
-            if lead is None or outside and any(mono_divides(m, t) for t in g for m in outside):
-                rows.append(g)
-            else:
-                basis.append((lead, g, True))
-        passed = len(basis)
         multiples = set()
         for i, j, lcm in pairs.pop(d, ()):
             mi, mj = basis[i][0], basis[j][0]
             if not any(mono_divides(m, lcm) and mono_lcm(mi, m) != lcm
-                       and mono_lcm(mj, m) != lcm for m, _, _ in basis[:start]):
+                       and mono_lcm(mj, m) != lcm for m, _, _ in basis):
                 multiples |= {(i, mono_div(lcm, mi)), (j, mono_div(lcm, mj))}
-        if rows or multiples:
-            new = _degree_rows(field, basis, rows, multiples)
-            if passed > start:
-                _tail_reduce(field, basis, start, passed, new)
+        entries = todo.pop(d, ())
+        outside = [basis[i][0] for i in free]
+        if multiples or any(lead is None or outside and any(
+                mono_divides(m, t) for t in g for m in outside) for lead, g in entries):
+            new = _degree_rows(field, basis, [g for _, g in entries], multiples)
             basis += [(lead, t, lead in block_leads) for lead, t in new]
+        else:
+            basis += [(lead, g, True) for lead, g in entries]
         for j in range(start, len(basis)):
             m, terms, blocked = basis[j]
             c = m[nvars:]
@@ -296,28 +295,6 @@ def graded_groebner(field, nvars, gens, finished=()) -> list[tuple]:
             if not blocked:
                 free.append(j)
     return [(lead, terms) for lead, terms, _ in basis]
-
-
-def _tail_reduce(field, basis, start, passed, new) -> None:
-    """Eliminate from the block elements basis[start:passed] of one degree
-    the pivots of that degree's new rows: those rows are zero on every
-    other pivot, so one subtraction per pivot met leaves each element
-    reduced."""
-    zero, sub, mul, is_zero = field.zero, field.sub, field.mul, field.is_zero
-    heads = dict(new)
-    for k in range(start, passed):
-        lead, terms, _ = basis[k]
-        hits = [(terms[p], heads[p]) for p in terms if p in heads]
-        if hits:
-            terms = dict(terms)
-            for x, t in hits:
-                for col, y in t.items():
-                    v = sub(terms.get(col, zero), mul(x, y))
-                    if is_zero(v):
-                        del terms[col]
-                    else:
-                        terms[col] = v
-            basis[k] = lead, terms, True
 
 
 def _degree_rows(field, basis, rows, multiples) -> list[tuple]:
@@ -630,30 +607,11 @@ class NormalForms:
 
 
 def exact_quotient(p: Poly, q: Poly) -> Poly | None:
-    """p/q when the nonzero q divides p, else None.
-
-    S is a domain, so when p = q*h the leading monomial of p is lm(q)
-    times that of h: each step divides the leading term of what is left by
-    lt(q), and a leading monomial that lm(q) does not divide means no h."""
-    field = p.ring.field
-    sub, mul, is_zero, zero = field.sub, field.mul, field.is_zero, field.zero
-    lm, inv = q.lm(), field.inv(q.lc())
-    tail = [(s, c) for s, c in q.terms.items() if s != lm]
-    rest, quot = dict(p.terms), {}
-    while rest:
-        m = max(rest, key=mono_key)
-        if not mono_divides(lm, m):
-            return None
-        t, a = mono_div(m, lm), mul(rest.pop(m), inv)
-        quot[t] = a
-        for s, c in tail:
-            u = mono_mul(s, t)
-            x = sub(rest.get(u, zero), mul(a, c))
-            if is_zero(x):
-                rest.pop(u, None)
-            else:
-                rest[u] = x
-    return Poly(q.ring, quot)
+    """p/q when the nonzero q divides p, else None: the division of p by
+    [q] (polykernel.divide), since {q} is a Groebner basis of (q) and so
+    the remainder is zero exactly when q divides p."""
+    (quot,), rem = divide(p.ring.field, p.terms, [(q.lm(), q.terms)])
+    return None if rem else Poly(q.ring, quot)
 
 
 def det_adjugate(rows: list[list[Poly]]) -> tuple[Poly, list[list[Poly]] | None]:

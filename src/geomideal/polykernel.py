@@ -10,8 +10,11 @@ Reduced Groebner bases come from one graded engine,
 this one, graded submodules of free modules.  A polynomial's terms enter as
 they are, exponent tuples; `groebner_basis` and `ideal_sum` are its two
 adapters, the second passing I's reduced basis as a finished block.
-`divide`, the heap division kernel, is left for one-off normal forms and
-membership.
+`divide`, the heap division kernel, returns the quotients with the
+remainder; it serves `normal_form`, `freemod.mod_normal_form` and
+`linalg.exact_quotient`.  Membership in I, and the normal forms of J's
+generators that `ideal_sum` hands the engine, are read from I's table of
+monomial normal forms (`linalg.NormalForms`).
 
 Quotients.  When I's reduced basis is empty or all linear, S/I is a
 polynomial ring, a domain, so (I : J) is (1) when J ⊆ I and I otherwise.
@@ -366,9 +369,18 @@ class Poly:
         return Poly(self.ring, res)
 
     def __pow__(self, n: int) -> "Poly":
+        """self^n by square-and-multiply: O(log n) products and no list of
+        n factors."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return _fold(Poly.__mul__, [self] * n, self.ring.one())
+        out, base = self.ring.one(), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
 
     def scale(self, c) -> "Poly":
         """c times self; a known leading term carries over, since scaling by
@@ -443,21 +455,26 @@ class Substitution:
 # division and Groebner bases
 # ---------------------------------------------------------------------------
 
-def divide(field, terms: dict, basis: list) -> dict:
-    """Remainder of terms {term: coefficient} under full division by the
-    basis, (leading term, terms) pairs, in decreasing order.
+def divide(field, terms: dict, basis: list) -> tuple[list, dict]:
+    """Full division of terms {term: coefficient} by the basis, (leading
+    term, terms) pairs: the quotients, one {monomial: coefficient} dict per
+    basis element, and the remainder in decreasing order, with
+    terms = sum q_k * g_k + remainder and no remainder term divisible by a
+    leading term.
 
-    The one division kernel, for polynomials and for module vectors, whose
-    terms carry their component as in linalg.graded_groebner: a term's
-    degree is its sum, and within one degree the reversed tuples order
-    position over term.  Undivided terms live in a mutable dict and their
-    descending keys in a heap, where a cancelled term's key is skipped when
-    popped (Monagan & Pearce, CASC 2007), so a step costs one divisor's
-    size, not a copy of the remainder.  The first basis element whose
-    leading term divides the leading term is used, as in schoolbook
-    division.
+    The one division kernel, for normal forms of polynomials and of module
+    vectors, whose terms carry their component as in
+    linalg.graded_groebner (a term's degree is its sum, and within one
+    degree the reversed tuples order position over term), and for exact
+    division (linalg.exact_quotient).  Undivided terms live in a mutable
+    dict and their descending keys in a heap, where a cancelled term's key
+    is skipped when popped (Monagan & Pearce, CASC 2007), so a step costs
+    one divisor's size, not a copy of the remainder.  The first basis
+    element whose leading term divides the leading term is used, as in
+    schoolbook division.
     """
     tails: dict = {}
+    quotients: list = [{} for _ in basis]
     acc = dict(terms)
     heap = [(mono_descending_key(t), t) for t in acc]
     heapq.heapify(heap)
@@ -479,6 +496,7 @@ def divide(field, terms: dict, basis: list) -> dict:
         lc, tail = tails[k]
         q = field.div(x, lc)
         shift = mono_div(t, lead)
+        quotients[k][shift] = q
         for s, y in tail:
             key = mono_mul(s, shift)
             old = acc.get(key)
@@ -490,13 +508,13 @@ def divide(field, terms: dict, basis: list) -> dict:
                 del acc[key]
             else:
                 acc[key] = old
-    return rem
+    return quotients, rem
 
 
 def normal_form(f: Poly, basis: list[Poly]) -> Poly:
     """Remainder of f under full multivariate division by basis; divide
     returns it in decreasing order, so its first term is the leading one."""
-    rem = divide(f.ring.field, f.terms, [(g.lm(), g.terms) for g in basis if g.terms])
+    _, rem = divide(f.ring.field, f.terms, [(g.lm(), g.terms) for g in basis if g.terms])
     return Poly(f.ring, rem, next(iter(rem.items()), None))
 
 
@@ -533,8 +551,8 @@ class HomIdeal:
     kept in Poly.sort_key order.  The only basis an ideal holds is the
     reduced one: groebner() runs groebner_basis on the gens once, unless
     the ideal was built from_basis (sums, colons, intersections).  The
-    Hilbert numerator, the normal-form table and the divisor list of
-    membership are all read off it.
+    Hilbert numerator and the normal-form table are read off it, and
+    membership (contains) reads the table.
     """
 
     def __init__(self, ring: PolyRing, gens, *, _gb=None):
@@ -547,7 +565,7 @@ class HomIdeal:
             gens = sorted(gens, key=Poly.sort_key)
         self.gens = tuple(gens)
         self._gb = _gb
-        self._hilbert_numerator = self._normal_forms = self._divisors = None
+        self._hilbert_numerator = self._normal_forms = None
 
     @classmethod
     def from_strings(cls, ring: PolyRing, texts) -> "HomIdeal":
@@ -579,15 +597,10 @@ class HomIdeal:
             self._normal_forms = NormalForms(self.ring, list(self.groebner()))
         return self._normal_forms
 
-    def _remainder(self, f: Poly) -> dict:
-        """The terms of f's normal form modulo the reduced basis (divide),
-        its divisor list built once."""
-        if self._divisors is None:
-            self._divisors = [(g.lm(), g.terms) for g in self.groebner()]
-        return divide(self.ring.field, f.terms, self._divisors)
-
     def contains(self, f: Poly) -> bool:
-        return not self._remainder(f)
+        """Whether the form f lies in I: its normal form from I's table
+        (linalg.NormalForms.remainder) is zero."""
+        return self.normal_forms().remainder(f) is None
 
     def is_unit(self) -> bool:
         gb = self.groebner()
@@ -617,12 +630,12 @@ def ideal_equal(I: HomIdeal, J: HomIdeal) -> bool:
 
 def ideal_sum(I: HomIdeal, J: HomIdeal) -> HomIdeal:
     """I + J, the ideal of its reduced basis: one linalg.graded_groebner
-    run on the normal forms of J's generators modulo I's reduced basis,
-    which enters as a finished block, with no pairs among it and each
-    element re-reduced only where a leading monomial from J divides one of
-    its terms."""
-    return HomIdeal.from_basis(I.ring, _graded(I.ring, list(map(I._remainder, J.gens)),
-                                               I.groebner()))
+    run on the monic normal forms of J's generators from I's table, with
+    I's reduced basis as a finished block: no pairs among it, and its
+    elements of one degree re-reduced only when that degree holds a normal
+    form, a pair or an element that a leading monomial from J divides."""
+    rows = [h.terms for h in map(I.normal_forms().remainder, J.gens) if h]
+    return HomIdeal.from_basis(I.ring, _graded(I.ring, rows, I.groebner()))
 
 
 def unit_ideal(ring: PolyRing) -> HomIdeal:
@@ -873,6 +886,12 @@ def monomial_radical(I: HomIdeal) -> HomIdeal:
         [I.ring.monomial(tuple(min(e, 1) for e in g.lm())) for g in I.gens]))
 
 
+def monomial_meet(a, b) -> list[tuple]:
+    """The minimal generators of (a) ∩ (b) for two lists of monomials: the
+    minimal lcms of one monomial from each."""
+    return _minimalize_monos(mono_lcm(m, n) for m in a for n in b)
+
+
 def monomial_primary_decomposition(I: HomIdeal) -> list[tuple[HomIdeal, HomIdeal]]:
     """Primary decomposition of a monomial ideal.
 
@@ -905,19 +924,15 @@ def monomial_primary_decomposition(I: HomIdeal) -> list[tuple[HomIdeal, HomIdeal
     for comp in irreducible:
         supp = tuple(sorted({i for m in comp for i, e in enumerate(m) if e}))
         by_prime.setdefault(supp, []).append(comp)
-    out = []
-    for supp in sorted(by_prime):
-        comps = [HomIdeal(ring, [ring.monomial(m) for m in comp]) for comp in by_prime[supp]]
-        merged = _fold(intersect, comps)
-        prime = HomIdeal(ring, [ring.variable(i) for i in supp])
-        out.append((merged, prime))
+    kept = [(_fold(monomial_meet, by_prime[supp]), supp) for supp in sorted(by_prime)]
     # drop redundant components (those containing the intersection of the others)
-    kept, i = out, 0
+    i = 0
     while len(kept) > 1 and i < len(kept):
         others = kept[:i] + kept[i + 1:]
-        meet = _fold(intersect, [c for c, _ in others])
-        if all(kept[i][0].contains(f) for f in meet.gens):
+        meet = _fold(monomial_meet, [c for c, _ in others])
+        if all(any(mono_divides(g, m) for g in kept[i][0]) for m in meet):
             kept, i = others, 0
         else:
             i += 1
-    return kept
+    return [(HomIdeal(ring, [ring.monomial(m) for m in comp]),
+             HomIdeal(ring, [ring.variable(i) for i in supp])) for comp, supp in kept]

@@ -444,7 +444,8 @@ def test_idealizer_command_reduces_each_monomial_in_one_table(monkeypatch):
 def test_equal_colons_share_one_table(monkeypatch):
     """`idealizer --oracle-horizon 3` on fat_point: every colon is (x0, x1),
     not I, so the five colon pieces share one table and the oracle reads
-    I's: two tables in all."""
+    I's; the check of the declared components reads the prime (x0, x1)
+    through its own table (`HomIdeal.contains`): three tables in all."""
     tables = []
     init = linalg.NormalForms.__init__
 
@@ -457,4 +458,4 @@ def test_equal_colons_share_one_table(monkeypatch):
     sf = dataclasses.replace(cli.parse_scene(path.read_text()), oracle=3)
     rows = [r for r in cli.run_idealizer(sf) if r["record"] == "idealizer-row"]
     assert [r.get("oracle") for r in rows] == [None] + ["agree"] * sf.maxdeg
-    assert len(tables) == 2
+    assert len(tables) == 3

@@ -6,6 +6,7 @@ real implementations against those references on random inputs.
 """
 
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import reduce as _fold
 from pathlib import Path
@@ -121,6 +122,26 @@ def test_parse_rejects_garbage(bad):
         PolyRing(QQ, 2).parse(bad)
 
 
+def test_parsing_a_large_power_allocates_no_list_of_factors():
+    """x0^N squares its way up: parsing x0^1000000 peaks under 1 MB, where
+    a fold over N factors would hold N references before any cap is read."""
+    tracemalloc.start()
+    try:
+        f = RQ.parse("x0^1000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f == RQ.monomial((1000000, 0, 0))
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=["Q", "GF7"])
+def test_power_is_the_repeated_product(ring):
+    f = ring.parse("x0 + x1 - 2*x2")
+    for n in range(13):
+        assert f ** n == _fold(Poly.__mul__, [f] * n, ring.one())
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_format_parse_roundtrip(data):
@@ -195,6 +216,48 @@ def test_sum_with_a_finished_block_matches_naive_oracle(case):
     want = oracles.naive_groebner([dict(f.terms) for f in I.gens + J.gens], _char(I.ring))
     assert {frozenset(g.terms.items()) for g in got} == want
     assert [g.lm() for g in got] == sorted((g.lm() for g in got), key=mono_descending_key)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=["Q", "GF7"])
+def test_sum_re_reduces_a_block_element_untouched_by_j(ring):
+    """I = (x0^2 + x0*x2, x0^2 + x0*x1) has the reduced basis
+    x0^2 + x0*x2, x0*x1 - x0*x2.  In I + (x1), x1 touches only the second,
+    which reduces to the new element x0*x2 of degree 2, a term of the first:
+    every block element of a degree that J reaches goes to that degree's
+    echelon, so the first leaves as x0^2."""
+    I = HomIdeal.from_strings(ring, ["x0^2 + x0*x2", "x0^2 + x0*x1"])
+    assert I.groebner() == tuple(map(ring.parse, ["x0^2 + x0*x2", "x0*x1 - x0*x2"]))
+    K = ideal_sum(I, HomIdeal.from_strings(ring, ["x1"]))
+    assert K.groebner() == tuple(map(ring.parse, ["x0^2", "x0*x2", "x1"]))
+
+
+def test_sum_inserts_no_row_in_a_degree_of_block_elements_alone(monkeypatch):
+    """I + (x0 + x2) for I = (x0^2, x1^3): x0 touches x0^2, so degree 2 is
+    an echelon, which reduces it to x2^2; x1^3 meets no new leading
+    monomial and no pair, so degree 3 passes it unchanged and inserts no
+    Echelon row."""
+    inserted, rows = {}, []
+    real_insert, real_rows = linalg.Echelon.insert, linalg._degree_rows
+
+    def counting_insert(self, row):
+        rows.append(row)
+        return real_insert(self, row)
+
+    def counting_rows(field, basis, inputs, multiples):
+        before = len(rows)
+        new = real_rows(field, basis, inputs, multiples)
+        degree, = {sum(t) for f in inputs for t in f} | {
+            sum(basis[i][0]) + sum(mu) for i, mu in multiples}
+        inserted[degree] = len(rows) - before
+        return new
+
+    I = HomIdeal.from_strings(RQ, ["x0^2", "x1^3"])
+    I.groebner()
+    monkeypatch.setattr(linalg.Echelon, "insert", counting_insert)
+    monkeypatch.setattr(linalg, "_degree_rows", counting_rows)
+    K = ideal_sum(I, HomIdeal.from_strings(RQ, ["x0 + x2"]))
+    assert K.groebner() == tuple(map(RQ.parse, ["x1^3", "x2^2", "x0 + x2"]))
+    assert sorted(inserted) == [1, 2] and all(inserted.values())
 
 
 def _mod_p(ring_p, f):
@@ -398,6 +461,26 @@ def test_normal_form_matches_naive_division(data):
         want = oracles.naive_normal_form(dict(f.terms), [dict(g.terms) for g in basis],
                                          _char(ring))
         assert dict(normal_form(f, basis).terms) == want
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_divide_returns_quotients_and_a_reduced_remainder(data):
+    """f = sum q_k*g_k + r for the quotients q_k and remainder r of divide,
+    and no term of r is divisible by a leading term, on any divisor list;
+    on the reduced basis r = 0 exactly when f is in I (HomIdeal.contains
+    reads I's normal-form table)."""
+    ring, I = data.draw(ring_and_ideal())
+    f = data.draw(homogeneous_poly(ring, max_deg=4))
+    for basis in (list(I.gens), list(I.groebner())):
+        quotients, rem = polykernel.divide(ring.field, f.terms,
+                                           [(g.lm(), g.terms) for g in basis])
+        total = Poly(ring, rem)
+        for q, g in zip(quotients, basis):
+            total = total + Poly(ring, q) * g
+        assert total == f
+        assert not any(mono_divides(g.lm(), t) for t in rem for g in basis)
+    assert I.contains(f) == normal_form(f, list(I.groebner())).is_zero()
 
 
 def test_descending_key_reverses_the_order():
@@ -1490,6 +1573,18 @@ def test_monomial_decomposition_reassembles(data):
     assert ideal_equal(meet, I)
     for c, p in comps:
         assert ideal_equal(monomial_radical(c), p)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_monomial_meet_is_the_intersection(data):
+    """The minimal lcms of one monomial from each list generate the
+    intersection of the two monomial ideals: the same generators as
+    intersect's reduced basis."""
+    ring = data.draw(st.sampled_from(RINGS))
+    I, J = data.draw(monomial_ideal(ring)), data.draw(monomial_ideal(ring))
+    meet = polykernel.monomial_meet([g.lm() for g in I.gens], [g.lm() for g in J.gens])
+    assert HomIdeal(ring, [ring.monomial(m) for m in meet]).gens == intersect(I, J).gens
 
 
 def test_radical_of_powers():
