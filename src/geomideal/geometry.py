@@ -541,6 +541,12 @@ def _meets_z(transversality: Transversality):
         Hilbert polynomial).
     (b) some hyperplane H_i, i in s, misses Z: then so does L_s ⊆ H_i.  The
         hyperplanes are tested on demand, stopping at the first that misses.
+
+    A test reads the pure powers among the leading monomials of I + I_L
+    (Transversality.meets), and I's table keeps that sum per set of normal
+    forms of the x_i modulo I: for a point, every hyperplane that misses it
+    reduces to the same x_j, and one hyperplane through it reduces to zero,
+    so the hyperplane tests of a point run at most one Groebner basis.
     """
     dim_z = hilbert_polynomial(transversality.ideal).degree()
     ring = transversality.ideal.ring

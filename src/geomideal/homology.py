@@ -69,6 +69,7 @@ from .polykernel import (
     HilbertPoly,
     HomIdeal,
     Poly,
+    empty_zero_set,
     hilbert_polynomial,
     hilbert_polynomial_from_numerator,
     ideal_sum,
@@ -284,6 +285,9 @@ class Transversality:
     1. Z and Y do not meet.  A Tor sheaf is supported on the intersection:
        Supp Tor_j(O_Z, O_Y) ⊆ Z ∩ Y (Serre, Algèbre locale, multiplicités;
        Hartshorne, Algebraic Geometry III.6), so they are transverse.
+       Whether they meet is read off the pure powers among the leading
+       monomials of I + J (polykernel.empty_zero_set), with no Hilbert
+       numerator.
     2. J = (f) is principal.  S/(f) has the resolution
        0 → S(−e) → S → S/(f) → 0, so Tor_j = 0 for j ≥ 2, and the Tor_1
        sheaf vanishes exactly when the section numerator (module
@@ -292,23 +296,21 @@ class Transversality:
     3. Otherwise Tor_j from a free resolution of I, made on first need and
        kept for every later J.
 
-    The sum I + J of each J is kept, so asking whether Z meets Y and then
-    whether it is transverse to Y runs one Groebner basis of I + J.
+    I's normal-form table keeps I + J per set of monic normal forms of J's
+    generators modulo I (polykernel.ideal_sum), so asking whether Z meets Y
+    and then whether it is transverse to Y runs one Groebner basis of
+    I + J, and so do the J whose generators reduce alike: for a point with
+    last nonzero coordinate p_j, every hyperplane x_i with p_i ≠ 0 reduces
+    to x_j.
     """
 
     def __init__(self, I: HomIdeal):
         self.ideal = I
-        self._sums: dict[tuple, HomIdeal] = {}
         self._resolution: FreeResolution | None = None
 
-    def _sum(self, J: HomIdeal) -> HomIdeal:
-        if J.gens not in self._sums:
-            self._sums[J.gens] = ideal_sum(self.ideal, J)
-        return self._sums[J.gens]
-
     def meets(self, J: HomIdeal) -> bool:
-        """Whether Z and V(J) meet: I + J has a nonzero Hilbert polynomial."""
-        return not hilbert_polynomial(self._sum(J)).is_zero()
+        """Whether Z and V(J) meet: V(I + J) is not empty."""
+        return not empty_zero_set(ideal_sum(self.ideal, J))
 
     def __call__(self, J: HomIdeal) -> tuple[bool, int | None]:
         """(True, None) when transverse, else (False, the least failing j)."""
@@ -316,7 +318,7 @@ class Transversality:
             return True, None
         gens = J.gens if len(J.gens) == 1 else J.groebner()
         if len(gens) == 1:
-            section = section_numerator(self.ideal, self._sum(J), gens[0].degree)
+            section = section_numerator(self.ideal, ideal_sum(self.ideal, J), gens[0].degree)
             if hilbert_polynomial_from_numerator(section, J.ring.nvars).is_zero():
                 return True, None
             return False, 1

@@ -56,8 +56,12 @@ two users, each with the exact sequence that gives its target:
   N(S/(I ∩ J)) = N(I) + N(J) - N(I + J).
 
 The table also keeps, per monic normal form h, h's section numerator and
-(I : h): a form g reaches both only through its h, so the colons of one
-ideal by forms with equal h share one run.
+(I : h), and per set of monic normal forms the sum of I and that set: a
+form g reaches all three only through its h, so the colons of one ideal
+by forms with equal h share one run, and so do the sums I + J whose
+generators reduce to one set (`polykernel.ideal_sum`).  The annihilator
+keeps one condition per table and normal form up to a scalar, since
+proportional normal forms give proportional rows.
 
 Over the polynomial ring itself, `exact_quotient` divides one polynomial by
 another when the division is exact: it is the division by the one-element
@@ -79,6 +83,7 @@ from .polykernel import (
     PolyRing,
     dim_full_space,
     divide,
+    graded_basis,
     ideal_sum,
     mono_descending_key,
     mono_div,
@@ -389,8 +394,10 @@ def _accumulate(pairs) -> tuple[dict, int]:
 
 def _section(I: HomIdeal, g: Poly) -> dict[int, int]:
     """g's section numerator on S/I (polykernel.section_numerator), zero
-    exactly when g is a nonzerodivisor: one graded run of I + (g) that
-    takes I's reduced basis as a finished block (polykernel.ideal_sum)."""
+    exactly when g is a nonzerodivisor, on the sum I + (g) that I's table
+    keeps (polykernel.ideal_sum): one graded run that takes I's reduced
+    basis as a finished block, shared with every sum of the same normal
+    form."""
     return section_numerator(I, ideal_sum(I, HomIdeal(I.ring, [g])), g.degree)
 
 
@@ -410,9 +417,10 @@ class NormalForms:
     in the field's canonical form (`field.reduce_row`), so over Q the
     table holds no `Fraction` and a combination is integer arithmetic over
     one common denominator.  The table keeps each filled degree's monomial
-    list, which the degree pieces and the kernel loop read, and the
-    section numerator and colon of each monic normal form asked of it
-    (polykernel.ideal_quotient).
+    list, which the degree pieces and the kernel loop read, the section
+    numerator and colon of each monic normal form asked of it
+    (polykernel.ideal_quotient), and the sum I + J of each set of monic
+    normal forms of J's generators (polykernel.ideal_sum).
     """
 
     def __init__(self, ring: PolyRing, basis: list[Poly]):
@@ -428,9 +436,11 @@ class NormalForms:
                 (lm, nums[lm], [(t, -x) for t, x in nums.items() if t != lm]))
         self._table: dict[tuple, tuple[dict, int]] = {}
         self._monos: dict[int, list[tuple]] = {}
-        # monic normal form h -> its section numerator, and -> (I : h)
+        # monic normal form h -> its section numerator, and -> (I : h);
+        # set of monic normal forms -> I + (those forms)
         self._sections: dict[Poly, dict[int, int]] = {}
         self._quotients: dict[Poly, HomIdeal] = {}
+        self._sums: dict[frozenset, HomIdeal] = {}
 
     def monomials(self, n: int) -> list[tuple]:
         """The degree-n monomials in decreasing order, their normal forms
@@ -472,15 +482,36 @@ class NormalForms:
             out.append((acc, den * d))
         return out
 
+    def residue(self, f: Poly) -> dict:
+        """The normal form of the form f as canonical integral numerators
+        (`field.reduce_row`), zeros dropped: empty exactly when f lies in
+        the ideal."""
+        (nums, den), = self.shifted(f.terms, [(0,) * self.ring.nvars])
+        return self.ring.field.reduce_row({t: x for t, x in nums.items() if x}, den)[0]
+
     def remainder(self, f: Poly) -> Poly | None:
         """The monic normal form of the form f, None when f lies in the ideal."""
-        field = self.ring.field
-        (nums, den), = self.shifted(f.terms, [(0,) * self.ring.nvars])
-        nums, _ = field.reduce_row({t: x for t, x in nums.items() if x}, den)
+        nums = self.residue(f)
         if not nums:
             return None
+        field = self.ring.field
         lead = min(nums, key=mono_descending_key)
         return Poly(self.ring, _scalars(field, nums, nums[lead]), (lead, field.one))
+
+    def sum(self, ideal: HomIdeal, gens) -> HomIdeal:
+        """I + (gens) (`polykernel.ideal_sum`), ideal being I, the ideal of
+        this table's basis: I itself when every form of gens lies in I,
+        else one `graded_basis` run on their monic normal forms with I's
+        reduced basis as a finished block, once per set of normal forms."""
+        hs = dict.fromkeys(filter(None, map(self.remainder, gens)))
+        if not hs:
+            return ideal
+        key = frozenset(hs)
+        K = self._sums.get(key)
+        if K is None:
+            basis = graded_basis(self.ring, [h.terms for h in hs], ideal.groebner())
+            K = self._sums[key] = HomIdeal.from_basis(self.ring, basis)
+        return K
 
     def section(self, ideal: HomIdeal, h: Poly) -> dict[int, int]:
         """The section numerator of h on S/I (`_section`), computed once per
@@ -529,7 +560,9 @@ class NormalForms:
         monomials, read from T.  The residues come out integral, each over
         one denominator; over the lcm L of a condition's residue
         denominators its rows are integral, and scaling a row changes no
-        solution.
+        solution.  For the same reason a condition whose nf_T(f) is
+        proportional to an earlier one's on the same T gives proportional
+        rows, and is skipped, as is one with nf_T(f) = 0.
 
         The condition rows enter one echelon whose columns are this table's
         degree-n monomials, reversed, so its pivots are the last monomials,
@@ -544,12 +577,22 @@ class NormalForms:
         last = len(monos) - 1
         # columns = monos, last first; one row per (condition, monomial of a residue)
         echelon = Echelon(ring.field, len(monos))
+        seen = set()
         # the echelon does not depend on the order of its rows
         for table, form in conditions:
-            # nf(x . f) = nf(x . nf(f)), and nf(f) is short; its denominator
-            # scales every row of the condition alike
-            (reduced, _), = table.shifted(form.terms, [(0,) * ring.nvars])
-            residues = table.shifted(reduced, reversed(monos))
+            # nf(x . f) = nf(x . nf(f)), and nf(f) is short; its scale
+            # scales every row of the condition alike, so nf(f) made
+            # canonical up to a scalar (over its entry at its largest
+            # monomial) gives the rows once per table
+            nums = table.residue(form)
+            if not nums:
+                continue
+            nums, _ = ring.field.reduce_row(nums, nums[max(nums)])
+            key = (table, frozenset(nums.items()))
+            if key in seen:
+                continue
+            seen.add(key)
+            residues = table.shifted(nums, reversed(monos))
             L = lcm(*[d for _, d in residues])
             rows: dict[tuple, dict] = {}
             for col, (nums, d) in enumerate(residues):

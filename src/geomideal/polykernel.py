@@ -8,13 +8,25 @@ Reduced Groebner bases come from one graded engine,
 `linalg.graded_groebner`, degree by degree on the fraction-free
 `linalg.Echelon`; it serves polynomial ideals here and, in the layer above
 this one, graded submodules of free modules.  A polynomial's terms enter as
-they are, exponent tuples; `groebner_basis` and `ideal_sum` are its two
-adapters, the second passing I's reduced basis as a finished block.
+they are, exponent tuples; `graded_basis` is its adapter, which
+`groebner_basis` calls on generators and `ideal_sum` on the normal forms
+of J's generators, with I's reduced basis as a finished block.
 `divide`, the heap division kernel, returns the quotients with the
 remainder; it serves `normal_form`, `freemod.mod_normal_form` and
 `linalg.exact_quotient`.  Membership in I, and the normal forms of J's
 generators that `ideal_sum` hands the engine, are read from I's table of
 monomial normal forms (`linalg.NormalForms`).
+
+Sums.  I + J depends on J only through the set of monic normal forms h
+of its generators modulo I, since I + (g) = I + (h).  It is I itself when
+that set is empty, and otherwise I's table keeps it per set for the life
+of I, so sums whose generators reduce alike share one run: for a point
+with last nonzero coordinate p_j, every hyperplane x_i with p_i ≠ 0
+reduces to x_j.  V(K) is empty exactly when K is (1) or each variable has
+a pure power among the leading monomials of K's reduced basis (the
+finiteness theorem; Cox, Little & O'Shea, Ideals, Varieties, and
+Algorithms, §5.3), so whether two subschemes meet is read off their sum's
+basis with no Hilbert numerator (`empty_zero_set`).
 
 Quotients.  When I's reduced basis is empty or all linear, S/I is a
 polynomial ring, a domain, so (I : J) is (1) when J ⊆ I and I otherwise.
@@ -33,7 +45,8 @@ multiplication by h makes
 Hilbert numerators N over (1 − u)^nvars satisfy
 N(I + (h)) − (1 − u^e)·N(I) = u^e·N((I : h)/I) (`section_numerator`, with
 I + (h) from `ideal_sum`, which extends I's reduced basis by h), zero
-exactly when (I : h) = I, that is, when h is a nonzerodivisor on S/I.  Once
+exactly when (I : h) = I, that is, when h is a nonzerodivisor on S/I; the
+sum I + (h) is the one I's table keeps for the set {h}.  Once
 some h passes, (I : J) ⊆ (I : h) = I, so (I : J) is I.  Otherwise
 (I : J) is the meet of the (I : h).  Each is a kernel ideal read degree by
 degree off normal forms until its leading monomials give a known Hilbert
@@ -44,7 +57,8 @@ section numerator.  `intersect` returns the smaller ideal's reduced basis
 when one contains the other, and otherwise I ∩ J, the kernel of
 x ↦ (nf_I(x), nf_J(x)), with numerator N(I) + N(J) − N(I + J) from
 0 → S/(I ∩ J) → S/I ⊕ S/J → S/(I + J) → 0 (I + J by `ideal_sum`).
-Saturation: for a homogeneous K in degrevlex,
+Saturation: a linear I is prime, so (I : m^∞) is I, or (1) when I is m,
+with no run.  Otherwise, for a homogeneous K in degrevlex,
 in(K : x_last^∞) = in(K) : x_last^∞ (Bayer & Stillman, Invent. Math. 1987;
 Eisenbud, Commutative Algebra, Prop. 15.12), so dividing each Groebner
 basis element of K by the largest power of x_last dividing it gives a
@@ -94,8 +108,10 @@ def mono_descending_key(exps):
 
 
 def unit_exponents(nvars: int) -> tuple:
-    """The exponent tuples of x0, x1, ..., x(nvars−1)."""
-    return tuple(tuple(int(i == j) for j in range(nvars)) for i in range(nvars))
+    """The exponent tuples of x0, x1, ..., x(nvars−1), sliced from one
+    tuple of zeros."""
+    zeros = (0,) * nvars
+    return tuple(zeros[:i] + (1,) + zeros[i + 1:] for i in range(nvars))
 
 
 class PolyRing:
@@ -130,25 +146,24 @@ class PolyRing:
 
     # -- parsing / printing -------------------------------------------------
 
-    _TOKEN = re.compile(r"\s*(x\d+|\d+/\d+|\d+|\*\*|[-+*^()])")
+    _TOKEN = re.compile(r"\s*(?:(x\d+|\d+/\d+|\d+|\*\*|[-+*^()])|(\S))")
 
     def parse(self, text: str) -> "Poly":
         """Parse the polynomial text grammar.
 
         Variables x0..x9, integer or rational coefficients "a" / "a/b",
         operators + - * ^ (also ** as a synonym), parentheses; whitespace
-        insignificant.  Example: "x0^2 + 3/2*x0*x1 - x2^2".
+        insignificant.  Example: "x0^2 + 3/2*x0*x1 - x2^2".  One pass of
+        the token pattern reads the text, its last group catching any
+        character no token starts with.
         """
         tokens = []
-        pos = 0
-        while pos < len(text):
-            m = self._TOKEN.match(text, pos)
-            if m is None:
-                if text[pos:].strip() == "":
-                    break
+        for m in self._TOKEN.finditer(text):
+            tok, bad = m.groups()
+            if bad is not None:
+                pos = m.start()
                 raise ValueError(f"bad token at position {pos}: {text[pos:pos + 10]!r}")
-            tokens.append("^" if m.group(1) == "**" else m.group(1))
-            pos = m.end()
+            tokens.append("^" if tok == "**" else tok)
         parser = _PolyParser(self, tokens)
         result = parser.parse_expr()
         if parser.pos != len(tokens):
@@ -520,10 +535,10 @@ def normal_form(f: Poly, basis: list[Poly]) -> Poly:
 
 def groebner_basis(gens: list[Poly]) -> list[Poly]:
     """Reduced Groebner basis under degrevlex, by decreasing leading monomial."""
-    return _graded(gens[0].ring, [f.terms for f in gens]) if gens else []
+    return graded_basis(gens[0].ring, [f.terms for f in gens]) if gens else []
 
 
-def _graded(ring: PolyRing, rows, finished=()) -> list[Poly]:
+def graded_basis(ring: PolyRing, rows, finished=()) -> list[Poly]:
     """The reduced basis, by decreasing leading monomial, of the forms
     whose terms are the dicts rows and of finished, a reduced basis that
     enters as a finished block (ideal_sum): one linalg.graded_groebner
@@ -599,8 +614,8 @@ class HomIdeal:
 
     def contains(self, f: Poly) -> bool:
         """Whether the form f lies in I: its normal form from I's table
-        (linalg.NormalForms.remainder) is zero."""
-        return self.normal_forms().remainder(f) is None
+        (linalg.NormalForms.residue) is zero."""
+        return not self.normal_forms().residue(f)
 
     def is_unit(self) -> bool:
         gb = self.groebner()
@@ -629,13 +644,16 @@ def ideal_equal(I: HomIdeal, J: HomIdeal) -> bool:
 
 
 def ideal_sum(I: HomIdeal, J: HomIdeal) -> HomIdeal:
-    """I + J, the ideal of its reduced basis: one linalg.graded_groebner
-    run on the monic normal forms of J's generators from I's table, with
-    I's reduced basis as a finished block: no pairs among it, and its
-    elements of one degree re-reduced only when that degree holds a normal
-    form, a pair or an element that a leading monomial from J divides."""
-    rows = [h.terms for h in map(I.normal_forms().remainder, J.gens) if h]
-    return HomIdeal.from_basis(I.ring, _graded(I.ring, rows, I.groebner()))
+    """I + J, which depends on J only through the set of monic normal forms
+    h of J's generators modulo I (I + (g) = I + (h)): I itself when that set
+    is empty, else the ideal of the reduced basis of one
+    linalg.graded_groebner run on the h, with I's reduced basis as a
+    finished block: no pairs among it, and its elements of one degree
+    re-reduced only when that degree holds an h, a pair or an element that
+    a leading monomial from an h divides.  I's table keeps the sum per set
+    (linalg.NormalForms.sum), so the hyperplanes x_i with p_i ≠ 0 through
+    a point p share one run."""
+    return I.normal_forms().sum(I, J.gens)
 
 
 def unit_ideal(ring: PolyRing) -> HomIdeal:
@@ -698,13 +716,18 @@ def _saturate_variable(I: HomIdeal, i: int) -> HomIdeal:
 
 
 def saturate(I: HomIdeal) -> HomIdeal:
-    """(I : m^∞) for the irrelevant ideal m = (x0..xd).  I itself at once
-    when x_last divides no leading monomial of I's reduced basis, since
-    x_last is then a nonzerodivisor on S/I (Bayer & Stillman; module
-    docstring).  Otherwise one pass: the intersection of the (I : x_i^∞),
-    and I itself when that lies in I, so a saturated ideal keeps its
-    generators."""
-    if not any(g.lm()[-1] for g in I.groebner()):  # x_last is a nonzerodivisor
+    """(I : m^∞) for the irrelevant ideal m = (x0..xd).  When I's reduced
+    basis is empty or all linear, I is prime (S/I is a polynomial ring), so
+    it is its own saturation unless it is m, whose saturation is (1).  Else
+    I itself at once when x_last divides no leading monomial of I's reduced
+    basis, since x_last is then a nonzerodivisor on S/I (Bayer & Stillman;
+    module docstring).  Otherwise one pass: the intersection of the
+    (I : x_i^∞), and I itself when that lies in I, so a saturated ideal
+    keeps its generators."""
+    basis = I.groebner()
+    if all(g.degree == 1 for g in basis):  # a linear subspace: I is prime
+        return unit_ideal(I.ring) if len(basis) == I.ring.nvars else I
+    if not any(g.lm()[-1] for g in basis):  # x_last is a nonzerodivisor
         return I
     sat = _fold(intersect, [_saturate_variable(I, i) for i in range(I.ring.nvars)])
     return I if all(map(I.contains, sat.gens)) else sat
@@ -768,6 +791,22 @@ def monomial_hilbert_numerator(monos) -> dict[int, int]:
     colon = [tuple(max(e - f, 0) for e, f in zip(n, m)) for n in rest]
     return numerator_add(monomial_hilbert_numerator(rest),
                          monomial_hilbert_numerator(colon), -1, mono_deg(m))
+
+
+def empty_zero_set(K: HomIdeal) -> bool:
+    """Whether V(K) in P^d is empty, that is, S/K has finite length and the
+    zero Hilbert polynomial: exactly when K is (1) or every variable has a
+    pure power among the leading monomials of K's reduced basis (the
+    finiteness theorem; Cox, Little & O'Shea, Ideals, Varieties, and
+    Algorithms, §5.3, applied to the affine cone)."""
+    pure = set()
+    for g in K.groebner():
+        support = [i for i, e in enumerate(g.lm()) if e]
+        if not support:
+            return True
+        if len(support) == 1:
+            pure.add(support[0])
+    return len(pure) == K.ring.nvars
 
 
 def series_coefficient(num: dict[int, int], nvars: int, n: int) -> int:

@@ -7,15 +7,20 @@ Derived constants frozen into tests were produced by these.  The
 exceptions replay a former library loop over the library's own kernels:
 greedy_minimal_generators (minimal generators, one fresh module Groebner
 basis per accepted vector), stepwise_resolution (a resolution over a
-quotient, one preimage per map) and rref_oracle_piece (the idealizer
-oracle's conditions in monomial order, then a separate rref).
+quotient, one preimage per map), rref_oracle_piece (the idealizer
+oracle's conditions in monomial order, then a separate rref),
+token_parse (the former tokenizer, which matches one token at a time,
+feeding the library's recursive descent)
+and loop_saturate (the former saturation: every (I : x_i^∞), intersected,
+with no exit for a linear I).
 leibniz_det_adjugate works over any commutative ring whose elements have
 +, - and *, the library's polynomials among them; dense_power and
 dense_pullback form M^n as n dense products and expand f o M^n with the
 library polynomials' + and *, not with its substitution tables.
 """
 
-from functools import lru_cache
+import re
+from functools import lru_cache, reduce
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import comb
@@ -659,3 +664,40 @@ def brute_orbit(matrix, point, gens_terms, horizon, char=0, cap=1000):
         orbit.append(step(orbit[-1]))
     hits = tuple(n for n in range(max(horizon, n0) + 1) if hit(orbit[n]))
     return hits, None, None, n0, "certified-finite"
+
+
+# -- the former polynomial tokenizer and saturation loop ------------------------
+
+_TOKEN = re.compile(r"\s*(x\d+|\d+/\d+|\d+|\*\*|[-+*^()])")
+
+
+def token_parse(ring, text):
+    """ring.parse(text) as the former tokenizer read it, with the same
+    ValueError texts."""
+    from geomideal.polykernel import _PolyParser
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            raise ValueError(f"bad token at position {pos}: {text[pos:pos + 10]!r}")
+        tokens.append("^" if m.group(1) == "**" else m.group(1))
+        pos = m.end()
+    parser = _PolyParser(ring, tokens)
+    result = parser.parse_expr()
+    if parser.pos != len(tokens):
+        raise ValueError(f"trailing input after polynomial: {tokens[parser.pos:]}")
+    return result
+
+
+def loop_saturate(I):
+    """(I : m^∞) as polykernel.saturate computed it before its linear exit:
+    I when x_last divides no leading monomial of the reduced basis, else the
+    intersection of the (I : x_i^∞), and I itself when that lies in I."""
+    from geomideal.polykernel import _saturate_variable, intersect
+    if not any(g.lm()[-1] for g in I.groebner()):
+        return I
+    sat = reduce(intersect, [_saturate_variable(I, i) for i in range(I.ring.nvars)])
+    return I if all(map(I.contains, sat.gens)) else sat

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from geomideal import homology
+from geomideal import cli, homology, linalg
 from geomideal.classify import sigma_ideal_order
 from geomideal.fields import QQ, PrimeField
 from geomideal.geometry import (
@@ -791,15 +791,22 @@ def test_localized_certificate_matches_the_plain_loop(scene):
 
 
 def count_certificate_work(monkeypatch):
-    """Count what the certificate asks of homology: disjointness tests (each
-    one Groebner basis of a sum I + J), resolutions of Z, Tor checks against
-    a resolution, and the sub-unions it checks for transversality."""
-    work = {"sums": 0, "resolutions": 0, "tor": [], "checked": []}
-    ideal_sum, check = homology.ideal_sum, Transversality.__call__
+    """Count what the certificate asks of homology: disjointness tests
+    (Transversality.meets), the Groebner runs of the sums I + J behind them
+    and behind the Tor checks (one per set of monic normal forms of J's
+    generators modulo I, none when J lies in I), resolutions of Z, Tor
+    checks against a resolution, and the sub-unions it checks for
+    transversality."""
+    work = {"tests": 0, "runs": 0, "resolutions": 0, "tor": [], "checked": []}
+    meets, graded_basis, check = Transversality.meets, linalg.graded_basis, Transversality.__call__
 
-    def counted_sum(I, J):
-        work["sums"] += 1
-        return ideal_sum(I, J)
+    def counted_meets(self, J):
+        work["tests"] += 1
+        return meets(self, J)
+
+    def counted_run(*args):
+        work["runs"] += 1
+        return graded_basis(*args)
 
     def counted_resolution(I, *args, **kwargs):
         work["resolutions"] += 1
@@ -813,7 +820,8 @@ def count_certificate_work(monkeypatch):
         work["checked"].append(J.gens_text())
         return check(self, J)
 
-    monkeypatch.setattr(homology, "ideal_sum", counted_sum)
+    monkeypatch.setattr(Transversality, "meets", counted_meets)
+    monkeypatch.setattr(linalg, "graded_basis", counted_run)
     monkeypatch.setattr(homology, "free_resolution", counted_resolution)
     monkeypatch.setattr(homology, "transverse_from_resolution", counted_tor)
     monkeypatch.setattr(Transversality, "__call__", counted_check)
@@ -826,8 +834,9 @@ def test_p3_point_off_the_hyperplanes_needs_no_tor(monkeypatch):
     cert = critical_transversality_certificate(IdealizerScene(R3, SIGMA3, Z))
     assert (cert.status, cert.checked) == ("certified", 165)
     # the four hyperplanes miss Z, and every other coordinate subspace lies
-    # in one of them: 4 disjointness tests for the 14 subspaces
-    assert work == {"sums": 4, "resolutions": 0, "tor": [], "checked": []}
+    # in one of them: 4 disjointness tests for the 14 subspaces, and x0..x3
+    # all reduce to x3 modulo Z, so the 4 tests share one Groebner run
+    assert work == {"tests": 4, "runs": 1, "resolutions": 0, "tor": [], "checked": []}
 
 
 def test_p3_line_checks_each_meeting_sub_union_once(monkeypatch):
@@ -837,9 +846,10 @@ def test_p3_line_checks_each_meeting_sub_union_once(monkeypatch):
     assert (cert.status, cert.checked) == ("certified", 165)
     # the line meets the four coordinate planes (by dimension, untested) and
     # no smaller coordinate subspace (10 tests), so its meeting sub-unions
-    # are the 15 nonempty sets of planes: hypersurfaces, one sum each, no
-    # resolution and no Tor module
-    assert (work["resolutions"], work["tor"], work["sums"]) == (0, [], 10 + 15)
+    # are the 15 nonempty sets of planes: hypersurfaces, each tested once
+    # more by its check and one sum each, no resolution and no Tor module
+    assert (work["resolutions"], work["tor"]) == (0, [])
+    assert (work["tests"], work["runs"]) == (10 + 15, 10 + 15)
     assert len(set(work["checked"])) == len(work["checked"]) == 15
 
 
@@ -849,8 +859,39 @@ def test_p3_point_on_one_hyperplane_refuted_after_one_tor(monkeypatch):
     cert = critical_transversality_certificate(IdealizerScene(R3, SIGMA3, Z))
     assert certificate_summary(cert) == ("refuted", 11, ((0,),), "x0", 1)
     # Tor_1 against V(x0) from Hilbert numerators, on the sum I + (x0) that
-    # the hyperplane test already reduced: 4 hyperplane tests, no resolution
-    assert work == {"sums": 4, "resolutions": 0, "tor": [], "checked": ["x0"]}
+    # the hyperplane test already formed: 4 hyperplane tests and one more by
+    # the check of V(x0); x0 lies in I, so that sum is I, and x1, x2, x3 all
+    # reduce to x3 modulo I, so the tests share one Groebner run; no
+    # resolution
+    assert work == {"tests": 4 + 1, "runs": 1, "resolutions": 0, "tor": [],
+                    "checked": ["x0"]}
+
+
+@pytest.mark.parametrize("ideal, status", [
+    (["x1 - 2*x0", "x2 - 3*x0", "x3 - 4*x0"], "certified"),  # [1:2:3:4]
+    (["x0 - x1", "2*x0 - 3*x2", "x3"], "refuted"),  # [3:3:2:0]
+])
+def test_ct_cert_on_a_p3_point_makes_at_most_two_groebner_runs(ideal, status, tmp_path,
+                                                                capsys, monkeypatch):
+    """The whole ct-cert command on a P^3 point: one graded Groebner run for
+    the point's reduced basis and one for the hyperplane sums I + (x_i) with
+    p_i != 0, which share the normal form x_j, p_j the last nonzero
+    coordinate.  Saturation reads the linear basis (a linear ideal is its
+    own saturation), and a hyperplane through the point adds no run."""
+    runs = []
+    engine = linalg.graded_groebner
+
+    def counted(*args):
+        runs.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(linalg, "graded_groebner", counted)
+    path = tmp_path / "point.scene"
+    path.write_text("\n".join(["field rational", "dim 3", "sigma", "1 0 0 0", "0 2 0 0",
+                               "0 0 3 0", "0 0 0 5", "ideal", *ideal, "end", "horizon 8", ""]))
+    assert cli.main(["ct-cert", str(path)]) == 0
+    assert f"critical transversality: {status}" in capsys.readouterr().out
+    assert len(runs) <= 2
 
 
 @st.composite

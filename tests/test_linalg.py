@@ -195,3 +195,40 @@ def test_normal_form_table_entries_are_the_normal_forms(field, name):
             assert all(type(x) is int and x != 0 for x in nums.values())
             value = {t: field.div(x, den) for t, x in nums.items()}
             assert value == normal_form(ring.monomial(m), gb).terms
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+@pytest.mark.parametrize("name", sorted(NF_IDEALS))
+def test_annihilator_keeps_one_condition_per_normal_form(field, name, monkeypatch):
+    """Conditions whose normal forms on one table are proportional give
+    proportional rows, so the annihilator keeps one of them: adding to f
+    its rescaled copies, a copy shifted by an element of I, and forms in
+    the ideal of either table leaves the annihilator and the echelon rows
+    inserted as they were for f alone.  Over GF(7) the normal form of
+    (x0 - x2)*x1 modulo (x0 - x2) accumulates 1 + 6 = 7 before it is
+    reduced to zero."""
+    ring = PolyRing(field, 3)
+    I = HomIdeal.from_strings(ring, NF_IDEALS[name])
+    table = I.normal_forms()
+    other = HomIdeal.from_strings(ring, ["x0 - x2"]).normal_forms()
+    f, h = ring.parse("x0*x1 + 2*x1^2 - x2^2"), I.groebner()[-1]
+    in_i = h * ring.variable(1) if h.degree == 1 else h
+    extra = [(table, f.scale(field.from_int(3))), (table, f + in_i), (table, in_i),
+             (table, ring.parse("8*x0*x1 + 16*x1^2 - 8*x2^2")),
+             (other, ring.parse("(x0 - x2)*x1"))]
+    inserts = []
+    real_insert = linalg.Echelon.insert
+
+    def counted(self, row):
+        inserts.append(dict(row))
+        return real_insert(self, row)
+
+    monkeypatch.setattr(linalg.Echelon, "insert", counted)
+    for n in range(4):
+        for conditions in ([(table, f)], [(table, f), (other, f)]):
+            inserts.clear()
+            want = table.annihilator(conditions, n)
+            rows = list(inserts)
+            inserts.clear()
+            assert table.annihilator(conditions + extra, n) == want
+            assert inserts == rows

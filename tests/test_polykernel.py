@@ -142,6 +142,63 @@ def test_power_is_the_repeated_product(ring):
         assert f ** n == _fold(Poly.__mul__, [f] * n, ring.one())
 
 
+@st.composite
+def poly_text(draw, depth=0):
+    """Text in the polynomial grammar, with x3 out of range of three
+    variables, coefficients a/0 and 7 (zero over GF(7)), unary minus inside
+    products, powers by ^ and **, juxtaposed factors and nested
+    parentheses."""
+    def atom():
+        kinds = ["var", "int", "frac", "neg"] + (["paren"] if depth < 2 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "var":
+            return f"x{draw(st.integers(0, 3))}"
+        if kind == "int":
+            return str(draw(st.sampled_from([0, 1, 2, 3, 7, 14])))
+        if kind == "frac":
+            return f"{draw(st.integers(0, 9))}/{draw(st.sampled_from([0, 1, 2, 7]))}"
+        if kind == "neg":
+            return "-" + atom()
+        return "(" + draw(poly_text(depth + 1)) + ")"
+
+    def term():
+        factors = [atom() + draw(st.sampled_from(["", "", "^2", "**3", " ^ 0", "^1"]))
+                   for _ in range(draw(st.integers(1, 3)))]
+        return "".join(f + draw(st.sampled_from(["*", " ", " * "])) for f in factors[:-1]) \
+            + factors[-1]
+
+    text = draw(st.sampled_from(["", "-", "+", "- -"])) + term()
+    for _ in range(draw(st.integers(0, 2))):
+        text += draw(st.sampled_from([" + ", "-", " - "])) + term()
+    return text
+
+
+PARSE_PIECES = ["x0", "x1", "x3", "x", "x01", "0", "2", "7", "3/2", "5/0", "1/2/3", "*", "**",
+                "^", "+", "-", "(", ")", " ", "\t", "$", "/", "2^3", "x1^0", "0^0"]
+
+
+def _parsed(parse, text):
+    try:
+        return "value", parse(text)
+    except ValueError as err:
+        return "error", str(err)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_parse_matches_the_former_parser(data):
+    """The one-pass tokenizer gives the polynomial, or the ValueError text
+    byte for byte, of the former one (oracles.token_parse) over Q and
+    GF(7): on text of the grammar and on strings of tokens and stray
+    characters, which reach every error (bad token and its offset,
+    unexpected end or token, unbalanced parenthesis, exponent, variable
+    range, coefficient not in the field, trailing input)."""
+    ring = data.draw(st.sampled_from(RINGS))
+    text = data.draw(st.one_of(poly_text(),
+                               st.lists(st.sampled_from(PARSE_PIECES), max_size=10).map("".join)))
+    assert _parsed(ring.parse, text) == _parsed(lambda t: oracles.token_parse(ring, t), text)
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_format_parse_roundtrip(data):
@@ -949,6 +1006,53 @@ def test_extended_sum_matches_a_fresh_groebner_run(data):
     assert before == polykernel.monomial_hilbert_numerator([f.lm() for f in K.groebner()])
 
 
+@given(st.data())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_ideal_sum_depends_only_on_the_normal_forms_of_j(data):
+    """ideal_sum(I, J) has the reduced basis of all the generators.  It
+    stays put when J's generators are rescaled, permuted, duplicated or
+    shifted by elements of I, which keeps their set of monic normal forms
+    modulo I: I's table keeps the sum per set, so the second sum is the
+    first one and runs no graded_groebner."""
+    ring, I = data.draw(ring_and_ideal(max_deg=2))
+    field = ring.field
+    J = data.draw(st.lists(homogeneous_poly(ring, 2), min_size=1, max_size=3))
+    moved = []
+    for g in J:
+        f = g.scale(field.from_int(data.draw(st.sampled_from([1, 2, -3, 5]))))
+        for h in I.gens:
+            if h.degree <= g.degree:
+                mono = data.draw(st.sampled_from(monomials_of_degree(ring, g.degree - h.degree)))
+                f = f + h * ring.monomial(mono, field.from_int(data.draw(st.integers(-2, 2))))
+        moved.append(f)
+    moved += data.draw(st.lists(st.sampled_from(moved), max_size=2))
+    moved = data.draw(st.permutations(moved))
+    K = ideal_sum(I, HomIdeal(ring, J))
+    assert K.groebner() == tuple(groebner_basis(list(I.gens) + J))
+    with mock.patch.object(linalg, "graded_groebner", side_effect=AssertionError):
+        assert ideal_sum(I, HomIdeal(ring, moved)) is K
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_empty_zero_set_is_the_zero_hilbert_polynomial(data):
+    """V(K) is empty exactly when K is (1) or every variable has a pure
+    power among K's leading monomials: empty_zero_set agrees with the
+    Hilbert polynomial on drawn K, on drawn K plus powers of some
+    variables (m-primary when all are there), and on (1), m, m^2 and the
+    zero ideal."""
+    ring, K = data.draw(ring_and_ideal())
+    xs = [ring.variable(i) for i in range(ring.nvars)]
+    kind = data.draw(st.sampled_from(["drawn", "plus powers", "unit", "m", "m^2", "zero"]))
+    if kind == "plus powers":
+        chosen = data.draw(st.lists(st.sampled_from(xs), min_size=1, unique=True))
+        K = HomIdeal(ring, list(K.gens) + [x ** data.draw(st.integers(1, 3)) for x in chosen])
+    elif kind != "drawn":
+        K = HomIdeal(ring, {"unit": [ring.one()], "m": xs, "zero": [],
+                            "m^2": [x * y for x in xs for y in xs]}[kind])
+    assert polykernel.empty_zero_set(K) == hilbert_polynomial(K).is_zero()
+
+
 LINEAR_RINGS = [PolyRing(field, n) for field in (QQ, PrimeField(7)) for n in (2, 4, 7)]
 
 
@@ -1026,6 +1130,24 @@ def test_linear_groebner_basis_declines_nonlinear_forms():
             assert len(echelons) == 2
         with pytest.raises(ValueError, match="homogeneous"):
             groebner_basis([x0, x1, x0 * x1 + x2])
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_saturate_of_a_linear_subspace_is_the_former_loop(data):
+    """A linear I is prime, so saturate returns I itself, or (1) for the
+    irrelevant ideal, with no (I : x_i^∞) run: the ideal, with the same
+    generators, that the former loop (oracles.loop_saturate) reaches with
+    its swapped Groebner runs and intersections."""
+    ring = data.draw(st.sampled_from(LINEAR_RINGS))
+    full = data.draw(st.booleans())
+    I = HomIdeal(ring, data.draw(linear_generators(ring, ring.nvars if full else None)))
+    want = oracles.loop_saturate(I)
+    with mock.patch.object(polykernel, "_saturate_variable", side_effect=AssertionError):
+        got = saturate(I)
+    assert got.gens == want.gens
+    assert got.groebner() == want.groebner()
+    assert (got is I) == (len(I.groebner()) < ring.nvars)
+
 
 @given(st.data())
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
