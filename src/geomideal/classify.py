@@ -7,34 +7,47 @@ the eight-row report on the section ring R: noetherian properties on both
 sides, the strong variants, the chi conditions, cohomological dimension, and
 the Segre square.
 
-Evidence discipline: a row is "certified" or "refuted" only when the verdict
-follows from a re-checkable computation through one of the implemented
-criteria; horizon-limited observations stay "heuristic" and display their
-horizon; rows whose hypotheses are not met are "not-applicable".
+The table has the shape of the paper's theorem: hypotheses on (Z, sigma)
+imply ring properties.  `_hypotheses` computes the hypotheses once per scene
+into one frozen `Hypotheses` record: the stabilization of the colon
+(I : I^(sigma^n)) with its evidence, the critical-transversality
+certificate, the sampled forward orbits, the component analysis, and the
+Tor probe over an ambient quotient.  Each predicate is then one rule, a pure
+function of the record that returns a verdict, its detail and the fields it
+reads; the strongly-right row takes the right rule's verdict and evidence.
 
-Shared rules, each decided once: the right-noetherian row and its strong
-twin share verdict and evidence (_right_rows); in the stable branch a row
-is only as strong as the stabilization behind it, certified or refuted when
-stabilization is certified and heuristic at the horizon otherwise
-(grounded, obstructed); and an unstable scene reports the rows that assume
-a stabilized idealizer as not applicable, while in three of its cases the
-four noetherian rows share one verdict and detail (uniform).
+Evidence discipline, the weakest-link rule (`_row`, where every row is
+built): a row is "certified", or "refuted" with a re-checkable witness, only
+when every field it reads is certified, and "heuristic" at the least horizon
+among them otherwise; a row whose hypotheses are not met is
+"not-applicable".  The component analysis and the certificate are exact;
+the stabilization is certified when it holds in every degree (degenerate,
+or a single rational point whose support never returns) and known to the
+horizon otherwise; a sample of orbits and the probe are known to their
+horizons only.
+
+Two refutations do not read the stabilization, and keep their strength
+whatever the colon does: a sampled orbit that returns along a cycle to Z
+when J is empty (or to the moving part W when a power of sigma fixes J),
+and an unstable scene whose finite-order part no power of sigma fixes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 from .errors import SceneVerificationError, UsageError
 from .geometry import (
+    CTCertificate,
+    OrbitReport,
     RationalPoint,
     critical_transversality_certificate,
     forward_orbit_hits,
     projective_order,
     _unipotent_part,
 )
-from .homology import point_coordinates, truncated_tor_over_quotient
+from .homology import QuotientTorReport, point_coordinates, truncated_tor_over_quotient
 from .idealizer import IdealizerScene, stabilization_degree
 from .polykernel import (
     HomIdeal,
@@ -101,11 +114,6 @@ class _PowerScan:
         return True
 
 
-def _fixed_by_power(ideal: HomIdeal, sigma: ProjAutomorphism, n: int) -> bool:
-    """Whether I^{sigma^n} = I (_PowerScan.fixes)."""
-    return _PowerScan(ideal, sigma).fixes(n)
-
-
 def sigma_ideal_order(ideal: HomIdeal, sigma: ProjAutomorphism,
                       bound: int) -> OrderResult:
     """sigma-order of an ideal under pullback, searched to bound and then
@@ -150,7 +158,7 @@ def sigma_ideal_order(ideal: HomIdeal, sigma: ProjAutomorphism,
                     # div can reach k - 1 (996 over GF(997)): sigma^div by
                     # squaring, not div steps of sigma
                     power = ProjAutomorphism(sigma.ring, _mat_pow(field, sigma.matrix, div))
-                    if _fixed_by_power(ideal, power, 1):
+                    if _PowerScan(ideal, power).fixes(1):
                         return OrderResult(div, False, "finite-matrix-group")
     return OrderResult(None, False, "order-bound-exhausted")
 
@@ -323,33 +331,501 @@ class ClassificationReport:
         raise KeyError(predicate)
 
 
-def _row(predicate, verdict, detail, kind, *, horizon=None, witness=None):
-    return ClassificationRow(predicate, verdict, detail,
-                             Evidence(kind, CITATIONS[predicate],
-                                      horizon=horizon, witness=witness))
+# ---------------------------------------------------------------------------
+# the hypotheses of the theorem, computed once per scene
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Hypotheses:
+    """The hypotheses of the paper's theorem on (Z, sigma), computed once
+    per scene by `_hypotheses`.  horizon is the degree through which the
+    colon and the orbits are scanned; a field is None where nothing
+    computed it:
+
+    - stabilization: how the colon (I : I^(sigma^n)) behaves in large degree
+      n: "degenerate" (it is the unit ideal at `degree`, so sigma^degree
+      fixes Z), "stable" (it equals I from `degree` on) or "unstable" (it
+      still exceeds I at the horizon); None over an ambient quotient;
+    - ct: the critical-transversality certificate, on a stable scene;
+    - orbits and cycle: the forward orbits of the sample points and the
+      first that meets its target infinitely often; the target is Z on a
+      stable scene, and the moving part W on an unstable one whose
+      finite-order part J some power of sigma fixes;
+    - components: the W/J split (a note says why when there is none);
+    - codim and chi_basis: Z's codimension and, if it has one, the
+      structure behind the chi levels (zero-dimensional or declared
+      Gorenstein), on a stable scene;
+    - probe: over an ambient quotient, the Tor report or why it did not run.
+
+    horizons names the fields known only to a horizon, with that horizon;
+    every other field is certified.  The stabilization is certified when it
+    holds in every degree; a sample of orbits and the probe never are.
+    flags and notes state what the fields say, for the report.
+    """
+
+    horizon: int
+    stabilization: str | None = None
+    degree: int | None = None
+    ct: CTCertificate | None = None
+    orbits: tuple[OrbitReport, ...] | None = None
+    cycle: OrbitReport | None = None
+    components: ComponentAnalysis | None = None
+    codim: int | None = None
+    chi_basis: str | None = None
+    probe: QuotientTorReport | str | None = None
+    horizons: tuple[tuple[str, int], ...] = ()
+    flags: tuple[str, ...] = ()
+    notes: tuple[str, ...] = ()
+
+    def strength(self, name: str) -> int | None:
+        """None when the field is certified, else the horizon it is known to."""
+        return dict(self.horizons).get(name)
 
 
-def _right_rows(verdict, detail, kind, strong_detail, *, horizon=None,
-                witness=None):
-    """The right-noetherian row and its strong twin.  For an idealizer the
-    two properties coincide, so both rows share verdict and evidence."""
-    return (_row("right-noetherian", verdict, detail, kind,
-                 horizon=horizon, witness=witness),
-            _row("strongly-right-noetherian", verdict, strong_detail, kind,
-                 horizon=horizon, witness=witness))
-
-
-def _sample_orbits(sigma, Z, points, horizon):
-    """Forward-orbit reports of the sample points against Z, and the first
-    one that meets Z infinitely often (None if there is none)."""
-    reports = [forward_orbit_hits(p, sigma, Z, horizon) for p in points]
+def _sample_orbits(sigma, ideal, points, horizon):
+    """The forward-orbit reports of the sample points against an ideal, and
+    the first that meets it infinitely often (None if there is none)."""
+    reports = tuple(forward_orbit_hits(p, sigma, ideal, horizon) for p in points)
     return reports, next((r for r in reports if r.verdict == "infinite"), None)
+
+
+def _probe(scene, quotient, sample_points):
+    """Tor over the quotient at Z when Z is a rational point, else at the
+    first sample point; or the reason the probe did not run."""
+    if reduced_point_of(scene.ideal) is not None:
+        p_ideal = scene.ideal
+    elif sample_points:
+        p_ideal = sample_points[0].ideal(scene.ring)
+    else:
+        return ("no probe point available: Z is not a single point and no "
+                "sample point was declared")
+    try:
+        return truncated_tor_over_quotient(quotient, scene.ideal, p_ideal,
+                                           j_max=PROBE_J_MAX)
+    except (UsageError, SceneVerificationError) as exc:
+        return f"probe rejected: {exc}"
+
+
+def _fixed_part(comp):
+    """What the W/J split says of the finite-order part J: "none" (no split),
+    "empty", "fixed" (by some power of sigma), "never" (by no power,
+    certified) or "unknown" (by no power up to the order bound)."""
+    if comp is None:
+        return "none"
+    if comp.J_fixed is None:
+        return "empty"
+    if comp.J_fixed.order is not None:
+        return "fixed"
+    return "never" if comp.J_fixed.certified_infinite else "unknown"
+
+
+def _hypotheses(scene, sample_points, horizon, order_bound,
+                ambient_quotient) -> Hypotheses:
+    """Compute each hypothesis where a rule reads it, and nothing more: over
+    a proper ambient quotient only the probe; otherwise the stabilization
+    and the component analysis, then on a stable scene the certificate, the
+    orbits against Z and Z's codimension, and on an unstable scene the
+    orbits against W when some power of sigma fixes J and W is not empty.
+
+    The stabilization is certified in every degree when it is degenerate,
+    or when Z is a single rational point whose support never returns: then
+    each I^(sigma^n), n >= 1, is the ideal of another point, and the colon
+    of one point's ideal by another's is the first."""
+    if ambient_quotient is not None and not ambient_quotient.is_zero_ideal():
+        return Hypotheses(horizon, probe=_probe(scene, ambient_quotient, sample_points),
+                          horizons=(("probe", PROBE_J_MAX),), notes=(
+            "an ambient quotient was supplied: rows other than the "
+            "cohomological-dimension probe are not evaluated over a proper quotient",))
+    stab = stabilization_degree(scene, horizon)
+    comp, notes = None, ()
+    try:
+        comp = component_analysis(scene, order_bound)
+    except UsageError as exc:
+        notes = (f"component analysis unavailable: {exc}",)
+    if stab.degenerate:
+        n = stab.table.index("unit") + 1
+        return Hypotheses(horizon, "degenerate", n, components=comp, notes=notes,
+                          flags=("fixed-part present", "degenerate: W = X behavior "
+                                 f"(the colon is the unit ideal at degree {n})"))
+    # the orbits are a sample, and the colon is checked through the horizon
+    to_horizon = (("orbits", horizon), ("stabilization", horizon))
+    if not stab.stabilized:
+        part, orbits, cycle, flags = _fixed_part(comp), None, None, (NOT_FINITELY_GENERATED,)
+        if part == "empty":
+            flags, notes = (), notes + (
+                f"colon not yet stabilized at horizon {horizon}; every component has "
+                "moving support, so a larger horizon may settle the table",)
+        elif part == "fixed":
+            k, flags = comp.J_fixed.order, ("fixed-part present",)
+            if comp.W_ideal is None:
+                notes += (f"sigma^{k} fixes the finite-order part J, which is all of Z: "
+                          "there is no moving part W, and the colon is the unit ideal "
+                          f"in every degree divisible by {k}",)
+            else:
+                notes += (f"sigma^{k} fixes the finite-order part J; the section ring "
+                          "is a finite module over an idealizer at the moving part W",)
+                orbits, cycle = _sample_orbits(scene.sigma, comp.W_ideal, sample_points,
+                                               horizon)
+        return Hypotheses(horizon, "unstable", orbits=orbits, cycle=cycle,
+                          components=comp, horizons=to_horizon, flags=flags, notes=notes)
+    ct = critical_transversality_certificate(scene)
+    orbits, cycle = _sample_orbits(scene.sigma, scene.ideal, sample_points, horizon)
+    single_point = (comp is not None and len(comp.components) == 1
+                    and comp.source in ("point", "declared")
+                    and reduced_point_of(comp.components[0].component) is not None)
+    if single_point and comp.components[0].radical_order.certified_infinite:
+        to_horizon = (("orbits", horizon),)
+        notes += ("colon stabilization holds in every positive degree: Z is a single "
+                  "rational point whose support never returns "
+                  f"({comp.components[0].radical_order.justification})",)
+    else:
+        notes += (f"colon equals the ideal of Z from degree {stab.n0} through "
+                  f"{stab.bound}; degrees beyond the bound are unverified",)
+    c = codimension(scene.ideal)
+    basis = ("zero-dimensional Z" if c == scene.d
+             else "declared Gorenstein Z" if scene.gorenstein_z else None)
+    return Hypotheses(horizon, "stable", stab.n0, ct, orbits, cycle, comp, codim=c,
+                      chi_basis=basis, horizons=to_horizon, notes=notes)
+
+
+# ---------------------------------------------------------------------------
+# one rule per predicate, and the weakest-link rule
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Ruling:
+    """A rule's outcome: the verdict, its detail, and the fields of the
+    record it reads (None: the rule's hypotheses are not met).  witness
+    backs a refutation; unproven replaces the detail when the row comes out
+    heuristic."""
+
+    verdict: str
+    detail: str
+    reads: tuple[str, ...] | None = None
+    witness: str | None = None
+    unproven: str | None = None
+
+
+def _row(predicate, ruling, h) -> ClassificationRow:
+    """The weakest-link rule, the one place a row is built.  A ruling that
+    reads fields is certified (refuted, for a "no", with its witness) when
+    every field it reads is certified, and heuristic at the least horizon
+    among them otherwise; one that reads none is not applicable."""
+    horizons = [s for s in map(h.strength, ruling.reads or ()) if s is not None]
+    kind = ("not-applicable" if ruling.reads is None else "heuristic" if horizons
+            else "refuted" if ruling.verdict == "no" else "certified")
+    detail = (ruling.unproven or ruling.detail) if kind == "heuristic" else ruling.detail
+    return ClassificationRow(predicate, ruling.verdict, detail, Evidence(
+        kind, CITATIONS[predicate], min(horizons, default=None),
+        ruling.witness if kind == "refuted" else None))
+
+
+STAB = ("stabilization",)
+
+NOT_STABLE = {
+    None: "classification rows are evaluated over the full polynomial coordinate "
+          "ring only",
+    "degenerate": "the scene degenerates to the twisted coordinate ring in large "
+                  "degree; idealizer-specific predicates are not evaluated",
+    "unstable": "the colon does not stabilize; predicates assuming a stabilized "
+                "idealizer are not evaluated",
+}
+
+STRONG_FINITE = ("finite extensions of the strongly noetherian twisted coordinate "
+                 "ring of projective space remain strongly noetherian")
+
+HORIZON_TESTED = "colon stabilization itself is horizon-tested"
+
+
+def _not_stable(h):
+    """The not-applicable ruling of a rule that assumes a stabilized
+    idealizer, or None on a stable scene."""
+    if h.stabilization != "stable":
+        return _Ruling("inconclusive", NOT_STABLE[h.stabilization])
+    return None
+
+
+def _premise(h, strong=False):
+    """The ruling a noetherian row takes before its own criterion, or None.
+
+    Over an ambient quotient the row is not evaluated.  A degenerate scene
+    has Z fixed by sigma^n, so R is a finite module over the twisted
+    coordinate ring's subring in degrees divisible by n: "yes", the strong
+    rows because finite extensions of a strongly noetherian ring stay
+    strongly noetherian.  These rows keep the citation keys of the stable
+    criteria, though they argue by that finiteness.  On an unstable scene
+    all four rows share one ruling when the W/J split cannot tell them
+    apart: no split, only moving components (the horizon is too small to
+    see the stable range), or no power of sigma up to the order bound
+    fixing J."""
+    if h.stabilization is None:
+        return _Ruling("inconclusive", NOT_STABLE[None])
+    if h.stabilization == "degenerate":
+        return _Ruling("yes", STRONG_FINITE if strong else (
+            f"Z is fixed by sigma^{h.degree}: the section ring agrees with the full "
+            f"twisted coordinate ring in every degree divisible by {h.degree}, and "
+            "is a finite module over that subring"), STAB)
+    if h.stabilization != "unstable":
+        return None
+    part, n = _fixed_part(h.components), h.horizon
+    if part == "empty":
+        return _Ruling("inconclusive", f"colon still exceeds the ideal at degree {n}", STAB)
+    if part in ("none", "unknown"):
+        return _Ruling("no", "the colon strictly exceeds the ideal of Z at every " + (
+            "computed degree and no component split is available" if part == "none"
+            else f"degree through {n}, and no power of sigma up to "
+            f"{h.components.order_bound} fixes the finite-order part"), STAB)
+    return None
+
+
+def _left_of_unstable(h, detail):
+    """A left row of an unstable scene past its premise: "no" when no power
+    of sigma fixes J, and not evaluated when one does (the reduction to the
+    moving part W is not re-run)."""
+    if _fixed_part(h.components) == "never":
+        return _Ruling("no", detail, STAB)
+    return _Ruling("inconclusive", "the reduction to the moving part is not re-run"
+                   if h.components.W_ideal is not None else "Z has no moving part "
+                   "to reduce to, and the degrees where the colon is the unit ideal "
+                   "lie past the horizon")
+
+
+def _offending(h):
+    """A component of codimension >= 2, when the split shows one."""
+    if h.components is None:
+        return None
+    return next((r for r in h.components.components if r.codimension >= 2), None)
+
+
+def _right_noetherian(h, strong=False):
+    """finite-forward-orbit-criterion.  A stabilized idealizer R is right
+    noetherian exactly when every forward sigma-orbit meets Z finitely
+    often (Rogalski's point case, J. Algebra 2004).  Finite sampled orbits
+    are known to the horizon only.  A sampled orbit that returns along a
+    cycle refutes the row without reading the stabilization: to Z when J is
+    empty, or to the moving part W when a power of sigma fixes J, since R is
+    then a finite module over an idealizer at W.  So does an unstable scene
+    whose J no power of sigma fixes, from the components alone: a noetherian
+    section ring forces some power to fix J as a scheme.  A degenerate scene
+    reads "yes" under this key, though it argues by finiteness over a
+    subring (`_premise`).
+
+    With strong, the strongly-right row (strong-right-equals-right-for-
+    idealizers): for an idealizer the two properties coincide, so it takes
+    this verdict and evidence, with its own detail."""
+    if premise := _premise(h, strong):
+        return premise
+    unstable, comp, cycle = h.stabilization == "unstable", h.components, h.cycle
+    if unstable and _fixed_part(comp) == "never":
+        offender = next(r for r in comp.components
+                        if r.radical_order.order is not None
+                        and r.scheme_order.order is None)
+        return _Ruling(
+            "no", "a noetherian section ring forces some power of sigma to fix the "
+            "finite-order part of Z as a scheme", ("components",),
+            f"component V({offender.component.gens_text()}) has finite-order "
+            f"support (order {offender.radical_order.order}) but no power of sigma "
+            f"fixes the component scheme ({offender.scheme_order.justification})")
+    if unstable and h.orbits is None:
+        return _Ruling("inconclusive", "Z has no moving part: every component has "
+                       "finite-order support", STAB)
+    target = "the moving part" if unstable else "Z"
+    if cycle is not None and (unstable or _fixed_part(comp) == "empty"):
+        same = "refuted through the same orbit" + (
+            "" if unstable else "; the strong property implies the plain one")
+        return _Ruling(
+            "no", same if strong else f"a sampled point returns to {target} along a cycle",
+            ("components",), f"forward orbit of {cycle.point} meets {target} "
+            f"infinitely often (period {cycle.period})")
+    n = len(h.orbits)
+    if unstable and n:
+        return _Ruling("yes", f"{n} sampled orbit(s) meet the moving part finitely "
+                       "often; the predicate is sampled only", ("components", "orbits"))
+    if unstable:
+        return _Ruling("inconclusive", "no sample points declared for the moving part",
+                       ("orbits",))
+    if cycle is not None:
+        verdict, detail = "no", (f"forward orbit of {cycle.point} meets Z infinitely "
+                                 "often, but without a component split the hit "
+                                 "component cannot be identified")
+    elif not n:
+        verdict, detail = "inconclusive", ("no sample points declared; the "
+                                           "forward-orbit predicate was not sampled")
+    elif any(r.verdict == "inconclusive" for r in h.orbits):
+        verdict, detail = "inconclusive", (f"{n} sampled orbit(s); at least one scan "
+                                           "ends at the horizon without a "
+                                           "completeness bound")
+    else:
+        complete = sum(r.verdict == "certified-finite" for r in h.orbits)
+        verdict, detail = "yes", (f"{n} sampled forward orbit(s) meet Z finitely "
+                                  f"often ({complete} with completeness bounds); the "
+                                  "predicate quantifies over all points and is "
+                                  "sampled only")
+    if strong:
+        detail += "; the two right-noetherian properties coincide for stabilized idealizers"
+    return _Ruling(verdict, detail, ("stabilization", "orbits"))
+
+
+def _left_noetherian(h):
+    """critical-transversality-left-noetherian.  A stabilized idealizer R is
+    left noetherian exactly when Z is homologically transverse to every
+    reduced sigma-invariant subscheme (the `ct-cert` certificate).  On an
+    unstable scene whose J no power of sigma fixes, the colon exceeds I in
+    every degree checked, so R needs a fresh generator in each, while a left
+    noetherian connected graded algebra is finitely generated.  A degenerate
+    scene reads "yes" under this key, though it argues by finiteness over a
+    subring (`_premise`)."""
+    if premise := _premise(h):
+        return premise
+    if h.stabilization == "unstable":
+        return _left_of_unstable(
+            h, "the colon strictly exceeds the ideal of Z at every degree through "
+            f"{h.horizon}: the section ring needs a fresh generator in each such "
+            "degree, while a left noetherian connected graded algebra is finitely "
+            "generated")
+    ct = h.ct
+    if ct.status == "certified":
+        return _Ruling("yes", f"Z is homologically transverse to all {ct.checked} "
+                       "invariant coordinate-subspace families", ("stabilization", "ct"))
+    if ct.status == "refuted":
+        witness = (f"invariant subscheme V({ct.witness_ideal.gens_text()}) is not "
+                   f"homologically transverse to Z (Tor_{ct.witness_j} survives "
+                   "in high degree)")
+        detail = "an invariant subscheme obstructs transversality"
+        return _Ruling("no", detail, ("stabilization", "ct"), witness,
+                       f"{detail} ({witness}); {HORIZON_TESTED}")
+    return _Ruling("inconclusive", f"no transversality certificate: {ct.reason}")
+
+
+def _strongly_left_noetherian(h):
+    """pure-codimension-one-and-transversality.  R is strongly left
+    noetherian only when it is left noetherian and Z has pure codimension
+    1, and the two together suffice.  A degenerate scene reads "yes" under
+    this key, though it argues that finite extensions of the strongly
+    noetherian twisted coordinate ring stay strongly noetherian
+    (`_premise`)."""
+    if premise := _premise(h, strong=True):
+        return premise
+    if h.stabilization == "unstable":
+        return _left_of_unstable(h, "follows from the left-noetherian failure")
+    ct, offending = h.ct, _offending(h)
+    if offending is not None:
+        witness = (f"component V({offending.prime.gens_text()}) has codimension "
+                   f"{offending.codimension} > 1")
+        return _Ruling("no", "strong left noetherian needs Z of pure codimension 1",
+                       ("stabilization", "components"), witness,
+                       f"{witness}; {HORIZON_TESTED}")
+    if ct.status == "refuted":
+        return _Ruling("no", "refuted through the left-noetherian obstruction",
+                       ("stabilization", "ct"), "not left noetherian: invariant "
+                       f"subscheme V({ct.witness_ideal.gens_text()}) obstructs "
+                       "transversality")
+    if h.components is not None and ct.status == "certified":
+        return _Ruling("yes", "Z has pure codimension 1 and the transversality "
+                       "certificate holds", ("stabilization", "components", "ct"))
+    return _Ruling("inconclusive", "needs both a component split and a "
+                   "transversality certificate")
+
+
+def _fails_left_chi_1(h):
+    """idealizer-ext1-growth.  For a stabilized idealizer, B/R is
+    infinite-dimensional and embeds into a first Ext group of the scalars
+    on the left, so R fails left chi_1."""
+    return _not_stable(h) or _Ruling(
+        "yes", "the coordinate ring modulo the idealizer is infinite-dimensional "
+        "and embeds into a first Ext group against the scalars", STAB)
+
+
+def _right_chi_levels(h):
+    """codimension-chi-threshold.  For a transverse Z of codimension c that
+    is zero-dimensional or declared Gorenstein, the row reads "satisfies
+    right chi_(c-1), fails right chi_c".  The paper's abstract states
+    "satisfies right chi_d (d = codim Z)": which statement the row
+    implements, Rogalski's point case or a chi_(d-1) reading, is an open
+    mismatch, and the row stays as it is until that is settled."""
+    if na := _not_stable(h):
+        return na
+    ct, c = h.ct, h.codim
+    if ct.status != "certified":
+        return _Ruling("inconclusive", f"transversality undecided ({ct.status}); "
+                       "chi levels not evaluated")
+    if h.chi_basis is None:
+        return _Ruling("inconclusive", f"fails right chi_{c} (codimension {c}, smooth "
+                       "ambient space); the lower level needs a declared Gorenstein "
+                       "structure on Z")
+    return _Ruling("yes", f"satisfies right chi_{c - 1}, fails right chi_{c} "
+                   f"(codimension {c}, {h.chi_basis})", ("stabilization", "ct"))
+
+
+def _finite_cohomological_dimension(h):
+    """subscheme-homological-dimension-criterion.  R has finite right
+    cohomological dimension when the subscheme sheaf of Z has finite
+    homological dimension, as it does over a regular ambient space, and
+    finite left cohomological dimension always.  Over an ambient quotient
+    the Tor probe at one point samples the homological dimension through
+    PROBE_J_MAX.  A degenerate scene with R = B from degree 1 has finite
+    codimension in the twisted coordinate ring, and reads "yes" under this
+    key by that finiteness; with its first unit colon at n > 1 the
+    codimension is infinite, and the row is not evaluated."""
+    probe, n = h.probe, h.degree
+    if isinstance(probe, str):
+        return _Ruling("inconclusive", probe)
+    if probe is not None and probe.infinite_hd_evidence:
+        return _Ruling(
+            "no", "Tor against the probe point survives through homological degree "
+            f"{PROBE_J_MAX}: evidence that the subscheme sheaf has infinite "
+            "homological dimension over the quotient, so the right side has "
+            "infinite cohomological dimension; the left side stays finite", ("probe",))
+    if probe is not None:
+        first_zero = next((j for j in sorted(probe.verdicts) if not probe.verdicts[j]), None)
+        return _Ruling("yes", "Tor against the probe point dies at homological degree "
+                       f"{first_zero}: the subscheme sheaf shows finite homological "
+                       "dimension over the quotient", ("probe",))
+    if h.stabilization == "degenerate" and n == 1:
+        return _Ruling("yes", "finite on both sides: the ring has finite codimension "
+                       "in the twisted coordinate ring of a regular ambient space", STAB)
+    if h.stabilization == "degenerate":
+        # the colon is the unit ideal exactly where sigma^n fixes Z; at every
+        # other n it is a proper saturated ideal, whose degree-n piece is proper
+        return _Ruling("inconclusive", f"R_n is a proper subspace of B_n whenever {n} "
+                       "does not divide n, so the ring has infinite codimension in the "
+                       "twisted coordinate ring; whether finite cohomological "
+                       "dimension passes to it from the subring in degrees divisible "
+                       f"by {n} is not checked")
+    return _not_stable(h) or _Ruling(
+        "yes", "finite on both sides: the ambient space is regular, so the subscheme "
+        "sheaf has a finite resolution; the left side equals the ambient dimension",
+        STAB)
+
+
+def _tensor_square_not_left_noetherian(h):
+    """segre-product-obstruction.  When Z has a component of codimension
+    >= 2, the Segre square of R idealizes a subscheme with the same defect,
+    so it is not left noetherian."""
+    if na := _not_stable(h):
+        return na
+    offending = _offending(h)
+    if offending is not None:
+        return _Ruling("yes", f"Z has a component of codimension {offending.codimension} "
+                       ">= 2, so the Segre square idealizes a subscheme with the same "
+                       "defect", ("stabilization", "components"))
+    return _Ruling("inconclusive", "no component split available" if h.components is None
+                   else "the Segre-square criterion applies only when Z is not of "
+                   "pure codimension 1")
+
+
+_RULES = dict(zip(PREDICATES, (
+    _right_noetherian, partial(_right_noetherian, strong=True), _left_noetherian,
+    _strongly_left_noetherian, _fails_left_chi_1, _right_chi_levels,
+    _finite_cohomological_dimension, _tensor_square_not_left_noetherian,
+)))
 
 
 def classify(scene: IdealizerScene, *, sample_points: tuple = (),
              horizon: int = 20, order_bound: int = 12,
              ambient_quotient: HomIdeal | None = None) -> ClassificationReport:
-    """Assemble the eight-row verdict table for a scene.
+    """Assemble the eight-row verdict table for a scene: its hypotheses,
+    computed once, then one rule per predicate.
 
     Declared sample points feed the forward-orbit sampling of the
     right-noetherian predicate.  When an ambient quotient is supplied the
@@ -357,367 +833,6 @@ def classify(scene: IdealizerScene, *, sample_points: tuple = (),
     the remaining rows are reported not-applicable rather than evaluated
     over the wrong coordinate ring.
     """
-    if ambient_quotient is not None and not ambient_quotient.is_zero_ideal():
-        return _classify_over_quotient(scene, ambient_quotient, sample_points)
-
-    notes: list[str] = []
-    stab = stabilization_degree(scene, horizon)
-    try:
-        comp = component_analysis(scene, order_bound)
-    except UsageError as exc:
-        comp = None
-        notes.append(f"component analysis unavailable: {exc}")
-
-    if stab.degenerate:
-        return _classify_degenerate(scene, stab, notes)
-    if stab.stabilized:
-        return _classify_stable(scene, stab, comp, sample_points, horizon, notes)
-    return _classify_unstable(scene, stab, comp, sample_points, horizon, notes)
-
-
-# -- degenerate branch: some colon is the unit ideal ------------------------
-
-def _classify_degenerate(scene, stab, notes) -> ClassificationReport:
-    n_unit = stab.table.index("unit") + 1
-    flags = (
-        "fixed-part present",
-        f"degenerate: W = X behavior (the colon is the unit ideal at degree {n_unit})",
-    )
-    agrees = (f"Z is fixed by sigma^{n_unit}: the section ring agrees with the "
-              "full twisted coordinate ring in every degree divisible by "
-              f"{n_unit}, and is a finite module over that subring")
-    strong = ("finite extensions of the strongly noetherian twisted coordinate "
-              "ring of projective space remain strongly noetherian")
-    na = ("the scene degenerates to the twisted coordinate ring in large "
-          "degree; idealizer-specific predicates are not evaluated")
-    if n_unit == 1:
-        cohdim = _row("finite-cohomological-dimension", "yes",
-                      "finite on both sides: the ring has finite codimension in "
-                      "the twisted coordinate ring of a regular ambient space",
-                      "certified")
-    else:
-        # the colon is the unit ideal exactly where sigma^n fixes Z; at every
-        # other n it is a proper saturated ideal, whose degree-n piece is proper
-        cohdim = _row("finite-cohomological-dimension", "inconclusive",
-                      f"R_n is a proper subspace of B_n whenever {n_unit} does not "
-                      "divide n, so the ring has infinite codimension in the "
-                      "twisted coordinate ring; whether finite cohomological "
-                      "dimension passes to it from the subring in degrees "
-                      f"divisible by {n_unit} is not checked", "not-applicable")
-    rows = (
-        _row("right-noetherian", "yes", agrees, "certified"),
-        _row("strongly-right-noetherian", "yes", strong, "certified"),
-        _row("left-noetherian", "yes", agrees, "certified"),
-        _row("strongly-left-noetherian", "yes", strong, "certified"),
-        _row("fails-left-chi-1", "inconclusive", na, "not-applicable"),
-        _row("right-chi-levels", "inconclusive", na, "not-applicable"),
-        cohdim,
-        _row("tensor-square-not-left-noetherian", "inconclusive", na,
-             "not-applicable"),
-    )
-    return ClassificationReport(rows, flags, tuple(notes))
-
-
-# -- stable branch: the colon equals the ideal from some degree on ----------
-
-def _classify_stable(scene, stab, comp, sample_points, horizon, notes) -> ClassificationReport:
-    ct = critical_transversality_certificate(scene)
-    reports, infinite_rep = _sample_orbits(scene.sigma, scene.ideal,
-                                           sample_points, horizon)
-
-    single_point = (comp is not None and len(comp.components) == 1
-                    and comp.source in ("point", "declared")
-                    and reduced_point_of(comp.components[0].component) is not None)
-    assnot_certified = (single_point
-                        and comp.components[0].radical_order.certified_infinite)
-    if assnot_certified:
-        notes.append(
-            "colon stabilization holds in every positive degree: Z is a single "
-            "rational point whose support never returns "
-            f"({comp.components[0].radical_order.justification})"
-        )
-    else:
-        notes.append(
-            f"colon equals the ideal of Z from degree {stab.n0} through {stab.bound}; "
-            "degrees beyond the bound are unverified"
-        )
-
-    def grounded(pred, verdict, detail):
-        if assnot_certified:
-            return _row(pred, verdict, detail, "certified")
-        return _row(pred, verdict, detail, "heuristic", horizon=horizon)
-
-    def obstructed(pred, detail, witness, heuristic_detail):
-        if assnot_certified:
-            return _row(pred, "no", detail, "refuted", witness=witness)
-        return _row(pred, "no", heuristic_detail, "heuristic", horizon=horizon)
-
-    # right-noetherian (and its strong twin)
-    if infinite_rep is not None and comp is not None and comp.J_ideal is None:
-        witness = (f"forward orbit of {infinite_rep.point} meets Z infinitely "
-                   f"often (period {infinite_rep.period})")
-        right = _right_rows("no", "a sampled point returns to Z along a cycle",
-                            "refuted", "refuted through the same orbit; the "
-                            "strong property implies the plain one",
-                            witness=witness)
-    else:
-        if infinite_rep is not None:
-            verdict = "no"
-            detail = (f"forward orbit of {infinite_rep.point} meets Z infinitely "
-                      "often, but without a component split the hit component "
-                      "cannot be identified")
-        elif not reports:
-            verdict = "inconclusive"
-            detail = "no sample points declared; the forward-orbit predicate was not sampled"
-        elif any(r.verdict == "inconclusive" for r in reports):
-            verdict = "inconclusive"
-            detail = (f"{len(reports)} sampled orbit(s); at least one scan ends "
-                      "at the horizon without a completeness bound")
-        else:
-            complete = sum(r.verdict == "certified-finite" for r in reports)
-            verdict = "yes"
-            detail = (f"{len(reports)} sampled forward orbit(s) meet Z finitely "
-                      f"often ({complete} with completeness bounds); the "
-                      "predicate quantifies over all points and is sampled only")
-        right = _right_rows(verdict, detail, "heuristic",
-                            detail + "; the two right-noetherian properties "
-                            "coincide for stabilized idealizers", horizon=horizon)
-
-    # left-noetherian
-    if ct.status == "certified":
-        left = grounded("left-noetherian", "yes",
-                        f"Z is homologically transverse to all {ct.checked} "
-                        "invariant coordinate-subspace families")
-    elif ct.status == "refuted":
-        witness = (f"invariant subscheme V({ct.witness_ideal.gens_text()}) is not "
-                   f"homologically transverse to Z (Tor_{ct.witness_j} survives "
-                   "in high degree)")
-        left = obstructed("left-noetherian",
-                          "an invariant subscheme obstructs transversality", witness,
-                          f"an invariant subscheme obstructs transversality ({witness}); "
-                          "colon stabilization itself is horizon-tested")
-    else:
-        left = _row("left-noetherian", "inconclusive",
-                    f"no transversality certificate: {ct.reason}",
-                    "not-applicable")
-
-    # strongly-left-noetherian
-    offending = None
-    if comp is not None:
-        offending = next((r for r in comp.components if r.codimension >= 2), None)
-    if offending is not None:
-        witness = (f"component V({offending.prime.gens_text()}) has codimension "
-                   f"{offending.codimension} > 1")
-        strong_left = obstructed("strongly-left-noetherian",
-                                 "strong left noetherian needs Z of pure "
-                                 "codimension 1", witness,
-                                 f"{witness}; colon stabilization itself is "
-                                 "horizon-tested")
-    elif ct.status == "refuted":
-        witness = (f"not left noetherian: invariant subscheme "
-                   f"V({ct.witness_ideal.gens_text()}) obstructs transversality")
-        detail = "refuted through the left-noetherian obstruction"
-        strong_left = obstructed("strongly-left-noetherian", detail, witness, detail)
-    elif comp is not None and ct.status == "certified":
-        strong_left = grounded("strongly-left-noetherian", "yes",
-                               "Z has pure codimension 1 and the transversality "
-                               "certificate holds")
-    else:
-        strong_left = _row("strongly-left-noetherian", "inconclusive",
-                           "needs both a component split and a transversality "
-                           "certificate", "not-applicable")
-
-    # fails left chi_1
-    chi1 = grounded("fails-left-chi-1", "yes",
-                    "the coordinate ring modulo the idealizer is infinite-"
-                    "dimensional and embeds into a first Ext group against the "
-                    "scalars")
-
-    # right chi levels
-    c = codimension(scene.ideal)
-    zero_dim = c == scene.d
-    if ct.status == "certified" and (scene.gorenstein_z or zero_dim):
-        basis = "zero-dimensional Z" if zero_dim else "declared Gorenstein Z"
-        chi_r = grounded("right-chi-levels", "yes",
-                         f"satisfies right chi_{c - 1}, fails right chi_{c} "
-                         f"(codimension {c}, {basis})")
-    elif ct.status == "certified":
-        chi_r = _row("right-chi-levels", "inconclusive",
-                     f"fails right chi_{c} (codimension {c}, smooth ambient "
-                     "space); the lower level needs a declared Gorenstein "
-                     "structure on Z", "not-applicable")
-    else:
-        chi_r = _row("right-chi-levels", "inconclusive",
-                     f"transversality undecided ({ct.status}); chi levels not "
-                     "evaluated", "not-applicable")
-
-    # cohomological dimension
-    cohdim = grounded("finite-cohomological-dimension", "yes",
-                      "finite on both sides: the ambient space is regular, so the "
-                      "subscheme sheaf has a finite resolution; the left side "
-                      "equals the ambient dimension")
-
-    # tensor square
-    if offending is not None:
-        tensor = grounded("tensor-square-not-left-noetherian", "yes",
-                          f"Z has a component of codimension {offending.codimension} "
-                          ">= 2, so the Segre square idealizes a subscheme with the "
-                          "same defect")
-    elif comp is not None:
-        tensor = _row("tensor-square-not-left-noetherian", "inconclusive",
-                      "the Segre-square criterion applies only when Z is not of "
-                      "pure codimension 1", "not-applicable")
-    else:
-        tensor = _row("tensor-square-not-left-noetherian", "inconclusive",
-                      "no component split available", "not-applicable")
-
-    rows = right + (left, strong_left, chi1, chi_r, cohdim, tensor)
-    return ClassificationReport(rows, (), tuple(notes))
-
-
-# -- unstable branch: the colon keeps exceeding the ideal -------------------
-
-def _classify_unstable(scene, stab, comp, sample_points, horizon, notes) -> ClassificationReport:
-    def uniform(verdict, detail):
-        return tuple(_row(p, verdict, detail, "heuristic", horizon=horizon)
-                     for p in PREDICATES[:4])
-
-    extra = ()
-    if comp is None:
-        flags = (NOT_FINITELY_GENERATED,)
-        rows = uniform("no", "the colon strictly exceeds the ideal of Z at every "
-                       "computed degree and no component split is available")
-    elif comp.J_ideal is None:
-        # moving components only, yet the colon has not settled: the horizon
-        # is simply too small to see the stable range
-        flags = ()
-        extra = (f"colon not yet stabilized at horizon {horizon}; every component "
-                 "has moving support, so a larger horizon may settle the table",)
-        rows = uniform("inconclusive",
-                       f"colon still exceeds the ideal at degree {horizon}")
-    elif comp.J_fixed.certified_infinite:
-        # the finite-order part is never fixed as a scheme
-        offender = next(r for r in comp.components
-                        if r.radical_order.order is not None
-                        and r.scheme_order.order is None)
-        witness = (f"component V({offender.component.gens_text()}) has "
-                   f"finite-order support (order {offender.radical_order.order}) "
-                   "but no power of sigma fixes the component scheme "
-                   f"({offender.scheme_order.justification})")
-        flags = (NOT_FINITELY_GENERATED,)
-        detail_r = ("a noetherian section ring forces some power of sigma "
-                    "to fix the finite-order part of Z as a scheme")
-        rows = _right_rows("no", detail_r, "refuted", detail_r, witness=witness) + (
-            _row("left-noetherian", "no",
-                 "the colon strictly exceeds the ideal of Z at every degree "
-                 f"through {horizon}: the section ring needs a fresh "
-                 "generator in each such degree, while a left noetherian "
-                 "connected graded algebra is finitely generated",
-                 "heuristic", horizon=horizon),
-            _row("strongly-left-noetherian", "no",
-                 "follows from the left-noetherian failure", "heuristic",
-                 horizon=horizon),
-        )
-    elif comp.J_fixed.order is None:
-        # order bound exhausted without a certificate
-        flags = (NOT_FINITELY_GENERATED,)
-        rows = uniform("no", "the colon strictly exceeds the ideal of Z at every "
-                       f"degree through {horizon}, and no power of sigma up to "
-                       f"{comp.order_bound} fixes the finite-order part")
-    else:
-        # fixed part plus moving part: the ring reduces to an idealizer at
-        # the moving part, which this engine does not re-run
-        flags = ("fixed-part present",)
-        k = comp.J_fixed.order
-        # every support may have finite order while the colon still moves
-        # ((I : I^(sigma^n)) is the unit ideal when sigma^n fixes Z): then
-        # there is no moving part to sample orbits against or reduce to
-        no_w = comp.W_ideal is None
-        extra = ((f"sigma^{k} fixes the finite-order part J, which is all of Z: "
-                  "there is no moving part W, and the colon is the unit ideal "
-                  f"in every degree divisible by {k}",) if no_w else
-                 (f"sigma^{k} fixes the finite-order part J; the section ring is "
-                  "a finite module over an idealizer at the moving part W",))
-        reports, infinite_rep = (
-            ([], None) if no_w
-            else _sample_orbits(scene.sigma, comp.W_ideal, sample_points, horizon))
-        if infinite_rep is not None:
-            witness = (f"forward orbit of {infinite_rep.point} meets the "
-                       f"moving part infinitely often (period {infinite_rep.period})")
-            rows = _right_rows("no", "a sampled point returns to the moving part "
-                               "along a cycle", "refuted",
-                               "refuted through the same orbit", witness=witness)
-        elif reports:
-            det = (f"{len(reports)} sampled orbit(s) meet the moving part "
-                   "finitely often; the predicate is sampled only")
-            rows = _right_rows("yes", det, "heuristic", det, horizon=horizon)
-        else:
-            det = ("Z has no moving part: every component has finite-order support"
-                   if no_w else "no sample points declared for the moving part")
-            rows = _right_rows("inconclusive", det, "heuristic", det,
-                               horizon=horizon)
-        not_rerun = ("Z has no moving part to reduce to, and the degrees where "
-                     "the colon is the unit ideal lie past the horizon" if no_w
-                     else "the reduction to the moving part is not re-run")
-        rows += (_row("left-noetherian", "inconclusive", not_rerun, "not-applicable"),
-                 _row("strongly-left-noetherian", "inconclusive", not_rerun,
-                      "not-applicable"))
-
-    na_detail = ("the colon does not stabilize; predicates assuming a "
-                 "stabilized idealizer are not evaluated")
-    rows += tuple(_row(p, "inconclusive", na_detail, "not-applicable")
-                  for p in PREDICATES[4:])
-    return ClassificationReport(rows, flags, tuple(notes) + extra)
-
-
-# -- ambient quotient branch: only the cohdim probe runs --------------------
-
-def _classify_over_quotient(scene, quotient, sample_points) -> ClassificationReport:
-    notes = ["an ambient quotient was supplied: rows other than the "
-             "cohomological-dimension probe are not evaluated over a proper "
-             "quotient"]
-
-    point = reduced_point_of(scene.ideal)
-    if point is not None:
-        p_ideal = scene.ideal
-    elif sample_points:
-        p_ideal = sample_points[0].ideal(scene.ring)
-    else:
-        p_ideal = None
-
-    if p_ideal is None:
-        probe = _row("finite-cohomological-dimension", "inconclusive",
-                     "no probe point available: Z is not a single point and no "
-                     "sample point was declared", "not-applicable")
-    else:
-        try:
-            rep = truncated_tor_over_quotient(quotient, scene.ideal, p_ideal,
-                                              j_max=PROBE_J_MAX)
-        except (UsageError, SceneVerificationError) as exc:
-            probe = _row("finite-cohomological-dimension", "inconclusive",
-                         f"probe rejected: {exc}", "not-applicable")
-        else:
-            if rep.infinite_hd_evidence:
-                probe = _row(
-                    "finite-cohomological-dimension", "no",
-                    "Tor against the probe point survives through homological "
-                    f"degree {PROBE_J_MAX}: evidence that the subscheme sheaf "
-                    "has infinite homological dimension over the quotient, so "
-                    "the right side has infinite cohomological dimension; the "
-                    "left side stays finite", "heuristic", horizon=PROBE_J_MAX)
-            else:
-                first_zero = next((j for j in sorted(rep.verdicts)
-                                   if not rep.verdicts[j]), None)
-                probe = _row(
-                    "finite-cohomological-dimension", "yes",
-                    "Tor against the probe point dies at homological degree "
-                    f"{first_zero}: the subscheme sheaf shows finite "
-                    "homological dimension over the quotient", "heuristic",
-                    horizon=PROBE_J_MAX)
-
-    na = ("classification rows are evaluated over the full polynomial "
-          "coordinate ring only")
-    rows = tuple(probe if p == "finite-cohomological-dimension"
-                 else _row(p, "inconclusive", na, "not-applicable")
-                 for p in PREDICATES)
-    return ClassificationReport(rows, (), tuple(notes))
+    h = _hypotheses(scene, sample_points, horizon, order_bound, ambient_quotient)
+    rows = tuple(_row(p, rule(h), h) for p, rule in _RULES.items())
+    return ClassificationReport(rows, h.flags, h.notes)

@@ -4,8 +4,15 @@ The sigma-order engine is checked against hand-derived orders on all three
 certificate routes (eigenclass, unipotent, finite matrix group); the verdict
 table is pinned row-for-row on the moving-point, fat-point, degenerate, and
 quotient-probe scenes, and as rendered text on the unstable and stable
-regimes that no shipped scene reaches.
+regimes that no shipped scene reaches.  The hypotheses record of each
+shipped and curve scene is pinned, and every rule is checked against the
+weakest-link rule over records whose fields are certified, heuristic at
+some horizon, or absent.
 """
+
+import itertools
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,15 +24,19 @@ from geomideal.classify import (
     CITATIONS,
     EVIDENCE_KINDS,
     PREDICATES,
+    PROBE_J_MAX,
     ClassificationRow,
     Evidence,
-    _fixed_by_power,
+    _hypotheses,
+    _PowerScan,
+    _row,
+    _RULES,
     classify,
     component_analysis,
     reduced_point_of,
     sigma_ideal_order,
 )
-from geomideal.cli import render_text, report_to_records
+from geomideal.cli import parse_scene, render_text, report_to_records
 from geomideal.fields import QQ, PrimeField
 from geomideal.geometry import RationalPoint
 from geomideal.idealizer import IdealizerScene, idealizer_hilbert, stabilization_degree
@@ -230,7 +241,7 @@ def test_fixed_by_power_agrees_with_ideal_equality(data):
                          for m in chosen), ring.zero()))
     I = HomIdeal(ring, gens)
     n = data.draw(st.integers(1, 6))
-    assert _fixed_by_power(I, sigma, n) == ideal_equal(sigma.pullback_ideal(I, n), I)
+    assert _PowerScan(I, sigma).fixes(n) == ideal_equal(sigma.pullback_ideal(I, n), I)
 
 
 def test_order_prime_field_beyond_bound_uses_group_order():
@@ -994,3 +1005,225 @@ def test_quotient_probe_rejects_off_curve_point():
     row = rep.row("finite-cohomological-dimension")
     assert row.evidence.kind == "not-applicable"
     assert "probe rejected" in row.detail
+
+
+# ---------------------------------------------------------------------------
+# the hypotheses record and the weakest-link rule
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCENE_FILES = {p.stem: p for p in sorted((ROOT / "scenes").glob("*.scene"))
+               + sorted((ROOT / "scenes" / "curves").glob("*.scene"))}
+
+FIELDS = ("stabilization", "ct", "orbits", "components", "probe")
+
+
+def made_scenes():
+    """(scene, sample points, horizon, order bound, ambient quotient) of
+    every regime the classify tests above reach beside the shipped and
+    curve scenes: each W/J case of an unstable scene, a stable scene whose
+    transversality is refuted, a transverse hyperplane, a sampled cycle
+    with and without a component split, a degenerate scene with its first
+    unit colon at 2, and each outcome of the quotient probe."""
+    tri = ProjAutomorphism.from_strings(RQ, [["1", "1", "0"], ["0", "2", "0"], ["0", "0", "1"]])
+    diag112 = ProjAutomorphism.diagonal(RQ, ["1", "1", "2"])
+    fixed, moving, fat = ideal("x1"), ideal("x0 - x2"), ideal("x0", "x1^2")
+    r7 = PolyRing(PrimeField(7), 3)
+    shear = ProjAutomorphism.from_strings(r7, [["1", "0", "0"], ["0", "1", "6"], ["0", "0", "1"]])
+    on_line, off = pt("[1:1:0]").ideal(RQ), pt("[1:2:3]").ideal(RQ)
+    plane = ideal("x0 + x1 + x2")
+
+    def fixed_and_moving(*samples):
+        return (IdealizerScene(RQ, diag112, intersect(fixed, moving),
+                               declared_components=((fixed, None), (moving, None))),
+                tuple(pt(s) for s in samples), 8, 6, None)
+
+    return {
+        "no-split": (IdealizerScene(RQ, SIGMA, ideal(*FAT_GENS)), (), 8, 6, None),
+        "moving-only": (orbit_chain_scene(), (), 3, 4, None),
+        "bound-exhausted": (IdealizerScene(RQ, tri, fat, declared_components=((fat, None),)),
+                            (), 6, 3, None),
+        "no-moving-part": (IdealizerScene(r7, shear, ideal("x0*x1", ring=r7)), (), 5, 1, None),
+        "cycle-to-w": fixed_and_moving("[1:2:3]", "[0:1:0]"),
+        "finite-to-w": fixed_and_moving("[1:2:3]"),
+        "unsampled-w": fixed_and_moving(),
+        "hyperplane": (IdealizerScene(RQ, SIGMA, plane, declared_components=((plane, None),)),
+                       (), 12, 12, None),
+        "two-points": (IdealizerScene(RQ, SIGMA, intersect(on_line, off),
+                                      declared_components=((on_line, None), (off, None))),
+                       (pt("[1:1:1]"),), 8, 6, None),
+        "cycle-to-z": (IdealizerScene(RQ, diag112, moving, declared_components=((moving, moving),)),
+                       (pt("[0:1:0]"),), 10, 6, None),
+        "cycle-unsplit": (IdealizerScene(RQ, SIGMA, ideal("x0*x1 - x2^2 + x1*x2")),
+                          (pt("[1:0:0]"),), 6, 6, None),
+        "degenerate-2": (IdealizerScene(RQ, ProjAutomorphism.diagonal(RQ, ["1", "-1", "1"]),
+                                        ideal("x0 - x2", "x1 - x2")), (), 6, 6, None),
+        "probe-smooth": (IdealizerScene(RQ, SIGMA, ideal("x0 - x2", "x1 - x2")), (), 6, 6,
+                         ideal(CUBIC)),
+        "probe-no-point": (IdealizerScene(RQ, SIGMA, ideal("x0")), (), 6, 6, ideal(CUBIC)),
+        "probe-rejected": (IdealizerScene(RQ, SIGMA, ideal("x0 - x2", "x1 - 2*x2")), (), 6, 6,
+                           ideal(CUBIC)),
+    }
+
+
+def hypotheses_of(name):
+    if name in SCENE_FILES:
+        sf = parse_scene(SCENE_FILES[name].read_text())
+        return _hypotheses(sf.scene(), sf.points, sf.horizon, sf.order_bound, sf.quotient)
+    return _hypotheses(*made_scenes()[name])
+
+
+def strengths(h):
+    """Every assignment of a strength to the fields the record holds:
+    certified (no horizon) or heuristic at horizon 4 or 9; absent fields
+    stay absent.  The producer certifies only a degenerate or stable
+    stabilization, the transversality certificate and the component
+    analysis, and a refutation resting on the other fields has no witness
+    to show yet, so those fields vary over horizons only."""
+    present = [f for f in FIELDS if getattr(h, f) is not None]
+    certifiable = {"ct", "components"}
+    if h.stabilization != "unstable":
+        certifiable.add("stabilization")
+    choices = [(None, 4, 9) if f in certifiable else (4, 9) for f in present]
+    for picked in itertools.product(*choices):
+        yield replace(h, horizons=tuple((f, s) for f, s in zip(present, picked) if s is not None))
+
+
+def weakest_link(h, verdict, reads):
+    """(evidence kind, horizon) of a ruling that reads the given fields."""
+    if reads is None:
+        return "not-applicable", None
+    links = [h.strength(f) for f in reads if h.strength(f) is not None]
+    if links:
+        return "heuristic", min(links)
+    return ("refuted" if verdict == "no" else "certified"), None
+
+
+@pytest.mark.parametrize("name,predicate,horizons,expected", [
+    # strong left reads the stabilization and the components
+    ("moving_point", "strongly-left-noetherian", {}, ("refuted", None)),
+    ("moving_point", "strongly-left-noetherian", {"stabilization": 9}, ("heuristic", 9)),
+    ("moving_point", "strongly-left-noetherian", {"stabilization": 9, "components": 4},
+     ("heuristic", 4)),
+    ("moving_point", "strongly-left-noetherian", {"orbits": 4}, ("refuted", None)),
+    # left reads the stabilization and the certificate
+    ("moving_point", "left-noetherian", {"ct": 4}, ("heuristic", 4)),
+    ("tc3", "left-noetherian", {"stabilization": 8}, ("heuristic", 8)),
+    ("tc3", "left-noetherian", {}, ("refuted", None)),
+    ("p1_shear", "left-noetherian", {"stabilization": 10}, ("not-applicable", None)),
+    # the sampled orbits bound the right rows below any stabilization
+    ("moving_point", "right-noetherian", {"orbits": 12}, ("heuristic", 12)),
+    ("moving_point", "strongly-right-noetherian", {"orbits": 12, "stabilization": 4},
+     ("heuristic", 4)),
+    ("moving_point", "fails-left-chi-1", {"orbits": 12}, ("certified", None)),
+    ("moving_point", "right-chi-levels", {"ct": 4, "stabilization": 9}, ("heuristic", 4)),
+    # the degenerate rows read the stabilization alone
+    ("identity_line", "strongly-right-noetherian", {}, ("certified", None)),
+    ("identity_line", "left-noetherian", {"stabilization": 9, "components": 4},
+     ("heuristic", 9)),
+    # the two refutations that do not read the stabilization
+    ("cycle-to-z", "right-noetherian", {"stabilization": 9, "orbits": 9}, ("refuted", None)),
+    ("cycle-to-z", "right-noetherian", {"components": 4}, ("heuristic", 4)),
+    ("cycle-to-w", "strongly-right-noetherian", {"stabilization": 8, "orbits": 8},
+     ("refuted", None)),
+    ("fat_point", "right-noetherian", {"stabilization": 8}, ("refuted", None)),
+    ("fat_point", "right-noetherian", {"components": 4}, ("heuristic", 4)),
+    ("fat_point", "left-noetherian", {"stabilization": 8, "components": 4}, ("heuristic", 8)),
+    # a cycle without a component split stays below the sample's horizon
+    ("cycle-unsplit", "right-noetherian", {"orbits": 6}, ("heuristic", 6)),
+    # the probe is known to the homological degree it reached
+    ("cusp_probe", "finite-cohomological-dimension", {"probe": PROBE_J_MAX},
+     ("heuristic", PROBE_J_MAX)),
+    ("probe-smooth", "finite-cohomological-dimension", {"probe": 4}, ("heuristic", 4)),
+    ("probe-rejected", "finite-cohomological-dimension", {"probe": 4},
+     ("not-applicable", None)),
+])
+def test_weakest_link_table(name, predicate, horizons, expected):
+    """A row is certified or refuted only when every field its rule reads is
+    certified, and heuristic at the least horizon among them otherwise; a
+    field the rule does not read moves nothing."""
+    h = replace(hypotheses_of(name), horizons=tuple(horizons.items()))
+    row = _row(predicate, _RULES[predicate](h), h)
+    assert (row.evidence.kind, row.evidence.horizon) == expected
+
+
+STAB, SO, SC = ("stabilization",), ("stabilization", "orbits"), ("stabilization", "ct")
+
+# the fields each rule reads, over the records below (None: not applicable)
+READS = {
+    "right-noetherian": {None, STAB, SO, ("orbits",), ("components",),
+                         ("components", "orbits")},
+    "left-noetherian": {None, STAB, SC},
+    "strongly-left-noetherian": {None, STAB, SC, ("stabilization", "components"),
+                                 ("stabilization", "components", "ct")},
+    "fails-left-chi-1": {None, STAB},
+    "right-chi-levels": {None, SC},
+    "finite-cohomological-dimension": {None, STAB, ("probe",)},
+    "tensor-square-not-left-noetherian": {None, ("stabilization", "components")},
+}
+READS["strongly-right-noetherian"] = READS["right-noetherian"]
+
+
+def test_every_rule_follows_the_weakest_link_over_the_fields_it_reads():
+    """Over the records of the 11 shipped and curve scenes and of every
+    regime above, with each field certified, heuristic at horizon 4 or 9,
+    or absent: each rule reads only fields the record holds and only the
+    fields READS lists for it, its ruling does not depend on the strengths,
+    and its row's evidence is the weakest link over the fields it reads.  The strongly-right row takes the right row's
+    verdict and evidence."""
+    kinds, reads = set(), {p: set() for p in PREDICATES}
+    for name in [*SCENE_FILES, *made_scenes()]:
+        base = hypotheses_of(name)
+        rulings = {p: rule(base) for p, rule in _RULES.items()}
+        for p, ruling in rulings.items():
+            reads[p].add(ruling.reads)
+        for h in strengths(base):
+            rows = {}
+            for p, rule in _RULES.items():
+                ruling = rule(h)
+                assert ruling == rulings[p]
+                assert all(getattr(h, f) is not None for f in ruling.reads or ())
+                rows[p] = _row(p, ruling, h)
+                ev = rows[p].evidence
+                assert (ev.kind, ev.horizon) == weakest_link(h, ruling.verdict, ruling.reads)
+                kinds.add((p, ev.kind))
+            right, strong = rows["right-noetherian"], rows["strongly-right-noetherian"]
+            assert (right.verdict, right.evidence.kind, right.evidence.horizon,
+                    right.evidence.witness) == (strong.verdict, strong.evidence.kind,
+                                                strong.evidence.horizon, strong.evidence.witness)
+    assert reads == READS
+    assert {k for _, k in kinds} == set(EVIDENCE_KINDS)
+    assert {p for p, k in kinds if k == "refuted"} == set(PREDICATES[:4])
+
+
+SCENE_RECORDS = {
+    # scene: (stabilization, its horizon, ct status, component source,
+    #         a sampled orbit infinite, probe horizon)
+    "conic_pair": ("stable", 12, "refuted", None, False, None),
+    "cusp_probe": (None, None, None, None, None, PROBE_J_MAX),
+    "fat_point": ("unstable", 8, None, "declared", None, None),
+    "identity_line": ("degenerate", None, None, "monomial", None, None),
+    "moving_point": ("stable", None, "certified", "point", False, None),
+    "p1_shear": ("stable", 10, "inconclusive", "monomial", False, None),
+    "ci3": ("stable", 8, "certified", None, False, None),
+    "rnc4": ("stable", 8, "inconclusive", None, False, None),
+    "rnc5": ("stable", 8, "inconclusive", None, False, None),
+    "rnc6": ("stable", 8, "inconclusive", None, False, None),
+    "tc3": ("stable", 8, "refuted", None, False, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENE_RECORDS))
+def test_scene_hypotheses_are_pinned(name):
+    """The record of each shipped and curve scene: only moving_point's
+    stabilization is certified (a single point whose support never
+    returns), identity_line degenerates, fat_point never stabilizes, and
+    cusp_probe runs the probe alone."""
+    assert set(SCENE_FILES) == set(SCENE_RECORDS)
+    h = hypotheses_of(name)
+    got = (h.stabilization, h.strength("stabilization"), h.ct and h.ct.status,
+           h.components and h.components.source,
+           None if h.orbits is None else h.cycle is not None,
+           h.strength("probe"))
+    assert got == SCENE_RECORDS[name]
