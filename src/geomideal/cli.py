@@ -198,13 +198,12 @@ def parse_scene(text: str) -> SceneFile:
     d = None
     sigma_rows = None
     sigma_line = None
-    ideal_block = None
+    blocks = {}  # ideal, against, quotient -> its raw lines
     component_blocks: list[tuple[list, list | None]] = []
-    against_block = None
-    quotient_block = None
     point_specs: list[tuple[int, str]] = []
     counts: dict[str, int] = {}
     gorenstein_z = False
+    seen = set()  # the heads read so far
 
     while ps.peek() is not None:
         no, content = ps.take()
@@ -213,10 +212,20 @@ def parse_scene(text: str) -> SceneFile:
         if head not in _DIRECTIVES or head in ("end", "prime"):
             ps.bad(no, "UNKNOWN_DIRECTIVE", f"unrecognized line {content!r}")
             continue
-        if head == "field":
-            if field is not None:
-                ps.bad(no, "DUPLICATE_DIRECTIVE", "field given twice")
+        if head in ("ideal", "against", "quotient"):
+            block, _ = _parse_block(ps, no, allow_prime=False)
+            if not block:
+                ps.bad(no, "EMPTY_BLOCK", f"{head} block has no generators")
                 continue
+        if head in seen and head not in ("component", "point", "declare"):
+            ps.bad(no, "DUPLICATE_DIRECTIVE", f"{head} given twice")
+            # a block is read already; a repeated sigma's rows are skipped
+            while (head == "sigma" and (item := ps.peek())
+                   and item[1].split()[0] not in _DIRECTIVES):
+                ps.take()
+            continue
+        seen.add(head)
+        if head == "field":
             if parts[1:] == ["rational"]:
                 field = RationalField()
             elif len(parts) == 3 and parts[1] == "prime":
@@ -228,9 +237,6 @@ def parse_scene(text: str) -> SceneFile:
                 ps.bad(no, "BAD_FIELD",
                        "expected 'field rational' or 'field prime <p>'")
         elif head == "dim":
-            if d is not None:
-                ps.bad(no, "DUPLICATE_DIRECTIVE", "dim given twice")
-                continue
             try:
                 d = int(parts[1])
             except (IndexError, ValueError):
@@ -240,9 +246,6 @@ def parse_scene(text: str) -> SceneFile:
                 ps.bad(no, "BAD_DIM", f"dimension {d} outside 1..9")
                 d = None
         elif head == "sigma":
-            if sigma_rows is not None:
-                ps.bad(no, "DUPLICATE_DIRECTIVE", "sigma given twice")
-                continue
             sigma_line = no
             if d is None or field is None:
                 ps.bad(no, "MISSING_CONTEXT",
@@ -273,19 +276,7 @@ def parse_scene(text: str) -> SceneFile:
                 else:
                     sigma_rows.append(row)
         elif head in ("ideal", "against", "quotient"):
-            block, _ = _parse_block(ps, no, allow_prime=False)
-            if not block:
-                ps.bad(no, "EMPTY_BLOCK", f"{head} block has no generators")
-                continue
-            if head == "ideal":
-                if ideal_block is not None:
-                    ps.bad(no, "DUPLICATE_DIRECTIVE", "ideal given twice")
-                else:
-                    ideal_block = block
-            elif head == "against":
-                against_block = block
-            else:
-                quotient_block = block
+            blocks[head] = block
         elif head == "component":
             gens, prime = _parse_block(ps, no, allow_prime=True)
             if not gens:
@@ -311,7 +302,7 @@ def parse_scene(text: str) -> SceneFile:
                 ps.bad(no, "BAD_DECLARE", "expected 'declare gorenstein-z'")
 
     for want, name in ((field, "field"), (d, "dim"),
-                       (sigma_rows, "sigma"), (ideal_block, "ideal")):
+                       (sigma_rows, "sigma"), (blocks.get("ideal"), "ideal")):
         if want is None:
             ps.bad(ps.last_line, f"MISSING_{name.upper()}",
                    f"scene has no {name} declaration")
@@ -331,9 +322,8 @@ def parse_scene(text: str) -> SceneFile:
             return HomIdeal(ring, tuple(polys))
         return None
 
-    ideal = build(ideal_block)
-    against = build(against_block) if against_block else None
-    quotient = build(quotient_block) if quotient_block else None
+    ideal, against, quotient = (build(blocks[head]) if head in blocks else None
+                                for head in ("ideal", "against", "quotient"))
     components = []
     for gens, prime in component_blocks:
         comp = build(gens)

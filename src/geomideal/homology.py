@@ -296,12 +296,10 @@ class Transversality:
     3. Otherwise Tor_j from a free resolution of I, made on first need and
        kept for every later J.
 
-    I's normal-form table keeps I + J per set of monic normal forms of J's
-    generators modulo I (polykernel.ideal_sum), so asking whether Z meets Y
-    and then whether it is transverse to Y runs one Groebner basis of
-    I + J, and so do the J whose generators reduce alike: for a point with
-    last nonzero coordinate p_j, every hyperplane x_i with p_i ≠ 0 reduces
-    to x_j.
+    I keeps I + J per set of monic normal forms of J's generators
+    (polykernel's module docstring, "The memo"), so asking whether Z meets
+    Y and then whether it is transverse to Y runs one Groebner basis of
+    I + J, and so do the J whose generators reduce alike.
     """
 
     def __init__(self, I: HomIdeal):

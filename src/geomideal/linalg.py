@@ -55,13 +55,10 @@ two users, each with the exact sequence that gives its target:
   from 0 -> S/(I ∩ J) -> S/I ⊕ S/J -> S/(I + J) -> 0,
   N(S/(I ∩ J)) = N(I) + N(J) - N(I + J).
 
-The table also keeps, per monic normal form h, h's section numerator and
-(I : h), and per set of monic normal forms the sum of I and that set: a
-form g reaches all three only through its h, so the colons of one ideal
-by forms with equal h share one run, and so do the sums I + J whose
-generators reduce to one set (`polykernel.ideal_sum`).  The annihilator
-keeps one condition per table and normal form up to a scalar, since
-proportional normal forms give proportional rows.
+The annihilator keeps one condition per table and normal form up to a
+scalar, since proportional normal forms give proportional rows.  The
+sums, section numerators and colons keyed by monic normal forms are kept
+on the ideal, not here (`polykernel` module docstring).
 
 Over the polynomial ring itself, `exact_quotient` divides one polynomial by
 another when the division is exact: it is the division by the one-element
@@ -83,8 +80,6 @@ from .polykernel import (
     PolyRing,
     dim_full_space,
     divide,
-    graded_basis,
-    ideal_sum,
     mono_descending_key,
     mono_div,
     mono_divides,
@@ -92,8 +87,6 @@ from .polykernel import (
     mono_mul,
     monomial_hilbert_numerator,
     monomials_of_degree,
-    numerator_add,
-    section_numerator,
     series_coefficient,
 )
 
@@ -392,15 +385,6 @@ def _accumulate(pairs) -> tuple[dict, int]:
     return acc, common
 
 
-def _section(I: HomIdeal, g: Poly) -> dict[int, int]:
-    """g's section numerator on S/I (polykernel.section_numerator), zero
-    exactly when g is a nonzerodivisor, on the sum I + (g) that I's table
-    keeps (polykernel.ideal_sum): one graded run that takes I's reduced
-    basis as a finished block, shared with every sum of the same normal
-    form."""
-    return section_numerator(I, ideal_sum(I, HomIdeal(I.ring, [g])), g.degree)
-
-
 class NormalForms:
     """Normal forms modulo one fixed homogeneous Groebner basis, tabulated
     on monomials a whole degree at a time.
@@ -417,10 +401,7 @@ class NormalForms:
     in the field's canonical form (`field.reduce_row`), so over Q the
     table holds no `Fraction` and a combination is integer arithmetic over
     one common denominator.  The table keeps each filled degree's monomial
-    list, which the degree pieces and the kernel loop read, the section
-    numerator and colon of each monic normal form asked of it
-    (polykernel.ideal_quotient), and the sum I + J of each set of monic
-    normal forms of J's generators (polykernel.ideal_sum).
+    list, which the degree pieces and the kernel loop read.
     """
 
     def __init__(self, ring: PolyRing, basis: list[Poly]):
@@ -436,11 +417,6 @@ class NormalForms:
                 (lm, nums[lm], [(t, -x) for t, x in nums.items() if t != lm]))
         self._table: dict[tuple, tuple[dict, int]] = {}
         self._monos: dict[int, list[tuple]] = {}
-        # monic normal form h -> its section numerator, and -> (I : h);
-        # set of monic normal forms -> I + (those forms)
-        self._sections: dict[Poly, dict[int, int]] = {}
-        self._quotients: dict[Poly, HomIdeal] = {}
-        self._sums: dict[frozenset, HomIdeal] = {}
 
     def monomials(self, n: int) -> list[tuple]:
         """The degree-n monomials in decreasing order, their normal forms
@@ -497,41 +473,6 @@ class NormalForms:
         field = self.ring.field
         lead = min(nums, key=mono_descending_key)
         return Poly(self.ring, _scalars(field, nums, nums[lead]), (lead, field.one))
-
-    def sum(self, ideal: HomIdeal, gens) -> HomIdeal:
-        """I + (gens) (`polykernel.ideal_sum`), ideal being I, the ideal of
-        this table's basis: I itself when every form of gens lies in I,
-        else one `graded_basis` run on their monic normal forms with I's
-        reduced basis as a finished block, once per set of normal forms."""
-        hs = dict.fromkeys(filter(None, map(self.remainder, gens)))
-        if not hs:
-            return ideal
-        key = frozenset(hs)
-        K = self._sums.get(key)
-        if K is None:
-            basis = graded_basis(self.ring, [h.terms for h in hs], ideal.groebner())
-            K = self._sums[key] = HomIdeal.from_basis(self.ring, basis)
-        return K
-
-    def section(self, ideal: HomIdeal, h: Poly) -> dict[int, int]:
-        """The section numerator of h on S/I (`_section`), computed once per
-        h: ideal is I, the ideal of this table's basis, and h a monic
-        normal form outside it (`remainder`)."""
-        s = self._sections.get(h)
-        if s is None:
-            s = self._sections[h] = _section(ideal, h)
-        return s
-
-    def quotient(self, ideal: HomIdeal, h: Poly) -> HomIdeal:
-        """(I : h) for h as in `section`, once per h: the `kernel_ideal` of
-        the one condition (this table, h), whose target N(I) - u^(-e)*s
-        follows from the section numerator s of h, of degree e."""
-        Q = self._quotients.get(h)
-        if Q is None:
-            target = numerator_add(ideal.hilbert_numerator(), self.section(ideal, h),
-                                   -1, -h.degree)
-            Q = self._quotients[h] = self.kernel_ideal([(self, h)], target)
-        return Q
 
     def piece(self, n: int) -> list[Poly]:
         """The rows m - nf(m), in decreasing order, for the degree-n

@@ -13,50 +13,54 @@ they are, exponent tuples; `graded_basis` is its adapter, which
 of J's generators, with I's reduced basis as a finished block.
 `divide`, the heap division kernel, returns the quotients with the
 remainder; it serves `normal_form`, `freemod.mod_normal_form` and
-`linalg.exact_quotient`.  Membership in I, and the normal forms of J's
-generators that `ideal_sum` hands the engine, are read from I's table of
-monomial normal forms (`linalg.NormalForms`).
+`linalg.exact_quotient`.  Membership in I, and the monic normal forms
+below, are read from I's table of monomial normal forms
+(`linalg.NormalForms`).
 
-Sums.  I + J depends on J only through the set of monic normal forms h
-of its generators modulo I, since I + (g) = I + (h).  It is I itself when
-that set is empty, and otherwise I's table keeps it per set for the life
-of I, so sums whose generators reduce alike share one run: for a point
-with last nonzero coordinate p_j, every hyperplane x_i with p_i ≠ 0
-reduces to x_j.  V(K) is empty exactly when K is (1) or each variable has
-a pure power among the leading monomials of K's reduced basis (the
-finiteness theorem; Cox, Little & O'Shea, Ideals, Varieties, and
-Algorithms, §5.3), so whether two subschemes meet is read off their sum's
-basis with no Hilbert numerator (`empty_zero_set`).
+The memo.  A form g outside I reaches the sum I + (g), the section
+numerator of g and the colon (I : g) only through h, its monic normal form
+modulo I's reduced basis: g − c·h lies in I for some c ≠ 0, so
+I + (g) = I + (h) and (I : g) = (I : h).  So each `HomIdeal` keeps, for
+its own life and never process-wide, I + (h, …) per set of such h
+(`ideal_sum`) and the section numerator and (I : h) per h
+(`ideal_quotient`); one helper, `_reduced`, derives the distinct h of a
+list of forms, and drops the forms in I (h = 0).  Forms that reduce alike
+share one run: for a point with last nonzero coordinate p_j, every
+hyperplane x_i with p_i ≠ 0 reduces to x_j, and for a binomial I under a
+diagonal σ the generators of I^{σ^n} reduce to the same h for every n, so
+the colons of the idealizer share one test.  Where the normal forms differ
+with n, as for a complete intersection of two quadrics that are not
+binomials, nothing is shared.
+
+Sums.  I + J is I itself when every generator of J lies in I, and
+otherwise one graded run on the h of J's generators with I's reduced
+basis as a finished block.  V(K) is empty exactly when K is (1) or each
+variable has a pure power among the leading monomials of K's reduced
+basis (the finiteness theorem; Cox, Little & O'Shea, Ideals, Varieties,
+and Algorithms, §5.3), so whether two subschemes meet is read off their
+sum's basis with no Hilbert numerator (`empty_zero_set`).
 
 Quotients.  When I's reduced basis is empty or all linear, S/I is a
 polynomial ring, a domain, so (I : J) is (1) when J ⊆ I and I otherwise.
-Else each generator g of J is replaced by h, the monic normal form of g
-modulo I's reduced basis: g − c·h lies in I for some c ≠ 0, so
-(I : g) = (I : h) and I + (g) = I + (h).  Generators in I (h = 0) are
-dropped, and each distinct h goes once to the section rule and, when it
-fails, once to the colon below; I's table (`linalg.NormalForms`) keeps
-both per h for the life of I.  For a binomial I under a diagonal σ, the
-generators of I^{σ^n} reduce to the same h for every n, so the colons of
-the idealizer share one run; where the normal forms differ with n, as
-for a complete intersection of two quadrics that are not binomials,
-nothing is shared.  The section rule: for a form h of degree e,
+Else (I : J) is (1) when every generator of J lies in I, and otherwise
+each distinct h goes once to the section rule and, when it fails, once to
+the colon below.  The section rule: for a form h of degree e,
 multiplication by h makes
 0 → ((I : h)/I)(−e) → (S/I)(−e) → S/I → S/(I + (h)) → 0 exact, so the
 Hilbert numerators N over (1 − u)^nvars satisfy
 N(I + (h)) − (1 − u^e)·N(I) = u^e·N((I : h)/I) (`section_numerator`, with
-I + (h) from `ideal_sum`, which extends I's reduced basis by h), zero
-exactly when (I : h) = I, that is, when h is a nonzerodivisor on S/I; the
-sum I + (h) is the one I's table keeps for the set {h}.  Once
-some h passes, (I : J) ⊆ (I : h) = I, so (I : J) is I.  Otherwise
-(I : J) is the meet of the (I : h).  Each is a kernel ideal read degree by
-degree off normal forms until its leading monomials give a known Hilbert
-numerator (a Hilbert-driven stop, `linalg.NormalForms.kernel_ideal`;
-Traverso, J. Symbolic Comput. 1996): (I : h) is the kernel of
-x ↦ nf_I(x·h), with numerator N(I) − u^(−e)·s by the sequence above, s the
-section numerator.  `intersect` returns the smaller ideal's reduced basis
-when one contains the other, and otherwise I ∩ J, the kernel of
-x ↦ (nf_I(x), nf_J(x)), with numerator N(I) + N(J) − N(I + J) from
-0 → S/(I ∩ J) → S/I ⊕ S/J → S/(I + J) → 0 (I + J by `ideal_sum`).
+I + (h) from `ideal_sum`), zero exactly when (I : h) = I, that is, when h
+is a nonzerodivisor on S/I.  Once some h passes, (I : J) ⊆ (I : h) = I,
+so (I : J) is I.  Otherwise (I : J) is the meet of the (I : h).  Each is
+a kernel ideal read degree by degree off normal forms until its leading
+monomials give a known Hilbert numerator (a Hilbert-driven stop,
+`linalg.NormalForms.kernel_ideal`; Traverso, J. Symbolic Comput. 1996):
+(I : h) is the kernel of x ↦ nf_I(x·h), with numerator N(I) − u^(−e)·s
+by the sequence above, s the section numerator.  `intersect` returns
+the smaller ideal's reduced basis when one contains the other, and
+otherwise I ∩ J, the kernel of x ↦ (nf_I(x), nf_J(x)), with numerator
+N(I) + N(J) − N(I + J) from 0 → S/(I ∩ J) → S/I ⊕ S/J → S/(I + J) → 0
+(I + J by `ideal_sum`).
 Saturation: a linear I is prime, so (I : m^∞) is I, or (1) when I is m,
 with no run.  Otherwise, for a homogeneous K in degrevlex,
 in(K : x_last^∞) = in(K) : x_last^∞ (Bayer & Stillman, Invent. Math. 1987;
@@ -567,7 +571,8 @@ class HomIdeal:
     reduced one: groebner() runs groebner_basis on the gens once, unless
     the ideal was built from_basis (sums, colons, intersections).  The
     Hilbert numerator and the normal-form table are read off it, and
-    membership (contains) reads the table.
+    membership (contains) reads the table.  It also keeps its sums, section
+    numerators and colons by monic normal form (module docstring).
     """
 
     def __init__(self, ring: PolyRing, gens, *, _gb=None):
@@ -606,10 +611,15 @@ class HomIdeal:
         return self._hilbert_numerator
 
     def normal_forms(self):
-        """The linalg.NormalForms table of the reduced basis, built once."""
+        """The linalg.NormalForms table of the reduced basis, built once,
+        and with it the memo keyed by its monic normal forms (module
+        docstring), so an ideal that builds no table holds no memo."""
         if self._normal_forms is None:
             from .linalg import NormalForms  # linalg imports this module
             self._normal_forms = NormalForms(self.ring, list(self.groebner()))
+            # set of monic normal forms -> I + (those forms); monic normal
+            # form h -> its section numerator, and -> (I : h)
+            self._sums, self._sections, self._colons = {}, {}, {}
         return self._normal_forms
 
     def contains(self, f: Poly) -> bool:
@@ -643,17 +653,29 @@ def ideal_equal(I: HomIdeal, J: HomIdeal) -> bool:
     return I == J
 
 
+def _reduced(I: HomIdeal, gens) -> dict[Poly, None]:
+    """The distinct monic normal forms modulo I of the forms gens outside I,
+    in order, as dict keys: the keys of I's memo, read from I's table,
+    which brings the memo with it (HomIdeal.normal_forms)."""
+    return dict.fromkeys(filter(None, map(I.normal_forms().remainder, gens)))
+
+
 def ideal_sum(I: HomIdeal, J: HomIdeal) -> HomIdeal:
-    """I + J, which depends on J only through the set of monic normal forms
-    h of J's generators modulo I (I + (g) = I + (h)): I itself when that set
-    is empty, else the ideal of the reduced basis of one
-    linalg.graded_groebner run on the h, with I's reduced basis as a
-    finished block: no pairs among it, and its elements of one degree
-    re-reduced only when that degree holds an h, a pair or an element that
-    a leading monomial from an h divides.  I's table keeps the sum per set
-    (linalg.NormalForms.sum), so the hyperplanes x_i with p_i ≠ 0 through
-    a point p share one run."""
-    return I.normal_forms().sum(I, J.gens)
+    """I + J: I itself when J lies in I, else the ideal of the reduced basis
+    of one linalg.graded_groebner run on the monic normal forms h of J's
+    generators outside I, with I's reduced basis as a finished block: no
+    pairs among it, and its elements of one degree re-reduced only when
+    that degree holds an h, a pair or an element that a leading monomial
+    from an h divides.  I keeps the sum per set of h (module docstring)."""
+    hs = _reduced(I, J.gens)
+    if not hs:
+        return I
+    key = frozenset(hs)
+    K = I._sums.get(key)
+    if K is None:
+        basis = graded_basis(I.ring, [h.terms for h in hs], I.groebner())
+        K = I._sums[key] = HomIdeal.from_basis(I.ring, basis)
+    return K
 
 
 def unit_ideal(ring: PolyRing) -> HomIdeal:
@@ -677,26 +699,41 @@ def intersect(I: HomIdeal, J: HomIdeal) -> HomIdeal:
     return nf.kernel_ideal([(nf, one), (J.normal_forms(), one)], target)
 
 
+def _section(I: HomIdeal, g: Poly) -> dict[int, int]:
+    """g's section numerator on S/I (section_numerator), zero exactly when
+    g is a nonzerodivisor, on the sum I + (g) that I keeps (ideal_sum)."""
+    return section_numerator(I, ideal_sum(I, HomIdeal(I.ring, [g])), g.degree)
+
+
 def ideal_quotient(I: HomIdeal, J: HomIdeal) -> HomIdeal:
     """(I : J) = {f : f·J ⊆ I}.  When I's reduced basis is empty or all
     linear, S/I is a domain: (I : J) is (1) when J ⊆ I and I otherwise, and
     the first generator of J outside I decides.  Else I at the first zero
-    section, or the meet of the Hilbert-driven (I : g) (module docstring).
-    Both depend on g only through its monic normal form h modulo I, since
-    g − c·h lies in I, so each is computed once per h and kept on I's
-    table (linalg.NormalForms): a binomial I under a diagonal σ asks the
-    same h at every n."""
+    section, or the meet of the Hilbert-driven (I : h), over the monic
+    normal forms h of J's generators outside I; I keeps each section and
+    colon per h (module docstring)."""
     ring, basis = I.ring, I.groebner()
     if all(f.degree == 1 for f in basis):  # S/I is a domain
         inside = all(map(I.contains, J.gens))  # stops at the first g outside I
         return unit_ideal(ring) if inside else HomIdeal.from_basis(ring, basis)
-    nf = I.normal_forms()
-    hs = dict.fromkeys(filter(None, map(nf.remainder, J.gens)))
+    hs = _reduced(I, J.gens)
     if not hs:
         return unit_ideal(ring)
-    if not all(nf.section(I, h) for h in hs):
-        return HomIdeal.from_basis(ring, basis)
-    return _fold(intersect, [nf.quotient(I, h) for h in hs])
+    nf, sections, colons = I.normal_forms(), I._sections, I._colons
+    for h in hs:  # one lookup of h per table: a Poly hashes its terms
+        s = sections.get(h)
+        if s is None:
+            s = sections[h] = _section(I, h)
+        if not s:
+            return HomIdeal.from_basis(ring, basis)
+    quotients = []
+    for h in hs:
+        Q = colons.get(h)
+        if Q is None:
+            target = numerator_add(I.hilbert_numerator(), sections[h], -1, -h.degree)
+            Q = colons[h] = nf.kernel_ideal([(nf, h)], target)
+        quotients.append(Q)
+    return _fold(intersect, quotients)
 
 
 def _saturate_variable(I: HomIdeal, i: int) -> HomIdeal:

@@ -534,6 +534,19 @@ def test_no_sample_points_leaves_orbit_rows_inconclusive():
     assert rep.row("left-noetherian").verdict == "yes"
 
 
+def test_orbit_scan_ending_at_the_horizon_leaves_right_noetherian_inconclusive():
+    # no orbit route for this sigma, and the one sampled orbit hits Z at
+    # the horizon (test_geometry's inconclusive orbit)
+    sig = ProjAutomorphism.from_strings(RQ, [["1", "1", "0"], ["0", "1", "0"],
+                                             ["0", "0", "2"]])
+    scene = IdealizerScene(RQ, sig, ideal("x0 - 6*x1"))
+    rep = classify(scene, sample_points=(pt("[0:1:1]"),), horizon=6)
+    row = rep.row("right-noetherian")
+    assert (row.verdict, row.evidence.kind, row.evidence.horizon) == (
+        "inconclusive", "heuristic", 6)
+    assert "at least one scan ends at the horizon without a completeness bound" in row.detail
+
+
 def test_periodic_point_on_moving_line_refutes_right_noetherian():
     # V(x0 - x2) moves under diag(1,1,2) but contains the fixed point [0:1:0]
     sig = ProjAutomorphism.diagonal(RQ, ["1", "1", "2"])

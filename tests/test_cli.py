@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from geomideal import cli, linalg
+from geomideal import cli, linalg, polykernel
 from geomideal.cli import (
     SceneError,
     emit_records,
@@ -204,11 +204,31 @@ def diagnostics(text):
     return [(d.line, d.code, d.message) for d in err.value.diagnostics]
 
 
-@pytest.mark.parametrize("extra", ["field rational", "dim 1", "sigma", "ideal\nx1\nend"])
+# MINIMAL_P1 with every other directive that may appear only once
+ONCE_EACH = MINIMAL_P1 + """\
+against
+x1
+end
+quotient
+x0*x1
+end
+horizon 3
+maxdeg 3
+oracle 3
+order-bound 3
+"""
+
+
+@pytest.mark.parametrize("extra", [
+    "field rational", "dim 1", "sigma", "ideal\nx1\nend", "sigma\n2 0\n0 1",
+    "against\nx0\nend", "quotient\nx1^2\nend", "horizon 5", "maxdeg 5", "oracle 5",
+    "order-bound 5",
+])
 def test_duplicate_directive_diagnostic(extra):
+    """A repeat is one diagnostic at its own line, its body skipped unread."""
     head = extra.split()[0]
-    assert diagnostics(MINIMAL_P1 + extra + "\n") == [
-        (9, "DUPLICATE_DIRECTIVE", f"{head} given twice")]
+    assert diagnostics(ONCE_EACH + extra + "\n") == [
+        (ONCE_EACH.count("\n") + 1, "DUPLICATE_DIRECTIVE", f"{head} given twice")]
 
 
 @pytest.mark.parametrize("dim, message", [
@@ -570,13 +590,13 @@ def test_generators_rescaled_reordered_and_padded_change_no_output(case, tmp_pat
     (a quadric among their generators) still take it: no Hilbert test."""
     sigma, plain, padded, against = INVARIANCE_CASES[case]
     tests = []
-    real_test = linalg._section
+    real_test = polykernel._section
 
     def counting_test(I, g):
         tests.append(g)
         return real_test(I, g)
 
-    monkeypatch.setattr(linalg, "_section", counting_test)
+    monkeypatch.setattr(polykernel, "_section", counting_test)
     for command in ("colon", "ct-cert", "transverse"):
         outs = []
         for gens in (plain, padded):

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from geomideal import cli, homology, linalg
+from geomideal import cli, homology, linalg, polykernel
 from geomideal.classify import sigma_ideal_order
 from geomideal.fields import QQ, PrimeField
 from geomideal.geometry import (
@@ -166,6 +166,43 @@ def test_orbit_inside_z_forever():
     assert rep.verdict == "infinite"
     assert rep.hits == tuple(range(7))
     assert rep.justification == "identically-zero-evaluation"
+
+
+def test_one_parity_class_inside_z_forever():
+    # sigma^n [1:1:1] = [1:(-1)^n:2^n] lies on x0 = x1 exactly for even n:
+    # the even class vanishes identically, the odd class never does
+    sig = ProjAutomorphism.diagonal(RQ, ["1", "-1", "2"])
+    Z = HomIdeal.from_strings(RQ, ["x0 - x1"])
+    rep = forward_orbit_hits(pt("[1:1:1]"), sig, Z, 6)
+    assert rep.verdict == "infinite"
+    assert rep.hits == (0, 2, 4, 6)
+    assert rep.justification == "identically-zero-evaluation"
+    assert rep.notes == ("one parity class vanishes identically",)
+
+
+def test_polynomial_growth_with_a_generator_vanishing_along_the_orbit():
+    # the shear sends [0:1:1] to [n:1:1], on x1 = x2 for every n; x0 = n
+    # vanishes only at n = 0 and bounds the hits
+    shear = ProjAutomorphism.from_strings(RQ, [["1", "1", "0"], ["0", "1", "0"],
+                                               ["0", "0", "1"]])
+    Z = HomIdeal.from_strings(RQ, ["x1 - x2", "x0"])
+    rep = forward_orbit_hits(pt("[0:1:1]"), shear, Z, 6)
+    assert rep.verdict == "certified-finite"
+    assert rep.hits == (0,)
+    assert rep.n0 == 2
+    assert rep.justification == "polynomial-growth"
+
+
+def test_orbit_without_a_route_hitting_at_the_horizon_is_inconclusive():
+    # a shear times diag(1, 1, 2) is neither diagonal nor unipotent up to a
+    # scalar; sigma^n [0:1:1] = [n:1:2^n] meets x0 = 6*x1 at n = 6, the horizon
+    sig = ProjAutomorphism.from_strings(RQ, [["1", "1", "0"], ["0", "1", "0"],
+                                             ["0", "0", "2"]])
+    Z = HomIdeal.from_strings(RQ, ["x0 - 6*x1"])
+    rep = forward_orbit_hits(pt("[0:1:1]"), sig, Z, 6)
+    assert rep.verdict == "inconclusive"
+    assert rep.hits == (6,)
+    assert rep.notes == ("no certificate route for this sigma",)
 
 
 def test_periodic_orbit_missing_z_certified():
@@ -798,15 +835,15 @@ def count_certificate_work(monkeypatch):
     checks against a resolution, and the sub-unions it checks for
     transversality."""
     work = {"tests": 0, "runs": 0, "resolutions": 0, "tor": [], "checked": []}
-    meets, graded_basis, check = Transversality.meets, linalg.graded_basis, Transversality.__call__
+    meets, graded_basis, check = Transversality.meets, polykernel.graded_basis, Transversality.__call__
 
     def counted_meets(self, J):
         work["tests"] += 1
         return meets(self, J)
 
-    def counted_run(*args):
-        work["runs"] += 1
-        return graded_basis(*args)
+    def counted_run(ring, rows, finished=()):
+        work["runs"] += bool(finished)  # a sum run: I's reduced basis is the finished block
+        return graded_basis(ring, rows, finished)
 
     def counted_resolution(I, *args, **kwargs):
         work["resolutions"] += 1
@@ -821,7 +858,7 @@ def count_certificate_work(monkeypatch):
         return check(self, J)
 
     monkeypatch.setattr(Transversality, "meets", counted_meets)
-    monkeypatch.setattr(linalg, "graded_basis", counted_run)
+    monkeypatch.setattr(polykernel, "graded_basis", counted_run)
     monkeypatch.setattr(homology, "free_resolution", counted_resolution)
     monkeypatch.setattr(homology, "transverse_from_resolution", counted_tor)
     monkeypatch.setattr(Transversality, "__call__", counted_check)

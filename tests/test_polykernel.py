@@ -456,7 +456,7 @@ def _count_colon_work(monkeypatch):
     degree e, [0, 0] for an intersection."""
     work = {"tests": [], "runs": [], "gb_inside": [], "kernels": []}
     inside = []
-    real_test, real_module_gb = linalg._section, freemod.module_groebner
+    real_test, real_module_gb = polykernel._section, freemod.module_groebner
     real_gb, real_quotient = polykernel.groebner_basis, idealizer.ideal_quotient
     real_kernel = NormalForms.kernel_ideal
 
@@ -485,7 +485,7 @@ def _count_colon_work(monkeypatch):
         work["kernels"].append([f.degree for _, f in conditions])
         return real_kernel(table, conditions, target)
 
-    monkeypatch.setattr(linalg, "_section", counting_test)
+    monkeypatch.setattr(polykernel, "_section", counting_test)
     monkeypatch.setattr(NormalForms, "kernel_ideal", counting_kernel)
     monkeypatch.setattr(freemod, "module_groebner", counting_module_gb)
     monkeypatch.setattr(polykernel, "groebner_basis", counting_gb)
@@ -1012,7 +1012,7 @@ def test_ideal_sum_depends_only_on_the_normal_forms_of_j(data):
     """ideal_sum(I, J) has the reduced basis of all the generators.  It
     stays put when J's generators are rescaled, permuted, duplicated or
     shifted by elements of I, which keeps their set of monic normal forms
-    modulo I: I's table keeps the sum per set, so the second sum is the
+    modulo I: I keeps the sum per set, so the second sum is the
     first one and runs no graded_groebner."""
     ring, I = data.draw(ring_and_ideal(max_deg=2))
     field = ring.field
@@ -1214,7 +1214,7 @@ def test_p6_moving_point_colon_runs_no_groebner_machinery(field, tmp_path, monke
         return real_rows(field, basis, rows, multiples)
 
     monkeypatch.setattr(linalg, "_degree_rows", degree_one)
-    monkeypatch.setattr(linalg, "_section", forbidden("_section"))
+    monkeypatch.setattr(polykernel, "_section", forbidden("_section"))
     monkeypatch.setattr(freemod, "module_groebner", forbidden("module_groebner"))
     coords, lams = [2, 3, 4, 5, 2, 3], [2, 3, 5, 7, 11, 13]
     sigma = "\n".join(" ".join(str(lam if i == j else 0) for j in range(7))
@@ -1258,7 +1258,7 @@ def test_nonzerodivisor_colon_matches_elimination(data):
     g = next((g for g in J.gens if not I.contains(g)), None)
     if g is not None:
         by_g = want if len(J.gens) == 1 else _elim_colon(I, HomIdeal(ring, [g]))
-        assert (not linalg._section(I, g)) == (by_g == I)
+        assert (not polykernel._section(I, g)) == (by_g == I)
 
 
 @st.composite
@@ -1328,7 +1328,7 @@ def test_zero_divisor_colon_matches_elimination(case):
     assert got.gens == HomIdeal(ring, got.groebner()).gens
     nf = I.normal_forms()
     for g, Q in zip(gens, quotients):
-        section = linalg._section(I, g)
+        section = polykernel._section(I, g)
         assert section, "a zero divisor has a nonzero section numerator"
         assert Q.hilbert_numerator() == polykernel.numerator_add(
             I.hilbert_numerator(), section, -1, -g.degree)
@@ -1434,8 +1434,8 @@ def keyed_colon_case(draw):
 def test_colon_keyed_by_the_monic_normal_form(case):
     """(I : g) and g's section depend on g only through its monic normal
     form, since g - nf(g) lies in I.  So (I : c*g + h), for h in I and c
-    nonzero, asked of an I whose table already answered (I : g), is read
-    from that table's memo with no second section test or kernel run, and
+    nonzero, asked of an I that already answered (I : g), is read
+    from I's memo with no second section test or kernel run, and
     equals the same colon asked cold of a fresh copy of I.  Its pieces in
     degrees d <= 3 have the dimensions of the brute-force colon by g."""
     I, g, h, c = case
@@ -1443,7 +1443,7 @@ def test_colon_keyed_by_the_monic_normal_form(case):
     f = g * ring.constant(c) + h
     warm = HomIdeal(ring, I.gens)
     ideal_quotient(warm, HomIdeal(ring, [g]))
-    with mock.patch.object(linalg, "_section", side_effect=AssertionError), \
+    with mock.patch.object(polykernel, "_section", side_effect=AssertionError), \
             mock.patch.object(NormalForms, "kernel_ideal", side_effect=AssertionError):
         got = ideal_quotient(warm, HomIdeal(ring, [f]))
     want = ideal_quotient(HomIdeal(ring, I.gens), HomIdeal(ring, [f]))
@@ -1466,7 +1466,7 @@ def test_hilbert_driven_colon_rejects_a_wrong_section():
     intersect is handed I for I + J (target N(I))."""
     I = HomIdeal.from_strings(RQ, ["x0 + x1", "x0^2"])
     g = RQ.parse("x0 + 2*x1")
-    section = linalg._section(I, g)
+    section = polykernel._section(I, g)
     assert section == {2: 1, 3: -2, 4: 1}
     nf = I.normal_forms()
 
@@ -1529,7 +1529,7 @@ def test_twisted_cubic_colon_extends_the_basis_of_i(tmp_path, monkeypatch):
 ])
 def test_colon_command_runs_one_test_per_monic_normal_form(scene, tests, colons, monkeypatch):
     """The section test and the zero-divisor colon are made once per monic
-    normal form h of a generator, on I's table.  The binomial curve rnc4
+    normal form h of a generator, and kept on I.  The binomial curve rnc4
     under a diagonal sigma has one h for all 8 colons.  The fat point
     (x0 + x1, x0^2) pulls back to (x0 + 2^n*x1, x0^2), whose linear
     generator, a zero divisor, reduces to (2^n - 1)*x1 for every n, so one

@@ -110,6 +110,18 @@ def test_polykernel_imports_no_module_layer_and_stays_under_the_token_step():
     assert script["code_size"](source)[2] <= 8192
 
 
+def test_every_module_stays_under_the_token_step():
+    """Every module of the package stays at most 8192 tokens, the
+    code_size.py count checked of polykernel above: a module past the step
+    doubles the parser's token array when it compiles, which a fresh
+    import's peak memory shows."""
+    script = runpy.run_path(str(ROOT / "scripts" / "code_size.py"))
+    sizes = {path.name: script["code_size"](path.read_text())[2]
+             for path in sorted((ROOT / "src" / "geomideal").glob("*.py"))}
+    assert "polykernel.py" in sizes
+    assert {name: n for name, n in sizes.items() if n > 8192} == {}
+
+
 def test_module_entry_point_runs_the_cli(capsys):
     """`python -m geomideal` prints what cli.main prints, writes nothing to
     stderr, and exits with cli.main's code: 2 for a usage error."""
