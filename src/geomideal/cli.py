@@ -145,6 +145,11 @@ class _Parser:
         self.pos += 1
         return item
 
+    def skip_rows(self):
+        """Drop the lines up to the next directive: rows of a sigma not read."""
+        while (item := self.peek()) and item[1].split()[0] not in _DIRECTIVES:
+            self.pos += 1
+
 
 def _parse_block(ps: _Parser, opener_line: int, *, allow_prime: bool):
     """Collect polynomial text lines up to ``end``; raw strings only here."""
@@ -219,10 +224,8 @@ def parse_scene(text: str) -> SceneFile:
                 continue
         if head in seen and head not in ("component", "point", "declare"):
             ps.bad(no, "DUPLICATE_DIRECTIVE", f"{head} given twice")
-            # a block is read already; a repeated sigma's rows are skipped
-            while (head == "sigma" and (item := ps.peek())
-                   and item[1].split()[0] not in _DIRECTIVES):
-                ps.take()
+            if head == "sigma":  # a block is read already
+                ps.skip_rows()
             continue
         seen.add(head)
         if head == "field":
@@ -250,6 +253,7 @@ def parse_scene(text: str) -> SceneFile:
             if d is None or field is None:
                 ps.bad(no, "MISSING_CONTEXT",
                        "sigma needs 'field' and 'dim' declared first")
+                ps.skip_rows()
                 continue
             sigma_rows = []
             taken = 0
@@ -302,7 +306,7 @@ def parse_scene(text: str) -> SceneFile:
                 ps.bad(no, "BAD_DECLARE", "expected 'declare gorenstein-z'")
 
     for want, name in ((field, "field"), (d, "dim"),
-                       (sigma_rows, "sigma"), (blocks.get("ideal"), "ideal")):
+                       (sigma_line, "sigma"), (blocks.get("ideal"), "ideal")):
         if want is None:
             ps.bad(ps.last_line, f"MISSING_{name.upper()}",
                    f"scene has no {name} declaration")

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
 
@@ -463,33 +463,45 @@ def multiplicative_independence(values) -> MultIndependence:
 # invariant coordinate subschemes
 # ---------------------------------------------------------------------------
 
-def _subset_key(s: tuple[int, ...]):
-    # larger subsets (smaller subspaces) first, then lexicographic
-    return (-len(s), s)
+# M(n), the Dedekind numbers: antichains of subsets of an n-set, the empty
+# antichain and {empty set} included.  Dropping those two and {the whole set}
+# leaves the M(d + 1) - 3 proper unions of coordinate subspaces of P^d.
+_DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354, 2414682040998,
+             56130437228687557907788, 286386577668298411128469151667598498812366)
 
 
-@cache
-def _coordinate_families(d: int) -> tuple:
-    """Antichains of proper nonempty subsets of {0..d}, in report order."""
-    universe = list(range(d + 1))
-    subsets = []
-    for size in range(1, d + 1):  # proper: size <= d
-        subsets.extend(tuple(c) for c in combinations(universe, size))
-    subsets.sort(key=_subset_key)
-    families = []
+def _coordinate_subsets(d: int) -> list[tuple[int, ...]]:
+    """Proper nonempty subsets of {0..d} in report order: larger subsets
+    (smaller subspaces) first, then lexicographic."""
+    return [s for size in range(d, 0, -1) for s in combinations(range(d + 1), size)]
 
-    def extend(start: int, chosen: tuple):
-        if chosen:
-            families.append(chosen)
-        for i in range(start, len(subsets)):
-            s = subsets[i]
-            if any(set(s) <= set(t) or set(t) <= set(s) for t in chosen):
-                continue
-            extend(i + 1, chosen + (s,))
 
-    extend(0, ())
-    families.sort(key=lambda fam: (len(fam), [_subset_key(s) for s in fam]))
-    return tuple(families)
+def _antichains(subsets):
+    """The nonempty antichains of the distinct sets `subsets`, in report
+    order: fewer members first, then lexicographically by position.
+
+    `subsets` is read lazily, so each singleton is yielded before the next
+    subset is drawn.  Level k + 1 extends each antichain of level k by the
+    later subsets incomparable with all its members, kept as a bitmask.
+    """
+    seen = []
+    for s in subsets:
+        seen.append(s)
+        yield (s,)
+    sets = [set(s) for s in seen]
+    later = [sum(1 << j for j, t in enumerate(sets) if j > i and not (s <= t or t <= s))
+             for i, s in enumerate(sets)]
+    level = [((s,), later[i]) for i, s in enumerate(seen)]
+    while level:
+        nxt = []
+        for fam, free in level:
+            rest = free
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                nxt.append((fam + (seen[j],), free & later[j]))
+                yield nxt[-1][0]
+        level = nxt
 
 
 def _family_ideal(ring: PolyRing, family) -> HomIdeal:
@@ -582,8 +594,12 @@ def critical_transversality_certificate(scene: IdealizerScene) -> CTCertificate:
       by Hilbert numerators with no resolution (Transversality, route 2).
     - Z is resolved only when a Y' that is not a hypersurface meets it, and
       then once; each Y' is checked once.
-    `checked` still counts every union, and a refutation names the full
-    union and its ideal.
+    So only the unions of subspaces that meet Z are walked, in report order,
+    and the first of them that fails is the first failing union: a failing
+    union's sub-union Y' fails too and comes no later (it has fewer members,
+    or is that union).  A point off every coordinate hyperplane walks none.
+    Certified, `checked` counts every union, M(d + 1) - 3 by the Dedekind
+    numbers; refuted, it is the witness's position among all unions.
     """
     sigma, ring = scene.sigma, scene.ring
     d = scene.d
@@ -596,19 +612,14 @@ def critical_transversality_certificate(scene: IdealizerScene) -> CTCertificate:
         return CTCertificate("inconclusive", 0,
                              reason="invariant family not classified",
                              notes=notes)
-    families = _coordinate_families(d)
+    subsets = _coordinate_subsets(d)
     transverse = Transversality(scene.ideal)
     meets = _meets_z(transverse)
-    verdicts: dict[tuple, tuple[bool, int | None]] = {}
-    for checked, fam in enumerate(families, 1):
-        sub = tuple(s for s in fam if meets(s))
-        if not sub:
-            continue
-        if sub not in verdicts:
-            verdicts[sub] = transverse(_family_ideal(ring, sub))
-        ok, j = verdicts[sub]
+    for fam in _antichains(s for s in subsets if meets(s)):
+        ok, j = transverse(_family_ideal(ring, fam))
         if not ok:
+            checked = next(n for n, f in enumerate(_antichains(subsets), 1) if f == fam)
             return CTCertificate("refuted", checked, witness_family=fam,
                                  witness_ideal=_family_ideal(ring, fam),
                                  witness_j=j, notes=notes)
-    return CTCertificate("certified", len(families), notes=notes)
+    return CTCertificate("certified", _DEDEKIND[d + 1] - 3, notes=notes)

@@ -22,7 +22,7 @@ library polynomials' + and *, not with its substitution tables.
 import re
 from functools import lru_cache, reduce
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 
 
@@ -701,3 +701,22 @@ def loop_saturate(I):
         return I
     sat = reduce(intersect, [_saturate_variable(I, i) for i in range(I.ring.nvars)])
     return I if all(map(I.contains, sat.gens)) else sat
+
+
+# -- unions of coordinate subspaces -------------------------------------------
+
+def brute_coordinate_unions(d):
+    """Every antichain of proper nonempty subsets of {0..d}, the subsets
+    ordered larger first, then lexicographically; the antichains by
+    (size, positions), from a filter over every set of subsets."""
+    subsets = sorted((tuple(i for i in range(d + 1) if mask >> i & 1)
+                      for mask in range(1, (1 << (d + 1)) - 1)),
+                     key=lambda s: (-len(s), s))
+    found = []
+    for mask in range(1, 1 << len(subsets)):
+        picked = [i for i in range(len(subsets)) if mask >> i & 1]
+        if all(not (set(subsets[i]) <= set(subsets[j]) or set(subsets[j]) <= set(subsets[i]))
+               for i, j in combinations(picked, 2)):
+            found.append(picked)
+    found.sort(key=lambda picked: (len(picked), picked))
+    return [tuple(subsets[i] for i in picked) for picked in found]

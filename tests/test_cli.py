@@ -231,6 +231,18 @@ def test_duplicate_directive_diagnostic(extra):
         (ONCE_EACH.count("\n") + 1, "DUPLICATE_DIRECTIVE", f"{head} given twice")]
 
 
+@pytest.mark.parametrize("scene", [
+    "sigma\n1 0\n0 1\nfield rational\ndim 1\nideal\nx0\nend\n",
+    "field rational\nsigma\n1 0\n0 1\ndim 1\nideal\nx0\nend\n",
+])
+def test_sigma_before_its_context_is_one_diagnostic(scene):
+    """A sigma ahead of field or dim is reported once; its rows are skipped
+    unread, and the sigma was given, so it is not missing."""
+    line = scene.split("\n").index("sigma") + 1
+    assert diagnostics(scene) == [
+        (line, "MISSING_CONTEXT", "sigma needs 'field' and 'dim' declared first")]
+
+
 @pytest.mark.parametrize("dim, message", [
     ("one", "expected 'dim <d>'"),
     ("0", "dimension 0 outside 1..9"),

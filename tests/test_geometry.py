@@ -13,14 +13,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from geomideal import cli, homology, linalg, polykernel
+from geomideal import cli, geometry, homology, linalg, polykernel
 from geomideal.classify import sigma_ideal_order
 from geomideal.fields import QQ, PrimeField
 from geomideal.geometry import (
     PERIOD_CAP,
     CTCertificate,
     RationalPoint,
-    _coordinate_families,
+    _DEDEKIND,
+    _antichains,
+    _coordinate_subsets,
     _family_ideal,
     _meets_z,
     _ratio_gate,
@@ -663,12 +665,17 @@ def test_unipotent_scalar_of_a_scaled_jordan_block(nv, c):
     assert _unipotent_part(ProjAutomorphism.from_strings(ring, rows))[0] == QQ.from_str(c)
 
 
+def coordinate_families(d):
+    """Every proper union of coordinate subspaces of P^d, in report order."""
+    return tuple(_antichains(_coordinate_subsets(d)))
+
+
 def test_six_proper_subschemes_on_the_plane():
-    assert sum(len(fam) == 1 for fam in _coordinate_families(2)) == 6
+    assert sum(len(fam) == 1 for fam in coordinate_families(2)) == 6
 
 
 def test_union_of_two_coordinate_points():
-    subs = [_family_ideal(RQ, fam) for fam in _coordinate_families(2)]
+    subs = [_family_ideal(RQ, fam) for fam in coordinate_families(2)]
     p1 = HomIdeal.from_strings(RQ, ["x1", "x2"])
     p2 = HomIdeal.from_strings(RQ, ["x0", "x2"])
     expected = intersect(p1, p2)
@@ -676,9 +683,28 @@ def test_union_of_two_coordinate_points():
 
 
 def test_line_dimension_enumeration():
-    alls = _coordinate_families(1)
+    alls = coordinate_families(1)
     assert alls[:2] == (((0,),), ((1,),))  # the two coordinate points of the line
     assert alls[2:] == (((0,), (1,)),)  # plus their union
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_antichains_match_the_brute_force_reference(d):
+    assert list(coordinate_families(d)) == oracles.brute_coordinate_unions(d)
+
+
+@pytest.mark.parametrize("d, count", [(1, 3), (2, 17), (3, 165), (4, 7578)])
+def test_union_count_is_the_dedekind_number_less_three(d, count):
+    assert sum(1 for _ in _antichains(_coordinate_subsets(d))) == _DEDEKIND[d + 1] - 3 == count
+
+
+def test_antichains_draw_a_subset_only_after_yielding_the_one_before():
+    """The certificate filters the subsets by "meets Z" as they are drawn, so
+    a walk that stops at a singleton has asked about no later subset."""
+    subsets, drawn = _coordinate_subsets(2), []
+    walk = _antichains(drawn.append(s) or s for s in subsets)
+    for k, s in enumerate(subsets, 1):
+        assert next(walk) == (s,) and drawn == subsets[:k]
 
 
 def test_gate_rejects_dependent_ratios():
@@ -747,7 +773,7 @@ def test_certified_scene_transverse_to_every_enumerated_union():
     sc = general_point_scene()
     cert = critical_transversality_certificate(sc)
     assert cert.status == "certified"
-    for fam in _coordinate_families(2):
+    for fam in coordinate_families(2):
         ok, _ = homologically_transverse(sc.ideal, _family_ideal(RQ, fam))
         assert ok
 
@@ -755,7 +781,7 @@ def test_certified_scene_transverse_to_every_enumerated_union():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_family_ideal_matches_the_intersect_fold(d):
     ring = PolyRing(QQ, d + 1)
-    for fam in _coordinate_families(d):
+    for fam in coordinate_families(d):
         parts = [HomIdeal(ring, [ring.variable(i) for i in s]) for s in fam]
         want = parts[0]
         for part in parts[1:]:
@@ -776,7 +802,7 @@ def plain_certificate(scene):
     """Oracle: Tor against every union in report order, with no localization."""
     ring = scene.ring
     res = free_resolution(scene.ideal)
-    families = _coordinate_families(scene.d)
+    families = coordinate_families(scene.d)
     for checked, fam in enumerate(families, 1):
         Y = _family_ideal(ring, fam)
         ok, j = transverse_from_resolution(res, Y)
@@ -825,6 +851,69 @@ def line_scenes(draw):
 def test_localized_certificate_matches_the_plain_loop(scene):
     cert = critical_transversality_certificate(scene)
     assert certificate_summary(cert) == plain_certificate(scene)
+
+
+@st.composite
+def plane_scenes(draw):
+    """A conic, or a union of two points, of P^2, often through coordinate
+    points or tangent to coordinate lines."""
+    monos = monomials_of_degree(RQ, 2)
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2]),
+                               min_size=len(monos), max_size=len(monos)))
+        assume(any(coeffs))
+        Z = HomIdeal(RQ, [sum((RQ.monomial(m).scale(QQ.from_int(c))
+                               for m, c in zip(monos, coeffs)), RQ.zero())])
+    else:
+        points = []
+        for _ in range(2):
+            coords = draw(st.lists(st.sampled_from([0, 0, 1, 2, -3]), min_size=3, max_size=3))
+            coords[draw(st.integers(0, 2))] = 1
+            points.append(RationalPoint.of(QQ, [QQ.from_int(c) for c in coords]).ideal(RQ))
+        Z = intersect(*points)
+    return IdealizerScene(RQ, SIGMA, Z)
+
+
+@settings(max_examples=30, deadline=None)
+@given(scene=st.one_of(plane_scenes(), line_scenes(), point_scenes()))
+def test_first_failing_union_is_made_of_subspaces_that_meet_z(scene):
+    """The walk over the unions of subspaces that meet Z finds the plain
+    loop's witness, and every member of that witness meets Z."""
+    cert = critical_transversality_certificate(scene)
+    assert certificate_summary(cert) == plain_certificate(scene)
+    for s in cert.witness_family or ():
+        L = _family_ideal(scene.ring, (s,))
+        assert not hilbert_polynomial(ideal_sum(scene.ideal, L)).is_zero(), s
+
+
+def count_walks(monkeypatch):
+    """Unions yielded by each enumeration the certificate starts."""
+    walks = []
+    antichains = geometry._antichains
+
+    def counted(subsets):
+        walks.append(0)
+        for fam in antichains(subsets):
+            walks[-1] += 1
+            yield fam
+
+    monkeypatch.setattr(geometry, "_antichains", counted)
+    return walks
+
+
+@pytest.mark.parametrize("point, summary, walks", [
+    ("[1:2:3:4]", ("certified", 165, None, None, None), [0]),
+    ("[3:3:2:0]", ("refuted", 14, ((3,),), "x3", 1), [1, 14]),
+])
+def test_ct_cert_walks_no_union_that_misses_z(point, summary, walks, monkeypatch):
+    """A P^3 point off every hyperplane meets no coordinate subspace and walks
+    no union; a point on V(x3) meets only V(x3), fails there, and the report
+    order is walked only up to V(x3), its 14th union."""
+    counted = count_walks(monkeypatch)
+    Z = RationalPoint.parse(QQ, point).ideal(R3)
+    cert = critical_transversality_certificate(IdealizerScene(R3, SIGMA3, Z))
+    assert certificate_summary(cert) == summary
+    assert counted == walks
 
 
 def count_certificate_work(monkeypatch):
@@ -981,7 +1070,7 @@ def test_lattice_decision_matches_a_direct_disjointness_test(Z, data):
     """Rules (a) and (b) decide "L_s meets Z" as a direct test would, in any
     order of asking."""
     d = Z.ring.nvars - 1
-    subsets = [s for fam in _coordinate_families(d) if len(fam) == 1 for s in fam]
+    subsets = [s for fam in coordinate_families(d) if len(fam) == 1 for s in fam]
     meets = _meets_z(Transversality(Z))
     for s in data.draw(st.permutations(subsets)):
         L = _family_ideal(Z.ring, (s,))
