@@ -34,8 +34,8 @@ and an unstable scene whose finite-order part no power of sigma fixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial, reduce
+from typing import NamedTuple
 
 from .errors import SceneVerificationError, UsageError
 from .geometry import (
@@ -66,8 +66,7 @@ from .twist import ProjAutomorphism, _mat_pow
 # sigma-orders of ideals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrderResult:
+class OrderResult(NamedTuple):
     """Least n >= 1 with I^{sigma^n} = I, when one can be pinned down.
 
     order is None when no such n was found; certified_infinite marks the
@@ -178,8 +177,7 @@ def reduced_point_of(ideal: HomIdeal) -> RationalPoint | None:
 # component analysis (the W/J split)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     component: HomIdeal
     prime: HomIdeal
     codimension: int
@@ -187,8 +185,7 @@ class ComponentReport:
     scheme_order: OrderResult
 
 
-@dataclass(frozen=True)
-class ComponentAnalysis:
+class ComponentAnalysis(NamedTuple):
     """Primary components of Z sorted into the finite-order part J (supports
     returning to themselves under some power of sigma) and the moving part W.
 
@@ -288,38 +285,55 @@ PROBE_J_MAX = 6  # homological degrees probed over an ambient quotient
 NOT_FINITELY_GENERATED = "not a finitely generated idealizer; noetherian rows refuted"
 
 
-@dataclass(frozen=True)
-class Evidence:
+class _Evidence(NamedTuple):
     kind: str
     citation: str
     horizon: int | None = None
     witness: str | None = None
 
-    def __post_init__(self):
+
+class Evidence(_Evidence):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in EVIDENCE_KINDS:
             raise ValueError(f"unknown evidence kind: {self.kind!r}")
         if self.kind == "heuristic" and self.horizon is None:
             raise ValueError("heuristic evidence must carry its horizon")
         if self.kind == "refuted" and self.witness is None:
             raise ValueError("a refutation must carry a witness")
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
+class _ClassificationRow(NamedTuple):
     predicate: str
     verdict: str
     detail: str
     evidence: Evidence
 
-    def __post_init__(self):
+
+class ClassificationRow(_ClassificationRow):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.predicate not in PREDICATES:
             raise ValueError(f"unknown predicate: {self.predicate!r}")
         if self.verdict not in VERDICTS:
             raise ValueError(f"unknown verdict: {self.verdict!r}")
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     rows: tuple[ClassificationRow, ...]
     flags: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
@@ -335,8 +349,7 @@ class ClassificationReport:
 # the hypotheses of the theorem, computed once per scene
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Hypotheses:
+class Hypotheses(NamedTuple):
     """The hypotheses of the paper's theorem on (Z, sigma), computed once
     per scene by `_hypotheses`.  horizon is the degree through which the
     colon and the orbits are scanned; a field is None where nothing
@@ -492,8 +505,7 @@ def _hypotheses(scene, sample_points, horizon, order_bound,
 # one rule per predicate, and the weakest-link rule
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Ruling:
+class _Ruling(NamedTuple):
     """A rule's outcome: the verdict, its detail, and the fields of the
     record it reads (None: the rule's hypotheses are not met).  witness
     backs a refutation; unproven replaces the detail when the row comes out

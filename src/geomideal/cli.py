@@ -14,12 +14,11 @@ an internal error and propagates, so no bug is reported as a verdict.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .classify import (
     ClassificationReport,
@@ -71,8 +70,7 @@ HORIZON_CAP = 200
 # scene grammar
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     line: int
     code: str
     message: str
@@ -87,8 +85,7 @@ class SceneError(ValueError):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class SceneFile:
+class SceneFile(NamedTuple):
     """Parsed and validated scene: the defining data plus run parameters."""
 
     ring: PolyRing
@@ -753,7 +750,7 @@ def main(argv=None) -> int:
             print(f"{args.scene}:{diag}", file=sys.stderr)
         return 2
 
-    sf = dataclasses.replace(sf, **overrides)
+    sf = sf._replace(**overrides)
 
     try:
         _check_caps(sf)

@@ -28,11 +28,11 @@ so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
+from typing import NamedTuple
 
 from . import linalg
 from .fields import QQ
@@ -61,8 +61,7 @@ class PointSyntaxError(ValueError):
         self.code = code
 
 
-@dataclass(frozen=True)
-class RationalPoint:
+class RationalPoint(NamedTuple):
     """Projective point with exact coordinates, first nonzero coordinate 1."""
 
     field: object
@@ -155,8 +154,7 @@ def _scan_projective_order(sigma: ProjAutomorphism) -> int | None:
 # forward orbits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     """Where the forward orbit of a point meets a subscheme.
 
     verdict is one of "certified-finite" (hits complete, none past n0),
@@ -397,8 +395,7 @@ def forward_orbit_hits(p: RationalPoint, sigma: ProjAutomorphism,
 # multiplicative independence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MultIndependence:
+class MultIndependence(NamedTuple):
     """Independence certificate or relation witness for nonzero rationals."""
 
     rank: int
@@ -530,8 +527,7 @@ def _ratio_gate(sigma: ProjAutomorphism) -> bool:
 # critical transversality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CTCertificate:
+class CTCertificate(NamedTuple):
     """Outcome of checking Z against every reduced invariant subscheme."""
 
     status: str  # "certified" | "refuted" | "inconclusive"

@@ -52,8 +52,8 @@ with no module Groebner run.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ImproperIntersectionError, SceneVerificationError, UsageError
 from .freemod import (
@@ -81,16 +81,20 @@ from .polykernel import (
 )
 
 
-@dataclass(frozen=True)
-class GradedMap:
-    """Map of graded free modules, stored column-wise (column i = image of
-    the i-th source generator, an element of the target)."""
-
+class _GradedMap(NamedTuple):
     source: FreeModule
     target: FreeModule
     columns: tuple[MVec, ...]
 
-    def __post_init__(self):
+
+class GradedMap(_GradedMap):
+    """Map of graded free modules, stored column-wise (column i = image of
+    the i-th source generator, an element of the target)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for i, col in enumerate(self.columns):
             if col.is_zero():
                 continue
@@ -101,16 +105,32 @@ class GradedMap:
                     f"column {i} has degree {col.degree}, "
                     f"expected {self.source.degrees[i]}"
                 )
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks too
+        return cls(*fields)
 
 
-@dataclass
 class FreeResolution:
-    """... -> F_2 -> F_1 -> F_0 -> S/I -> 0 with maps[i] = d_(i+1)."""
+    """... -> F_2 -> F_1 -> F_0 -> S/I -> 0 with maps[i] = d_(i+1).  It
+    keeps the cokernel numerators it has computed (cokernel_numerator)."""
 
-    ideal: HomIdeal
-    modules: tuple[FreeModule, ...]
-    maps: tuple[GradedMap, ...]
-    _cokernels: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, ideal: HomIdeal, modules: tuple[FreeModule, ...],
+                 maps: tuple[GradedMap, ...]):
+        self.ideal = ideal
+        self.modules = modules
+        self.maps = maps
+        self._cokernels = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ideal, self.modules, self.maps) == (other.ideal, other.modules, other.maps)
+
+    def __repr__(self):
+        return (f"FreeResolution(ideal={self.ideal!r}, modules={self.modules!r}, "
+                f"maps={self.maps!r})")
 
     @property
     def length(self) -> int:
@@ -230,8 +250,7 @@ def _periodic_map(d: GradedMap, f: Poly) -> list[dict] | None:
 # graded Tor
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TorModule:
+class TorModule(NamedTuple):
     """Tor_j(S/I, S/J) by its Hilbert series numerator over (1 - u)^nvars."""
 
     j: int
@@ -394,8 +413,7 @@ def point_coordinates(ideal: HomIdeal) -> list | None:
 # truncated Tor over a hypersurface quotient
 # ---------------------------------------------------------------------------
 
-@dataclass
-class QuotientTorReport:
+class QuotientTorReport(NamedTuple):
     """Degreewise Tor table over A = S/Q in degrees 0..window.
 
     Every dimension is exact; the window only selects which degrees are

@@ -17,7 +17,7 @@ tested); the oracle is one-sided below that horizon and is documented as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import SceneVerificationError
 from .polykernel import (
@@ -35,22 +35,40 @@ from .polykernel import (
 from .twist import DegreePiece, ProjAutomorphism, TwistedElement, _check_exponent
 
 
-@dataclass
 class IdealizerScene:
     """The data (P^d, sigma, Z): ring, automorphism, saturated ideal of Z.
 
     declared_components, when given, must intersect to the ideal of Z; each
     may carry a declared associated prime (checked to contain the component).
+    The scene keeps the colons and pulled-back ideals it has computed.
     """
 
-    ring: PolyRing
-    sigma: ProjAutomorphism
-    ideal: HomIdeal
-    declared_components: tuple[tuple[HomIdeal, HomIdeal | None], ...] = ()
-    gorenstein_z: bool = False
-    _colon_cache: dict = field(default_factory=dict, repr=False)
-    _pulled_cache: dict = field(default_factory=dict, repr=False)
+    def __init__(self, ring: PolyRing, sigma: ProjAutomorphism, ideal: HomIdeal,
+                 declared_components: tuple[tuple[HomIdeal, HomIdeal | None], ...] = (),
+                 gorenstein_z: bool = False):
+        self.ring = ring
+        self.sigma = sigma
+        self.ideal = ideal
+        self.declared_components = declared_components
+        self.gorenstein_z = gorenstein_z
+        self._colon_cache = {}
+        self._pulled_cache = {}
+        self.__post_init__()
 
+    def _key(self):
+        return (self.ring, self.sigma, self.ideal, self.declared_components,
+                self.gorenstein_z)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return ("IdealizerScene(ring={!r}, sigma={!r}, ideal={!r}, "
+                "declared_components={!r}, gorenstein_z={!r})").format(*self._key())
+
+    # its own method, apart from __init__: bench/tracing.py times it by name
     def __post_init__(self):
         if self.ideal.is_zero_ideal():
             raise SceneVerificationError("Z must be a proper nonempty subscheme (zero ideal given)")
@@ -179,8 +197,7 @@ def pieces_agree(a: DegreePiece, b: DegreePiece) -> bool:
 # stabilization and Hilbert data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StabilizationReport:
+class StabilizationReport(NamedTuple):
     """Per-degree comparison of the colon ideal with I itself."""
 
     bound: int
@@ -218,8 +235,7 @@ def stabilization_degree(scene: IdealizerScene, N: int) -> StabilizationReport:
     return StabilizationReport(N, tuple(statuses), n0, degenerate)
 
 
-@dataclass(frozen=True)
-class HilbertRow:
+class HilbertRow(NamedTuple):
     n: int
     dim_B: int
     dim_I: int

@@ -90,11 +90,11 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce as _fold
 from itertools import combinations
 from operator import add, le, neg, sub
+from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +307,18 @@ def mono_deg(a):
 
 
 class Poly:
-    """Sparse polynomial: dict of exponent tuple -> nonzero scalar."""
+    """Sparse polynomial: dict of exponent tuple -> nonzero scalar.  The
+    terms are not changed after construction, so the degree, the leading
+    term and the hash are computed once, on first use."""
 
-    __slots__ = ("ring", "terms", "_deg", "_lt")
+    __slots__ = ("ring", "terms", "_deg", "_lt", "_hash")
 
     def __init__(self, ring: PolyRing, terms: dict, lt=None):
         self.ring = ring
         self.terms = terms
         self._deg = -2  # unset marker (-1 means inhomogeneous, None-like)
         self._lt = lt
+        self._hash = None
 
     # degree tag: the common degree when homogeneous, else None
     @property
@@ -434,7 +437,9 @@ class Poly:
         return isinstance(other, Poly) and self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
+        if self._hash is None:
+            self._hash = hash((self.ring, tuple(sorted(self.terms.items()))))
+        return self._hash
 
     def __repr__(self):
         return self.ring.format_poly(self)
@@ -856,8 +861,7 @@ def hilbert_function(I: HomIdeal, n: int) -> int:
     return series_coefficient(I.hilbert_numerator(), I.ring.nvars, n)
 
 
-@dataclass(frozen=True)
-class HilbertPoly:
+class HilbertPoly(NamedTuple):
     """Polynomial in n with exact rational coefficients (index = power of n)."""
 
     coeffs: tuple[Fraction, ...]

@@ -18,14 +18,13 @@ steps of sigma, on forms and on points alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .polykernel import HomIdeal, Poly, PolyRing, Substitution
 
 
-@dataclass(frozen=True)
-class DegreePiece:
+class DegreePiece(NamedTuple):
     """Row-reduced basis of one graded component (of B, I, or R)."""
 
     n: int
@@ -189,18 +188,27 @@ def _mat_pow(field, M, n):
 # twisted elements and the star product
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwistedElement:
-    """Degree-tagged homogeneous form, an element of B_n."""
-
+class _TwistedElement(NamedTuple):
     degree: int
     poly: Poly
 
-    def __post_init__(self):
+
+class TwistedElement(_TwistedElement):
+    """Degree-tagged homogeneous form, an element of B_n."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.poly.is_zero() and self.poly.degree != self.degree:
             raise ValueError(
                 f"polynomial degree {self.poly.degree} != declared degree {self.degree}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks too
+        return cls(*fields)
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()

@@ -11,7 +11,6 @@ some horizon, or absent.
 """
 
 import itertools
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -1100,7 +1099,7 @@ def strengths(h):
         certifiable.add("stabilization")
     choices = [(None, 4, 9) if f in certifiable else (4, 9) for f in present]
     for picked in itertools.product(*choices):
-        yield replace(h, horizons=tuple((f, s) for f, s in zip(present, picked) if s is not None))
+        yield h._replace(horizons=tuple((f, s) for f, s in zip(present, picked) if s is not None))
 
 
 def weakest_link(h, verdict, reads):
@@ -1156,7 +1155,7 @@ def test_weakest_link_table(name, predicate, horizons, expected):
     """A row is certified or refuted only when every field its rule reads is
     certified, and heuristic at the least horizon among them otherwise; a
     field the rule does not read moves nothing."""
-    h = replace(hypotheses_of(name), horizons=tuple(horizons.items()))
+    h = hypotheses_of(name)._replace(horizons=tuple(horizons.items()))
     row = _row(predicate, _RULES[predicate](h), h)
     assert (row.evidence.kind, row.evidence.horizon) == expected
 

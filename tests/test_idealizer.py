@@ -6,7 +6,6 @@ positive degree, so dim R_n = C(n+2, 2) - 1 and the colon never returns to I.
 The shear-on-a-line family stabilizes immediately and gives dim R_n = n.
 """
 
-import dataclasses
 from pathlib import Path
 
 import oracles
@@ -455,7 +454,7 @@ def test_equal_colons_share_one_table(monkeypatch):
 
     monkeypatch.setattr(linalg.NormalForms, "__init__", counting_init)
     path = Path(__file__).resolve().parents[1] / "scenes" / "fat_point.scene"
-    sf = dataclasses.replace(cli.parse_scene(path.read_text()), oracle=3)
+    sf = cli.parse_scene(path.read_text())._replace(oracle=3)
     rows = [r for r in cli.run_idealizer(sf) if r["record"] == "idealizer-row"]
     assert [r.get("oracle") for r in rows] == [None] + ["agree"] * sf.maxdeg
     assert len(tables) == 3

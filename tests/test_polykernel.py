@@ -116,6 +116,19 @@ def test_parse_spec_shapes():
     assert RQ.parse("0").is_zero()
 
 
+def test_poly_hash_ignores_term_order_and_is_kept():
+    """Equal polynomials hash alike whatever order their terms were built
+    in, and the hash a Poly keeps is the one it had before keying a memo."""
+    terms = list(RQ.parse("x0^2 - 3*x1*x2 + x2^2").terms.items())
+    p, q = Poly(RQ, dict(terms)), Poly(RQ, dict(reversed(terms)))
+    assert list(p.terms) != list(q.terms)
+    before = hash(p)
+    assert hash(q) == before
+    memo = {p: "kept"}
+    assert hash(p) == before == hash(Poly(RQ, dict(terms)))
+    assert memo[q] == "kept"
+
+
 @pytest.mark.parametrize("bad", ["x0 +", "x9^2 + x0", "x0 ^ x1", "2 // 3", "(x0", "x0 x$"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):

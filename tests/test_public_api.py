@@ -122,6 +122,15 @@ def test_every_module_stays_under_the_token_step():
     assert {name: n for name, n in sizes.items() if n > 8192} == {}
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Every command is a fresh process that imports the package first: its
+    records are named tuples and plain classes, so the import generates no
+    code and loads neither module (site is off, so no .pth file can)."""
+    out = _run("-S", "-c", "import sys, geomideal.cli; "
+               "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
+
+
 def test_module_entry_point_runs_the_cli(capsys):
     """`python -m geomideal` prints what cli.main prints, writes nothing to
     stderr, and exits with cli.main's code: 2 for a usage error."""
