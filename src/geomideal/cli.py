@@ -4,7 +4,9 @@ The command-line front end reads a line-oriented scene file describing
 (field, dimension, sigma, Z) plus optional blocks, dispatches one of ten
 subcommands, and renders the result either as an aligned text table or as a
 stream of JSON records (one object per line, keys sorted) that round-trips
-losslessly through ``parse_records``.
+losslessly through ``parse_records``.  ``main`` reads argv by hand, with
+no argparse (importing and building that parser took longer than many
+commands), with argparse's rules for flags, prefixes, values and errors.
 
 Exit codes: 0 success, 2 parse/usage error, 3 verification failure,
 4 resource cap exceeded (the classes in errors.py).  Any other exception is
@@ -13,11 +15,9 @@ an internal error and propagates, so no bug is reported as a verdict.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
-from functools import cache
-from pathlib import Path
 from typing import NamedTuple
 
 from .classify import (
@@ -564,12 +564,9 @@ DISPATCH = {
 }
 COMMANDS = tuple(DISPATCH)
 
-# the scene counts a command-line flag may override: (flag, SceneFile field, help)
-_OVERRIDES = (
-    ("--max-degree", "maxdeg", "override the scene's maxdeg"),
-    ("--oracle-horizon", "oracle", "override the scene's oracle horizon"),
-    ("--horizon", "horizon", "override the scene's horizon"),
-)
+# the scene counts a command-line flag may override: flag -> SceneFile field
+_OVERRIDES = {"--max-degree": "maxdeg", "--oracle-horizon": "oracle",
+              "--horizon": "horizon"}
 
 
 # ---------------------------------------------------------------------------
@@ -705,41 +702,149 @@ def render_text(records: list[dict]) -> str:
 # entry point
 # ---------------------------------------------------------------------------
 
-@cache
-def _arg_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by every later
-    `main` call in the process (parsing leaves it unchanged)."""
-    parser = argparse.ArgumentParser(
-        prog="geomideal",
-        description="geometric idealizer scenes: Groebner data, twisted "
-                    "products, transversality, orbits, and the "
-                    "classification table",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("scene", help="path to a scene file, or - for stdin")
-    parser.add_argument("--format", choices=("text", "records"),
-                        default="text")
-    for flag, _, text in _OVERRIDES:
-        parser.add_argument(flag, type=int, default=None, help=text)
-    return parser
+_USAGE = """\
+usage: geomideal [-h] <command> <scene> [--format text|records]
+                 [--max-degree N] [--oracle-horizon M] [--horizon N]
+"""
+
+_HELP = f"""{_USAGE}
+geometric idealizer scenes: Groebner data, twisted products, transversality,
+orbits, and the classification table
+
+positional arguments:
+  <command>             one of {', '.join(COMMANDS[:5])},
+                        {', '.join(COMMANDS[5:])}
+  <scene>               path to a scene file, or - for stdin
+
+options:
+  -h, --help            show this help message and exit
+  --format text|records
+                        output format (default: text)
+  --max-degree N        override the scene's maxdeg
+  --oracle-horizon M    override the scene's oracle horizon
+  --horizon N           override the scene's horizon
+"""
+
+# every option string, in the order argparse listed an ambiguous prefix's matches
+_FLAGS = ("-h", "--help", "--format", *_OVERRIDES)
+# argparse read a token that matches this, and names no flag, as a positional
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
+
+
+def _usage_error(message):
+    sys.stderr.write(f"{_USAGE}geomideal: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _option(token):
+    """Read one token ahead of any ``--`` as argparse did: None for a
+    positional, else (flag, its inline value or None), flag None for an
+    option no flag has.  A prefix of two flags is a usage error."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    if token in _FLAGS:
+        return token, None
+    if eq and name in _FLAGS:
+        return name, value
+    if token[1] == "-":
+        matches = [flag for flag in _FLAGS if flag.startswith(name)]
+        if len(matches) > 1:
+            _usage_error(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token[1] == "h":  # -hV is -h with the inline value V
+        return "-h", token[2:]
+    if re.match(_NEGATIVE_NUMBER, token) or " " in token:
+        return None
+    return None, None
+
+
+def _read_argv(argv):
+    """(command, scene, format, overrides) from argv, as the argparse parser
+    this replaces read it; overrides maps each count flag given to its int.
+
+    Ambiguous prefixes are found first, in every token ahead of ``--``.
+    Then tokens are read left to right and an error is raised where its
+    token is read, so ``-h`` ahead of a bad token prints the help (exit 0)
+    and behind it does not; a missing positional and left-over tokens are
+    reported last.  A usage error prints the usage and raises SystemExit(2)."""
+    argv = list(argv)
+    end = argv.index("--") if "--" in argv else len(argv)
+    options = [_option(token) for token in argv[:end]]
+    positionals, extras, fmt, overrides = [], [], "text", {}
+    scene_at = None
+    i = 0
+    while i < len(argv):
+        at, token = i, argv[i]
+        option = options[at] if at < end else None
+        i += 1
+        if at == end:
+            # argparse folded the first "--" into a positional next to it;
+            # one read after both (not right after the scene) is left over
+            if len(positionals) == 2 and scene_at != at - 1:
+                extras.append(token)
+        elif option is None:
+            if len(positionals) == 2:
+                extras.append(token)
+            elif positionals or token in COMMANDS:
+                positionals.append(token)
+                scene_at = at
+            else:
+                _usage_error(f"argument command: invalid choice: {token!r} "
+                             f"(choose from {', '.join(map(repr, COMMANDS))})")
+        elif option[0] is None:
+            extras.append(token)
+        elif option[0] in ("-h", "--help"):
+            value = option[1]
+            if option[0] == "-h" and value:  # -hh reads as -h -h
+                value = value.lstrip("h") or None
+            if value is not None:
+                _usage_error(f"argument -h/--help: ignored explicit argument {value!r}")
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+        else:
+            flag, value = option
+            if value is None:
+                if i == end or options[i] is not None:
+                    _usage_error(f"argument {flag}: expected one argument")
+                value = argv[i]
+                i += 1
+            if flag != "--format":
+                try:
+                    overrides[flag] = int(value)
+                except ValueError:
+                    _usage_error(f"argument {flag}: invalid int value: {value!r}")
+            elif value in ("text", "records"):
+                fmt = value
+            else:
+                _usage_error(f"argument --format: invalid choice: {value!r} "
+                             "(choose from 'text', 'records')")
+    if len(positionals) < 2:
+        _usage_error("the following arguments are required: "
+                     + ", ".join(("command", "scene")[len(positionals):]))
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return positionals[0], positionals[1], fmt, overrides
 
 
 def main(argv=None) -> int:
-    args = _arg_parser().parse_args(argv)
+    command, scene, fmt, values = _read_argv(sys.argv[1:] if argv is None else argv)
     overrides = {}
-    for flag, name, _ in _OVERRIDES:
-        val = getattr(args, flag[2:].replace("-", "_"))
+    for flag, name in _OVERRIDES.items():
+        val = values.get(flag)
         if val is not None and val < 1:
             print(f"geomideal: {flag} must be positive", file=sys.stderr)
             return 2
         if val is not None:
             overrides[name] = val
 
-    if args.scene == "-":
+    if scene == "-":
         text = sys.stdin.read()
     else:
         try:
-            text = Path(args.scene).read_text()
+            with open(scene) as fh:
+                text = fh.read()
         except OSError as exc:
             print(f"geomideal: cannot read scene: {exc}", file=sys.stderr)
             return 2
@@ -747,14 +852,14 @@ def main(argv=None) -> int:
         sf = parse_scene(text)
     except SceneError as err:
         for diag in err.diagnostics:
-            print(f"{args.scene}:{diag}", file=sys.stderr)
+            print(f"{scene}:{diag}", file=sys.stderr)
         return 2
 
     sf = sf._replace(**overrides)
 
     try:
         _check_caps(sf)
-        records = DISPATCH[args.command](sf)
+        records = DISPATCH[command](sf)
     except ResourceCapError as exc:
         print(f"geomideal: resource cap: {exc}", file=sys.stderr)
         return 4
@@ -765,7 +870,7 @@ def main(argv=None) -> int:
         print(f"geomideal: verification failure: {exc}", file=sys.stderr)
         return 3
 
-    out = emit_records(records) if args.format == "records" else render_text(records)
+    out = emit_records(records) if fmt == "records" else render_text(records)
     sys.stdout.write(out)
     return 0
 

@@ -12,7 +12,8 @@ oracle's conditions in monomial order, then a separate rref),
 token_parse (the former tokenizer, which matches one token at a time,
 feeding the library's recursive descent)
 and loop_saturate (the former saturation: every (I : x_i^∞), intersected,
-with no exit for a linear I).
+with no exit for a linear I); argparse_argv reads a command line with the
+argparse parser the CLI used before it read argv by hand.
 leibniz_det_adjugate works over any commutative ring whose elements have
 +, - and *, the library's polynomials among them; dense_power and
 dense_pullback form M^n as n dense products and expand f o M^n with the
@@ -720,3 +721,31 @@ def brute_coordinate_unions(d):
             found.append(picked)
     found.sort(key=lambda picked: (len(picked), picked))
     return [tuple(subsets[i] for i in picked) for picked in found]
+
+
+# -- the command line, read by argparse ---------------------------------------
+
+OVERRIDE_FLAGS = ("--max-degree", "--oracle-horizon", "--horizon")
+
+
+@lru_cache(maxsize=None)
+def _argparse_parser():
+    import argparse
+    from geomideal.cli import COMMANDS
+    parser = argparse.ArgumentParser(prog="geomideal")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("scene", help="path to a scene file, or - for stdin")
+    parser.add_argument("--format", choices=("text", "records"), default="text")
+    for flag in OVERRIDE_FLAGS:
+        parser.add_argument(flag, type=int, default=None)
+    return parser
+
+
+def argparse_argv(argv):
+    """(command, scene, format, overrides) as the former argparse parser read
+    argv, overrides mapping each count flag given to its value; help and
+    usage errors raise SystemExit(0) and SystemExit(2) as argparse does."""
+    args = _argparse_parser().parse_args(argv)
+    given = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in OVERRIDE_FLAGS}
+    return (args.command, args.scene, args.format,
+            {flag: value for flag, value in given.items() if value is not None})

@@ -1,9 +1,15 @@
 """Scene-grammar diagnostics, record round-trips, and exit-code contracts."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from geomideal import cli, linalg, polykernel
 from geomideal.cli import (
@@ -366,9 +372,7 @@ def test_smooth_z_declaration_is_rejected(tmp_path, capsys):
     assert "BAD_DECLARE" in capsys.readouterr().err
 
 
-def test_one_parser_survives_a_usage_error(tmp_path, capsys):
-    # main builds its argument parser once per process and reuses it
-    cli._arg_parser.cache_clear()
+def test_a_usage_error_leaves_the_next_call_unchanged(tmp_path, capsys):
     path = scene_path(tmp_path, MINIMAL_P1)
     assert main(["gb", path]) == 0
     first = capsys.readouterr().out
@@ -378,6 +382,84 @@ def test_one_parser_survives_a_usage_error(tmp_path, capsys):
     assert "invalid choice" in capsys.readouterr().err
     assert main(["gb", path]) == 0
     assert capsys.readouterr().out == first
+
+
+# argv pieces: one token, or a flag and its value as two
+ARGV_PIECES = [
+    *[(token,) for token in (*cli.COMMANDS, "bad", "a.scene", "-", "-3", "text",
+                             "records", "yaml", "", "--form", "--hor", "--h", "--o",
+                             "--", "-x", "-h", "--help", "extra")],
+    *[piece for flag, values in (("--format", ("text", "records", "yaml", "")),
+                                 *((f, ("3", "-3", "0", "x", "3_0")) for f in oracles.OVERRIDE_FLAGS))
+      for v in values for piece in ((flag, v), (f"{flag}={v}",))],
+]
+
+
+def _outcome(read, argv):
+    """What `read` returns for argv, or the code it exits with (output dropped)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return read(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(ARGV_PIECES), max_size=7))
+def test_argv_reads_as_argparse_read_it(pieces):
+    """The hand reader and the former argparse parser agree on every argv:
+    the same (command, scene, format, overrides), or both exit 0 (help), or
+    both exit 2 (usage error)."""
+    argv = [token for piece in pieces for token in piece]
+    expected = _outcome(oracles.argparse_argv, argv)
+    if isinstance(expected, tuple) and expected[1] == []:
+        # this argparse strips a second "--" from the scene it fills, leaving
+        # [] (on which main raised TypeError); after a "--" the reader keeps
+        # every token, "--" too
+        expected = (expected[0], "--", *expected[2:])
+    assert _outcome(cli._read_argv, argv) == expected
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["colon", "-3"], ("colon", "-3", "text", {})),
+    (["gb", "-", "--hor", "3_0", "--horizon=4", "--form=records"],
+     ("gb", "-", "records", {"--horizon": 4})),
+    (["--o", "-3", "gb", "--", "--format"], ("gb", "--format", "text", {"--oracle-horizon": -3})),
+    (["-h", "bad"], 0),
+    (["bad", "s", "-h"], 2),
+    (["gb", "s", "extra", "-h"], 0),
+    (["-h", "--h"], 2),
+    (["gb", "s", "--horizon", "--format", "text"], 2),
+    (["gb", "s", "--format", "text", "--"], 2),
+    (["gb", "s", "--"], ("gb", "s", "text", {})),
+    (["gb"], 2),
+])
+def test_argv_examples(argv, expected):
+    assert _outcome(cli._read_argv, argv) == expected == _outcome(oracles.argparse_argv, argv)
+
+
+def test_help_goes_to_stdout_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    assert out.startswith("usage: geomideal [-h] <command> <scene>")
+    assert all(flag in out for flag in ("--format", *oracles.OVERRIDE_FLAGS))
+
+
+def test_usage_error_prints_usage_then_the_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gb", "s", "--format", "yaml"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err == (cli._USAGE + "geomideal: error: argument --format: invalid choice: "
+                   "'yaml' (choose from 'text', 'records')\n")
+
+
+def test_readme_shows_the_usage_text():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    assert block.split() == cli._USAGE.split()[1:]
 
 
 def test_missing_file_exit_two(tmp_path, capsys):

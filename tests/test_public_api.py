@@ -131,6 +131,17 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
 
 
+def test_cli_run_loads_no_argparse_gettext_locale_or_pathlib():
+    """The CLI reads argv by hand and the scene with open(): importing it and
+    running one command in a fresh process loads none of these modules
+    (site is off, so no .pth file can)."""
+    out = _run("-S", "-c", "import sys, geomideal.cli; "
+               "geomideal.cli.main(['gb', 'scenes/moving_point.scene']); "
+               "print(sorted({'argparse', 'gettext', 'locale', 'pathlib'} & set(sys.modules)))")
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.startswith("# groebner basis") and out.stdout.endswith("\n[]\n")
+
+
 def test_module_entry_point_runs_the_cli(capsys):
     """`python -m geomideal` prints what cli.main prints, writes nothing to
     stderr, and exits with cli.main's code: 2 for a usage error."""
