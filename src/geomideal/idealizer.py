@@ -5,7 +5,11 @@ automorphism sigma, the degree-n piece of the idealizer is the degree-n part
 of the colon ideal (I : I^{sigma^n}); degree 0 is the scalars.  The defining
 membership property ("x star I stays in I") is available both as a per-element
 finite-horizon oracle and as an exhaustive subspace computation, so the two
-routes can be compared exactly on small degrees.
+routes can be compared exactly on small degrees.  Both read I_n from I's
+table of normal forms, since I_n always has the property; what the
+exhaustive oracle solves for on its own is the subspace of (S/I)_n that
+passes, so it does not echo the colon: on a fat point, whose colon is
+larger than I, it finds the larger piece.
 
 At horizon M both oracles test the generators g of the saturated ideal with
 deg g <= M, which is the same condition as testing every form of I_0..I_M:
@@ -175,7 +179,11 @@ def exhaustive_oracle_piece(scene: IdealizerScene, n: int, M: int) -> DegreePiec
     of monomial normal forms (`linalg.NormalForms.annihilator`, through
     `HomIdeal.normal_forms`): each monomial is reduced once per scene, for
     every degree n and for the colon pieces that equal I's, and the kernel
-    comes out as its reduced echelon form.  The pulled-back generators are
+    comes out as its reduced echelon form.  x - nf(x) lies in I, so every
+    condition sees x only through nf(x): the piece is I_n, read off the
+    table, plus the subspace of (S/I)_n solved on the standard monomials
+    of degree n, and only the entries of degree n + deg g that those
+    products reach are filled.  The pulled-back generators are
     the scene's (`IdealizerScene.pulled_ideal`), shared with the colon;
     g o sigma^n has the degree of g.
     """

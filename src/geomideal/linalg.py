@@ -38,14 +38,19 @@ after the monomial, so the engine sees exponent tuples only.
 
 `NormalForms` tabulates the normal-form map on monomials: a normal form
 modulo a Groebner basis is unique, hence linear, so the normal form of any
-polynomial is the combination of its monomials' cached normal forms.  Its
-entries are integral too, one integer denominator over integer numerators.
-Its annihilator, the forms x of one degree with nf_T(x.f) = 0 for a list
-of conditions (T, f), each T a table of the ring, is the idealizer
-oracle's subspace and the one step of one loop, `kernel_ideal`: degree by
-degree from 0 it builds the ideal K of those x until the leading monomials
-found give the Hilbert numerator of S/K, known in advance.  That loop has
-two users, each with the exact sequence that gives its target:
+polynomial is the combination of its monomials' cached normal forms.  An
+entry is filled when it is first asked for, with only the entries it
+needs.  The entries are integral too, one integer denominator over integer
+numerators.  Its annihilator, the forms x of one degree with
+nf_T(x.f) = 0 for a list of conditions (T, f), each T a table of the
+ring, is the idealizer oracle's subspace and the one step of one loop,
+`kernel_ideal`.  On the table's own ideal I a condition sees x only
+through nf(x), so the solve runs on the standard monomials, a basis of
+(S/I)_n, and I_n is read off the table; conditions on other tables are
+then solved on that answer's basis.  Degree by degree from 0 the loop
+builds the ideal K of those x until the leading monomials found give the
+Hilbert numerator of S/K, known in advance.  It has two users, each with
+the exact sequence that gives its target:
 
 - the zero-divisor colon (I : h), one condition (I's table, h), for h of
   degree e with section numerator s: from
@@ -385,23 +390,43 @@ def _accumulate(pairs) -> tuple[dict, int]:
     return acc, common
 
 
+def _insert_rows(echelon: Echelon, residues: list[tuple[dict, int]]) -> None:
+    """Insert one row per monomial t of the residues (nums, den), the i-th
+    residue's entry at t in column i.  The rows are taken over the lcm of
+    the denominators, so they are integral; scaling every row of one
+    condition alike changes no solution."""
+    common = lcm(*[d for _, d in residues])
+    rows: dict[tuple, dict] = {}
+    for col, (nums, d) in enumerate(residues):
+        f = common // d
+        for t, x in nums.items():
+            if x:
+                rows.setdefault(t, {})[col] = f * x
+    for row in rows.values():
+        echelon.insert(row)
+
+
 class NormalForms:
     """Normal forms modulo one fixed homogeneous Groebner basis, tabulated
-    on monomials a whole degree at a time.
+    on monomials as they are asked for.
 
     The basis must be a Groebner basis, so that nf(sum c_t t) =
     sum c_t nf(t) and each monomial is reduced once per table.  A monomial
     m that the leading monomial lm of some basis element g divides (the
     first such g) reduces to the combination of the monomials m/lm * t over
-    the tail terms t of g.  Those are smaller than m and of its degree, so
-    a degree filled in increasing monomial order finds every one of them
-    already filled: no stack and no second visit.
+    the tail terms t of g.  Those are smaller than m and of its degree.
+    `_fill` is the one fill rule: on an explicit stack it fills those
+    first, then m, and nothing else.  A single monomial (`_entry`, which
+    `residue` and `shifted` call) fills only the entries it reaches; a
+    whole degree (`monomials`) goes on the stack smallest on top, so
+    there the stack never grows.
 
     Each entry is integral: (nums, den) with nf(m) = sum nums[s]/den * s,
     in the field's canonical form (`field.reduce_row`), so over Q the
     table holds no `Fraction` and a combination is integer arithmetic over
     one common denominator.  The table keeps each filled degree's monomial
-    list, which the degree pieces and the kernel loop read.
+    list, and per degree the piece of the ideal and the standard
+    monomials, which the degree pieces and the kernel loop read.
     """
 
     def __init__(self, ring: PolyRing, basis: list[Poly]):
@@ -417,6 +442,7 @@ class NormalForms:
                 (lm, nums[lm], [(t, -x) for t, x in nums.items() if t != lm]))
         self._table: dict[tuple, tuple[dict, int]] = {}
         self._monos: dict[int, list[tuple]] = {}
+        self._degrees: dict[int, tuple[list, list]] = {}  # n -> (piece, standard)
 
     def monomials(self, n: int) -> list[tuple]:
         """The degree-n monomials in decreasing order, their normal forms
@@ -424,25 +450,49 @@ class NormalForms:
         monos = self._monos.get(n)
         if monos is None:
             monos = self._monos[n] = monomials_of_degree(self.ring, n)
-            table, reduce_row = self._table, self.ring.field.reduce_row
-            for m in reversed(monos):
-                for lm, lc, tail in self._divisors:
-                    if mono_divides(lm, m):
-                        q = mono_div(m, lm)
-                        acc, d = _accumulate([(a, table[mono_mul(t, q)]) for t, a in tail])
-                        table[m] = reduce_row({s: x for s, x in acc.items() if x}, lc * d)
-                        break
-                else:
-                    table[m] = ({m: 1}, 1)
+            self._fill(list(monos))  # the smallest on top
         return monos
 
     def _entry(self, m: tuple) -> tuple[dict, int]:
-        """The table entry of m, its degree filled first when it is new."""
+        """The table entry of m, filled with the entries it needs and no
+        others."""
         entry = self._table.get(m)
         if entry is None:
-            self.monomials(sum(m))
+            self._fill([m])
             entry = self._table[m]
         return entry
+
+    def _fill(self, stack: list[tuple]) -> None:
+        """Fill the entries of the monomials on the stack, top first, the
+        one fill rule.  A monomial whose tail entries are missing stays on
+        the stack under them; each of those is smaller than it, so the
+        stack empties.  No recursion: a chain of tails can be long."""
+        table = self._table
+        get, reduce_row = table.get, self.ring.field.reduce_row
+        while stack:
+            u = stack[-1]
+            if u in table:  # pushed twice, or filled already
+                stack.pop()
+                continue
+            for lm, lc, tail in self._divisors:
+                if mono_divides(lm, u):
+                    q = mono_div(u, lm)
+                    pairs, missing = [], []
+                    for t, a in tail:
+                        v = mono_mul(t, q)
+                        entry = get(v)
+                        if entry is None:
+                            missing.append(v)
+                        else:
+                            pairs.append((a, entry))
+                    if missing:
+                        stack += missing
+                    else:
+                        acc, d = _accumulate(pairs)
+                        table[u] = reduce_row({s: x for s, x in acc.items() if x}, lc * d)
+                    break
+            else:
+                table[u] = ({u: 1}, 1)
 
     def shifted(self, terms: dict, shifts) -> list[tuple[dict, int]]:
         """nf(x^mu * sum c_t x^t) for terms = {t: c_t} and each mu of
@@ -474,22 +524,36 @@ class NormalForms:
         lead = min(nums, key=mono_descending_key)
         return Poly(self.ring, _scalars(field, nums, nums[lead]), (lead, field.one))
 
+    def _degree(self, n: int) -> tuple[list[Poly], list[tuple]]:
+        """(piece, standard) in degree n, kept: the rows m - nf(m) of
+        `piece`, and the standard monomials, those with nf(m) = m, both in
+        decreasing order."""
+        got = self._degrees.get(n)
+        if got is None:
+            ring, table = self.ring, self._table
+            field = ring.field
+            one = field.one
+            piece, standard = [], []
+            for m in self.monomials(n):
+                nums, den = table[m]
+                if m in nums:
+                    standard.append(m)
+                else:
+                    row = {m: one}
+                    row.update(_scalars(field, nums, -den))
+                    piece.append(Poly(ring, row, (m, one)))
+            got = self._degrees[n] = (piece, standard)
+        return got
+
     def piece(self, n: int) -> list[Poly]:
         """The rows m - nf(m), in decreasing order, for the degree-n
         monomials m that a leading monomial of the basis divides: m is one
-        exactly when m is not a term of nf(m).  These are the reduced
-        echelon basis of the degree-n piece of the ideal
-        (polykernel.degree_piece_basis)."""
-        field = self.ring.field
-        one = field.one
-        out = []
-        for m in self.monomials(n):
-            nums, den = self._table[m]
-            if m not in nums:
-                row = {m: one}
-                row.update(_scalars(field, nums, -den))
-                out.append(Poly(self.ring, row, (m, one)))
-        return out
+        exactly when m is not a term of nf(m).  Each row's pivot m is not
+        standard and its tail lies on standard monomials, so these are the
+        reduced echelon basis of the degree-n piece of the ideal
+        (polykernel.degree_piece_basis), read off the table with no
+        matrix."""
+        return list(self._degree(n)[0])
 
     def annihilator(self, conditions, n: int) -> list[Poly]:
         """The reduced echelon basis of {x in S_n : nf_T(x . f) = 0 for every
@@ -497,57 +561,62 @@ class NormalForms:
         each element monic, largest leading monomial first.
 
         A normal form modulo a Groebner basis is unique, hence linear, so
-        each product is reduced as a combination of the normal forms of its
-        monomials, read from T.  The residues come out integral, each over
-        one denominator; over the lcm L of a condition's residue
-        denominators its rows are integral, and scaling a row changes no
-        solution.  For the same reason a condition whose nf_T(f) is
-        proportional to an earlier one's on the same T gives proportional
-        rows, and is skipped, as is one with nf_T(f) = 0.
+        nf_T(x . f) = nf_T(x . nf_T(f)), and each product is reduced as a
+        combination of the normal forms of its monomials, read from T.  A
+        condition with nf_T(f) = 0 is skipped, and so is one whose nf_T(f)
+        is proportional to an earlier one's on the same T, since it gives
+        proportional rows.  Only then are the conditions split by table.
 
-        The condition rows enter one echelon whose columns are this table's
-        degree-n monomials, reversed, so its pivots are the last monomials,
-        and each kernel vector has 1 at its free column, 0 at the other free
-        columns, and otherwise entries only at later monomials.  Read back
-        in monomial order, last vector first, the kernel vectors are its
-        reduced echelon form, which is unique: the row-reduced basis, with
-        no second elimination.
+        Stage 1, this table.  x - nf(x) lies in the ideal I, so a condition
+        on I's table holds for x exactly when it holds for nf(x): I_n
+        satisfies it, and the unknowns are the standard monomials of degree
+        n, a basis of (S/I)_n (Macaulay; Eisenbud, Commutative Algebra,
+        Thm 15.3).  The rows nf(s . nf(f)), for standard s, enter one
+        echelon whose columns are those monomials, reversed, so its pivots
+        are the last monomials, and each kernel vector has 1 at its free
+        column, 0 at the other free columns, and otherwise entries only at
+        later monomials: read back last vector first, the kernel is the
+        reduced echelon form of a subspace K of (S/I)_n, which is unique.
+        With no condition on this table K is all of (S/I)_n.  The answer
+        is I_n ⊕ K.  Each `piece` row m - nf(m) has a pivot m that is not
+        standard and its tail on standard monomials; once K's leading
+        monomials are cleared from it, those rows and K's are the reduced
+        echelon basis of I_n ⊕ K.
+
+        Stage 2, other tables (`intersect`).  One echelon has the basis of
+        stage 1 as its columns, reversed, and for each condition (T, f)
+        one row per monomial of the nf_T(v . f) over the basis vectors v.
+        Each kernel vector is 1 at its free column and otherwise has
+        entries only at basis vectors of smaller lead; each basis vector
+        is reduced, with its terms at or below its lead, so the kernel
+        read back as combinations of the basis is again reduced echelon.
         """
-        ring = self.ring
-        monos = self.monomials(n)
-        last = len(monos) - 1
-        # columns = monos, last first; one row per (condition, monomial of a residue)
-        echelon = Echelon(ring.field, len(monos))
-        seen = set()
-        # the echelon does not depend on the order of its rows
+        field = self.ring.field
+        own, other, seen = [], [], set()
         for table, form in conditions:
-            # nf(x . f) = nf(x . nf(f)), and nf(f) is short; its scale
-            # scales every row of the condition alike, so nf(f) made
-            # canonical up to a scalar (over its entry at its largest
-            # monomial) gives the rows once per table
+            # nf(f) made canonical up to a scalar (over its entry at its
+            # largest monomial): its scale scales every row alike
             nums = table.residue(form)
             if not nums:
                 continue
-            nums, _ = ring.field.reduce_row(nums, nums[max(nums)])
+            nums, _ = field.reduce_row(nums, nums[max(nums)])
             key = (table, frozenset(nums.items()))
             if key in seen:
                 continue
             seen.add(key)
-            residues = table.shifted(nums, reversed(monos))
-            L = lcm(*[d for _, d in residues])
-            rows: dict[tuple, dict] = {}
-            for col, (nums, d) in enumerate(residues):
-                f = L // d
-                for t, x in nums.items():
-                    if x:
-                        rows.setdefault(t, {})[col] = f * x
-            for row in rows.values():
-                echelon.insert(row)
-        out = []
-        for v in reversed(echelon.sparse_kernel()):
-            terms = {monos[last - c]: v[c] for c in sorted(v, reverse=True)}
-            out.append(Poly(ring, terms, next(iter(terms.items()))))
-        return out
+            if table is self:
+                own.append(nums)
+            else:
+                other.append((table, nums))
+        piece, standard = self._degree(n)
+        last = len(standard) - 1
+        echelon = Echelon(field, len(standard))  # columns: standard, last first
+        for nums in own:
+            _insert_rows(echelon, self.shifted(nums, reversed(standard)))
+        kernel = [{standard[last - c]: v[c] for c in sorted(v, reverse=True)}
+                  for v in reversed(echelon.sparse_kernel())]
+        basis = _direct_sum(self.ring, piece, kernel)
+        return _restrict(basis, other) if other and basis else basis
 
     def kernel_ideal(self, conditions, target: dict[int, int]) -> HomIdeal:
         """The ideal K = {x : nf_T(x . f) = 0 for every condition (T, f)},
@@ -558,7 +627,9 @@ class NormalForms:
         table, 1).
 
         Degree by degree from 0, K_d is the `annihilator` of the
-        conditions, given in reduced echelon form.  Its leading monomials
+        conditions, given in reduced echelon form: I_d plus a subspace of
+        (S/I)_d for the colon, whose one condition is on I's table; a
+        subspace of I_d for the intersection.  Its leading monomials
         are those of in(K)_d, and every other term of a row is a standard
         monomial of K; so a row whose leading monomial no earlier one
         divides is m - nf_K(m) for a minimal generator m of in(K), an
@@ -588,6 +659,72 @@ class NormalForms:
                 basis = new + basis
                 found = monomial_hilbert_numerator([h.lm() for h in basis])
         return HomIdeal.from_basis(ring, basis)  # by decreasing leading monomial
+
+
+def _direct_sum(ring: PolyRing, piece: list[Poly], kernel: list[dict]) -> list[Poly]:
+    """The reduced echelon basis of I_n ⊕ K, largest leading monomial
+    first, from the reduced bases of I_n (`NormalForms.piece`) and of K,
+    a subspace of the standard monomials' span ({monomial: scalar}, each
+    with leading coefficient 1).  K's vectors are zero at the pivots of
+    I_n, and are zero at each other's leads, so one pass clears their
+    leads from each row of I_n."""
+    if not kernel:
+        return list(piece)
+    field = ring.field
+    sub, mul, one = field.sub, field.mul, field.one
+    leads = {next(iter(k)): k for k in kernel}
+    out = [Poly(ring, k, (s, one)) for s, k in leads.items()]
+    for row in piece:
+        hits = [(s, c) for s, c in row.terms.items() if s in leads]
+        if hits:
+            terms = dict(row.terms)
+            for s, c in hits:
+                for t, y in leads[s].items():
+                    x = sub(terms.get(t, field.zero), mul(c, y))
+                    if x:
+                        terms[t] = x
+                    else:
+                        del terms[t]
+            row = Poly(ring, terms, row.lt())
+        out.append(row)
+    out.sort(key=lambda f: mono_descending_key(f.lm()))
+    return out
+
+
+def _restrict(basis: list[Poly], conditions) -> list[Poly]:
+    """The reduced echelon basis, largest leading monomial first, of the x
+    in the span of basis (reduced echelon, largest lead first) with
+    nf_T(x . f) = 0 for each condition (T, canonical numerators of
+    nf_T(f)): stage 2 of `NormalForms.annihilator`."""
+    ring = basis[0].ring
+    field = ring.field
+    add, mul, one = field.add, field.mul, field.one
+    last = len(basis) - 1
+    columns = [field.split(v.terms) for v in reversed(basis)]  # integral, last first
+    monos = list(dict.fromkeys(t for nums, _ in columns for t in nums))
+    echelon = Echelon(field, len(basis))
+    for table, nums in conditions:
+        # nf_T(v . f) = sum over the terms c*t of v of c * nf_T(t . f)
+        products = dict(zip(monos, table.shifted(nums, monos)))
+        residues = []
+        for terms, den in columns:
+            acc, d = _accumulate([(x, products[t]) for t, x in terms.items()])
+            residues.append((acc, den * d))
+        _insert_rows(echelon, residues)
+    # x = sum a_c v_c is a_c at the lead of v_c, since each v_c is 1 there
+    # and every other basis vector 0; only the other terms take arithmetic
+    leads = [v.lm() for v in reversed(basis)]
+    out = []
+    for v in reversed(echelon.sparse_kernel()):
+        terms = {leads[c]: v[c] for c in sorted(v, reverse=True)}
+        tails: dict = {}
+        for c, a in v.items():
+            for t, y in basis[last - c].terms.items():
+                if t not in terms:
+                    tails[t] = add(tails.get(t, field.zero), mul(a, y))
+        terms.update((t, x) for t, x in tails.items() if x)
+        out.append(Poly(ring, terms, (leads[max(v)], one)))
+    return out
 
 
 def exact_quotient(p: Poly, q: Poly) -> Poly | None:

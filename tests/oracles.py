@@ -9,6 +9,8 @@ greedy_minimal_generators (minimal generators, one fresh module Groebner
 basis per accepted vector), stepwise_resolution (a resolution over a
 quotient, one preimage per map), rref_oracle_piece (the idealizer
 oracle's conditions in monomial order, then a separate rref),
+monomial_annihilator (the annihilator solved over every degree-n
+monomial, before it read I_n off I's table),
 token_parse (the former tokenizer, which matches one token at a time,
 feeding the library's recursive descent)
 and loop_saturate (the former saturation: every (I : x_i^∞), intersected,
@@ -462,6 +464,52 @@ def rref_oracle_piece(scene, n, forms):
     rows, _ = linalg.rref(field, kernel)
     return [Poly(ring, {monos[i]: c for i, c in enumerate(v) if not field.is_zero(c)})
             for v in rows]
+
+
+# -- the annihilator solved over every monomial of its degree ----------------
+
+def monomial_annihilator(table, conditions, n):
+    """The reduced echelon basis of {x in S_n : nf_T(x . f) = 0 for every
+    condition (T, f)}, as linalg.NormalForms.annihilator solved it before
+    it split the conditions by table: one echelon whose columns are all the
+    degree-n monomials, reversed, with one row per (condition, monomial of
+    a residue); read back last kernel vector first, the kernel is the
+    reduced echelon form.  Conditions with a zero or proportional normal
+    form on the same table are skipped."""
+    from math import lcm as _lcm
+
+    from geomideal import linalg
+    from geomideal.polykernel import Poly
+
+    ring = table.ring
+    field = ring.field
+    monos = table.monomials(n)
+    last = len(monos) - 1
+    echelon = linalg.Echelon(field, len(monos))
+    seen = set()
+    for other, form in conditions:
+        nums = other.residue(form)
+        if not nums:
+            continue
+        nums, _ = field.reduce_row(nums, nums[max(nums)])
+        key = (other, frozenset(nums.items()))
+        if key in seen:
+            continue
+        seen.add(key)
+        residues = other.shifted(nums, reversed(monos))
+        common = _lcm(*[d for _, d in residues])
+        rows = {}
+        for col, (nums, d) in enumerate(residues):
+            for t, x in nums.items():
+                if x:
+                    rows.setdefault(t, {})[col] = common // d * x
+        for row in rows.values():
+            echelon.insert(row)
+    out = []
+    for v in reversed(echelon.sparse_kernel()):
+        terms = {monos[last - c]: v[c] for c in sorted(v, reverse=True)}
+        out.append(Poly(ring, terms, next(iter(terms.items()))))
+    return out
 
 
 # -- determinant and adjugate by the Leibniz formula -------------------------

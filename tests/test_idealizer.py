@@ -458,3 +458,86 @@ def test_equal_colons_share_one_table(monkeypatch):
     rows = [r for r in cli.run_idealizer(sf) if r["record"] == "idealizer-row"]
     assert [r.get("oracle") for r in rows] == [None] + ["agree"] * sf.maxdeg
     assert len(tables) == 3
+
+
+def _scene_file(name):
+    return cli.parse_scene((Path(__file__).resolve().parents[1] / "scenes" / name).read_text())
+
+
+def test_oracle_fills_one_entry_of_the_next_degree(monkeypatch):
+    """On moving_point at n = 5 the oracle's conditions reduce to one
+    multiple of x2, so its one stage-1 column is the one standard monomial
+    x2^5 of degree 5, and it reads the one entry x2^6 of degree 6, not all
+    28 monomials of that degree."""
+    scene = _scene_file("moving_point.scene").scene()
+    idealizer_piece(scene, 5)
+    table = scene.ideal.normal_forms()
+    columns = []
+    init = linalg.Echelon.__init__
+
+    def counting_init(self, field, ncols):
+        columns.append(ncols)
+        init(self, field, ncols)
+
+    monkeypatch.setattr(linalg.Echelon, "__init__", counting_init)
+    before = {m for m in table._table if sum(m) == 6}
+    piece = exhaustive_oracle_piece(scene, 5, 6)
+    assert pieces_agree(piece, idealizer_piece(scene, 5))
+    assert len({m for m in table._table if sum(m) == 6} - before) == 1
+    assert columns == [1]
+
+
+# the colon op on a moving point of P^6, as the colon-highdim workload of
+# bench/workloads.py draws it at seed 1
+P6_POINT = """field rational
+dim 6
+sigma
+1 0 0 0 0 0 0
+0 7 0 0 0 0 0
+0 0 19 0 0 0 0
+0 0 0 23 0 0 0
+0 0 0 0 13 0 0
+0 0 0 0 0 5 0
+0 0 0 0 0 0 11
+ideal
+2*x0 - 1*x6
+2*x1 - 4*x6
+2*x2 - 4*x6
+2*x3 - 4*x6
+2*x4 - 2*x6
+2*x5 - 5*x6
+end
+horizon 2
+"""
+
+
+def test_colon_domain_exit_reads_two_entries(monkeypatch):
+    """The point's ideal is linear, so S/I is a domain and each colon asks
+    `contains` of one pulled-back generator x_i - c*x6: its two entries
+    are all that I's one table fills, not the 7 monomials of degree 1."""
+    tables = []
+    init = linalg.NormalForms.__init__
+
+    def counting_init(self, *args):
+        tables.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(linalg.NormalForms, "__init__", counting_init)
+    recs = cli.run_colon(cli.parse_scene(P6_POINT))
+    assert [r["status"] for r in recs if r["record"] == "colon"] == ["equal", "equal"]
+    assert len(tables) == 1 and len(tables[0]._table) == 2
+
+
+def test_oracle_rejects_a_colon_that_answers_i(monkeypatch):
+    """fat_point's colon (x0, x1) is larger than I in every degree, so with
+    the colon route forced to answer I the oracle at horizon 2 (the largest
+    generator degree, where it is exact) must disagree: it finds
+    dim I_n + 1 forms.  An oracle that echoed I's piece, or the colon's,
+    would agree."""
+    sf = _scene_file("fat_point.scene")
+    scene = sf.scene()
+    monkeypatch.setattr(IdealizerScene, "colon_ideal", lambda self, n: self.ideal)
+    for n in range(1, sf.maxdeg + 1):
+        colon, oracle = idealizer_piece(scene, n), exhaustive_oracle_piece(scene, n, 2)
+        assert oracle.dimension == colon.dimension + 1
+        assert not pieces_agree(colon, oracle)

@@ -5,7 +5,9 @@ Gauss-Jordan passes that share no code with `geomideal.linalg`; the
 properties below are over Q, GF(7) and GF(32003), on small matrices with
 many zeros, non-integral entries, zero rows and repeated rows, so that
 rank drops are common.  The table of monomial normal forms is checked against
-`polykernel.normal_form`.  The polynomial-matrix helpers are checked
+`polykernel.normal_form`, and its annihilator against
+`oracles.monomial_annihilator`, the solve over every monomial of the
+degree.  The polynomial-matrix helpers are checked
 against the Leibniz formula and the oracle's naive division.
 """
 
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 import oracles
 from geomideal import linalg
 from geomideal.fields import QQ, PrimeField
-from geomideal.polykernel import HomIdeal, PolyRing, normal_form
+from geomideal.polykernel import HomIdeal, Poly, PolyRing, monomials_of_degree, normal_form
 
 FIELDS = (QQ, PrimeField(7), PrimeField(32003))
 
@@ -232,3 +234,121 @@ def test_annihilator_keeps_one_condition_per_normal_form(field, name, monkeypatc
             inserts.clear()
             assert table.annihilator(conditions + extra, n) == want
             assert inserts == rows
+
+
+def _form(draw, ring, deg):
+    """A form of degree deg with one to three terms, non-integral
+    coefficients among them."""
+    field = ring.field
+    monos = monomials_of_degree(ring, deg)
+    picked = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+    coeffs = [1, -1, 2, 3, -5, Fraction(1, 2), Fraction(-2, 3)]
+    terms = {m: field.from_fraction(Fraction(draw(st.sampled_from(coeffs)))) for m in picked}
+    return Poly(ring, terms)
+
+
+def _point_gens(ring, point):
+    k = max(i for i, c in enumerate(point) if c)
+    return [ring.variable(i).scale(point[k]) - ring.variable(k).scale(point[i])
+            for i in range(ring.nvars) if i != k]
+
+
+def _family_ideal(draw, ring, family) -> tuple[HomIdeal, list]:
+    """(I, zero divisors): a point, the square of a point's ideal (a fat
+    point), the twisted cubic, one to three random forms, or the squares
+    of every variable with at most one random form (S/I Artinian).  The
+    zero divisors on S/I are the point's linear forms for a fat point and
+    the variables for the Artinian family: as conditions they cut a
+    nonzero K that is not all of (S/I)_n."""
+    field = ring.field
+    if family in ("point", "fat point"):
+        point = [field.from_int(draw(st.integers(0, 3))) for _ in range(ring.nvars - 1)]
+        point.append(field.from_int(draw(st.integers(1, 3))))
+        gens = _point_gens(ring, point)
+        if family == "point":
+            return HomIdeal(ring, gens), []
+        return HomIdeal(ring, [f * g for f in gens for g in gens]), gens
+    if family == "twisted cubic":
+        return HomIdeal.from_strings(
+            ring, ["x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2"]), []
+    if family == "forms":
+        return HomIdeal(ring, [_form(draw, ring, draw(st.integers(1, 2)))
+                               for _ in range(draw(st.integers(1, 3)))]), []
+    xs = [ring.variable(i) for i in range(ring.nvars)]
+    gens = [x * x for x in xs]
+    gens += [_form(draw, ring, 2) for _ in range(draw(st.integers(0, 1)))]
+    return HomIdeal(ring, gens), xs
+
+
+@st.composite
+def annihilator_case(draw):
+    """(table, conditions, n): conditions on I's own table only, on it and
+    on another ideal's table, or on the other table only, with zero,
+    rescaled and shifted copies.  On I's table a zero divisor of its
+    family, when it has one, cuts a nonzero K, and a standard monomial t
+    with t*S_n inside I, when there is one, makes K all of (S/I)_n, so
+    that stage 1 has rank 0."""
+    field = draw(st.sampled_from(FIELDS))
+    family = draw(st.sampled_from(["point", "fat point", "twisted cubic", "forms", "artinian"]))
+    ring = PolyRing(field, 4 if family == "twisted cubic" else draw(st.integers(2, 4)))
+    I, zero_divisors = _family_ideal(draw, ring, family)
+    J, _ = _family_ideal(draw, ring, draw(st.sampled_from(["point", "forms"])))
+    n = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["own", "own and other", "other"]))
+    conditions = []
+    for ideal, wanted in ((I, kind != "other"), (J, kind != "own")):
+        if not wanted:
+            continue
+        table, gb = ideal.normal_forms(), ideal.groebner()
+        forms = [_form(draw, ring, draw(st.integers(0, 2)))
+                 for _ in range(draw(st.integers(1, 2)))]
+        conditions += [(table, f) for f in forms]
+        f = forms[0]
+        if draw(st.booleans()):
+            conditions.append((table, ring.zero()))
+        if gb and draw(st.booleans()):
+            conditions.append((table, gb[-1]))
+        if draw(st.booleans()):
+            conditions.append((table, f.scale(field.from_int(draw(st.sampled_from([2, -3]))))))
+        if gb and draw(st.booleans()):
+            shift = gb[0] * ring.monomial(draw(st.sampled_from(monomials_of_degree(ring, 1))))
+            conditions.append((table, f + shift))
+    table, gb = I.normal_forms(), list(I.groebner())
+    own = draw(st.sampled_from(["random", "zero divisor", "all of (S/I)_n"]))
+    if kind != "other" and own != "random":
+        # in place of the random forms, which mostly leave K = 0
+        standard = [m for m in table.monomials(n) if m in table._table[m][0]]
+        chosen = zero_divisors if own == "zero divisor" else [
+            ring.monomial(t) for e in (1, 2, 3) for t in table.monomials(e)
+            if t in table._table[t][0]
+            and all(normal_form(ring.monomial(t) * ring.monomial(s), gb).is_zero()
+                    for s in standard)]
+        if chosen:
+            conditions = [c for c in conditions if c[0] is not table]
+            conditions.append((table, draw(st.sampled_from(chosen))))
+    order = draw(st.permutations(range(len(conditions))))
+    return table, [conditions[i] for i in order], n
+
+
+@settings(max_examples=400, deadline=None)
+@given(annihilator_case())
+def test_annihilator_matches_the_solve_over_every_monomial(case):
+    """I_n plus the subspace K of (S/I)_n that the conditions on I's table
+    cut, then the conditions on other tables solved on that basis, are
+    the rows of the solve over every degree-n monomial: the same terms,
+    leading terms and order."""
+    table, conditions, n = case
+    got = table.annihilator(conditions, n)
+    want = oracles.monomial_annihilator(table, conditions, n)
+    assert [f.terms for f in got] == [f.terms for f in want]
+    assert [f.lt() for f in got] == [f.lt() for f in want]
+
+
+def test_annihilator_of_a_socle_condition_is_everything():
+    """Modulo (x0^2, x1^2) the form x0*x1 is outside I, yet x0*x1*S_1 is
+    inside it: its one condition has rank 0 on the standard monomials of
+    degree 1, so K is all of (S/I)_1 and the annihilator is all of S_1."""
+    ring = PolyRing(QQ, 2)
+    table = HomIdeal.from_strings(ring, ["x0^2", "x1^2"]).normal_forms()
+    got = table.annihilator([(table, ring.parse("x0*x1"))], 1)
+    assert [f.terms for f in got] == [{(1, 0): 1}, {(0, 1): 1}]
