@@ -16,20 +16,22 @@ N nilpotent there is one class: the evaluation is a polynomial in n, whose
 integer roots are bounded by the Cauchy bound.  A class on which every
 generator vanishes identically hits forever.
 
-The critical-transversality certificate enumerates the reduced invariant
-subschemes — for diagonal sigma with multiplicatively independent eigenvalue
-ratios these are exactly the unions of coordinate subspaces — and checks
-homological transversality against each union.  Algebraic independence of
-eigenvalues is not available over the rationals; multiplicative independence
-of the ratios is the implemented sufficient condition (it makes the closure
-of the cyclic group a full torus) and every certificate carries a note saying
-so.
+The critical-transversality certificate asks for homological transversality
+against the reduced invariant subschemes — for diagonal sigma with
+multiplicatively independent eigenvalue ratios these are exactly the unions
+of coordinate subspaces.  A Mayer–Vietoris lemma reduces the unions to their
+members, so each coordinate subspace is checked once, and Auslander's depth
+formula refutes with no algebra a subspace of codimension above dim Z that
+meets Z.  Algebraic independence
+of eigenvalues is not available over the rationals; multiplicative
+independence of the ratios is the implemented sufficient condition (it makes
+the closure of the cyclic group a full torus) and every certificate carries a
+note saying so.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
 from typing import NamedTuple
@@ -38,7 +40,7 @@ from . import linalg
 from .fields import QQ
 from .homology import Transversality
 from .idealizer import IdealizerScene
-from .polykernel import HomIdeal, PolyRing, Substitution, hilbert_polynomial, monomial_meet
+from .polykernel import HomIdeal, PolyRing, Substitution, hilbert_polynomial
 from .twist import ProjAutomorphism, _dot, _mat_mul, _mat_pow, is_scalar_matrix
 
 RATIONAL_SUBSTITUTE_NOTE = (
@@ -473,40 +475,9 @@ def _coordinate_subsets(d: int) -> list[tuple[int, ...]]:
     return [s for size in range(d, 0, -1) for s in combinations(range(d + 1), size)]
 
 
-def _antichains(subsets):
-    """The nonempty antichains of the distinct sets `subsets`, in report
-    order: fewer members first, then lexicographically by position.
-
-    `subsets` is read lazily, so each singleton is yielded before the next
-    subset is drawn.  Level k + 1 extends each antichain of level k by the
-    later subsets incomparable with all its members, kept as a bitmask.
-    """
-    seen = []
-    for s in subsets:
-        seen.append(s)
-        yield (s,)
-    sets = [set(s) for s in seen]
-    later = [sum(1 << j for j, t in enumerate(sets) if j > i and not (s <= t or t <= s))
-             for i, s in enumerate(sets)]
-    level = [((s,), later[i]) for i, s in enumerate(seen)]
-    while level:
-        nxt = []
-        for fam, free in level:
-            rest = free
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                nxt.append((fam + (seen[j],), free & later[j]))
-                yield nxt[-1][0]
-        level = nxt
-
-
-def _family_ideal(ring: PolyRing, family) -> HomIdeal:
-    """Ideal of a union of coordinate subspaces: the intersection of the
-    monomial ideals (x_i : i in s), generated by the minimal lcm's of one
-    variable from each member."""
-    monos = reduce(monomial_meet, [[ring.units[i] for i in s] for s in family])
-    return HomIdeal(ring, [ring.monomial(m) for m in monos])
+def _subspace_ideal(ring: PolyRing, s: tuple[int, ...]) -> HomIdeal:
+    """Ideal of the coordinate subspace L_s = V(x_i : i in s)."""
+    return HomIdeal(ring, [ring.variable(i) for i in s])
 
 
 def _ratio_gate(sigma: ProjAutomorphism) -> bool:
@@ -539,10 +510,10 @@ class CTCertificate(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-def _meets_z(transversality: Transversality):
+def _meets_z(transversality: Transversality, dim_z: int):
     """s -> whether L_s = V(x_i : i in s) meets Z = V(transversality.ideal),
-    memoized.  Exact rules decide first, and a Groebner basis of I + I_L
-    runs only when they do not:
+    memoized, for Z of dimension dim_z.  Exact rules decide first, and a
+    Groebner basis of I + I_L runs only when they do not:
 
     (a) |s| <= dim Z: L_s has codimension |s|, so it meets Z (the projective
         dimension theorem, Hartshorne I.7.2; dim Z is the degree of the
@@ -557,7 +528,6 @@ def _meets_z(transversality: Transversality):
     reduces to zero, so the hyperplane tests of a point run at most one
     Groebner basis.
     """
-    dim_z = hilbert_polynomial(transversality.ideal).degree()
     ring = transversality.ideal.ring
     known: dict[tuple, bool] = {}
 
@@ -565,7 +535,7 @@ def _meets_z(transversality: Transversality):
         if s not in known:
             known[s] = len(s) <= dim_z or (
                 (len(s) == 1 or all(meets((i,)) for i in s))
-                and transversality.meets(_family_ideal(ring, (s,))))
+                and transversality.meets(_subspace_ideal(ring, s)))
         return known[s]
 
     return meets
@@ -573,29 +543,38 @@ def _meets_z(transversality: Transversality):
 
 def critical_transversality_certificate(scene: IdealizerScene) -> CTCertificate:
     """Certified iff Z is homologically transverse to every union of
-    coordinate subspaces; refuted with the first failing union (smaller
-    unions first, within a size the smaller subspaces first); inconclusive
-    when sigma is outside the classified family or the field has positive
-    characteristic.
+    coordinate subspaces; refuted with the first failing union in report
+    order (fewer members first, within a size the smaller subspaces first);
+    inconclusive when sigma is outside the classified family or the field has
+    positive characteristic.
 
-    Three rules spare the algebra, and none changes a verdict or witness:
-    - A Tor sheaf is supported on the intersection: Supp Tor_j(O_Z, O_Y) ⊆
-      Z ∩ Y (Serre, Algèbre locale, multiplicités; Hartshorne, Algebraic
-      Geometry III.6).  Let Y' be the sub-union of the members of Y that
-      meet Z.  On the open complement of the other members, which contains
-      Z, Y and Y' agree, so they have the same Tor sheaves and the same least
-      failing j; an empty Y' is transverse.  Whether a coordinate subspace
-      meets Z is decided on the subspace lattice (_meets_z), once each.
-    - A Y' made only of hyperplanes is the hypersurface V(prod x_i), settled
-      by Hilbert numerators with no resolution (Transversality, route 2).
-    - Z is resolved only when a Y' that is not a hypersurface meets it, and
-      then once; each Y' is checked once.
-    So only the unions of subspaces that meet Z are walked, in report order,
-    and the first of them that fails is the first failing union: a failing
-    union's sub-union Y' fails too and comes no later (it has fewer members,
-    or is that union).  A point off every coordinate hyperplane walks none.
-    Certified, `checked` counts every union, M(d + 1) - 3 by the Dedekind
-    numbers; refuted, it is the witness's position among all unions.
+    Each coordinate subspace L_s is checked once, in report order:
+    - Mayer–Vietoris.  Let the unions Y1 and Y2 have the radical monomial
+      ideals A and B.  0 → S/(A ∩ B) → S/A ⊕ S/B → S/(A + B) → 0 is exact,
+      and A + B is radical monomial, so Y1 ∩ Y2 is again a union of
+      coordinate subspaces.  The long exact Tor sequence then makes Z
+      transverse to Y1 ∪ Y2 when it is transverse to Y1, Y2 and Y1 ∩ Y2.
+      By induction on the members, Z is transverse to every union exactly
+      when it is transverse to every L_s.  The single subspaces come first
+      in report order, so the first failing union is the first failing L_s,
+      and `checked` is its position in _coordinate_subsets.
+    - Support.  Supp Tor_j(O_Z, O_Y) ⊆ Z ∩ Y (Serre, Algèbre locale,
+      multiplicités; Hartshorne, Algebraic Geometry III.6), so an L_s that
+      misses Z is transverse.  Meeting is decided on the subspace lattice
+      (_meets_z).
+    - Depth.  Let L_s meet Z with |s| > dim Z.  Were they Tor-independent
+      at a closed point p of Z ∩ L_s, Auslander's depth formula over the
+      regular local ring of P^d at p would give
+      depth O_Z + (d - |s|) = d + depth(O_Z ⊗ O_L) >= d, so
+      depth O_Z >= |s| > dim Z, which cannot be.  Tor is rigid over a
+      regular local ring (Auslander, Illinois J. Math. 1961; Lichtenbaum,
+      Illinois J. Math. 1966): once Tor_i vanishes, so does every later Tor.
+      So Tor_1 fails, and L_s is refuted with witness_j = 1 and no algebra.
+    Every other L_s that meets Z has |s| <= dim Z and goes to
+    Transversality; under the d <= 3 gate only a surface of P^3 against a
+    coordinate line resolves Z.  A point off every coordinate hyperplane
+    checks none.  Certified, `checked` counts every union, M(d + 1) - 3 by
+    the Dedekind numbers.
     """
     sigma, ring = scene.sigma, scene.ring
     d = scene.d
@@ -608,14 +587,15 @@ def critical_transversality_certificate(scene: IdealizerScene) -> CTCertificate:
         return CTCertificate("inconclusive", 0,
                              reason="invariant family not classified",
                              notes=notes)
-    subsets = _coordinate_subsets(d)
     transverse = Transversality(scene.ideal)
-    meets = _meets_z(transverse)
-    for fam in _antichains(s for s in subsets if meets(s)):
-        ok, j = transverse(_family_ideal(ring, fam))
+    dim_z = hilbert_polynomial(scene.ideal).degree()
+    meets = _meets_z(transverse, dim_z)
+    for checked, s in enumerate(_coordinate_subsets(d), 1):
+        if not meets(s):
+            continue
+        L = _subspace_ideal(ring, s)
+        ok, j = (False, 1) if len(s) > dim_z else transverse(L)
         if not ok:
-            checked = next(n for n, f in enumerate(_antichains(subsets), 1) if f == fam)
-            return CTCertificate("refuted", checked, witness_family=fam,
-                                 witness_ideal=_family_ideal(ring, fam),
-                                 witness_j=j, notes=notes)
+            return CTCertificate("refuted", checked, witness_family=(s,),
+                                 witness_ideal=L, witness_j=j, notes=notes)
     return CTCertificate("certified", _DEDEKIND[d + 1] - 3, notes=notes)

@@ -315,6 +315,11 @@ class Transversality:
     3. Otherwise Tor_j from a free resolution of I, made on first need and
        kept for every later J.
 
+    The ct-cert certificate (geometry) refutes a coordinate subspace of
+    codimension above dim Z by the depth rule before asking here, so on
+    that path route 3 is reached only by a surface of P^3 against a
+    coordinate line.
+
     I keeps I + J per set of monic normal forms of J's generators
     (polykernel's module docstring, "The memo"), so asking whether Z meets
     Y and then whether it is transverse to Y runs one Groebner basis of

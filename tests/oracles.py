@@ -14,7 +14,10 @@ monomial, before it read I_n off I's table),
 token_parse (the former tokenizer, which matches one token at a time,
 feeding the library's recursive descent)
 and loop_saturate (the former saturation: every (I : x_i^∞), intersected,
-with no exit for a linear I); argparse_argv reads a command line with the
+with no exit for a linear I); antichains is the level-by-level enumeration
+of the unions of coordinate subspaces that ct-cert walked before it checked
+single subspaces, kept as the fast reference beside brute_coordinate_unions;
+argparse_argv reads a command line with the
 argparse parser the CLI used before it read argv by hand.
 leibniz_det_adjugate works over any commutative ring whose elements have
 +, - and *, the library's polynomials among them; dense_power and
@@ -769,6 +772,29 @@ def brute_coordinate_unions(d):
             found.append(picked)
     found.sort(key=lambda picked: (len(picked), picked))
     return [tuple(subsets[i] for i in picked) for picked in found]
+
+
+def antichains(subsets):
+    """The nonempty antichains of the distinct sets `subsets`, in report
+    order: fewer members first, then lexicographically by position.  Level
+    k + 1 extends each antichain of level k by the later subsets
+    incomparable with all its members, kept as a bitmask."""
+    sets = [set(s) for s in subsets]
+    later = [sum(1 << j for j, t in enumerate(sets) if j > i and not (s <= t or t <= s))
+             for i, s in enumerate(sets)]
+    level = [((s,), later[i]) for i, s in enumerate(subsets)]
+    found = []
+    while level:
+        found += [fam for fam, _ in level]
+        nxt = []
+        for fam, free in level:
+            rest = free
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                nxt.append((fam + (subsets[j],), free & later[j]))
+        level = nxt
+    return found
 
 
 # -- the command line, read by argparse ---------------------------------------

@@ -6,7 +6,9 @@ against independent Tor computations for every enumerated union.
 """
 
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,11 +23,10 @@ from geomideal.geometry import (
     CTCertificate,
     RationalPoint,
     _DEDEKIND,
-    _antichains,
     _coordinate_subsets,
-    _family_ideal,
     _meets_z,
     _ratio_gate,
+    _subspace_ideal,
     _unipotent_part,
     critical_transversality_certificate,
     forward_orbit_hits,
@@ -667,7 +668,14 @@ def test_unipotent_scalar_of_a_scaled_jordan_block(nv, c):
 
 def coordinate_families(d):
     """Every proper union of coordinate subspaces of P^d, in report order."""
-    return tuple(_antichains(_coordinate_subsets(d)))
+    return tuple(oracles.antichains(_coordinate_subsets(d)))
+
+
+@lru_cache(maxsize=None)
+def union_ideal(ring, family):
+    """Ideal of a union of coordinate subspaces: the intersect fold of its
+    members' ideals."""
+    return reduce(intersect, [_subspace_ideal(ring, s) for s in family])
 
 
 def test_six_proper_subschemes_on_the_plane():
@@ -675,7 +683,7 @@ def test_six_proper_subschemes_on_the_plane():
 
 
 def test_union_of_two_coordinate_points():
-    subs = [_family_ideal(RQ, fam) for fam in coordinate_families(2)]
+    subs = [union_ideal(RQ, fam) for fam in coordinate_families(2)]
     p1 = HomIdeal.from_strings(RQ, ["x1", "x2"])
     p2 = HomIdeal.from_strings(RQ, ["x0", "x2"])
     expected = intersect(p1, p2)
@@ -695,16 +703,7 @@ def test_antichains_match_the_brute_force_reference(d):
 
 @pytest.mark.parametrize("d, count", [(1, 3), (2, 17), (3, 165), (4, 7578)])
 def test_union_count_is_the_dedekind_number_less_three(d, count):
-    assert sum(1 for _ in _antichains(_coordinate_subsets(d))) == _DEDEKIND[d + 1] - 3 == count
-
-
-def test_antichains_draw_a_subset_only_after_yielding_the_one_before():
-    """The certificate filters the subsets by "meets Z" as they are drawn, so
-    a walk that stops at a singleton has asked about no later subset."""
-    subsets, drawn = _coordinate_subsets(2), []
-    walk = _antichains(drawn.append(s) or s for s in subsets)
-    for k, s in enumerate(subsets, 1):
-        assert next(walk) == (s,) and drawn == subsets[:k]
+    assert len(coordinate_families(d)) == _DEDEKIND[d + 1] - 3 == count
 
 
 def test_gate_rejects_dependent_ratios():
@@ -774,24 +773,23 @@ def test_certified_scene_transverse_to_every_enumerated_union():
     cert = critical_transversality_certificate(sc)
     assert cert.status == "certified"
     for fam in coordinate_families(2):
-        ok, _ = homologically_transverse(sc.ideal, _family_ideal(RQ, fam))
+        ok, _ = homologically_transverse(sc.ideal, union_ideal(RQ, fam))
         assert ok
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_family_ideal_matches_the_intersect_fold(d):
+    """The intersect fold that builds a union's ideal in these tests is
+    generated by the minimal lcm's of one variable from each member."""
     ring = PolyRing(QQ, d + 1)
     for fam in coordinate_families(d):
-        parts = [HomIdeal(ring, [ring.variable(i) for i in s]) for s in fam]
-        want = parts[0]
-        for part in parts[1:]:
-            want = intersect(want, part)
-        got = _family_ideal(ring, fam)
-        assert got.gens == want.gens, fam
+        monos = reduce(polykernel.monomial_meet, [[ring.units[i] for i in s] for s in fam])
+        want = HomIdeal(ring, [ring.monomial(m) for m in monos])
+        assert union_ideal(ring, fam).gens == want.gens, fam
 
 
 # ---------------------------------------------------------------------------
-# the certificate runs Tor only where a union meets Z
+# the certificate runs Tor only where a subspace meets Z
 # ---------------------------------------------------------------------------
 
 R3 = PolyRing(QQ, 4)
@@ -804,7 +802,7 @@ def plain_certificate(scene):
     res = free_resolution(scene.ideal)
     families = coordinate_families(scene.d)
     for checked, fam in enumerate(families, 1):
-        Y = _family_ideal(ring, fam)
+        Y = union_ideal(ring, fam)
         ok, j = transverse_from_resolution(res, Y)
         if not ok:
             return ("refuted", checked, fam, Y.gens_text(), j)
@@ -882,38 +880,44 @@ def test_first_failing_union_is_made_of_subspaces_that_meet_z(scene):
     cert = critical_transversality_certificate(scene)
     assert certificate_summary(cert) == plain_certificate(scene)
     for s in cert.witness_family or ():
-        L = _family_ideal(scene.ring, (s,))
+        L = _subspace_ideal(scene.ring, s)
         assert not hilbert_polynomial(ideal_sum(scene.ideal, L)).is_zero(), s
 
 
-def count_walks(monkeypatch):
-    """Unions yielded by each enumeration the certificate starts."""
-    walks = []
-    antichains = geometry._antichains
+def count_asked(monkeypatch):
+    """(s, whether L_s meets Z) for each subset the certificate asks of
+    _meets_z, in the order asked."""
+    asked = []
+    meets_z = geometry._meets_z
 
-    def counted(subsets):
-        walks.append(0)
-        for fam in antichains(subsets):
-            walks[-1] += 1
-            yield fam
+    def counted(transversality, dim_z):
+        meets = meets_z(transversality, dim_z)
 
-    monkeypatch.setattr(geometry, "_antichains", counted)
-    return walks
+        def ask(s):
+            asked.append((s, meets(s)))
+            return asked[-1][1]
+
+        return ask
+
+    monkeypatch.setattr(geometry, "_meets_z", counted)
+    return asked
 
 
 @pytest.mark.parametrize("point, summary, walks", [
-    ("[1:2:3:4]", ("certified", 165, None, None, None), [0]),
-    ("[3:3:2:0]", ("refuted", 14, ((3,),), "x3", 1), [1, 14]),
+    ("[1:2:3:4]", ("certified", 165, None, None, None), []),
+    ("[3:3:2:0]", ("refuted", 14, ((3,),), "x3", 1), [(3,)]),
 ])
 def test_ct_cert_walks_no_union_that_misses_z(point, summary, walks, monkeypatch):
-    """A P^3 point off every hyperplane meets no coordinate subspace and walks
-    no union; a point on V(x3) meets only V(x3), fails there, and the report
-    order is walked only up to V(x3), its 14th union."""
-    counted = count_walks(monkeypatch)
+    """The certificate asks whether each of the 14 coordinate subspaces of
+    P^3 meets Z once, in report order, and goes on only with those that do
+    (`walks`).  A point off every hyperplane meets none; a point on V(x3)
+    meets only V(x3), the last subspace, and fails there."""
+    asked = count_asked(monkeypatch)
     Z = RationalPoint.parse(QQ, point).ideal(R3)
     cert = critical_transversality_certificate(IdealizerScene(R3, SIGMA3, Z))
     assert certificate_summary(cert) == summary
-    assert counted == walks
+    assert [s for s, _ in asked] == _coordinate_subsets(3)
+    assert [s for s, meets in asked if meets] == walks
 
 
 def count_certificate_work(monkeypatch):
@@ -971,12 +975,12 @@ def test_p3_line_checks_each_meeting_sub_union_once(monkeypatch):
     cert = critical_transversality_certificate(IdealizerScene(R3, SIGMA3, Z))
     assert (cert.status, cert.checked) == ("certified", 165)
     # the line meets the four coordinate planes (by dimension, untested) and
-    # no smaller coordinate subspace (10 tests), so its meeting sub-unions
-    # are the 15 nonempty sets of planes: hypersurfaces, each tested once
-    # more by its check and one sum each, no resolution and no Tor module
+    # no smaller coordinate subspace (10 tests), so the subspaces it checks
+    # are the 4 planes: hypersurfaces, each tested once more by its check
+    # and one sum each, no resolution and no Tor module
     assert (work["resolutions"], work["tor"]) == (0, [])
-    assert (work["tests"], work["runs"]) == (10 + 15, 10 + 15)
-    assert len(set(work["checked"])) == len(work["checked"]) == 15
+    assert (work["tests"], work["runs"]) == (10 + 4, 10 + 4)
+    assert work["checked"] == ["x0", "x1", "x2", "x3"]
 
 
 def test_p3_point_on_one_hyperplane_refuted_after_one_tor(monkeypatch):
@@ -984,13 +988,11 @@ def test_p3_point_on_one_hyperplane_refuted_after_one_tor(monkeypatch):
     Z = HomIdeal.from_strings(R3, ["x0", "x1-2*x3", "x2-3*x3"])
     cert = critical_transversality_certificate(IdealizerScene(R3, SIGMA3, Z))
     assert certificate_summary(cert) == ("refuted", 11, ((0,),), "x0", 1)
-    # Tor_1 against V(x0) from Hilbert numerators, on the sum I + (x0) that
-    # the hyperplane test already formed: 4 hyperplane tests and one more by
-    # the check of V(x0); x0 lies in I, so that sum is I, and x1, x2, x3 all
-    # reduce to x3 modulo I, so the tests share one Groebner run; no
-    # resolution
-    assert work == {"tests": 4 + 1, "runs": 1, "resolutions": 0, "tor": [],
-                    "checked": ["x0"]}
+    # the 4 hyperplane tests decide which subspaces meet the point: x0 lies
+    # in I, and x1, x2, x3 all reduce to x3 modulo I, so they share one
+    # Groebner run; V(x0) meets the point and has codimension 1 > dim Z = 0,
+    # so the depth rule refutes it with j = 1 and it is never checked
+    assert work == {"tests": 4, "runs": 1, "resolutions": 0, "tor": [], "checked": []}
 
 
 @pytest.mark.parametrize("ideal, status", [
@@ -1071,9 +1073,130 @@ def test_lattice_decision_matches_a_direct_disjointness_test(Z, data):
     order of asking."""
     d = Z.ring.nvars - 1
     subsets = [s for fam in coordinate_families(d) if len(fam) == 1 for s in fam]
-    meets = _meets_z(Transversality(Z))
+    meets = _meets_z(Transversality(Z), hilbert_polynomial(Z).degree())
     for s in data.draw(st.permutations(subsets)):
-        L = _family_ideal(Z.ring, (s,))
+        L = _subspace_ideal(Z.ring, s)
         assert meets(s) == (not hilbert_polynomial(ideal_sum(Z, L)).is_zero()), s
 
 
+@settings(max_examples=25, deadline=None)
+@given(Z=lattice_subschemes())
+def test_refuted_walk_asks_about_no_subset_after_the_witness(Z):
+    """The walk stops at its witness: it asks _meets_z about the subsets up
+    to the witness's position, in report order, and about no later one."""
+    assume(not Z.is_zero_ideal())  # a scene's Z is a proper subscheme
+    sigma = SIGMA if Z.ring == RQ else SIGMA3
+    with pytest.MonkeyPatch.context() as patch:
+        asked = count_asked(patch)
+        cert = critical_transversality_certificate(IdealizerScene(Z.ring, sigma, Z))
+    subsets = _coordinate_subsets(Z.ring.nvars - 1)
+    if cert.status == "refuted":
+        assert subsets[cert.checked - 1] == cert.witness_family[0]
+        subsets = subsets[:cert.checked]
+    assert [s for s, _ in asked] == subsets
+
+
+# ---------------------------------------------------------------------------
+# the theorems that let the certificate check each subspace once
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+SCENE_FILES = {p.stem: p for p in sorted((ROOT / "scenes").glob("*.scene"))
+               + sorted((ROOT / "scenes" / "curves").glob("*.scene"))}
+GF7 = PrimeField(7)
+RINGS = {(QQ, 2): RQ, (QQ, 3): R3, (GF7, 2): PolyRing(GF7, 3), (GF7, 3): PolyRing(GF7, 4)}
+
+
+@st.composite
+def tor_subschemes(draw):
+    """Z in P^2 or P^3 over Q or GF(7): a point, a line, a conic, a fat
+    point, a hyperplane V(x_a) with an embedded component V(x_a, x_B), or a
+    union of two or three points, often through coordinate points."""
+    field = draw(st.sampled_from([QQ, GF7]))
+    d = draw(st.sampled_from([2, 3]))
+    ring = RINGS[field, d]
+
+    def form(degree):
+        monos = monomials_of_degree(ring, degree)
+        coeffs = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2]),
+                               min_size=len(monos), max_size=len(monos)))
+        return sum((ring.monomial(m).scale(field.from_int(c))
+                    for m, c in zip(monos, coeffs)), ring.zero())
+
+    def point():
+        coords = draw(st.lists(st.sampled_from([0, 0, 1, 2, -3]),
+                               min_size=d + 1, max_size=d + 1))
+        coords[draw(st.integers(0, d))] = 1
+        return RationalPoint.of(field, [field.from_int(c) for c in coords]).ideal(ring)
+
+    kind = draw(st.sampled_from(["point", "line", "conic", "fat", "embedded", "points"]))
+    if kind == "point":
+        Z = point()
+    elif kind == "line":
+        Z = HomIdeal(ring, [form(1) for _ in range(d - 1)])
+    elif kind == "conic":
+        Z = HomIdeal(ring, [form(1) for _ in range(d - 2)] + [form(2)])
+    elif kind == "fat":
+        P = point()
+        Z = HomIdeal(ring, [f * g for f in P.gens for g in P.gens])
+    elif kind == "embedded":
+        a, *others = draw(st.permutations(range(d + 1)))
+        B = draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+        x = ring.variable
+        Z = HomIdeal(ring, [x(a) * x(a)] + [x(a) * x(b) for b in B])
+    else:
+        Z = reduce(intersect, [point() for _ in range(draw(st.integers(2, 3)))])
+    assume(not Z.is_zero_ideal() and not hilbert_polynomial(Z).is_zero())
+    return Z
+
+
+@settings(max_examples=40, deadline=None)
+@given(Z=tor_subschemes())
+def test_tor_against_a_subspace_first_fails_at_j1_and_does_past_dim_z(Z):
+    """Rigidity: Tor against a coordinate subspace L_s never first fails at
+    j >= 2.  Depth formula: when L_s meets Z and |s| > dim Z, it fails at
+    j = 1.  The certificate refutes such an L_s with no Tor."""
+    res = free_resolution(Z)
+    dim_z = hilbert_polynomial(Z).degree()
+    for s in _coordinate_subsets(Z.ring.nvars - 1):
+        L = _subspace_ideal(Z.ring, s)
+        ok, j = transverse_from_resolution(res, L)
+        assert ok or j == 1, s
+        if len(s) > dim_z and not hilbert_polynomial(ideal_sum(Z, L)).is_zero():
+            assert not ok, s
+
+
+@settings(max_examples=60, deadline=None)
+@given(Z=tor_subschemes(), data=st.data())
+def test_transverse_to_two_unions_and_their_meet_is_transverse_to_their_union(Z, data):
+    """The Mayer–Vietoris lemma: Z transverse to unions Y1, Y2 of coordinate
+    subspaces and to Y1 ∩ Y2 (the ideal sum) is transverse to Y1 ∪ Y2."""
+    families = coordinate_families(Z.ring.nvars - 1)
+    A, B = (union_ideal(Z.ring, data.draw(st.sampled_from(families))) for _ in range(2))
+    res = free_resolution(Z)
+    if all(transverse_from_resolution(res, Y)[0] for Y in (A, B, HomIdeal(Z.ring, A.gens + B.gens))):
+        assert transverse_from_resolution(res, intersect(A, B))[0]
+
+
+@pytest.mark.parametrize("name, status, tests, runs", [
+    ("tc3", "refuted", 1, 1),
+    ("cusp_probe", "refuted", 3, 0),
+    ("fat_point", "refuted", 3, 1),
+    ("conic_pair", "refuted", 2, 2),
+    ("ci3", "certified", 10 + 4, 10 + 4),
+])
+def test_shipped_scenes_check_no_subspace_past_their_dimension(name, status, tests, runs,
+                                                               monkeypatch):
+    """Each refuted shipped scene fails at its first coordinate subspace that
+    meets it, of codimension above dim Z, so the depth rule refutes it with
+    no resolution and no transversality check; the tests and sum runs are
+    only those that decide which subspaces meet Z.  The curve ci3 meets no
+    coordinate point or line (10 tests) and checks the 4 planes, one test
+    and one sum each: 14, not the 25 of a walk over the 15 unions of
+    planes."""
+    scene = cli.parse_scene(SCENE_FILES[name].read_text()).scene()
+    work = count_certificate_work(monkeypatch)
+    cert = critical_transversality_certificate(scene)
+    assert cert.status == status
+    assert (work["tests"], work["runs"], work["resolutions"]) == (tests, runs, 0)
+    assert work["checked"] == ([] if status == "refuted" else ["x0", "x1", "x2", "x3"])
