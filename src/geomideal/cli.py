@@ -270,7 +270,7 @@ def parse_scene(text: str) -> SceneFile:
                 row = []
                 for e in entries:
                     try:
-                        row.append(field.from_str(e))
+                        row.append(field.from_int(int(e)) if e.isdecimal() else field.from_str(e))
                     except (ValueError, ZeroDivisionError):
                         ps.bad(row_no, "BAD_RATIONAL", f"bad entry {e!r}")
                         break

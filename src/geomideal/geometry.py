@@ -476,8 +476,9 @@ def _coordinate_subsets(d: int) -> list[tuple[int, ...]]:
 
 
 def _subspace_ideal(ring: PolyRing, s: tuple[int, ...]) -> HomIdeal:
-    """Ideal of the coordinate subspace L_s = V(x_i : i in s)."""
-    return HomIdeal(ring, [ring.variable(i) for i in s])
+    """Ideal of the coordinate subspace L_s = V(x_i : i in s), s
+    increasing: its generators x_i in Poly.sort_key order, the last first."""
+    return HomIdeal.from_ordered(ring, [ring.variable(i) for i in reversed(s)])
 
 
 def _ratio_gate(sigma: ProjAutomorphism) -> bool:
@@ -571,7 +572,8 @@ def critical_transversality_certificate(scene: IdealizerScene) -> CTCertificate:
       Illinois J. Math. 1966): once Tor_i vanishes, so does every later Tor.
       So Tor_1 fails, and L_s is refuted with witness_j = 1 and no algebra.
     Every other L_s that meets Z has |s| <= dim Z and goes to
-    Transversality; under the d <= 3 gate only a surface of P^3 against a
+    Transversality.meeting, which does not test again whether it meets Z;
+    under the d <= 3 gate only a surface of P^3 against a
     coordinate line resolves Z.  A point off every coordinate hyperplane
     checks none.  Certified, `checked` counts every union, M(d + 1) - 3 by
     the Dedekind numbers.
@@ -594,7 +596,7 @@ def critical_transversality_certificate(scene: IdealizerScene) -> CTCertificate:
         if not meets(s):
             continue
         L = _subspace_ideal(ring, s)
-        ok, j = (False, 1) if len(s) > dim_z else transverse(L)
+        ok, j = (False, 1) if len(s) > dim_z else transverse.meeting(L)
         if not ok:
             return CTCertificate("refuted", checked, witness_family=(s,),
                                  witness_ideal=L, witness_j=j, notes=notes)

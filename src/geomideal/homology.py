@@ -316,9 +316,9 @@ class Transversality:
        kept for every later J.
 
     The ct-cert certificate (geometry) refutes a coordinate subspace of
-    codimension above dim Z by the depth rule before asking here, so on
-    that path route 3 is reached only by a surface of P^3 against a
-    coordinate line.
+    codimension above dim Z by the depth rule before asking here, and
+    knows which subspaces meet Z, so it asks `meeting`; on that path
+    route 3 is reached only by a surface of P^3 against a coordinate line.
 
     I keeps I + J per set of monic normal forms of J's generators
     (polykernel's module docstring, "The memo"), so asking whether Z meets
@@ -336,8 +336,11 @@ class Transversality:
 
     def __call__(self, J: HomIdeal) -> tuple[bool, int | None]:
         """(True, None) when transverse, else (False, the least failing j)."""
-        if not self.meets(J):
-            return True, None
+        return self.meeting(J) if self.meets(J) else (True, None)
+
+    def meeting(self, J: HomIdeal) -> tuple[bool, int | None]:
+        """__call__ for a V(J) known to meet Z: routes 2 and 3, with no
+        test of route 1."""
         gens = J.gens if len(J.gens) == 1 else J.groebner()
         if len(gens) == 1:
             section = section_numerator(self.ideal, ideal_sum(self.ideal, J), gens[0].degree)

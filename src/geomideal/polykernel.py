@@ -157,9 +157,14 @@ class PolyRing:
 
         Variables x0..x9, integer or rational coefficients "a" / "a/b",
         operators + - * ^ (also ** as a synonym), parentheses; whitespace
-        insignificant.  Example: "x0^2 + 3/2*x0*x1 - x2^2".  One pass of
-        the token pattern reads the text, its last group catching any
-        character no token starts with.
+        insignificant.  Example: "x0^2 + 3/2*x0*x1 - x2^2".  A minus after
+        an operator negates the atom after it, before ^; the signs that open
+        a sum negate its first term.  One pass of the token pattern reads
+        the text, its last group catching any character no token starts
+        with.  Each term goes straight into the {exponents: scalar} dict,
+        with no Poly; only a parenthesised factor is one (_product).  The
+        degrees of the terms give the degree tag, unless a term cancelled
+        or came from parentheses.
         """
         tokens = []
         for m in self._TOKEN.finditer(text):
@@ -168,11 +173,107 @@ class PolyRing:
                 pos = m.start()
                 raise ValueError(f"bad token at position {pos}: {text[pos:pos + 10]!r}")
             tokens.append("^" if tok == "**" else tok)
-        parser = _PolyParser(self, tokens)
-        result = parser.parse_expr()
-        if parser.pos != len(tokens):
-            raise ValueError(f"trailing input after polynomial: {tokens[parser.pos:]}")
-        return result
+        tokens.append(None)  # the end
+        terms, degs, pos = self._sum(tokens, 0)
+        if tokens[pos] is not None:
+            raise ValueError(f"trailing input after polynomial: {tokens[pos:-1]}")
+        f = Poly(self, terms)
+        if degs is not None:
+            f._deg = degs.pop() if len(degs) == 1 else -1 if degs else 0
+        return f
+
+    def _sum(self, tokens: list, pos: int):
+        """(terms, the set of the terms' degrees or None, position after)
+        for the sum at tokens[pos]."""
+        field = self.field
+        add, is_zero, zero = field.add, field.is_zero, field.zero
+        acc: dict = {}
+        degs: set | None = set()
+        neg = False
+        while tokens[pos] in ("+", "-"):
+            neg ^= tokens[pos] == "-"
+            pos += 1
+        while True:
+            c, exps, poly, pos = self._product(tokens, pos)
+            if neg:
+                c = field.neg(c)
+            if poly is None:
+                items = [(tuple(exps), c)]
+                if degs is not None and not is_zero(c):
+                    degs.add(sum(exps))
+            else:
+                items = [(mono_mul(exps, m), field.mul(c, x)) for m, x in poly.terms.items()]
+                degs = None
+            for m, x in items:
+                s = add(acc.get(m, zero), x)
+                if not is_zero(s):
+                    acc[m] = s
+                elif acc.pop(m, None) is not None:
+                    degs = None
+            if tokens[pos] not in ("+", "-"):
+                return acc, degs, pos
+            neg = tokens[pos] == "-"
+            pos += 1
+
+    def _product(self, tokens: list, pos: int):
+        """(scalar, exponent list, Poly or None, position after) for the
+        product of powers at tokens[pos]: the scalar and exponents gather
+        the coefficients and variables, the Poly (__mul__, __pow__) the
+        parenthesised factors."""
+        field = self.field
+        c, exps, poly = field.one, [0] * self.nvars, None
+        while True:
+            neg, tok = False, tokens[pos]
+            while tok == "-":
+                neg, pos = not neg, pos + 1
+                tok = tokens[pos]
+            pos += 1
+            if tok is None:
+                raise ValueError("unexpected end of polynomial")
+            if tok == "(":
+                inner, _, pos = self._sum(tokens, pos)
+                if tokens[pos] != ")":
+                    raise ValueError("unbalanced parenthesis")
+                pos += 1
+                x = Poly(self, inner)
+            elif tok[0] == "x":
+                x = int(tok[1:])
+                if x >= self.nvars:
+                    raise ValueError(f"variable {tok} out of range for {self.nvars} variables")
+            elif "/" in tok:
+                num, den = tok.split("/")
+                try:
+                    x = field.from_fraction(Fraction(int(num), int(den)))
+                except ZeroDivisionError:  # den = 0, or p | den over GF(p)
+                    raise ValueError(f"coefficient {tok} is not in the field") from None
+            elif tok.isdigit():
+                x = field.from_int(int(tok))
+            else:
+                raise ValueError(f"unexpected token {tok!r}")
+            k = 1
+            if tokens[pos] == "^":
+                e = tokens[pos + 1]
+                if e is None or not e.isdigit():
+                    raise ValueError("exponent must be a nonnegative integer")
+                k, pos = int(e), pos + 2
+            if neg and k & 1:  # (-a)^k = -(a^k) for odd k
+                c = field.neg(c)
+            if tok == "(":
+                x = x ** k
+                poly = x if poly is None else poly * x
+            elif tok[0] == "x":
+                exps[x] += k
+            else:
+                while k:  # c times x^k, by square-and-multiply
+                    if k & 1:
+                        c = field.mul(c, x)
+                    k >>= 1
+                    x = field.mul(x, x) if k else x
+            tok = tokens[pos]
+            if tok == "*":
+                pos += 1
+            elif tok is None or not (tok == "(" or tok[0] == "x" or tok[0].isdigit()):
+                return c, exps, poly, pos
 
     def format_poly(self, f: "Poly") -> str:
         if not f.terms:
@@ -204,86 +305,6 @@ def _signed_sum(terms) -> str:
         parts.append(("- " if neg else "+ ") + body)
     out = " ".join(parts)
     return out[2:] if out.startswith("+ ") else "-" + out[2:]
-
-
-class _PolyParser:
-    """Recursive descent for the additive/multiplicative/power grammar."""
-
-    def __init__(self, ring: PolyRing, tokens: list[str]):
-        self.ring = ring
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse_expr(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        acc = self.parse_term()
-        if sign < 0:
-            acc = -acc
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            term = self.parse_term()
-            acc = acc - term if op == "-" else acc + term
-        return acc
-
-    def parse_term(self):
-        acc = self.parse_power()
-        while self.peek() == "*" or self._starts_factor(self.peek()):
-            if self.peek() == "*":
-                self.take()
-            acc = acc * self.parse_power()
-        return acc
-
-    @staticmethod
-    def _starts_factor(tok):
-        return tok is not None and (tok == "(" or tok[0] == "x" or tok[0].isdigit())
-
-    def parse_power(self):
-        base = self.parse_atom()
-        if self.peek() == "^":
-            self.take()
-            exp_tok = self.take()
-            if exp_tok is None or not exp_tok.isdigit():
-                raise ValueError("exponent must be a nonnegative integer")
-            return base ** int(exp_tok)
-        return base
-
-    def parse_atom(self):
-        tok = self.take()
-        if tok is None:
-            raise ValueError("unexpected end of polynomial")
-        if tok == "(":
-            inner = self.parse_expr()
-            if self.take() != ")":
-                raise ValueError("unbalanced parenthesis")
-            return inner
-        if tok == "-":
-            return -self.parse_atom()
-        if tok.startswith("x"):
-            idx = int(tok[1:])
-            if idx >= self.ring.nvars:
-                raise ValueError(f"variable {tok} out of range for {self.ring.nvars} variables")
-            return self.ring.variable(idx)
-        if "/" in tok:
-            num, den = tok.split("/")
-            try:
-                value = self.ring.field.from_fraction(Fraction(int(num), int(den)))
-            except ZeroDivisionError:  # den = 0, or p | den over GF(p)
-                raise ValueError(f"coefficient {tok} is not in the field") from None
-            return self.ring.constant(value)
-        if tok.isdigit():
-            return self.ring.constant(self.ring.field.from_int(int(tok)))
-        raise ValueError(f"unexpected token {tok!r}")
 
 
 def mono_mul(a, b):
@@ -571,25 +592,28 @@ def reduce_basis(G: list[Poly]) -> list[Poly]:
 class HomIdeal:
     """Homogeneous ideal with a cached reduced Groebner basis.
 
-    The zero ideal is represented by an empty generator list, and gens are
-    kept in Poly.sort_key order.  The only basis an ideal holds is the
-    reduced one: groebner() runs groebner_basis on the gens once, unless
-    the ideal was built from_basis (sums, colons, intersections).  The
-    Hilbert numerator and the normal-form table are read off it, and
-    membership (contains) reads the table.  It also keeps its sums, section
-    numerators and colons by monic normal form (module docstring).
+    The zero ideal is represented by an empty generator list.  Generators
+    that come from outside are sorted by Poly.sort_key, so that their order
+    cannot matter; an ideal derived generator by generator from another
+    (from_ordered) inherits that one's order.  The only basis an ideal
+    holds is the reduced one: groebner() runs groebner_basis on the gens
+    once, unless the ideal was built from_basis (sums, colons,
+    intersections).  The Hilbert numerator and the normal-form table are
+    read off it, and membership (contains) reads the table.  It also keeps
+    its sums, section numerators and colons by monic normal form (module
+    docstring).
     """
 
-    def __init__(self, ring: PolyRing, gens, *, _gb=None):
+    def __init__(self, ring: PolyRing, gens):
+        gens = [g for g in gens if g.terms]
+        for g in gens:
+            if not g.is_homogeneous():
+                raise ValueError(f"inhomogeneous generator: {g}")
+        if len(gens) > 1:
+            gens.sort(key=Poly.sort_key)
         self.ring = ring
-        if _gb is None:
-            gens = [g for g in gens if not g.is_zero()]
-            for g in gens:
-                if not g.is_homogeneous():
-                    raise ValueError(f"inhomogeneous generator: {g}")
-            gens = sorted(gens, key=Poly.sort_key)
         self.gens = tuple(gens)
-        self._gb = _gb
+        self._gb = None
         self._hilbert_numerator = self._normal_forms = None
 
     @classmethod
@@ -597,12 +621,22 @@ class HomIdeal:
         return cls(ring, [ring.parse(t) for t in texts])
 
     @classmethod
+    def from_ordered(cls, ring: PolyRing, gens, gb=None) -> "HomIdeal":
+        """The ideal of gens, nonzero homogeneous forms already in a
+        deterministic order, kept as they are with no check or sort; gb is
+        its reduced basis, when known."""
+        I = cls.__new__(cls)
+        I.ring, I.gens, I._gb = ring, tuple(gens), gb
+        I._hilbert_numerator = I._normal_forms = None
+        return I
+
+    @classmethod
     def from_basis(cls, ring: PolyRing, gb) -> "HomIdeal":
         """The ideal of a known reduced basis gb, by decreasing leading
         monomial (groebner_basis), with no checks: it is homogeneous and
         nonzero, and monic with distinct leading monomials, it sorts by them
         alone under Poly.sort_key, so gb reversed is the sorted gens."""
-        return cls(ring, gb[::-1], _gb=tuple(gb))
+        return cls.from_ordered(ring, gb[::-1], tuple(gb))
 
     def groebner(self) -> tuple[Poly, ...]:
         if self._gb is None:

@@ -105,12 +105,15 @@ class ProjAutomorphism:
     def pullback_ideal(self, I: HomIdeal, n: int = 1) -> HomIdeal:
         """I^{sigma^n}, generator-wise; V(I^{sigma^n}) = sigma^{-n}(V(I)).
 
-        Saturation is preserved (an automorphism fixes the irrelevant ideal).
+        The pullbacks keep I's order and need no check: sigma is
+        invertible, so the pullback of a nonzero form is a nonzero form of
+        its degree.  Saturation is preserved (an automorphism fixes the
+        irrelevant ideal).
         """
         _check_exponent(n)
         if n == 0:
             return I
-        return HomIdeal(self.ring, [self.pullback(g, n) for g in I.gens])
+        return HomIdeal.from_ordered(self.ring, [self.pullback(g, n) for g in I.gens])
 
     def act_point(self, coords: tuple, n: int = 1) -> tuple:
         """sigma^n(p) as raw coordinates M^n . p, by n products with M (no
@@ -122,13 +125,9 @@ class ProjAutomorphism:
         return coords
 
     def is_diagonal(self) -> bool:
-        field = self.ring.field
-        return all(
-            field.is_zero(c)
-            for i, row in enumerate(self.matrix)
-            for j, c in enumerate(row)
-            if i != j
-        )
+        is_zero = self.ring.field.is_zero
+        return all(is_zero(c) for i, row in enumerate(self.matrix)
+                   for c in row[:i] + row[i + 1:])
 
     def diagonal_entries(self) -> tuple:
         return tuple(self.matrix[i][i] for i in range(self.ring.nvars))

@@ -12,7 +12,8 @@ oracle's conditions in monomial order, then a separate rref),
 monomial_annihilator (the annihilator solved over every degree-n
 monomial, before it read I_n off I's table),
 token_parse (the former tokenizer, which matches one token at a time,
-feeding the library's recursive descent)
+feeding the recursive descent the library parsed with before it read
+each term straight into a term dict)
 and loop_saturate (the former saturation: every (I : x_i^∞), intersected,
 with no exit for a linear I); antichains is the level-by-level enumeration
 of the unions of coordinate subspaces that ct-cert walked before it checked
@@ -723,10 +724,90 @@ def brute_orbit(matrix, point, gens_terms, horizon, char=0, cap=1000):
 _TOKEN = re.compile(r"\s*(x\d+|\d+/\d+|\d+|\*\*|[-+*^()])")
 
 
+class _PolyParser:
+    """The former recursive descent for the additive/multiplicative/power
+    grammar, every factor a library polynomial."""
+
+    def __init__(self, ring, tokens):
+        self.ring = ring
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def parse_expr(self):
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.take() == "-":
+                sign = -sign
+        acc = self.parse_term()
+        if sign < 0:
+            acc = -acc
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            term = self.parse_term()
+            acc = acc - term if op == "-" else acc + term
+        return acc
+
+    def parse_term(self):
+        acc = self.parse_power()
+        while self.peek() == "*" or self._starts_factor(self.peek()):
+            if self.peek() == "*":
+                self.take()
+            acc = acc * self.parse_power()
+        return acc
+
+    @staticmethod
+    def _starts_factor(tok):
+        return tok is not None and (tok == "(" or tok[0] == "x" or tok[0].isdigit())
+
+    def parse_power(self):
+        base = self.parse_atom()
+        if self.peek() == "^":
+            self.take()
+            exp_tok = self.take()
+            if exp_tok is None or not exp_tok.isdigit():
+                raise ValueError("exponent must be a nonnegative integer")
+            return base ** int(exp_tok)
+        return base
+
+    def parse_atom(self):
+        tok = self.take()
+        if tok is None:
+            raise ValueError("unexpected end of polynomial")
+        if tok == "(":
+            inner = self.parse_expr()
+            if self.take() != ")":
+                raise ValueError("unbalanced parenthesis")
+            return inner
+        if tok == "-":
+            return -self.parse_atom()
+        if tok.startswith("x"):
+            idx = int(tok[1:])
+            if idx >= self.ring.nvars:
+                raise ValueError(f"variable {tok} out of range for {self.ring.nvars} variables")
+            return self.ring.variable(idx)
+        if "/" in tok:
+            num, den = tok.split("/")
+            try:
+                value = self.ring.field.from_fraction(Fraction(int(num), int(den)))
+            except ZeroDivisionError:  # den = 0, or p | den over GF(p)
+                raise ValueError(f"coefficient {tok} is not in the field") from None
+            return self.ring.constant(value)
+        if tok.isdigit():
+            return self.ring.constant(self.ring.field.from_int(int(tok)))
+        raise ValueError(f"unexpected token {tok!r}")
+
+
 def token_parse(ring, text):
     """ring.parse(text) as the former tokenizer read it, with the same
     ValueError texts."""
-    from geomideal.polykernel import _PolyParser
     tokens = []
     pos = 0
     while pos < len(text):

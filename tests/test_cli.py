@@ -281,6 +281,45 @@ def test_zero_generator_diagnostic():
         (8, "BAD_GENERATOR", "zero generator")]
 
 
+def test_p6_moving_point_parses_with_no_polynomial_arithmetic(monkeypatch):
+    """Scene set-up reads each generator term by term into its term dict:
+    a P^6 moving point (diagonal sigma, the point's linear ideal
+    p_6*x_i - p_i*x_6, a sigma entry and a coefficient per line) is
+    parsed with no Poly product, sum or power, and gives the generators
+    of the former parser (oracles.token_parse)."""
+    point = [3, 1, 4, 1, 5, 2, 6]
+    texts = [f"{point[6]}*x{i} - {point[i]}*x6" for i in range(6)]
+    rows = [" ".join(str(lam if i == j else 0) for j in range(7))
+            for i, lam in enumerate([1, 2, 3, 5, 7, 11, 13])]
+    scene = "\n".join(["field rational", "dim 6", "sigma", *rows, "ideal", *texts, "end", ""])
+    calls = []
+    for name in ("__mul__", "_combine", "__pow__"):
+        real = getattr(polykernel.Poly, name)
+        monkeypatch.setattr(polykernel.Poly, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    sf = parse_scene(scene)
+    assert calls == []
+    monkeypatch.undo()
+    want = polykernel.HomIdeal(sf.ring, [oracles.token_parse(sf.ring, t) for t in texts])
+    assert [g.terms for g in sf.ideal.gens] == [g.terms for g in want.gens]
+    assert [g.degree for g in sf.ideal.gens] == [1] * 6
+
+
+def test_colon_sorts_each_scene_generator_once(monkeypatch, capsys):
+    """colon on the shipped moving point computes Poly.sort_key once per
+    scene generator, when the scene's ideal is built: the pulled-back ideals
+    keep I's order, and the sums and colons are one generator or a reduced
+    basis, which need no sort."""
+    keys = []
+    real = polykernel.Poly.sort_key
+    monkeypatch.setattr(polykernel.Poly, "sort_key", lambda f: keys.append(f) or real(f))
+    path = str(ROOT / "scenes" / "moving_point.scene")
+    assert main(["colon", path]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert sorted(keys, key=real) == list(parse_scene(Path(path).read_text()).ideal.gens)
+
+
 def test_directive_inside_a_block_is_missing_end():
     text = MINIMAL_P1.replace("x0\nend\n", "x0\nhorizon 3\n")
     assert diagnostics(text) == [
@@ -678,8 +717,13 @@ INVARIANCE_CASES = {
 @pytest.mark.parametrize("case", sorted(INVARIANCE_CASES))
 def test_generators_rescaled_reordered_and_padded_change_no_output(case, tmp_path, capsys,
                                                                    monkeypatch):
-    """colon, ct-cert and transverse print the same bytes for the padded
-    generators as for the plain ones.  The domain exit of the colon reads
+    """colon, ct-cert, transverse, idealizer and classify print the same
+    bytes for the padded generators as for the plain ones; the idealizer's
+    oracle and classify read the pulled-back generators in the order they
+    inherit from I's, which the padding changes.  A classify witness names
+    a component V(...) by the generators the scene gave, so that text is
+    read with the plain generators in place of the padded ones.  The
+    domain exit of the colon reads
     I's reduced basis, never its generators, so the padded point and line
     (a quadric among their generators) still take it: no Hilbert test."""
     sigma, plain, padded, against = INVARIANCE_CASES[case]
@@ -691,15 +735,19 @@ def test_generators_rescaled_reordered_and_padded_change_no_output(case, tmp_pat
         return real_test(I, g)
 
     monkeypatch.setattr(polykernel, "_section", counting_test)
-    for command in ("colon", "ct-cert", "transverse"):
+    texts = [invariance_scene(sigma, gens, against) for gens in (plain, padded)]
+    plain_v, padded_v = (f"V({parse_scene(t).ideal.gens_text()})" for t in texts)
+    for command in ("colon", "ct-cert", "transverse", "idealizer", "classify"):
         outs = []
-        for gens in (plain, padded):
-            path = scene_path(tmp_path, invariance_scene(sigma, gens, against))
+        for text in texts:
+            path = scene_path(tmp_path, text)
             tests.clear()
             assert main([command, path]) == 0
             outs.append(capsys.readouterr().out)
             if command == "colon" and case != "fat_point":
                 assert tests == []
+        if command == "classify":
+            outs[1] = outs[1].replace(padded_v, plain_v)
         assert outs[0] == outs[1]
 
 

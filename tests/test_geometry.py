@@ -925,10 +925,10 @@ def count_certificate_work(monkeypatch):
     (Transversality.meets), the Groebner runs of the sums I + J behind them
     and behind the Tor checks (one per set of monic normal forms of J's
     generators modulo I, none when J lies in I), resolutions of Z, Tor
-    checks against a resolution, and the sub-unions it checks for
-    transversality."""
+    checks against a resolution, and the subspaces it checks for
+    transversality (Transversality.meeting)."""
     work = {"tests": 0, "runs": 0, "resolutions": 0, "tor": [], "checked": []}
-    meets, graded_basis, check = Transversality.meets, polykernel.graded_basis, Transversality.__call__
+    meets, graded_basis, check = Transversality.meets, polykernel.graded_basis, Transversality.meeting
 
     def counted_meets(self, J):
         work["tests"] += 1
@@ -954,7 +954,7 @@ def count_certificate_work(monkeypatch):
     monkeypatch.setattr(polykernel, "graded_basis", counted_run)
     monkeypatch.setattr(homology, "free_resolution", counted_resolution)
     monkeypatch.setattr(homology, "transverse_from_resolution", counted_tor)
-    monkeypatch.setattr(Transversality, "__call__", counted_check)
+    monkeypatch.setattr(Transversality, "meeting", counted_check)
     return work
 
 
@@ -976,10 +976,10 @@ def test_p3_line_checks_each_meeting_sub_union_once(monkeypatch):
     assert (cert.status, cert.checked) == ("certified", 165)
     # the line meets the four coordinate planes (by dimension, untested) and
     # no smaller coordinate subspace (10 tests), so the subspaces it checks
-    # are the 4 planes: hypersurfaces, each tested once more by its check
-    # and one sum each, no resolution and no Tor module
+    # are the 4 planes: hypersurfaces, known to meet it, so not tested
+    # again, with one sum each, no resolution and no Tor module
     assert (work["resolutions"], work["tor"]) == (0, [])
-    assert (work["tests"], work["runs"]) == (10 + 4, 10 + 4)
+    assert (work["tests"], work["runs"]) == (10, 10 + 4)
     assert work["checked"] == ["x0", "x1", "x2", "x3"]
 
 
@@ -1183,7 +1183,7 @@ def test_transverse_to_two_unions_and_their_meet_is_transverse_to_their_union(Z,
     ("cusp_probe", "refuted", 3, 0),
     ("fat_point", "refuted", 3, 1),
     ("conic_pair", "refuted", 2, 2),
-    ("ci3", "certified", 10 + 4, 10 + 4),
+    ("ci3", "certified", 10, 10 + 4),
 ])
 def test_shipped_scenes_check_no_subspace_past_their_dimension(name, status, tests, runs,
                                                                monkeypatch):
@@ -1191,9 +1191,9 @@ def test_shipped_scenes_check_no_subspace_past_their_dimension(name, status, tes
     meets it, of codimension above dim Z, so the depth rule refutes it with
     no resolution and no transversality check; the tests and sum runs are
     only those that decide which subspaces meet Z.  The curve ci3 meets no
-    coordinate point or line (10 tests) and checks the 4 planes, one test
-    and one sum each: 14, not the 25 of a walk over the 15 unions of
-    planes."""
+    coordinate point or line (10 tests) and checks the 4 planes, which meet
+    it by dimension, with no test and one sum each: 14 runs, not the 25 of
+    a walk over the 15 unions of planes."""
     scene = cli.parse_scene(SCENE_FILES[name].read_text()).scene()
     work = count_certificate_work(monkeypatch)
     cert = critical_transversality_certificate(scene)
