@@ -572,11 +572,12 @@ def critical_transversality_certificate(scene: IdealizerScene) -> CTCertificate:
       Illinois J. Math. 1966): once Tor_i vanishes, so does every later Tor.
       So Tor_1 fails, and L_s is refuted with witness_j = 1 and no algebra.
     Every other L_s that meets Z has |s| <= dim Z and goes to
-    Transversality.meeting, which does not test again whether it meets Z;
-    under the d <= 3 gate only a surface of P^3 against a
-    coordinate line resolves Z.  A point off every coordinate hyperplane
-    checks none.  Certified, `checked` counts every union, M(d + 1) - 3 by
-    the Dedekind numbers.
+    Transversality.meeting, which does not test again whether it meets Z
+    and reads the Tor_1 sheaf alone: Tor_1(S/I, S/I_L) ≅ (I ∩ I_L)/(I·I_L)
+    by one Hilbert numerator, which by rigidity decides every Tor, with no
+    resolution.  A point off every coordinate hyperplane checks none.
+    Certified, `checked` counts every union, M(d + 1) - 3 by the Dedekind
+    numbers.
     """
     sigma, ring = scene.sigma, scene.ring
     d = scene.d

@@ -21,12 +21,15 @@ sum (-1)^j HS(Tor_j) = N(S/I)*N(S/J)/(1 - u)^nvars, so the Serre total
 needs no resolution at all.  Sheafifying is exact, so the sheaf Tor of
 the two subscheme structure sheaves vanishes exactly when the Hilbert
 polynomial of the graded Tor is identically zero; that is the
-transversality criterion used here (insensitive to saturating the inputs).
-Transversality asks for Tor modules only when neither of two exact rules
-decides: subschemes that do not meet are transverse, and against a
-principal J = (f), f of degree e, the one Tor that can survive is
-Tor_1 = ((I : f)/I)(-e), the kernel of f on (S/I)(-e), whose series
-numerator is the section numerator N(I + f) - (1 - u^e)*N(I) (polykernel).
+transversality criterion (insensitive to saturating the inputs).
+Transversality asks for no Tor module past Tor_1 and makes no resolution.
+Tor is rigid on P^d, whose local rings are regular: once the Tor_i sheaf
+vanishes, every later one does (Auslander, Illinois J. Math. 1961;
+Lichtenbaum, Illinois J. Math. 1966).  So the subschemes are transverse
+exactly when the Tor_1 sheaf vanishes, and a failure has j = 1.
+Tor_1(S/I, S/J) = (I cap J)/(I*J), whose series numerator is
+N(S/(I*J)) - N(S/I) - N(S/J) + N(S/(I + J)) (Transversality); subschemes
+that do not meet are transverse with no numerator.
 
 Over a quotient coordinate ring A = S/Q resolutions are generally infinite.
 free_resolution(I, length, modulo=Q) resolves A/IA to the given length with
@@ -76,7 +79,6 @@ from .polykernel import (
     numerator_add,
     numerator_mul,
     saturate,
-    section_numerator,
     series_coefficient,
 )
 
@@ -299,7 +301,9 @@ def graded_tor(I: HomIdeal, J: HomIdeal, j: int) -> TorModule:
 class Transversality:
     """Homological transversality of Z = V(I) to many subschemes Y = V(J).
 
-    Each J takes the first of three routes that decides it:
+    By the rigidity of Tor (module docstring), Z is transverse to Y exactly
+    when the Tor_1 sheaf vanishes, and a failure has j = 1.  Each J is
+    decided by the first of two rules:
 
     1. Z and Y do not meet.  A Tor sheaf is supported on the intersection:
        Supp Tor_j(O_Z, O_Y) ⊆ Z ∩ Y (Serre, Algèbre locale, multiplicités;
@@ -307,18 +311,19 @@ class Transversality:
        Whether they meet is read off the pure powers among the leading
        monomials of I + J (polykernel.empty_zero_set), with no Hilbert
        numerator.
-    2. J = (f) is principal.  S/(f) has the resolution
-       0 → S(−e) → S → S/(f) → 0, so Tor_j = 0 for j ≥ 2, and the Tor_1
-       sheaf vanishes exactly when the section numerator (module
-       docstring) of the sum I + f that route 1 already computed has the
-       zero Hilbert polynomial; a failure has j = 1.
-    3. Otherwise Tor_j from a free resolution of I, made on first need and
-       kept for every later J.
+    2. Otherwise Tor_1(S/I, S/J) ≅ (I ∩ J)/(I·J), and
+       0 → S/(I ∩ J) → S/I ⊕ S/J → S/(I + J) → 0 gives its numerator
+       N(S/(I·J)) − N(S/I) − N(S/J) + N(S/(I + J)) (the Tor_1 numerator);
+       the sheaf vanishes exactly when its Hilbert polynomial is zero.
+       I·J costs one Groebner run of the products of generators (_product).
+       For J = (f), f of degree e, f is a nonzerodivisor on S, so
+       (f)/(f·I) ≅ (S/I)(−e) and N(S/(f·I)) − N(S/(f)) = u^e·N(S/I): the
+       numerator is the section numerator N(I + f) − (1 − u^e)·N(I)
+       (polykernel's module docstring), with no run past I + f.
 
     The ct-cert certificate (geometry) refutes a coordinate subspace of
     codimension above dim Z by the depth rule before asking here, and
-    knows which subspaces meet Z, so it asks `meeting`; on that path
-    route 3 is reached only by a surface of P^3 against a coordinate line.
+    knows which subspaces meet Z, so it asks `meeting`.
 
     I keeps I + J per set of monic normal forms of J's generators
     (polykernel's module docstring, "The memo"), so asking whether Z meets
@@ -328,52 +333,48 @@ class Transversality:
 
     def __init__(self, I: HomIdeal):
         self.ideal = I
-        self._resolution: FreeResolution | None = None
 
     def meets(self, J: HomIdeal) -> bool:
         """Whether Z and V(J) meet: V(I + J) is not empty."""
         return not empty_zero_set(ideal_sum(self.ideal, J))
 
     def __call__(self, J: HomIdeal) -> tuple[bool, int | None]:
-        """(True, None) when transverse, else (False, the least failing j)."""
+        """(True, None) when transverse, else (False, 1)."""
         return self.meeting(J) if self.meets(J) else (True, None)
 
     def meeting(self, J: HomIdeal) -> tuple[bool, int | None]:
-        """__call__ for a V(J) known to meet Z: routes 2 and 3, with no
-        test of route 1."""
+        """__call__ for a V(J) known to meet Z: the Tor_1 numerator, with
+        no test of rule 1."""
+        I = self.ideal
         gens = J.gens if len(J.gens) == 1 else J.groebner()
-        if len(gens) == 1:
-            section = section_numerator(self.ideal, ideal_sum(self.ideal, J), gens[0].degree)
-            if hilbert_polynomial_from_numerator(section, J.ring.nvars).is_zero():
-                return True, None
-            return False, 1
-        if self._resolution is None:
-            self._resolution = free_resolution(self.ideal)
-        return transverse_from_resolution(self._resolution, J)
+        if len(gens) == 1:  # N(S/(f·I)) − N(S/(f)) = u^e·N(S/I)
+            num = numerator_add({}, I.hilbert_numerator(), 1, gens[0].degree)
+        else:
+            num = numerator_add(_product(I, J).hilbert_numerator(), J.hilbert_numerator(), -1)
+        num = numerator_add(num, I.hilbert_numerator(), -1)
+        num = numerator_add(num, ideal_sum(I, J).hilbert_numerator())
+        if hilbert_polynomial_from_numerator(num, J.ring.nvars).is_zero():
+            return True, None
+        return False, 1
+
+
+def _product(I: HomIdeal, J: HomIdeal) -> HomIdeal:
+    """I·J, generated by the products of the generators, in order."""
+    return HomIdeal.from_ordered(I.ring, [f * g for f in I.gens for g in J.gens])
 
 
 def homologically_transverse(I: HomIdeal, J: HomIdeal) -> tuple[bool, int | None]:
-    """Whether the subschemes cut out by I and J are homologically transverse.
+    """Whether the subschemes cut out by I and J are homologically transverse:
+    every sheaf Tor_j vanishes, j >= 1.
 
-    Checks that every sheaf Tor_j for j = 1..nvars vanishes, by the routes
-    of Transversality: disjoint, then principal J, then Tor modules from a
-    resolution of I.  On failure returns the least failing j.  The verdict
-    depends only on the subschemes, not on the chosen (possibly unsaturated)
-    defining ideals.
+    By the rules of Transversality: disjoint, else the Tor_1 numerator,
+    which decides every j by rigidity, so a failure returns (False, 1).
+    No resolution is made.  The verdict depends only on the subschemes,
+    not on the chosen (possibly unsaturated) defining ideals.
     """
     if I.ring != J.ring:
         raise ValueError("ideals live in different rings")
     return Transversality(I)(J)
-
-
-def transverse_from_resolution(res: FreeResolution,
-                               J: HomIdeal) -> tuple[bool, int | None]:
-    """homologically_transverse(res.ideal, J) from an already-computed
-    resolution, so one resolution can be checked against many J."""
-    for j in range(1, res.ideal.ring.nvars + 1):
-        if not tor_from_resolution(res, J, j).is_sheaf_trivial():
-            return False, j
-    return True, None
 
 
 def serre_multiplicity_total(I: HomIdeal, J: HomIdeal) -> Fraction:

@@ -7,8 +7,10 @@ Derived constants frozen into tests were produced by these.  The
 exceptions replay a former library loop over the library's own kernels:
 greedy_minimal_generators (minimal generators, one fresh module Groebner
 basis per accepted vector), stepwise_resolution (a resolution over a
-quotient, one preimage per map), rref_oracle_piece (the idealizer
-oracle's conditions in monomial order, then a separate rref),
+quotient, one preimage per map), transverse_from_resolution (every
+Tor_j sheaf from a resolution, before transversality read Tor_1 alone),
+rref_oracle_piece (the idealizer oracle's conditions in monomial order,
+then a separate rref),
 monomial_annihilator (the annihilator solved over every degree-n
 monomial, before it read I_n off I's table),
 token_parse (the former tokenizer, which matches one token at a time,
@@ -436,6 +438,19 @@ def subquotient_tor_numerator(res, J, j):
     for a, x in submodule_hilbert_numerator(module_groebner(bounds + j_times(Fj)), Fj).items():
         num[a] = num.get(a, 0) - x
     return {a: x for a, x in num.items() if x}
+
+
+def transverse_from_resolution(res, J):
+    """homologically_transverse(res.ideal, J) from the resolution res of
+    S/I, as the library decided it before it read Tor_1 alone: (False, j)
+    at the least j = 1..nvars whose Tor_j sheaf is nonzero, read from
+    tor_from_resolution, else (True, None)."""
+    from geomideal.homology import tor_from_resolution
+
+    for j in range(1, res.ideal.ring.nvars + 1):
+        if not tor_from_resolution(res, J, j).is_sheaf_trivial():
+            return False, j
+    return True, None
 
 
 # -- the idealizer oracle with the conditions in monomial order ---------------

@@ -37,7 +37,6 @@ from geomideal.homology import (
     Transversality,
     free_resolution,
     homologically_transverse,
-    transverse_from_resolution,
 )
 from geomideal.idealizer import IdealizerScene
 from geomideal.polykernel import (
@@ -803,7 +802,7 @@ def plain_certificate(scene):
     families = coordinate_families(scene.d)
     for checked, fam in enumerate(families, 1):
         Y = union_ideal(ring, fam)
-        ok, j = transverse_from_resolution(res, Y)
+        ok, j = oracles.transverse_from_resolution(res, Y)
         if not ok:
             return ("refuted", checked, fam, Y.gens_text(), j)
     return ("certified", len(families), None, None, None)
@@ -923,12 +922,14 @@ def test_ct_cert_walks_no_union_that_misses_z(point, summary, walks, monkeypatch
 def count_certificate_work(monkeypatch):
     """Count what the certificate asks of homology: disjointness tests
     (Transversality.meets), the Groebner runs of the sums I + J behind them
-    and behind the Tor checks (one per set of monic normal forms of J's
-    generators modulo I, none when J lies in I), resolutions of Z, Tor
-    checks against a resolution, and the subspaces it checks for
-    transversality (Transversality.meeting)."""
+    and behind the Tor_1 checks (one per set of monic normal forms of J's
+    generators modulo I, none when J lies in I), resolutions of Z, the J
+    whose product I·J a Tor_1 check forms (homology._product, one Groebner
+    run each), and the subspaces it checks for transversality
+    (Transversality.meeting)."""
     work = {"tests": 0, "runs": 0, "resolutions": 0, "tor": [], "checked": []}
     meets, graded_basis, check = Transversality.meets, polykernel.graded_basis, Transversality.meeting
+    product = homology._product
 
     def counted_meets(self, J):
         work["tests"] += 1
@@ -942,9 +943,9 @@ def count_certificate_work(monkeypatch):
         work["resolutions"] += 1
         return free_resolution(I, *args, **kwargs)
 
-    def counted_tor(res, J):
+    def counted_product(I, J):
         work["tor"].append(J.gens_text())
-        return transverse_from_resolution(res, J)
+        return product(I, J)
 
     def counted_check(self, J):
         work["checked"].append(J.gens_text())
@@ -953,7 +954,7 @@ def count_certificate_work(monkeypatch):
     monkeypatch.setattr(Transversality, "meets", counted_meets)
     monkeypatch.setattr(polykernel, "graded_basis", counted_run)
     monkeypatch.setattr(homology, "free_resolution", counted_resolution)
-    monkeypatch.setattr(homology, "transverse_from_resolution", counted_tor)
+    monkeypatch.setattr(homology, "_product", counted_product)
     monkeypatch.setattr(Transversality, "meeting", counted_check)
     return work
 
@@ -977,10 +978,24 @@ def test_p3_line_checks_each_meeting_sub_union_once(monkeypatch):
     # the line meets the four coordinate planes (by dimension, untested) and
     # no smaller coordinate subspace (10 tests), so the subspaces it checks
     # are the 4 planes: hypersurfaces, known to meet it, so not tested
-    # again, with one sum each, no resolution and no Tor module
+    # again, with one sum each, no resolution and no product I·J
     assert (work["resolutions"], work["tor"]) == (0, [])
     assert (work["tests"], work["runs"]) == (10, 10 + 4)
     assert work["checked"] == ["x0", "x1", "x2", "x3"]
+
+
+def test_p3_surface_checks_the_coordinate_lines_without_a_resolution(monkeypatch):
+    work = count_certificate_work(monkeypatch)
+    Z = HomIdeal.from_strings(R3, ["x0^3 + x1^3 + x2^3 + x3^3"])
+    cert = critical_transversality_certificate(IdealizerScene(R3, SIGMA3, Z))
+    assert (cert.status, cert.checked) == ("certified", 165)
+    # the Fermat cubic misses the 4 coordinate points (4 tests, 4 sums) and
+    # meets every line and plane by dimension; each of the 6 lines takes one
+    # sum and one product I·J, and each of the 4 planes one sum
+    lines = ["x1, x0", "x2, x0", "x3, x0", "x2, x1", "x3, x1", "x3, x2"]
+    assert (work["resolutions"], work["tor"]) == (0, lines)
+    assert (work["tests"], work["runs"]) == (4, 4 + 6 + 4)
+    assert work["checked"] == lines + ["x0", "x1", "x2", "x3"]
 
 
 def test_p3_point_on_one_hyperplane_refuted_after_one_tor(monkeypatch):
@@ -1160,7 +1175,7 @@ def test_tor_against_a_subspace_first_fails_at_j1_and_does_past_dim_z(Z):
     dim_z = hilbert_polynomial(Z).degree()
     for s in _coordinate_subsets(Z.ring.nvars - 1):
         L = _subspace_ideal(Z.ring, s)
-        ok, j = transverse_from_resolution(res, L)
+        ok, j = oracles.transverse_from_resolution(res, L)
         assert ok or j == 1, s
         if len(s) > dim_z and not hilbert_polynomial(ideal_sum(Z, L)).is_zero():
             assert not ok, s
@@ -1174,8 +1189,9 @@ def test_transverse_to_two_unions_and_their_meet_is_transverse_to_their_union(Z,
     families = coordinate_families(Z.ring.nvars - 1)
     A, B = (union_ideal(Z.ring, data.draw(st.sampled_from(families))) for _ in range(2))
     res = free_resolution(Z)
-    if all(transverse_from_resolution(res, Y)[0] for Y in (A, B, HomIdeal(Z.ring, A.gens + B.gens))):
-        assert transverse_from_resolution(res, intersect(A, B))[0]
+    meet = HomIdeal(Z.ring, A.gens + B.gens)
+    if all(oracles.transverse_from_resolution(res, Y)[0] for Y in (A, B, meet)):
+        assert oracles.transverse_from_resolution(res, intersect(A, B))[0]
 
 
 @pytest.mark.parametrize("name, status, tests, runs", [

@@ -28,7 +28,6 @@ from geomideal.homology import (
     homologically_transverse,
     serre_multiplicity_total,
     tor_from_resolution,
-    transverse_from_resolution,
     truncated_tor_over_quotient,
 )
 from geomideal.polykernel import (
@@ -189,6 +188,21 @@ def test_transversality_insensitive_to_saturation():
     assert homologically_transverse(I, J) == (True, None)
 
 
+def test_embedded_point_fails_at_j_one():
+    # a dimension count calls V(x2) proper to Z, but the embedded point at
+    # [0:1:0] makes Tor_1 nonzero
+    assert homologically_transverse(ideal(RQ, "x0^2", "x0*x2"), ideal(RQ, "x2")) == (False, 1)
+
+
+@pytest.mark.parametrize("line, verdict", [
+    (("x0", "x2"), (False, 1)),  # a line on the quadric
+    (("x0", "x1"), (True, None)),  # meets it in two points
+])
+def test_quadric_surface_against_a_coordinate_line(line, verdict):
+    quadric = ideal(PolyRing(QQ, 4), "x0*x1 - x2*x3")
+    assert homologically_transverse(quadric, ideal(quadric.ring, *line)) == verdict
+
+
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(data=st.data())
@@ -226,7 +240,7 @@ def test_disjointness_pre_check_matches_the_plain_loop(data):
     """The shortcut for disjoint pairs never changes a verdict or a witness j."""
     pick = st.one_of(linear_ideal(RQ), monomial_ideal(RQ))
     I, J = data.draw(pick), data.draw(pick)
-    plain = transverse_from_resolution(free_resolution(I), J)
+    plain = oracles.transverse_from_resolution(free_resolution(I), J)
     assert homologically_transverse(I, J) == plain
 
 
@@ -302,7 +316,48 @@ def test_principal_route_matches_tor_from_a_resolution(data, field):
                 ring.zero())
         assume(not f.is_zero())
     J = HomIdeal(ring, [f])
-    assert homologically_transverse(I, J) == transverse_from_resolution(free_resolution(I), J)
+    want = oracles.transverse_from_resolution(free_resolution(I), J)
+    assert homologically_transverse(I, J) == want
+
+
+@st.composite
+def against(draw, ring):
+    """J on ring: a coordinate line, a union of coordinate subspaces (the
+    ideal of squarefree monomials), or two random forms of degree 1 or 2."""
+    n = ring.nvars
+    kind = draw(st.sampled_from(["line", "union", "forms"]))
+    if kind == "line":
+        s = draw(st.sets(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+        return HomIdeal(ring, [ring.variable(i) for i in s])
+    if kind == "union":
+        supports = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=2),
+                                 min_size=2, max_size=3))
+        return HomIdeal(ring, [ring.monomial(tuple(int(i in s) for i in range(n)))
+                               for s in supports])
+    forms = []
+    for _ in range(2):
+        monos = monomials_of_degree(ring, draw(st.integers(1, 2)))
+        cs = draw(st.lists(st.integers(-2, 2), min_size=len(monos), max_size=len(monos)))
+        forms.append(sum((ring.monomial(m).scale(ring.field.from_int(c))
+                          for m, c in zip(monos, cs)), ring.zero()))
+    return HomIdeal(ring, forms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), field=st.sampled_from([QQ, PrimeField(7)]))
+def test_tor1_route_matches_tor_from_a_resolution(data, field):
+    """For J of several generators the Tor_1 numerator gives the verdict and
+    witness j of Tor modules from a resolution, and makes no resolution."""
+    I = data.draw(curve_or_point(field))
+    J = data.draw(against(I.ring))
+    want = oracles.transverse_from_resolution(free_resolution(I), J)
+
+    def no_resolution(*args, **kwargs):
+        raise AssertionError("transversality needs no resolution")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "free_resolution", no_resolution)
+        assert homologically_transverse(I, J) == want
 
 
 def test_hypersurface_is_checked_without_a_resolution(monkeypatch):
