@@ -18,7 +18,6 @@ from .polykernel import (
     dim_full_space,
     dim_ideal_piece,
     hilbert_function,
-    hilbert_polynomial,
     ideal_equal,
     ideal_quotient,
     ideal_sum,
@@ -76,7 +75,7 @@ __all__ = [
     "QQ", "PrimeField", "RationalField",
     "HomIdeal", "PolyRing", "ResourceCapError", "codimension",
     "degree_piece_basis", "dim_full_space", "dim_ideal_piece",
-    "hilbert_function", "hilbert_polynomial", "ideal_equal",
+    "hilbert_function", "ideal_equal",
     "ideal_quotient", "ideal_sum", "intersect", "saturate",
     "ImproperIntersectionError", "free_resolution", "graded_tor",
     "homologically_transverse", "serre_multiplicity_total",

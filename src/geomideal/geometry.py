@@ -40,7 +40,7 @@ from . import linalg
 from .fields import QQ
 from .homology import Transversality
 from .idealizer import IdealizerScene
-from .polykernel import HomIdeal, PolyRing, Substitution, hilbert_polynomial
+from .polykernel import HomIdeal, PolyRing, Substitution, hilbert_dimension
 from .twist import ProjAutomorphism, _dot, _mat_mul, _mat_pow, is_scalar_matrix
 
 RATIONAL_SUBSTITUTE_NOTE = (
@@ -591,7 +591,7 @@ def critical_transversality_certificate(scene: IdealizerScene) -> CTCertificate:
                              reason="invariant family not classified",
                              notes=notes)
     transverse = Transversality(scene.ideal)
-    dim_z = hilbert_polynomial(scene.ideal).degree()
+    dim_z = hilbert_dimension(scene.ideal.hilbert_numerator(), ring.nvars)[0]
     meets = _meets_z(transverse, dim_z)
     for checked, s in enumerate(_coordinate_subsets(d), 1):
         if not meets(s):

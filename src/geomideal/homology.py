@@ -15,13 +15,15 @@ a Hilbert function (Macaulay), so each cokernel numerator comes from one
 reduced module Groebner basis of B_j; the resolution keeps it per J, and
 Tor_j and Tor_(j+1) share it.  The Hilbert series of Tor_j is thus one
 integer numerator over (1 - u)^nvars, and both the graded dimensions (its
-coefficients) and the Hilbert polynomial are read from it.  Summed with
-signs, the F_j-bar give the Euler characteristic
+coefficients) and the dimension of its support
+(polykernel.hilbert_dimension) are read from it.  Summed with signs, the
+F_j-bar give the Euler characteristic
 sum (-1)^j HS(Tor_j) = N(S/I)*N(S/J)/(1 - u)^nvars, so the Serre total
 needs no resolution at all.  Sheafifying is exact, so the sheaf Tor of
 the two subscheme structure sheaves vanishes exactly when the Hilbert
-polynomial of the graded Tor is identically zero; that is the
-transversality criterion (insensitive to saturating the inputs).
+polynomial of the graded Tor is identically zero, that is, when
+(1 - u)^nvars divides its numerator; that is the transversality
+criterion (insensitive to saturating the inputs).
 Transversality asks for no Tor module past Tor_1 and makes no resolution.
 Tor is rigid on P^d, whose local rings are regular: once the Tor_i sheaf
 vanishes, every later one does (Auslander, Illinois J. Math. 1961;
@@ -55,7 +57,6 @@ with no module Groebner run.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ImproperIntersectionError, SceneVerificationError, UsageError
@@ -69,12 +70,10 @@ from .freemod import (
 )
 from .linalg import Echelon, det_adjugate, exact_quotient
 from .polykernel import (
-    HilbertPoly,
     HomIdeal,
     Poly,
     empty_zero_set,
-    hilbert_polynomial,
-    hilbert_polynomial_from_numerator,
+    hilbert_dimension,
     ideal_sum,
     numerator_add,
     numerator_mul,
@@ -265,12 +264,10 @@ class TorModule(NamedTuple):
     def dims(self, lo: int, hi: int) -> list[int]:
         return [self.dimension(n) for n in range(lo, hi + 1)]
 
-    def hilbert_polynomial(self) -> HilbertPoly:
-        return hilbert_polynomial_from_numerator(self.numerator, self.nvars)
-
     def is_sheaf_trivial(self) -> bool:
-        """True when the associated sheaf vanishes (Hilbert polynomial 0)."""
-        return self.hilbert_polynomial().is_zero()
+        """True when the associated sheaf vanishes: (1 - u)^nvars divides
+        the numerator (module docstring)."""
+        return hilbert_dimension(self.numerator, self.nvars)[0] < 0
 
 
 def tor_from_resolution(res: FreeResolution, J: HomIdeal, j: int) -> TorModule:
@@ -314,7 +311,8 @@ class Transversality:
     2. Otherwise Tor_1(S/I, S/J) ≅ (I ∩ J)/(I·J), and
        0 → S/(I ∩ J) → S/I ⊕ S/J → S/(I + J) → 0 gives its numerator
        N(S/(I·J)) − N(S/I) − N(S/J) + N(S/(I + J)) (the Tor_1 numerator);
-       the sheaf vanishes exactly when its Hilbert polynomial is zero.
+       the sheaf vanishes exactly when its Hilbert polynomial is zero, when
+       (1 − u)^nvars divides the numerator (polykernel.hilbert_dimension).
        I·J costs one Groebner run of the products of generators (_product).
        For J = (f), f of degree e, f is a nonzerodivisor on S, so
        (f)/(f·I) ≅ (S/I)(−e) and N(S/(f·I)) − N(S/(f)) = u^e·N(S/I): the
@@ -353,7 +351,7 @@ class Transversality:
             num = numerator_add(_product(I, J).hilbert_numerator(), J.hilbert_numerator(), -1)
         num = numerator_add(num, I.hilbert_numerator(), -1)
         num = numerator_add(num, ideal_sum(I, J).hilbert_numerator())
-        if hilbert_polynomial_from_numerator(num, J.ring.nvars).is_zero():
+        if hilbert_dimension(num, J.ring.nvars)[0] < 0:
             return True, None
         return False, 1
 
@@ -377,24 +375,28 @@ def homologically_transverse(I: HomIdeal, J: HomIdeal) -> tuple[bool, int | None
     return Transversality(I)(J)
 
 
-def serre_multiplicity_total(I: HomIdeal, J: HomIdeal) -> Fraction:
+def serre_multiplicity_total(I: HomIdeal, J: HomIdeal) -> int:
     """Total intersection multiplicity: alternating sum over j of the
     (constant) Hilbert polynomials of the Tor_j sheaves.
 
-    Only defined when the intersection is finite; otherwise raises
+    Only defined when the intersection is finite, V(I + J) of dimension at
+    most 0 (polykernel.hilbert_dimension); otherwise raises
     ImproperIntersectionError.  Every Tor_j is annihilated by I + J, so its
     Hilbert polynomial is then constant, and the alternating sum is the
     Hilbert polynomial of the Euler characteristic N(S/I)*N(S/J) over
-    (1 - u)^nvars (module docstring): no resolution is made.
+    (1 - u)^nvars (module docstring): writing N(S/I)*N(S/J) = (1 - u)^c*Q
+    with Q(1) ≠ 0, it is Q(1) when c = nvars - 1 and 0 when (1 - u)^nvars
+    divides it.  No resolution is made.
     """
     if I.ring != J.ring:
         raise ValueError("ideals live in different rings")
-    if hilbert_polynomial(ideal_sum(I, J)).degree() > 0:
+    nvars = I.ring.nvars
+    if hilbert_dimension(ideal_sum(I, J).hilbert_numerator(), nvars)[0] > 0:
         raise ImproperIntersectionError(
             "improper intersection; multiplicity undefined by this operation"
         )
     euler = numerator_mul(I.hilbert_numerator(), J.hilbert_numerator())
-    return hilbert_polynomial_from_numerator(euler, I.ring.nvars).constant_value()
+    return hilbert_dimension(euler, nvars)[1]
 
 
 def point_coordinates(ideal: HomIdeal) -> list | None:

@@ -616,17 +616,7 @@ class NormalForms:
         kernel = [{standard[last - c]: v[c] for c in sorted(v, reverse=True)}
                   for v in reversed(echelon.sparse_kernel())]
         basis = _direct_sum(self.ring, piece, kernel)
-        if not (other and basis):
-            return basis
-        if kernel:
-            columns = [field.split(v.terms) for v in reversed(basis)]
-        else:  # basis is I_n: the row m - nf(m) is (den*m - nums)/den
-            columns = []
-            for v in reversed(basis):
-                m = v.lm()
-                nums, den = self._table[m]
-                columns.append(({m: den, **{s: -x for s, x in nums.items()}}, den))
-        return _restrict(basis, columns, other)
+        return _restrict(basis, other) if other and basis else basis
 
     def kernel_ideal(self, conditions, target: dict[int, int]) -> HomIdeal:
         """The ideal K = {x : nf_T(x . f) = 0 for every condition (T, f)},
@@ -701,16 +691,16 @@ def _direct_sum(ring: PolyRing, piece: list[Poly], kernel: list[dict]) -> list[P
     return out
 
 
-def _restrict(basis: list[Poly], columns, conditions) -> list[Poly]:
+def _restrict(basis: list[Poly], conditions) -> list[Poly]:
     """The reduced echelon basis, largest leading monomial first, of the x
     in the span of basis (reduced echelon, largest lead first) with
     nf_T(x . f) = 0 for each condition (T, canonical numerators of
-    nf_T(f)): stage 2 of `NormalForms.annihilator`.  columns holds the
-    basis vectors as integral (nums, den), last first."""
+    nf_T(f)): stage 2 of `NormalForms.annihilator`."""
     ring = basis[0].ring
     field = ring.field
     add, mul, one = field.add, field.mul, field.one
     last = len(basis) - 1
+    columns = [field.split(v.terms) for v in reversed(basis)]  # integral, last first
     monos = list(dict.fromkeys(t for nums, _ in columns for t in nums))
     echelon = Echelon(field, len(basis))
     for table, nums in conditions:

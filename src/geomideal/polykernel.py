@@ -2,7 +2,7 @@
 
 The commutative kernel everything else sits on: polynomials over Q or GF(p)
 in variables x0..x9, reduced Groebner bases, colon ideals, intersections,
-saturation, and Hilbert functions / polynomials of graded quotients.
+saturation, and the Hilbert data of graded quotients.
 
 Reduced Groebner bases come from one graded engine,
 `linalg.graded_groebner`, degree by degree on the fraction-free
@@ -78,6 +78,18 @@ Algebra, Thm 15.3).  So I_n has the basis m − nf(m) over the other degree-n
 monomials m, and that basis is its reduced row echelon form: it is read off
 the Groebner basis, with no matrix.
 
+Hilbert data.  S/I is read through the integer numerator N(u) of its
+Hilbert series N(u)/(1 − u)^nvars, which the leading monomials of the
+reduced basis give (`monomial_hilbert_numerator`); no Hilbert polynomial
+is built.  Write N = (1 − u)^c·Q with Q(1) ≠ 0.  The Hilbert polynomial
+then has degree nvars − 1 − c and leading coefficient Q(1)/(nvars − 1 − c)!,
+so V(I) has dimension nvars − 1 − c and degree Q(1) (Bruns & Herzog,
+Cohen–Macaulay Rings, §4.1), and it is zero, V(I) empty, exactly when
+(1 − u)^nvars divides N.  `hilbert_dimension` reads both, dividing by
+1 − u with prefix sums while N(1) = 0; it serves any numerator over
+(1 − u)^nvars, a Tor module's or an Euler characteristic's (homology)
+as well as S/I's (`codimension`).
+
 Representation notes.  Monomials are plain exponent tuples of length
 nvars = d + 1; a Poly is a dict {exponent tuple: scalar} plus a cached
 homogeneous-degree tag (None when the terms mix degrees).  The one monomial
@@ -92,9 +104,8 @@ import math
 import re
 from fractions import Fraction
 from functools import reduce as _fold
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import add, le, neg, sub
-from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +287,20 @@ class PolyRing:
                 return c, exps, poly, pos
 
     def format_poly(self, f: "Poly") -> str:
+        """"a*m - b*m' + c", largest monomial first, with no coefficient 1
+        before a monomial."""
         if not f.terms:
             return "0"
-        return _signed_sum(
-            (self.field.to_str(f.terms[exps]),
-             "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps) if e))
-            for exps in sorted(f.terms, key=mono_key, reverse=True))
+        parts = []
+        for exps in sorted(f.terms, key=mono_key, reverse=True):
+            cs = self.field.to_str(f.terms[exps])
+            mono = "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps) if e)
+            minus = cs.startswith("-")
+            cs = cs[1:] if minus else cs
+            body = mono if mono and cs == "1" else f"{cs}*{mono}" if mono else cs
+            parts.append(("- " if minus else "+ ") + body)
+        out = " ".join(parts)
+        return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing)
@@ -292,19 +311,6 @@ class PolyRing:
 
     def __repr__(self):
         return f"PolyRing({self.field!r}, nvars={self.nvars})"
-
-
-def _signed_sum(terms) -> str:
-    """Join (coefficient text, monomial text) pairs into "a*m - b*m' + c",
-    leaving out a coefficient 1 before a monomial."""
-    parts = []
-    for cs, mono in terms:
-        neg = cs.startswith("-")
-        cs = cs[1:] if neg else cs
-        body = mono if mono and cs == "1" else f"{cs}*{mono}" if mono else cs
-        parts.append(("- " if neg else "+ ") + body)
-    out = " ".join(parts)
-    return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
 
 def mono_mul(a, b):
@@ -895,63 +901,24 @@ def hilbert_function(I: HomIdeal, n: int) -> int:
     return series_coefficient(I.hilbert_numerator(), I.ring.nvars, n)
 
 
-class HilbertPoly(NamedTuple):
-    """Polynomial in n with exact rational coefficients (index = power of n)."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def degree(self) -> int:
-        """Degree, with the zero polynomial reported as -1."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, n: int) -> Fraction:
-        return _fold(lambda acc, c: acc * n + c, reversed(self.coeffs), Fraction(0))
-
-    def constant_value(self) -> Fraction:
-        """The value when the polynomial is constant (degree <= 0)."""
-        if self.degree() > 0:
-            raise ValueError("Hilbert polynomial is not constant")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
-    def pretty(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return _signed_sum((str(c), "" if p == 0 else "n" if p == 1 else f"n^{p}")
-                           for p, c in reversed(list(enumerate(self.coeffs))) if c != 0)
-
-    def __repr__(self):
-        return f"HilbertPoly({self.pretty()})"
-
-
-def hilbert_polynomial_from_numerator(num: dict[int, int], nvars: int) -> HilbertPoly:
-    """Σ c_a·C(n − a + nvars − 1, nvars − 1) over the terms c_a·u^a of N: the
-    u^n coefficient of N(u)/(1−u)^nvars for every n ≥ deg N.  With
-    r = nvars − 1, r!·C(n − a + r, r) = (n − a + 1)···(n − a + r) has integer
-    coefficients, so the sum is taken over Z and divided by r! once."""
-    r = nvars - 1
-    total = [0] * (r + 1)
-    for a, c in num.items():
-        term = [c]
-        for i in range(1, r + 1):  # times (n + i − a)
-            term = [x * (i - a) + y for x, y in zip(term + [0], [0] + term)]
-        total = [x + y for x, y in zip(total, term)]
-    while total and total[-1] == 0:
-        total.pop()
-    return HilbertPoly(tuple(Fraction(x, math.factorial(r)) for x in total))
-
-
-def hilbert_polynomial(I: HomIdeal) -> HilbertPoly:
-    """The eventual polynomial n -> dim (S/I)_n."""
-    return hilbert_polynomial_from_numerator(I.hilbert_numerator(), I.ring.nvars)
+def hilbert_dimension(num: dict[int, int], nvars: int) -> tuple[int, int]:
+    """(dim, deg) of the Hilbert polynomial of the series num/(1 − u)^nvars
+    (module docstring, "Hilbert data"): num = (1 − u)^c·Q with Q(1) ≠ 0
+    gives (nvars − 1 − c, Q(1)), and c ≥ nvars, the zero polynomial, gives
+    (−1, 0).  Each division by 1 − u takes prefix sums."""
+    coeffs = [num.get(a, 0) for a in range(min(num, default=0), max(num, default=0) + 1)]
+    for c in range(nvars):
+        if value := sum(coeffs):
+            return nvars - 1 - c, value
+        coeffs = list(accumulate(coeffs))
+    return -1, 0
 
 
 def codimension(I: HomIdeal) -> int:
-    """codim of V(I) in P^d, computed as d − deg(Hilbert polynomial); the
-    empty subscheme (Hilbert polynomial 0, of degree −1) reports d + 1."""
-    return I.ring.nvars - 1 - hilbert_polynomial(I).degree()
+    """codim of V(I) in P^d, d − dim V(I): the c of N(S/I) = (1 − u)^c·Q,
+    Q(1) ≠ 0 (hilbert_dimension), and d + 1 for the empty subscheme, of
+    dimension −1."""
+    return I.ring.nvars - 1 - hilbert_dimension(I.hilbert_numerator(), I.ring.nvars)[0]
 
 
 def dim_full_space(ring: PolyRing, n: int) -> int:

@@ -22,6 +22,9 @@ of the unions of coordinate subspaces that ct-cert walked before it checked
 single subspaces, kept as the fast reference beside brute_coordinate_unions;
 argparse_argv reads a command line with the
 argparse parser the CLI used before it read argv by hand.
+HilbertPoly and hilbert_polynomial_from_numerator build the whole Hilbert
+polynomial of a numerator with Fraction coefficients, as the library did
+before it read dimension and degree off the numerator alone.
 leibniz_det_adjugate works over any commutative ring whose elements have
 +, - and *, the library's polynomials among them; dense_power and
 dense_pullback form M^n as n dense products and expand f o M^n with the
@@ -32,7 +35,8 @@ import re
 from functools import lru_cache, reduce
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb
+from math import comb, factorial
+from typing import NamedTuple
 
 
 # -- tiny standalone linear algebra (Fraction or GF(p) ints) ----------------
@@ -451,6 +455,49 @@ def transverse_from_resolution(res, J):
         if not tor_from_resolution(res, J, j).is_sheaf_trivial():
             return False, j
     return True, None
+
+
+# -- the Hilbert polynomial with rational coefficients ------------------------
+
+class HilbertPoly(NamedTuple):
+    """Polynomial in n with exact rational coefficients (index = power of n)."""
+
+    coeffs: tuple
+
+    def degree(self):
+        """Degree, with the zero polynomial reported as -1."""
+        return len(self.coeffs) - 1
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __call__(self, n):
+        return reduce(lambda acc, c: acc * n + c, reversed(self.coeffs), Fraction(0))
+
+    def constant_value(self):
+        """The value when the polynomial is constant (degree <= 0)."""
+        if self.degree() > 0:
+            raise ValueError("Hilbert polynomial is not constant")
+        return self.coeffs[0] if self.coeffs else Fraction(0)
+
+
+def hilbert_polynomial_from_numerator(num, nvars):
+    """The Hilbert polynomial of the series num/(1 - u)^nvars, as the library
+    built it before it read dimension and degree off the numerator:
+    sum c_a*C(n - a + nvars - 1, nvars - 1) over the terms c_a*u^a of num,
+    the u^n coefficient for every n >= deg num.  With r = nvars - 1,
+    r!*C(n - a + r, r) = (n - a + 1)...(n - a + r) has integer coefficients,
+    so the sum is taken over Z and divided by r! once."""
+    r = nvars - 1
+    total = [0] * (r + 1)
+    for a, c in num.items():
+        term = [c]
+        for i in range(1, r + 1):  # times (n + i - a)
+            term = [x * (i - a) + y for x, y in zip(term + [0], [0] + term)]
+        total = [x + y for x, y in zip(total, term)]
+    while total and total[-1] == 0:
+        total.pop()
+    return HilbertPoly(tuple(Fraction(x, factorial(r)) for x in total))
 
 
 # -- the idealizer oracle with the conditions in monomial order ---------------

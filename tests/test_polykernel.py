@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from functools import reduce as _fold
+from math import factorial
 from pathlib import Path
 from unittest import mock
 
@@ -20,6 +21,7 @@ import oracles
 from geomideal import cli, freemod, idealizer, linalg, polykernel
 from geomideal.fields import QQ, PrimeField
 from geomideal.geometry import RationalPoint
+from geomideal.homology import free_resolution, tor_from_resolution
 from geomideal.linalg import NormalForms
 from geomideal.polykernel import (
     HomIdeal,
@@ -29,8 +31,8 @@ from geomideal.polykernel import (
     degree_piece_basis,
     dim_ideal_piece,
     groebner_basis,
+    hilbert_dimension,
     hilbert_function,
-    hilbert_polynomial,
     ideal_equal,
     ideal_quotient,
     ideal_sum,
@@ -87,6 +89,10 @@ def _char(ring):
 
 def _terms_list(ideal):
     return [dict(g.terms) for g in ideal.gens]
+
+
+def _hilbert_dimension(I):
+    return hilbert_dimension(I.hilbert_numerator(), I.ring.nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -687,8 +693,8 @@ def test_intersect_two_points():
 
 
 def test_unit_and_irrelevant_edges():
-    assert hilbert_polynomial(unit_ideal(RQ)).is_zero()
-    assert hilbert_polynomial(HomIdeal.from_strings(RQ, ["x0", "x1", "x2"])).is_zero()
+    assert _hilbert_dimension(unit_ideal(RQ)) == (-1, 0)
+    assert _hilbert_dimension(HomIdeal.from_strings(RQ, ["x0", "x1", "x2"])) == (-1, 0)
     assert codimension(unit_ideal(RQ)) == 3
     assert ideal_quotient(HomIdeal.from_strings(RQ, ["x0"]), unit_ideal(RQ)).groebner() == \
         HomIdeal.from_strings(RQ, ["x0"]).groebner()
@@ -1051,7 +1057,7 @@ def test_ideal_sum_depends_only_on_the_normal_forms_of_j(data):
 def test_empty_zero_set_is_the_zero_hilbert_polynomial(data):
     """V(K) is empty exactly when K is (1) or every variable has a pure
     power among K's leading monomials: empty_zero_set agrees with the
-    Hilbert polynomial on drawn K, on drawn K plus powers of some
+    zero Hilbert polynomial, dimension -1, on drawn K, on drawn K plus powers of some
     variables (m-primary when all are there), and on (1), m, m^2 and the
     zero ideal."""
     ring, K = data.draw(ring_and_ideal())
@@ -1063,7 +1069,7 @@ def test_empty_zero_set_is_the_zero_hilbert_polynomial(data):
     elif kind != "drawn":
         K = HomIdeal(ring, {"unit": [ring.one()], "m": xs, "zero": [],
                             "m^2": [x * y for x in xs for y in xs]}[kind])
-    assert polykernel.empty_zero_set(K) == hilbert_polynomial(K).is_zero()
+    assert polykernel.empty_zero_set(K) == (_hilbert_dimension(K)[0] < 0)
 
 
 LINEAR_RINGS = [PolyRing(field, n) for field in (QQ, PrimeField(7)) for n in (2, 4, 7)]
@@ -1598,9 +1604,8 @@ def test_cli_on_curves_and_fat_points_runs_no_elimination(scene, command, tmp_pa
 
 def test_conic_hilbert_polynomial():
     C = HomIdeal.from_strings(RQ, ["x0*x2 - x1^2"])
-    hp = hilbert_polynomial(C)
-    assert hp.coeffs == (Fraction(1), Fraction(2))
-    assert hp.pretty() == "2*n + 1"
+    assert oracles.hilbert_polynomial_from_numerator(C.hilbert_numerator(), 3).coeffs == (1, 2)
+    assert _hilbert_dimension(C) == (1, 2)
     assert codimension(C) == 1
     assert [hilbert_function(C, n) for n in range(5)] == [1, 3, 5, 7, 9]
 
@@ -1608,9 +1613,61 @@ def test_conic_hilbert_polynomial():
 def test_fat_point_hilbert_data():
     I = HomIdeal.from_strings(RQ, ["x0 + x1", "x0^2"])
     assert [hilbert_function(I, n) for n in range(6)] == [1, 2, 2, 2, 2, 2]
-    hp = hilbert_polynomial(I)
-    assert hp.coeffs == (Fraction(2),)
+    assert _hilbert_dimension(I) == (0, 2)
     assert codimension(I) == 2
+
+
+@pytest.mark.parametrize("nvars, gens, want", [
+    (3, [], (2, 1)),  # P^2
+    (3, ["x0*x2 - x1^2"], (1, 2)),  # a conic
+    (4, ["x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2"], (1, 3)),  # twisted cubic
+    (3, ["x0 + x1", "x0^2"], (0, 2)),  # a double point
+    (3, ["1"], (-1, 0)),
+    (3, ["x0", "x1", "x2"], (-1, 0)),  # m
+    (3, None, (-1, 0)),  # the numerator {}
+])
+def test_hilbert_dimension_of_pinned_schemes(nvars, gens, want):
+    if gens is None:
+        assert hilbert_dimension({}, nvars) == want
+    else:
+        assert _hilbert_dimension(HomIdeal.from_strings(PolyRing(QQ, nvars), gens)) == want
+
+
+@st.composite
+def hilbert_numerators(draw):
+    """(numerator, nvars) over (1 - u)^nvars: N(S/I) of a ring_and_ideal
+    draw, the Tor_j(S/I, S/J) numerator from tor_from_resolution, the Euler
+    product N(S/I)*N(S/J), or (1 - u)^c*Q built by hand, c up to nvars + 2."""
+    kind = draw(st.sampled_from(["ideal", "tor", "euler", "built"]))
+    if kind == "built":
+        nvars = draw(st.integers(1, 5))
+        q = {a: x for a, x in enumerate(draw(st.lists(st.integers(-3, 3), min_size=1,
+                                                          max_size=4))) if x}
+        c = draw(st.integers(0, nvars + 2))
+        return _fold(polykernel.numerator_mul, [{0: 1, 1: -1}] * c, q), nvars
+    ring, I = draw(ring_and_ideal(max_deg=2, max_gens=2))
+    if kind == "ideal":
+        return I.hilbert_numerator(), ring.nvars
+    J = HomIdeal(ring, draw(st.lists(homogeneous_poly(ring, 2), min_size=1, max_size=2)))
+    if kind == "euler":
+        return polykernel.numerator_mul(I.hilbert_numerator(), J.hilbert_numerator()), ring.nvars
+    res = free_resolution(I)
+    return tor_from_resolution(res, J, draw(st.integers(0, res.length + 1))).numerator, ring.nvars
+
+
+@given(hilbert_numerators())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_hilbert_dimension_matches_the_oracle_polynomial(drawn):
+    """(dim, deg) read off the numerator is the oracle polynomial's degree
+    and its leading coefficient times dim!, and (-1, 0) exactly when the
+    oracle polynomial is zero."""
+    num, nvars = drawn
+    dim, deg = hilbert_dimension(num, nvars)
+    hp = oracles.hilbert_polynomial_from_numerator(num, nvars)
+    assert dim == hp.degree()
+    assert ((dim, deg) == (-1, 0)) == hp.is_zero()
+    if dim >= 0:
+        assert deg == hp.coeffs[-1] * factorial(dim)
 
 
 @given(ring_and_ideal())
@@ -1626,7 +1683,7 @@ def test_hilbert_function_matches_brute_count(ri):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_hilbert_polynomial_agrees_eventually(ri):
     ring, I = ri
-    hp = hilbert_polynomial(I)
+    hp = oracles.hilbert_polynomial_from_numerator(I.hilbert_numerator(), ring.nvars)
     bound = sum(g.degree for g in I.groebner()) + 1 if I.groebner() else 1
     for n in range(bound, bound + 3):
         assert hp(n) == hilbert_function(I, n)

@@ -11,7 +11,7 @@ fields whenever one is built, by `_replace` too.
 
 import pytest
 
-from geomideal import cli, geometry, homology, idealizer, polykernel, twist
+from geomideal import cli, geometry, homology, idealizer, twist
 from geomideal.classify import (
     ClassificationReport,
     ClassificationRow,
@@ -69,13 +69,11 @@ RECORDS = [
     (idealizer.HilbertRow, dict(n=1, dim_B=3, dim_I=2, dim_R=2, colon_stabilized=True), {}),
     (twist.DegreePiece, dict(n=1, basis=(X0,)), {}),
     (twist.TwistedElement, dict(degree=1, poly=X0), {}),
-    (polykernel.HilbertPoly, dict(coeffs=(1, 2)), {}),
 ]
 
 MEMOS = (homology.FreeResolution, idealizer.IdealizerScene)
 UNHASHABLE = MEMOS + (homology.TorModule, homology.QuotientTorReport)  # hold dicts
-OWN_REPR = {twist.TwistedElement: "TwistedElement(deg=1, x0)",
-            polykernel.HilbertPoly: "HilbertPoly(2*n + 1)"}
+OWN_REPR = {twist.TwistedElement: "TwistedElement(deg=1, x0)"}
 # fields that make each checking record invalid, and the error they raise;
 # the first two are cases of test_classify's evidence tests
 INVALID = {
