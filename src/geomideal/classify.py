@@ -79,18 +79,6 @@ class OrderResult(NamedTuple):
     justification: str
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            out.append(k)
-            if k != n // k:
-                out.append(n // k)
-        k += 1
-    return sorted(out)
-
-
 class _PowerScan:
     """I's generators pulled back by sigma^n for a nondecreasing n, each kept
     at its latest pullback and stepped from there, (f o sigma^k) o
@@ -152,8 +140,8 @@ def sigma_ideal_order(ideal: HomIdeal, sigma: ProjAutomorphism,
     elif field.char != 0:
         k = projective_order(sigma)
         if k is not None:
-            for div in _divisors(k):
-                if div > bound:
+            for div in range(bound + 1, k + 1):
+                if k % div == 0:
                     # div can reach k - 1 (996 over GF(997)): sigma^div by
                     # squaring, not div steps of sigma
                     power = ProjAutomorphism(sigma.ring, _mat_pow(field, sigma.matrix, div))

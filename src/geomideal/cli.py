@@ -33,6 +33,7 @@ from .errors import (
     UsageError,
 )
 from .geometry import (
+    PERIOD_CAP,
     PointSyntaxError,
     RationalPoint,
     critical_transversality_certificate,
@@ -61,7 +62,8 @@ from .twist import ProjAutomorphism, TwistedElement, twist_multiply
 from .fields import PrimeField, RationalField
 
 # hard ceilings: beyond these the exact-arithmetic kernels stop being a desk
-# computation, so the run is refused rather than left to crawl
+# computation, so the run is refused rather than left to crawl; order-bound's
+# is geometry.PERIOD_CAP, the depth of the other sigma scans
 MAX_DEGREE_CAP = 32
 HORIZON_CAP = 200
 
@@ -357,6 +359,9 @@ def _check_caps(sf: SceneFile):
     if sf.horizon > HORIZON_CAP:
         raise ResourceCapError(
             f"horizon {sf.horizon} exceeds the cap {HORIZON_CAP}")
+    if sf.order_bound > PERIOD_CAP:
+        raise ResourceCapError(
+            f"order-bound {sf.order_bound} exceeds the cap {PERIOD_CAP}")
 
 
 # ---------------------------------------------------------------------------

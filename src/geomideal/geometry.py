@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .fields import QQ
-from .homology import Transversality
+from .homology import meets, tor1_sheaf_vanishes
 from .idealizer import IdealizerScene
 from .polykernel import HomIdeal, PolyRing, Substitution, hilbert_dimension
 from .twist import ProjAutomorphism, _dot, _mat_mul, _mat_pow, is_scalar_matrix
@@ -511,10 +511,10 @@ class CTCertificate(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-def _meets_z(transversality: Transversality, dim_z: int):
-    """s -> whether L_s = V(x_i : i in s) meets Z = V(transversality.ideal),
-    memoized, for Z of dimension dim_z.  Exact rules decide first, and a
-    Groebner basis of I + I_L runs only when they do not:
+def _meets_z(I: HomIdeal, dim_z: int):
+    """s -> whether L_s = V(x_i : i in s) meets Z = V(I), memoized, for Z
+    of dimension dim_z.  Exact rules decide first, and a Groebner basis of
+    I + I_L runs only when they do not:
 
     (a) |s| <= dim Z: L_s has codimension |s|, so it meets Z (the projective
         dimension theorem, Hartshorne I.7.2; dim Z is the degree of the
@@ -523,23 +523,23 @@ def _meets_z(transversality: Transversality, dim_z: int):
         hyperplanes are tested on demand, stopping at the first that misses.
 
     A test reads the pure powers among the leading monomials of I + I_L
-    (Transversality.meets), and I keeps that sum per set of normal forms of
+    (homology.meets), and I keeps that sum per set of normal forms of
     the x_i modulo I (polykernel.ideal_sum): for a point, every hyperplane
     that misses it reduces to the same x_j, and one hyperplane through it
     reduces to zero, so the hyperplane tests of a point run at most one
     Groebner basis.
     """
-    ring = transversality.ideal.ring
+    ring = I.ring
     known: dict[tuple, bool] = {}
 
-    def meets(s: tuple[int, ...]) -> bool:
+    def meets_subspace(s: tuple[int, ...]) -> bool:
         if s not in known:
             known[s] = len(s) <= dim_z or (
-                (len(s) == 1 or all(meets((i,)) for i in s))
-                and transversality.meets(_subspace_ideal(ring, s)))
+                (len(s) == 1 or all(meets_subspace((i,)) for i in s))
+                and meets(I, _subspace_ideal(ring, s)))
         return known[s]
 
-    return meets
+    return meets_subspace
 
 
 def critical_transversality_certificate(scene: IdealizerScene) -> CTCertificate:
@@ -570,12 +570,14 @@ def critical_transversality_certificate(scene: IdealizerScene) -> CTCertificate:
       depth O_Z >= |s| > dim Z, which cannot be.  Tor is rigid over a
       regular local ring (Auslander, Illinois J. Math. 1961; Lichtenbaum,
       Illinois J. Math. 1966): once Tor_i vanishes, so does every later Tor.
-      So Tor_1 fails, and L_s is refuted with witness_j = 1 and no algebra.
+      So Tor_1 fails, with no algebra.
     Every other L_s that meets Z has |s| <= dim Z and goes to
-    Transversality.meeting, which does not test again whether it meets Z
-    and reads the Tor_1 sheaf alone: Tor_1(S/I, S/I_L) ≅ (I ∩ I_L)/(I·I_L)
-    by one Hilbert numerator, which by rigidity decides every Tor, with no
-    resolution.  A point off every coordinate hyperplane checks none.
+    homology.tor1_sheaf_vanishes, which does not test again whether it
+    meets Z and reads the Tor_1 sheaf alone:
+    Tor_1(S/I, S/I_L) ≅ (I ∩ I_L)/(I·I_L) by one Hilbert numerator, which
+    by rigidity decides every Tor, with no resolution.  Either way a
+    refuted L_s fails at Tor_1, so its witness_j is 1.  A point off every
+    coordinate hyperplane checks none.
     Certified, `checked` counts every union, M(d + 1) - 3 by the Dedekind
     numbers.
     """
@@ -590,15 +592,14 @@ def critical_transversality_certificate(scene: IdealizerScene) -> CTCertificate:
         return CTCertificate("inconclusive", 0,
                              reason="invariant family not classified",
                              notes=notes)
-    transverse = Transversality(scene.ideal)
-    dim_z = hilbert_dimension(scene.ideal.hilbert_numerator(), ring.nvars)[0]
-    meets = _meets_z(transverse, dim_z)
+    I = scene.ideal
+    dim_z = hilbert_dimension(I.hilbert_numerator(), ring.nvars)[0]
+    meets_z = _meets_z(I, dim_z)
     for checked, s in enumerate(_coordinate_subsets(d), 1):
-        if not meets(s):
+        if not meets_z(s):
             continue
         L = _subspace_ideal(ring, s)
-        ok, j = (False, 1) if len(s) > dim_z else transverse.meeting(L)
-        if not ok:
+        if len(s) > dim_z or not tor1_sheaf_vanishes(I, L):
             return CTCertificate("refuted", checked, witness_family=(s,),
-                                 witness_ideal=L, witness_j=j, notes=notes)
+                                 witness_ideal=L, witness_j=1, notes=notes)
     return CTCertificate("certified", _DEDEKIND[d + 1] - 3, notes=notes)

@@ -24,14 +24,15 @@ the two subscheme structure sheaves vanishes exactly when the Hilbert
 polynomial of the graded Tor is identically zero, that is, when
 (1 - u)^nvars divides its numerator; that is the transversality
 criterion (insensitive to saturating the inputs).
-Transversality asks for no Tor module past Tor_1 and makes no resolution.
+Deciding it asks for no Tor module past Tor_1 and makes no resolution.
 Tor is rigid on P^d, whose local rings are regular: once the Tor_i sheaf
 vanishes, every later one does (Auslander, Illinois J. Math. 1961;
 Lichtenbaum, Illinois J. Math. 1966).  So the subschemes are transverse
 exactly when the Tor_1 sheaf vanishes, and a failure has j = 1.
+Two rules decide it, each a function of (I, J): (1) subschemes that do
+not meet are transverse, with no numerator (`meets`); (2) otherwise
 Tor_1(S/I, S/J) = (I cap J)/(I*J), whose series numerator is
-N(S/(I*J)) - N(S/I) - N(S/J) + N(S/(I + J)) (Transversality); subschemes
-that do not meet are transverse with no numerator.
+N(S/(I*J)) - N(S/I) - N(S/J) + N(S/(I + J)) (`tor1_sheaf_vanishes`).
 
 Over a quotient coordinate ring A = S/Q resolutions are generally infinite.
 free_resolution(I, length, modulo=Q) resolves A/IA to the given length with
@@ -78,6 +79,7 @@ from .polykernel import (
     numerator_add,
     numerator_mul,
     saturate,
+    section_numerator,
     series_coefficient,
 )
 
@@ -295,65 +297,43 @@ def graded_tor(I: HomIdeal, J: HomIdeal, j: int) -> TorModule:
     return tor_from_resolution(res, J, j)
 
 
-class Transversality:
-    """Homological transversality of Z = V(I) to many subschemes Y = V(J).
+def meets(I: HomIdeal, J: HomIdeal) -> bool:
+    """Whether V(I) and V(J) meet: V(I + J) is not empty, read off the pure
+    powers among the leading monomials of I + J (polykernel.empty_zero_set),
+    with no Hilbert numerator.
 
-    By the rigidity of Tor (module docstring), Z is transverse to Y exactly
-    when the Tor_1 sheaf vanishes, and a failure has j = 1.  Each J is
-    decided by the first of two rules:
+    Rule 1 of transversality: a Tor sheaf is supported on the intersection,
+    Supp Tor_j(O_Z, O_Y) ⊆ Z ∩ Y (Serre, Algèbre locale, multiplicités;
+    Hartshorne, Algebraic Geometry III.6), so subschemes that do not meet
+    are transverse.  I keeps I + J per set of monic normal forms of J's
+    generators (polykernel's module docstring, "The memo"), so `meets` and
+    then `tor1_sheaf_vanishes` on one J run one Groebner basis of I + J,
+    and so do the J whose generators reduce alike."""
+    return not empty_zero_set(ideal_sum(I, J))
 
-    1. Z and Y do not meet.  A Tor sheaf is supported on the intersection:
-       Supp Tor_j(O_Z, O_Y) ⊆ Z ∩ Y (Serre, Algèbre locale, multiplicités;
-       Hartshorne, Algebraic Geometry III.6), so they are transverse.
-       Whether they meet is read off the pure powers among the leading
-       monomials of I + J (polykernel.empty_zero_set), with no Hilbert
-       numerator.
-    2. Otherwise Tor_1(S/I, S/J) ≅ (I ∩ J)/(I·J), and
-       0 → S/(I ∩ J) → S/I ⊕ S/J → S/(I + J) → 0 gives its numerator
-       N(S/(I·J)) − N(S/I) − N(S/J) + N(S/(I + J)) (the Tor_1 numerator);
-       the sheaf vanishes exactly when its Hilbert polynomial is zero, when
-       (1 − u)^nvars divides the numerator (polykernel.hilbert_dimension).
-       I·J costs one Groebner run of the products of generators (_product).
-       For J = (f), f of degree e, f is a nonzerodivisor on S, so
-       (f)/(f·I) ≅ (S/I)(−e) and N(S/(f·I)) − N(S/(f)) = u^e·N(S/I): the
-       numerator is the section numerator N(I + f) − (1 − u^e)·N(I)
-       (polykernel's module docstring), with no run past I + f.
 
-    The ct-cert certificate (geometry) refutes a coordinate subspace of
-    codimension above dim Z by the depth rule before asking here, and
-    knows which subspaces meet Z, so it asks `meeting`.
+def tor1_sheaf_vanishes(I: HomIdeal, J: HomIdeal) -> bool:
+    """Whether the sheaf of Tor_1(S/I, S/J) vanishes, for a V(J) known to
+    meet V(I): by rigidity (module docstring), whether the two are
+    transverse.  Rule 2 of transversality, with no test of rule 1.
 
-    I keeps I + J per set of monic normal forms of J's generators
-    (polykernel's module docstring, "The memo"), so asking whether Z meets
-    Y and then whether it is transverse to Y runs one Groebner basis of
-    I + J, and so do the J whose generators reduce alike.
-    """
-
-    def __init__(self, I: HomIdeal):
-        self.ideal = I
-
-    def meets(self, J: HomIdeal) -> bool:
-        """Whether Z and V(J) meet: V(I + J) is not empty."""
-        return not empty_zero_set(ideal_sum(self.ideal, J))
-
-    def __call__(self, J: HomIdeal) -> tuple[bool, int | None]:
-        """(True, None) when transverse, else (False, 1)."""
-        return self.meeting(J) if self.meets(J) else (True, None)
-
-    def meeting(self, J: HomIdeal) -> tuple[bool, int | None]:
-        """__call__ for a V(J) known to meet Z: the Tor_1 numerator, with
-        no test of rule 1."""
-        I = self.ideal
-        gens = J.gens if len(J.gens) == 1 else J.groebner()
-        if len(gens) == 1:  # N(S/(f·I)) − N(S/(f)) = u^e·N(S/I)
-            num = numerator_add({}, I.hilbert_numerator(), 1, gens[0].degree)
-        else:
-            num = numerator_add(_product(I, J).hilbert_numerator(), J.hilbert_numerator(), -1)
+    Tor_1(S/I, S/J) ≅ (I ∩ J)/(I·J), and
+    0 → S/(I ∩ J) → S/I ⊕ S/J → S/(I + J) → 0 gives its numerator
+    N(S/(I·J)) − N(S/I) − N(S/J) + N(S/(I + J)); the sheaf vanishes exactly
+    when (1 − u)^nvars divides it (polykernel.hilbert_dimension).  I·J
+    costs one Groebner run of the products of generators (_product).  For
+    J = (f), f of degree e, f is a nonzerodivisor on S, so
+    (f)/(f·I) ≅ (S/I)(−e) and N(S/(f·I)) − N(S/(f)) = u^e·N(S/I): the
+    numerator is f's section numerator N(I + f) − (1 − u^e)·N(I)
+    (polykernel.section_numerator), with no run past I + f."""
+    gens = J.gens if len(J.gens) == 1 else J.groebner()
+    if len(gens) == 1:
+        num = section_numerator(I, ideal_sum(I, J), gens[0].degree)
+    else:
+        num = numerator_add(_product(I, J).hilbert_numerator(), J.hilbert_numerator(), -1)
         num = numerator_add(num, I.hilbert_numerator(), -1)
         num = numerator_add(num, ideal_sum(I, J).hilbert_numerator())
-        if hilbert_dimension(num, J.ring.nvars)[0] < 0:
-            return True, None
-        return False, 1
+    return hilbert_dimension(num, J.ring.nvars)[0] < 0
 
 
 def _product(I: HomIdeal, J: HomIdeal) -> HomIdeal:
@@ -365,14 +345,16 @@ def homologically_transverse(I: HomIdeal, J: HomIdeal) -> tuple[bool, int | None
     """Whether the subschemes cut out by I and J are homologically transverse:
     every sheaf Tor_j vanishes, j >= 1.
 
-    By the rules of Transversality: disjoint, else the Tor_1 numerator,
+    Disjoint (`meets`), else the Tor_1 sheaf (`tor1_sheaf_vanishes`),
     which decides every j by rigidity, so a failure returns (False, 1).
     No resolution is made.  The verdict depends only on the subschemes,
     not on the chosen (possibly unsaturated) defining ideals.
     """
     if I.ring != J.ring:
         raise ValueError("ideals live in different rings")
-    return Transversality(I)(J)
+    if not meets(I, J) or tor1_sheaf_vanishes(I, J):
+        return True, None
+    return False, 1
 
 
 def serre_multiplicity_total(I: HomIdeal, J: HomIdeal) -> int:

@@ -246,27 +246,23 @@ def graded_groebner(field, nvars, gens, finished=()) -> list[tuple]:
     divide it properly (Buchberger, EUROSAM 1979); and between two elements
     of the finished block, whose S-element reduces to zero modulo the block
     (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, §2.6).  A
-    degree that holds an input, a pair multiple, or a block element one of
-    whose terms a leading term from outside the block divides makes every
-    block element of that degree a row of its one echelon, which reduces
-    it against that degree's new pivots too; any other degree has no new
-    pivot, and its block elements enter the basis unchanged.
+    block element is otherwise an input: a row of its degree's one
+    echelon, whose reducers re-reduce it.
 
     Raises ValueError on an inhomogeneous element.
     """
-    todo: dict[int, list] = {}  # degree -> (leading term in the block or None, terms)
+    todo: dict[int, list] = {}  # degree -> terms
     for g in gens:
         if g:
             degs = set(map(sum, g))
             if len(degs) > 1:
                 raise ValueError("a graded Groebner basis needs homogeneous elements")
-            todo.setdefault(degs.pop(), []).append((None, g))
+            todo.setdefault(degs.pop(), []).append(g)
     for lead, g in finished:
-        todo.setdefault(sum(lead), []).append((lead, g))
+        todo.setdefault(sum(lead), []).append(g)
     block_leads = {lead for lead, _ in finished}
     basis: list[tuple] = []  # (leading term, terms, from the block)
     lone: list[bool] = []  # whether all of basis[i] lies in one component
-    free: list[int] = []  # the i with basis[i] not from the block
     pairs: dict[int, list] = {}  # degree -> (i, j, lcm)
     while todo or pairs:
         d = min([*todo, *pairs])
@@ -277,26 +273,18 @@ def graded_groebner(field, nvars, gens, finished=()) -> list[tuple]:
             if not any(mono_divides(m, lcm) and mono_lcm(mi, m) != lcm
                        and mono_lcm(mj, m) != lcm for m, _, _ in basis):
                 multiples |= {(i, mono_div(lcm, mi)), (j, mono_div(lcm, mj))}
-        entries = todo.pop(d, ())
-        outside = [basis[i][0] for i in free]
-        if multiples or any(lead is None or outside and any(
-                mono_divides(m, t) for t in g for m in outside) for lead, g in entries):
-            new = _degree_rows(field, basis, [g for _, g in entries], multiples)
-            basis += [(lead, t, lead in block_leads) for lead, t in new]
-        else:
-            basis += [(lead, g, True) for lead, g in entries]
+        new = _degree_rows(field, basis, todo.pop(d, ()), multiples)
+        basis += [(lead, t, lead in block_leads) for lead, t in new]
         for j in range(start, len(basis)):
             m, terms, blocked = basis[j]
             c = m[nvars:]
             lone.append(not c or all(t[nvars:] == c for t in terms))
-            for i in free if blocked else range(j):
+            for i in range(j):
                 mi = basis[i][0]
-                if mi[nvars:] == c and not (
+                if mi[nvars:] == c and not (blocked and basis[i][2]) and not (
                         lone[i] and lone[j] and not sum(map(mul, mi[:nvars], m))):
                     lcm = mono_lcm(mi, m)
                     pairs.setdefault(sum(lcm), []).append((i, j, lcm))
-            if not blocked:
-                free.append(j)
     return [(lead, terms) for lead, terms, _ in basis]
 
 

@@ -329,10 +329,6 @@ def mono_lcm(a, b):
     return tuple([x if x > y else y for x, y in zip(a, b)])  # map(max) is slower
 
 
-def mono_deg(a):
-    return sum(a)
-
-
 class Poly:
     """Sparse polynomial: dict of exponent tuple -> nonzero scalar.  The
     terms are not changed after construction, so the degree, the leading
@@ -351,7 +347,7 @@ class Poly:
     @property
     def degree(self):
         if self._deg == -2:
-            degs = {mono_deg(m) for m in self.terms} or {0}
+            degs = {sum(m) for m in self.terms} or {0}
             self._deg = degs.pop() if len(degs) == 1 else -1
         return None if self._deg == -1 else self._deg
 
@@ -457,7 +453,7 @@ class Poly:
     def sort_key(self):
         """Deterministic total order on polynomials (for canonical listings)."""
         fkey = self.ring.field.sort_key
-        return (max(map(mono_deg, self.terms), default=0), tuple(sorted(
+        return (max(map(sum, self.terms), default=0), tuple(sorted(
             ((mono_key(m), fkey(c)) for m, c in self.terms.items()), reverse=True)))
 
     def __eq__(self, other):
@@ -709,9 +705,8 @@ def ideal_sum(I: HomIdeal, J: HomIdeal) -> HomIdeal:
     """I + J: I itself when J lies in I, else the ideal of the reduced basis
     of one linalg.graded_groebner run on the monic normal forms h of J's
     generators outside I, with I's reduced basis as a finished block: no
-    pairs among it, and its elements of one degree re-reduced only when
-    that degree holds an h, a pair or an element that a leading monomial
-    from an h divides.  I keeps the sum per set of h (module docstring)."""
+    pairs among it, and each of its elements a row of its degree's
+    echelon.  I keeps the sum per set of h (module docstring)."""
     hs = _reduced(I, J.gens)
     if not hs:
         return I
@@ -820,7 +815,7 @@ def saturate(I: HomIdeal) -> HomIdeal:
 # ---------------------------------------------------------------------------
 
 def _minimalize_monos(monos):
-    monos = sorted(set(monos), key=lambda m: (mono_deg(m), m))
+    monos = sorted(set(monos), key=lambda m: (sum(m), m))
     out = []
     for m in monos:
         if not any(mono_divides(n, m) for n in out):
@@ -860,19 +855,19 @@ def monomial_hilbert_numerator(monos) -> dict[int, int]:
     monos = _minimalize_monos(monos)
     if not monos:
         return {0: 1}
-    if any(mono_deg(m) == 0 for m in monos):
+    if any(sum(m) == 0 for m in monos):
         return {}
     # base: pairwise coprime generators (includes pure powers)
     if all(not any(map(min, a, b)) for a, b in combinations(monos, 2)):
         acc = {0: 1}
         for m in monos:
-            acc = numerator_mul(acc, {0: 1, mono_deg(m): -1})
+            acc = numerator_mul(acc, {0: 1, sum(m): -1})
         return acc
     # split on the last (largest) generator; the recursion minimalizes the colon
     m, rest = monos[-1], monos[:-1]
     colon = [tuple(max(e - f, 0) for e, f in zip(n, m)) for n in rest]
     return numerator_add(monomial_hilbert_numerator(rest),
-                         monomial_hilbert_numerator(colon), -1, mono_deg(m))
+                         monomial_hilbert_numerator(colon), -1, sum(m))
 
 
 def empty_zero_set(K: HomIdeal) -> bool:

@@ -23,6 +23,7 @@ from geomideal.cli import (
     report_to_records,
 )
 from geomideal.classify import classify
+from geomideal.geometry import PERIOD_CAP
 
 MINIMAL_P1 = """\
 field rational
@@ -584,6 +585,16 @@ def test_horizon_above_the_cap_exits_four(via, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (f"geomideal: resource cap: horizon {over} exceeds "
                             f"the cap {cli.HORIZON_CAP}\n")
+
+
+def test_order_bound_above_the_cap_exits_four(tmp_path, capsys):
+    """order-bound is capped at geometry.PERIOD_CAP, the depth of the other
+    sigma scans; only the scene sets it."""
+    over = PERIOD_CAP + 1
+    assert main(["classify", scene_path(tmp_path, MINIMAL_P1 + f"order-bound {over}\n")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "geomideal: resource cap: order-bound 1001 exceeds the cap 1000\n"
 
 
 def test_byte_identical_runs(tmp_path, capsys):

@@ -34,7 +34,6 @@ from geomideal.geometry import (
     projective_order,
 )
 from geomideal.homology import (
-    Transversality,
     free_resolution,
     homologically_transverse,
 )
@@ -894,8 +893,8 @@ def count_asked(monkeypatch):
     asked = []
     meets_z = geometry._meets_z
 
-    def counted(transversality, dim_z):
-        meets = meets_z(transversality, dim_z)
+    def counted(I, dim_z):
+        meets = meets_z(I, dim_z)
 
         def ask(s):
             asked.append((s, meets(s)))
@@ -926,19 +925,19 @@ def test_ct_cert_walks_no_union_that_misses_z(point, summary, walks, monkeypatch
 
 def count_certificate_work(monkeypatch):
     """Count what the certificate asks of homology: disjointness tests
-    (Transversality.meets), the Groebner runs of the sums I + J behind them
+    (homology.meets), the Groebner runs of the sums I + J behind them
     and behind the Tor_1 checks (one per set of monic normal forms of J's
     generators modulo I, none when J lies in I), resolutions of Z, the J
     whose product I·J a Tor_1 check forms (homology._product, one Groebner
     run each), and the subspaces it checks for transversality
-    (Transversality.meeting)."""
+    (homology.tor1_sheaf_vanishes)."""
     work = {"tests": 0, "runs": 0, "resolutions": 0, "tor": [], "checked": []}
-    meets, graded_basis, check = Transversality.meets, polykernel.graded_basis, Transversality.meeting
-    product = homology._product
+    meets, check = geometry.meets, geometry.tor1_sheaf_vanishes
+    graded_basis, product = polykernel.graded_basis, homology._product
 
-    def counted_meets(self, J):
+    def counted_meets(I, J):
         work["tests"] += 1
-        return meets(self, J)
+        return meets(I, J)
 
     def counted_run(ring, rows, finished=()):
         work["runs"] += bool(finished)  # a sum run: I's reduced basis is the finished block
@@ -952,15 +951,15 @@ def count_certificate_work(monkeypatch):
         work["tor"].append(J.gens_text())
         return product(I, J)
 
-    def counted_check(self, J):
+    def counted_check(I, J):
         work["checked"].append(J.gens_text())
-        return check(self, J)
+        return check(I, J)
 
-    monkeypatch.setattr(Transversality, "meets", counted_meets)
+    monkeypatch.setattr(geometry, "meets", counted_meets)
     monkeypatch.setattr(polykernel, "graded_basis", counted_run)
     monkeypatch.setattr(homology, "free_resolution", counted_resolution)
     monkeypatch.setattr(homology, "_product", counted_product)
-    monkeypatch.setattr(Transversality, "meeting", counted_check)
+    monkeypatch.setattr(geometry, "tor1_sheaf_vanishes", counted_check)
     return work
 
 
@@ -1093,7 +1092,7 @@ def test_lattice_decision_matches_a_direct_disjointness_test(Z, data):
     order of asking."""
     d = Z.ring.nvars - 1
     subsets = [s for fam in coordinate_families(d) if len(fam) == 1 for s in fam]
-    meets = _meets_z(Transversality(Z), _dim(Z))
+    meets = _meets_z(Z, _dim(Z))
     for s in data.draw(st.permutations(subsets)):
         L = _subspace_ideal(Z.ring, s)
         assert meets(s) == (_dim(ideal_sum(Z, L)) >= 0), s

@@ -22,10 +22,10 @@ from geomideal import cli, freemod, homology
 from geomideal.freemod import MVec, mod_normal_form, module_groebner
 from geomideal.homology import (
     ImproperIntersectionError,
-    Transversality,
     free_resolution,
     graded_tor,
     homologically_transverse,
+    meets,
     serre_multiplicity_total,
     tor_from_resolution,
     truncated_tor_over_quotient,
@@ -249,7 +249,7 @@ def test_disjoint_pair_is_transverse_without_a_resolution(monkeypatch):
     monkeypatch.setattr(homology, "free_resolution", no_resolution)
     P = ideal(RQ, "x0 - x2", "x1 - x2")
     Q = ideal(RQ, "x0", "x1 - 2*x2")
-    assert not Transversality(P).meets(Q)
+    assert not meets(P, Q)
     assert homologically_transverse(P, Q) == (True, None)
 
 

@@ -283,10 +283,9 @@ def block_sum_case(draw):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_sum_with_a_finished_block_matches_naive_oracle(case):
     """ideal_sum(I, J) passes I's reduced basis to the graded engine as a
-    finished block: an element enters unchanged unless a leading monomial
-    from J divides one of its terms, and no pair among the block is
-    reduced.  The reduced basis is still the oracle's, by decreasing
-    leading monomial."""
+    finished block: each element is a row of its degree's echelon, and no
+    pair among the block is reduced.  The reduced basis is still the
+    oracle's, by decreasing leading monomial."""
     I, J = case
     got = ideal_sum(I, J).groebner()
     want = oracles.naive_groebner([dict(f.terms) for f in I.gens + J.gens], _char(I.ring))
@@ -299,41 +298,36 @@ def test_sum_re_reduces_a_block_element_untouched_by_j(ring):
     """I = (x0^2 + x0*x2, x0^2 + x0*x1) has the reduced basis
     x0^2 + x0*x2, x0*x1 - x0*x2.  In I + (x1), x1 touches only the second,
     which reduces to the new element x0*x2 of degree 2, a term of the first:
-    every block element of a degree that J reaches goes to that degree's
-    echelon, so the first leaves as x0^2."""
+    every block element goes to its degree's echelon, so the first leaves
+    as x0^2."""
     I = HomIdeal.from_strings(ring, ["x0^2 + x0*x2", "x0^2 + x0*x1"])
     assert I.groebner() == tuple(map(ring.parse, ["x0^2 + x0*x2", "x0*x1 - x0*x2"]))
     K = ideal_sum(I, HomIdeal.from_strings(ring, ["x1"]))
     assert K.groebner() == tuple(map(ring.parse, ["x0^2", "x0*x2", "x1"]))
 
 
-def test_sum_inserts_no_row_in_a_degree_of_block_elements_alone(monkeypatch):
-    """I + (x0 + x2) for I = (x0^2, x1^3): x0 touches x0^2, so degree 2 is
-    an echelon, which reduces it to x2^2; x1^3 meets no new leading
-    monomial and no pair, so degree 3 passes it unchanged and inserts no
-    Echelon row."""
-    inserted, rows = {}, []
-    real_insert, real_rows = linalg.Echelon.insert, linalg._degree_rows
-
-    def counting_insert(self, row):
-        rows.append(row)
-        return real_insert(self, row)
+def test_sum_forms_no_pair_between_two_block_elements(monkeypatch):
+    """I + (x0) for the twisted cubic I: I's reduced basis x1^2 - x0*x2,
+    x1*x2 - x0*x3, x2^2 - x1*x3 is the finished block, whose S-pairs
+    reduce to zero, so none of them is formed; x0 is coprime to each of
+    its leading monomials (the product criterion).  So no pair is
+    reduced: the run is the degree-1 echelon of x0 and the degree-2
+    echelon that re-reduces the block by x0*x2 and x0*x3, and nothing
+    of degree 3."""
+    calls = []
+    real_rows = linalg._degree_rows
 
     def counting_rows(field, basis, inputs, multiples):
-        before = len(rows)
-        new = real_rows(field, basis, inputs, multiples)
-        degree, = {sum(t) for f in inputs for t in f} | {
-            sum(basis[i][0]) + sum(mu) for i, mu in multiples}
-        inserted[degree] = len(rows) - before
-        return new
+        calls.append(({sum(t) for f in inputs for t in f}, set(multiples)))
+        return real_rows(field, basis, inputs, multiples)
 
-    I = HomIdeal.from_strings(RQ, ["x0^2", "x1^3"])
-    I.groebner()
-    monkeypatch.setattr(linalg.Echelon, "insert", counting_insert)
+    ring = PolyRing(QQ, 4)
+    I = HomIdeal.from_strings(ring, ["x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2"])
+    assert [g.lm() for g in I.groebner()] == [(0, 2, 0, 0), (0, 1, 1, 0), (0, 0, 2, 0)]
     monkeypatch.setattr(linalg, "_degree_rows", counting_rows)
-    K = ideal_sum(I, HomIdeal.from_strings(RQ, ["x0 + x2"]))
-    assert K.groebner() == tuple(map(RQ.parse, ["x1^3", "x2^2", "x0 + x2"]))
-    assert sorted(inserted) == [1, 2] and all(inserted.values())
+    K = ideal_sum(I, HomIdeal.from_strings(ring, ["x0"]))
+    assert K.groebner() == tuple(map(ring.parse, ["x1^2", "x1*x2", "x2^2 - x1*x3", "x0"]))
+    assert calls == [({1}, set()), ({2}, set())]
 
 
 def _mod_p(ring_p, f):
