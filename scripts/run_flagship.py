@@ -20,11 +20,9 @@ from geomideal import (
     TwistedElement,
     classify,
     critical_transversality_certificate,
-    exhaustive_oracle_piece,
     forward_orbit_hits,
     idealizer_hilbert,
-    idealizer_piece,
-    pieces_agree,
+    oracle_agrees,
     twist_multiply,
 )
 from geomideal.cli import render_text, report_to_records
@@ -64,8 +62,7 @@ def main():
         if row.n == 0:
             oracle = "-"
         else:
-            agree = pieces_agree(idealizer_piece(scene, row.n),
-                                 exhaustive_oracle_piece(scene, row.n, args.oracle))
+            agree = oracle_agrees(scene, row.n, args.oracle)
             oracle = "agree" if agree else "DISAGREE"
         print(f"  {row.n}  {row.dim_B:5d}  {row.dim_I:5d}  {row.dim_R:5d}  {oracle}")
 

@@ -45,6 +45,7 @@ from .idealizer import (
     idealizer_hilbert,
     idealizer_piece,
     membership_oracle,
+    oracle_agrees,
     pieces_agree,
     stabilization_degree,
 )
@@ -83,7 +84,7 @@ __all__ = [
     "DegreePiece", "ProjAutomorphism", "TwistedElement", "twist_multiply",
     "IdealizerScene", "SceneVerificationError", "exhaustive_oracle_piece",
     "idealizer_hilbert", "idealizer_piece", "membership_oracle",
-    "pieces_agree", "stabilization_degree",
+    "oracle_agrees", "pieces_agree", "stabilization_degree",
     "CTCertificate", "OrbitReport", "RationalPoint",
     "critical_transversality_certificate", "forward_orbit_hits",
     "multiplicative_independence",

@@ -47,10 +47,8 @@ from .homology import (
 )
 from .idealizer import (
     IdealizerScene,
-    exhaustive_oracle_piece,
     idealizer_hilbert,
-    idealizer_piece,
-    pieces_agree,
+    oracle_agrees,
     stabilization_degree,
 )
 from .polykernel import (
@@ -514,8 +512,7 @@ def run_idealizer(sf: SceneFile) -> list[dict]:
                       dim_I=row.dim_I, dim_R=row.dim_R,
                       stabilized=row.colon_stabilized)
         if sf.oracle is not None and row.n >= 1:
-            agree = pieces_agree(idealizer_piece(scene, row.n),
-                                 exhaustive_oracle_piece(scene, row.n, sf.oracle))
+            agree = oracle_agrees(scene, row.n, sf.oracle)
             rec["oracle"] = "agree" if agree else "disagree"
         recs.append(rec)
     return recs

@@ -5,11 +5,13 @@ automorphism sigma, the degree-n piece of the idealizer is the degree-n part
 of the colon ideal (I : I^{sigma^n}); degree 0 is the scalars.  The defining
 membership property ("x star I stays in I") is available both as a per-element
 finite-horizon oracle and as an exhaustive subspace computation, so the two
-routes can be compared exactly on small degrees.  Both read I_n from I's
-table of normal forms, since I_n always has the property; what the
-exhaustive oracle solves for on its own is the subspace of (S/I)_n that
-passes, so it does not echo the colon: on a fat point, whose colon is
-larger than I, it finds the larger piece.
+routes can be compared exactly on small degrees.  Both contain I_n, since
+I_n always has the property; what the exhaustive oracle solves for on its
+own is the subspace K of (S/I)_n that passes, so it does not echo the
+colon: on a fat point, whose colon is larger than I, it finds the larger
+piece.  The comparison (`oracle_agrees`) is made in (S/I)_n: the colon
+contains I, so the two agree exactly when the colon's dimension is
+dim I_n + dim K and K lies in the colon, and no row of I_n is built.
 
 At horizon M both oracles test the generators g of the saturated ideal with
 deg g <= M, which is the same condition as testing every form of I_0..I_M:
@@ -24,8 +26,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import SceneVerificationError
+from .linalg import canonical_conditions
 from .polykernel import (
     HomIdeal,
+    Poly,
     PolyRing,
     degree_piece_basis,
     dim_full_space,
@@ -173,7 +177,7 @@ def exhaustive_oracle_piece(scene: IdealizerScene, n: int, M: int) -> DegreePiec
     reduce to zero modulo I.  That is the condition for every form of
     I_0..I_M, since those are combinations s*g and x star (s*g) =
     s^{sigma^n} * (x star g).  Returns the row-reduced basis, comparable
-    with the colon piece.
+    with the colon piece; B_n = 0 for n < 0, so that piece is zero.
 
     The solutions are the annihilator of those products in I's one table
     of monomial normal forms (`linalg.NormalForms.annihilator`, through
@@ -185,13 +189,42 @@ def exhaustive_oracle_piece(scene: IdealizerScene, n: int, M: int) -> DegreePiec
     of degree n, and only the entries of degree n + deg g that those
     products reach are filled.  The pulled-back generators are
     the scene's (`IdealizerScene.pulled_ideal`), shared with the colon;
-    g o sigma^n has the degree of g.
+    g o sigma^n has the degree of g.  `oracle_agrees` compares this piece
+    with the colon's without building either.
     """
+    if n < 0:
+        return DegreePiece(n, ())
     if n == 0:
         return DegreePiece(0, (scene.ring.one(),))
     table = scene.ideal.normal_forms()
     conditions = [(table, f) for f in scene.pulled_ideal(n).gens if f.degree <= M]
     return DegreePiece(n, tuple(table.annihilator(conditions, n)))
+
+
+def oracle_agrees(scene: IdealizerScene, n: int, M: int) -> bool:
+    """pieces_agree(idealizer_piece(scene, n), exhaustive_oracle_piece(scene,
+    n, M)), decided in (S/I)_n with no row of I_n; True for n <= 0, where
+    both pieces are the scalars or zero.
+
+    The colon Q = (I : I^{sigma^n}) contains I, and the oracle's piece is
+    I_n ⊕ K, K the subspace of (S/I)_n that its conditions cut, solved on
+    the standard monomials of degree n (`linalg.NormalForms.quotient_kernel`
+    on `NormalForms.standard`, which fills no entry of degree n).  So
+    Q_n = I_n ⊕ K exactly when dim Q_n = dim I_n + dim K, read off the
+    Hilbert numerators, and every vector of K lies in Q, tested on Q's
+    table; when K = 0, the generic case, there is nothing to test.
+    """
+    if n <= 0:
+        return True
+    table = scene.ideal.normal_forms()
+    standard = table.standard(n)
+    conditions = canonical_conditions(
+        [(table, f) for f in scene.pulled_ideal(n).gens if f.degree <= M])
+    kernel = table.quotient_kernel(conditions, standard)
+    Q = scene.colon_ideal(n)
+    if hilbert_function(Q, n) != len(standard) - len(kernel):
+        return False
+    return all(Q.contains(Poly(scene.ring, v)) for v in kernel)
 
 
 def pieces_agree(a: DegreePiece, b: DegreePiece) -> bool:

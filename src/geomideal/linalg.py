@@ -45,11 +45,16 @@ numerators.  Its annihilator, the forms x of one degree with
 nf_T(x.f) = 0 for a list of conditions (T, f), each T a table of the
 ring, is the idealizer oracle's subspace and the one step of one loop,
 `kernel_ideal`.  On the table's own ideal I a condition sees x only
-through nf(x), so the solve runs on the standard monomials, a basis of
-(S/I)_n, and I_n is read off the table; conditions on other tables are
-then solved on that answer's basis.  Degree by degree from 0 the loop
-builds the ideal K of those x until the leading monomials found give the
-Hilbert numerator of S/K, known in advance.  It has two users, each with
+through nf(x), so the solve (`quotient_kernel`) runs on the standard
+monomials, a basis of (S/I)_n, and I_n is read off the table; conditions
+on other tables are then solved on that answer's basis.  The idealizer's
+oracle comparison needs only the solve: it reads the standard monomials
+of degree n (`standard`) by growing those of degree n - 1 and testing
+them against the leading monomials, with no entry of degree n filled.
+Degree by degree from 0 the loop builds the ideal K of those x until the
+leading monomials found give the Hilbert numerator of S/K, known in
+advance; each new leading monomial m extends that numerator by
+N(K + (m)) = N(K) - u^(deg m) * N(K : m).  It has two users, each with
 the exact sequence that gives its target:
 
 - the zero-divisor colon (I : h), one condition (I's table, h), for h of
@@ -61,7 +66,8 @@ the exact sequence that gives its target:
   N(S/(I ∩ J)) = N(I) + N(J) - N(I + J).
 
 The annihilator keeps one condition per table and normal form up to a
-scalar, since proportional normal forms give proportional rows.  The
+scalar, since proportional normal forms give proportional rows
+(`canonical_conditions`).  The
 sums, section numerators and colons keyed by monic normal forms are kept
 on the ideal, not here (`polykernel` module docstring).
 
@@ -92,7 +98,9 @@ from .polykernel import (
     mono_mul,
     monomial_hilbert_numerator,
     monomials_of_degree,
+    numerator_add,
     series_coefficient,
+    unit_exponents,
 )
 
 
@@ -431,6 +439,9 @@ class NormalForms:
         self._table: dict[tuple, tuple[dict, int]] = {}
         self._monos: dict[int, list[tuple]] = {}
         self._degrees: dict[int, tuple[list, list]] = {}  # n -> (piece, standard)
+        # n -> standard monomials: 1 in degree 0, unless the ideal is the unit ideal
+        self._standard = {0: [] if any(not sum(lm) for lm, _, _ in self._divisors)
+                          else [(0,) * ring.nvars]}
 
     def monomials(self, n: int) -> list[tuple]:
         """The degree-n monomials in decreasing order, their normal forms
@@ -543,33 +554,71 @@ class NormalForms:
         matrix."""
         return list(self._degree(n)[0])
 
+    def standard(self, n: int) -> list[tuple]:
+        """The standard monomials of degree n, those that no leading
+        monomial of the basis divides, in decreasing order, kept; no entry
+        of the table is filled.  Every divisor of a standard monomial is
+        standard, so those of degree n are grown from those of degree
+        n - 1: the products s*x_i, x_i the first variable of s or an
+        earlier one (each monomial once), that no leading monomial
+        divides."""
+        if n < 0:
+            return []
+        cache = self._standard
+        k = max(k for k in cache if k <= n)
+        leads = [lm for lm, _, _ in self._divisors]
+        xs = unit_exponents(self.ring.nvars)
+        for k in range(k + 1, n + 1):
+            grown = []
+            for s in cache[k - 1]:
+                first = next((i for i, e in enumerate(s) if e), len(s) - 1)
+                for x in xs[:first + 1]:
+                    m = mono_mul(s, x)
+                    if not any(mono_divides(lm, m) for lm in leads):
+                        grown.append(m)
+            cache[k] = sorted(grown, key=mono_descending_key)
+        return cache[n]
+
+    def quotient_kernel(self, conditions, standard: list[tuple]) -> list[dict]:
+        """The reduced echelon basis of the subspace K of (S/I)_n, I this
+        table's ideal and standard its standard monomials of degree n in
+        decreasing order, of the x with nf(x . f) = 0 for every condition
+        on this table: each vector {monomial: scalar}, leading monomial
+        first with coefficient 1, the largest lead first.  The conditions
+        are canonical (`canonical_conditions`); those on other tables are
+        not read.
+
+        The rows nf(s . nf(f)), for standard s, enter one echelon whose
+        columns are those monomials, reversed, so its pivots are the last
+        monomials, and each kernel vector has 1 at its free column, 0 at
+        the other free columns, and otherwise entries only at later
+        monomials: read back last vector first, the kernel is the reduced
+        echelon form of K, which is unique.  With no condition on this
+        table K is all of (S/I)_n."""
+        last = len(standard) - 1
+        echelon = Echelon(self.ring.field, len(standard))  # columns: standard, last first
+        for table, nums in conditions:
+            if table is self:
+                _insert_rows(echelon, self.shifted(nums, reversed(standard)))
+        return [{standard[last - c]: v[c] for c in sorted(v, reverse=True)}
+                for v in reversed(echelon.sparse_kernel())]
+
     def annihilator(self, conditions, n: int) -> list[Poly]:
         """The reduced echelon basis of {x in S_n : nf_T(x . f) = 0 for every
         condition (T, f)}, T a table of this ring (this one or another),
         each element monic, largest leading monomial first.
 
-        A normal form modulo a Groebner basis is unique, hence linear, so
-        nf_T(x . f) = nf_T(x . nf_T(f)), and each product is reduced as a
-        combination of the normal forms of its monomials, read from T.  A
-        condition with nf_T(f) = 0 is skipped, and so is one whose nf_T(f)
-        is proportional to an earlier one's on the same T, since it gives
-        proportional rows.  Only then are the conditions split by table.
+        The conditions are made canonical first (`canonical_conditions`).
 
         Stage 1, this table.  x - nf(x) lies in the ideal I, so a condition
         on I's table holds for x exactly when it holds for nf(x): I_n
         satisfies it, and the unknowns are the standard monomials of degree
         n, a basis of (S/I)_n (Macaulay; Eisenbud, Commutative Algebra,
-        Thm 15.3).  The rows nf(s . nf(f)), for standard s, enter one
-        echelon whose columns are those monomials, reversed, so its pivots
-        are the last monomials, and each kernel vector has 1 at its free
-        column, 0 at the other free columns, and otherwise entries only at
-        later monomials: read back last vector first, the kernel is the
-        reduced echelon form of a subspace K of (S/I)_n, which is unique.
-        With no condition on this table K is all of (S/I)_n.  The answer
-        is I_n ⊕ K.  Each `piece` row m - nf(m) has a pivot m that is not
-        standard and its tail on standard monomials; once K's leading
-        monomials are cleared from it, those rows and K's are the reduced
-        echelon basis of I_n ⊕ K.
+        Thm 15.3), on which `quotient_kernel` solves for a subspace K.
+        The answer is I_n ⊕ K.  Each `piece` row m - nf(m) has a pivot m
+        that is not standard and its tail on standard monomials; once K's
+        leading monomials are cleared from it, those rows and K's are the
+        reduced echelon basis of I_n ⊕ K.
 
         Stage 2, other tables (`intersect`).  One echelon has the basis of
         stage 1 as its columns, reversed, and for each condition (T, f)
@@ -579,31 +628,10 @@ class NormalForms:
         is reduced, with its terms at or below its lead, so the kernel
         read back as combinations of the basis is again reduced echelon.
         """
-        field = self.ring.field
-        own, other, seen = [], [], set()
-        for table, form in conditions:
-            # nf(f) made canonical up to a scalar (over its entry at its
-            # largest monomial): its scale scales every row alike
-            nums = table.residue(form)
-            if not nums:
-                continue
-            nums, _ = field.reduce_row(nums, nums[max(nums)])
-            key = (table, frozenset(nums.items()))
-            if key in seen:
-                continue
-            seen.add(key)
-            if table is self:
-                own.append(nums)
-            else:
-                other.append((table, nums))
+        conditions = canonical_conditions(conditions)
         piece, standard = self._degree(n)
-        last = len(standard) - 1
-        echelon = Echelon(field, len(standard))  # columns: standard, last first
-        for nums in own:
-            _insert_rows(echelon, self.shifted(nums, reversed(standard)))
-        kernel = [{standard[last - c]: v[c] for c in sorted(v, reverse=True)}
-                  for v in reversed(echelon.sparse_kernel())]
-        basis = _direct_sum(self.ring, piece, kernel)
+        basis = _direct_sum(self.ring, piece, self.quotient_kernel(conditions, standard))
+        other = [(table, nums) for table, nums in conditions if table is not self]
         return _restrict(basis, other) if other and basis else basis
 
     def kernel_ideal(self, conditions, target: dict[int, int]) -> HomIdeal:
@@ -634,6 +662,7 @@ class NormalForms:
         """
         ring = self.ring
         basis: list[Poly] = []
+        leads: list[tuple] = []  # in the order found
         found, d = {0: 1}, -1
         while found != target:
             d += 1
@@ -642,11 +671,39 @@ class NormalForms:
             if len(rows) != want:
                 raise AssertionError(f"the kernel has dimension {len(rows)} in degree {d}, "
                                      f"its Hilbert series {want}")
-            new = [f for f in rows if not any(mono_divides(h.lm(), f.lm()) for h in basis)]
-            if new:
-                basis = new + basis
-                found = monomial_hilbert_numerator([h.lm() for h in basis])
+            new = []
+            for f in rows:
+                m = f.lm()
+                if not any(mono_divides(k, m) for k in leads):
+                    # N(K + (m)) = N(K) - u^deg m * N(K : m), K : m generated
+                    # by the earlier leads k, each over gcd(k, m)
+                    colon = [tuple(max(a - b, 0) for a, b in zip(k, m)) for k in leads]
+                    found = numerator_add(found, monomial_hilbert_numerator(colon), -1, sum(m))
+                    leads.append(m)
+                    new.append(f)
+            basis = new + basis
         return HomIdeal.from_basis(ring, basis)  # by decreasing leading monomial
+
+
+def canonical_conditions(conditions) -> list[tuple]:
+    """The conditions (T, f) as (T, canonical numerators of nf_T(f)), in
+    order.  A normal form modulo a Groebner basis is unique, hence linear,
+    so nf_T(x . f) = nf_T(x . nf_T(f)).  A condition with nf_T(f) = 0 is
+    dropped, and so is one whose nf_T(f) is proportional to an earlier
+    one's on the same T, since it gives proportional rows.  The numerators
+    are scaled over their entry at their largest monomial: that scale
+    scales every row alike."""
+    out, seen = [], set()
+    for table, form in conditions:
+        nums = table.residue(form)
+        if not nums:
+            continue
+        nums, _ = table.ring.field.reduce_row(nums, nums[max(nums)])
+        key = (table, frozenset(nums.items()))
+        if key not in seen:
+            seen.add(key)
+            out.append((table, nums))
+    return out
 
 
 def _direct_sum(ring: PolyRing, piece: list[Poly], kernel: list[dict]) -> list[Poly]:

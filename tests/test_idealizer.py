@@ -22,6 +22,7 @@ from geomideal.idealizer import (
     idealizer_hilbert,
     idealizer_piece,
     membership_oracle,
+    oracle_agrees,
     pieces_agree,
     stabilization_degree,
 )
@@ -29,9 +30,11 @@ from geomideal.polykernel import (
     HomIdeal,
     PolyRing,
     degree_piece_basis,
+    dim_ideal_piece,
     ideal_equal,
     intersect,
     monomials_of_degree,
+    unit_ideal,
 )
 from geomideal.twist import DegreePiece, ProjAutomorphism, TwistedElement, twist_multiply
 
@@ -120,6 +123,18 @@ def test_degree_zero_piece_is_scalars():
 
 def test_negative_degree_piece_is_empty():
     assert idealizer_piece(fat_point_scene(), -1).dimension == 0
+
+
+def test_oracle_at_a_negative_degree_is_the_zero_piece():
+    """B_n = 0 for n < 0, so the oracle's piece is zero there, as the colon
+    route's is, and oracle_agrees answers True for every n <= 0."""
+    sc = moving_point_scene()
+    for n in (-1, -2, 0):
+        for M in (0, 1, 6):
+            piece = exhaustive_oracle_piece(sc, n, M)
+            assert piece.n == n and piece.dimension == (n == 0)
+            assert pieces_agree(idealizer_piece(sc, n), piece)
+            assert oracle_agrees(sc, n, M)
 
 
 def test_exhaustive_oracle_matches_colon_piece():
@@ -541,3 +556,141 @@ def test_oracle_rejects_a_colon_that_answers_i(monkeypatch):
         colon, oracle = idealizer_piece(scene, n), exhaustive_oracle_piece(scene, n, 2)
         assert oracle.dimension == colon.dimension + 1
         assert not pieces_agree(colon, oracle)
+        assert not oracle_agrees(scene, n, 2)
+
+
+def _forced_colon(monkeypatch, scene, colon):
+    monkeypatch.setattr(IdealizerScene, "colon_ideal", lambda self, n: colon)
+    return colon
+
+
+def test_oracle_rejects_a_colon_of_the_right_dimension_that_misses_k(monkeypatch):
+    """fat_point in degree 1: K is spanned by x1 modulo I, and the colon
+    forced to I + (x2), which contains I and has the dimension of the true
+    colon (x0, x1) in degree 1, does not contain x1.  The dimensions agree,
+    so only the membership test of K in the colon rejects it."""
+    scene = _scene_file("fat_point.scene").scene()
+    colon = _forced_colon(monkeypatch, scene,
+                          HomIdeal(RQ, [*scene.ideal.gens, RQ.parse("x2")]))
+    oracle = exhaustive_oracle_piece(scene, 1, 2)
+    assert dim_ideal_piece(colon, 1) == oracle.dimension == 2
+    assert not pieces_agree(idealizer_piece(scene, 1), oracle)
+    assert not oracle_agrees(scene, 1, 2)
+
+
+def test_oracle_rejects_a_colon_larger_than_its_piece(monkeypatch):
+    """With the colon forced to the unit ideal, K lies in it, but the
+    colon piece is all of B_n and the oracle's is not: only the dimension
+    test rejects it."""
+    scene = _scene_file("fat_point.scene").scene()
+    _forced_colon(monkeypatch, scene, unit_ideal(RQ))
+    for n in range(1, 4):
+        assert not pieces_agree(idealizer_piece(scene, n), exhaustive_oracle_piece(scene, n, 2))
+        assert not oracle_agrees(scene, n, 2)
+
+
+def _point_lines(ring, point):
+    """The linear forms p_k*x_i - p_i*x_k, i != k, k the last nonzero
+    coordinate of the point p: its ideal."""
+    k = max(i for i, c in enumerate(point) if c)
+    F = ring.field
+    return [ring.variable(i).scale(F.from_int(point[k])) - ring.variable(k).scale(F.from_int(c))
+            for i, c in enumerate(point) if i != k]
+
+
+@st.composite
+def agreement_cases(draw):
+    """(scene, forced colon or None): a scene of P^2 over Q or GF(7) under
+    a diagonal or a non-diagonal sigma, its Z a point, a double point
+    (l1, l2^2), a fat point (l1, l2)^2, a line with an embedded point
+    (l1^2, l1*l2) or two points.  The point is often a coordinate point,
+    which a diagonal sigma fixes, so that a non-reduced Z has a colon
+    larger than I.  At times the colon is forced to another ideal that
+    contains I: I itself, the unit ideal, or I plus a random form."""
+    field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    ring = PolyRing(field, 3)
+    diag = draw(st.lists(st.integers(1, 6), min_size=3, max_size=3))
+    if draw(st.booleans()):
+        rows = [[diag[i] if i == j else 0 for j in range(3)] for i in range(3)]
+    else:
+        shear = draw(st.lists(st.integers(-2, 2), min_size=9, max_size=9))
+        perm = draw(st.permutations(range(3)))
+        upper = [[diag[i] * (1 if i == j else shear[3 * i + j] if j > i else 0)
+                  for j in range(3)] for i in range(3)]
+        rows = [upper[perm[i]] for i in range(3)]
+    sigma = ProjAutomorphism(ring, [[field.from_int(c) for c in row] for row in rows])
+
+    def point():
+        if draw(st.booleans()):
+            return draw(st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+        return (*draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2)),
+                draw(st.integers(1, 2)))
+
+    l1, l2 = _point_lines(ring, point())
+    kind = draw(st.sampled_from(["point", "double point", "fat point", "embedded point",
+                                 "two points"]))
+    gens = {"point": [l1, l2], "double point": [l1, l2 * l2],
+            "fat point": [l1 * l1, l1 * l2, l2 * l2], "embedded point": [l1 * l1, l1 * l2]}
+    if kind == "two points":
+        ideal = intersect(HomIdeal(ring, [l1, l2]), HomIdeal(ring, _point_lines(ring, point())))
+    else:
+        ideal = HomIdeal(ring, gens[kind])
+    scene = IdealizerScene(ring, sigma, ideal)
+    forced = draw(st.sampled_from(["none", "none", "I", "unit", "I + form"]))
+    if forced == "none":
+        return scene, None
+    if forced == "I":
+        return scene, scene.ideal
+    if forced == "unit":
+        return scene, unit_ideal(ring)
+    monos = monomials_of_degree(ring, draw(st.integers(1, 2)))
+    picked = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3))
+    form = sum((ring.monomial(m).scale(field.from_int(draw(st.integers(1, 3)))) for m in picked),
+               ring.zero())
+    return scene, HomIdeal(ring, [*scene.ideal.gens, form])
+
+
+@given(agreement_cases())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_oracle_agrees_is_the_comparison_of_the_two_pieces(case):
+    """oracle_agrees decides in (S/I)_n what pieces_agree decides on the
+    two pieces, for n = 1..4 and every horizon M from 1 to one past the
+    largest generator degree, below which the oracle is one-sided; also
+    for a colon forced to another ideal containing I, which the oracle
+    must reject unless the two pieces agree."""
+    scene, forced = case
+    if forced is not None:
+        scene._colon_cache.update(dict.fromkeys(range(1, 5), forced))
+    for n in range(1, 5):
+        for M in range(1, scene.ideal.max_gen_degree() + 2):
+            got = oracle_agrees(scene, n, M)
+            want = pieces_agree(idealizer_piece(scene, n), exhaustive_oracle_piece(scene, n, M))
+            assert got == want, (n, M)
+
+
+def test_idealizer_command_builds_no_whole_degree(monkeypatch):
+    """`idealizer --oracle-horizon 6` on moving_point decides each oracle
+    row in (S/I)_n: no whole degree of I's table is filled or read as a
+    piece, and the table ends with 8 entries (3 of degree 1 read by the
+    colons, one x2^(n+1) per oracle degree n), where comparing the two
+    pieces filled every monomial of degrees 1 to 5 and more.  A point of
+    P^6 at maxdeg 12 and horizon 1 ends with 19 entries, not 50388."""
+    calls = []
+    for name in ("_degree", "piece", "monomials"):
+        monkeypatch.setattr(linalg.NormalForms, name,
+                            lambda self, n, name=name: calls.append(name))
+    tables = []
+    init = linalg.NormalForms.__init__
+
+    def counting_init(self, *args):
+        tables.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(linalg.NormalForms, "__init__", counting_init)
+    for sf, size in ((_scene_file("moving_point.scene")._replace(oracle=6), 8),
+                     (cli.parse_scene(P6_POINT)._replace(maxdeg=12, oracle=1), 19)):
+        tables.clear()
+        rows = [r for r in cli.run_idealizer(sf) if r["record"] == "idealizer-row"]
+        assert [r.get("oracle") for r in rows] == [None] + ["agree"] * sf.maxdeg
+        assert calls == []
+        assert [len(t._table) for t in tables] == [size]

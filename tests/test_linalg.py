@@ -199,6 +199,22 @@ def test_normal_form_table_entries_are_the_normal_forms(field, name):
             assert value == normal_form(ring.monomial(m), gb).terms
 
 
+@pytest.mark.parametrize("texts", [*NF_IDEALS.values(), [], ["1"]],
+                         ids=[*NF_IDEALS, "zero", "unit"])
+def test_standard_monomials_are_read_with_no_entry_filled(texts):
+    """standard(n), grown degree by degree and tested against the leading
+    monomials, lists the monomials of degree n whose table entry is
+    themselves, in the same decreasing order, and fills no entry; asked
+    out of order, from a cached degree below."""
+    ring = PolyRing(QQ, 3)
+    gb = list(HomIdeal.from_strings(ring, texts).groebner())
+    table, filled = linalg.NormalForms(ring, gb), linalg.NormalForms(ring, gb)
+    for n in (3, 1, 6, 0, -1, 5):
+        got = table.standard(n)
+        assert not table._table
+        assert got == [m for m in filled.monomials(n) if m in filled._table[m][0]]
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
 @pytest.mark.parametrize("name", sorted(NF_IDEALS))
 def test_annihilator_keeps_one_condition_per_normal_form(field, name, monkeypatch):

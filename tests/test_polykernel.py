@@ -1505,6 +1505,37 @@ def test_hilbert_driven_colon_rejects_a_wrong_section():
         intersect(HomIdeal(RQ, P.gens), HomIdeal(RQ, Q.gens))
 
 
+def test_kernel_loop_extends_its_numerator_one_lead_at_a_time(monkeypatch):
+    """kernel_ideal extends the numerator of the leads found by one new
+    lead m at a time, N(K + (m)) = N(K) − u^deg m · N(K : m), where K : m
+    is generated by the earlier leads k, each over gcd(k, m): one
+    monomial_hilbert_numerator call per lead of the answer, in the order
+    found (by degree, the largest first within one), on that colon alone,
+    never on the whole list.  The intersection of two lines of P^3 and a
+    zero-divisor colon on the fat point, against elimination."""
+    calls = []
+    real = linalg.monomial_hilbert_numerator
+
+    def counted(monos):
+        calls.append(list(monos))
+        return real(monos)
+
+    monkeypatch.setattr(linalg, "monomial_hilbert_numerator", counted)
+    R4 = PolyRing(QQ, 4)
+    I = HomIdeal.from_strings(R4, ["x3", "x1 + 3/2*x2", "x0 + 1/2*x2"])
+    J = HomIdeal.from_strings(R4, ["x1 + x2", "x0", "x2^2"])
+    fat, g = HomIdeal.from_strings(RQ, ["x0 + x1", "x0^2"]), RQ.parse("x0 + 2*x1")
+    cases = [(lambda: intersect(I, J), oracles.elim_meet(I, J)),
+             (lambda: ideal_quotient(fat, HomIdeal(RQ, [g])), _elim_quotient(fat, g).groebner())]
+    for run, want in cases:
+        calls.clear()
+        K = run()
+        assert K.groebner() == tuple(want)
+        leads = sorted((f.lm() for f in want), key=lambda m: (sum(m), mono_descending_key(m)))
+        assert calls == [[tuple(max(a - b, 0) for a, b in zip(k, m)) for k in leads[:i]]
+                         for i, m in enumerate(leads)]
+
+
 TWISTED_CUBIC = """\
 field rational
 dim 3
