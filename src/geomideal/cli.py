@@ -841,15 +841,15 @@ def main(argv=None) -> int:
         if val is not None:
             overrides[name] = val
 
-    if scene == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(scene) as fh:
+    try:
+        if scene == "-":
+            text = sys.stdin.read()
+        else:
+            with open(scene, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            print(f"geomideal: cannot read scene: {exc}", file=sys.stderr)
-            return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"geomideal: cannot read scene: {exc}", file=sys.stderr)
+        return 2
     try:
         sf = parse_scene(text)
     except SceneError as err:

@@ -7,11 +7,14 @@ membership property ("x star I stays in I") is available both as a per-element
 finite-horizon oracle and as an exhaustive subspace computation, so the two
 routes can be compared exactly on small degrees.  Both contain I_n, since
 I_n always has the property; what the exhaustive oracle solves for on its
-own is the subspace K of (S/I)_n that passes, so it does not echo the
-colon: on a fat point, whose colon is larger than I, it finds the larger
-piece.  The comparison (`oracle_agrees`) is made in (S/I)_n: the colon
-contains I, so the two agree exactly when the colon's dimension is
-dim I_n + dim K and K lies in the colon, and no row of I_n is built.
+own is the subspace K of (S/I)_n that passes, one solve on the standard
+monomials of degree n (`_oracle_kernel`), so it does not echo the colon:
+on a fat point, whose colon is larger than I, it finds the larger piece.
+Its piece is I_n ⊕ K (`exhaustive_oracle_piece`, through
+`linalg.direct_sum`).  The comparison (`oracle_agrees`) is made in
+(S/I)_n: the colon contains I, so the two agree exactly when the colon's
+dimension is dim I_n + dim K and K lies in the colon, and no row of I_n
+is built.
 
 At horizon M both oracles test the generators g of the saturated ideal with
 deg g <= M, which is the same condition as testing every form of I_0..I_M:
@@ -26,7 +29,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import SceneVerificationError
-from .linalg import canonical_conditions
+from .linalg import canonical_conditions, direct_sum
 from .polykernel import (
     HomIdeal,
     Poly,
@@ -179,26 +182,32 @@ def exhaustive_oracle_piece(scene: IdealizerScene, n: int, M: int) -> DegreePiec
     s^{sigma^n} * (x star g).  Returns the row-reduced basis, comparable
     with the colon piece; B_n = 0 for n < 0, so that piece is zero.
 
-    The solutions are the annihilator of those products in I's one table
-    of monomial normal forms (`linalg.NormalForms.annihilator`, through
-    `HomIdeal.normal_forms`): each monomial is reduced once per scene, for
-    every degree n and for the colon pieces that equal I's, and the kernel
-    comes out as its reduced echelon form.  x - nf(x) lies in I, so every
-    condition sees x only through nf(x): the piece is I_n, read off the
-    table, plus the subspace of (S/I)_n solved on the standard monomials
-    of degree n, and only the entries of degree n + deg g that those
-    products reach are filled.  The pulled-back generators are
-    the scene's (`IdealizerScene.pulled_ideal`), shared with the colon;
-    g o sigma^n has the degree of g.  `oracle_agrees` compares this piece
-    with the colon's without building either.
+    x - nf(x) lies in I, so every condition sees x only through nf(x): the
+    piece is I_n, read off I's one table of monomial normal forms
+    (`linalg.NormalForms.piece`, through `HomIdeal.normal_forms`), plus
+    the subspace K of (S/I)_n that `_oracle_kernel` solves for
+    (`linalg.direct_sum`).  `oracle_agrees` compares this piece with the
+    colon's without building either.
     """
     if n < 0:
         return DegreePiece(n, ())
     if n == 0:
         return DegreePiece(0, (scene.ring.one(),))
+    piece = scene.ideal.normal_forms().piece(n)
+    return DegreePiece(n, tuple(direct_sum(scene.ring, piece, _oracle_kernel(scene, n, M))))
+
+
+def _oracle_kernel(scene: IdealizerScene, n: int, M: int) -> list[dict]:
+    """The reduced basis of the subspace K of (S/I)_n, n >= 1, whose forms
+    x pass the oracle at horizon M, solved on the standard monomials of
+    degree n (`linalg.NormalForms.quotient_kernel`, which fills only the
+    entries of degree n + deg g that the products x . (g o sigma^n)
+    reach).  The pulled-back generators are the scene's
+    (`IdealizerScene.pulled_ideal`), shared with the colon; g o sigma^n
+    has the degree of g."""
     table = scene.ideal.normal_forms()
-    conditions = [(table, f) for f in scene.pulled_ideal(n).gens if f.degree <= M]
-    return DegreePiece(n, tuple(table.annihilator(conditions, n)))
+    forms = [f for f in scene.pulled_ideal(n).gens if f.degree <= M]
+    return table.quotient_kernel(canonical_conditions(table, forms), n)
 
 
 def oracle_agrees(scene: IdealizerScene, n: int, M: int) -> bool:
@@ -207,22 +216,17 @@ def oracle_agrees(scene: IdealizerScene, n: int, M: int) -> bool:
     both pieces are the scalars or zero.
 
     The colon Q = (I : I^{sigma^n}) contains I, and the oracle's piece is
-    I_n ⊕ K, K the subspace of (S/I)_n that its conditions cut, solved on
-    the standard monomials of degree n (`linalg.NormalForms.quotient_kernel`
-    on `NormalForms.standard`, which fills no entry of degree n).  So
-    Q_n = I_n ⊕ K exactly when dim Q_n = dim I_n + dim K, read off the
-    Hilbert numerators, and every vector of K lies in Q, tested on Q's
-    table; when K = 0, the generic case, there is nothing to test.
+    I_n ⊕ K (`_oracle_kernel`, on `linalg.NormalForms.standard`, which
+    fills no entry of degree n).  So Q_n = I_n ⊕ K exactly when
+    dim Q_n = dim I_n + dim K, read off the Hilbert numerators, and every
+    vector of K lies in Q, tested on Q's table; when K = 0, the generic
+    case, there is nothing to test.
     """
     if n <= 0:
         return True
-    table = scene.ideal.normal_forms()
-    standard = table.standard(n)
-    conditions = canonical_conditions(
-        [(table, f) for f in scene.pulled_ideal(n).gens if f.degree <= M])
-    kernel = table.quotient_kernel(conditions, standard)
+    kernel = _oracle_kernel(scene, n, M)
     Q = scene.colon_ideal(n)
-    if hilbert_function(Q, n) != len(standard) - len(kernel):
+    if hilbert_function(Q, n) != hilbert_function(scene.ideal, n) - len(kernel):
         return False
     return all(Q.contains(Poly(scene.ring, v)) for v in kernel)
 

@@ -41,35 +41,37 @@ modulo a Groebner basis is unique, hence linear, so the normal form of any
 polynomial is the combination of its monomials' cached normal forms.  An
 entry is filled when it is first asked for, with only the entries it
 needs.  The entries are integral too, one integer denominator over integer
-numerators.  Its annihilator, the forms x of one degree with
-nf_T(x.f) = 0 for a list of conditions (T, f), each T a table of the
-ring, is the idealizer oracle's subspace and the one step of one loop,
-`kernel_ideal`.  On the table's own ideal I a condition sees x only
-through nf(x), so the solve (`quotient_kernel`) runs on the standard
-monomials, a basis of (S/I)_n, and I_n is read off the table; conditions
-on other tables are then solved on that answer's basis.  The idealizer's
-oracle comparison needs only the solve: it reads the standard monomials
-of degree n (`standard`) by growing those of degree n - 1 and testing
-them against the leading monomials, with no entry of degree n filled.
-Degree by degree from 0 the loop builds the ideal K of those x until the
-leading monomials found give the Hilbert numerator of S/K, known in
-advance; each new leading monomial m extends that numerator by
-N(K + (m)) = N(K) - u^(deg m) * N(K : m).  It has two users, each with
-the exact sequence that gives its target:
+numerators.  Each kernel question on the table's ideal I is one solve
+per degree:
 
-- the zero-divisor colon (I : h), one condition (I's table, h), for h of
-  degree e with section numerator s: from
-  0 -> S/(I : h)(-e) -> S/I -> S/(I + (h)) -> 0,
-  N(S/(I : h)) = N(I) - u^(-e)*s;
-- the intersection I ∩ J, two conditions (I's table, 1) and (J's table, 1):
-  from 0 -> S/(I ∩ J) -> S/I ⊕ S/J -> S/(I + J) -> 0,
+- forms f on I's own table: the x of degree n with nf(x.f) = 0.  Such a
+  condition sees x only through nf(x), so the solve (`quotient_kernel`)
+  runs on the standard monomials, a basis of (S/I)_n that `standard`
+  reads with no entry of degree n filled, and gives a subspace K; the
+  answer is I_n ⊕ K (`direct_sum`).  The conditions are kept once per
+  normal form up to a scalar, since proportional normal forms give
+  proportional rows (`canonical_conditions`).  This is the idealizer
+  oracle's subspace, and with the one form h the zero-divisor colon's;
+- another ideal J's table: the x of I_n with nf_J(x) = 0, solved on the
+  basis of I_n (`piece`, `_restrict`), for the intersection.
+
+One loop, `kernel_ideal`, builds an ideal K from those solves, degree by
+degree from 0, until the leading monomials found give the Hilbert
+numerator of S/K, known in advance; each new leading monomial m extends
+that numerator by N(K + (m)) = N(K) - u^(deg m) * N(K : m).  It has two
+users, each with the exact sequence that gives its target:
+
+- the zero-divisor colon (I : h) (`colon`), for h of degree e with
+  section numerator s: from 0 -> S/(I : h)(-e) -> S/I -> S/(I + (h)) -> 0,
+  N(S/(I : h)) = N(I) - u^(-e)*s.  Its new rows in degree d are I's
+  reduced basis elements of that degree and K's vectors, so it fills no
+  whole degree of the table;
+- the intersection I ∩ J (`meet`): from
+  0 -> S/(I ∩ J) -> S/I ⊕ S/J -> S/(I + J) -> 0,
   N(S/(I ∩ J)) = N(I) + N(J) - N(I + J).
 
-The annihilator keeps one condition per table and normal form up to a
-scalar, since proportional normal forms give proportional rows
-(`canonical_conditions`).  The
-sums, section numerators and colons keyed by monic normal forms are kept
-on the ideal, not here (`polykernel` module docstring).
+The sums, section numerators and colons keyed by monic normal forms are
+kept on the ideal, not here (`polykernel` module docstring).
 
 Over the polynomial ring itself, `exact_quotient` divides one polynomial by
 another when the division is exact: it is the division by the one-element
@@ -421,24 +423,21 @@ class NormalForms:
     in the field's canonical form (`field.reduce_row`), so over Q the
     table holds no `Fraction` and a combination is integer arithmetic over
     one common denominator.  The table keeps each filled degree's monomial
-    list, and per degree the piece of the ideal and the standard
-    monomials, which the degree pieces and the kernel loop read.
+    list and each degree's standard monomials.
     """
 
     def __init__(self, ring: PolyRing, basis: list[Poly]):
         field = ring.field
         self.ring = ring
+        self._basis = [g for g in basis if not g.is_zero()]
         self._divisors = []
-        for g in basis:
-            if g.is_zero():
-                continue
+        for g in self._basis:
             lm = g.lm()
             nums, _ = field.split(g.terms)
             self._divisors.append(
                 (lm, nums[lm], [(t, -x) for t, x in nums.items() if t != lm]))
         self._table: dict[tuple, tuple[dict, int]] = {}
         self._monos: dict[int, list[tuple]] = {}
-        self._degrees: dict[int, tuple[list, list]] = {}  # n -> (piece, standard)
         # n -> standard monomials: 1 in degree 0, unless the ideal is the unit ideal
         self._standard = {0: [] if any(not sum(lm) for lm, _, _ in self._divisors)
                           else [(0,) * ring.nvars]}
@@ -523,27 +522,6 @@ class NormalForms:
         lead = min(nums, key=mono_descending_key)
         return Poly(self.ring, _scalars(field, nums, nums[lead]), (lead, field.one))
 
-    def _degree(self, n: int) -> tuple[list[Poly], list[tuple]]:
-        """(piece, standard) in degree n, kept: the rows m - nf(m) of
-        `piece`, and the standard monomials, those with nf(m) = m, both in
-        decreasing order."""
-        got = self._degrees.get(n)
-        if got is None:
-            ring, table = self.ring, self._table
-            field = ring.field
-            one = field.one
-            piece, standard = [], []
-            for m in self.monomials(n):
-                nums, den = table[m]
-                if m in nums:
-                    standard.append(m)
-                else:
-                    row = {m: one}
-                    row.update(_scalars(field, nums, -den))
-                    piece.append(Poly(ring, row, (m, one)))
-            got = self._degrees[n] = (piece, standard)
-        return got
-
     def piece(self, n: int) -> list[Poly]:
         """The rows m - nf(m), in decreasing order, for the degree-n
         monomials m that a leading monomial of the basis divides: m is one
@@ -551,8 +529,18 @@ class NormalForms:
         standard and its tail lies on standard monomials, so these are the
         reduced echelon basis of the degree-n piece of the ideal
         (polykernel.degree_piece_basis), read off the table with no
-        matrix."""
-        return list(self._degree(n)[0])
+        matrix; the whole degree is filled."""
+        ring, table = self.ring, self._table
+        field = ring.field
+        one = field.one
+        out = []
+        for m in self.monomials(n):
+            nums, den = table[m]
+            if m not in nums:
+                row = {m: one}
+                row.update(_scalars(field, nums, -den))
+                out.append(Poly(ring, row, (m, one)))
+        return out
 
     def standard(self, n: int) -> list[tuple]:
         """The standard monomials of degree n, those that no leading
@@ -579,86 +567,53 @@ class NormalForms:
             cache[k] = sorted(grown, key=mono_descending_key)
         return cache[n]
 
-    def quotient_kernel(self, conditions, standard: list[tuple]) -> list[dict]:
+    def quotient_kernel(self, conditions: list[dict], n: int) -> list[dict]:
         """The reduced echelon basis of the subspace K of (S/I)_n, I this
-        table's ideal and standard its standard monomials of degree n in
-        decreasing order, of the x with nf(x . f) = 0 for every condition
-        on this table: each vector {monomial: scalar}, leading monomial
-        first with coefficient 1, the largest lead first.  The conditions
-        are canonical (`canonical_conditions`); those on other tables are
-        not read.
+        table's ideal, of the x with nf(x . f) = 0 for every condition f,
+        given as the canonical numerators of nf(f) (`canonical_conditions`):
+        each vector {monomial: scalar}, leading monomial first with
+        coefficient 1, the largest lead first.
 
-        The rows nf(s . nf(f)), for standard s, enter one echelon whose
-        columns are those monomials, reversed, so its pivots are the last
-        monomials, and each kernel vector has 1 at its free column, 0 at
-        the other free columns, and otherwise entries only at later
-        monomials: read back last vector first, the kernel is the reduced
-        echelon form of K, which is unique.  With no condition on this
-        table K is all of (S/I)_n."""
+        x - nf(x) lies in I, so a condition sees x only through nf(x), and
+        the unknowns are the standard monomials of degree n (`standard`), a
+        basis of (S/I)_n (Macaulay; Eisenbud, Commutative Algebra,
+        Thm 15.3).  The rows nf(s . nf(f)), for standard s, enter one
+        echelon whose columns are those monomials, reversed, so its pivots
+        are the last monomials, and each kernel vector has 1 at its free
+        column, 0 at the other free columns, and otherwise entries only at
+        later monomials: read back last vector first, the kernel is the
+        reduced echelon form of K, which is unique.  With no condition K
+        is all of (S/I)_n."""
+        standard = self.standard(n)
         last = len(standard) - 1
         echelon = Echelon(self.ring.field, len(standard))  # columns: standard, last first
-        for table, nums in conditions:
-            if table is self:
-                _insert_rows(echelon, self.shifted(nums, reversed(standard)))
+        for nums in conditions:
+            _insert_rows(echelon, self.shifted(nums, reversed(standard)))
         return [{standard[last - c]: v[c] for c in sorted(v, reverse=True)}
                 for v in reversed(echelon.sparse_kernel())]
 
-    def annihilator(self, conditions, n: int) -> list[Poly]:
-        """The reduced echelon basis of {x in S_n : nf_T(x . f) = 0 for every
-        condition (T, f)}, T a table of this ring (this one or another),
-        each element monic, largest leading monomial first.
+    def kernel_ideal(self, solve, target: dict[int, int]) -> HomIdeal:
+        """The ideal K from its reduced Groebner basis, given the Hilbert
+        numerator target of S/K; solve(d) is (dim (S/K)_d, rows), the rows
+        in reduced echelon form inside K_d, largest leading monomial first,
+        among them every row of K_d's reduced echelon form whose leading
+        monomial no leading monomial of a lower degree divides.  Its two
+        users, `colon` and `meet`, know the target from an exact sequence
+        (module docstring).
 
-        The conditions are made canonical first (`canonical_conditions`).
-
-        Stage 1, this table.  x - nf(x) lies in the ideal I, so a condition
-        on I's table holds for x exactly when it holds for nf(x): I_n
-        satisfies it, and the unknowns are the standard monomials of degree
-        n, a basis of (S/I)_n (Macaulay; Eisenbud, Commutative Algebra,
-        Thm 15.3), on which `quotient_kernel` solves for a subspace K.
-        The answer is I_n ⊕ K.  Each `piece` row m - nf(m) has a pivot m
-        that is not standard and its tail on standard monomials; once K's
-        leading monomials are cleared from it, those rows and K's are the
-        reduced echelon basis of I_n ⊕ K.
-
-        Stage 2, other tables (`intersect`).  One echelon has the basis of
-        stage 1 as its columns, reversed, and for each condition (T, f)
-        one row per monomial of the nf_T(v . f) over the basis vectors v.
-        Each kernel vector is 1 at its free column and otherwise has
-        entries only at basis vectors of smaller lead; each basis vector
-        is reduced, with its terms at or below its lead, so the kernel
-        read back as combinations of the basis is again reduced echelon.
-        """
-        conditions = canonical_conditions(conditions)
-        piece, standard = self._degree(n)
-        basis = _direct_sum(self.ring, piece, self.quotient_kernel(conditions, standard))
-        other = [(table, nums) for table, nums in conditions if table is not self]
-        return _restrict(basis, other) if other and basis else basis
-
-    def kernel_ideal(self, conditions, target: dict[int, int]) -> HomIdeal:
-        """The ideal K = {x : nf_T(x . f) = 0 for every condition (T, f)},
-        from its reduced Groebner basis, given the Hilbert numerator target
-        of S/K.  Its two users (module docstring) know that numerator from
-        an exact sequence: the colon (I : h) is the one condition (I's
-        table, h), the intersection I ∩ J the two (I's table, 1) and (J's
-        table, 1).
-
-        Degree by degree from 0, K_d is the `annihilator` of the
-        conditions, given in reduced echelon form: I_d plus a subspace of
-        (S/I)_d for the colon, whose one condition is on I's table; a
-        subspace of I_d for the intersection.  Its leading monomials
-        are those of in(K)_d, and every other term of a row is a standard
-        monomial of K; so a row whose leading monomial no earlier one
+        Every term of such a row other than its lead is a standard
+        monomial of K, so a row whose leading monomial no earlier one
         divides is m - nf_K(m) for a minimal generator m of in(K), an
-        element of the reduced basis.  The rows kept generate a monomial
-        ideal inside in(K), equal to it in every degree seen; once its
-        Hilbert numerator is the target the two are equal, and the rows
-        kept are the reduced basis (a Hilbert-driven stop: Traverso, J.
-        Symbolic Comput. 1996).
+        element of the reduced basis.  Degree by degree from 0, the rows
+        kept generate a monomial ideal inside in(K), equal to it in every
+        degree seen; once its Hilbert numerator is the target the two are
+        equal, and the rows kept are the reduced basis (a Hilbert-driven
+        stop: Traverso, J. Symbolic Comput. 1996).
 
-        Each degree's kernel must have dimension dim S_d minus the target
-        series' coefficient.  Two different numerators differ in some
-        coefficient, so a wrong target fails that check in some degree and
-        the loop cannot run forever; the failure is an internal error.
+        Each degree's dim (S/K)_d must be the target series' coefficient.
+        Two different numerators differ in some coefficient, so a wrong
+        target fails that check in some degree and the loop cannot run
+        forever; the failure is an internal error.
         """
         ring = self.ring
         basis: list[Poly] = []
@@ -666,10 +621,10 @@ class NormalForms:
         found, d = {0: 1}, -1
         while found != target:
             d += 1
-            rows = self.annihilator(conditions, d)
-            want = dim_full_space(ring, d) - series_coefficient(target, ring.nvars, d)
-            if len(rows) != want:
-                raise AssertionError(f"the kernel has dimension {len(rows)} in degree {d}, "
+            quotient, rows = solve(d)
+            want = series_coefficient(target, ring.nvars, d)
+            if quotient != want:
+                raise AssertionError(f"the quotient has dimension {quotient} in degree {d}, "
                                      f"its Hilbert series {want}")
             new = []
             for f in rows:
@@ -684,37 +639,61 @@ class NormalForms:
             basis = new + basis
         return HomIdeal.from_basis(ring, basis)  # by decreasing leading monomial
 
+    def colon(self, h: Poly, target: dict[int, int]) -> HomIdeal:
+        """(I : h) for a form h, I this table's ideal and its basis reduced,
+        given the Hilbert numerator target of S/(I : h) (`kernel_ideal`).
 
-def canonical_conditions(conditions) -> list[tuple]:
-    """The conditions (T, f) as (T, canonical numerators of nf_T(f)), in
+        In degree d, (I : h)_d is I_d ⊕ K, K the subspace of (S/I)_d that
+        the one condition nf(x . h) = 0 cuts (`quotient_kernel`), so
+        S/(I : h) has dimension dim (S/I)_d - dim K there.  A leading
+        monomial of I_d that none of a lower degree divides leads an
+        element of I's reduced basis, which is its row m - nf(m); so the
+        rows offered are those elements of degree d, K's leads cleared
+        (`direct_sum`), and K's vectors, and no whole degree of the table
+        is filled."""
+        conditions = [self.residue(h)]
+
+        def solve(d):
+            kernel = self.quotient_kernel(conditions, d)
+            rows = direct_sum(self.ring, [g for g in self._basis if g.degree == d], kernel)
+            return len(self.standard(d)) - len(kernel), rows
+        return self.kernel_ideal(solve, target)
+
+    def meet(self, other: NormalForms, target: dict[int, int]) -> HomIdeal:
+        """I ∩ J, I this table's ideal and other J's table, given the
+        Hilbert numerator target of S/(I ∩ J) (`kernel_ideal`): in degree
+        d the x of I_d (`piece`) with nf_J(x) = 0 (`_restrict`)."""
+        def solve(d):
+            rows = _restrict(self.piece(d), other)
+            return dim_full_space(self.ring, d) - len(rows), rows
+        return self.kernel_ideal(solve, target)
+
+
+def canonical_conditions(table: NormalForms, forms) -> list[dict]:
+    """The canonical numerators of nf(f) on the table for the forms f, in
     order.  A normal form modulo a Groebner basis is unique, hence linear,
-    so nf_T(x . f) = nf_T(x . nf_T(f)).  A condition with nf_T(f) = 0 is
-    dropped, and so is one whose nf_T(f) is proportional to an earlier
-    one's on the same T, since it gives proportional rows.  The numerators
-    are scaled over their entry at their largest monomial: that scale
-    scales every row alike."""
-    out, seen = [], set()
-    for table, form in conditions:
+    so nf(x . f) = nf(x . nf(f)).  A form with nf(f) = 0 is dropped, and so
+    is one whose nf(f) is proportional to an earlier one's, since it gives
+    proportional rows: the numerators are scaled over their entry at their
+    largest monomial, which scales every row alike, and keyed by their
+    entries."""
+    reduce_row, out = table.ring.field.reduce_row, {}
+    for form in forms:
         nums = table.residue(form)
-        if not nums:
-            continue
-        nums, _ = table.ring.field.reduce_row(nums, nums[max(nums)])
-        key = (table, frozenset(nums.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append((table, nums))
-    return out
+        if nums:
+            nums, _ = reduce_row(nums, nums[max(nums)])
+            out.setdefault(frozenset(nums.items()), nums)
+    return list(out.values())
 
 
-def _direct_sum(ring: PolyRing, piece: list[Poly], kernel: list[dict]) -> list[Poly]:
-    """The reduced echelon basis of I_n ⊕ K, largest leading monomial
-    first, from the reduced bases of I_n (`NormalForms.piece`) and of K,
-    a subspace of the standard monomials' span ({monomial: scalar}, each
-    with leading coefficient 1).  K's vectors are zero at the pivots of
+def direct_sum(ring: PolyRing, piece: list[Poly], kernel: list[dict]) -> list[Poly]:
+    """The reduced echelon basis, largest leading monomial first, of the
+    span of some rows of I_n's reduced echelon basis (`NormalForms.piece`)
+    and of K, a subspace of the standard monomials' span given by its
+    reduced basis ({monomial: scalar}, each with leading coefficient 1):
+    I_n ⊕ K for the whole piece.  K's vectors are zero at the pivots of
     I_n, and are zero at each other's leads, so one pass clears their
     leads from each row of I_n."""
-    if not kernel:
-        return list(piece)
     field = ring.field
     sub, mul, one = field.sub, field.mul, field.one
     leads = {next(iter(k)): k for k in kernel}
@@ -736,26 +715,23 @@ def _direct_sum(ring: PolyRing, piece: list[Poly], kernel: list[dict]) -> list[P
     return out
 
 
-def _restrict(basis: list[Poly], conditions) -> list[Poly]:
+def _restrict(basis: list[Poly], table: NormalForms) -> list[Poly]:
     """The reduced echelon basis, largest leading monomial first, of the x
     in the span of basis (reduced echelon, largest lead first) with
-    nf_T(x . f) = 0 for each condition (T, canonical numerators of
-    nf_T(f)): stage 2 of `NormalForms.annihilator`."""
-    ring = basis[0].ring
+    nf_T(x) = 0, T another ideal's table (`NormalForms.meet`).
+
+    One echelon has the basis vectors as its columns, reversed, and one
+    row per monomial of their normal forms nf_T(v).  Each kernel vector is
+    1 at its free column and otherwise has entries only at basis vectors
+    of smaller lead; each basis vector is reduced, with its terms at or
+    below its lead, so the kernel read back as combinations of the basis
+    is again reduced echelon."""
+    ring = table.ring
     field = ring.field
     add, mul, one = field.add, field.mul, field.one
-    last = len(basis) - 1
-    columns = [field.split(v.terms) for v in reversed(basis)]  # integral, last first
-    monos = list(dict.fromkeys(t for nums, _ in columns for t in nums))
+    last, unit = len(basis) - 1, [(0,) * ring.nvars]
     echelon = Echelon(field, len(basis))
-    for table, nums in conditions:
-        # nf_T(v . f) = sum over the terms c*t of v of c * nf_T(t . f)
-        products = dict(zip(monos, table.shifted(nums, monos)))
-        residues = []
-        for terms, den in columns:
-            acc, d = _accumulate([(x, products[t]) for t, x in terms.items()])
-            residues.append((acc, den * d))
-        _insert_rows(echelon, residues)
+    _insert_rows(echelon, [table.shifted(v.terms, unit)[0] for v in reversed(basis)])
     # x = sum a_c v_c is a_c at the lead of v_c, since each v_c is 1 there
     # and every other basis vector 0; only the other terms take arithmetic
     leads = [v.lm() for v in reversed(basis)]

@@ -55,12 +55,14 @@ so (I : J) is I.  Otherwise (I : J) is the meet of the (I : h).  Each is
 a kernel ideal read degree by degree off normal forms until its leading
 monomials give a known Hilbert numerator (a Hilbert-driven stop,
 `linalg.NormalForms.kernel_ideal`; Traverso, J. Symbolic Comput. 1996):
-(I : h) is the kernel of x ↦ nf_I(x·h), with numerator N(I) − u^(−e)·s
-by the sequence above, s the section numerator.  `intersect` returns
-the smaller ideal's reduced basis when one contains the other, and
-otherwise I ∩ J, the kernel of x ↦ (nf_I(x), nf_J(x)), with numerator
-N(I) + N(J) − N(I + J) from 0 → S/(I ∩ J) → S/I ⊕ S/J → S/(I + J) → 0
-(I + J by `ideal_sum`).
+(I : h) is the kernel of x ↦ nf_I(x·h) (`NormalForms.colon`, solved on
+the standard monomials of S/I with I's reduced basis as I's new rows),
+with numerator N(I) − u^(−e)·s by the sequence above, s the section
+numerator.  `intersect` returns the smaller ideal's reduced basis when
+one contains the other, and otherwise I ∩ J, the x of I that J's table
+reduces to zero (`NormalForms.meet`), with numerator N(I) + N(J) −
+N(I + J) from 0 → S/(I ∩ J) → S/I ⊕ S/J → S/(I + J) → 0 (I + J by
+`ideal_sum`).
 Saturation: a linear I is prime, so (I : m^∞) is I, or (1) when I is m,
 with no run.  Otherwise, for a homogeneous K in degrevlex,
 in(K : x_last^∞) = in(K) : x_last^∞ (Bayer & Stillman, Invent. Math. 1987;
@@ -735,8 +737,7 @@ def intersect(I: HomIdeal, J: HomIdeal) -> HomIdeal:
             return HomIdeal.from_basis(ring, small.groebner())
     target = numerator_add(numerator_add(I.hilbert_numerator(), J.hilbert_numerator()),
                            ideal_sum(I, J).hilbert_numerator(), -1)
-    nf, one = I.normal_forms(), ring.one()
-    return nf.kernel_ideal([(nf, one), (J.normal_forms(), one)], target)
+    return I.normal_forms().meet(J.normal_forms(), target)
 
 
 def _section(I: HomIdeal, g: Poly) -> dict[int, int]:
@@ -771,7 +772,7 @@ def ideal_quotient(I: HomIdeal, J: HomIdeal) -> HomIdeal:
         Q = colons.get(h)
         if Q is None:
             target = numerator_add(I.hilbert_numerator(), sections[h], -1, -h.degree)
-            Q = colons[h] = nf.kernel_ideal([(nf, h)], target)
+            Q = colons[h] = nf.colon(h, target)
         quotients.append(Q)
     return _fold(intersect, quotients)
 

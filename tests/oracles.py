@@ -12,7 +12,9 @@ Tor_j sheaf from a resolution, before transversality read Tor_1 alone),
 rref_oracle_piece (the idealizer oracle's conditions in monomial order,
 then a separate rref),
 monomial_annihilator (the annihilator solved over every degree-n
-monomial, before it read I_n off I's table),
+monomial, as one loop did for the colons, the intersections and the
+idealizer oracle before each read I_n off I's table and solved on the
+standard monomials or on I_n's basis),
 token_parse (the former tokenizer, which matches one token at a time,
 feeding the recursive descent the library parsed with before it read
 each term straight into a term dict)
@@ -536,12 +538,16 @@ def rref_oracle_piece(scene, n, forms):
 
 def monomial_annihilator(table, conditions, n):
     """The reduced echelon basis of {x in S_n : nf_T(x . f) = 0 for every
-    condition (T, f)}, as linalg.NormalForms.annihilator solved it before
-    it split the conditions by table: one echelon whose columns are all the
-    degree-n monomials, reversed, with one row per (condition, monomial of
-    a residue); read back last kernel vector first, the kernel is the
-    reduced echelon form.  Conditions with a zero or proportional normal
-    form on the same table are skipped."""
+    condition (T, f)}, T a table of the ring, solved in one echelon whose
+    columns are all the degree-n monomials, reversed, with one row per
+    (condition, monomial of a residue); read back last kernel vector
+    first, the kernel is the reduced echelon form.  Conditions with a zero
+    or proportional normal form on the same table are skipped.  The
+    library answers the same questions with no such echelon: the forms
+    of one table's own ideal I as I_n plus the subspace of (S/I)_n that
+    they cut (linalg.NormalForms.quotient_kernel, linalg.direct_sum), and
+    the conditions (I's table, 1), (J's table, 1) as the part of I_n that
+    J's table reduces to zero (linalg._restrict)."""
     from math import lcm as _lcm
 
     from geomideal import linalg

@@ -506,6 +506,25 @@ def test_missing_file_exit_two(tmp_path, capsys):
     assert main(["gb", str(tmp_path / "absent.scene")]) == 2
 
 
+def test_scene_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "bytes.scene"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["gb", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("geomideal: cannot read scene: 'utf-8' codec can't decode")
+
+
+def test_stdin_scene_that_is_not_utf8_exits_two(monkeypatch, capsys):
+    import io
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["gb", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("geomideal: cannot read scene: 'utf-8' codec can't decode")
+
+
 def test_usage_error_exit_two(tmp_path, capsys):
     assert main(["tor", scene_path(tmp_path, MINIMAL_P1)]) == 2
     assert "against" in capsys.readouterr().err

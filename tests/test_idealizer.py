@@ -676,7 +676,7 @@ def test_idealizer_command_builds_no_whole_degree(monkeypatch):
     pieces filled every monomial of degrees 1 to 5 and more.  A point of
     P^6 at maxdeg 12 and horizon 1 ends with 19 entries, not 50388."""
     calls = []
-    for name in ("_degree", "piece", "monomials"):
+    for name in ("piece", "monomials"):
         monkeypatch.setattr(linalg.NormalForms, name,
                             lambda self, n, name=name: calls.append(name))
     tables = []

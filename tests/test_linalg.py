@@ -5,10 +5,11 @@ Gauss-Jordan passes that share no code with `geomideal.linalg`; the
 properties below are over Q, GF(7) and GF(32003), on small matrices with
 many zeros, non-integral entries, zero rows and repeated rows, so that
 rank drops are common.  The table of monomial normal forms is checked against
-`polykernel.normal_form`, and its annihilator against
-`oracles.monomial_annihilator`, the solve over every monomial of the
-degree.  The polynomial-matrix helpers are checked
-against the Leibniz formula and the oracle's naive division.
+`polykernel.normal_form`, and its two solves, the subspace of (S/I)_n
+that forms cut on the table's own ideal and the part of I_n that another
+table reduces to zero, against `oracles.monomial_annihilator`, the solve
+over every monomial of the degree.  The polynomial-matrix helpers are
+checked against the Leibniz formula and the oracle's naive division.
 """
 
 import math
@@ -218,22 +219,26 @@ def test_standard_monomials_are_read_with_no_entry_filled(texts):
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
 @pytest.mark.parametrize("name", sorted(NF_IDEALS))
 def test_annihilator_keeps_one_condition_per_normal_form(field, name, monkeypatch):
-    """Conditions whose normal forms on one table are proportional give
-    proportional rows, so the annihilator keeps one of them: adding to f
-    its rescaled copies, a copy shifted by an element of I, and forms in
-    the ideal of either table leaves the annihilator and the echelon rows
+    """Forms whose normal forms on the table are proportional give
+    proportional rows, so canonical_conditions keeps one of them: adding
+    to f its rescaled copies, a copy shifted by an element of I, and forms
+    in I leaves the conditions, the kernel on (S/I)_n and the echelon rows
     inserted as they were for f alone.  Over GF(7) the normal form of
     (x0 - x2)*x1 modulo (x0 - x2) accumulates 1 + 6 = 7 before it is
-    reduced to zero."""
+    reduced to zero, so that form gives no condition."""
     ring = PolyRing(field, 3)
     I = HomIdeal.from_strings(ring, NF_IDEALS[name])
     table = I.normal_forms()
     other = HomIdeal.from_strings(ring, ["x0 - x2"]).normal_forms()
+    assert linalg.canonical_conditions(other, [ring.parse("(x0 - x2)*x1")]) == []
     f, h = ring.parse("x0*x1 + 2*x1^2 - x2^2"), I.groebner()[-1]
     in_i = h * ring.variable(1) if h.degree == 1 else h
-    extra = [(table, f.scale(field.from_int(3))), (table, f + in_i), (table, in_i),
-             (table, ring.parse("8*x0*x1 + 16*x1^2 - 8*x2^2")),
-             (other, ring.parse("(x0 - x2)*x1"))]
+    extra = [f.scale(field.from_int(3)), f + in_i, in_i,
+             ring.parse("8*x0*x1 + 16*x1^2 - 8*x2^2")]
+    want = linalg.canonical_conditions(table, [f])
+    assert len(want) == 1
+    assert linalg.canonical_conditions(table, [f, *extra]) == want
+    assert linalg.canonical_conditions(table, [*extra[::-1], f]) == want
     inserts = []
     real_insert = linalg.Echelon.insert
 
@@ -243,13 +248,13 @@ def test_annihilator_keeps_one_condition_per_normal_form(field, name, monkeypatc
 
     monkeypatch.setattr(linalg.Echelon, "insert", counted)
     for n in range(4):
-        for conditions in ([(table, f)], [(table, f), (other, f)]):
-            inserts.clear()
-            want = table.annihilator(conditions, n)
-            rows = list(inserts)
-            inserts.clear()
-            assert table.annihilator(conditions + extra, n) == want
-            assert inserts == rows
+        inserts.clear()
+        kernel = table.quotient_kernel(want, n)
+        rows = list(inserts)
+        inserts.clear()
+        conditions = linalg.canonical_conditions(table, [f, *extra])
+        assert table.quotient_kernel(conditions, n) == kernel
+        assert inserts == rows
 
 
 def _form(draw, ring, deg):
@@ -297,74 +302,93 @@ def _family_ideal(draw, ring, family) -> tuple[HomIdeal, list]:
 
 
 @st.composite
-def annihilator_case(draw):
-    """(table, conditions, n): conditions on I's own table only, on it and
-    on another ideal's table, or on the other table only, with zero,
-    rescaled and shifted copies.  On I's table a zero divisor of its
-    family, when it has one, cuts a nonzero K, and a standard monomial t
-    with t*S_n inside I, when there is one, makes K all of (S/I)_n, so
-    that stage 1 has rank 0."""
+def own_table_case(draw):
+    """(table, forms, n): forms on I's own table, with zero, rescaled and
+    shifted copies and an element of I.  A zero divisor of I's family, when
+    it has one, cuts a nonzero K, and a standard monomial t with t*S_n
+    inside I (a socle form), when there is one, makes K all of (S/I)_n, so
+    that the echelon has rank 0."""
     field = draw(st.sampled_from(FIELDS))
     family = draw(st.sampled_from(["point", "fat point", "twisted cubic", "forms", "artinian"]))
     ring = PolyRing(field, 4 if family == "twisted cubic" else draw(st.integers(2, 4)))
     I, zero_divisors = _family_ideal(draw, ring, family)
-    J, _ = _family_ideal(draw, ring, draw(st.sampled_from(["point", "forms"])))
-    n = draw(st.integers(0, 3))
-    kind = draw(st.sampled_from(["own", "own and other", "other"]))
-    conditions = []
-    for ideal, wanted in ((I, kind != "other"), (J, kind != "own")):
-        if not wanted:
-            continue
-        table, gb = ideal.normal_forms(), ideal.groebner()
-        forms = [_form(draw, ring, draw(st.integers(0, 2)))
-                 for _ in range(draw(st.integers(1, 2)))]
-        conditions += [(table, f) for f in forms]
-        f = forms[0]
-        if draw(st.booleans()):
-            conditions.append((table, ring.zero()))
-        if gb and draw(st.booleans()):
-            conditions.append((table, gb[-1]))
-        if draw(st.booleans()):
-            conditions.append((table, f.scale(field.from_int(draw(st.sampled_from([2, -3]))))))
-        if gb and draw(st.booleans()):
-            shift = gb[0] * ring.monomial(draw(st.sampled_from(monomials_of_degree(ring, 1))))
-            conditions.append((table, f + shift))
     table, gb = I.normal_forms(), list(I.groebner())
-    own = draw(st.sampled_from(["random", "zero divisor", "all of (S/I)_n"]))
-    if kind != "other" and own != "random":
+    n = draw(st.integers(0, 3))
+    forms = [_form(draw, ring, draw(st.integers(0, 2))) for _ in range(draw(st.integers(1, 2)))]
+    f = forms[0]
+    if draw(st.booleans()):
+        forms.append(ring.zero())
+    if gb and draw(st.booleans()):
+        forms.append(gb[-1])
+    if draw(st.booleans()):
+        forms.append(f.scale(field.from_int(draw(st.sampled_from([2, -3])))))
+    if gb and draw(st.booleans()):
+        forms.append(f + gb[0] * ring.monomial(draw(st.sampled_from(monomials_of_degree(ring, 1)))))
+    own = draw(st.sampled_from(["random", "zero divisor", "socle"]))
+    if own != "random":
         # in place of the random forms, which mostly leave K = 0
-        standard = [m for m in table.monomials(n) if m in table._table[m][0]]
+        standard = table.standard(n)
         chosen = zero_divisors if own == "zero divisor" else [
-            ring.monomial(t) for e in (1, 2, 3) for t in table.monomials(e)
-            if t in table._table[t][0]
-            and all(normal_form(ring.monomial(t) * ring.monomial(s), gb).is_zero()
-                    for s in standard)]
+            ring.monomial(t) for e in (1, 2, 3) for t in table.standard(e)
+            if all(normal_form(ring.monomial(t) * ring.monomial(s), gb).is_zero()
+                   for s in standard)]
         if chosen:
-            conditions = [c for c in conditions if c[0] is not table]
-            conditions.append((table, draw(st.sampled_from(chosen))))
-    order = draw(st.permutations(range(len(conditions))))
-    return table, [conditions[i] for i in order], n
+            forms = [draw(st.sampled_from(chosen))]
+    order = draw(st.permutations(range(len(forms))))
+    return table, [forms[i] for i in order], n
+
+
+def _same_rows(got, want):
+    assert [f.terms for f in got] == [f.terms for f in want]
+    assert [f.lt() for f in got] == [f.lt() for f in want]
 
 
 @settings(max_examples=400, deadline=None)
-@given(annihilator_case())
+@given(own_table_case())
 def test_annihilator_matches_the_solve_over_every_monomial(case):
-    """I_n plus the subspace K of (S/I)_n that the conditions on I's table
-    cut, then the conditions on other tables solved on that basis, are
+    """I_n plus the subspace K of (S/I)_n that forms on I's own table cut,
+    solved on the standard monomials (quotient_kernel, direct_sum), are
     the rows of the solve over every degree-n monomial: the same terms,
     leading terms and order."""
-    table, conditions, n = case
-    got = table.annihilator(conditions, n)
-    want = oracles.monomial_annihilator(table, conditions, n)
-    assert [f.terms for f in got] == [f.terms for f in want]
-    assert [f.lt() for f in got] == [f.lt() for f in want]
+    table, forms, n = case
+    kernel = table.quotient_kernel(linalg.canonical_conditions(table, forms), n)
+    assert len(kernel) <= len(table.standard(n))
+    got = linalg.direct_sum(table.ring, table.piece(n), kernel)
+    _same_rows(got, oracles.monomial_annihilator(table, [(table, f) for f in forms], n))
+
+
+@st.composite
+def intersection_case(draw):
+    """(I's table, J's table, n): I of any family above, J a point, a fat
+    point or one to three random forms."""
+    field = draw(st.sampled_from(FIELDS))
+    family = draw(st.sampled_from(["point", "fat point", "twisted cubic", "forms", "artinian"]))
+    ring = PolyRing(field, 4 if family == "twisted cubic" else draw(st.integers(2, 4)))
+    I, _ = _family_ideal(draw, ring, family)
+    J, _ = _family_ideal(draw, ring, draw(st.sampled_from(["point", "fat point", "forms"])))
+    return I.normal_forms(), J.normal_forms(), draw(st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(intersection_case())
+def test_intersection_rows_match_the_solve_over_every_monomial(case):
+    """The x of I_n that J's table reduces to zero, solved on I_n's reduced
+    basis (_restrict), are the rows of (I ∩ J)_n solved over every
+    degree-n monomial with the conditions nf_I(x) = nf_J(x) = 0."""
+    table, other, n = case
+    one = table.ring.one()
+    got = linalg._restrict(table.piece(n), other)
+    _same_rows(got, oracles.monomial_annihilator(table, [(table, one), (other, one)], n))
 
 
 def test_annihilator_of_a_socle_condition_is_everything():
     """Modulo (x0^2, x1^2) the form x0*x1 is outside I, yet x0*x1*S_1 is
     inside it: its one condition has rank 0 on the standard monomials of
-    degree 1, so K is all of (S/I)_1 and the annihilator is all of S_1."""
+    degree 1, so K is all of (S/I)_1, and with I_1 = 0 the solve is all
+    of S_1."""
     ring = PolyRing(QQ, 2)
     table = HomIdeal.from_strings(ring, ["x0^2", "x1^2"]).normal_forms()
-    got = table.annihilator([(table, ring.parse("x0*x1"))], 1)
+    kernel = table.quotient_kernel(linalg.canonical_conditions(table, [ring.parse("x0*x1")]), 1)
+    assert kernel == [{(1, 0): 1}, {(0, 1): 1}]
+    got = linalg.direct_sum(ring, table.piece(1), kernel)
     assert [f.terms for f in got] == [{(1, 0): 1}, {(0, 1): 1}]

@@ -463,15 +463,14 @@ horizon 6
 def _count_colon_work(monkeypatch):
     """Record the verdict of each Hilbert nonzerodivisor test (a zero section
     numerator), the size of each module Groebner run, each groebner_basis
-    call made inside a colon of the idealizer, and the degrees of the
-    condition forms of each Hilbert-driven kernel run
-    (NormalForms.kernel_ideal): [e] for a zero-divisor colon by a form of
-    degree e, [0, 0] for an intersection."""
+    call made inside a colon of the idealizer, and each Hilbert-driven
+    kernel run: [e] for a zero-divisor colon by a form of degree e
+    (NormalForms.colon), [0, 0] for an intersection (NormalForms.meet)."""
     work = {"tests": [], "runs": [], "gb_inside": [], "kernels": []}
     inside = []
     real_test, real_module_gb = polykernel._section, freemod.module_groebner
     real_gb, real_quotient = polykernel.groebner_basis, idealizer.ideal_quotient
-    real_kernel = NormalForms.kernel_ideal
+    real_colon, real_meet = NormalForms.colon, NormalForms.meet
 
     def counting_test(I, g):
         section = real_test(I, g)
@@ -494,12 +493,17 @@ def _count_colon_work(monkeypatch):
         finally:
             inside.pop()
 
-    def counting_kernel(table, conditions, target):
-        work["kernels"].append([f.degree for _, f in conditions])
-        return real_kernel(table, conditions, target)
+    def counting_colon(table, h, target):
+        work["kernels"].append([h.degree])
+        return real_colon(table, h, target)
+
+    def counting_meet(table, other, target):
+        work["kernels"].append([0, 0])
+        return real_meet(table, other, target)
 
     monkeypatch.setattr(polykernel, "_section", counting_test)
-    monkeypatch.setattr(NormalForms, "kernel_ideal", counting_kernel)
+    monkeypatch.setattr(NormalForms, "colon", counting_colon)
+    monkeypatch.setattr(NormalForms, "meet", counting_meet)
     monkeypatch.setattr(freemod, "module_groebner", counting_module_gb)
     monkeypatch.setattr(polykernel, "groebner_basis", counting_gb)
     monkeypatch.setattr(idealizer, "ideal_quotient", counting_quotient)
@@ -517,6 +521,60 @@ def test_p5_moving_point_colon_takes_the_domain_exit(tmp_path, monkeypatch):
     path.write_text(P5_MOVING_POINT)
     assert cli.main(["colon", str(path)]) == 0
     assert work == {"tests": [], "runs": [], "gb_inside": [], "kernels": []}
+
+
+# a curvilinear point of length 4 of P^5, supported at the sigma-fixed
+# vertex [0 : ... : 0 : 1]
+P5_LENGTH_FOUR_POINT = """\
+field rational
+dim 5
+sigma
+1 0 0 0 0 0
+0 2 0 0 0 0
+0 0 3 0 0 0
+0 0 0 5 0 0
+0 0 0 0 7 0
+0 0 0 0 0 11
+ideal
+x0 + x1
+x2
+x3
+x4
+x0^4
+end
+horizon 8
+"""
+
+
+def test_zero_divisor_colon_fills_no_whole_degree(monkeypatch):
+    """A zero-divisor colon (NormalForms.colon) offers I's reduced basis
+    elements as I_d's new rows and solves on the standard monomials of
+    (S/I)_d, so its scan fills no whole degree of a table and builds no
+    piece of I.  The `colon` scan of fat_point ends with tables of 3 and
+    6 entries, and that of the length-4 point of P^5 (horizon 8) with one
+    of 18, where building each degree's piece of I filled 8 and 92.
+    Every colon of both scans is larger than I."""
+    work = _count_colon_work(monkeypatch)
+    calls = []
+    for name in ("piece", "monomials"):
+        monkeypatch.setattr(NormalForms, name, lambda self, n, name=name: calls.append(name))
+    tables = []
+    init = NormalForms.__init__
+
+    def counting_init(self, *args):
+        tables.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(NormalForms, "__init__", counting_init)
+    fat_point = (Path(__file__).resolve().parents[1] / "scenes" / "fat_point.scene").read_text()
+    for text, sizes in ((fat_point, [3, 6]), (P5_LENGTH_FOUR_POINT, [18])):
+        tables.clear()
+        work["kernels"].clear()
+        rows = cli.run_colon(cli.parse_scene(text))
+        assert [r["status"] for r in rows if r["record"] == "colon"] == ["larger"] * 8
+        assert work["kernels"] and all(len(k) == 1 for k in work["kernels"])
+        assert calls == []
+        assert [len(t._table) for t in tables] == sizes
 
 
 @given(st.data())
@@ -1330,7 +1388,8 @@ def test_zero_divisor_colon_matches_elimination(case):
     colons nor that intersection runs a module Groebner basis.  Each (I : g)
     has the Hilbert numerator N(I) − u^(−e)·s of its section s, and in
     every degree d <= 5 its piece has the dimension of the annihilator of g
-    in S_d."""
+    in S_d, solved over every monomial of S_d, and that of I_d plus the
+    subspace of (S/I)_d that g cuts."""
     I, gens = case
     ring = I.ring
     J = HomIdeal(ring, gens)
@@ -1346,7 +1405,10 @@ def test_zero_divisor_colon_matches_elimination(case):
         assert Q.hilbert_numerator() == polykernel.numerator_add(
             I.hilbert_numerator(), section, -1, -g.degree)
         for d in range(6):
-            assert len(nf.annihilator([(nf, g)], d)) == dim_ideal_piece(Q, d)
+            want = dim_ideal_piece(Q, d)
+            assert len(oracles.monomial_annihilator(nf, [(nf, g)], d)) == want
+            kernel = nf.quotient_kernel(linalg.canonical_conditions(nf, [g]), d)
+            assert dim_ideal_piece(I, d) + len(kernel) == want
 
 
 @st.composite
@@ -1486,20 +1548,19 @@ def test_hilbert_driven_colon_rejects_a_wrong_section():
     def colon_target(s):
         return polykernel.numerator_add(I.hilbert_numerator(), s, -1, -g.degree)
 
-    assert (nf.kernel_ideal([(nf, g)], colon_target(section)).groebner()
+    assert (nf.colon(g, colon_target(section)).groebner()
             == (RQ.parse("x0"), RQ.parse("x1")))
     for wrong, degree in (({}, 1), ({**section, 5: -1, 6: 1}, 4)):
         with pytest.raises(AssertionError, match=f"in degree {degree},"):
-            nf.kernel_ideal([(nf, g)], colon_target(wrong))
+            nf.colon(g, colon_target(wrong))
     P, Q = HomIdeal.from_strings(RQ, ["x0", "x1"]), HomIdeal.from_strings(RQ, ["x1", "x2"])
-    tables, one = [P.normal_forms(), Q.normal_forms()], RQ.one()
-    conditions = [(table, one) for table in tables]
+    tables = [P.normal_forms(), Q.normal_forms()]
     meet = {0: 1, 1: -1, 2: -1, 3: 1}
-    assert (tables[0].kernel_ideal(conditions, meet).groebner()
+    assert (tables[0].meet(tables[1], meet).groebner()
             == intersect(P, Q).groebner() == (RQ.parse("x0*x2"), RQ.parse("x1")))
     for wrong, degree in (({0: 2, 1: -4, 2: 2}, 0), ({**meet, 3: 2, 4: -1}, 3)):
         with pytest.raises(AssertionError, match=f"in degree {degree},"):
-            tables[0].kernel_ideal(conditions, wrong)
+            tables[0].meet(tables[1], wrong)
     with mock.patch.object(polykernel, "ideal_sum", return_value=P), \
             pytest.raises(AssertionError, match="in degree 1,"):
         intersect(HomIdeal(RQ, P.gens), HomIdeal(RQ, Q.gens))
