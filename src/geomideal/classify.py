@@ -45,7 +45,7 @@ from .geometry import (
     critical_transversality_certificate,
     forward_orbit_hits,
     projective_order,
-    _unipotent_part,
+    rational_spectrum,
 )
 from .homology import QuotientTorReport, point_coordinates, truncated_tor_over_quotient
 from .idealizer import IdealizerScene, stabilization_degree
@@ -104,39 +104,42 @@ class _PowerScan:
 def sigma_ideal_order(ideal: HomIdeal, sigma: ProjAutomorphism,
                       bound: int) -> OrderResult:
     """sigma-order of an ideal under pullback, searched to bound and then
-    extended by a certificate when the automorphism admits one.
+    extended by a certificate when the automorphism admits one: the
+    component group of sigma's closure when sigma splits over Q, and the
+    finite matrix group over a prime field.
 
-    Certificates: the eigenclass obstruction for diagonal sigma over Q,
-    rigidity for unipotent sigma (a subspace fixed by some power is fixed
-    by sigma itself), and the finite matrix group over a prime field.
-
-    Eigenclass obstruction.  A diagonal sigma^n fixes I exactly when every
-    graded piece I_m is the sum of its pieces in the sigma^n-eigenspaces,
-    which are spanned by monomials.  Over Q, monomials with equal
-    eigenvalue under sigma^n have equal |eigenvalue| under sigma, and
-    sigma^2 groups monomials by exactly that |eigenvalue|; so if sigma^n
-    fixes I, so does sigma^2, and when sigma^2 does not fix I no power
-    does.  The direct scan has already tried n = 2 when bound >= 2.
-
-    Both certificates also bound the scan: a diagonal sigma over Q fixes I
-    with some power only if sigma or sigma^2 does, and a unipotent one only
-    if sigma does, so no later power is pulled back.
+    Split spectrum.  Let H be the Zariski closure of <sigma> in PGL_(d+1)
+    and G the stabilizer of I, a closed subgroup.  If sigma^m fixes I, the
+    closure of <sigma^m> has finite index in H, so it contains the identity
+    component H°, and so does G; and sigma^c lies in H° for c = [H : H°].
+    So some power of sigma fixes I exactly when sigma^c does.  With sigma =
+    su its Jordan decomposition, the closure of <u> is connected, and c is
+    the order of the torsion of the group the eigenvalue ratios of s
+    generate (Borel, Linear Algebraic Groups, §4.7 and §8; Humphreys,
+    Linear Algebraic Groups, §15-16).  When every eigenvalue is rational
+    (geometry.rational_spectrum) that torsion lies in {±1}: c = 1 when the
+    eigenvalues share a sign, and c divides 2 otherwise.  So the scan stops
+    at n = c, and a miss there rules out every power.  The tag names the
+    case: "eigenclass-obstruction" for a diagonal sigma (its eigenspaces
+    are spanned by monomials), "unipotent-rigidity" for one eigenvalue
+    (sigma = c * (I + N)), "split-spectrum" for every other split sigma.
+    With bound < c, sigma^c is still tried, and fixing I it leaves the
+    order open.
     """
     if bound < 1:
         raise ValueError("order bound must be >= 1")
     field = sigma.ring.field
-    diagonal = field.char == 0 and sigma.is_diagonal()
-    unipotent = field.char == 0 and not diagonal and _unipotent_part(sigma) is not None
-    last = 2 if diagonal else 1 if unipotent else bound
+    spectrum = rational_spectrum(sigma)
+    last = bound if spectrum is None else 1 + (min(spectrum) < 0 < max(spectrum))
     scan = _PowerScan(ideal, sigma)
     for n in range(1, min(bound, last) + 1):
         if scan.fixes(n):
             return OrderResult(n, False, "direct-power-match")
-    if diagonal:
-        if bound >= 2 or not scan.fixes(2):
-            return OrderResult(None, True, "eigenclass-obstruction")
-    elif unipotent:
-        return OrderResult(None, True, "unipotent-rigidity")
+    if spectrum is not None:
+        if bound >= last or not scan.fixes(last):
+            return OrderResult(None, True, "eigenclass-obstruction" if sigma.is_diagonal()
+                               else "unipotent-rigidity" if len(set(spectrum)) == 1
+                               else "split-spectrum")
     elif field.char != 0:
         k = projective_order(sigma)
         if k is not None:

@@ -38,18 +38,30 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
+# psi_13, the least strong pseudoprime to the 13 bases 2, 3, ..., 41
+# (Sorenson and Webster, Math. Comp. 2017): is_prime is exact below it
+PRIME_BOUND = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n < 3.3e24."""
+    """Deterministic Miller-Rabin with the bases 2, 3, ..., 41, exact for
+    every n < PRIME_BOUND; a larger n raises ValueError.  The 12 bases up to
+    37 alone pass psi_12 = 318665857834031151167461 = 399165290221 *
+    798330580441."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"modulus {n} is not below {PRIME_BOUND}, where "
+                         "primality is decided exactly")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

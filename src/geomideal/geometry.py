@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from . import linalg
@@ -41,7 +41,7 @@ from .fields import QQ
 from .homology import meets, tor1_sheaf_vanishes
 from .idealizer import IdealizerScene
 from .polykernel import HomIdeal, PolyRing, Substitution, hilbert_dimension
-from .twist import ProjAutomorphism, _dot, _mat_mul, _mat_pow, is_scalar_matrix
+from .twist import ProjAutomorphism, _dot, _mat_mul, is_scalar_matrix
 
 RATIONAL_SUBSTITUTE_NOTE = (
     "eigenvalue ratios multiplicatively independent used as the rational-"
@@ -223,24 +223,74 @@ def _orbit_exponential_terms(sigma: ProjAutomorphism, p: RationalPoint,
     return {b: c for b, c in out.items() if c != 0}
 
 
-def _unipotent_part(sigma: ProjAutomorphism):
-    """(c, N) with sigma = c * (I + N) and N nilpotent, or None, over a field
-    of characteristic 0.
+ROOT_CAP = 1000  # integers r >= 1 tried, with -r, as eigenvalues of sigma's scaled matrix
 
-    Such a c is the only eigenvalue of sigma, so c = trace / (d + 1)."""
+
+def rational_spectrum(sigma: ProjAutomorphism) -> tuple | None:
+    """sigma's eigenvalues with multiplicity when all of them lie in Q, else
+    None; None over GF(p) too.
+
+    A diagonal sigma has its entries.  Any other sigma is scaled to the
+    primitive integer matrix A = (L/g) * sigma (L the lcm of the entries'
+    denominators, g the gcd of the numerators so scaled), whose
+    characteristic polynomial is monic over Z by Faddeev-LeVerrier: each
+    of its divisions by k is exact, so it runs on ints with //.  Its
+    rational roots are then integers dividing the constant coefficient
+    (det A up to sign, nonzero), and when every root is real, r^2 <= tr(A^2),
+    the sum of their squares.  Candidates: tr(A)/n first (the one
+    eigenvalue of a scaled unipotent matrix), then r and -r for
+    r = 1, 2, ... while r^2 <= tr(A^2), up to ROOT_CAP, each root found
+    divided out by synthetic division.  sigma's eigenvalues are the roots
+    times g/L.  A polynomial left with a factor when the candidates run out
+    has a root that is not rational, or one past the cap: None."""
     field = sigma.ring.field
-    n = sigma.ring.nvars
-    M = sigma.matrix
-    trace = field.zero
-    for i in range(n):
-        trace = field.add(trace, M[i][i])
-    if field.is_zero(trace):
+    if field.char != 0:
         return None
-    c = field.div(trace, field.from_int(n))
-    N = tuple(tuple(field.sub(field.div(M[i][j], c), field.one if i == j else field.zero)
-                    for j in range(n)) for i in range(n))
-    nilpotent = all(field.is_zero(e) for row in _mat_pow(field, N, n) for e in row)
-    return (c, N) if nilpotent else None
+    if sigma.is_diagonal():
+        return sigma.diagonal_entries()
+    den = lcm(*(x.denominator for row in sigma.matrix for x in row))
+    A = [[x.numerator * (den // x.denominator) for x in row] for row in sigma.matrix]
+    g = gcd(*(x for row in A for x in row))
+    A = [[x // g for x in row] for row in A]
+    n = len(A)
+    poly, power = [1], A
+    for k in range(1, n + 1):  # power = A M_k: M_1 = I, M_(k+1) = A M_k + c_(n-k) I
+        c = -sum(power[i][i] for i in range(n)) // k
+        poly.append(c)
+        if k < n:
+            power = [[sum(a * (b + c * (i == j)) for j, (a, b) in enumerate(zip(row, col)))
+                      for i, col in enumerate(zip(*power))] for row in A]
+    # tr A = e1 and tr A^2 = e1^2 - 2 e2, for poly = t^n - e1 t^(n-1) + e2 t^(n-2) ...
+    trace, sum_squares = -poly[1], poly[1] ** 2 - 2 * poly[2]
+    candidates = [trace // n] if trace and trace % n == 0 else []
+    candidates += [s * r for r in range(1, min(ROOT_CAP, isqrt(max(sum_squares, 0))) + 1)
+                   for s in (1, -1)]
+    roots = []
+    for r in candidates:
+        while len(poly) > 1 and poly[-1] % r == 0:
+            quotient = [poly[0]]
+            for c in poly[1:]:  # Horner: the last entry is poly(r)
+                quotient.append(quotient[-1] * r + c)
+            if quotient.pop():
+                break
+            poly = quotient
+            roots.append(field.div(r * g, den))
+        if len(poly) == 1:
+            return tuple(roots)
+    return None
+
+
+def _unipotent_part(sigma: ProjAutomorphism):
+    """(c, N) with sigma = c * (I + N) and N nilpotent, or None: c is
+    sigma's one eigenvalue over Q (rational_spectrum), and then N is
+    nilpotent by Cayley-Hamilton."""
+    spectrum = rational_spectrum(sigma)
+    if spectrum is None or len(set(spectrum)) != 1:
+        return None
+    field, c = sigma.ring.field, spectrum[0]
+    N = tuple(tuple(field.sub(field.div(x, c), field.one if i == j else field.zero)
+                    for j, x in enumerate(row)) for i, row in enumerate(sigma.matrix))
+    return c, N
 
 
 def _orbit_class_bounds(p: RationalPoint, sigma: ProjAutomorphism, Z: HomIdeal):
@@ -405,34 +455,49 @@ class MultIndependence(NamedTuple):
     witness: tuple[int, ...] | None  # integer exponents with product 1
 
 
-def _factor(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime integers > 1 of which each of the given positive
+    integers is a product of powers, by gcds alone: a pair with a common
+    factor g > 1 is replaced by its two quotients and g, which lowers the
+    product of the numbers in play, until no pair has one."""
+    base, work = [], [n for n in numbers if n > 1]
+    while work:
+        a = work.pop()
+        for i, b in enumerate(base):
+            g = gcd(a, b)
+            if g > 1:
+                del base[i]
+                work += [x for x in (a // g, b // g, g) if x > 1]
+                break
+        else:
+            base.append(a)
+    return base
+
+
+def _valuation(n: int, q: int) -> int:
+    k = 0
+    while n % q == 0:
+        n //= q
+        k += 1
+    return k
 
 
 def multiplicative_independence(values) -> MultIndependence:
+    """Rank of the multiplicative group the nonzero rationals generate,
+    with an integer relation when they are dependent.  The exponents are
+    read over a coprime base of the numerators and denominators, with no
+    factoring: the base elements have disjoint prime supports, so the
+    exponent rows over the base span the rows over the primes, and the
+    relations are the same."""
     vals = tuple(Fraction(v) for v in values)
     if any(v == 0 for v in vals):
         raise ValueError("zero entry: multiplicative independence undefined")
-    exps = []
-    for v in vals:
-        e = _factor(v.numerator)
-        for q, k in _factor(v.denominator).items():
-            e[q] = e.get(q, 0) - k
-        exps.append({q: k for q, k in e.items() if k})
-    primes = tuple(sorted({q for e in exps for q in e}))
+    base = _coprime_base([abs(n) for v in vals for n in (v.numerator, v.denominator)])
     # the relations are the left kernel of the exponent matrix (one row per
-    # value, one column per prime), and its rank is len(vals) - len(kernel)
-    transposed = [[e.get(q, 0) for e in exps] for q in primes]
+    # value, one column per base element), and its rank is len(vals) -
+    # len(kernel)
+    transposed = [[_valuation(v.numerator, q) - _valuation(v.denominator, q) for v in vals]
+                  for q in base]
     kern = linalg.kernel_basis(QQ, transposed, len(vals))
     rank = len(vals) - len(kern)
     if not kern:

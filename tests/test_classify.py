@@ -1,7 +1,9 @@
 """Component split and classification-table tests.
 
-The sigma-order engine is checked against hand-derived orders on all three
-certificate routes (eigenclass, unipotent, finite matrix group); the verdict
+The sigma-order engine is checked against hand-derived orders on both
+certificate routes (the split-spectrum rule, under its eigenclass, unipotent
+and split-spectrum tags, and the finite matrix group), and the split rule
+against a Groebner scan of random split sigma; the verdict
 table is pinned row-for-row on the moving-point, fat-point, degenerate, and
 quotient-probe scenes, and as rendered text on the unstable and stable
 regimes that no shipped scene reaches.  The hypotheses record of each
@@ -189,11 +191,13 @@ def test_order_unipotent_rigidity():
 
 
 def test_order_scan_stops_where_the_certificates_decide(monkeypatch):
-    """At bound 12 a diagonal sigma pulls back at most sigma and sigma^2,
-    and the shear only sigma itself.  Each power is tried generator by
-    generator and stops at the first pullback outside I, and sigma^2 steps
-    that generator's pullback by sigma, so each power shows up once here,
-    as one step."""
+    """At bound 12 a split sigma pulls back sigma^n for n up to c, the
+    component count of its closure: sigma alone when the eigenvalues share
+    a sign (diag(1, 2, 3) and the shear), sigma and sigma^2 when they do
+    not (diag(1, -1, 2)).  Each power is tried generator by generator and
+    stops at the first pullback outside I, and sigma^2 steps that
+    generator's pullback by sigma, so each power shows up once here, as
+    one step."""
     powers = []
     pullback = ProjAutomorphism.pullback
 
@@ -203,7 +207,7 @@ def test_order_scan_stops_where_the_certificates_decide(monkeypatch):
 
     monkeypatch.setattr(ProjAutomorphism, "pullback", counted)
     r = sigma_ideal_order(pt("[1:1:1]").ideal(RQ), SIGMA, 12)
-    assert r.justification == "eigenclass-obstruction" and powers == [1, 1]
+    assert r.justification == "eigenclass-obstruction" and powers == [1]
     neg = ProjAutomorphism.diagonal(RQ, ["1", "-1", "2"])
     powers.clear()
     assert sigma_ideal_order(ideal("x0 + x1"), neg, 12).order == 2
@@ -323,14 +327,90 @@ def test_order_bound_validation():
         sigma_ideal_order(ideal("x0"), SIGMA, 0)
 
 
-def test_order_triangular_sigma_exhausts_bound():
-    # neither diagonal nor unipotent: no certificate route
-    tri = ProjAutomorphism.from_strings(
-        RQ, [["1", "1", "0"], ["0", "2", "0"], ["0", "0", "1"]]
-    )
-    r = sigma_ideal_order(pt("[1:1:1]").ideal(RQ), tri, 3)
-    assert r.order is None
-    assert not r.certified_infinite
+# a sigma that does not split over Q: 2x2 block [[2, 1], [1, 1]] with the
+# irrational eigenvalues (3 ± sqrt 5)/2, and the eigenvalue 1
+NON_SPLIT = ProjAutomorphism.from_strings(
+    RQ, [["2", "1", "0"], ["1", "1", "0"], ["0", "0", "1"]]
+)
+# upper triangular with the eigenvalues 1, 2, 1: split over Q, neither
+# diagonal nor one eigenvalue
+TRIANGULAR = ProjAutomorphism.from_strings(
+    RQ, [["1", "1", "0"], ["0", "2", "0"], ["0", "0", "1"]]
+)
+
+
+def test_order_non_split_sigma_exhausts_bound():
+    # no certificate route: the scan runs to the bound and decides nothing
+    r = sigma_ideal_order(pt("[1:1:1]").ideal(RQ), NON_SPLIT, 3)
+    assert r == (None, False, "order-bound-exhausted")
+    assert geometry.rational_spectrum(NON_SPLIT) is None
+
+
+def test_order_triangular_sigma_is_certified_by_its_spectrum():
+    # sigma^n [1:1:1] = [2^n : 2^n : 1]; the eigenvalues share a sign, so
+    # sigma's miss rules out every power
+    r = sigma_ideal_order(pt("[1:1:1]").ideal(RQ), TRIANGULAR, 3)
+    assert r == (None, True, "split-spectrum")
+    assert sorted(geometry.rational_spectrum(TRIANGULAR)) == [1, 1, 2]
+
+
+def _split_sigma(data, nv):
+    """(P J P^-1, J's diagonal): J a Jordan form with eigenvalues in
+    {±1, ±2, 3}, P a product of up to three elementary integer matrices
+    I + t e_ij, so P^-1 is integral too."""
+    J = [[0] * nv for _ in range(nv)]
+    for i in range(nv):
+        J[i][i] = data.draw(st.sampled_from([1, -1, 2, -2, 3]))
+        if i and J[i - 1][i - 1] == J[i][i]:
+            J[i - 1][i] = data.draw(st.sampled_from([0, 1]))
+    P = [[int(i == j) for j in range(nv)] for i in range(nv)]
+    P_inv = [row[:] for row in P]
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = data.draw(st.permutations(range(nv)))[:2]
+        t = data.draw(st.sampled_from([-1, 1, 2]))
+        for row in P:  # P (I + t e_ij): column j += t column i
+            row[j] += t * row[i]
+        P_inv[i] = [a - t * b for a, b in zip(P_inv[i], P_inv[j])]  # (I - t e_ij) P^-1
+    rows = oracles.dense_mul(QQ, oracles.dense_mul(QQ, P, J), P_inv)
+    return ProjAutomorphism(PolyRing(QQ, nv), rows), [J[i][i] for i in range(nv)]
+
+
+def _random_subscheme(data, ring):
+    """A point, a pair of points, a fat point (a point's ideal with one
+    generator squared) or a line (P^2, P^3), with small integer data."""
+    nv = ring.nvars
+    coords = st.lists(st.integers(-2, 2), min_size=nv, max_size=nv).filter(any)
+    point = RationalPoint.of(QQ, data.draw(coords)).ideal(ring)
+    kinds = ["point", "pair", "fat"] + (["line"] if nv > 2 else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "pair":
+        return intersect(point, RationalPoint.of(QQ, data.draw(coords)).ideal(ring))
+    if kind == "fat":
+        return HomIdeal(ring, point.gens[:-1] + (point.gens[-1] * point.gens[-1],))
+    if kind == "line":
+        forms = [sum((ring.variable(i).scale(c) for i, c in enumerate(data.draw(coords))),
+                     ring.zero()) for _ in range(nv - 2)]
+        return HomIdeal(ring, forms)
+    return point
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_split_sigma_fixes_z_with_some_power_exactly_when_its_closure_says(data):
+    """For sigma split over Q, some power of sigma fixes Z exactly when
+    sigma^c does, c = 1 when the eigenvalues share a sign and c <= 2
+    otherwise: against the least n <= 12 with I^(sigma^n) = I by Groebner
+    equality, sigma_ideal_order at bound 12 certifies that no power fixes Z
+    exactly when there is none, and otherwise reports that least n.  The
+    spectrum is J's diagonal."""
+    sigma, diagonal = _split_sigma(data, data.draw(st.integers(2, 4)))
+    assert sorted(geometry.rational_spectrum(sigma)) == sorted(diagonal)
+    Z = _random_subscheme(data, sigma.ring)
+    least = next((n for n in range(1, 13) if ideal_equal(sigma.pullback_ideal(Z, n), Z)),
+                 None)
+    r = sigma_ideal_order(Z, sigma, 12)
+    assert r.certified_infinite == (least is None)
+    assert r.order == least
 
 
 # ---------------------------------------------------------------------------
@@ -800,13 +880,11 @@ def test_unstable_moving_components_only_text():
 
 
 def test_unstable_order_bound_exhausted_text():
-    # a fat point at a fixed point of a triangular sigma (no certificate
-    # route): the support is fixed, the scheme is not within the bound
-    tri = ProjAutomorphism.from_strings(
-        RQ, [["1", "1", "0"], ["0", "2", "0"], ["0", "0", "1"]]
-    )
+    # a fat point at a fixed point of a sigma that does not split over Q (no
+    # certificate route): the support is fixed, the scheme is not within the
+    # bound
     fat = ideal("x0", "x1^2")
-    scene = IdealizerScene(RQ, tri, fat, declared_components=((fat, None),))
+    scene = IdealizerScene(RQ, NON_SPLIT, fat, declared_components=((fat, None),))
     detail = ("    the colon strictly exceeds the ideal of Z at every degree "
               "through 6, and no power of sigma up to 3 fixes the finite-order "
               "part\n")
@@ -821,6 +899,35 @@ def test_unstable_order_bound_exhausted_text():
         + detail +
         "strongly-left-noetherian: no  [heuristic(horizon=6)]  (pure-codimension-one-and-transversality)\n"
         + detail + UNSTABLE_NA_ROWS
+    )
+
+
+def test_unstable_split_spectrum_refutes_the_right_rows_text():
+    # the same fat point under the triangular sigma, which splits over Q:
+    # sigma fixes the support but not the scheme, so no power does, and the
+    # right rows are refuted from the components alone
+    fat = ideal("x0", "x1^2")
+    scene = IdealizerScene(RQ, TRIANGULAR, fat, declared_components=((fat, None),))
+    detail = ("    the colon strictly exceeds the ideal of Z at every degree "
+              "through 6: the section ring needs a fresh generator in each such "
+              "degree, while a left noetherian connected graded algebra is "
+              "finitely generated\n")
+    refuted = ("    a noetherian section ring forces some power of sigma to fix the "
+               "finite-order part of Z as a scheme\n"
+               "    witness: component V(x0, x1^2) has finite-order support (order 1) "
+               "but no power of sigma fixes the component scheme (split-spectrum)\n")
+    assert rendered(scene, horizon=6, order_bound=3) == (
+        "# classification\n"
+        "flag: not a finitely generated idealizer; noetherian rows refuted\n"
+        "right-noetherian: no  [refuted]  (finite-forward-orbit-criterion)\n"
+        + refuted +
+        "strongly-right-noetherian: no  [refuted]  (strong-right-equals-right-for-idealizers)\n"
+        + refuted +
+        "left-noetherian: no  [heuristic(horizon=6)]  (critical-transversality-left-noetherian)\n"
+        + detail +
+        "strongly-left-noetherian: no  [heuristic(horizon=6)]  (pure-codimension-one-and-transversality)\n"
+        "    follows from the left-noetherian failure\n"
+        + UNSTABLE_NA_ROWS
     )
 
 

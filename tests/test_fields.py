@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geomideal import cli
-from geomideal.fields import QQ, PrimeField
+from geomideal.fields import PRIME_BOUND, QQ, PrimeField, is_prime
 from geomideal.geometry import RationalPoint
 from geomideal.homology import free_resolution
 from geomideal.idealizer import IdealizerScene, idealizer_piece
@@ -140,6 +140,30 @@ def test_bad_literals_exit_two(field, text, tmp_path, capsys):
         assert cli.main(["gb", str(path)]) == 2
         err = capsys.readouterr().err
         assert "BAD_RATIONAL" in err and "Traceback" not in err
+
+
+# the least strong pseudoprimes to the bases 2, ..., 37 (psi_12) and to the
+# bases 2, ..., 41 (psi_13)
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_is_exact_up_to_psi_13():
+    assert PSI_12 == 399165290221 * 798330580441 and not is_prime(PSI_12)
+    assert PSI_13 == 1287836182261 * 2575672364521 == PRIME_BOUND
+    with pytest.raises(ValueError, match="not below"):
+        is_prime(PSI_13)
+    assert is_prime(2 ** 61 - 1) and not is_prime(2 ** 61 + 1)
+    assert is_prime(41) and not is_prime(41 * 43)
+
+
+@pytest.mark.parametrize("modulus", [PSI_12, PSI_13, PSI_13 + 2])
+def test_pseudoprime_and_out_of_range_moduli_are_bad_fields(modulus):
+    with pytest.raises(ValueError):
+        PrimeField(modulus)
+    with pytest.raises(cli.SceneError) as err:
+        cli.parse_scene(f"field prime {modulus}\ndim 1\nsigma\n1 0\n0 1\nideal\nx0\nend\n")
+    assert "BAD_FIELD" in [d.code for d in err.value.diagnostics]
 
 
 @pytest.mark.parametrize("zero", [0, Fraction(0)])

@@ -6,6 +6,7 @@ against independent Tor computations for every enumerated union.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 from functools import lru_cache, reduce
 from itertools import permutations
 from pathlib import Path
@@ -28,6 +29,7 @@ from geomideal.geometry import (
     _ratio_gate,
     _subspace_ideal,
     _unipotent_part,
+    rational_spectrum,
     critical_transversality_certificate,
     forward_orbit_hits,
     multiplicative_independence,
@@ -642,6 +644,50 @@ def test_rational_entries():
     assert Fraction(2, 3) ** e[0] * Fraction(3, 2) ** e[1] == 1
 
 
+def _prime_exponents(v: Fraction) -> dict:
+    """v's exponent at each prime, by trial division (small v only)."""
+    out = {}
+    for n, sign in ((v.numerator, 1), (v.denominator, -1)):
+        n, q = abs(n), 2
+        while n > 1:
+            while n % q == 0:
+                out[q] = out.get(q, 0) + sign
+                n //= q
+            q += 1
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(Fraction, st.integers(-3000, 3000).filter(bool), st.integers(1, 40)),
+                min_size=1, max_size=4))
+def test_coprime_base_gives_the_prime_rank_and_witness(values):
+    """Over the gcd-only coprime base, the rank and the witness are those of
+    the exponent matrix over the primes, read here by trial division: the
+    first kernel vector, made primitive, doubled when its product is -1."""
+    primes = sorted({q for v in values for q in _prime_exponents(v)})
+    rows = [[_prime_exponents(v).get(q, 0) for v in values] for q in primes]
+    kern = linalg.kernel_basis(QQ, rows, len(values))
+    mi = multiplicative_independence(values)
+    assert (mi.rank, mi.independent) == (len(values) - len(kern), not kern)
+    if kern:
+        vec = [Fraction(c) for c in kern[0]]
+        scaled = [int(c * lcm(*(x.denominator for x in vec))) for c in vec]
+        witness = [c // gcd(*scaled) for c in scaled]
+        if sum(e for v, e in zip(values, witness) if v < 0) % 2:
+            witness = [2 * e for e in witness]
+        assert mi.witness == tuple(witness)
+
+
+def test_ct_certificate_with_a_large_prime_eigenvalue_is_read_without_factoring():
+    """The ratio 1000000000000000003 is prime: trial division up to its
+    square root did not finish in 20 s, a coprime base needs gcds only."""
+    sigma = ProjAutomorphism.diagonal(RQ, ["1", "1000000000000000003", "3"])
+    Z = HomIdeal.from_strings(RQ, ["x0 - x2", "x1 - x2"])
+    cert = critical_transversality_certificate(IdealizerScene(RQ, sigma, Z))
+    assert (cert.status, cert.checked) == ("certified", 17)
+    assert multiplicative_independence([1000000000000000003, 3]).rank == 2
+
+
 # ---------------------------------------------------------------------------
 # eigen data and invariant subschemes
 # ---------------------------------------------------------------------------
@@ -667,6 +713,30 @@ def test_unipotent_scalar_of_a_scaled_jordan_block(nv, c):
     ring = PolyRing(QQ, nv)
     rows = [[c if j in (i, i + 1) else "0" for j in range(nv)] for i in range(nv)]
     assert _unipotent_part(ProjAutomorphism.from_strings(ring, rows))[0] == QQ.from_str(c)
+
+
+@pytest.mark.parametrize("scale", [1, -3, 10 ** 6, Fraction(-1, 10 ** 6)])
+def test_rational_spectrum_scales_with_sigma(scale):
+    """sigma is scaled to a primitive integer matrix before the root
+    search, so a large scalar does not push the roots past ROOT_CAP."""
+    rows = [[1, 1, 0], [0, 2, 0], [0, 0, -1]]
+    sigma = ProjAutomorphism(RQ, [[QQ.mul(scale, x) for x in row] for row in rows])
+    assert sorted(rational_spectrum(sigma)) == sorted(scale * x for x in (1, 2, -1))
+
+
+def test_rational_spectrum_search_is_bounded():
+    """Eigenvalues past ROOT_CAP are not searched for, except the trace
+    candidate, which finds a scaled unipotent sigma's one eigenvalue; an
+    irrational eigenvalue gives None too."""
+    big = ProjAutomorphism.from_strings(R1, [["1000000007", "1"], ["0", "1000000009"]])
+    assert rational_spectrum(big) is None
+    jordan = ProjAutomorphism.from_strings(R1, [["1000000007", "1"], ["0", "1000000007"]])
+    assert rational_spectrum(jordan) == (1000000007, 1000000007)
+    golden = ProjAutomorphism.from_strings(R1, [["2", "1"], ["1", "1"]])
+    assert rational_spectrum(golden) is None
+    assert rational_spectrum(ProjAutomorphism.diagonal(R1, ["2", "-1/3"])) == (2, Fraction(-1, 3))
+    shear7 = ProjAutomorphism.from_strings(PolyRing(PrimeField(7), 2), [["1", "1"], ["0", "1"]])
+    assert rational_spectrum(shear7) is None
 
 
 def coordinate_families(d):
